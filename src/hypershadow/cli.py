@@ -9,7 +9,8 @@ re-certifies a stored state by applying the operator once.
 
 Exit codes: 0 success, 1 scenario or descriptor failure (nothing is
 written), 2 divergence (or a certification with kappa >= 1), 3 an
-iterate leaving its declared ball.
+iterate leaving its declared ball, 4 a non-finite value entering the
+operator.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .invariance import (
     BallExitError,
     CorrectionState,
     DivergenceError,
+    NumericalError,
     OperatorConfig,
     aposteriori_bounds,
     gamma_step,
@@ -127,7 +129,7 @@ def save_state(state, directory, seed=0):
     }
     path = os.path.join(directory, "state.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -235,6 +237,9 @@ def _run_one(scn, fr, spec, cfg, out, quiet):
     except DivergenceError as exc:
         _complain(f"diverged: {exc}")
         return 2, None, None
+    except NumericalError as exc:
+        _complain(f"non-finite value: {exc}")
+        return 4, None, None
     if not report.converged:
         _complain(f"no convergence within {cfg.max_iters} iterations "
                   f"(last distance {report.distances[-1]:.3e})")
@@ -319,10 +324,15 @@ def cmd_sweep(scn, max_iters=None, quiet=False):
                     f"|X-1|={x_norms[-1]:.6e}")
 
     logs = np.log(np.asarray(eps_list))
-    slope_xhat = float(np.polyfit(logs, np.log(xhat_norms), 1)[0])
-    slope_x = None
-    if min(x_norms) > 1e-300:
-        slope_x = float(np.polyfit(logs, np.log(x_norms), 1)[0])
+
+    def slope(norms):
+        # a log-log fit needs every norm positive; null otherwise
+        if min(norms) > 1e-300:
+            return float(np.polyfit(logs, np.log(norms), 1)[0])
+        return None
+
+    slope_xhat = slope(xhat_norms)
+    slope_x = slope(x_norms)
     summary = {
         "eps": eps_list,
         "xhat_c0": xhat_norms,
@@ -332,14 +342,16 @@ def cmd_sweep(scn, max_iters=None, quiet=False):
         "seed": scn.seed,
     }
     with open(os.path.join(scn.out, "sweep.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     lines = ["eps,xhat_c0,X_c0"]
     for e, a, b in zip(eps_list, xhat_norms, x_norms):
         lines.append(f"{e:.17g},{a:.17e},{b:.17e}")
     with open(os.path.join(scn.out, "sweep.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    _say(quiet, f"slope |xhat| vs eps: {slope_xhat:.4f} -> {scn.out}")
+    shown = "undefined (|xhat| = 0)" if slope_xhat is None \
+        else f"{slope_xhat:.4f}"
+    _say(quiet, f"slope |xhat| vs eps: {shown} -> {scn.out}")
     return 0
 
 
@@ -354,23 +366,43 @@ class _VerifyRecord:
         self.u_radii = state.u_ball.c
 
 
+def _check_state_grid(state, fr, cfg):
+    """The saved state must live on the scenario's grid and dimension."""
+    g = state.xs
+    if (abs(g.half_width - cfg.window) > 1e-9
+            or abs(g.delta - cfg.delta) > 1e-12):
+        raise ValueError(
+            f"saved state grid (window {g.half_width:g}, delta {g.delta:g}) "
+            f"does not match the scenario (window {cfg.window:g}, "
+            f"delta {cfg.delta:g})")
+    if g.m != fr.model.n:
+        raise ValueError(
+            f"saved state has dimension {g.m}, the scenario's model "
+            f"{fr.model.n}")
+
+
 def cmd_verify(scn, state_dir, max_iters=None, quiet=False):
     try:
         fr, spec, cfg = scn.resolve(max_iters=max_iters)
         state = load_state(state_dir)
+        _check_state_grid(state, fr, cfg)
     except Exception as exc:
         _complain(str(exc))
         return 1
     out = scn.out
     os.makedirs(out, exist_ok=True)
-    step1, d1 = gamma_step(fr, state, spec, cfg)
-    e_eta = d1["d_eta"] + d1["tail_s"] + d1["tail_u"]
-    if d1["d_eta"] <= cfg.tol_eta:
-        kappa = 0.0
-    else:
-        # one more application measures the local contraction ratio
-        _, d2 = gamma_step(fr, step1, spec, cfg)
-        kappa = d2["d_eta"] / d1["d_eta"]
+    try:
+        step1, d1 = gamma_step(fr, state, spec, cfg)
+        e_eta = d1["d_eta"] + d1["tail_s"] + d1["tail_u"]
+        if d1["d_eta"] <= cfg.tol_eta:
+            kappa = 0.0
+        else:
+            # one more application measures the local contraction ratio
+            _, d2 = gamma_step(fr, step1, spec, cfg)
+            kappa = d2["d_eta"] / d1["d_eta"]
+    except NumericalError as exc:
+        _complain(f"non-finite value: {exc}")
+        return 4
     if kappa >= 1.0:
         _complain(f"not certifiable: measured contraction ratio "
                   f"{kappa:.3f} >= 1")
@@ -390,7 +422,7 @@ def cmd_verify(scn, state_dir, max_iters=None, quiet=False):
         "seed": scn.seed,
     }
     with open(os.path.join(out, "verify.json"), "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     _say(quiet, f"E_eta={e_eta:.3e} kappa_hat={kappa:.3f} -> {out}")
     return 0

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcspace import GridFunction, save_grid_function
-from .perturbations import PerturbationSpec
+from .perturbations import PerturbationSpec, _rows
 
 __all__ = [
     "Trajectory",
@@ -592,20 +592,35 @@ def nonsingularity_check(sys, window=8.0, samples=1025):
 
 def _segment_delay(seg, qi_now, block, eps, sign, tol=_DEFECT_TOL,
                    max_iters=_MAX_ITERS):
-    """Delay of one pair read off a stacked history segment.
+    """Delays of one pair read off a batch of stacked history segments.
 
-    ``block`` slices the partner's position out of the stacked state;
-    lookups run through the segment itself, so a delay that wanders past
-    the history radius surfaces as the segment's own range error.
+    ``qi_now`` is (k, d), one observer position per segment center, and
+    ``block`` slices the partner's position out of the stacked state.
+    The fixed point runs elementwise over k: an element is frozen once
+    its update falls below ``tol``, so each takes exactly the iterates a
+    one-center loop would. Lookups run through the segment itself, so a
+    delay that wanders past the history radius surfaces as the
+    segment's own range error.
     """
-    tau = eps * float(np.linalg.norm(qi_now - seg.eval(0.0)[block]))
+    def step(rows, shift):
+        gap = qi_now[rows] - seg.take(rows).eval(shift)[:, block]
+        return eps * np.sqrt(np.einsum("kd,kd->k", gap, gap))
+
+    every = np.arange(len(seg))
+    tau = step(every, 0.0)
+    out = np.empty_like(tau)
+    active = every
     for _ in range(max_iters):
-        nxt = eps * float(np.linalg.norm(qi_now - seg.eval(sign * tau)[block]))
-        if abs(nxt - tau) <= tol:
-            return nxt
-        tau = nxt
+        nxt = step(active, sign * tau[active])
+        done = np.abs(nxt - tau[active]) <= tol
+        out[active[done]] = nxt[done]
+        tau[active] = nxt
+        active = active[~done]
+        if not active.size:
+            return out
     raise DelaySolveError(
-        f"segment delay still moving after {max_iters} iterations")
+        f"segment delay at t={seg.t[active[0]]:.6g} still moving after "
+        f"{max_iters} iterations")
 
 
 def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
@@ -671,37 +686,41 @@ def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
     qslice = [slice(i * d, (i + 1) * d) for i in range(N)]
     vslice = [slice(N * d + i * d, N * d + (i + 1) * d) for i in range(N)]
 
-    def evaluate(t, seg, eps):
+    def evaluate(ts, seg, eps):
         y0 = seg.eval(0.0)
-        if y0.size != 2 * N * d:
+        if y0.shape[1] != 2 * N * d:
             raise ValueError(
-                f"stacked state must have {2 * N * d} components, got {y0.size}")
-        q = [y0[qslice[i]] for i in range(N)]
-        v = [y0[vslice[i]] for i in range(N)]
-        acc = np.zeros((N, d))
+                f"stacked state must have {2 * N * d} components, "
+                f"got {y0.shape[1]}")
+        tl = ts.tolist()
+        q = [y0[:, qslice[i]] for i in range(N)]
+        v = [y0[:, vslice[i]] for i in range(N)]
+        acc = np.zeros((ts.size, N, d))
+
+        def pair(i, j, y):
+            # the pointwise force, one row per base time
+            return _rows(lambda *r: force(charges[i], charges[j], *r),
+                         q[i], v[i], y[:, qslice[j]], y[:, vslice[j]])
+
         for i in range(N):
             if external is not None:
-                acc[i] += np.asarray(external(t, q[i], v[i]), dtype=float)
+                acc[:, i] += _rows(external, tl, q[i], v[i])
             for j in range(N):
                 if j == i:
                     continue
                 if eps == 0.0:
-                    acc[i] += force(charges[i], charges[j], q[i], v[i],
-                                    q[j], v[j]) / masses[i]
+                    acc[:, i] += pair(i, j, y0) / masses[i]
                     continue
                 if mixing > 0.0:
                     tau = _segment_delay(seg, q[i], qslice[j], eps, -1.0)
-                    yr = seg.eval(-tau)
-                    acc[i] += mixing * force(
-                        charges[i], charges[j], q[i], v[i],
-                        yr[qslice[j]], yr[vslice[j]]) / masses[i]
+                    acc[:, i] += mixing * pair(i, j, seg.eval(-tau)) \
+                        / masses[i]
                 if mixing < 1.0:
                     sig = _segment_delay(seg, q[i], qslice[j], eps, +1.0)
-                    ya = seg.eval(sig)
-                    acc[i] += (1.0 - mixing) * force(
-                        charges[i], charges[j], q[i], v[i],
-                        ya[qslice[j]], ya[vslice[j]]) / masses[i]
-        return np.concatenate([y0[N * d:], acc.ravel()])
+                    acc[:, i] += (1.0 - mixing) * pair(i, j, seg.eval(sig)) \
+                        / masses[i]
+        return np.concatenate([y0[:, N * d:], acc.reshape(ts.size, N * d)],
+                              axis=1)
 
     params = {"N": N, "dim": d, "epsilon": eps0, "mixing": mixing,
               "force": getattr(force, "force_id", "custom")}

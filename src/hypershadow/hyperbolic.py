@@ -634,39 +634,44 @@ def _saddle_model(lam_s, lam_u, cubic=(0.0, 0.0), rotation=None):
     c2, c3 = float(cubic[0]), float(cubic[1])
     Q = None if rotation is None else np.asarray(rotation, dtype=float)
 
+    # batched in base coordinates: rows of x are points, shape (k, 3)
     def fb(x):
-        x = np.asarray(x, dtype=float)
-        return np.array([1.0,
-                         -lam_s * x[1] + c2 * x[1] ** 3,
-                         lam_u * x[2] + c3 * x[2] ** 3])
+        out = np.empty(x.shape)
+        out[:, 0] = 1.0
+        out[:, 1] = -lam_s * x[:, 1] + c2 * x[:, 1] ** 3
+        out[:, 2] = lam_u * x[:, 2] + c3 * x[:, 2] ** 3
+        return out
 
     def dfb(x):
-        x = np.asarray(x, dtype=float)
-        return np.array([[0.0, 0.0, 0.0],
-                         [0.0, -lam_s + 3.0 * c2 * x[1] ** 2, 0.0],
-                         [0.0, 0.0, lam_u + 3.0 * c3 * x[2] ** 2]])
+        out = np.zeros((x.shape[0], 3, 3))
+        out[:, 1, 1] = -lam_s + 3.0 * c2 * x[:, 1] ** 2
+        out[:, 2, 2] = lam_u + 3.0 * c3 * x[:, 2] ** 2
+        return out
 
     def d2fb(x):
-        x = np.asarray(x, dtype=float)
-        H = np.zeros((3, 3, 3))
-        H[1, 1, 1] = 6.0 * c2 * x[1]
-        H[2, 2, 2] = 6.0 * c3 * x[2]
-        return H
+        out = np.zeros((x.shape[0], 3, 3, 3))
+        out[:, 1, 1, 1] = 6.0 * c2 * x[:, 1]
+        out[:, 2, 2, 2] = 6.0 * c3 * x[:, 2]
+        return out
 
     if Q is None:
-        f, df, d2f = fb, dfb, d2fb
+        f_many, df_many, d2f_many = fb, dfb, d2fb
     else:
         QT = Q.T
 
-        def f(y):
-            return Q @ fb(QT @ np.asarray(y, dtype=float))
+        # rows y of the batch map to base coordinates as y @ Q
+        def f_many(ys):
+            return fb(ys @ Q) @ QT
 
-        def df(y):
-            return Q @ dfb(QT @ np.asarray(y, dtype=float)) @ QT
+        def df_many(ys):
+            return Q @ dfb(ys @ Q) @ QT
 
-        def d2f(y):
-            H = d2fb(QT @ np.asarray(y, dtype=float))
-            return np.einsum("ia,abc,jb,kc->ijk", Q, H, Q, Q)
+        def d2f_many(ys):
+            return np.einsum("ia,pabc,jb,kc->pijk", Q, d2fb(ys @ Q), Q, Q)
+
+    def one(fn):
+        # single points run the batched code with k = 1
+        return lambda x: fn(np.asarray(x, dtype=float)[None])[0]
 
     name = "saddle-cubic" if (c2 or c3) else "lin-saddle"
     params = {"lambda_s": lam_s, "lambda_u": lam_u}
@@ -674,7 +679,9 @@ def _saddle_model(lam_s, lam_u, cubic=(0.0, 0.0), rotation=None):
         params["cubic"] = [c2, c3]
     if Q is not None:
         params["rotation"] = Q.tolist()
-    return OdeModel(3, f, df, d2f, b=1.0, name=name, params=params)
+    return OdeModel(3, one(f_many), one(df_many), one(d2f_many), b=1.0,
+                    name=name, params=params, f_many=f_many,
+                    df_many=df_many, d2f_many=d2f_many)
 
 
 def _limit_cycle_model():

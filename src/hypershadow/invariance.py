@@ -28,13 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import Flow, ScalarField, composite_window, solve_flow
+from .flows import Flow, ScalarField, solve_flow
 from .funcspace import BallRadii, GridFunction, WeightParam, ball_membership
 from .perturbations import HistorySegment
 
 
 class DivergenceError(RuntimeError):
     """Raised when consecutive-distance ratios stay at or above 1."""
+
+
+class NumericalError(RuntimeError):
+    """Raised when a non-finite value enters the operator."""
 
 
 class BallExitError(RuntimeError):
@@ -282,20 +286,22 @@ def center_defect(fr, state):
 
 
 def taylor_remainder(fr, xhat, rho, cross_check=False):
-    """T = f(x0 + xhat) - f(x0) - Df(x0) xhat at the orbit point x0(rho).
+    """T = f(x0 + xhat) - f(x0) - Df(x0) xhat at the orbit points x0(rho).
 
-    With ``cross_check`` the direct formula is compared against the
+    ``xhat`` is (k, n) and ``rho`` (k,); returns (k, n). With
+    ``cross_check`` the direct formula is compared against the
     double-integral form int_0^1 int_0^s D2f(x0 + r xhat) xhat^2 dr ds
-    and the larger-than-roundoff disagreement raises.
+    and a larger-than-roundoff disagreement raises.
     """
     model = fr.model
     xhat = np.asarray(xhat, dtype=float)
-    x0 = fr.orbit(float(rho))
+    x0 = fr.orbit_batch(rho)
     radius = getattr(model, "valid_radius", math.inf)
-    if np.linalg.norm(xhat) > radius:
+    if float(np.linalg.norm(xhat, axis=1).max()) > radius:
         raise ValueError(
             "correction leaves the model's valid neighborhood of the orbit")
-    direct = model.f(x0 + xhat) - model.f(x0) - model.df(x0) @ xhat
+    lin = np.einsum("kij,kj->ki", model.df_batch(x0), xhat)
+    direct = model.f_batch(x0 + xhat) - model.f_batch(x0) - lin
     if cross_check:
         # iterated-integral form, 20-point Gauss in each layer
         gx, gw = np.polynomial.legendre.leggauss(20)
@@ -303,35 +309,22 @@ def taylor_remainder(fr, xhat, rho, cross_check=False):
         w = 0.5 * gw
         acc = np.zeros_like(direct)
         for si, wi in zip(s, w):
-            inner = np.zeros_like(direct)
             for rj, wj in zip(s * si, w * si):
-                inner += wj * (model.d2f(x0 + rj * xhat) @ xhat @ xhat)
-            acc += wi * inner
+                H = model.d2f_batch(x0 + rj * xhat)
+                acc += (wi * wj) * np.einsum("kijl,kj,kl->ki", H, xhat, xhat)
         scale = 1.0 + float(np.abs(direct).max())
         if float(np.abs(acc - direct).max()) > 1e-8 * scale:
             raise ValueError("Taylor remainder forms disagree")
     return direct
 
 
-def quadratic_term(fr, state, rho):
-    """B = (1 - X) Df(x0) xhat + T[x0, xhat] at a single rho."""
-    rho = float(rho)
-    xhat = state.xhat(rho)
-    Xv = 1.0 + state.X.xhat.eval1(rho)
-    x0 = fr.orbit(rho)
-    lin = (1.0 - Xv) * (fr.model.df(x0) @ xhat)
-    return lin + taylor_remainder(fr, xhat, rho)
-
-
 def _quadratic_batch(fr, state, vs):
+    """B = (1 - X) Df(x0) xhat + T[x0, xhat] at the times vs, shape (k, n)."""
     x0 = fr.orbit_batch(vs)
     xh = state.xs.eval(vs) + state.xu.eval(vs)
     Xv = 1.0 + state.X.xhat.eval1(vs)
-    f0 = fr.model.f_batch(x0)
-    Df0 = fr.model.df_batch(x0)
-    lin = np.einsum("kij,kj->ki", Df0, xh)
-    T = fr.model.f_batch(x0 + xh) - f0 - lin
-    return (1.0 - Xv)[:, None] * lin + T
+    lin = np.einsum("kij,kj->ki", fr.model.df_batch(x0), xh)
+    return (1.0 - Xv)[:, None] * lin + taylor_remainder(fr, xh, vs)
 
 
 def _state_flow(state, half_width, substeps=8):
@@ -352,62 +345,43 @@ def _state_flow(state, half_width, substeps=8):
     return solve_flow(state.X, half_width, substeps=substeps)
 
 
-def _history_segment(fr, state, flow, spec, t, _pre=None):
-    """Reparametrized history segment of (x0 + xhat) o phi at time t.
-
-    ``_pre`` carries (xs', xu', identity-flag) so batch callers pay the
-    setup once. An exactly-identity time change skips the flow lookups.
-    """
-    if _pre is None:
-        _pre = (state.xs.derivative(1), state.xu.derivative(1),
-                state.X.sup_deviation() == 0.0)
-    xs1, xu1, ident = _pre
-    phi_g = flow.phi
-
-    def theta(s, _t=t):
-        s_arr = np.asarray(s, dtype=float)
-        a = np.atleast_1d(_t + s_arr if ident else phi_g.eval1(_t + s_arr))
-        out = fr.orbit_batch(a) + state.xs.eval(a) + state.xu.eval(a)
-        return out[0] if np.ndim(s) == 0 else out
-
-    def dtheta(s, _t=t):
-        s_arr = np.asarray(s, dtype=float)
-        a = np.atleast_1d(_t + s_arr if ident else phi_g.eval1(_t + s_arr))
-        out = fr.orbit_deriv_batch(a) + xs1.eval(a) + xu1.eval(a)
-        if not ident:
-            out = out * (1.0 + state.X.xhat.eval1(a))[:, None]
-        return out[0] if np.ndim(s) == 0 else out
-
-    return HistorySegment(t, spec.h, theta, dtheta)
-
-
-def perturb_term(fr, state, spec, rho, eps, flow=None):
+def _varphi_batch(fr, state, spec, flow, vs, eps):
     """varphi(rho) = p(phi^{-1}(rho), ((x0 + xhat) o phi)_{phi^{-1}(rho)}).
 
-    The segment derivative is the chain rule value
-    (x0 + xhat)'(alpha) X(alpha) with alpha the composite window map.
+    One spec call for all k times vs, returning (k, n). The segments
+    read (x0 + xhat)(phi(t + s)); their derivative is the chain rule
+    value (x0 + xhat)'(alpha) X(alpha). An exactly-identity time change
+    skips the flow lookups. This is where perturbation values enter the
+    operator, so a non-finite value raises NumericalError here.
     """
-    rho = float(rho)
-    if flow is None:
-        reach = (abs(rho) + spec.h) / max(1.0 - state.X.t0, 1e-9) + 1.0
-        flow = _state_flow(state, reach)
-    win = composite_window(flow, rho, spec.h)
-    t = win.base
-    seg = _history_segment(fr, state, flow, spec, t)
-    return np.asarray(spec(t, seg, eps), dtype=float)
-
-
-def _varphi_batch(fr, state, spec, flow, vs, eps):
     ident = state.X.sup_deviation() == 0.0
     bases = vs if ident else flow.phi_inv.eval1(vs)
     if float(np.abs(bases).max()) + spec.h > flow.phi.half_width + 1e-12:
         raise ValueError(
             "integrand evaluation leaves the inflated flow window")
-    pre = (state.xs.derivative(1), state.xu.derivative(1), ident)
-    out = np.empty((vs.size, fr.model.n))
-    for i, t in enumerate(bases):
-        seg = _history_segment(fr, state, flow, spec, float(t), _pre=pre)
-        out[i] = spec(float(t), seg, eps)
+    xs1 = state.xs.derivative(1)
+    xu1 = state.xu.derivative(1)
+    phi_g = flow.phi
+
+    def theta(a):
+        a = a if ident else phi_g.eval1(a)
+        return fr.orbit_batch(a) + state.xs.eval(a) + state.xu.eval(a)
+
+    def dtheta(a):
+        a = a if ident else phi_g.eval1(a)
+        out = fr.orbit_deriv_batch(a) + xs1.eval(a) + xu1.eval(a)
+        if not ident:
+            out = out * (1.0 + state.X.xhat.eval1(a))[:, None]
+        return out
+
+    seg = HistorySegment(bases, spec.h, theta, dtheta)
+    out = spec(bases, seg, eps)
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(
+            f"perturbation value at t={bases[i]:.6g} (rho={vs[i]:.6g}) is "
+            f"not finite: {out[i].tolist()}")
     return out
 
 
@@ -630,7 +604,8 @@ class IterationReport:
         }
 
     def to_json(self, path=None):
-        text = json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        text = json.dumps(self.as_dict(), indent=2, sort_keys=True,
+                          allow_nan=False)
         if path is not None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
@@ -807,18 +782,9 @@ def residual_fde(fr, state, spec, eps, probe):
     fx = fr.model.f_batch(samples)
     res = dx - fx
     if eps != 0.0 and spec is not None:
-        for i, t in enumerate(probe):
-            seg = HistorySegment(
-                float(t), spec.h,
-                lambda s, _t=float(t): _seg_eval(traj, _t, s),
-                lambda s, _t=float(t): _seg_eval(dtraj, _t, s))
-            res[i] -= eps * np.asarray(spec(float(t), seg, eps), dtype=float)
+        seg = HistorySegment(probe, spec.h, traj, dtraj)
+        res -= eps * spec(probe, seg, eps)
     return float(np.linalg.norm(res, axis=1).max())
-
-
-def _seg_eval(fn, t, s):
-    out = fn(np.atleast_1d(t + np.asarray(s, dtype=float)))
-    return out[0] if np.ndim(s) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -908,17 +874,8 @@ def _varphi_sup_estimate(fr, spec, cfg, samples=33):
     if spec is None:
         return 0.0
     ts = np.linspace(-cfg.window / 2.0, cfg.window / 2.0, samples)
-    worst = 0.0
-    for t in ts:
-        seg = HistorySegment(
-            float(t), spec.h,
-            lambda s, _t=float(t): fr.orbit(_t + float(s))
-            if np.ndim(s) == 0 else fr.orbit_batch(_t + np.asarray(s)),
-            lambda s, _t=float(t): fr.orbit_deriv(_t + float(s))
-            if np.ndim(s) == 0 else fr.orbit_deriv_batch(_t + np.asarray(s)))
-        worst = max(worst, float(np.linalg.norm(
-            spec(float(t), seg, cfg.eps))))
-    return worst
+    seg = HistorySegment(ts, spec.h, fr.orbit_batch, fr.orbit_deriv_batch)
+    return float(np.linalg.norm(spec(ts, seg, cfg.eps), axis=1).max())
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 """Perturbation functionals acting on history segments.
 
 Each perturbation is a map (t, theta, eps) -> R^n where theta is a
-history segment over [-h, h]. Builders cover forcing terms that only
-read theta(0), state-dependent and nested delays, neutral terms that
-read theta'(0), weighted multi-delay sums, and the induced functional
-of a small state-dependent delay. Declared Lipschitz constants ride
+history segment over [-h, h]. Evaluation is batched: a HistorySegment
+holds k center times, and a spec maps k base times with their segments
+to a (k, n) array in one call, so a whole lattice of times costs a few
+array lookups instead of one call per time. User callables (Q, r, g,
+tau) stay pointwise; the builders apply them row by row. Builders
+cover forcing terms that only read theta(0), state-dependent and
+nested delays, neutral terms that read theta'(0), weighted multi-delay
+sums, and the induced functional of a small state-dependent delay. Declared Lipschitz constants ride
 along and can be cross-checked empirically with lipschitz_probe; the
 probe is a sampling lower bound, not a certificate.
 """
@@ -39,12 +43,30 @@ __all__ = [
 _LOOKUP_SLACK = 1e-9
 
 
-class HistorySegment:
-    """A trajectory piece around a center time: s in [-h, h] -> theta(s).
+def _rows(fn, *cols):
+    """Stack fn(*row) over the rows of the argument columns.
 
-    Lookups outside the radius raise; delays never get clamped. The
-    derivative evaluator is optional so that purely retarded specs can
-    consume segments built from plain callables.
+    User callables (Q, r, g, tau, forces) stay pointwise; this is the one
+    place the batched builders hand them one row at a time.
+    """
+    return np.asarray([fn(*row) for row in zip(*cols)], dtype=float)
+
+
+def _shift_rows(fn, *cols):
+    """Scalar shifts of a pointwise delay map, one per row: shape (k,)."""
+    return np.array([float(fn(*row)) for row in zip(*cols)])
+
+
+class HistorySegment:
+    """Trajectory pieces around k center times: s in [-h, h] -> theta(t_i + s).
+
+    ``t`` holds the centers, shape (k,); a scalar makes k = 1.
+    ``eval_fn`` and the optional ``deriv_fn`` map a 1-D array of absolute
+    times to (len, n) values. ``eval(s)`` and ``deriv(s)`` take offsets
+    that broadcast against the centers (a scalar or shape (k,)) and
+    return (k, n). Lookups outside the radius raise; delays never get
+    clamped. The derivative evaluator is optional so that purely
+    retarded specs can consume segments built without one.
     """
 
     __slots__ = ("t", "h", "_eval", "_deriv")
@@ -52,55 +74,68 @@ class HistorySegment:
     def __init__(self, t, h, eval_fn, deriv_fn=None):
         if not (h > 0.0):
             raise ValueError("history radius must be positive")
-        self.t = float(t)
+        self.t = np.atleast_1d(np.asarray(t, dtype=float))
         self.h = float(h)
         self._eval = eval_fn
         self._deriv = deriv_fn
 
-    def _guard(self, s):
-        s = float(s)
-        if abs(s) > self.h + _LOOKUP_SLACK:
+    def __len__(self):
+        return self.t.size
+
+    def _times(self, s):
+        s = np.asarray(s, dtype=float)
+        outside = np.abs(s) > self.h + _LOOKUP_SLACK
+        if outside.any():
+            bad = float(s.flat[int(np.argmax(outside))])
             raise ValueError(
-                f"history lookup at {s:+.6g} outside radius {self.h:.6g}")
-        return s
+                f"history lookup at {bad:+.6g} outside radius {self.h:.6g}")
+        return self.t + s
 
     def eval(self, s):
-        return np.asarray(self._eval(self._guard(s)), dtype=float)
+        return np.asarray(self._eval(self._times(s)), dtype=float)
 
     __call__ = eval
 
     def deriv(self, s):
         if self._deriv is None:
             raise ValueError("segment does not expose a derivative")
-        return np.asarray(self._deriv(self._guard(s)), dtype=float)
+        return np.asarray(self._deriv(self._times(s)), dtype=float)
 
     @property
     def has_derivative(self):
         return self._deriv is not None
 
+    def take(self, rows):
+        """The segments of the selected centers (index array or slice)."""
+        return HistorySegment(self.t[rows], self.h, self._eval, self._deriv)
+
     @classmethod
     def from_grid(cls, traj, t, h):
-        """Window the GridFunction ``traj`` at center t."""
-        if abs(t) + h > traj.half_width + 1e-12:
+        """Window the GridFunction ``traj`` at the centers t."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if float(np.abs(t).max()) + h > traj.half_width + 1e-12:
             raise ValueError("trajectory window too small for this segment")
-        d1 = traj.derivative(1)
-        return cls(t, h, lambda s: traj.eval(t + s),
-                   lambda s: d1.eval(t + s))
+        return cls(t, h, traj.eval, traj.derivative(1).eval)
 
     @classmethod
     def from_callable(cls, fn, t, h, dfn=None):
-        ev = (lambda s: fn(t + s))
-        dv = None if dfn is None else (lambda s: dfn(t + s))
-        return cls(t, h, ev, dv)
+        """Segments of a pointwise trajectory ``fn(time) -> (n,)``."""
+        def rows(f):
+            return lambda ts: _rows(f, ts.tolist())
+
+        return cls(t, h, rows(fn), None if dfn is None else rows(dfn))
 
 
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Immutable perturbation functional with declared metadata.
 
-    ``evaluate(t, segment, eps) -> (n,)``. L1 and L2 are the declared
-    time/state Lipschitz constants against |s - t| and the C^1 segment
-    distance; ``ell`` is the regularity budget the builder vouches for.
+    ``evaluate(ts, segment, eps) -> (k, n)`` for k base times ts and a
+    segment with one center per base time; calling the spec with a
+    scalar t runs the same code with k = 1 and returns (n,). L1 and L2
+    are the declared time/state Lipschitz constants against |s - t| and
+    the C^1 segment distance; ``ell`` is the regularity budget the
+    builder vouches for.
     """
 
     h: float
@@ -120,7 +155,11 @@ class PerturbationSpec:
             raise ValueError("Lipschitz constants must be nonnegative")
 
     def __call__(self, t, segment, eps):
-        return self.evaluate(t, segment, eps)
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        if ts.ndim != 1 or ts.size != len(segment):
+            raise ValueError("need one segment center per base time")
+        out = self.evaluate(ts, segment, eps)
+        return out[0] if np.ndim(t) == 0 else out
 
     def descriptor(self):
         return {"kind": self.kind, "parameters": dict(self.params),
@@ -136,8 +175,8 @@ def ode_term(g, lip_t=0.0, lip_x=0.0, mu=None, ell=3, kind="ode",
     A vanishing history radius is represented by a tiny positive one.
     """
 
-    def evaluate(t, seg, eps):
-        return np.asarray(g(t, seg.eval(0.0)), dtype=float)
+    def evaluate(ts, seg, eps):
+        return _rows(g, ts.tolist(), seg.eval(0.0))
 
     return PerturbationSpec(h=1e-9, mu=mu, evaluate=evaluate, L1=lip_t,
                             L2=lip_x, ell=ell, kind=kind,
@@ -157,9 +196,10 @@ def state_dependent_delay(Q, r, h, r_bound=None, lip_q=1.0, lip_r=1.0,
     if r_bound > h + 1e-12:
         raise ValueError("declared delay bound exceeds the history radius")
 
-    def evaluate(t, seg, eps):
-        shift = float(r(t, seg.eval(0.0)))
-        return np.asarray(Q(t, seg.eval(shift)), dtype=float)
+    def evaluate(ts, seg, eps):
+        tl = ts.tolist()
+        shift = _shift_rows(r, tl, seg.eval(0.0))
+        return _rows(Q, tl, seg.eval(shift))
 
     L = lip_q * (1.0 + traj_c1 * lip_r)
     return PerturbationSpec(h=h, mu=mu, evaluate=evaluate, L1=L, L2=L,
@@ -179,11 +219,11 @@ def nested_delay(Q, r, r1, h, r_bound=None, r1_bound=None, lip_q=1.0,
     if max(r_bound, r1_bound) > h + 1e-12:
         raise ValueError("declared delay bound exceeds the history radius")
 
-    def evaluate(t, seg, eps):
-        inner_shift = float(r1(seg.eval(0.0)))
-        inner = seg.eval(inner_shift)
-        shift = float(r(t, inner))
-        return np.asarray(Q(t, seg.eval(shift)), dtype=float)
+    def evaluate(ts, seg, eps):
+        tl = ts.tolist()
+        inner = seg.eval(_shift_rows(r1, seg.eval(0.0)))
+        shift = _shift_rows(r, tl, inner)
+        return _rows(Q, tl, seg.eval(shift))
 
     L1 = lip_q * (1.0 + traj_c1 * lip_r)
     L2 = lip_q * (1.0 + traj_c1 * lip_r * (1.0 + traj_c1 * lip_r1))
@@ -203,9 +243,10 @@ def neutral_delay(Q, r, h, r_bound=None, lip_q=1.0, lip_r=1.0, traj_c1=1.0,
     if r_bound > h + 1e-12:
         raise ValueError("declared delay bound exceeds the history radius")
 
-    def evaluate(t, seg, eps):
-        shift = float(r(t, seg.deriv(0.0)))
-        return np.asarray(Q(t, seg.eval(shift)), dtype=float)
+    def evaluate(ts, seg, eps):
+        tl = ts.tolist()
+        shift = _shift_rows(r, tl, seg.deriv(0.0))
+        return _rows(Q, tl, seg.eval(shift))
 
     L = lip_q * (1.0 + traj_c1 * lip_r)
     return PerturbationSpec(h=h, mu=mu, evaluate=evaluate, L1=L, L2=L,
@@ -228,7 +269,8 @@ def small_delay_q(f_model, tau_fns, h, blocks=None, tau_bounds=None,
     blocks[i] read at the i-th delayed time, and D_i f are the matching
     Jacobian columns. With one delay and the full block this is the
     classical one-delay rewrite. The sigma integral uses fixed-order
-    Gauss quadrature.
+    Gauss quadrature. Each ``tau(t, segment)`` is pointwise: it gets one
+    base time and the single-center segment of that time.
     """
     n = f_model.n
     L = len(tau_fns)
@@ -251,23 +293,23 @@ def small_delay_q(f_model, tau_fns, h, blocks=None, tau_bounds=None,
     sig = 0.5 * (nodes + 1.0)
     wts = 0.5 * weights
 
-    def evaluate(t, seg, eps):
-        taus = [float(tau(t, seg)) for tau in tau_fns]
+    def evaluate(ts, seg, eps):
+        k = ts.size
+        rows = [seg.take(slice(i, i + 1)) for i in range(k)]
+        taus = [_shift_rows(tau, ts.tolist(), rows) for tau in tau_fns]
         for tv in taus:
-            if abs(eps * tv) > h + _LOOKUP_SLACK:
+            if np.any(np.abs(eps * tv) > h + _LOOKUP_SLACK):
                 raise ValueError("eps times the delay leaves the history window")
-        out = np.zeros(n)
+        out = np.zeros((k, n))
         for s_val, w in zip(sig, wts):
-            y = np.empty(n)
-            looked = []
+            y = np.empty((k, n))
             for b, tv in zip(blocks, taus):
-                th = seg.eval(-s_val * eps * tv)
-                y[b] = th[b]
-                looked.append(tv)
-            J = np.asarray(f_model.df(y), dtype=float)
+                y[:, b] = seg.eval(-s_val * eps * tv)[:, b]
+            J = f_model.df_batch(y)
             for b, tv in zip(blocks, taus):
                 dth = seg.deriv(-s_val * eps * tv)
-                out -= w * tv * (J[:, b] @ dth[b])
+                out -= (w * tv)[:, None] * np.einsum(
+                    "kij,kj->ki", J[:, :, b], dth[:, b])
         return out
 
     if declared is None:
@@ -288,10 +330,9 @@ def multi_delay_advance(pairs, h=None, mu=None, ell=3, kind="multi-delay",
     if worst > h + 1e-12:
         raise ValueError("shift outside the history radius")
 
-    def evaluate(t, seg, eps):
+    def evaluate(ts, seg, eps):
         if not pairs:
-            probe = seg.eval(0.0)
-            return np.zeros_like(probe)
+            return np.zeros_like(seg.eval(0.0))
         out = pairs[0][1] * seg.eval(pairs[0][0])
         for s, w in pairs[1:]:
             out = out + w * seg.eval(s)
@@ -306,10 +347,11 @@ def multi_delay_advance(pairs, h=None, mu=None, ell=3, kind="multi-delay",
 # -- application and probing ----------------------------------------------
 
 def apply_P(spec, u, eps, t, du=None):
-    """Evaluate the functional on a trajectory at time t.
+    """Evaluate the functional on a trajectory at the base time(s) t.
 
-    ``u`` is a GridFunction, an already-built HistorySegment, or a
-    callable (then ``du`` optionally supplies the derivative).
+    A scalar t gives (n,), a 1-D array of k times (k, n). ``u`` is a
+    GridFunction, an already-built HistorySegment centered at t, or a
+    pointwise callable (then ``du`` optionally supplies the derivative).
     """
     if isinstance(u, HistorySegment):
         seg = u
@@ -317,21 +359,21 @@ def apply_P(spec, u, eps, t, du=None):
         seg = HistorySegment.from_grid(u, t, spec.h)
     else:
         seg = HistorySegment.from_callable(u, t, spec.h, dfn=du)
-    return spec.evaluate(t, seg, eps)
+    return spec(t, seg, eps)
 
 
 def segment_distance_c1(seg_a, seg_b, samples=33):
-    """max over levels 0,1 of the sampled sup distance between segments."""
+    """Per center: max over levels 0,1 of the sampled sup distance, shape (k,)."""
     h = min(seg_a.h, seg_b.h)
-    ss = np.linspace(-h, h, samples)
-    d0 = max(float(np.linalg.norm(seg_a.eval(s) - seg_b.eval(s)))
-             for s in ss)
-    if seg_a.has_derivative and seg_b.has_derivative:
-        d1 = max(float(np.linalg.norm(seg_a.deriv(s) - seg_b.deriv(s)))
-                 for s in ss)
-    else:
-        d1 = 0.0
-    return max(d0, d1)
+    both = seg_a.has_derivative and seg_b.has_derivative
+    dist = 0.0
+    for s in np.linspace(-h, h, samples):
+        dist = np.maximum(dist, np.linalg.norm(
+            seg_a.eval(s) - seg_b.eval(s), axis=1))
+        if both:
+            dist = np.maximum(dist, np.linalg.norm(
+                seg_a.deriv(s) - seg_b.deriv(s), axis=1))
+    return dist
 
 
 @dataclass(frozen=True)
@@ -347,30 +389,36 @@ class ProbeReport:
 def lipschitz_probe(spec, sample_pairs, eps=0.0, tol=1e-9):
     """Empirical check of the declared (L1, L2) on sampled segment pairs.
 
-    Each sample is ((t, segment), (s, segment)). Pure time shifts feed
-    the L1 estimate, equal-time pairs feed L2, and every sample must
-    satisfy the combined declared bound up to ``tol`` slack.
+    Each sample is ((t, seg_a), (s, seg_b)): two segment batches with
+    centers t and s (scalars or equal-length arrays), compared row by
+    row. Pure time shifts feed the L1 estimate, equal-time pairs feed
+    L2, and every row must satisfy the combined declared bound up to
+    ``tol`` slack.
     """
     L1_hat = 0.0
     L2_hat = 0.0
     worst = -math.inf
     for (t, seg_a), (s, seg_b) in sample_pairs:
-        pa = spec.evaluate(t, seg_a, eps)
-        pb = spec.evaluate(s, seg_b, eps)
-        lhs = float(np.linalg.norm(pb - pa))
-        dt = abs(s - t)
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        lhs = np.linalg.norm(spec(s, seg_b, eps) - spec(t, seg_a, eps),
+                             axis=1)
+        dt = np.abs(s - t)
         dist = segment_distance_c1(seg_a, seg_b)
-        if dist <= 1e-12 and dt > 0.0:
-            L1_hat = max(L1_hat, lhs / dt)
-        if dt <= 1e-12 and dist > 0.0:
-            L2_hat = max(L2_hat, lhs / dist)
-        worst = max(worst, lhs - (spec.L1 * dt + spec.L2 * dist))
+        shift = (dist <= 1e-12) & (dt > 0.0)
+        if shift.any():
+            L1_hat = max(L1_hat, float((lhs[shift] / dt[shift]).max()))
+        same = (dt <= 1e-12) & (dist > 0.0)
+        if same.any():
+            L2_hat = max(L2_hat, float((lhs[same] / dist[same]).max()))
+        worst = max(worst, float(
+            (lhs - (spec.L1 * dt + spec.L2 * dist)).max()))
     return ProbeReport(L1_hat=L1_hat, L2_hat=L2_hat,
                        dominated=worst <= tol, worst_excess=worst)
 
 
 def functional_output_grid(spec, traj, eps, half_width, delta):
-    """Sample t -> P[u](t) on a grid, for regularity probing.
+    """Sample t -> P[u](t) on a grid in one batched call.
 
     The window must leave room for the history radius on both sides.
     """
@@ -378,7 +426,7 @@ def functional_output_grid(spec, traj, eps, half_width, delta):
         raise ValueError("trajectory window too small for this probe")
     K = int(round(half_width / delta))
     ts = -half_width + delta * np.arange(2 * K + 1)
-    vals = np.stack([apply_P(spec, traj, eps, t) for t in ts])
+    vals = apply_P(spec, traj, eps, ts)
     return GridFunction(half_width, delta, vals, interp_order=5,
                         extension="constant-hold")
 
@@ -519,6 +567,6 @@ def mu_sensitivity(desc, t, segment, eps, target, dmu=1e-4):
     base = float(desc["parameters"][target])
     lo["parameters"][target] = base - dmu
     hi["parameters"][target] = base + dmu
-    plo = spec_from_descriptor(lo).evaluate(t, segment, eps)
-    phi = spec_from_descriptor(hi).evaluate(t, segment, eps)
+    plo = spec_from_descriptor(lo)(t, segment, eps)
+    phi = spec_from_descriptor(hi)(t, segment, eps)
     return (phi - plo) / (2.0 * dmu)

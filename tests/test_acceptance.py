@@ -37,8 +37,8 @@ from hypershadow.invariance import (CorrectionState, OperatorConfig,
                                     center_defect, gamma_step, initial_state,
                                     iterate, propagated_bounds_report,
                                     residual_fde, varphi_difference_probe)
-from hypershadow.perturbations import (small_delay_q, neutral_delay,
-                                       spec_from_descriptor,
+from hypershadow.perturbations import (HistorySegment, small_delay_q,
+                                       neutral_delay, spec_from_descriptor,
                                        state_dependent_delay)
 
 EPS_SWEEP = (4e-3, 2e-3, 1e-3)
@@ -355,19 +355,15 @@ def test_criterion_06_eps_scaling():
     spec = small_delay_q(model, [lambda t, seg: 1.0], h=0.5,
                          tau_bounds=[1.0], eps_max=0.2)
 
-    class Seg:
-        def eval(self, s):
-            return np.array([math.cos(0.3 + s), math.sin(0.3 + s)])
-
-        def deriv(self, s):
-            return np.array([-math.sin(0.3 + s), math.cos(0.3 + s)])
-
-    seg = Seg()
-    limit = -np.asarray(model.df(seg.eval(0.0))) @ seg.deriv(0.0)
+    seg = HistorySegment.from_callable(
+        lambda u: np.array([math.cos(u), math.sin(u)]), 0.3, 0.5,
+        dfn=lambda u: np.array([-math.sin(u), math.cos(u)]))
+    limit = -np.asarray(model.df(seg.eval(0.0)[0])) @ seg.deriv(0.0)[0]
     gaps = []
     for eps in EPS_SWEEP:
-        got = spec.evaluate(0.0, seg, eps)
-        quotient = (model.f(seg.eval(-eps)) - model.f(seg.eval(0.0))) / eps
+        got = spec(0.0, seg, eps)
+        quotient = (model.f(seg.eval(-eps)[0])
+                    - model.f(seg.eval(0.0)[0])) / eps
         assert np.abs(got - quotient).max() <= 5e-13
         gaps.append(float(np.abs(got - limit).max()))
     slope = loglog_slope(EPS_SWEEP, gaps)

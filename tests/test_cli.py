@@ -18,6 +18,7 @@ import pytest
 from hypershadow import cli
 from hypershadow.hyperbolic import frame_from_descriptor
 from hypershadow.invariance import OperatorConfig, CorrectionState, initial_state
+from hypershadow.perturbations import ode_term
 
 
 def scenario_dict(**over):
@@ -178,6 +179,22 @@ class TestRunVerb:
         assert cli.main(["run", path]) == 3
         assert "infeasible" in capsys.readouterr().err
 
+    def test_non_finite_perturbation_is_exit_four(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # a spec that returns NaN beyond t = 3: the operator must stop
+        # with its own exit code, not report infeasible radii
+        def g(t, x):
+            return np.array([0.0, np.nan if t > 3.0 else 0.1, 0.0])
+
+        monkeypatch.setattr(cli, "spec_from_descriptor",
+                            lambda desc: ode_term(g))
+        path, scn = write_scenario(tmp_path)
+        assert cli.main(["run", path]) == 4
+        err = capsys.readouterr().err
+        assert "non-finite value" in err and "not finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not os.path.exists(os.path.join(scn["out"], "report.json"))
+
     def test_iteration_cap_is_exit_two(self, tmp_path):
         path, _ = write_scenario(tmp_path)
         assert cli.main(["run", path, "--max-iters", "1", "--quiet"]) == 2
@@ -242,6 +259,26 @@ class TestSweepVerb:
         path, _ = write_scenario(tmp_path, eps=[4e-3, 2e-3, 1e-3])
         assert cli.main(["sweep", path, "--max-iters", "1", "--quiet"]) == 2
 
+    def test_vanishing_response_writes_strict_json(self, tmp_path, capsys):
+        # on the saddle, sdd-tanh only moves along the orbit: every
+        # |xhat| is 0, so its slope is undefined and written as null
+        path, scn = write_scenario(
+            tmp_path, eps=[4e-3, 2e-3, 1e-3],
+            perturbation={"kind": "sdd-tanh",
+                          "parameters": {"h": 0.5, "c0": 0.3, "c1": 0.1}},
+            config={"eta": 0.25, "window": 12.0, "delta": 0.2,
+                    "tol_eta": 1e-3})
+        assert cli.main(["sweep", path]) == 0
+        assert "undefined" in capsys.readouterr().out
+
+        def refuse(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+
+        text = open(os.path.join(scn["out"], "sweep.json")).read()
+        sw = json.loads(text, parse_constant=refuse)
+        assert max(sw["xhat_c0"]) == 0.0 and sw["slope_xhat"] is None
+        assert abs(sw["slope_X"] - 1.0) < 0.05
+
     def test_thread_env_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HYPERSHADOW_THREADS", "2")
         path, scn = write_scenario(tmp_path, eps=[4e-3, 2e-3, 1e-3])
@@ -293,6 +330,16 @@ class TestVerifyVerb:
         assert cli.main(["verify", path, str(warm_dir), "--quiet"]) == 0
         rec = json.load(open(os.path.join(scn["out"], "verify.json")))
         assert np.isfinite(rec["e_eta"]) and rec["e_eta"] > 0.0
+
+    def test_mismatched_grid_is_exit_one(self, tmp_path, capsys,
+                                         linear_run):
+        config = dict(scenario_dict()["config"], delta=0.1)
+        path, scn = write_scenario(tmp_path, name="ver.json", config=config)
+        assert cli.main(["verify", path, linear_run["out"]]) == 1
+        err = capsys.readouterr().err
+        assert "does not match the scenario" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not os.path.exists(scn["out"])
 
     def test_missing_state_dir_is_exit_one(self, tmp_path):
         path, _ = write_scenario(tmp_path, name="ver.json")

@@ -419,7 +419,7 @@ class TestAssembly:
         spec = ed.assemble_charge_perturbation(sys, window=4.0)
         seg = stacked_segment(sys, 0.7)
         out = spec(0.7, seg, 0.0)
-        y0 = seg.eval(0.0)
+        y0 = seg.eval(0.0)[0]
         F = sys.pair_force
         qa, qb, va, vb = y0[0:3], y0[3:6], y0[6:9], y0[9:12]
         hand = np.concatenate([
@@ -441,7 +441,24 @@ class TestAssembly:
         hand = F(1.0, 1.0, np.zeros(3), np.zeros(3),
                  np.array([1.5, 0, 0]), np.zeros(3))
         assert np.abs(out[6:9] - hand).max() < 1e-12
-        assert np.abs(out[:6] - seg.eval(0.0)[6:]).max() == 0.0
+        assert np.abs(out[:6] - seg.eval(0.0)[0, 6:]).max() == 0.0
+
+    def test_batch_equals_single_center_calls(self):
+        # the delay fixed point runs elementwise; each element must stop
+        # on the same iterate as a one-center solve
+        qa = ed.Trajectory.circular([0.0, 0.0, 0.0], 0.3, 0.8)
+        qb = ed.Trajectory.uniform([2.0, 0.0, 0.0], [0.2, 0.1, 0.0])
+        sys = ed.ChargeSystem([qa, qb], masses=[1.0, 2.0],
+                              charges=[1.0, -1.0], epsilon=0.05,
+                              xi1=0.5, xi2=0.5)
+        sys.external = lambda t, q, v: np.array([0.0, 0.1 * t, -q[0]])
+        spec = ed.assemble_charge_perturbation(sys, window=4.0, mixing=0.5)
+        ts = np.linspace(-2.0, 2.0, 7)
+        batch = spec(ts, stacked_segment(sys, ts), sys.epsilon)
+        assert batch.shape == (7, 12)
+        for i, t in enumerate(ts):
+            one = spec(t, stacked_segment(sys, t), sys.epsilon)
+            assert np.array_equal(batch[i], one)
 
     def test_delay_effect_is_first_order(self):
         sys = two_charge_system()

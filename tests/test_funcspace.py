@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypershadow import funcspace as fs
@@ -207,9 +207,12 @@ def test_weight_param_validation():
 
 # -- invariants and properties ----------------------------------------
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
        st.floats(-0.99, 0.99))
+# a query a subnormal distance from a node once raised an overflow warning
+@example(coeffs=[1.0, -0.5, 0.25, 2.0, -1.0, 0.5], t=1e-310)
 def test_polynomial_exactness(coeffs, t):
     # degree interp_order data is reproduced to 1e-10 relative error
     poly = np.polynomial.Polynomial(coeffs)

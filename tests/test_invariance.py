@@ -23,7 +23,11 @@ from hypershadow.invariance import (
     BallExitError,
     CorrectionState,
     DivergenceError,
+    NumericalError,
     OperatorConfig,
+    _quadratic_batch,
+    _state_flow,
+    _varphi_batch,
     aposteriori_bounds,
     b_difference_probe,
     center_defect,
@@ -37,9 +41,7 @@ from hypershadow.invariance import (
     gamma_u,
     initial_state,
     iterate,
-    perturb_term,
     propagated_bounds_report,
-    quadratic_term,
     range_defect,
     resolve_geometry,
     residual_fde,
@@ -296,35 +298,65 @@ class TestStateBasics:
 
 
 class TestTaylorRemainder:
+    # k-point function: rows of xhat at the orbit times rho
     def test_zero_correction_gives_zero(self):
         fr = lin_frame()
-        assert taylor_remainder(fr, np.zeros(3), 0.3) == pytest.approx(
-            np.zeros(3), abs=0.0)
+        T = taylor_remainder(fr, np.zeros((2, 3)), np.array([0.3, -1.0]))
+        assert T == pytest.approx(np.zeros((2, 3)), abs=0.0)
 
     def test_linear_model_has_no_remainder(self):
         fr = lin_frame()
-        T = taylor_remainder(fr, np.array([0.0, 0.4, -0.2]), 1.7)
+        T = taylor_remainder(fr, np.array([[0.0, 0.4, -0.2]]),
+                             np.array([1.7]))
         assert np.abs(T).max() < 1e-14
 
     def test_cubic_term_is_exact(self):
         fr = analytic_frame({"model": "saddle-cubic", "cubic": (1.0, 0.0)})
-        T = taylor_remainder(fr, np.array([0.0, 0.1, 0.0]), 0.4)
+        T = taylor_remainder(fr, np.array([[0.0, 0.1, 0.0]]),
+                             np.array([0.4]))[0]
         assert T[1] == pytest.approx(0.1 ** 3, abs=1e-15)
         assert T[0] == 0.0 and T[2] == 0.0
 
     def test_cross_check_agrees_on_the_cubic(self):
         fr = cubic_frame()
-        xhat = np.array([0.0, 0.2, -0.3])
-        direct = taylor_remainder(fr, xhat, 0.0)
-        checked = taylor_remainder(fr, xhat, 0.0, cross_check=True)
+        xhat = np.array([[0.0, 0.2, -0.3], [0.0, -0.1, 0.05]])
+        rho = np.array([0.0, 2.0])
+        direct = taylor_remainder(fr, xhat, rho)
+        checked = taylor_remainder(fr, xhat, rho, cross_check=True)
         assert checked == pytest.approx(direct, abs=0.0)
+
+    def test_cross_check_catches_a_wrong_hessian(self):
+        fr = cubic_frame()
+        model = fr.model
+        bad = types.SimpleNamespace(
+            n=3, f_batch=model.f_batch, df_batch=model.df_batch,
+            d2f_batch=lambda pts: 2.0 * model.d2f_batch(pts))
+        with pytest.raises(ValueError, match="forms disagree"):
+            taylor_remainder(types.SimpleNamespace(
+                model=bad, orbit_batch=fr.orbit_batch),
+                np.array([[0.0, 0.2, -0.3]]), np.array([0.0]),
+                cross_check=True)
 
     def test_region_exit(self):
         model = builtin_model("lin-saddle")
         model.valid_radius = 0.05
         fr = AnalyticFrame(model, [1.0], [1.0])
+        xhat = np.array([[0.0, 0.01, 0.0], [0.0, 0.1, 0.0]])
         with pytest.raises(ValueError, match="valid neighborhood"):
-            taylor_remainder(fr, np.array([0.0, 0.1, 0.0]), 0.0)
+            taylor_remainder(fr, xhat, np.array([0.0, 1.0]))
+
+    def test_region_guard_runs_inside_the_operator(self):
+        model = builtin_model("lin-saddle")
+        model.valid_radius = 0.05
+        fr = AnalyticFrame(model, [1.0], [1.0])
+        cfg = base_cfg(eps=0.0)
+        st = state_with(fr, cfg, xs_col=0.1)
+        with pytest.raises(ValueError, match="valid neighborhood"):
+            gamma_step(fr, st, None, cfg)
+
+
+def quadratic_at(fr, st, rho):
+    return _quadratic_batch(fr, st, np.array([rho]))[0]
 
 
 class TestQuadraticTerm:
@@ -332,21 +364,26 @@ class TestQuadraticTerm:
         fr = cubic_frame()
         cfg = base_cfg(eps=0.0)
         st = initial_state(fr, cfg)
-        assert np.abs(quadratic_term(fr, st, 0.9)).max() == 0.0
+        assert np.abs(quadratic_at(fr, st, 0.9)).max() == 0.0
 
     def test_linear_model_with_identity_time_change(self):
         fr = lin_frame()
         cfg = base_cfg(eps=0.0)
         st = state_with(fr, cfg, xs_col=0.3, xu_col=-0.2)
-        assert np.abs(quadratic_term(fr, st, 1.3)).max() < 1e-14
+        assert np.abs(quadratic_at(fr, st, 1.3)).max() < 1e-14
 
     def test_shrunk_time_change_scales_the_linear_part(self):
         fr = lin_frame()
         cfg = base_cfg(eps=0.0)
         c = 0.25
         st = state_with(fr, cfg, x_dev=-0.1, xs_col=c)
-        B = quadratic_term(fr, st, 0.6)
+        B = quadratic_at(fr, st, 0.6)
         assert B == pytest.approx([0.0, 0.1 * (-1.0 * c), 0.0], abs=1e-12)
+
+
+def varphi_at(fr, st, spec, rho, eps):
+    flow = _state_flow(st, abs(rho) + spec.h + 2.0)
+    return _varphi_batch(fr, st, spec, flow, np.array([rho]), eps)[0]
 
 
 class TestPerturbTerm:
@@ -355,7 +392,7 @@ class TestPerturbTerm:
         cfg = base_cfg(eps=1e-2)
         st = initial_state(fr, cfg)
         spec = ode_term(lambda t, y: np.zeros(3))
-        out = perturb_term(fr, st, spec, 0.8, 1e-2)
+        out = varphi_at(fr, st, spec, 0.8, 1e-2)
         assert np.abs(out).max() == 0.0
 
     def test_identity_reparametrization_matches_direct_call(self):
@@ -363,7 +400,7 @@ class TestPerturbTerm:
         cfg = base_cfg(eps=1e-2)
         st = initial_state(fr, cfg)
         spec = nonlinear_spec()
-        got = perturb_term(fr, st, spec, 0.7, 1e-2)
+        got = varphi_at(fr, st, spec, 0.7, 1e-2)
         seg = HistorySegment.from_callable(
             lambda u: fr.orbit(u), 0.7, spec.h,
             dfn=lambda u: fr.orbit_deriv(u))
@@ -375,9 +412,37 @@ class TestPerturbTerm:
         cfg = base_cfg(eps=1e-2)
         st = initial_state(fr, cfg)
         a, omega = 1.0, 2.0
-        out = perturb_term(fr, st, sine_delay_spec(a, omega), 2.0, 1e-2)
+        out = varphi_at(fr, st, sine_delay_spec(a, omega), 2.0, 1e-2)
         assert out == pytest.approx([0.0, a * math.sin(omega * 1.0), 0.0],
                                     abs=1e-12)
+
+    def test_lattice_in_one_call_matches_single_times(self):
+        fr = cubic_frame()
+        cfg = base_cfg(eps=1e-2)
+        st = state_with(fr, cfg, x_dev=0.02, xs_col=0.05, xu_col=-0.03)
+        spec = nonlinear_spec()
+        vs = np.linspace(-3.0, 3.0, 13)
+        flow = _state_flow(st, 6.0)
+        batch = _varphi_batch(fr, st, spec, flow, vs, 1e-2)
+        assert batch.shape == (13, 3)
+        for i, v in enumerate(vs):
+            one = _varphi_batch(fr, st, spec, flow, vs[i:i + 1], 1e-2)
+            assert np.array_equal(batch[i], one[0])
+
+    def test_non_finite_value_names_the_time(self):
+        fr = lin_frame()
+        cfg = base_cfg(eps=1e-2)
+        st = initial_state(fr, cfg)
+
+        def g(t, x):
+            return np.array([0.0, math.nan if t > 1.0 else 0.0, 0.0])
+
+        vs = np.array([0.0, 0.5, 1.5, 2.0])
+        flow = _state_flow(st, 4.0)
+        with pytest.raises(NumericalError, match=r"t=1\.5 .*not finite"):
+            _varphi_batch(fr, st, ode_term(g), flow, vs, 1e-2)
+        with pytest.raises(NumericalError, match="not finite"):
+            iterate(fr, ode_term(g), cfg)
 
 
 class TestGammaCenter:

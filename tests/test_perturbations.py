@@ -45,9 +45,9 @@ class TestSegments:
     def test_grid_segment_evaluates_the_window(self):
         traj = sine_traj()
         seg = HistorySegment.from_grid(traj, 1.0, 0.5)
-        assert seg.eval(0.3) == pytest.approx(
+        assert seg.eval(0.3)[0] == pytest.approx(
             [math.sin(1.3), math.cos(1.3), 0.0], abs=1e-8)
-        assert seg.deriv(0.0) == pytest.approx(
+        assert seg.deriv(0.0)[0] == pytest.approx(
             [math.cos(1.0), -math.sin(1.0), 0.0], abs=1e-7)
 
     def test_lookup_outside_radius_raises(self):
@@ -61,26 +61,102 @@ class TestSegments:
             HistorySegment.from_grid(traj, 0.8, 0.5)
 
     def test_missing_derivative(self):
-        seg = HistorySegment(0.0, 1.0, lambda s: np.array([s]))
+        seg = HistorySegment(0.0, 1.0, lambda a: a[:, None])
         with pytest.raises(ValueError, match="does not expose a derivative"):
             seg.deriv(0.0)
+
+
+class TestBatching:
+    """k centers in one call equal k single-center calls, exactly."""
+
+    KINDS = [
+        {"kind": "zero", "parameters": {"n": 3}},
+        {"kind": "ode-sin-forcing",
+         "parameters": {"a": 0.5, "omega": 2.0, "shift": 1.0, "n": 3}},
+        {"kind": "delayed-sin-forcing",
+         "parameters": {"a": 1.0, "omega": 2.0, "lag": 1.0}},
+        {"kind": "multi-delay",
+         "parameters": {"pairs": [[-1.0, 1.0], [0.5, 2.0]], "h": 1.5}},
+        {"kind": "sdd-tanh", "parameters": {"h": 1.0, "c0": 0.4, "c1": 0.2}},
+        {"kind": "neutral-linear",
+         "parameters": {"h": 1.0, "c0": 0.3, "c1": 0.1}},
+        {"kind": "nested-abs", "parameters": {"h": 1.0, "inner_shift": -0.5}},
+        {"kind": "small-delay",
+         "parameters": {"model": "saddle-cubic",
+                        "model_params": {"cubic": [0.3, 0.2]},
+                        "tau": 0.8, "h": 0.2, "eps_max": 0.2}},
+    ]
+
+    @staticmethod
+    def wiggle(u):
+        return np.array([u + 0.3 * math.sin(u), 0.2 * math.cos(1.3 * u),
+                         0.1 * math.sin(0.7 * u)])
+
+    @staticmethod
+    def dwiggle(u):
+        return np.array([1.0 + 0.3 * math.cos(u), -0.26 * math.sin(1.3 * u),
+                         0.07 * math.cos(0.7 * u)])
+
+    def test_segment_shapes_and_rows(self):
+        traj = sine_traj()
+        ts = np.array([-1.0, 0.0, 0.4, 2.5])
+        seg = HistorySegment.from_grid(traj, ts, 0.5)
+        assert len(seg) == 4
+        assert seg.eval(0.0).shape == (4, 3)
+        offsets = np.array([-0.5, 0.1, 0.0, 0.5])
+        assert seg.deriv(offsets).shape == (4, 3)
+        for i, t in enumerate(ts):
+            one = HistorySegment.from_grid(traj, t, 0.5)
+            assert np.array_equal(seg.eval(offsets)[i],
+                                  one.eval(offsets[i])[0])
+            assert np.array_equal(seg.take([i]).deriv(0.2), one.deriv(0.2))
+
+    def test_guard_checks_every_offset(self):
+        seg = HistorySegment.from_grid(sine_traj(), np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match=r"at \+1\.5 outside radius 1"):
+            seg.eval(np.array([0.1, 1.5, -0.2]))
+
+    def test_one_center_per_base_time(self):
+        spec = ode_term(lambda t, x: x)
+        with pytest.raises(ValueError, match="one segment center"):
+            spec(np.array([0.0, 1.0]), orbit_segment(0.0), 0.0)
+
+    def test_batch_equals_single_center_calls(self):
+        ts = np.linspace(-1.5, 2.0, 9)
+        for desc in self.KINDS:
+            spec = spec_from_descriptor(desc)
+            seg = HistorySegment.from_callable(self.wiggle, ts, 2.0,
+                                               dfn=self.dwiggle)
+            batch = spec(ts, seg, 0.05)
+            assert batch.shape == (ts.size, 3)
+            for i, t in enumerate(ts):
+                one = HistorySegment.from_callable(self.wiggle, t, 2.0,
+                                                   dfn=self.dwiggle)
+                assert np.array_equal(batch[i], spec(t, one, 0.05)), desc
+
+    def test_grid_tabulation_matches_pointwise_application(self):
+        spec = spec_from_descriptor(self.KINDS[4])
+        traj = sine_traj(half_width=8.0, amp=0.8)
+        out = functional_output_grid(spec, traj, 0.0, 2.0, 0.25)
+        for t, row in zip(out.nodes, out.values):
+            assert np.array_equal(row, apply_P(spec, traj, 0.0, float(t)))
 
 
 class TestOdeTerm:
     def test_zero(self):
         spec = ode_term(lambda t, x: np.zeros(3))
-        out = spec.evaluate(0.7, orbit_segment(0.7), 0.1)
+        out = spec(0.7, orbit_segment(0.7), 0.1)
         assert np.all(out == 0.0)
 
     def test_identity_reads_the_present(self):
         spec = ode_term(lambda t, x: x)
-        out = spec.evaluate(2.0, orbit_segment(2.0), 0.0)
+        out = spec(2.0, orbit_segment(2.0), 0.0)
         assert out == pytest.approx([2.0, 0.0, 0.0])
 
     def test_time_forcing_ignores_state(self):
         spec = ode_term(lambda t, x: np.array([0.0, math.sin(t), 0.0]))
         for t in (0.0, 1.3, -2.0):
-            out = spec.evaluate(t, orbit_segment(t), 0.5)
+            out = spec(t, orbit_segment(t), 0.5)
             assert out == pytest.approx([0.0, math.sin(t), 0.0])
 
 
@@ -89,7 +165,7 @@ class TestStateDependentDelay:
         spec = state_dependent_delay(lambda t, x: x, lambda t, x: -1.0, h=1.0)
         seg = seg_from_fn(lambda u: np.array([math.sin(u)]),
                           lambda u: np.array([math.cos(u)]), t=0.3, h=1.0)
-        assert spec.evaluate(0.3, seg, 0.0) == pytest.approx(
+        assert spec(0.3, seg, 0.0) == pytest.approx(
             [math.sin(-0.7)], abs=1e-14)
 
     def test_delay_irrelevant_on_constants(self):
@@ -98,12 +174,12 @@ class TestStateDependentDelay:
             lambda t, x: x, lambda t, x: -0.5 * (1.0 + math.tanh(x[0])),
             h=1.0)
         seg = seg_from_fn(lambda u: c, lambda u: 0.0 * c, t=1.0, h=1.0)
-        assert spec.evaluate(1.0, seg, 0.0) == pytest.approx(c)
+        assert spec(1.0, seg, 0.0) == pytest.approx(c)
 
     def test_saddle_orbit_lookup(self):
         spec = state_dependent_delay(lambda t, x: x, lambda t, x: -1.0, h=1.5)
         for t in (-1.0, 0.0, 2.5):
-            out = spec.evaluate(t, orbit_segment(t), 0.0)
+            out = spec(t, orbit_segment(t), 0.0)
             assert out == pytest.approx([t - 1.0, 0.0, 0.0], abs=1e-14)
 
     def test_bound_must_fit(self):
@@ -117,14 +193,14 @@ class TestNestedDelay:
         spec = nested_delay(lambda t, x: x, lambda t, x: 0.0, lambda x: 0.0,
                             h=1.0)
         seg = orbit_segment(1.2)
-        assert spec.evaluate(1.2, seg, 0.0) == pytest.approx([1.2, 0, 0])
+        assert spec(1.2, seg, 0.0) == pytest.approx([1.2, 0, 0])
 
     def test_constant_segments_short_circuit(self):
         c = np.array([2.0, 1.0])
         spec = nested_delay(lambda t, x: x + t, lambda t, x: -abs(x[0]) / 4,
                             lambda x: -0.3, h=1.0)
         seg = seg_from_fn(lambda u: c, lambda u: 0 * c, t=0.5, h=1.0)
-        assert spec.evaluate(0.5, seg, 0.0) == pytest.approx(c + 0.5)
+        assert spec(0.5, seg, 0.0) == pytest.approx(c + 0.5)
 
     def test_affine_hand_evaluation(self):
         a = np.array([0.8, -0.4])
@@ -140,7 +216,7 @@ class TestNestedDelay:
         seg = seg_from_fn(theta, lambda s: b, t=0.0, h=h)
         inner = theta(-0.5)
         shift = max(-h, -abs(inner[0]))
-        assert spec.evaluate(0.0, seg, 0.0) == pytest.approx(
+        assert spec(0.0, seg, 0.0) == pytest.approx(
             theta(shift), abs=1e-12)
 
 
@@ -148,7 +224,7 @@ class TestNeutralDelay:
     def test_constant_delay_via_derivative_slot(self):
         spec = neutral_delay(lambda t, x: x, lambda t, y: -1.0, h=1.0)
         seg = orbit_segment(3.0, h=1.0)
-        assert spec.evaluate(3.0, seg, 0.0) == pytest.approx([2.0, 0, 0])
+        assert spec(3.0, seg, 0.0) == pytest.approx([2.0, 0, 0])
 
     def test_linear_segment_slope_feeds_the_delay(self):
         v = np.array([0.5, -0.25])
@@ -159,7 +235,7 @@ class TestNeutralDelay:
         spec = neutral_delay(lambda t, x: x, r, h=1.0)
         seg = seg_from_fn(lambda s: s * v, lambda s: v, t=0.0, h=1.0)
         shift = r(0.0, v)
-        assert spec.evaluate(0.0, seg, 0.0) == pytest.approx(shift * v)
+        assert spec(0.0, seg, 0.0) == pytest.approx(shift * v)
 
     def test_sine_hand_composition(self):
         t = 0.9
@@ -172,16 +248,17 @@ class TestNeutralDelay:
 
         spec = neutral_delay(lambda u, x: x,
                              lambda u, y: -0.5 - 0.1 * y[0], h=1.0)
-        seg = HistorySegment(t, 1.0, theta, dtheta)
+        seg = HistorySegment.from_callable(lambda u: theta(u - t), t, 1.0,
+                                           dfn=lambda u: dtheta(u - t))
         shift = -0.5 - 0.1 * math.cos(t)
-        assert spec.evaluate(t, seg, 0.0) == pytest.approx(
+        assert spec(t, seg, 0.0) == pytest.approx(
             theta(shift), abs=1e-10)
 
     def test_requires_derivative_access(self):
         spec = neutral_delay(lambda t, x: x, lambda t, y: -0.5, h=1.0)
-        seg = HistorySegment(0.0, 1.0, lambda s: np.array([s]))
+        seg = HistorySegment(0.0, 1.0, lambda a: a[:, None])
         with pytest.raises(ValueError, match="derivative"):
-            spec.evaluate(0.0, seg, 0.0)
+            spec(0.0, seg, 0.0)
 
 
 class TestSmallDelay:
@@ -196,7 +273,7 @@ class TestSmallDelay:
                              tau_bounds=[0.0])
         seg = seg_from_fn(lambda s: np.array([math.exp(s), 1.0]),
                           lambda s: np.array([math.exp(s), 0.0]), h=0.5)
-        assert np.abs(spec.evaluate(0.0, seg, 0.1)).max() <= 1e-15
+        assert np.abs(spec(0.0, seg, 0.1)).max() <= 1e-15
 
     def test_exponential_closed_form(self):
         A = np.array([[0.3, -0.2], [0.1, 0.5]])
@@ -209,7 +286,7 @@ class TestSmallDelay:
         seg = seg_from_fn(lambda s: math.exp(a * s) * v,
                           lambda s: a * math.exp(a * s) * v, h=0.5)
         want = -(A @ v) * (1.0 - math.exp(-eps * a)) / eps
-        got = spec.evaluate(0.0, seg, eps)
+        got = spec(0.0, seg, eps)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_difference_quotient_consistency(self):
@@ -217,7 +294,7 @@ class TestSmallDelay:
         model = self.linear_model(A)
 
         def tau(t, seg):
-            return 1.0 + 0.1 * float(seg.eval(0.0)[0]) ** 2
+            return 1.0 + 0.1 * float(seg.eval(0.0)[0, 0]) ** 2
 
         spec = small_delay_q(model, [tau], h=0.5, tau_bounds=[1.2],
                              eps_max=0.2)
@@ -226,9 +303,9 @@ class TestSmallDelay:
                           h=0.5)
         for eps in (1e-2, 1e-3):
             tv = tau(0.0, seg)
-            quotient = (model.f(seg.eval(-eps * tv))
-                        - model.f(seg.eval(0.0))) / eps
-            got = spec.evaluate(0.0, seg, eps)
+            quotient = (model.f(seg.eval(-eps * tv)[0])
+                        - model.f(seg.eval(0.0)[0])) / eps
+            got = spec(0.0, seg, eps)
             assert np.abs(got - quotient).max() <= 1e-10
 
     def test_quadrature_doubling_is_stable(self):
@@ -240,7 +317,7 @@ class TestSmallDelay:
         seg = seg_from_fn(lambda s: np.array([math.exp(2 * s), math.sin(s)]),
                           lambda s: np.array([2 * math.exp(2 * s),
                                               math.cos(s)]), h=0.5)
-        d = lo.evaluate(0.0, seg, 0.25) - hi.evaluate(0.0, seg, 0.25)
+        d = lo(0.0, seg, 0.25) - hi(0.0, seg, 0.25)
         assert np.abs(d).max() < 1e-10
 
     def test_blocks_partition_required(self):
@@ -268,7 +345,7 @@ class TestSmallDelay:
         # delayed lookups minus f at the present, divided by eps
         y = np.array([math.exp(-eps * a), math.exp(0.5 * eps * a)])
         want = (A @ y - A @ np.array([1.0, 1.0])) / eps
-        got = spec.evaluate(0.0, seg, eps)
+        got = spec(0.0, seg, eps)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_delay_leaving_window_raises(self):
@@ -278,7 +355,7 @@ class TestSmallDelay:
         seg = seg_from_fn(lambda s: np.array([1.0, 1.0]),
                           lambda s: np.array([0.0, 0.0]), h=0.5)
         with pytest.raises(ValueError, match="leaves the history window"):
-            spec.evaluate(0.0, seg, 0.2)
+            spec(0.0, seg, 0.2)
 
 
 class TestMultiDelay:
@@ -287,17 +364,17 @@ class TestMultiDelay:
         seg = orbit_segment(0.0, h=2.0)
         want = np.array([-1.0, 0, 0]) + np.array([-2.0, 0, 0]) + np.array(
             [1.0, 0, 0])
-        assert spec.evaluate(0.0, seg, 0.0) == pytest.approx(want)
+        assert spec(0.0, seg, 0.0) == pytest.approx(want)
 
     def test_empty_sum_is_zero(self):
         spec = multi_delay_advance([])
-        assert np.all(spec.evaluate(0.0, orbit_segment(0.0), 0.0) == 0.0)
+        assert np.all(spec(0.0, orbit_segment(0.0), 0.0) == 0.0)
 
     def test_linear_segment(self):
         v = np.array([1.0, 2.0])
         spec = multi_delay_advance([(-1.0, 1.0), (-2.0, 1.0), (1.0, 1.0)])
         seg = seg_from_fn(lambda s: s * v, lambda s: v, h=2.0)
-        assert spec.evaluate(0.0, seg, 0.0) == pytest.approx(-2.0 * v)
+        assert spec(0.0, seg, 0.0) == pytest.approx(-2.0 * v)
 
     def test_shift_outside_radius(self):
         with pytest.raises(ValueError, match="shift outside"):
@@ -343,12 +420,12 @@ class TestApplyP:
 
 class TestLipschitzProbe:
     def make_pairs(self, traj, times, h):
-        segs = {t: HistorySegment.from_grid(traj, t, h) for t in times}
-        pairs = []
-        for i, t in enumerate(times):
-            for s in times[i + 1:]:
-                pairs.append(((t, segs[t]), (s, segs[s])))
-        return pairs
+        # every pair of distinct times, as one batch of segment pairs
+        ts, ss = zip(*[(t, s) for i, t in enumerate(times)
+                       for s in times[i + 1:]])
+        ts, ss = np.array(ts), np.array(ss)
+        return [((ts, HistorySegment.from_grid(traj, ts, h)),
+                 (ss, HistorySegment.from_grid(traj, ss, h)))]
 
     def test_zero_spec_probes_zero(self):
         spec = ode_term(lambda t, x: np.zeros(3))
@@ -364,9 +441,9 @@ class TestLipschitzProbe:
         pairs = self.make_pairs(traj, times, spec.h)
         # same-time pairs with different trajectories probe L2
         other = sine_traj(amp=1.1)
-        for t in times:
-            pairs.append(((t, HistorySegment.from_grid(traj, t, spec.h)),
-                          (t, HistorySegment.from_grid(other, t, spec.h))))
+        ts = np.array(times)
+        pairs.append(((ts, HistorySegment.from_grid(traj, ts, spec.h)),
+                      (ts, HistorySegment.from_grid(other, ts, spec.h))))
         spec_declared = multi_delay_advance([(-1.0, 1.0)], h=1.0)
         rep = lipschitz_probe(spec_declared, pairs)
         assert rep.L2_hat <= 1.0 + 1e-6
@@ -406,9 +483,9 @@ class TestInvariants:
         ]
         for seed in range(5):
             seg = self.random_segment(seed)
-            want = base.evaluate(0.3, seg, 0.0)
+            want = base(0.3, seg, 0.0)
             for spec in variants:
-                got = spec.evaluate(0.3, seg, 0.0)
+                got = spec(0.3, seg, 0.0)
                 assert np.abs(got - want).max() <= 1e-12
 
     def test_neutral_sees_only_the_c1_window(self):
@@ -473,8 +550,8 @@ class TestDescriptors:
         for desc in descs:
             spec = spec_from_descriptor(desc)
             again = spec_from_descriptor(spec.descriptor())
-            a = spec.evaluate(0.4, seg, 0.01)
-            b = again.evaluate(0.4, seg, 0.01)
+            a = spec(0.4, seg, 0.01)
+            b = again(0.4, seg, 0.01)
             assert np.abs(a - b).max() <= 1e-14
             assert spec.descriptor()["kind"] == desc["kind"]
 
