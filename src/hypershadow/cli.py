@@ -9,8 +9,9 @@ re-certifies a stored state by applying the operator once.
 
 Exit codes: 0 success, 1 scenario or descriptor failure (nothing is
 written), 2 divergence (or a certification with kappa >= 1), 3 an
-iterate leaving its declared ball, 4 a non-finite value entering the
-operator.
+iterate leaving its declared ball, 4 a numerical failure: a non-finite
+value entering the operator or a time-change flow failing its checks.
+A failed run or verify writes no output directory.
 """
 
 from __future__ import annotations
@@ -228,7 +229,6 @@ def _complain(msg):
 
 def _run_one(scn, fr, spec, cfg, out, quiet):
     """Iterate and write the run artifacts; returns (code, state, report)."""
-    os.makedirs(out, exist_ok=True)
     try:
         state, report = iterate(fr, spec, cfg)
     except BallExitError as exc:
@@ -238,7 +238,7 @@ def _run_one(scn, fr, spec, cfg, out, quiet):
         _complain(f"diverged: {exc}")
         return 2, None, None
     except NumericalError as exc:
-        _complain(f"non-finite value: {exc}")
+        _complain(f"{exc.reason}: {exc}")
         return 4, None, None
     if not report.converged:
         _complain(f"no convergence within {cfg.max_iters} iterations "
@@ -297,7 +297,6 @@ def cmd_sweep(scn, max_iters=None, quiet=False):
     except Exception as exc:
         _complain(str(exc))
         return 1
-    os.makedirs(scn.out, exist_ok=True)
     workers = max(1, int(os.environ.get("HYPERSHADOW_THREADS", "1") or 1))
 
     def member(args):
@@ -341,6 +340,7 @@ def cmd_sweep(scn, max_iters=None, quiet=False):
         "slope_X": slope_x,
         "seed": scn.seed,
     }
+    os.makedirs(scn.out, exist_ok=True)
     with open(os.path.join(scn.out, "sweep.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
@@ -389,8 +389,6 @@ def cmd_verify(scn, state_dir, max_iters=None, quiet=False):
     except Exception as exc:
         _complain(str(exc))
         return 1
-    out = scn.out
-    os.makedirs(out, exist_ok=True)
     try:
         step1, d1 = gamma_step(fr, state, spec, cfg)
         e_eta = d1["d_eta"] + d1["tail_s"] + d1["tail_u"]
@@ -401,7 +399,7 @@ def cmd_verify(scn, state_dir, max_iters=None, quiet=False):
             _, d2 = gamma_step(fr, step1, spec, cfg)
             kappa = d2["d_eta"] / d1["d_eta"]
     except NumericalError as exc:
-        _complain(f"non-finite value: {exc}")
+        _complain(f"{exc.reason}: {exc}")
         return 4
     if kappa >= 1.0:
         _complain(f"not certifiable: measured contraction ratio "
@@ -409,6 +407,8 @@ def cmd_verify(scn, state_dir, max_iters=None, quiet=False):
         return 2
     rows = aposteriori_bounds(_VerifyRecord(e_eta, cfg.eta.eta, state),
                               cfg, scn.bounds_interval, kappa)
+    out = scn.out
+    os.makedirs(out, exist_ok=True)
     write_bounds_csv(rows, os.path.join(out, "bounds.csv"))
     record = {
         "e_eta": e_eta,

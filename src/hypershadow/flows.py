@@ -3,15 +3,17 @@
 The time change is carried by a scalar field X = 1 + xhat with
 sup|xhat| < 1, so X stays positive and its flow phi, solving
 phi' = X(phi) with phi(0) = 0, is a strictly increasing bijection.
-solve_flow integrates phi with a fixed-step fourth order scheme whose
-equal substeps keep the dense output on the grid nodes, and obtains the
-inverse from the exact identity phi_inv(t) = int_0^t dsigma / X(sigma).
+solve_flow builds the inverse first, from the exact identity
+phi_inv(t) = int_0^t dsigma / X(sigma) summed per cell by Gauss
+quadrature, and then gets phi at every grid node at once by Newton
+sweeps on phi_inv(phi(t)) = t, all of it vectorized.
 composite_window assembles the reparametrized history maps
 alpha(rho, s) = phi(phi_inv(rho) + s).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +22,8 @@ import numpy as np
 from .funcspace import BallRadii, GridFunction, WeightParam
 
 __all__ = [
+    "NumericalError",
+    "FlowGuardError",
     "ScalarField",
     "Flow",
     "DistortionReport",
@@ -30,6 +34,22 @@ __all__ = [
     "composite_difference_eta",
     "phi_derivative_bounds",
 ]
+
+
+class NumericalError(RuntimeError):
+    """Raised when a non-finite value enters the operator.
+
+    Subclasses name other numerical failures; ``reason`` is the short
+    label a driver prints before the message.
+    """
+
+    reason = "non-finite value"
+
+
+class FlowGuardError(NumericalError):
+    """Raised when a computed flow fails one of its own checks."""
+
+    reason = "flow guard failed"
 
 
 class ScalarField:
@@ -54,7 +74,6 @@ class ScalarField:
             raise ValueError("sup|X - 1| must be < 1")
         self.xhat = xhat
         self.ball = ball
-        self._fast = None
 
     @property
     def t0(self):
@@ -62,10 +81,6 @@ class ScalarField:
 
     def sup_deviation(self):
         return float(np.abs(self.xhat.values).max())
-
-    def value(self, t):
-        """X(t) = 1 + xhat(t), scalar or vectorized."""
-        return 1.0 + self.xhat.eval1(t)
 
     @classmethod
     def identity(cls, half_width, delta, ball=None, interp_order=5,
@@ -83,70 +98,8 @@ class ScalarField:
         return cls(g, ball)
 
     def fast_value(self, t):
-        """Scalar X(t) through precomputed per-cell Horner coefficients.
-
-        Same interpolant as ``value`` up to rounding, but cheap enough
-        for the inner loop of the time stepper.
-        """
-        if self._fast is None:
-            self._fast = _FastScalar(self.xhat)
-        return 1.0 + self._fast(t)
-
-
-class _FastScalar:
-    """Per-cell polynomial coefficients for fast scalar evaluation."""
-
-    def __init__(self, g):
-        p = g.interp_order
-        n = g.n
-        ncells = n - 1
-        i = np.arange(ncells)
-        start = np.clip(i - (p - 1) // 2, 0, n - 1 - p)
-        pattern = i - start
-        coeffs = np.empty((ncells, p + 1))
-        vals = g.values[:, 0]
-        for q in np.unique(pattern):
-            # local coordinates of the stencil in cell units
-            coords = np.arange(p + 1, dtype=float) - q
-            V = np.vander(coords, p + 1, increasing=True)
-            inv = np.linalg.inv(V)
-            rows = np.nonzero(pattern == q)[0]
-            gathered = vals[start[rows][:, None] + np.arange(p + 1)[None, :]]
-            coeffs[rows] = gathered @ inv.T
-        self.lo = float(g.nodes[0])
-        self.delta = float(g.delta)
-        self.ncells = ncells
-        self.coeffs = [tuple(row) for row in coeffs]
-        self.order = p
-        self.extension = g.extension
-        self.v_left = float(vals[0])
-        self.v_right = float(vals[-1])
-        self.slope_left = float(g._boundary_slope(-1)[0])
-        self.slope_right = float(g._boundary_slope(+1)[0])
-
-    def __call__(self, t):
-        u = (t - self.lo) / self.delta
-        if u < 0.0:
-            return self._outside(self.v_left, -u, self.slope_left, -1)
-        if u > self.ncells:
-            return self._outside(self.v_right, u - self.ncells,
-                                 self.slope_right, +1)
-        cell = int(u)
-        if cell == self.ncells:
-            cell -= 1
-        x = u - cell
-        c = self.coeffs[cell]
-        acc = c[self.order]
-        for r in range(self.order - 1, -1, -1):
-            acc = acc * x + c[r]
-        return acc
-
-    def _outside(self, v, d_cells, slope, side):
-        if self.extension == "constant-hold":
-            return v
-        if self.extension == "zero":
-            return v * (1.0 - d_cells) if d_cells < 1.0 else 0.0
-        return v + side * d_cells * self.delta * slope
+        """X(t) = 1 + xhat(t) at a time or a 1-D array of times."""
+        return 1.0 + self.xhat.eval1(t)
 
 
 class Flow:
@@ -180,14 +133,16 @@ class Flow:
     def _validate(self):
         izero = (self.phi.n - 1) // 2
         if self.phi.values[izero, 0] != 0.0:
-            raise ValueError("phi(0) must vanish exactly")
+            raise FlowGuardError("phi(0) must vanish exactly")
         if not (np.diff(self.phi.values[:, 0]) > 0.0).all():
-            raise ValueError("phi must be strictly increasing")
+            raise FlowGuardError("phi must be strictly increasing")
         if not (np.diff(self.phi_inv.values[:, 0]) > 0.0).all():
-            raise ValueError("phi_inv must be strictly increasing")
+            raise FlowGuardError("phi_inv must be strictly increasing")
         defect = self.roundtrip_defect()
         if defect > self.ROUNDTRIP_TOL:
-            raise ValueError(f"round-trip defect {defect:.3e} beyond tolerance")
+            raise FlowGuardError(
+                f"round-trip defect {defect:.3e} beyond tolerance "
+                f"{self.ROUNDTRIP_TOL:.0e}")
 
     def roundtrip_defect(self):
         """max |phi(phi_inv(rho)) - rho| plus the reverse composition.
@@ -222,8 +177,40 @@ class Flow:
         return self.phi_inv.eval1(rho)
 
 
-def solve_flow(field, window, substeps=8, interp_order=7):
-    """Integrate phi' = X(phi), phi(0) = 0 and build the inverse map.
+# Newton stops once its residual no longer halves below this level; the
+# sweep cap only bounds the work, a flow still off by then fails its
+# round-trip guard
+_NEWTON_FLOOR = 1e-13
+_NEWTON_MAX_SWEEPS = 50
+
+
+@functools.cache
+def _gauss6():
+    # built on first use: numpy.polynomial is not loaded at import
+    return np.polynomial.legendre.leggauss(6)
+
+
+def _quadrature_inverse(field, table, y):
+    """The quadrature inverse Phi(y) and X(y) at a 1-D array y.
+
+    Phi(y) is the table value at the left node of y's cell plus the
+    6-point Gauss integral of 1/X over the partial cell up to y; the end
+    cells stretch to reach a y beyond the table. One field lookup covers
+    the Gauss points and y itself.
+    """
+    j = np.floor((y - table.nodes[0]) / table.delta).astype(np.int64)
+    np.clip(j, 0, table.n - 2, out=j)
+    left = table.nodes[j]
+    half = 0.5 * (y - left)
+    gx, gw = _gauss6()
+    pts = left[:, None] + half[:, None] * (gx[None, :] + 1.0)
+    X = field.fast_value(np.concatenate([pts.ravel(), y]))
+    inv = 1.0 / X[:pts.size].reshape(pts.shape)
+    return table.values[j, 0] + half * (inv @ gw), X[pts.size:]
+
+
+def solve_flow(field, window, interp_order=7):
+    """The flow phi' = X(phi), phi(0) = 0, and its inverse map.
 
     Parameters
     ----------
@@ -231,15 +218,18 @@ def solve_flow(field, window, substeps=8, interp_order=7):
     window : float or pair
         Half-width (or interval) the flow must cover in t; it is rounded
         up to a whole number of grid cells so 0 stays a node.
-    substeps : int
-        Equal fourth-order substeps per grid cell. The step stays fixed
-        over the whole range.
     interp_order : int
-        Interpolation degree of the dense output.
+        Interpolation degree of both maps.
 
-    The inverse is not obtained by root finding: phi_inv(t) is the
-    integral of 1/X, evaluated per cell with a fixed Gauss rule, on a
-    window inflated by (1 + t_0) so it covers the image of phi.
+    The inverse comes first: phi_inv(t) is the integral of 1/X, summed
+    per cell with a 6-point Gauss rule on a window inflated by (1 + t_0)
+    so it covers the image of phi. phi at every node t_i then solves
+    Phi(phi) = t_i, with Phi the quadrature inverse (table plus partial
+    cell, see ``_quadrature_inverse``), by Newton sweeps over all nodes
+    at once, phi <- phi - (Phi(phi) - t) X(phi), started from linear
+    interpolation of the inverse table. Since Phi' = 1/X exactly, the
+    sweeps converge quadratically; they stop when the largest residual
+    no longer halves below about 1e-13.
     """
     if float(np.abs(field.xhat.values).max()) >= 1.0:
         raise ValueError("sup|X - 1| must be < 1")
@@ -251,39 +241,36 @@ def solve_flow(field, window, substeps=8, interp_order=7):
     K = max(int(math.ceil(R / delta - 1e-9)), (interp_order + 2) // 2)
     R_phi = K * delta
 
-    h = delta / int(substeps)
-    vals = np.empty(2 * K + 1)
-    vals[K] = 0.0
-    fast = field.fast_value
-    for direction in (+1, -1):
-        y = 0.0
-        step = h * direction
-        for i in range(K):
-            for _ in range(int(substeps)):
-                k1 = fast(y)
-                k2 = fast(y + 0.5 * step * k1)
-                k3 = fast(y + 0.5 * step * k2)
-                k4 = fast(y + step * k3)
-                y += (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            vals[K + direction * (i + 1)] = y
-    phi = GridFunction(R_phi, delta, vals, interp_order=interp_order,
-                       extension="linear")
-
     K_inv = max(int(math.ceil((1.0 + field.t0) * R_phi / delta - 1e-9)),
                 (interp_order + 2) // 2)
     R_inv = K_inv * delta
-    gl_x, gl_w = np.polynomial.legendre.leggauss(6)
+    gx, gw = _gauss6()
     cell_lo = -R_inv + np.arange(2 * K_inv) * delta
     # quadrature points of every cell at once, then 1/X there
-    pts = cell_lo[:, None] + (0.5 * delta) * (gl_x[None, :] + 1.0)
-    integrand = 1.0 / (1.0 + field.xhat.eval1(pts.ravel()))
-    cells = (integrand.reshape(pts.shape) @ gl_w) * (0.5 * delta)
+    pts = cell_lo[:, None] + (0.5 * delta) * (gx[None, :] + 1.0)
+    integrand = 1.0 / field.fast_value(pts.ravel())
+    cells = (integrand.reshape(pts.shape) @ gw) * (0.5 * delta)
     inv_vals = np.empty(2 * K_inv + 1)
     inv_vals[K_inv] = 0.0
     inv_vals[K_inv + 1:] = np.cumsum(cells[K_inv:])
     inv_vals[:K_inv] = -np.cumsum(cells[:K_inv][::-1])[::-1]
     phi_inv = GridFunction(R_inv, delta, inv_vals, interp_order=interp_order,
                            extension="linear")
+
+    t = -R_phi + np.arange(2 * K + 1) * delta
+    y = np.interp(t, inv_vals, phi_inv.nodes)
+    prev = np.inf
+    for _ in range(_NEWTON_MAX_SWEEPS):
+        Phi, X = _quadrature_inverse(field, phi_inv, y)
+        r = Phi - t
+        res = float(np.abs(r).max())
+        if res == 0.0 or (res <= _NEWTON_FLOOR and res > 0.5 * prev):
+            break
+        y -= r * X
+        prev = res
+    y[K] = 0.0
+    phi = GridFunction(R_phi, delta, y, interp_order=interp_order,
+                       extension="linear")
     return Flow(phi, phi_inv, field)
 
 

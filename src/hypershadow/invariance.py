@@ -28,17 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import Flow, ScalarField, solve_flow
+from .flows import (Flow, FlowGuardError, NumericalError, ScalarField,
+                    solve_flow)
 from .funcspace import BallRadii, GridFunction, WeightParam, ball_membership
 from .perturbations import HistorySegment
 
 
 class DivergenceError(RuntimeError):
     """Raised when consecutive-distance ratios stay at or above 1."""
-
-
-class NumericalError(RuntimeError):
-    """Raised when a non-finite value enters the operator."""
 
 
 class BallExitError(RuntimeError):
@@ -87,8 +84,6 @@ class OperatorConfig:
     ell: int = 1
     interp_m: float = 1.0
     integrand_bound: float = 1.0
-    flow_substeps: int = 8
-    fresh_center: bool = False
 
     def __post_init__(self):
         if not isinstance(self.eta, WeightParam):
@@ -327,7 +322,7 @@ def _quadratic_batch(fr, state, vs):
     return (1.0 - Xv)[:, None] * lin + taylor_remainder(fr, xh, vs)
 
 
-def _state_flow(state, half_width, substeps=8):
+def _state_flow(state, half_width):
     """Flow of the state's time change on the inflated window.
 
     An exactly-identity field short-circuits to the linear flow; the
@@ -342,7 +337,7 @@ def _state_flow(state, half_width, substeps=8):
         inv = GridFunction(R, delta, vals.copy(), interp_order=7,
                            extension="linear")
         return Flow(phi, inv, state.X)
-    return solve_flow(state.X, half_width, substeps=substeps)
+    return solve_flow(state.X, half_width)
 
 
 def _varphi_batch(fr, state, spec, flow, vs, eps):
@@ -410,8 +405,7 @@ class _StepWorkspace:
         self.state = state
         self.spec = spec
         self.cfg = cfg
-        self.flow = _state_flow(state, self.geo.flow_half,
-                                substeps=cfg.flow_substeps)
+        self.flow = _state_flow(state, self.geo.flow_half)
         self.nodes = state.xs.nodes
         self._quad = None
         self._node_g = None
@@ -526,17 +520,8 @@ def gamma_step(fr, state, spec, cfg, _geo=None):
     """
     ws = _StepWorkspace(fr, state, spec, cfg, geo=_geo)
     new_X = gamma_c(fr, state, spec, cfg, _ws=ws)
-    if cfg.fresh_center:
-        # opt-in variant: the freshly updated time change feeds the
-        # bundle integrals of the same step
-        mid = CorrectionState(X=new_X, xs=state.xs, xu=state.xu,
-                              s_ball=state.s_ball, u_ball=state.u_ball)
-        ws = _StepWorkspace(fr, mid, spec, cfg, geo=ws.geo)
-        new_xs = gamma_s(fr, mid, spec, cfg, _ws=ws)
-        new_xu = gamma_u(fr, mid, spec, cfg, _ws=ws)
-    else:
-        new_xs = gamma_s(fr, state, spec, cfg, _ws=ws)
-        new_xu = gamma_u(fr, state, spec, cfg, _ws=ws)
+    new_xs = gamma_s(fr, state, spec, cfg, _ws=ws)
+    new_xu = gamma_u(fr, state, spec, cfg, _ws=ws)
     new_state = CorrectionState(X=new_X, xs=new_xs, xu=new_xu,
                                 s_ball=state.s_ball, u_ball=state.u_ball)
     comps = distance_components(state, new_state, cfg.eta, ws.geo.core_half)
@@ -636,15 +621,33 @@ def _ball_snapshot(state, core_half):
     return out
 
 
+def _guarded_step(fr, state, spec, cfg, geo, it):
+    """gamma_step that names the iteration when the flow fails a guard.
+
+    The ball check looks only at the core window, so a time change can
+    outgrow its radius t_0 outside it unseen; the message therefore
+    compares sup|X - 1| over the whole window with t_0.
+    """
+    try:
+        return gamma_step(fr, state, spec, cfg, _geo=geo)
+    except FlowGuardError as exc:
+        raise FlowGuardError(
+            f"iteration {it}: {exc}; sup|X - 1| = "
+            f"{state.X.sup_deviation():.3g} on the full window "
+            f"against t0 = {state.X.t0:g}") from exc
+
+
 def iterate(fr, spec, cfg, initial=None):
     """Drive the operator to its fixed point from ``initial``.
 
     Stops when the weighted distance between consecutive iterates falls
     below tol_eta; raises DivergenceError when the ratio of consecutive
     distances stays at or above 1 for five iterations, BallExitError
-    when an iterate leaves its declared ball on the core window. The
-    defects of the returned state are measured by one extra operator
-    application, so the report's e_eta genuinely belongs to it.
+    when an iterate leaves its declared ball on the core window, and
+    FlowGuardError, naming the iteration, when the flow of an iterate's
+    time change fails its checks. The defects of the returned state are
+    measured by one extra operator application, so the report's e_eta
+    genuinely belongs to it.
     """
     state = initial if initial is not None else initial_state(fr, cfg)
     h = spec.h if spec is not None else 0.0
@@ -656,7 +659,7 @@ def iterate(fr, spec, cfg, initial=None):
     bad_streak = 0
     converged = False
     for it in range(1, cfg.max_iters + 1):
-        new_state, defects = gamma_step(fr, state, spec, cfg, _geo=geo)
+        new_state, defects = _guarded_step(fr, state, spec, cfg, geo, it)
         d = defects["d_eta"]
         distances.append(d)
         kappa_running = 0.0
@@ -688,7 +691,8 @@ def iterate(fr, spec, cfg, initial=None):
             converged = True
             break
     # defect of the state actually returned
-    _, final_defects = gamma_step(fr, state, spec, cfg, _geo=geo)
+    _, final_defects = _guarded_step(fr, state, spec, cfg, geo,
+                                     len(distances) + 1)
     e_eta = (final_defects["d_eta"] + final_defects["tail_s"]
              + final_defects["tail_u"])
     kappa_hat = max(ratios) if ratios else 0.0
@@ -860,12 +864,10 @@ def orbit_field_norms(fr, half_width, samples=201):
     ts = np.linspace(-half_width, half_width, samples)
     pts = fr.orbit_batch(ts)
     f_c0 = float(np.linalg.norm(fr.model.f_batch(pts), axis=1).max())
-    Df = fr.model.df_batch(pts)
-    f_c1 = float(max(np.linalg.norm(Df[k], 2) for k in range(len(ts))))
-    D2 = fr.model.d2f_batch(pts)
+    f_c1 = float(np.linalg.norm(fr.model.df_batch(pts), 2, axis=(1, 2)).max())
     n = fr.model.n
-    f_c2 = float(max(np.linalg.norm(D2[k].reshape(n, n * n), 2)
-                     for k in range(len(ts))))
+    D2 = fr.model.d2f_batch(pts).reshape(len(ts), n, n * n)
+    f_c2 = float(np.linalg.norm(D2, 2, axis=(1, 2)).max())
     return f_c0, f_c1, f_c2
 
 

@@ -178,6 +178,7 @@ class TestRunVerb:
                           "parameters": {"a": 100.0, "omega": 1.0}})
         assert cli.main(["run", path]) == 3
         assert "infeasible" in capsys.readouterr().err
+        assert not os.path.exists(scn["out"])
 
     def test_non_finite_perturbation_is_exit_four(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -193,11 +194,30 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert "non-finite value" in err and "not finite" in err
         assert len(err.strip().splitlines()) == 1
-        assert not os.path.exists(os.path.join(scn["out"], "report.json"))
+        assert not os.path.exists(scn["out"])
+
+    def test_flow_guard_failure_is_exit_four(self, tmp_path, capsys):
+        # after one step X - 1 reaches 0.97 outside the core, beyond
+        # t0 = 0.2 where the core-only ball check does not look, and the
+        # next flow fails its round-trip guard
+        path, scn = write_scenario(
+            tmp_path, eps=0.04,
+            frame={"mode": "analytic", "model": "saddle-cubic",
+                   "lambda_s": 1.0, "lambda_u": 1.0, "cubic": [0.3, 0.2]},
+            perturbation={"kind": "sdd-tanh",
+                          "parameters": {"h": 1.0, "c0": 0.5, "c1": 0.2}})
+        assert cli.main(["run", path]) == 4
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert "flow guard failed: iteration 2: round-trip defect" in err
+        assert "sup|X - 1| = 0.972" in err and "t0 = 0.2" in err
+        assert not os.path.exists(scn["out"])
 
     def test_iteration_cap_is_exit_two(self, tmp_path):
-        path, _ = write_scenario(tmp_path)
+        path, scn = write_scenario(tmp_path)
         assert cli.main(["run", path, "--max-iters", "1", "--quiet"]) == 2
+        assert not os.path.exists(scn["out"])
 
     def test_out_flag_overrides(self, tmp_path):
         path, _ = write_scenario(tmp_path, eps=0.0)

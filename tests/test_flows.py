@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from hypershadow import flows
@@ -87,6 +87,74 @@ def test_phi_zero_is_exact():
     izero = (fl.phi.n - 1) // 2
     assert fl.phi.values[izero, 0] == 0.0
     assert fl.phi.nodes[izero] == 0.0
+
+
+def test_phi_inverts_the_quadrature_inverse_exactly():
+    # the Newton sweeps solve Phi(phi(t_i)) = t_i at every node, window
+    # edges included, down to rounding
+    for seed in (0, 28, 56, 99):
+        field = random_field(seed)
+        fl = flows.solve_flow(field, 6.0)
+        Phi, X = flows._quadrature_inverse(field, fl.phi_inv,
+                                           fl.phi.values[:, 0])
+        assert np.abs(Phi - fl.phi.nodes).max() <= 1e-13, seed
+        assert np.array_equal(X, field.fast_value(fl.phi.values[:, 0]))
+
+
+def _inverse_by_solve_ivp(fields, ys):
+    """t_k(y) = int_0^y ds / X_k(s) for fields sharing one grid.
+
+    One solve_ivp run integrates all fields at once, their deviations
+    stacked as the columns of one grid function. The zero extension
+    bends X at T and T + delta, so each side is integrated in pieces
+    that end there.
+    """
+    g = fields[0].xhat
+    stack = g.with_values(np.column_stack([f.xhat.values[:, 0]
+                                           for f in fields]))
+    T, d = g.half_width, g.delta
+    out = np.zeros_like(ys)
+    for side in (1.0, -1.0):
+        u = side * ys
+        edges = (0.0, T, T + d, max(float(u.max()), T + d) + d)
+        start = np.zeros(len(fields))
+        for a, b in zip(edges[:-1], edges[1:]):
+            sol = solve_ivp(
+                lambda s, v: side / (1.0 + stack.eval(side * s)), (a, b),
+                start, method="DOP853", rtol=1e-12, atol=1e-15,
+                dense_output=True)
+            for k in range(len(fields)):
+                sel = (u[k] > a) & (u[k] <= b)
+                if sel.any():
+                    out[k, sel] = sol.sol(u[k, sel])[k]
+            start = sol.y[:, -1]
+    return out
+
+
+def test_phi_against_solve_ivp():
+    # independent reference: the inverse equation dt/dy = 1/X(y) by an
+    # adaptive Runge-Kutta run. phi_ref(t_i) - phi(t_i) equals
+    # X(phi(t_i)) (t_i - t_ref(phi(t_i))) up to second order, and the
+    # reference itself is good to about 1e-10 because X is only
+    # piecewise smooth between grid nodes.
+    fields = [random_field(seed) for seed in range(100)]
+    fls = [flows.solve_flow(f, 6.0) for f in fields]
+    ys = np.array([fl.phi.values[:, 0] for fl in fls])
+    t_ref = _inverse_by_solve_ivp(fields, ys)
+    X = np.array([f.fast_value(y) for f, y in zip(fields, ys)])
+    err = X * np.abs(t_ref - fls[0].phi.nodes[None, :])
+    assert err.max() <= 3e-10, np.unravel_index(err.argmax(), err.shape)
+
+
+def test_flow_guard_failure_is_typed():
+    # a phi table that is not increasing trips the guard with a
+    # NumericalError subclass, which the CLI maps to exit code 4
+    fl = flows.solve_flow(random_field(3), 6.0)
+    bent = fl.phi.values[:, 0].copy()
+    bent[-1] = bent[-3]
+    with pytest.raises(flows.FlowGuardError, match="strictly increasing"):
+        flows.Flow(fl.phi.with_values(bent), fl.phi_inv, fl.source)
+    assert issubclass(flows.FlowGuardError, flows.NumericalError)
 
 
 # -- distortion ---------------------------------------------------------

@@ -18,7 +18,12 @@ import pytest
 
 from hypershadow.flows import ScalarField, solve_flow
 from hypershadow.funcspace import BallRadii, GridFunction, WeightParam
-from hypershadow.hyperbolic import AnalyticFrame, analytic_frame, builtin_model
+from hypershadow.hyperbolic import (
+    AnalyticFrame,
+    analytic_frame,
+    builtin_model,
+    frame_from_descriptor,
+)
 from hypershadow.invariance import (
     BallExitError,
     CorrectionState,
@@ -41,6 +46,7 @@ from hypershadow.invariance import (
     gamma_u,
     initial_state,
     iterate,
+    orbit_field_norms,
     propagated_bounds_report,
     range_defect,
     resolve_geometry,
@@ -465,7 +471,7 @@ class TestGammaCenter:
         cfg = base_cfg(eps=eps)
         spec = ode_term(lambda t, y: np.array([b1, 0.0, 0.0]))
         X = gamma_c(fr, initial_state(fr, cfg), spec, cfg)
-        vals = X.value(X.xhat.nodes)
+        vals = X.fast_value(X.xhat.nodes)
         assert vals == pytest.approx(np.full(vals.size, 1.0 + eps * b1),
                                      abs=1e-13)
 
@@ -597,16 +603,6 @@ class TestIterateLinear:
                                  u_ball=final.u_ball)
         probe = np.linspace(-2.0, 2.0, 81)
         assert residual_fde(fr, broken, spec, cfg.eps, probe) > 1e-4
-
-    def test_fresh_center_variant_reaches_the_same_fixed_point(self):
-        fr = lin_frame()
-        a, omega, eps = 0.5, 1.0, 1e-2
-        cfg = base_cfg(eps=eps, fresh_center=True)
-        final, report = iterate(fr, sine_delay_spec(a, omega), cfg)
-        assert report.converged
-        rho = np.linspace(-2.0, 2.0, 21)
-        assert np.abs(final.xs.eval(rho)[:, 1]
-                      - stable_response(rho, a, omega, eps)).max() < 1e-6
 
 
 class TestResidualValidation:
@@ -847,6 +843,28 @@ class TestPropagatedBounds:
         assert rep.norms["f_c1"] == pytest.approx(1.0, abs=1e-12)
         assert rep.norms["f_c2"] == pytest.approx(0.0, abs=1e-12)
         assert 0.0 < rep.norms["varphi_sup"] <= 1.0
+
+
+@pytest.mark.parametrize("frame", ["cubic", "floquet"])
+def test_orbit_field_norms_match_per_sample_norms(frame):
+    if frame == "cubic":
+        fr = cubic_frame()
+    else:
+        fr = frame_from_descriptor({"mode": "floquet",
+                                    "model": "planar-limit-cycle"})
+    got = orbit_field_norms(fr, 6.0)
+    ts = np.linspace(-6.0, 6.0, 201)
+    pts = fr.orbit_batch(ts)
+    n = fr.model.n
+    Df = fr.model.df_batch(pts)
+    D2 = fr.model.d2f_batch(pts)
+    want = (float(np.linalg.norm(fr.model.f_batch(pts), axis=1).max()),
+            max(float(np.linalg.norm(Df[k], 2)) for k in range(ts.size)),
+            max(float(np.linalg.norm(D2[k].reshape(n, n * n), 2))
+                for k in range(ts.size)))
+    assert got == want
+    if frame == "floquet":
+        assert got[2] > 0.0
 
 
 class TestContraction:
