@@ -7,8 +7,9 @@ the retarded delay between an ordered pair solves
 
 and the advance sigma_ij solves the mirror equation with t + sigma.
 Both are fixed points of a contraction whose rate is eps * sup|dq_j/dt|,
-so a nodewise fixed-point sweep converges fast whenever the partner
-moves slower than light. This module provides that solver, the
+so a fixed-point sweep over all nodes at once, each starting from
+eps |q_i(t) - q_j(t)|, converges fast whenever the partner moves slower
+than light. This module provides that solver, the
 first-order expansion check
 
     tau_ij = eps |q_i - q_j| + eps^2 (q_i - q_j) . dq_j/dt + O(eps^3),
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .flows import NumericalError
 from .funcspace import GridFunction, save_grid_function
 from .perturbations import PerturbationSpec, _rows
 
@@ -64,8 +66,9 @@ class Trajectory:
     """A path t -> R^d with its velocity, vectorized over time arrays.
 
     ``pos`` and ``vel`` receive a scalar or a 1-D array of times and
-    return shape (d,) or (k, d) accordingly. The builders below produce
-    vectorized evaluators; :meth:`from_callable` wraps scalar ones.
+    return shape (d,) or (k, d) accordingly, always a fresh array that the
+    caller may write into. The builders below produce vectorized
+    evaluators; :meth:`from_callable` wraps scalar ones.
     """
 
     __slots__ = ("pos", "vel", "dim", "kind", "params")
@@ -81,33 +84,29 @@ class Trajectory:
 
     @classmethod
     def static(cls, point):
-        p = np.asarray(point, dtype=float)
+        p = np.array(point, dtype=float)
 
         def pos(t):
-            t = np.asarray(t, dtype=float)
-            return p if t.ndim == 0 else np.broadcast_to(p, t.shape + p.shape).copy()
+            return np.broadcast_to(p, np.shape(t) + p.shape).copy()
 
         def vel(t):
-            t = np.asarray(t, dtype=float)
-            z = np.zeros_like(p)
-            return z if t.ndim == 0 else np.zeros(t.shape + p.shape)
+            return np.zeros(np.shape(t) + p.shape)
 
         return cls(pos, vel, p.size, kind="static", params={"point": p.tolist()})
 
     @classmethod
     def uniform(cls, point, velocity):
-        p = np.asarray(point, dtype=float)
-        v = np.asarray(velocity, dtype=float)
+        p = np.array(point, dtype=float)
+        v = np.array(velocity, dtype=float)
         if p.shape != v.shape:
             raise ValueError("point and velocity must share a shape")
 
         def pos(t):
             t = np.asarray(t, dtype=float)
-            return p + t * v if t.ndim == 0 else p + t[:, None] * v
+            return p + t[..., None] * v
 
         def vel(t):
-            t = np.asarray(t, dtype=float)
-            return v if t.ndim == 0 else np.broadcast_to(v, t.shape + v.shape).copy()
+            return np.broadcast_to(v, np.shape(t) + v.shape).copy()
 
         return cls(pos, vel, p.size, kind="uniform",
                    params={"point": p.tolist(), "velocity": v.tolist()})
@@ -115,7 +114,7 @@ class Trajectory:
     @classmethod
     def circular(cls, center, radius, omega, phase=0.0):
         """Circle of the given radius in the first two coordinates."""
-        c = np.asarray(center, dtype=float)
+        c = np.array(center, dtype=float)
         if c.size < 2:
             raise ValueError("circular motion needs at least two coordinates")
         radius = float(radius)
@@ -155,7 +154,7 @@ class Trajectory:
             def ev(t):
                 t = np.asarray(t, dtype=float)
                 if t.ndim == 0:
-                    return np.asarray(f(float(t)), dtype=float)
+                    return np.array(f(float(t)), dtype=float)
                 return np.asarray([f(float(s)) for s in t], dtype=float)
             return ev
 
@@ -330,58 +329,75 @@ def _contraction_rate(qi, qj, eps, window):
     return eps * qj.speed_sup(-window - pad, window + pad)
 
 
-def _retarded_values(qi, qj, eps, nodes, tol, max_iters):
-    """Nodewise fixed point of tau -> eps |q_i(t) - q_j(t - tau)|.
+def _fixed_point(step, times, tol, max_iters):
+    """Elementwise fixed point of tau = step(rows, tau) over all elements.
 
-    Each node converges independently; the previous node's value only
-    seeds the next iteration. Returns values, the largest nodewise
-    iteration count, and the largest final defect.
+    ``step(rows, tau)`` maps the current values of the selected elements
+    (an index array) to their next iterate. The sweep starts every
+    element from tau_0 = step(all, 0) and freezes an element once its
+    update is <= ``tol``, so each takes exactly the iterates a
+    one-element loop would. ``times`` labels the elements in errors: the
+    first non-finite value raises ``NumericalError`` on the iterate it
+    appears, a sweep that outlasts ``max_iters`` raises
+    ``DelaySolveError``. Returns the values and the largest per-element
+    iteration count.
     """
-    out = np.empty(nodes.size)
-    worst_iters = 0
-    worst_defect = 0.0
-    tau = None
-    for k, t in enumerate(nodes):
-        qi_t = qi.pos(t)
-        if tau is None:
-            tau = eps * float(np.linalg.norm(qi_t - qj.pos(t)))
-        for it in range(1, max_iters + 1):
-            nxt = eps * float(np.linalg.norm(qi_t - qj.pos(t - tau)))
-            update = abs(nxt - tau)
-            tau = nxt
-            if update <= tol:
-                break
-        else:
-            raise DelaySolveError(
-                f"delay at t={t:.6g} still moving after {max_iters} "
-                f"iterations; last update {update:.3e}")
-        defect = abs(eps * float(np.linalg.norm(qi_t - qj.pos(t - tau))) - tau)
-        out[k] = tau
-        worst_iters = max(worst_iters, it)
-        worst_defect = max(worst_defect, defect)
-    return out, worst_iters, worst_defect
+    def finite(vals, rows, it):
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise NumericalError(
+                f"delay at t={times[rows[bad][0]]:.6g} is not finite on "
+                f"iterate {it}")
+        return vals
+
+    rows = np.arange(len(times))
+    tau = finite(step(rows, 0.0), rows, 0)
+    for it in range(1, max_iters + 1):
+        nxt = finite(step(rows, tau[rows]), rows, it)
+        update = np.abs(nxt - tau[rows])
+        tau[rows] = nxt
+        moving = update > tol
+        if not moving.any():
+            return tau, it
+        rows, update = rows[moving], update[moving]
+    raise DelaySolveError(
+        f"delay at t={times[rows[0]]:.6g} still moving after {max_iters} "
+        f"iterations; last update {update[0]:.3e}")
+
+
+def _retarded_values(qi, qj, eps, at, times, tol, max_iters):
+    """Fixed point of tau -> eps |q_i(t) - q_j(t - tau)| at every t in ``at``.
+
+    All nodes are solved at once from tau_0 = eps |q_i(t) - q_j(t)|;
+    ``times`` labels the nodes in errors. Returns values, the largest
+    per-node iteration count, and the largest per-node defect.
+    """
+    def step(rows, tau):
+        t = at[rows]
+        gap = qi.pos(t) - qj.pos(t - tau)
+        return eps * np.sqrt(np.einsum("kd,kd->k", gap, gap))
+
+    vals, iters = _fixed_point(step, times, tol, max_iters)
+    defect = float(np.abs(step(np.arange(at.size), vals) - vals).max())
+    return vals, iters, defect
 
 
 def _delay_values(qi, qj, eps, mode, nodes, tol, max_iters):
     if mode == "retarded":
-        return _retarded_values(qi, qj, eps, nodes, tol, max_iters)
+        return _retarded_values(qi, qj, eps, nodes, nodes, tol, max_iters)
     if mode != "advanced":
         raise ValueError(f"mode must be 'retarded' or 'advanced', got {mode!r}")
-    # advance of (q_i, q_j) = delay of the time-reversed pair, read backwards
-    vals, iters, defect = _retarded_values(qi.reflected(), qj.reflected(),
-                                           eps, -nodes[::-1], tol, max_iters)
-    return vals[::-1].copy(), iters, defect
+    # advance of (q_i, q_j) at t = delay of the time-reversed pair at -t
+    return _retarded_values(qi.reflected(), qj.reflected(), eps, -nodes,
+                            nodes, tol, max_iters)
 
 
-def solve_delay(qi, qj, eps, mode="retarded", window=8.0, delta=0.1,
-                tol=_DEFECT_TOL, max_iters=_MAX_ITERS, interp_order=5):
-    """Solve the implicit delay (or advance) on a symmetric node grid.
+def _solve_grid(qi, qj, eps, modes, window, delta, tol, max_iters,
+                interp_order):
+    """One (field, iterations, defect) per mode on the symmetric node grid.
 
-    The defining equation tau(t) = eps |q_i(t) - q_j(t - tau(t))| is a
-    contraction of rate eps * sup|dq_j|, checked before iterating; the
-    sweep starts from tau_0 = eps |q_i(t) - q_j(t)| and warm starts each
-    node from its neighbor. Advanced mode solves the retarded problem of
-    the time-reversed trajectories and reads the result backwards.
+    The defining equation is a contraction of rate eps * sup|dq_j|,
+    checked before iterating.
     """
     eps = float(eps)
     if eps < 0.0:
@@ -393,8 +409,28 @@ def solve_delay(qi, qj, eps, mode="retarded", window=8.0, delta=0.1,
             f"contraction condition violated: eps * sup|dq_j| = {kappa:.3g} >= 1")
     n = int(round(2.0 * window / delta)) + 1
     nodes = -window + np.arange(n) * float(delta)
-    vals, _, _ = _delay_values(qi, qj, eps, mode, nodes, tol, max_iters)
-    return GridFunction(window, delta, vals, interp_order=interp_order)
+    out = []
+    for mode in modes:
+        vals, iters, defect = _delay_values(qi, qj, eps, mode, nodes, tol,
+                                            max_iters)
+        out.append((GridFunction(window, delta, vals,
+                                 interp_order=interp_order), iters, defect))
+    return out
+
+
+def solve_delay(qi, qj, eps, mode="retarded", window=8.0, delta=0.1,
+                tol=_DEFECT_TOL, max_iters=_MAX_ITERS, interp_order=5):
+    """Solve the implicit delay (or advance) on a symmetric node grid.
+
+    The defining equation tau(t) = eps |q_i(t) - q_j(t - tau(t))| is a
+    contraction of rate eps * sup|dq_j|, checked before iterating; every
+    node is solved at once, each starting from tau_0 = eps |q_i(t) -
+    q_j(t)|. Advanced mode solves the retarded problem of the
+    time-reversed trajectories at -t.
+    """
+    [(field, _, _)] = _solve_grid(qi, qj, eps, (mode,), window, delta, tol,
+                                  max_iters, interp_order)
+    return field
 
 
 @dataclass(frozen=True)
@@ -402,7 +438,9 @@ class DelayField:
     """Solved delay and advance of one ordered pair, with diagnostics.
 
     The stored defects are the worst nodewise residuals of the defining
-    equations; construction refuses fields that miss the certification
+    equations, and each iteration count is the largest number of
+    fixed-point updates any node took from its start tau_0 = eps |q_i(t) -
+    q_j(t)|; construction refuses fields that miss the certification
     threshold or carry negative values.
     """
 
@@ -427,22 +465,10 @@ class DelayField:
     @classmethod
     def solve(cls, qi, qj, eps, window=8.0, delta=0.1, pair=(0, 1),
               tol=_DEFECT_TOL, max_iters=_MAX_ITERS, interp_order=5):
-        eps = float(eps)
-        window = float(window)
-        kappa = _contraction_rate(qi, qj, eps, window)
-        if kappa >= 1.0:
-            raise ValueError(
-                f"contraction condition violated: eps * sup|dq_j| = "
-                f"{kappa:.3g} >= 1")
-        n = int(round(2.0 * window / delta)) + 1
-        nodes = -window + np.arange(n) * float(delta)
-        tvals, tit, tdef = _delay_values(qi, qj, eps, "retarded", nodes,
-                                         tol, max_iters)
-        svals, sit, sdef = _delay_values(qi, qj, eps, "advanced", nodes,
-                                         tol, max_iters)
-        tau = GridFunction(window, delta, tvals, interp_order=interp_order)
-        sigma = GridFunction(window, delta, svals, interp_order=interp_order)
-        return cls(tau, sigma, eps, pair=tuple(pair),
+        (tau, tit, tdef), (sigma, sit, sdef) = _solve_grid(
+            qi, qj, eps, ("retarded", "advanced"), window, delta, tol,
+            max_iters, interp_order)
+        return cls(tau, sigma, float(eps), pair=tuple(pair),
                    tau_iterations=tit, tau_defect=tdef,
                    sigma_iterations=sit, sigma_defect=sdef)
 
@@ -596,31 +622,16 @@ def _segment_delay(seg, qi_now, block, eps, sign, tol=_DEFECT_TOL,
 
     ``qi_now`` is (k, d), one observer position per segment center, and
     ``block`` slices the partner's position out of the stacked state.
-    The fixed point runs elementwise over k: an element is frozen once
-    its update falls below ``tol``, so each takes exactly the iterates a
-    one-center loop would. Lookups run through the segment itself, so a
-    delay that wanders past the history radius surfaces as the
-    segment's own range error.
+    The fixed point runs elementwise over k through the same kernel as
+    the grid solve. Lookups run through the segment itself, so a delay
+    that wanders past the history radius surfaces as the segment's own
+    range error.
     """
-    def step(rows, shift):
-        gap = qi_now[rows] - seg.take(rows).eval(shift)[:, block]
+    def step(rows, tau):
+        gap = qi_now[rows] - seg.take(rows).eval(sign * tau)[:, block]
         return eps * np.sqrt(np.einsum("kd,kd->k", gap, gap))
 
-    every = np.arange(len(seg))
-    tau = step(every, 0.0)
-    out = np.empty_like(tau)
-    active = every
-    for _ in range(max_iters):
-        nxt = step(active, sign * tau[active])
-        done = np.abs(nxt - tau[active]) <= tol
-        out[active[done]] = nxt[done]
-        tau[active] = nxt
-        active = active[~done]
-        if not active.size:
-            return out
-    raise DelaySolveError(
-        f"segment delay at t={seg.t[active[0]]:.6g} still moving after "
-        f"{max_iters} iterations")
+    return _fixed_point(step, seg.t, tol, max_iters)[0]
 
 
 def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,

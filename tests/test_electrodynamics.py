@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypershadow import electrodynamics as ed
+from hypershadow.flows import NumericalError
 from hypershadow.funcspace import GridFunction, load_grid_function
 from hypershadow.perturbations import HistorySegment
 
@@ -117,6 +118,27 @@ class TestTrajectory:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             ed.trajectory_from_descriptor({"kind": "brachistochrone"})
+
+    @pytest.mark.parametrize("build", [
+        ed.Trajectory.static,
+        lambda p: ed.Trajectory.uniform(p, [0.5, 0.0, -0.5]),
+        lambda p: ed.Trajectory.circular(p, 0.4, 1.2),
+    ], ids=["static", "uniform", "circular"])
+    def test_scalar_time_results_are_fresh_arrays(self, build):
+        # writing into a result must not move the charge, or leave its
+        # descriptor describing another motion than the one solved
+        point = np.array([1.0, 2.0, 3.0])
+        tr = build(point)
+        ts = np.array([0.0, 1.0])
+        pos, vel, desc = tr.pos(ts), tr.vel(ts), tr.descriptor()
+        tr.pos(0.0)[:] = 9.0
+        tr.vel(0.0)[:] = 9.0
+        point[:] = 7.0  # nor does the builder keep the caller's array
+        assert np.array_equal(tr.pos(ts), pos)
+        assert np.array_equal(tr.vel(ts), vel)
+        rebuilt = ed.trajectory_from_descriptor(tr.descriptor())
+        assert tr.descriptor() == desc
+        assert np.array_equal(rebuilt.pos(ts), pos)
 
 
 class TestChargeSystem:
@@ -282,6 +304,144 @@ class TestDelayField:
         for (i, j), fld in fields.items():
             assert fld.pair == (i, j)
             assert fld.tau_defect <= 1e-12
+
+
+def per_node_delays(qi, qj, eps, nodes, warm=True, tol=1e-13,
+                    max_iters=200):
+    """Scalar reference: the retarded fixed point solved one node at a time.
+
+    With ``warm`` each node starts from its neighbour's value, as the
+    solver once did; otherwise from eps |q_i(t) - q_j(t)|. Returns the
+    values, the largest per-node iteration count and the worst defect.
+    """
+    out = np.empty(nodes.size)
+    worst_iters, worst_defect, tau = 0, 0.0, None
+    for k, t in enumerate(nodes):
+        qi_t = qi.pos(t)
+        if tau is None or not warm:
+            tau = eps * float(np.linalg.norm(qi_t - qj.pos(t)))
+        for it in range(1, max_iters + 1):
+            nxt = eps * float(np.linalg.norm(qi_t - qj.pos(t - tau)))
+            update = abs(nxt - tau)
+            tau = nxt
+            if update <= tol:
+                break
+        else:
+            raise AssertionError(f"reference loop stuck at t={t}")
+        out[k] = tau
+        worst_iters = max(worst_iters, it)
+        worst_defect = max(worst_defect, abs(
+            eps * float(np.linalg.norm(qi_t - qj.pos(t - tau))) - tau))
+    return out, worst_iters, worst_defect
+
+
+def per_node_field(qi, qj, eps, mode, nodes, warm=True):
+    if mode == "retarded":
+        return per_node_delays(qi, qj, eps, nodes, warm)
+    vals, iters, defect = per_node_delays(qi.reflected(), qj.reflected(),
+                                          eps, -nodes[::-1], warm)
+    return vals[::-1], iters, defect
+
+
+PARTNERS = {
+    "static": lambda: ed.Trajectory.static([2.0, 0.5, 0.0]),
+    "uniform": lambda: ed.Trajectory.uniform([2.0, 0.0, 0.0],
+                                             [0.3, -0.2, 0.1]),
+    "circular": lambda: ed.Trajectory.circular([0.3, 0.2, 0.0], 1.5, 0.7),
+    "grid": lambda: ed.Trajectory.from_grid(GridFunction.sample(
+        lambda t: np.stack([2.0 + 0.3 * np.sin(1.3 * t),
+                            0.4 * np.cos(0.7 * t), 0.0 * t], axis=-1),
+        8.0, 0.05)),
+    "callable": lambda: ed.Trajectory.from_callable(
+        lambda t: [2.0 + 0.5 * np.sin(t), 0.3 * t, 0.2 * np.cos(2.0 * t)],
+        lambda t: [0.5 * np.cos(t), 0.3, -0.4 * np.sin(2.0 * t)], 3),
+}
+
+
+def nan_after(t_bad):
+    """Partner drifting at 0.3 whose position is lost after t_bad."""
+    return ed.Trajectory.from_callable(
+        lambda t: [2.0 + 0.3 * t, 0.0, 0.0] if t <= t_bad else [np.nan] * 3,
+        lambda t: [0.3, 0.0, 0.0], 3)
+
+
+class TestNodeKernel:
+    @pytest.mark.parametrize("mode", ["retarded", "advanced"])
+    @pytest.mark.parametrize("name", sorted(PARTNERS))
+    def test_matches_per_node_reference(self, name, mode):
+        qi = ed.Trajectory.uniform([0.0, 0.0, 0.0], [0.0, 0.1, 0.0])
+        qj = PARTNERS[name]()
+        eps = 0.05
+        g = ed.solve_delay(qi, qj, eps, mode=mode, window=4.0, delta=0.1)
+        want, _, _ = per_node_field(qi, qj, eps, mode, g.nodes)
+        assert np.abs(g.values[:, 0] - want).max() <= 1e-14
+
+        fld = ed.DelayField.solve(qi, qj, eps, window=4.0, delta=0.1)
+        got = fld.tau if mode == "retarded" else fld.sigma
+        assert np.array_equal(got.values, g.values)
+        sign = -1.0 if mode == "retarded" else 1.0
+        ts, vals = g.nodes, g.values[:, 0]
+        defect = np.abs(eps * np.linalg.norm(
+            qi.pos(ts) - qj.pos(ts + sign * vals), axis=1) - vals).max()
+        reported = fld.tau_defect if mode == "retarded" else fld.sigma_defect
+        assert defect <= 1e-13 and reported <= 1e-13
+        # every node starts cold, so the count is the cold loop's worst
+        _, iters, _ = per_node_field(qi, qj, eps, mode, g.nodes, warm=False)
+        counted = (fld.tau_iterations if mode == "retarded"
+                   else fld.sigma_iterations)
+        assert counted == iters
+
+    def test_segment_delay_matches_grid_solve(self):
+        qa = ed.Trajectory.circular([0.0, 0.0, 0.0], 0.3, 0.8)
+        qb = ed.Trajectory.uniform([2.0, 0.0, 0.0], [0.2, 0.1, 0.0])
+        sys = ed.ChargeSystem([qa, qb], masses=[1.0, 2.0],
+                              charges=[1.0, -1.0], epsilon=0.05,
+                              xi1=0.5, xi2=0.5)
+        fld = ed.DelayField.solve(qa, qb, sys.epsilon, window=4.0, delta=0.1)
+        ts = fld.tau.nodes[10:-10]
+        seg = stacked_segment(sys, ts)
+        block = slice(3, 6)
+        tau = ed._segment_delay(seg, qa.pos(ts), block, sys.epsilon, -1.0)
+        sig = ed._segment_delay(seg, qa.pos(ts), block, sys.epsilon, +1.0)
+        assert np.abs(tau - fld.tau.values[10:-10, 0]).max() <= 1e-14
+        assert np.abs(sig - fld.sigma.values[10:-10, 0]).max() <= 1e-14
+
+    def test_iteration_cap_names_the_first_moving_node(self):
+        with pytest.raises(ed.DelaySolveError,
+                           match=r"t=-2 still moving after 200 iterations; "
+                                 r"last update \d"):
+            ed.solve_delay(origin(), drifting(5.0, 0.999), 1.0,
+                           window=2.0, delta=0.5)
+
+    def test_nan_partner_is_a_numerical_error(self):
+        # the first node whose partner position is lost is t = 1.1
+        with pytest.raises(NumericalError,
+                           match=r"t=1.1 is not finite on iterate 0"):
+            ed.DelayField.solve(origin(), nan_after(1.05), 0.05,
+                                window=2.0, delta=0.1)
+        # the advance at t = 1 reads the partner at 1 + 0.1: iterate 1
+        with pytest.raises(NumericalError,
+                           match=r"t=1 is not finite on iterate 1"):
+            ed.solve_delay(origin(), nan_after(1.05), 0.05, mode="advanced",
+                           window=1.0, delta=0.1)
+
+    def test_nan_partner_history_is_a_numerical_error(self):
+        sys = two_charge_system()
+        spec = ed.assemble_charge_perturbation(sys, window=4.0)
+        trs = sys.trajectories
+
+        def y(t):
+            out = np.concatenate([tr.pos(t) for tr in trs]
+                                 + [tr.vel(t) for tr in trs], axis=-1)
+            out[t < 0.95, 3:6] = np.nan  # partner position lost before 0.95
+            return out
+
+        ts = np.array([1.0, 1.5, 2.0])
+        seg = HistorySegment(ts, 1.0, y)
+        # the delay at t = 1 is about 0.1, so its first lookup misses
+        with pytest.raises(NumericalError,
+                           match=r"t=1 is not finite on iterate 1"):
+            spec(ts, seg, sys.epsilon)
 
 
 class TestSymmetries:
