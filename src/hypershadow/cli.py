@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -297,18 +296,9 @@ def cmd_sweep(scn, max_iters=None, quiet=False):
     except Exception as exc:
         _complain(str(exc))
         return 1
-    workers = max(1, int(os.environ.get("HYPERSHADOW_THREADS", "1") or 1))
-
-    def member(args):
-        eps, fr, spec, cfg = args
-        out = os.path.join(scn.out, f"eps_{eps:.6g}")
-        return _run_one(scn, fr, spec, cfg, out, quiet=True)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(resolved))) as ex:
-            results = list(ex.map(member, resolved))
-    else:
-        results = [member(args) for args in resolved]
+    results = [_run_one(scn, fr, spec, cfg,
+                        os.path.join(scn.out, f"eps_{eps:.6g}"), quiet=True)
+               for eps, fr, spec, cfg in resolved]
 
     xhat_norms = []
     x_norms = []

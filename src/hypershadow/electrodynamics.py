@@ -320,6 +320,13 @@ def charge_system_from_descriptor(desc):
 # -- the delay solver ------------------------------------------------------
 
 
+def _finite(name, value):
+    """``value``; a NaN would pass every ``>=`` check, so it raises here."""
+    if not math.isfinite(value):
+        raise NumericalError(f"{name} is not finite ({value})")
+    return value
+
+
 def _contraction_rate(qi, qj, eps, window):
     """eps * sup|dq_j| over the window inflated by a delay allowance."""
     d0 = float(np.linalg.norm(
@@ -403,7 +410,8 @@ def _solve_grid(qi, qj, eps, modes, window, delta, tol, max_iters,
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
     window = float(window)
-    kappa = _contraction_rate(qi, qj, eps, window)
+    kappa = _finite("contraction rate eps * sup|dq_j|",
+                    _contraction_rate(qi, qj, eps, window))
     if kappa >= 1.0:
         raise ValueError(
             f"contraction condition violated: eps * sup|dq_j| = {kappa:.3g} >= 1")
@@ -665,18 +673,17 @@ def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
     if eps0 > 0.0 and N > 1:
         ts = np.linspace(-float(window), float(window), 513)
         pos = np.stack([tr.pos(ts) for tr in sys.trajectories])
-        d_sup = 0.0
-        for i in range(N):
-            for j in range(i + 1, N):
-                d_sup = max(d_sup, float(
-                    np.linalg.norm(pos[i] - pos[j], axis=-1).max()))
-        kappa = eps0 * max(tr.speed_sup(-window - 1.0, window + 1.0)
-                           for tr in sys.trajectories)
+        # np.max, unlike the builtin max, lets a NaN through to the guards
+        d_sup = float(np.max([np.linalg.norm(pos[i] - pos[j], axis=-1).max()
+                              for i in range(N) for j in range(i + 1, N)]))
+        kappa = _finite("contraction rate eps * sup speed", eps0 * float(
+            np.max([tr.speed_sup(-window - 1.0, window + 1.0)
+                    for tr in sys.trajectories])))
         if kappa >= 1.0:
             raise ValueError(
                 f"contraction condition violated: eps * sup speed = "
                 f"{kappa:.3g} >= 1")
-        bound = eps0 * d_sup / (1.0 - kappa)
+        bound = _finite("delay bound", eps0 * d_sup / (1.0 - kappa))
         if bound > float(h):
             raise ValueError(
                 f"delay bound {bound:.3g} exceeds history radius {h:g}")

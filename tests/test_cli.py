@@ -306,6 +306,13 @@ class TestSweepVerb:
         sw = json.load(open(os.path.join(scn["out"], "sweep.json")))
         assert abs(sw["slope_xhat"] - 1.0) < 0.02
 
+    def test_thread_env_is_ignored(self, tmp_path, monkeypatch):
+        # members run serially; a value that is no number changes nothing
+        monkeypatch.setenv("HYPERSHADOW_THREADS", "abc")
+        path, scn = write_scenario(tmp_path, eps=[4e-3, 2e-3, 1e-3])
+        assert cli.main(["sweep", path, "--quiet"]) == 0
+        assert os.path.exists(os.path.join(scn["out"], "sweep.json"))
+
 
 class TestVerifyVerb:
     def test_converged_state_reverifies(self, tmp_path, linear_run):

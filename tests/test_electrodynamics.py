@@ -425,6 +425,33 @@ class TestNodeKernel:
             ed.solve_delay(origin(), nan_after(1.05), 0.05, mode="advanced",
                            window=1.0, delta=0.1)
 
+    def test_nan_velocity_rate_is_a_numerical_error(self):
+        # a NaN rate fails every comparison, so it used to skip the
+        # contraction check and iterate to the cap
+        fast = ed.Trajectory.from_callable(
+            lambda t: [2.0 + 5.0 * t, 0.0, 0.0], lambda t: [np.nan] * 3, 3)
+        with pytest.raises(NumericalError,
+                           match=r"contraction rate .* is not finite \(nan\)"):
+            ed.solve_delay(origin(), fast, 1.0, window=2.0, delta=0.5)
+
+    @pytest.mark.parametrize("what,pos,vel", [
+        # velocity lost only in the delay allowance beyond the window
+        ("contraction rate", lambda t: [2.0 + 0.2 * t, 0.0, 0.0],
+         lambda t: [0.2, 0.0, 0.0] if abs(t) <= 4.0 else [np.nan] * 3),
+        # position lost near the window edge: the delay bound is NaN
+        ("delay bound",
+         lambda t: [2.0 + 0.2 * t, 0.0, 0.0] if abs(t) < 3.5 else [np.nan] * 3,
+         lambda t: [0.2, 0.0, 0.0]),
+    ])
+    def test_non_finite_charge_guards_are_numerical_errors(self, what, pos,
+                                                           vel):
+        partner = ed.Trajectory.from_callable(pos, vel, 3)
+        sys = ed.ChargeSystem([origin(), partner], masses=[1.0, 2.0],
+                              charges=[1.0, -1.0], epsilon=0.05,
+                              xi1=0.5, xi2=0.5)
+        with pytest.raises(NumericalError, match=what + r".* is not finite"):
+            ed.assemble_charge_perturbation(sys, window=4.0)
+
     def test_nan_partner_history_is_a_numerical_error(self):
         sys = two_charge_system()
         spec = ed.assemble_charge_perturbation(sys, window=4.0)

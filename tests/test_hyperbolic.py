@@ -101,14 +101,26 @@ class TestSaddleFrame:
         fr = saddle_frame()
 
         class Corrupted(AnalyticFrame):
-            def proj(self, rho):
-                Pc, Ps, Pu = super().proj(rho)
+            def proj_batch(self, rhos):
+                Pc, Ps, Pu = super().proj_batch(rhos)
                 return Pc, 1.1 * Ps, Pu
 
         bad = Corrupted(fr.model, [1.0], [1.0])
         rep = verify_frame(bad)
         assert not rep.ok
         assert any("idempotence" in msg for msg in rep.failures)
+
+    def test_inflated_propagator_fails_the_cocycle(self):
+        fr = saddle_frame()
+
+        class Inflated(AnalyticFrame):
+            def prop_s_batch(self, rhos, vs):
+                return 1.1 * super().prop_s_batch(rhos, vs)
+
+        bad = Inflated(fr.model, [1.0], [1.0])
+        rep = verify_frame(bad)
+        assert not rep.ok
+        assert any(msg.startswith("cocycle") for msg in rep.failures)
 
 
 class TestOdeModel:
@@ -344,3 +356,339 @@ class TestDescriptors:
             builtin_model("does-not-exist")
         with pytest.raises(ValueError, match="no analytic splitting"):
             analytic_frame({"model": "planar-limit-cycle"})
+
+
+# -- oracles: the per-point loops the batched frame code replaced ----------
+
+def loop_convolve_analytic(fr, rhos, vs, wvs, stable):
+    """Per-rho decay recurrence over the sorted weights."""
+    slots = fr.s_slots if stable else fr.u_slots
+    rates = fr.rates_s if stable else fr.rates_u
+    coords = (np.asarray(wvs, dtype=float) @ fr.Q)[:, list(slots)]
+    acc = np.zeros(len(slots))
+    res = np.empty((rhos.size, len(slots)))
+    if stable:
+        cut = np.searchsorted(vs, rhos, side="right")
+        lo, order = 0, range(rhos.size)
+    else:
+        cut = np.searchsorted(vs, rhos, side="left")
+        lo, order = vs.size, range(rhos.size - 1, -1, -1)
+    prev = None
+    for k in order:
+        rho = rhos[k]
+        if prev is not None:
+            acc *= np.exp(-rates * abs(rho - prev))
+        hi = cut[k]
+        if stable and hi > lo:
+            seg = np.exp(-np.outer(rho - vs[lo:hi], rates))
+            acc += (seg * coords[lo:hi]).sum(axis=0)
+        elif not stable and hi < lo:
+            seg = np.exp(-np.outer(vs[hi:lo] - rho, rates))
+            acc += (seg * coords[hi:lo]).sum(axis=0)
+        lo = hi
+        res[k] = acc
+        prev = rho
+    return res @ fr.Q[:, list(slots)].T
+
+
+def loop_convolve_floquet(fr, rhos, vs, wvs, stable):
+    """Per-rho sweep adding one block-map power per weight."""
+    sigma = "s" if stable else "u"
+    coords, k_v = fr._coords(sigma, vs, np.asarray(wvs, dtype=float))
+    if stable:
+        S, cache = fr.S_s, fr._s_pow
+        A_r, k_r = fr._bases(rhos)[1], fr._wrap(rhos)[1]
+        cut = np.searchsorted(vs, rhos, side="right")
+        order, lo = range(rhos.size), 0
+    else:
+        S, cache = fr.S_u, fr._u_pow
+        A_r, k_r = fr._bases(rhos)[2], fr._wrap(rhos)[1]
+        cut = np.searchsorted(vs, rhos, side="left")
+        order, lo = range(rhos.size - 1, -1, -1), vs.size
+    acc = np.zeros(coords.shape[1])
+    res = np.empty((rhos.size, coords.shape[1]))
+    prev_k = None
+    for idx in order:
+        kr = int(k_r[idx])
+        if prev_k is not None and kr != prev_k:
+            acc = fr._spow(S, cache, kr - prev_k) @ acc
+        hi = cut[idx]
+        for q in (range(lo, hi) if stable else range(hi, lo)):
+            acc = acc + fr._spow(S, cache, kr - int(k_v[q])) @ coords[q]
+        lo = hi
+        res[idx] = acc
+        prev_k = kr
+    return np.einsum("kis,ks->ki", A_r, res)
+
+
+def scalar_prop_analytic(fr, rho, v, stable, unstable, center):
+    """Q D Q^T with the diagonal built one slot at a time."""
+    D = np.zeros((fr.model.n, fr.model.n))
+    D[0, 0] = center
+    if stable:
+        for s, r in zip(fr.s_slots, fr.rates_s):
+            D[s, s] = math.exp(-r * (rho - v))
+    if unstable:
+        for s, r in zip(fr.u_slots, fr.rates_u):
+            D[s, s] = math.exp(r * (rho - v))
+    return fr.Q @ D @ fr.Q.T
+
+
+def loop_fit(fr, sigma, bases, gaps):
+    """Decay-rate fit with one propagator per (base, gap) pair, twice."""
+    if (fr.dims[1] if sigma == "s" else fr.dims[2]) == 0:
+        return None, 1.0
+
+    def norm_at(t, g):
+        U = fr.prop_s(t + g, t) if sigma == "s" else fr.prop_u(t, t + g)
+        return np.linalg.norm(U, 2)
+
+    xs, ys = [], []
+    for t in bases:
+        for g in gaps:
+            nm = norm_at(t, g)
+            if nm > 0.0:
+                xs.append(g)
+                ys.append(math.log(nm))
+    lam = -float(np.polyfit(xs, ys, 1)[0])
+    worst = 1.0
+    for t in bases:
+        for g in gaps:
+            worst = max(worst, norm_at(t, g) * math.exp(lam * g))
+    return lam, worst
+
+
+def loop_quality(fr):
+    gaps = np.linspace(0.5, 5.0, 10)
+    bases = np.linspace(0.0, fr.period, 7)
+    lam_s, C_s = loop_fit(fr, "s", bases, gaps)
+    lam_u, C_u = loop_fit(fr, "u", bases, gaps)
+    Pc, Ps, Pu = fr.proj_batch(np.linspace(0.0, fr.period, 33))
+    C_Pi = max(1.0, 1.02 * max(np.linalg.norm(P, ord=2, axis=(1, 2)).max()
+                               for P in (Pc, Ps, Pu)))
+    return QualityMeasures(max(1.0, 1.05 * C_s, 1.05 * C_u), C_Pi,
+                           lam_s if lam_s is not None else math.inf,
+                           lam_u if lam_u is not None else math.inf)
+
+
+def loop_verify_frame(fr):
+    """The frame checks one sample point and one (base, gap) pair at a time."""
+    if fr.mode == "floquet":
+        grid, tol_algebra = np.linspace(-fr.period, fr.period, 41), 1e-7
+    else:
+        grid, tol_algebra = np.linspace(-10.0, 10.0, 41), 1e-10
+    tol_cocycle, tol_bundle = 1e-7, 1e-6
+    eye = np.eye(fr.model.n)
+    failures = []
+    completeness = idempotence = annihilation = center_align = 0.0
+    projs = {}
+    for rho in grid:
+        Pc, Ps, Pu = fr.proj(rho)
+        projs[rho] = (Pc, Ps, Pu)
+        completeness = max(completeness, np.abs(Pc + Ps + Pu - eye).max())
+        for P in (Pc, Ps, Pu):
+            idempotence = max(idempotence, np.abs(P @ P - P).max())
+        for A, B in ((Pc, Ps), (Pc, Pu), (Ps, Pu), (Ps, Pc), (Pu, Pc),
+                     (Pu, Ps)):
+            annihilation = max(annihilation, np.abs(A @ B).max())
+        fvec = fr.orbit_deriv(rho)
+        fhat = fvec / np.linalg.norm(fvec)
+        center_align = max(center_align, np.abs(
+            (eye - np.outer(fhat, fhat)) @ Pc).max())
+    for name, val in (("completeness", completeness),
+                      ("idempotence", idempotence),
+                      ("annihilation", annihilation),
+                      ("center alignment", center_align)):
+        if val > tol_algebra:
+            failures.append(f"{name} {val:.2e}")
+    q = fr.quality
+    _, n_s, n_u = fr.dims
+    bundle_invariance = center_transport = cocycle = 0.0
+    expo_slack = proj_slack = -math.inf
+    base = grid[:: max(1, grid.size // 8)]
+    for t in base:
+        for g in (0.7, 1.7, 3.1):
+            for sigma in ("s", "u"):
+                if (n_s if sigma == "s" else n_u) == 0:
+                    continue
+                if sigma == "s":
+                    U1 = fr.prop_s(t + g, t)
+                    U2 = fr.prop_s(t + 2 * g, t + g)
+                    U12 = fr.prop_s(t + 2 * g, t)
+                    Pv, Pr, lam = fr.proj(t)[1], fr.proj(t + g)[1], q.lam_s
+                    chained = U2 @ U1
+                else:
+                    U1 = fr.prop_u(t, t + g)
+                    U2 = fr.prop_u(t + g, t + 2 * g)
+                    U12 = fr.prop_u(t, t + 2 * g)
+                    Pv, Pr, lam = fr.proj(t + 2 * g)[2], fr.proj(t)[2], q.lam_u
+                    chained = U1 @ U2
+                cocycle = max(cocycle, np.abs(chained - U12).max())
+                decay = math.exp(-lam * g) if math.isfinite(lam) else 0.0
+                expo_slack = max(expo_slack,
+                                 np.linalg.norm(U1, 2) - q.C_U * decay)
+                bundle_invariance = max(bundle_invariance, np.abs(
+                    (eye - Pr) @ U1 @ Pv).max())
+        U = fr.prop_full(t + 1.3, t)
+        center_transport = max(center_transport, float(np.linalg.norm(
+            U @ fr.orbit_deriv(t) - fr.orbit_deriv(t + 1.3))))
+    for rho in grid:
+        for P in projs[rho]:
+            proj_slack = max(proj_slack, np.linalg.norm(P, 2) - q.C_Pi)
+    if cocycle > tol_cocycle:
+        failures.append(f"cocycle {cocycle:.2e}")
+    if expo_slack > 1e-9:
+        failures.append(f"propagator bound exceeded by {expo_slack:.2e}")
+    if proj_slack > 1e-9:
+        failures.append(f"projection bound exceeded by {proj_slack:.2e}")
+    if bundle_invariance > tol_bundle:
+        failures.append(f"bundle invariance {bundle_invariance:.2e}")
+    if center_transport > tol_bundle:
+        failures.append(f"center transport {center_transport:.2e}")
+    lam_hat = {}
+    for sigma in ("s", "u"):
+        if (n_s if sigma == "s" else n_u) == 0:
+            lam_hat[sigma] = math.inf
+            continue
+        xs, ys = [], []
+        for t in base:
+            for g in np.linspace(0.5, 5.0, 8):
+                U = fr.prop_s(t + g, t) if sigma == "s" else fr.prop_u(t, t + g)
+                nm = np.linalg.norm(U, 2)
+                if nm > 0:
+                    xs.append(g)
+                    ys.append(math.log(nm))
+        lam_hat[sigma] = -float(np.polyfit(xs, ys, 1)[0])
+        declared = q.lam_s if sigma == "s" else q.lam_u
+        if fr.mode == "analytic" and math.isfinite(declared):
+            if abs(lam_hat[sigma] - declared) > 0.02 * declared:
+                failures.append(
+                    f"lambda_{sigma} refit {lam_hat[sigma]:.4f} vs {declared}")
+    return {"completeness": completeness, "idempotence": idempotence,
+            "annihilation": annihilation, "center_align": center_align,
+            "bundle_invariance": bundle_invariance,
+            "center_transport": center_transport, "cocycle": cocycle,
+            "expo_slack": expo_slack, "proj_slack": proj_slack,
+            "lambda_hat_s": lam_hat["s"], "lambda_hat_u": lam_hat["u"],
+            "failures": failures}
+
+
+def rel_err(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+FRAME_KINDS = ["lin-saddle", "rotated-saddle", "saddle-cubic", "cycle"]
+
+
+def frame_of(kind, cycle_frame):
+    if kind == "lin-saddle":
+        return saddle_frame(lam_s=0.8, lam_u=1.3)
+    if kind == "rotated-saddle":
+        return saddle_frame(lam_s=0.9, lam_u=1.4, rotation=random_rotation(11))
+    if kind == "saddle-cubic":
+        return saddle_frame(cubic=(0.3, 0.2))
+    return cycle_frame
+
+
+class TestBatchedMatchesLoops:
+    """Batched frame code against the per-point loops it replaced."""
+
+    @staticmethod
+    def convolve_both(fr, rhos, vs, ws):
+        loop = (loop_convolve_analytic if fr.mode == "analytic"
+                else loop_convolve_floquet)
+        for stable in (True, False):
+            got = (fr.convolve_stable if stable
+                   else fr.convolve_unstable)(rhos, vs, ws)
+            yield got, loop(fr, rhos, vs, ws, stable)
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_convolution_on_random_nodes_with_a_tie(self, kind, cycle_frame):
+        fr = frame_of(kind, cycle_frame)
+        rng = np.random.default_rng(17)
+        rhos = np.sort(rng.uniform(-9.0, 9.0, size=40))
+        vs = np.sort(np.append(rng.uniform(-12.0, 12.0, size=300), rhos[7]))
+        ws = rng.standard_normal((vs.size, fr.model.n))
+        for got, want in self.convolve_both(fr, rhos, vs, ws):
+            assert rel_err(got, want) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["rotated-saddle", "saddle-cubic"])
+    def test_convolution_on_the_workload_geometry(self, kind, cycle_frame):
+        # window 24, delta 0.1, 3-point Gauss on half cells, t_int 2
+        from hypershadow.invariance import _gauss_panels
+        fr = frame_of(kind, cycle_frame)
+        rhos = -24.0 + 0.1 * np.arange(481)
+        vs, wts = _gauss_panels(-26.0, 26.0, 0.05, 3)
+        rng = np.random.default_rng(3)
+        ws = rng.standard_normal((vs.size, 3)) * wts[:, None]
+        for got, want in self.convolve_both(fr, rhos, vs, ws):
+            assert rel_err(got, want) <= 1e-14
+
+    def test_convolution_across_floquet_periods(self, cycle_frame):
+        P = cycle_frame.period
+        rhos = np.linspace(-1.6 * P, 1.7 * P, 97)
+        vs = np.linspace(-2.2 * P, 2.4 * P, 701)
+        ws = np.random.default_rng(8).standard_normal((vs.size, 2)) * 0.01
+        periods = np.unique(cycle_frame._wrap(rhos)[1])
+        assert periods.size >= 4
+        for got, want in self.convolve_both(cycle_frame, rhos, vs, ws):
+            assert rel_err(got, want) <= 1e-14
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_frame_report_matches(self, kind, cycle_frame):
+        fr = frame_of(kind, cycle_frame)
+        rep = verify_frame(fr)
+        want = loop_verify_frame(fr)
+        assert rep.failures == want.pop("failures")
+        for name, val in want.items():
+            got = getattr(rep, name)
+            if math.isinf(val):
+                assert got == val, name
+            else:
+                assert abs(got - val) <= 1e-12 * max(1.0, abs(val)), name
+
+    def test_floquet_quality_matches(self, cycle_frame):
+        assert cycle_frame.quality == loop_quality(cycle_frame)
+
+    def test_analytic_quality_is_unchanged(self):
+        fr = saddle_frame(lam_s=0.8, lam_u=1.3)
+        assert fr.quality == QualityMeasures(1.0, 1.0, 0.8, 1.3)
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_propagator_batches_match_row_by_row(self, kind, cycle_frame):
+        fr = frame_of(kind, cycle_frame)
+        rng = np.random.default_rng(4)
+        rhos = rng.uniform(-8.0, 8.0, size=25)
+        vs = rng.uniform(-8.0, 8.0, size=25)
+        for name in ("prop_s", "prop_u", "prop_full"):
+            batch = getattr(fr, name + "_batch")(rhos, vs)
+            scalar = getattr(fr, name)
+            for k in range(rhos.size):
+                assert np.array_equal(batch[k], scalar(rhos[k], vs[k])), name
+
+    def test_analytic_propagators_match_the_slot_formula(self):
+        fr = frame_of("rotated-saddle", None)
+        for rho, v in ((2.0, 0.5), (-1.3, 4.1), (0.0, 0.0)):
+            for name, flags in (("prop_s", (True, False, 0.0)),
+                                ("prop_u", (False, True, 0.0)),
+                                ("prop_full", (True, True, 1.0))):
+                want = scalar_prop_analytic(fr, rho, v, *flags)
+                got = getattr(fr, name)(rho, v)
+                assert np.abs(got - want).max() <= 1e-15, name
+
+
+class TestConvolvePrecondition:
+    @pytest.mark.parametrize("kind", ["rotated-saddle", "cycle"])
+    def test_unsorted_input_raises(self, kind, cycle_frame):
+        fr = frame_of(kind, cycle_frame)
+        rng = np.random.default_rng(2)
+        rhos = np.linspace(-2.0, 2.0, 9)
+        vs = np.sort(rng.uniform(-3.0, 3.0, size=40))
+        ws = rng.standard_normal((40, fr.model.n))
+        perm = rng.permutation(40)
+        for conv in (fr.convolve_stable, fr.convolve_unstable):
+            with pytest.raises(ValueError, match="vs must be ascending"):
+                conv(rhos, vs[perm], ws[perm])
+            with pytest.raises(ValueError, match="rhos must be ascending"):
+                conv(rhos[::-1], vs, ws)
+            conv(rhos, vs, ws)  # sorted input still goes through
