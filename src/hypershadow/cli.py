@@ -291,18 +291,18 @@ def _dyadic_eps_list(eps):
 def cmd_sweep(scn, max_iters=None, quiet=False):
     try:
         eps_list = _dyadic_eps_list(scn.eps)
-        resolved = [(e,) + scn.resolve(eps=e, max_iters=max_iters)
-                    for e in eps_list]
+        # frame, spec and geometry do not depend on eps: resolve once
+        fr, spec, cfg = scn.resolve(eps=eps_list[0], max_iters=max_iters)
     except Exception as exc:
         _complain(str(exc))
         return 1
-    results = [_run_one(scn, fr, spec, cfg,
+    results = [_run_one(scn, fr, spec, replace(cfg, eps=eps),
                         os.path.join(scn.out, f"eps_{eps:.6g}"), quiet=True)
-               for eps, fr, spec, cfg in resolved]
+               for eps in eps_list]
 
     xhat_norms = []
     x_norms = []
-    for (eps, _, _, _), (code, state, report) in zip(resolved, results):
+    for eps, (code, state, report) in zip(eps_list, results):
         if code != 0:
             _complain(f"sweep member eps={eps:g} failed with code {code}")
             return code

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import BallRadii, GridFunction, WeightParam
+from .funcspace import BallRadii, GridFunction, GridSampler, WeightParam
 
 __all__ = [
     "NumericalError",
@@ -209,7 +209,7 @@ def _quadrature_inverse(field, table, y):
     return table.values[j, 0] + half * (inv @ gw), X[pts.size:]
 
 
-def solve_flow(field, window, interp_order=7):
+def solve_flow(field, window, interp_order=7, lattices=None):
     """The flow phi' = X(phi), phi(0) = 0, and its inverse map.
 
     Parameters
@@ -220,6 +220,8 @@ def solve_flow(field, window, interp_order=7):
         up to a whole number of grid cells so 0 stays a node.
     interp_order : int
         Interpolation degree of both maps.
+    lattices : optional
+        A run's sampler store; solves then share the cell points' sampler.
 
     The inverse comes first: phi_inv(t) is the integral of 1/X, summed
     per cell with a 6-point Gauss rule on a window inflated by (1 + t_0)
@@ -248,7 +250,9 @@ def solve_flow(field, window, interp_order=7):
     cell_lo = -R_inv + np.arange(2 * K_inv) * delta
     # quadrature points of every cell at once, then 1/X there
     pts = cell_lo[:, None] + (0.5 * delta) * (gx[None, :] + 1.0)
-    integrand = 1.0 / field.fast_value(pts.ravel())
+    at = GridSampler(field.xhat, pts.ravel()) if lattices is None else \
+        lattices.sampler(("flow cells", K_inv), pts.ravel(), field.xhat)
+    integrand = 1.0 / (1.0 + at.apply(field.xhat)[:, 0])
     cells = (integrand.reshape(pts.shape) @ gw) * (0.5 * delta)
     inv_vals = np.empty(2 * K_inv + 1)
     inv_vals[K_inv] = 0.0

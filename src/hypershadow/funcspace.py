@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "EXTENSIONS",
     "GridFunction",
+    "GridSampler",
     "BallRadii",
     "WeightParam",
     "BallReport",
@@ -90,15 +91,17 @@ class GridFunction:
         "zero" tapers linearly to 0 over one cell beyond each end (a hard
         jump to zero would break continuity at the boundary).
 
-    Instances are immutable after construction; evaluation is safe to
-    share across threads. Derivatives are cached per order.
+    Instances are immutable after construction. ``eval(t)`` builds, applies
+    and drops a :class:`GridSampler`. Derivatives are cached per order;
+    difference weights are shared with grids made by ``with_values``.
     """
 
     __slots__ = ("half_width", "delta", "values", "interp_order",
-                 "extension", "nodes", "_dcache", "_slopes", "_bary")
+                 "extension", "nodes", "geometry", "_dcache", "_slopes",
+                 "_stencils")
 
     def __init__(self, half_width, delta, values, interp_order=5,
-                 extension="constant-hold"):
+                 extension="constant-hold", _stencils=None):
         half_width = float(half_width)
         delta = float(delta)
         if not (half_width > 0.0 and np.isfinite(half_width)):
@@ -130,9 +133,11 @@ class GridFunction:
         self.interp_order = interp_order
         self.extension = extension
         self.nodes = -half_width + np.arange(n) * delta
+        # everything a GridSampler depends on
+        self.geometry = (half_width, delta, n, interp_order)
         self._dcache = {}
         self._slopes = None
-        self._bary = None
+        self._stencils = {} if _stencils is None else _stencils
 
     # -- basic geometry -------------------------------------------------
 
@@ -167,11 +172,11 @@ class GridFunction:
         return cls(half_width, delta, vals, interp_order=interp_order,
                    extension=extension)
 
-    def with_values(self, values):
-        """Same grid and policies, new values."""
+    def with_values(self, values, extension=None):
+        """Same grid, new values; same extension policy unless given."""
         return GridFunction(self.half_width, self.delta, values,
-                            interp_order=self.interp_order,
-                            extension=self.extension)
+                            self.interp_order, extension or self.extension,
+                            self._stencils)
 
     def restrict(self, half_width):
         """Restriction to a smaller symmetric window whose ends lie on nodes."""
@@ -184,8 +189,8 @@ class GridFunction:
         if k == 0:
             return self
         return GridFunction(self.half_width - k * self.delta, self.delta,
-                            self.values[k:-k], interp_order=self.interp_order,
-                            extension=self.extension)
+                            self.values[k:-k], self.interp_order,
+                            self.extension, self._stencils)
 
     # -- evaluation -----------------------------------------------------
 
@@ -197,20 +202,8 @@ class GridFunction:
         ``interp_order``, exact at the nodes; outside it follows the
         extension policy and stays continuous across the boundary.
         """
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        scalar = np.ndim(t) == 0
-        out = np.empty((t_arr.size, self.m))
-        T = self.half_width
-        left = t_arr < -T
-        right = t_arr > T
-        inside = ~(left | right)
-        if inside.any():
-            out[inside] = self._interp(t_arr[inside])
-        if left.any():
-            out[left] = self._extend(-(t_arr[left] + T), -1)
-        if right.any():
-            out[right] = self._extend(t_arr[right] - T, +1)
-        return out[0] if scalar else out
+        out = GridSampler(self, np.atleast_1d(t)).apply(self)
+        return out[0] if np.ndim(t) == 0 else out
 
     def eval1(self, t):
         """Evaluate a scalar-valued (m = 1) function; returns float or 1-D array."""
@@ -221,32 +214,6 @@ class GridFunction:
 
     def __call__(self, t):
         return self.eval(t)
-
-    def _interp(self, t):
-        # t: 1-D array already inside the window
-        p = self.interp_order
-        n = self.n
-        cell = np.floor((t + self.half_width) / self.delta).astype(np.int64)
-        np.clip(cell, 0, n - 2, out=cell)
-        start = np.clip(cell - (p - 1) // 2, 0, n - 1 - p)
-        cols = start[:, None] + np.arange(p + 1)[None, :]
-        diff = t[:, None] - self.nodes[cols]
-        # barycentric form; uniform spacing makes the weights binomial.
-        # A query landing on a node takes the sample directly, keeping
-        # node evaluation exact.
-        if self._bary is None:
-            self._bary = np.array(
-                [(-1.0) ** k * math.comb(p, k) for k in range(p + 1)])
-        # a query a subnormal distance from a node overflows to inf here
-        # and is then treated as landing on the node
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = self._bary / diff
-        bad = ~np.isfinite(w)
-        if bad.any():
-            rows = bad.any(axis=1)
-            w[rows] = np.where(bad[rows], 1.0, 0.0)
-        w /= w.sum(axis=1)[:, None]
-        return np.einsum("kp,kpm->km", w, self.values[cols])
 
     def _extend(self, u, side):
         # u: positive distances beyond the boundary; side -1 left, +1 right
@@ -262,10 +229,25 @@ class GridFunction:
     def _boundary_slope(self, side):
         if self._slopes is None:
             w = self.interp_order + 1
-            wl = fd_weights(self.nodes[:w], self.nodes[0], 1)
-            wr = fd_weights(self.nodes[-w:], self.nodes[-1], 1)
+            x = self.nodes
+            wl, wr = self._stencil(("slope", self.half_width), lambda: (
+                fd_weights(x[:w], x[0], 1), fd_weights(x[-w:], x[-1], 1)))
             self._slopes = (wl @ self.values[:w], wr @ self.values[-w:])
         return self._slopes[0] if side < 0 else self._slopes[1]
+
+    def _stencil(self, key, build):
+        # weights shared by the grids of one step and order, built once
+        w = self._stencils.get(key)
+        if w is None:
+            w = self._stencils[key] = build()
+        return w
+
+    def stencil_weights(self, k):
+        """Row q: Fornberg weights of D^k at node q of a stencil."""
+        p = self.interp_order
+        return self._stencil(k, lambda: np.array([
+            fd_weights(np.arange(p + 1, dtype=float) * self.delta,
+                       q * self.delta, k) for q in range(p + 1)]))
 
     # -- derivatives and norms -------------------------------------------
 
@@ -285,20 +267,12 @@ class GridFunction:
         if cached is not None:
             return cached
         p = self.interp_order
-        n = self.n
-        i = np.arange(n)
-        start = np.clip(i - p // 2, 0, n - 1 - p)
-        pattern = i - start
-        W = np.empty((n, p + 1))
-        offsets = np.arange(p + 1, dtype=float) * self.delta
-        for q in np.unique(pattern):
-            W[pattern == q] = fd_weights(offsets, q * self.delta, k)
+        i = np.arange(self.n)
+        start = np.clip(i - p // 2, 0, self.n - 1 - p)
         cols = start[:, None] + np.arange(p + 1)[None, :]
-        dv = np.einsum("np,npm->nm", W, self.values[cols])
-        out = GridFunction(self.half_width, self.delta, dv,
-                           interp_order=self.interp_order,
-                           extension=self.extension)
-        self._dcache[k] = out
+        dv = np.einsum("np,npm->nm", self.stencil_weights(k)[i - start],
+                       np.take(self.values, cols, axis=0))
+        out = self._dcache[k] = self.with_values(dv)
         return out
 
     def _level_sup(self, j):
@@ -363,6 +337,63 @@ class GridFunction:
         return (f"GridFunction(T={self.half_width:g}, delta={self.delta:g}, "
                 f"n={self.n}, m={self.m}, order={self.interp_order}, "
                 f"extension={self.extension!r})")
+
+
+class GridSampler:
+    """Interpolation of the 1-D query array ``t`` on the geometry of ``g``.
+
+    Holds stencil columns and normalised barycentric weights of the
+    queries inside the window, masks and distances of those beyond it.
+    ``apply(g)`` evaluates any GridFunction of that geometry there,
+    bitwise equal to ``g.eval(t)``. It lives as long as its builder.
+    """
+
+    __slots__ = ("geometry", "cols", "weights", "inside", "edges")
+
+    def __init__(self, g, t):
+        t = np.asarray(t, dtype=float)
+        T, p = g.half_width, g.interp_order
+        self.geometry = g.geometry
+        left, right = t < -T, t > T
+        # (mask, distance beyond the end, side) per end with queries
+        self.edges = [(mask, u, side) for mask, u, side in (
+            (left, -(t[left] + T), -1), (right, t[right] - T, +1)) if u.size]
+        self.inside = ~(left | right) if self.edges else None
+        if self.edges:
+            t = t[self.inside]
+        cell = np.floor((t + T) / g.delta).astype(np.int64)
+        np.clip(cell, 0, g.n - 2, out=cell)
+        start = np.clip(cell - (p - 1) // 2, 0, g.n - 1 - p)
+        self.cols = start[:, None] + np.arange(p + 1)[None, :]
+        diff = t[:, None] - g.nodes[self.cols]
+        # barycentric form; uniform spacing makes the weights binomial.
+        # A query landing on a node takes the sample directly, keeping
+        # node evaluation exact.
+        bary = np.array([(-1.0) ** k * math.comb(p, k) for k in range(p + 1)])
+        # a query a subnormal distance from a node overflows to inf here
+        # and is then treated as landing on the node
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            w = bary / diff
+        bad = ~np.isfinite(w)
+        if bad.any():
+            rows = bad.any(axis=1)
+            w[rows] = np.where(bad[rows], 1.0, 0.0)
+        w /= w.sum(axis=1)[:, None]
+        self.weights = w
+
+    def apply(self, g):
+        """Values of ``g`` at the sampled times, shape (size, m)."""
+        if g.geometry != self.geometry:
+            raise ValueError(f"sampler of {self.geometry} read {g.geometry}")
+        inner = np.einsum("kp,kpm->km", self.weights,
+                          np.take(g.values, self.cols, axis=0))
+        if self.inside is None:
+            return inner
+        out = np.empty((self.inside.size, g.m))
+        out[self.inside] = inner
+        for mask, u, side in self.edges:
+            out[mask] = g._extend(u, side)
+        return out
 
 
 @dataclass(frozen=True)

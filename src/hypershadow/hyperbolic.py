@@ -396,8 +396,7 @@ class FloquetFrame(_FrameBase):
 
     mode = "floquet"
 
-    def __init__(self, model, orbit_grid, period, substeps=None,
-                 closure_tol=1e-8):
+    def __init__(self, model, orbit_grid, period, closure_tol=1e-8):
         self.model = model
         self.period = float(period)
         P = self.period
@@ -410,8 +409,7 @@ class FloquetFrame(_FrameBase):
         self.orbit_grid = orbit_grid
         n = model.n
         delta = orbit_grid.delta
-        if substeps is None:
-            substeps = max(1, int(math.ceil(delta / 0.01)))
+        substeps = max(1, int(math.ceil(delta / 0.01)))
         nsteps = int(round(P / delta))
         if abs(nsteps * delta - P) > 1e-9:
             raise ValueError("period must be a whole number of grid cells")
@@ -787,9 +785,9 @@ def analytic_frame(descriptor):
     return frame
 
 
-def floquet_frame(model, periodic_orbit, period, substeps=None):
+def floquet_frame(model, periodic_orbit, period):
     """Frame from the monodromy of a periodic orbit; see FloquetFrame."""
-    return FloquetFrame(model, periodic_orbit, period, substeps=substeps)
+    return FloquetFrame(model, periodic_orbit, period)
 
 
 # -- verification --------------------------------------------------------

@@ -30,7 +30,8 @@ import numpy as np
 
 from .flows import (Flow, FlowGuardError, NumericalError, ScalarField,
                     solve_flow)
-from .funcspace import BallRadii, GridFunction, WeightParam, ball_membership
+from .funcspace import (BallRadii, GridFunction, GridSampler, WeightParam,
+                        ball_membership)
 from .perturbations import HistorySegment
 
 
@@ -199,19 +200,15 @@ class CorrectionState:
     def __post_init__(self):
         g = self.X.xhat
         for other in (self.xs, self.xu):
-            if (other.half_width != g.half_width
-                    or abs(other.delta - g.delta) > 1e-12):
-                raise ValueError("state grids must share window and step")
+            if other.geometry != g.geometry:
+                raise ValueError("state grids must share window and step "
+                                 "and interpolation order")
         if self.xs.m != self.xu.m:
             raise ValueError("bundle corrections must share the dimension")
 
     @property
     def t_ball(self):
         return self.X.ball
-
-    def xhat(self, t):
-        """Total correction xhat_s + xhat_u at scalar or vector t."""
-        return self.xs.eval(t) + self.xu.eval(t)
 
     def distance(self, other, eta, core_half=None):
         """Weighted metric d = sum of the five component eta-norms."""
@@ -253,7 +250,7 @@ def initial_state(fr, cfg, t_radii=None, s_radii=None, u_radii=None):
     n_nodes = X.xhat.n
     zeros = np.zeros((n_nodes, fr.model.n))
     xs = GridFunction(cfg.window, cfg.delta, zeros, extension="zero")
-    xu = GridFunction(cfg.window, cfg.delta, zeros.copy(), extension="zero")
+    xu = xs.with_values(zeros.copy())
     return CorrectionState(X=X, xs=xs, xu=xu, s_ball=s_ball, u_ball=u_ball)
 
 
@@ -313,20 +310,22 @@ def taylor_remainder(fr, xhat, rho, cross_check=False):
     return direct
 
 
-def _quadratic_batch(fr, state, vs):
-    """B = (1 - X) Df(x0) xhat + T[x0, xhat] at the times vs, shape (k, n)."""
+def _quadratic_batch(fr, state, vs, at=None):
+    """B = (1 - X) Df(x0) xhat + T[x0, xhat] at the times vs, shape (k, n);
+    ``at`` is a sampler of vs on the state's grids, built when not given."""
+    at = at or GridSampler(state.xs, vs)
     x0 = fr.orbit_batch(vs)
-    xh = state.xs.eval(vs) + state.xu.eval(vs)
-    Xv = 1.0 + state.X.xhat.eval1(vs)
+    xh = at.apply(state.xs + state.xu)
+    Xv = 1.0 + at.apply(state.X.xhat)[:, 0]
     lin = np.einsum("kij,kj->ki", fr.model.df_batch(x0), xh)
     return (1.0 - Xv)[:, None] * lin + taylor_remainder(fr, xh, vs)
 
 
-def _state_flow(state, half_width):
+def _state_flow(state, half_width, lattices=None):
     """Flow of the state's time change on the inflated window.
 
     An exactly-identity field short-circuits to the linear flow; the
-    general path integrates the field.
+    general path integrates the field, reading it through ``lattices``.
     """
     if state.X.sup_deviation() == 0.0:
         delta = state.X.xhat.delta
@@ -337,39 +336,48 @@ def _state_flow(state, half_width):
         inv = GridFunction(R, delta, vals.copy(), interp_order=7,
                            extension="linear")
         return Flow(phi, inv, state.X)
-    return solve_flow(state.X, half_width)
+    return solve_flow(state.X, half_width, lattices=lattices)
 
 
-def _varphi_batch(fr, state, spec, flow, vs, eps):
+def _trajectory(fr, state, phi=None):
+    """(x0 + xhat) o phi and its derivative as batch maps (phi None: the
+    identity); one sampler per query reads xhat, its derivative and X."""
+    xh = state.xs + state.xu
+    xh1 = state.xs.derivative(1) + state.xu.derivative(1)
+
+    def theta(a):
+        a = a if phi is None else phi.eval1(a)
+        return fr.orbit_batch(a) + GridSampler(state.xs, a).apply(xh)
+
+    def dtheta(a):
+        a = a if phi is None else phi.eval1(a)
+        s = GridSampler(state.xs, a)
+        out = fr.orbit_deriv_batch(a) + s.apply(xh1)
+        if phi is not None:
+            out = out * (1.0 + s.apply(state.X.xhat)[:, 0])[:, None]
+        return out
+
+    return theta, dtheta
+
+
+def _varphi_batch(fr, state, spec, flow, vs, eps, inv_at=None):
     """varphi(rho) = p(phi^{-1}(rho), ((x0 + xhat) o phi)_{phi^{-1}(rho)}).
 
     One spec call for all k times vs, returning (k, n). The segments
     read (x0 + xhat)(phi(t + s)); their derivative is the chain rule
     value (x0 + xhat)'(alpha) X(alpha). An exactly-identity time change
     skips the flow lookups. This is where perturbation values enter the
-    operator, so a non-finite value raises NumericalError here.
+    operator, so a non-finite value raises NumericalError here. ``inv_at``
+    samples vs on the inverse flow's grid; built here when not given.
     """
     ident = state.X.sup_deviation() == 0.0
-    bases = vs if ident else flow.phi_inv.eval1(vs)
+    inv = flow.phi_inv
+    bases = vs if ident else (inv_at or GridSampler(inv, vs)).apply(inv)[:, 0]
     if float(np.abs(bases).max()) + spec.h > flow.phi.half_width + 1e-12:
         raise ValueError(
             "integrand evaluation leaves the inflated flow window")
-    xs1 = state.xs.derivative(1)
-    xu1 = state.xu.derivative(1)
-    phi_g = flow.phi
-
-    def theta(a):
-        a = a if ident else phi_g.eval1(a)
-        return fr.orbit_batch(a) + state.xs.eval(a) + state.xu.eval(a)
-
-    def dtheta(a):
-        a = a if ident else phi_g.eval1(a)
-        out = fr.orbit_deriv_batch(a) + xs1.eval(a) + xu1.eval(a)
-        if not ident:
-            out = out * (1.0 + state.X.xhat.eval1(a))[:, None]
-        return out
-
-    seg = HistorySegment(bases, spec.h, theta, dtheta)
+    seg = HistorySegment(bases, spec.h,
+                         *_trajectory(fr, state, None if ident else flow.phi))
     out = spec(bases, seg, eps)
     bad = ~np.isfinite(out).all(axis=1)
     if bad.any():
@@ -394,21 +402,39 @@ def _gauss_panels(lo, hi, step, order):
     return pts.ravel(), wts.ravel().copy()
 
 
+class _Lattices:
+    """The fixed lattices every step of a run reads, and their samplers:
+    ``sampler(name, points, g)`` builds the sampler of lattice ``name`` on
+    g's geometry once per run; a name always denotes the same points."""
+
+    def __init__(self, geo, cfg):
+        self.gauss = _gauss_panels(geo.lo, geo.hi, geo.quad, cfg.gauss_order)
+        K = int(round(geo.hi / geo.quad))
+        self.half_cells = -geo.hi + np.arange(2 * K + 1) * geo.quad
+        self._samplers = {}
+
+    def sampler(self, name, points, g):
+        key = (name, g.geometry)
+        if key not in self._samplers:
+            self._samplers[key] = GridSampler(g, points)
+        return self._samplers[key]
+
+
 class _StepWorkspace:
     """Everything one operator application needs, computed once."""
 
-    def __init__(self, fr, state, spec, cfg, geo=None):
+    def __init__(self, fr, state, spec, cfg, geo=None, lattices=None):
         h = spec.h if spec is not None else 0.0
         t0 = state.X.t0
         self.geo = geo or resolve_geometry(cfg, fr, h, t0)
+        self.lat = lattices or _Lattices(self.geo, cfg)
         self.fr = fr
         self.state = state
         self.spec = spec
         self.cfg = cfg
-        self.flow = _state_flow(state, self.geo.flow_half)
+        self.flow = _state_flow(state, self.geo.flow_half, self.lat)
         self.nodes = state.xs.nodes
         self._quad = None
-        self._node_g = None
         self._vphi = None
 
     def _vphi_grid(self):
@@ -418,29 +444,30 @@ class _StepWorkspace:
         lattice so they read the tabulated values exactly.
         """
         if self._vphi is None:
-            step = self.geo.quad
-            K = int(round(self.geo.hi / step))
-            lat = -self.geo.hi + np.arange(2 * K + 1) * step
+            lat = self.lat.half_cells
+            inv_at = None if self.state.X.sup_deviation() == 0.0 else \
+                self.lat.sampler("half cells", lat, self.flow.phi_inv)
             vals = _varphi_batch(self.fr, self.state, self.spec,
-                                 self.flow, lat, self.cfg.eps)
-            self._vphi = GridFunction(self.geo.hi, step, vals,
+                                 self.flow, lat, self.cfg.eps, inv_at)
+            self._vphi = GridFunction(self.geo.hi, self.geo.quad, vals,
                                       interp_order=7,
                                       extension="constant-hold")
         return self._vphi
 
-    def integrand(self, vs):
-        g = _quadratic_batch(self.fr, self.state, vs)
+    def integrand(self, name, vs):
+        """(g, X) on lattice ``name`` at the times vs."""
+        at = self.lat.sampler(name, vs, self.state.xs)
+        g = _quadratic_batch(self.fr, self.state, vs, at)
         if self.cfg.eps != 0.0 and self.spec is not None:
-            g = g + self.cfg.eps * self._vphi_grid().eval(vs)
-        return g
+            vphi = self._vphi_grid()
+            g = g + self.cfg.eps * self.lat.sampler(name, vs, vphi).apply(vphi)
+        return g, 1.0 + at.apply(self.state.X.xhat)[:, 0]
 
     @property
     def quad(self):
         if self._quad is None:
-            vs, ws = _gauss_panels(self.geo.lo, self.geo.hi,
-                                   self.geo.quad, self.cfg.gauss_order)
-            g = self.integrand(vs)
-            Xv = 1.0 + self.state.X.xhat.eval1(vs)
+            vs, ws = self.lat.gauss
+            g, Xv = self.integrand("gauss", vs)
             scaled = g / Xv[:, None]
             Pc, Ps, Pu = self.fr.proj_batch(vs)
             ws_s = np.einsum("kij,kj->ki", Ps, scaled)
@@ -450,12 +477,6 @@ class _StepWorkspace:
             self._quad = (vs, ws, ws_s * ws[:, None], ws_u * ws[:, None],
                           sup_s, sup_u)
         return self._quad
-
-    @property
-    def node_g(self):
-        if self._node_g is None:
-            self._node_g = self.integrand(self.nodes)
-        return self._node_g
 
     def tail_budget(self):
         q = self.fr.quality
@@ -476,14 +497,12 @@ def gamma_c(fr, state, spec, cfg, _ws=None):
     speed = np.linalg.norm(f0, axis=1)
     if float(speed.min()) < fr.model.b - 1e-12:
         raise ValueError("orbit speed falls below the frame's floor b")
-    g = ws.node_g
+    g, _ = ws.integrand("nodes", nodes)
     num = np.einsum("ki,ki->k", fr.proj_apply("c", nodes, g), f0)
     den = np.einsum("ki,ki->k", f0, f0)
     vals = num / den
-    grid = GridFunction(cfg.window, cfg.delta, vals,
-                        interp_order=state.X.xhat.interp_order,
-                        extension="zero")
-    return ScalarField(grid, state.X.ball)
+    return ScalarField(state.X.xhat.with_values(vals, extension="zero"),
+                       state.X.ball)
 
 
 def _gamma_sigma(fr, state, spec, cfg, sigma, _ws=None):
@@ -497,8 +516,7 @@ def _gamma_sigma(fr, state, spec, cfg, sigma, _ws=None):
     # quadrature drift off the bundle is removed here, keeping the
     # range constraint machine-true
     vals = fr.proj_apply(sigma, nodes, vals)
-    return GridFunction(cfg.window, cfg.delta, vals,
-                        interp_order=state.xs.interp_order, extension="zero")
+    return state.xs.with_values(vals, extension="zero")
 
 
 def gamma_s(fr, state, spec, cfg, _ws=None):
@@ -511,14 +529,14 @@ def gamma_u(fr, state, spec, cfg, _ws=None):
     return _gamma_sigma(fr, state, spec, cfg, "u", _ws=_ws)
 
 
-def gamma_step(fr, state, spec, cfg, _geo=None):
+def gamma_step(fr, state, spec, cfg, _geo=None, _lattices=None):
     """One application of the operator plus its defect measurements.
 
     Returns (new_state, defects) where defects holds the five weighted
     metric components on the core window, their sum ``d_eta``, and the
     truncation tails.
     """
-    ws = _StepWorkspace(fr, state, spec, cfg, geo=_geo)
+    ws = _StepWorkspace(fr, state, spec, cfg, geo=_geo, lattices=_lattices)
     new_X = gamma_c(fr, state, spec, cfg, _ws=ws)
     new_xs = gamma_s(fr, state, spec, cfg, _ws=ws)
     new_xu = gamma_u(fr, state, spec, cfg, _ws=ws)
@@ -621,7 +639,7 @@ def _ball_snapshot(state, core_half):
     return out
 
 
-def _guarded_step(fr, state, spec, cfg, geo, it):
+def _guarded_step(fr, state, spec, cfg, geo, lattices, it):
     """gamma_step that names the iteration when the flow fails a guard.
 
     The ball check looks only at the core window, so a time change can
@@ -629,7 +647,7 @@ def _guarded_step(fr, state, spec, cfg, geo, it):
     compares sup|X - 1| over the whole window with t_0.
     """
     try:
-        return gamma_step(fr, state, spec, cfg, _geo=geo)
+        return gamma_step(fr, state, spec, cfg, _geo=geo, _lattices=lattices)
     except FlowGuardError as exc:
         raise FlowGuardError(
             f"iteration {it}: {exc}; sup|X - 1| = "
@@ -652,6 +670,7 @@ def iterate(fr, spec, cfg, initial=None):
     state = initial if initial is not None else initial_state(fr, cfg)
     h = spec.h if spec is not None else 0.0
     geo = resolve_geometry(cfg, fr, h, state.X.t0)
+    lattices = _Lattices(geo, cfg)
     distances = []
     ratios = []
     history = []
@@ -659,7 +678,8 @@ def iterate(fr, spec, cfg, initial=None):
     bad_streak = 0
     converged = False
     for it in range(1, cfg.max_iters + 1):
-        new_state, defects = _guarded_step(fr, state, spec, cfg, geo, it)
+        new_state, defects = _guarded_step(fr, state, spec, cfg, geo,
+                                           lattices, it)
         d = defects["d_eta"]
         distances.append(d)
         kappa_running = 0.0
@@ -691,7 +711,7 @@ def iterate(fr, spec, cfg, initial=None):
             converged = True
             break
     # defect of the state actually returned
-    _, final_defects = _guarded_step(fr, state, spec, cfg, geo,
+    _, final_defects = _guarded_step(fr, state, spec, cfg, geo, lattices,
                                      len(distances) + 1)
     e_eta = (final_defects["d_eta"] + final_defects["tail_s"]
              + final_defects["tail_u"])
@@ -730,8 +750,7 @@ def derivative_identity_defect(fr, state, spec, cfg):
     ws = _StepWorkspace(fr, state, spec, cfg, geo=geo)
     nodes = ws.nodes
     core = np.abs(nodes) <= geo.core_half + 1e-12
-    g = ws.node_g
-    Xv = 1.0 + state.X.xhat.eval1(nodes)
+    g, Xv = ws.integrand("nodes", nodes)
     scaled = g / Xv[:, None]
     Df0 = fr.df_along_orbit(nodes)
     worst = 0.0
@@ -753,7 +772,7 @@ def residual_fde(fr, state, spec, eps, probe):
 
     x = (x0 + xhat) o phi is assembled from the state and differentiated
     numerically on the (uniform) probe grid; the history segment is the
-    true trajectory segment. No operator code is involved.
+    true trajectory segment; only x's assembly is shared with the operator.
     """
     probe = np.asarray(probe, dtype=float)
     if probe.ndim != 1 or probe.size < 9:
@@ -763,19 +782,7 @@ def residual_fde(fr, state, spec, eps, probe):
         raise ValueError("probe grid must be uniform")
     h = spec.h if spec is not None else 0.0
     t_max = max(abs(probe[0]), abs(probe[-1])) + h + 1.0
-    flow = _state_flow(state, t_max)
-    xs1 = state.xs.derivative(1)
-    xu1 = state.xu.derivative(1)
-
-    def traj(ts):
-        rho = flow.phi.eval1(ts)
-        return fr.orbit_batch(rho) + state.xs.eval(rho) + state.xu.eval(rho)
-
-    def dtraj(ts):
-        rho = flow.phi.eval1(ts)
-        raw = fr.orbit_deriv_batch(rho) + xs1.eval(rho) + xu1.eval(rho)
-        return raw * (1.0 + state.X.xhat.eval1(rho))[:, None]
-
+    traj, dtraj = _trajectory(fr, state, _state_flow(state, t_max).phi)
     # only the spacing matters for the difference stencils, so an
     # off-center probe may be differentiated on a centered proxy grid
     half = 0.5 * (probe[-1] - probe[0])

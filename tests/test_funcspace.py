@@ -292,3 +292,62 @@ def test_csv_deterministic(tmp_path):
     fs.save_grid_function(g, p1)
     fs.save_grid_function(g, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# -- sampler -----------------------------------------------------------
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(fs.EXTENSIONS), st.sampled_from([3, 5, 7]),
+       st.lists(st.one_of(st.floats(-1.3, 1.3),
+                          st.integers(0, 40).map(lambda i: -1.0 + 0.05 * i)),
+                min_size=1, max_size=12))
+# a query a subnormal distance from a node, as in the exactness test
+@example(ext="linear", order=5, ts=[1e-310, -1.0, 1.0, 1.2, -1.25])
+def test_sampler_matches_eval_bitwise(ext, order, ts):
+    # the sampler is built on one grid and read on another of the same
+    # geometry, with other values, dimension and extension policy
+    rng = np.random.default_rng(order)
+    base = fs.GridFunction(1.0, 0.05, rng.normal(size=41),
+                           interp_order=order)
+    g = fs.GridFunction(1.0, 0.05, rng.normal(size=(41, 3)),
+                        interp_order=order, extension=ext)
+    t = np.asarray(ts)
+    got = fs.GridSampler(base, t).apply(g)
+    assert got.shape == (t.size, 3)
+    assert np.array_equal(got, g.eval(t))
+    # one query at a time: the masks of a mixed batch must route each
+    # row to interpolation or to the extension of its own side
+    assert np.array_equal(got, np.array([g.eval(x) for x in t]))
+    on_node = np.isin(t, g.nodes)
+    assert np.array_equal(got[on_node], g.values[np.searchsorted(
+        g.nodes, t[on_node])])
+
+
+def test_sampler_rejects_other_geometry():
+    g = fs.GridFunction(1.0, 0.05, np.zeros(41))
+    s = fs.GridSampler(g, np.linspace(-0.9, 0.9, 7))
+    others = (fs.GridFunction(1.0, 0.05, np.zeros(41), interp_order=7),
+              fs.GridFunction(2.0, 0.05, np.zeros(81)),
+              fs.GridFunction(1.0, 0.1, np.zeros(21)))
+    for other in others:
+        with pytest.raises(ValueError, match="sampler of"):
+            s.apply(other)
+    ones = s.apply(g.with_values(np.ones(41)))
+    assert np.abs(ones - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("order", [3, 5, 7])
+def test_stencil_weights_match_fd_weights_bitwise(order):
+    delta = 0.05
+    g = fs.GridFunction(1.0, delta, np.zeros(41), interp_order=order)
+    offsets = np.arange(order + 1, dtype=float) * delta
+    for k in range(1, order):
+        table = g.stencil_weights(k)
+        assert table.shape == (order + 1, order + 1)
+        for q in range(order + 1):
+            want = fs.fd_weights(offsets, q * delta, k)
+            assert np.array_equal(table[q], want)
+        # tabulated once, shared with every grid derived from g
+        assert g.derivative(1).stencil_weights(k) is table
+        assert (g + g).restrict(0.5).stencil_weights(k) is table

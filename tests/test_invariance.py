@@ -679,6 +679,40 @@ class TestIterateNonlinear:
             assert r2 >= 0.999
 
 
+def test_static_lattices_are_sampled_once_per_run(monkeypatch):
+    # the sdd-tanh delay on the cubic saddle moves X, so every step
+    # solves a flow and reads every lattice; their stencils must be
+    # built once per run, not once per step
+    from hypershadow import funcspace
+    from hypershadow.invariance import _Lattices
+    from hypershadow.perturbations import spec_from_descriptor
+
+    fr = analytic_frame({"model": "saddle-cubic", "lambda_s": 1.0,
+                         "lambda_u": 1.0, "cubic": (0.3, 0.2)})
+    spec = spec_from_descriptor({"kind": "sdd-tanh", "parameters":
+                                 {"h": 1.0, "c0": 0.5, "c1": 0.2}})
+    cfg = base_cfg(eps=0.02)
+    builds = []
+    build = funcspace.GridSampler.__init__
+
+    def counting(self, g, t):
+        builds.append((g.geometry, np.array(t, dtype=float)))
+        build(self, g, t)
+
+    monkeypatch.setattr(funcspace.GridSampler, "__init__", counting)
+    state, report = iterate(fr, spec, cfg)
+    assert report.converged and report.iterations >= 4
+    assert state.X.sup_deviation() > 1e-3
+    lat = _Lattices(resolve_geometry(cfg, fr, spec.h, state.X.t0), cfg)
+    for points in (lat.gauss[0], lat.half_cells, state.xs.nodes):
+        geoms = [g for g, t in builds
+                 if t.shape == points.shape and np.array_equal(t, points)]
+        assert geoms and len(geoms) == len(set(geoms))
+    # nor is any other query sampled twice on one geometry
+    seen = {(g, t.tobytes()) for g, t in builds}
+    assert len(seen) == len(builds)
+
+
 def _loglog_fit(x, y):
     lx, ly = np.log(x), np.log(y)
     A = np.vstack([lx, np.ones_like(lx)]).T
