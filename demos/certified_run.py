@@ -9,8 +9,6 @@ interval. Those bounds certify the distance to the true solution of
 the functional equation, not just to the numerical fixed point.
 """
 
-import math
-
 import numpy as np
 
 from hypershadow.funcspace import WeightParam
@@ -22,12 +20,12 @@ from hypershadow.perturbations import state_dependent_delay
 
 def perturbation():
     def Q(t, y):
-        return np.array([0.3 * math.sin(1.1 * y[0]),
-                         0.8 * math.sin(1.4 * y[0]),
-                         0.5 * math.cos(0.9 * y[0])])
+        return np.column_stack([0.3 * np.sin(1.1 * y[:, 0]),
+                                0.8 * np.sin(1.4 * y[:, 0]),
+                                0.5 * np.cos(0.9 * y[:, 0])])
 
     def r(t, y):
-        return -0.8 + 0.15 * math.sin(y[1])
+        return -0.8 + 0.15 * np.sin(y[:, 1])
 
     return state_dependent_delay(Q, r, h=1.0, r_bound=0.95,
                                  lip_q=0.8 * 1.4, lip_r=0.15, traj_c1=1.3)
@@ -47,7 +45,8 @@ def main():
     print(f"defect after the last step: E_eta = {report.e_eta:.3e}")
     print(f"observed contraction kappa_hat = {report.kappa_hat:.3f}")
 
-    rows = aposteriori_bounds(report, cfg, (-2.0, 2.0), report.kappa_hat)
+    rows = aposteriori_bounds(report.e_eta, final, cfg, (-2.0, 2.0),
+                              report.kappa_hat)
     print("\ncertified C^j bounds on [-2, 2]:")
     print("component  j   bound")
     for r in rows:

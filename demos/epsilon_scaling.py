@@ -9,8 +9,6 @@ linearly with eps; the log-log slopes printed at the end sit within a
 few parts in a thousand of 1.
 """
 
-import math
-
 import numpy as np
 
 from hypershadow.funcspace import WeightParam
@@ -28,12 +26,12 @@ def sdd_scenario():
                          "lambda_u": 1.0, "cubic": (0.4, -0.3)})
 
     def Q(t, y):
-        return np.array([0.3 * math.sin(1.1 * y[0]),
-                         0.8 * math.sin(1.4 * y[0]),
-                         0.5 * math.cos(0.9 * y[0])])
+        return np.column_stack([0.3 * np.sin(1.1 * y[:, 0]),
+                                0.8 * np.sin(1.4 * y[:, 0]),
+                                0.5 * np.cos(0.9 * y[:, 0])])
 
     spec = state_dependent_delay(
-        Q, lambda t, y: -0.8 + 0.15 * math.sin(y[1]), h=1.0, r_bound=0.95,
+        Q, lambda t, y: -0.8 + 0.15 * np.sin(y[:, 1]), h=1.0, r_bound=0.95,
         lip_q=0.8 * 1.4, lip_r=0.15, traj_c1=1.3)
     cfg = lambda eps: OperatorConfig(eta=WeightParam(0.25), window=24.0,
                                      eps=eps, delta=0.1, tol_eta=1e-8)
@@ -45,10 +43,10 @@ def neutral_scenario():
                          "lambda_s": 1.0, "lambda_u": 1.0})
 
     def Q(t, v):
-        return np.array([0.0, 0.7 * math.sin(1.1 * t) * v[0],
-                         0.4 * math.cos(0.8 * t) * v[0]])
+        return np.column_stack([0.0 * t, 0.7 * np.sin(1.1 * t) * v[:, 0],
+                                0.4 * np.cos(0.8 * t) * v[:, 0]])
 
-    spec = neutral_delay(Q, lambda t, y: -0.6 + 0.15 * math.sin(y[1]),
+    spec = neutral_delay(Q, lambda t, y: -0.6 + 0.15 * np.sin(y[:, 1]),
                          h=1.0, r_bound=0.75, lip_q=0.7, lip_r=0.15,
                          traj_c1=1.3)
     cfg = lambda eps: OperatorConfig(eta=WeightParam(0.25), window=24.0,

@@ -12,8 +12,6 @@ This script runs the fixed-point iteration and prints the largest gap
 against that formula over the core window.
 """
 
-import math
-
 import numpy as np
 
 from hypershadow.funcspace import WeightParam
@@ -26,8 +24,8 @@ A, OMEGA, EPS = 1.0, 2.0, 1e-2
 
 def forcing(a, omega):
     def Q(t, y):
-        out = np.zeros(3)
-        out[1] = a * math.sin(omega * y[0])
+        out = np.zeros_like(y)
+        out[:, 1] = a * np.sin(omega * y[:, 0])
         return out
 
     return state_dependent_delay(Q, lambda t, y: -1.0, h=1.0,

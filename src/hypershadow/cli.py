@@ -7,7 +7,8 @@ with its convergence, residual and error-bound tables; ``sweep`` runs a
 list of eps values and fits the first-order response slope; ``verify``
 re-certifies a stored state by applying the operator once.
 
-Exit codes: 0 success, 1 scenario or descriptor failure (nothing is
+Exit codes: 0 success, 1 scenario or descriptor failure, including a
+run that reaches past the bounds its descriptors declare (nothing is
 written), 2 divergence (or a certification with kappa >= 1), 3 an
 iterate leaving its declared ball, 4 a numerical failure: a non-finite
 value entering the operator or a time-change flow failing its checks.
@@ -39,7 +40,7 @@ from .invariance import (
     resolve_geometry,
     write_residual_csv,
 )
-from .perturbations import spec_from_descriptor
+from .perturbations import HistorySegment, spec_from_descriptor
 
 __all__ = [
     "Scenario",
@@ -83,6 +84,18 @@ class Scenario:
         # eta below the hyperbolicity rates and a usable core window,
         # checked before any compute happens
         resolve_geometry(cfg, fr, spec.h, 0.0)
+        # one evaluation on the orbit: the perturbation must fit the model
+        n = fr.model.n
+        seg = HistorySegment(0.0, spec.h, fr.orbit_batch,
+                             fr.orbit_deriv_batch)
+        try:
+            shape = np.shape(spec(0.0, seg, cfg.eps))
+        except IndexError as exc:
+            raise ValueError(f"perturbation {spec.kind!r} does not fit the "
+                             f"model of dimension {n}: {exc}") from exc
+        if shape != (n,):
+            raise ValueError(f"perturbation {spec.kind!r} returned shape "
+                             f"{shape}, the model has dimension {n}")
         return fr, spec, cfg
 
 
@@ -239,13 +252,17 @@ def _run_one(scn, fr, spec, cfg, out, quiet):
     except NumericalError as exc:
         _complain(f"{exc.reason}: {exc}")
         return 4, None, None
+    except ValueError as exc:
+        _complain(f"the scenario's declared bounds do not cover the run: "
+                  f"{exc}")
+        return 1, None, None
     if not report.converged:
         _complain(f"no convergence within {cfg.max_iters} iterations "
                   f"(last distance {report.distances[-1]:.3e})")
         return 2, None, None
     if report.kappa_hat < 1.0:
-        rows = aposteriori_bounds(report, cfg, scn.bounds_interval,
-                                  report.kappa_hat)
+        rows = aposteriori_bounds(report.e_eta, state, cfg,
+                                  scn.bounds_interval, report.kappa_hat)
     else:
         rows = []
         _complain("warning: measured contraction ratio reached 1; "
@@ -345,17 +362,6 @@ def cmd_sweep(scn, max_iters=None, quiet=False):
     return 0
 
 
-class _VerifyRecord:
-    """Just enough of a report for the bound table."""
-
-    def __init__(self, e_eta, eta, state):
-        self.e_eta = e_eta
-        self.eta = eta
-        self.t_radii = state.t_ball.c
-        self.s_radii = state.s_ball.c
-        self.u_radii = state.u_ball.c
-
-
 def _check_state_grid(state, fr, cfg):
     """The saved state must live on the scenario's grid and dimension."""
     g = state.xs
@@ -388,15 +394,21 @@ def cmd_verify(scn, state_dir, max_iters=None, quiet=False):
             # one more application measures the local contraction ratio
             _, d2 = gamma_step(fr, step1, spec, cfg)
             kappa = d2["d_eta"] / d1["d_eta"]
+    except BallExitError as exc:
+        _complain(f"infeasible radii: {exc}")
+        return 3
     except NumericalError as exc:
         _complain(f"{exc.reason}: {exc}")
         return 4
+    except ValueError as exc:
+        _complain(f"the scenario's declared bounds do not cover the state: "
+                  f"{exc}")
+        return 1
     if kappa >= 1.0:
         _complain(f"not certifiable: measured contraction ratio "
                   f"{kappa:.3f} >= 1")
         return 2
-    rows = aposteriori_bounds(_VerifyRecord(e_eta, cfg.eta.eta, state),
-                              cfg, scn.bounds_interval, kappa)
+    rows = aposteriori_bounds(e_eta, state, cfg, scn.bounds_interval, kappa)
     out = scn.out
     os.makedirs(out, exist_ok=True)
     write_bounds_csv(rows, os.path.join(out, "bounds.csv"))

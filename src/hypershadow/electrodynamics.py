@@ -17,7 +17,9 @@ first-order expansion check
 non-singularity monitoring (speeds below xi1 * c, separations above
 xi2), and the assembly of delayed pair forces into a
 :class:`~hypershadow.perturbations.PerturbationSpec` acting on the
-stacked state y = (q_1..q_N, dq_1..dq_N).
+stacked state y = (q_1..q_N, dq_1..dq_N). Pair forces and external
+fields are batched: they take (k, d) rows of positions and velocities
+and return (k, d) accelerations in one call.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import NumericalError
-from .funcspace import GridFunction, save_grid_function
-from .perturbations import PerturbationSpec, _rows
+from .funcspace import GridFunction, pointwise, save_grid_function
+from .perturbations import PerturbationSpec
 
 __all__ = [
     "Trajectory",
@@ -68,7 +70,7 @@ class Trajectory:
     ``pos`` and ``vel`` receive a scalar or a 1-D array of times and
     return shape (d,) or (k, d) accordingly, always a fresh array that the
     caller may write into. The builders below produce vectorized
-    evaluators; :meth:`from_callable` wraps scalar ones.
+    evaluators; :meth:`from_callable` wraps functions of one time.
     """
 
     __slots__ = ("pos", "vel", "dim", "kind", "params")
@@ -151,11 +153,13 @@ class Trajectory:
     @classmethod
     def from_callable(cls, fn, dfn, dim, kind="custom", params=None):
         def wrap(f):
+            rows = pointwise(f)
+
             def ev(t):
                 t = np.asarray(t, dtype=float)
                 if t.ndim == 0:
                     return np.array(f(float(t)), dtype=float)
-                return np.asarray([f(float(s)) for s in t], dtype=float)
+                return rows(t)
             return ev
 
         return cls(wrap(fn), wrap(dfn), dim, kind=kind, params=params)
@@ -208,8 +212,9 @@ def trajectory_from_descriptor(desc):
 def softened_coulomb(softening=0.1, coupling=1.0):
     """Reference pair force: repulsive Coulomb with a softened core.
 
-    Returns ``force(ci, cj, qi, vi, qj, vj) -> (d,)``, the force on the
-    first particle when it sees the second at position ``qj``. The
+    Returns ``force(ci, cj, qi, vi, qj, vj)``, the force on the first
+    particle when it sees the second at position ``qj``: scalar charges
+    and (d,) vectors give (d,), (k, d) rows give (k, d). The
     softening keeps the force analytic through close approaches, so the
     regularity budget declared by the assembled spec is honest even for
     configurations that flirt with the separation margin.
@@ -221,8 +226,10 @@ def softened_coulomb(softening=0.1, coupling=1.0):
 
     def force(ci, cj, qi, vi, qj, vj):
         d = qi - qj
-        r2 = float(d @ d) + softening * softening
-        return (coupling * ci * cj / r2 ** 1.5) * d
+        r2 = np.einsum("...d,...d->...", d, d) + softening * softening
+        # r2 * sqrt(r2), unlike r2 ** 1.5, rounds the same for one row
+        # and for a batch
+        return (coupling * ci * cj / (r2 * np.sqrt(r2)))[..., None] * d
 
     force.force_id = "softened-coulomb"
     force.force_params = {"softening": softening, "coupling": coupling}
@@ -653,7 +660,9 @@ def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
     ``1 - mixing``) partner states, plus any external field. Delays are
     solved from the history segment at each evaluation, so eps = 0
     collapses exactly to the instantaneous-force right-hand side. The
-    mixing weight is exposed because the equations accept any convex
+    force is called as ``force(ci, cj, qi, vi, qj, vj)`` with scalar
+    charges and (k, d) rows, the external field as ``external(ts, q, v)``
+    with base times (k,); both return (k, d). The mixing weight is exposed because the equations accept any convex
     combination; no particular value is endorsed here.
 
     Raises when the system fails its own margins on the window or when
@@ -710,19 +719,17 @@ def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
             raise ValueError(
                 f"stacked state must have {2 * N * d} components, "
                 f"got {y0.shape[1]}")
-        tl = ts.tolist()
         q = [y0[:, qslice[i]] for i in range(N)]
         v = [y0[:, vslice[i]] for i in range(N)]
         acc = np.zeros((ts.size, N, d))
 
         def pair(i, j, y):
-            # the pointwise force, one row per base time
-            return _rows(lambda *r: force(charges[i], charges[j], *r),
-                         q[i], v[i], y[:, qslice[j]], y[:, vslice[j]])
+            return force(charges[i], charges[j], q[i], v[i],
+                         y[:, qslice[j]], y[:, vslice[j]])
 
         for i in range(N):
             if external is not None:
-                acc[:, i] += _rows(external, tl, q[i], v[i])
+                acc[:, i] += external(ts, q[i], v[i])
             for j in range(N):
                 if j == i:
                     continue

@@ -93,6 +93,7 @@ class ScalarField:
     @classmethod
     def from_callable(cls, fn, half_width, delta, ball, interp_order=5,
                       extension="zero"):
+        """The field whose deviation X - 1 is ``fn(times (k,)) -> (k,)``."""
         g = GridFunction.sample(fn, half_width, delta,
                                 interp_order=interp_order, extension=extension)
         return cls(g, ball)

@@ -29,9 +29,34 @@ __all__ = [
     "fd_weights",
     "save_grid_function",
     "load_grid_function",
+    "pointwise",
 ]
 
 EXTENSIONS = ("constant-hold", "linear", "zero")
+
+
+def pointwise(fn):
+    """The batched form of ``fn``, a function written for one row.
+
+    The library calls user functions with batches: times of shape (k,),
+    states of shape (k, n). ``pointwise(fn)(*args)`` calls ``fn`` once
+    per index of the leading axis of its array arguments, handing it
+    row i of each, and passes 0-d arguments unchanged to every row. The
+    results are stacked into a float array of shape (k, ...). Every
+    array argument must have the same leading length.
+    """
+    def batched(*args):
+        ks = {np.shape(a)[0] for a in args if np.ndim(a) > 0}
+        if len(ks) != 1:
+            raise ValueError(
+                f"pointwise needs array arguments of one leading length, "
+                f"got {sorted(ks)}")
+        k = ks.pop()
+        return np.asarray([fn(*(a if np.ndim(a) == 0 else a[i]
+                                for a in args)) for i in range(k)],
+                          dtype=float)
+
+    return batched
 
 
 def fd_weights(x, x0, k):
@@ -156,20 +181,14 @@ class GridFunction:
     @classmethod
     def sample(cls, fn, half_width, delta, interp_order=5,
                extension="constant-hold"):
-        """Build a GridFunction by sampling ``fn`` at the nodes.
+        """Build a GridFunction from ``fn(nodes)``, one batched call.
 
-        ``fn`` may be vectorized over a 1-D array of times or accept one
-        scalar at a time.
+        ``fn`` maps the 1-D array of node times to (n,) or (n, m)
+        values; wrap a function of one time with :func:`pointwise`.
         """
         n = int(np.floor(2.0 * float(half_width) / float(delta) + 1e-9)) + 1
         nodes = -float(half_width) + np.arange(n) * float(delta)
-        try:
-            vals = np.asarray(fn(nodes), dtype=float)
-            if vals.shape[0] != n:
-                raise ValueError
-        except Exception:
-            vals = np.asarray([fn(t) for t in nodes], dtype=float)
-        return cls(half_width, delta, vals, interp_order=interp_order,
+        return cls(half_width, delta, fn(nodes), interp_order=interp_order,
                    extension=extension)
 
     def with_values(self, values, extension=None):

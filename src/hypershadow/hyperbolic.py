@@ -40,14 +40,15 @@ __all__ = [
 class OdeModel:
     """An autonomous vector field with first and second derivatives.
 
-    ``f(x) -> (n,)``, ``df(x) -> (n, n)`` and ``d2f(x) -> (n, n, n)``
-    with d2f[i, j, k] the second partial of f_i. ``b`` is a positive
-    lower bound for |f(x0)| along the orbit the model is used with.
-    Optional ``*_many`` callables take stacked points (k, n).
+    The maps are batched over k points ``x`` of shape (k, n):
+    ``f(x) -> (k, n)``, ``df(x) -> (k, n, n)`` and
+    ``d2f(x) -> (k, n, n, n)`` with d2f[:, i, j, l] the second partial of
+    f_i. Wrap maps of one point with
+    :func:`~hypershadow.funcspace.pointwise`. ``b`` is a positive lower
+    bound for |f(x0)| along the orbit the model is used with.
     """
 
-    def __init__(self, n, f, df, d2f, b, name="model", params=None,
-                 f_many=None, df_many=None, d2f_many=None):
+    def __init__(self, n, f, df, d2f, b, name="model", params=None):
         if not (b > 0.0):
             raise ValueError("b must be positive")
         self.n = int(n)
@@ -57,57 +58,42 @@ class OdeModel:
         self.b = float(b)
         self.name = str(name)
         self.params = dict(params or {})
-        self._f_many = f_many
-        self._df_many = df_many
-        self._d2f_many = d2f_many
-
-    @staticmethod
-    def _stacked(many, one, pts):
-        # models without a batched form are evaluated point by point
-        pts = np.asarray(pts, dtype=float)
-        if many is not None:
-            return np.asarray(many(pts), dtype=float)
-        return np.stack([np.asarray(one(p), dtype=float) for p in pts])
 
     def f_batch(self, pts):
-        return self._stacked(self._f_many, self.f, pts)
+        return np.asarray(self.f(np.asarray(pts, dtype=float)), dtype=float)
 
     def df_batch(self, pts):
-        return self._stacked(self._df_many, self.df, pts)
+        return np.asarray(self.df(np.asarray(pts, dtype=float)), dtype=float)
 
     def d2f_batch(self, pts):
-        return self._stacked(self._d2f_many, self.d2f, pts)
+        return np.asarray(self.d2f(np.asarray(pts, dtype=float)), dtype=float)
 
     def check_derivatives(self, points, tol_df=1e-6, tol_d2f=1e-5):
         """Compare df against differences of f, and d2f against df.
 
-        Relative to 1 + the norm of the analytic value. Raises on
-        disagreement beyond the tolerances.
+        Relative to 1 + the norm of the analytic value, point by point;
+        every point and coordinate step is differenced in one batch.
+        Raises on disagreement beyond the tolerances.
         """
-        worst_df = 0.0
-        worst_d2f = 0.0
-        for x in np.atleast_2d(np.asarray(points, dtype=float)):
-            n = self.n
-            J = np.asarray(self.df(x), dtype=float)
-            H = np.asarray(self.d2f(x), dtype=float)
-            h1 = 1e-6 * (1.0 + np.abs(x).max())
-            Jfd = np.empty_like(J)
-            for j in range(n):
-                e = np.zeros(n)
-                e[j] = h1
-                Jfd[:, j] = (np.asarray(self.f(x + e)) -
-                             np.asarray(self.f(x - e))) / (2.0 * h1)
-            worst_df = max(worst_df,
-                           np.abs(J - Jfd).max() / (1.0 + np.abs(J).max()))
-            h2 = 1e-4 * (1.0 + np.abs(x).max())
-            Hfd = np.empty_like(H)
-            for k in range(n):
-                e = np.zeros(n)
-                e[k] = h2
-                Hfd[:, :, k] = (np.asarray(self.df(x + e)) -
-                                np.asarray(self.df(x - e))) / (2.0 * h2)
-            worst_d2f = max(worst_d2f,
-                            np.abs(H - Hfd).max() / (1.0 + np.abs(H).max()))
+        x = np.atleast_2d(np.asarray(points, dtype=float))
+        k, n = x.shape
+        size = 1.0 + np.abs(x).max(axis=1)
+
+        def worst(exact, fn, h):
+            # row (p, j) steps point p by h_p along e_j; the difference
+            # along e_j fills the last axis of the analytic value
+            steps = h[:, None, None] * np.eye(n)
+            plus = fn((x[:, None, :] + steps).reshape(k * n, n))
+            minus = fn((x[:, None, :] - steps).reshape(k * n, n))
+            fd = ((plus - minus).reshape((k, n) + exact.shape[1:-1])
+                  / (2.0 * h).reshape((k,) + (1,) * (exact.ndim - 1)))
+            fd = np.moveaxis(fd, 1, -1)
+            axes = tuple(range(1, exact.ndim))
+            return float((np.abs(exact - fd).max(axis=axes)
+                          / (1.0 + np.abs(exact).max(axis=axes))).max())
+
+        worst_df = worst(self.df_batch(x), self.f_batch, 1e-6 * size)
+        worst_d2f = worst(self.d2f_batch(x), self.df_batch, 1e-4 * size)
         if worst_df > tol_df:
             raise ValueError(f"df disagrees with differences of f: {worst_df:.2e}")
         if worst_d2f > tol_d2f:
@@ -140,26 +126,7 @@ class QualityMeasures:
 
 
 class _FrameBase:
-    """Shared scalar wrappers over the batched frame interface."""
-
-    def orbit(self, t):
-        return self.orbit_batch(np.atleast_1d(float(t)))[0]
-
-    def orbit_deriv(self, t):
-        return self.orbit_deriv_batch(np.atleast_1d(float(t)))[0]
-
-    def proj(self, rho):
-        Pc, Ps, Pu = self.proj_batch(np.atleast_1d(float(rho)))
-        return Pc[0], Ps[0], Pu[0]
-
-    def prop_s(self, rho, v):
-        return self.prop_s_batch([float(rho)], [float(v)])[0]
-
-    def prop_u(self, rho, v):
-        return self.prop_u_batch([float(rho)], [float(v)])[0]
-
-    def prop_full(self, rho, v):
-        return self.prop_full_batch([float(rho)], [float(v)])[0]
+    """Methods shared by the frames, over their batched interface."""
 
     def orbit_deriv_batch(self, ts):
         # the orbit solves the unperturbed equation, so its derivative is f(x0)
@@ -646,11 +613,6 @@ class FloquetFrame(_FrameBase):
 
 # -- builtin models -----------------------------------------------------
 
-def _one_point(fn):
-    """Single-point form of a batched map: the batched code with k = 1."""
-    return lambda x: fn(np.asarray(x, dtype=float)[None])[0]
-
-
 def _saddle_model(lam_s, lam_u, cubic=(0.0, 0.0), rotation=None):
     c2, c3 = float(cubic[0]), float(cubic[1])
     Q = None if rotation is None else np.asarray(rotation, dtype=float)
@@ -676,18 +638,18 @@ def _saddle_model(lam_s, lam_u, cubic=(0.0, 0.0), rotation=None):
         return out
 
     if Q is None:
-        f_many, df_many, d2f_many = fb, dfb, d2fb
+        f, df, d2f = fb, dfb, d2fb
     else:
         QT = Q.T
 
         # rows y of the batch map to base coordinates as y @ Q
-        def f_many(ys):
+        def f(ys):
             return fb(ys @ Q) @ QT
 
-        def df_many(ys):
+        def df(ys):
             return Q @ dfb(ys @ Q) @ QT
 
-        def d2f_many(ys):
+        def d2f(ys):
             return np.einsum("ia,pabc,jb,kc->pijk", Q, d2fb(ys @ Q), Q, Q)
 
     name = "saddle-cubic" if (c2 or c3) else "lin-saddle"
@@ -696,21 +658,16 @@ def _saddle_model(lam_s, lam_u, cubic=(0.0, 0.0), rotation=None):
         params["cubic"] = [c2, c3]
     if Q is not None:
         params["rotation"] = Q.tolist()
-    return OdeModel(3, _one_point(f_many), _one_point(df_many),
-                    _one_point(d2f_many), b=1.0,
-                    name=name, params=params, f_many=f_many,
-                    df_many=df_many, d2f_many=d2f_many)
+    return OdeModel(3, f, df, d2f, b=1.0, name=name, params=params)
 
 
 def _limit_cycle_model():
-    def f_many(pts):
-        pts = np.asarray(pts, dtype=float)
+    def f(pts):
         r2 = (pts ** 2).sum(axis=1)
         return np.column_stack([pts[:, 0] - pts[:, 1] - pts[:, 0] * r2,
                                 pts[:, 0] + pts[:, 1] - pts[:, 1] * r2])
 
-    def df_many(pts):
-        pts = np.asarray(pts, dtype=float)
+    def df(pts):
         x0, x1 = pts[:, 0], pts[:, 1]
         out = np.empty((pts.shape[0], 2, 2))
         out[:, 0, 0] = 1.0 - 3.0 * x0 ** 2 - x1 ** 2
@@ -719,8 +676,7 @@ def _limit_cycle_model():
         out[:, 1, 1] = 1.0 - x0 ** 2 - 3.0 * x1 ** 2
         return out
 
-    def d2f_many(pts):
-        pts = np.asarray(pts, dtype=float)
+    def d2f(pts):
         x0, x1 = pts[:, 0], pts[:, 1]
         out = np.empty((pts.shape[0], 2, 2, 2))
         out[:, 0, 0, 0] = -6.0 * x0
@@ -729,10 +685,8 @@ def _limit_cycle_model():
         out[:, 1, 1, 1] = -6.0 * x1
         return out
 
-    return OdeModel(2, _one_point(f_many), _one_point(df_many),
-                    _one_point(d2f_many), b=1.0, name="planar-limit-cycle",
-                    params={}, f_many=f_many, df_many=df_many,
-                    d2f_many=d2f_many)
+    return OdeModel(2, f, df, d2f, b=1.0, name="planar-limit-cycle",
+                    params={})
 
 
 def builtin_model(name, params=None):
@@ -947,7 +901,7 @@ def bundle_characterization_test(fr, sigma, xi0, half_width=2.0, delta=0.01,
     the report carries the sup of (I - Pi^sigma)(xi' - Df xi).
     """
     xi0 = np.asarray(xi0, dtype=float)
-    Pc, Ps, Pu = fr.proj(0.0)
+    Pc, Ps, Pu = (P[0] for P in fr.proj_batch(np.zeros(1)))
     P0 = {"s": Ps, "u": Pu, "c": Pc}[sigma]
     if np.linalg.norm(xi0 - P0 @ xi0) > 1e-8 * max(1.0, np.linalg.norm(xi0)):
         raise ValueError("xi0 must lie in the declared subspace")
@@ -974,30 +928,28 @@ def bundle_characterization_test(fr, sigma, xi0, half_width=2.0, delta=0.01,
 def augment_nonautonomous(g, jac, n, hess=None, b=1.0, name="nonautonomous"):
     """Autonomize a time-dependent field by adjoining the time variable.
 
-    ``g(x, t) -> (n,)`` with ``jac(x, t) -> (n, n+1)`` the derivative in
-    (x, t) and optional ``hess(x, t) -> (n, n+1, n+1)``. Returns the
-    OdeModel for y' = (g(y_head, y_last), 1).
+    Batched over k points like the model: ``g(x (k, n), t (k,)) -> (k, n)``
+    with ``jac(x, t) -> (k, n, n+1)`` the derivative in (x, t) and
+    optional ``hess(x, t) -> (k, n, n+1, n+1)``. Returns the OdeModel for
+    y' = (g(y_head, y_last), 1).
     """
     m = n + 1
 
     def f(y):
-        y = np.asarray(y, dtype=float)
-        out = np.empty(m)
-        out[:n] = g(y[:n], y[n])
-        out[n] = 1.0
+        out = np.empty(y.shape)
+        out[:, :n] = g(y[:, :n], y[:, n])
+        out[:, n] = 1.0
         return out
 
     def df(y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros((m, m))
-        out[:n, :] = jac(y[:n], y[n])
+        out = np.zeros((y.shape[0], m, m))
+        out[:, :n, :] = jac(y[:, :n], y[:, n])
         return out
 
     def d2f(y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros((m, m, m))
+        out = np.zeros((y.shape[0], m, m, m))
         if hess is not None:
-            out[:n, :, :] = hess(y[:n], y[n])
+            out[:, :n, :, :] = hess(y[:, :n], y[:, n])
         return out
 
     return OdeModel(m, f, df, d2f, b=b, name=name)

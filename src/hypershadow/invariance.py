@@ -490,7 +490,11 @@ class _StepWorkspace:
 
 
 def gamma_c(fr, state, spec, cfg, _ws=None):
-    """Center update: a new scalar field on the state's grid."""
+    """Center update: a new scalar field on the state's grid.
+
+    Raises BallExitError at level 0 of the t ball when sup|X - 1| would
+    reach 1 anywhere on the window.
+    """
     ws = _ws or _StepWorkspace(fr, state, spec, cfg)
     nodes = ws.nodes
     f0 = fr.orbit_deriv_batch(nodes)
@@ -501,6 +505,9 @@ def gamma_c(fr, state, spec, cfg, _ws=None):
     num = np.einsum("ki,ki->k", fr.proj_apply("c", nodes, g), f0)
     den = np.einsum("ki,ki->k", f0, f0)
     vals = num / den
+    sup = float(np.abs(vals).max())
+    if sup >= 1.0:
+        raise BallExitError("t", 0, sup, 1.0)
     return ScalarField(state.X.xhat.with_values(vals, extension="zero"),
                        state.X.ball)
 
@@ -661,7 +668,8 @@ def iterate(fr, spec, cfg, initial=None):
     Stops when the weighted distance between consecutive iterates falls
     below tol_eta; raises DivergenceError when the ratio of consecutive
     distances stays at or above 1 for five iterations, BallExitError
-    when an iterate leaves its declared ball on the core window, and
+    when an iterate leaves its declared ball on the core window or its
+    time change reaches sup|X - 1| >= 1 anywhere, and
     FlowGuardError, naming the iteration, when the flow of an iterate's
     time change fails its checks. The defects of the returned state are
     measured by one extra operator application, so the report's e_eta
@@ -815,10 +823,11 @@ def _semi_constants(j, eta, R, M):
     return cs
 
 
-def aposteriori_bounds(report, cfg, interval, kappa_hat):
+def aposteriori_bounds(e_eta, state, cfg, interval, kappa_hat):
     """C^j error bounds for the distance to the true fixed point.
 
-    On the interval [a, b] each level-j bound is
+    ``e_eta`` is the measured defect of ``state``, whose ball radii size
+    the interpolation. On the interval [a, b] each level-j bound is
     M [e^{delta eta} (1 - kappa)^{-1} E_eta]^theta R^{1-theta} with
     theta = (l+1-j)/(l+1) for X and (l+2-j)/(l+2) for the bundle
     corrections, R twice the top ball radius, delta = max(|a|, |b|).
@@ -832,14 +841,14 @@ def aposteriori_bounds(report, cfg, interval, kappa_hat):
     if not (b > a):
         raise ValueError("interval must be nondegenerate")
     delta = max(abs(a), abs(b))
-    eta = report.eta
+    eta = cfg.eta.eta
     M = cfg.interp_m
     ell = cfg.ell
-    amp = report.e_eta / (1.0 - kappa_hat)
+    amp = e_eta / (1.0 - kappa_hat)
     rows = []
-    comps = (("X", report.t_radii, ell, ell + 1),
-             ("xs", report.s_radii, ell + 1, ell + 2),
-             ("xu", report.u_radii, ell + 1, ell + 2))
+    comps = (("X", state.t_ball.c, ell, ell + 1),
+             ("xs", state.s_ball.c, ell + 1, ell + 2),
+             ("xu", state.u_ball.c, ell + 1, ell + 2))
     for name, radii, j_max, denom in comps:
         R = 2.0 * max(radii)
         semi_cs = _semi_constants(j_max, eta, R, M) if amp <= 1.0 else None

@@ -5,10 +5,14 @@ history segment over [-h, h]. Evaluation is batched: a HistorySegment
 holds k center times, and a spec maps k base times with their segments
 to a (k, n) array in one call, so a whole lattice of times costs a few
 array lookups instead of one call per time. User callables (Q, r, g,
-tau) stay pointwise; the builders apply them row by row. Builders
-cover forcing terms that only read theta(0), state-dependent and
-nested delays, neutral terms that read theta'(0), weighted multi-delay
-sums, and the induced functional of a small state-dependent delay. Declared Lipschitz constants ride
+tau) are batched too: they take the k base times (k,) with the (k, n)
+states read off the segments, Q and g return (k, n), and the shifts r,
+r1 and tau return (k,) or one scalar for every row. Wrap a function
+written for one row with :func:`~hypershadow.funcspace.pointwise`.
+Builders cover forcing terms that only read theta(0), state-dependent
+and nested delays, neutral terms that read theta'(0), weighted
+multi-delay sums, and the induced functional of a small
+state-dependent delay. Declared Lipschitz constants ride
 along and can be cross-checked empirically with lipschitz_probe; the
 probe is a sampling lower bound, not a certificate.
 """
@@ -41,20 +45,6 @@ __all__ = [
 ]
 
 _LOOKUP_SLACK = 1e-9
-
-
-def _rows(fn, *cols):
-    """Stack fn(*row) over the rows of the argument columns.
-
-    User callables (Q, r, g, tau, forces) stay pointwise; this is the one
-    place the batched builders hand them one row at a time.
-    """
-    return np.asarray([fn(*row) for row in zip(*cols)], dtype=float)
-
-
-def _shift_rows(fn, *cols):
-    """Scalar shifts of a pointwise delay map, one per row: shape (k,)."""
-    return np.array([float(fn(*row)) for row in zip(*cols)])
 
 
 class HistorySegment:
@@ -117,14 +107,6 @@ class HistorySegment:
             raise ValueError("trajectory window too small for this segment")
         return cls(t, h, traj.eval, traj.derivative(1).eval)
 
-    @classmethod
-    def from_callable(cls, fn, t, h, dfn=None):
-        """Segments of a pointwise trajectory ``fn(time) -> (n,)``."""
-        def rows(f):
-            return lambda ts: _rows(f, ts.tolist())
-
-        return cls(t, h, rows(fn), None if dfn is None else rows(dfn))
-
 
 @dataclass(frozen=True)
 class PerturbationSpec:
@@ -172,11 +154,12 @@ def ode_term(g, lip_t=0.0, lip_x=0.0, mu=None, ell=3, kind="ode",
              params=None):
     """Perturbation reading only the present state: p(t, theta) = g(t, theta(0)).
 
-    A vanishing history radius is represented by a tiny positive one.
+    ``g(ts, xs) -> (k, n)``. A vanishing history radius is represented
+    by a tiny positive one.
     """
 
     def evaluate(ts, seg, eps):
-        return _rows(g, ts.tolist(), seg.eval(0.0))
+        return g(ts, seg.eval(0.0))
 
     return PerturbationSpec(h=1e-9, mu=mu, evaluate=evaluate, L1=lip_t,
                             L2=lip_x, ell=ell, kind=kind,
@@ -188,18 +171,17 @@ def state_dependent_delay(Q, r, h, r_bound=None, lip_q=1.0, lip_r=1.0,
                           params=None):
     """p(t, theta) = Q(t, theta(r(t, theta(0)))).
 
-    ``r_bound`` is the declared sup of |r|; it must fit inside h.
-    L1 and L2 follow the add-and-subtract chain bound with a C^1
-    trajectory budget ``traj_c1``.
+    ``Q(ts, ys) -> (k, n)`` and ``r(ts, xs) -> (k,)``. ``r_bound`` is
+    the declared sup of |r|; it must fit inside h. L1 and L2 follow the
+    add-and-subtract chain bound with a C^1 trajectory budget
+    ``traj_c1``.
     """
     r_bound = h if r_bound is None else float(r_bound)
     if r_bound > h + 1e-12:
         raise ValueError("declared delay bound exceeds the history radius")
 
     def evaluate(ts, seg, eps):
-        tl = ts.tolist()
-        shift = _shift_rows(r, tl, seg.eval(0.0))
-        return _rows(Q, tl, seg.eval(shift))
+        return Q(ts, seg.eval(r(ts, seg.eval(0.0))))
 
     L = lip_q * (1.0 + traj_c1 * lip_r)
     return PerturbationSpec(h=h, mu=mu, evaluate=evaluate, L1=L, L2=L,
@@ -211,8 +193,9 @@ def nested_delay(Q, r, r1, h, r_bound=None, r1_bound=None, lip_q=1.0,
                  kind="nested", params=None):
     """p(t, theta) = Q(t, theta(r(t, theta(r1(theta(0)))))).
 
-    The inner shift r1 produces a lookup whose value feeds the outer
-    delay map, so both declared shift bounds must fit inside h.
+    The inner shift ``r1(xs) -> (k,)`` produces a lookup whose value
+    feeds the outer delay map, so both declared shift bounds must fit
+    inside h.
     """
     r_bound = h if r_bound is None else float(r_bound)
     r1_bound = h if r1_bound is None else float(r1_bound)
@@ -220,10 +203,8 @@ def nested_delay(Q, r, r1, h, r_bound=None, r1_bound=None, lip_q=1.0,
         raise ValueError("declared delay bound exceeds the history radius")
 
     def evaluate(ts, seg, eps):
-        tl = ts.tolist()
-        inner = seg.eval(_shift_rows(r1, seg.eval(0.0)))
-        shift = _shift_rows(r, tl, inner)
-        return _rows(Q, tl, seg.eval(shift))
+        inner = seg.eval(r1(seg.eval(0.0)))
+        return Q(ts, seg.eval(r(ts, inner)))
 
     L1 = lip_q * (1.0 + traj_c1 * lip_r)
     L2 = lip_q * (1.0 + traj_c1 * lip_r * (1.0 + traj_c1 * lip_r1))
@@ -244,9 +225,7 @@ def neutral_delay(Q, r, h, r_bound=None, lip_q=1.0, lip_r=1.0, traj_c1=1.0,
         raise ValueError("declared delay bound exceeds the history radius")
 
     def evaluate(ts, seg, eps):
-        tl = ts.tolist()
-        shift = _shift_rows(r, tl, seg.deriv(0.0))
-        return _rows(Q, tl, seg.eval(shift))
+        return Q(ts, seg.eval(r(ts, seg.deriv(0.0))))
 
     L = lip_q * (1.0 + traj_c1 * lip_r)
     return PerturbationSpec(h=h, mu=mu, evaluate=evaluate, L1=L, L2=L,
@@ -269,8 +248,8 @@ def small_delay_q(f_model, tau_fns, h, blocks=None, tau_bounds=None,
     blocks[i] read at the i-th delayed time, and D_i f are the matching
     Jacobian columns. With one delay and the full block this is the
     classical one-delay rewrite. The sigma integral uses fixed-order
-    Gauss quadrature. Each ``tau(t, segment)`` is pointwise: it gets one
-    base time and the single-center segment of that time.
+    Gauss quadrature. Each ``tau(ts, segment) -> (k,)`` gets the k base
+    times and their k-center segment; a scalar applies to every row.
     """
     n = f_model.n
     L = len(tau_fns)
@@ -295,8 +274,8 @@ def small_delay_q(f_model, tau_fns, h, blocks=None, tau_bounds=None,
 
     def evaluate(ts, seg, eps):
         k = ts.size
-        rows = [seg.take(slice(i, i + 1)) for i in range(k)]
-        taus = [_shift_rows(tau, ts.tolist(), rows) for tau in tau_fns]
+        taus = [np.broadcast_to(np.asarray(tau(ts, seg), dtype=float), (k,))
+                for tau in tau_fns]
         for tv in taus:
             if np.any(np.abs(eps * tv) > h + _LOOKUP_SLACK):
                 raise ValueError("eps times the delay leaves the history window")
@@ -351,14 +330,15 @@ def apply_P(spec, u, eps, t, du=None):
 
     A scalar t gives (n,), a 1-D array of k times (k, n). ``u`` is a
     GridFunction, an already-built HistorySegment centered at t, or a
-    pointwise callable (then ``du`` optionally supplies the derivative).
+    batched trajectory ``u(times (k,)) -> (k, n)`` (then ``du``
+    optionally supplies the derivative the same way).
     """
     if isinstance(u, HistorySegment):
         seg = u
     elif isinstance(u, GridFunction):
         seg = HistorySegment.from_grid(u, t, spec.h)
     else:
-        seg = HistorySegment.from_callable(u, t, spec.h, dfn=du)
+        seg = HistorySegment(t, spec.h, u, du)
     return spec(t, seg, eps)
 
 
@@ -452,9 +432,9 @@ def _build_from_descriptor(desc):
     p = dict(desc.get("parameters", {}))
     mu = desc.get("mu")
 
+    # every kind reads its output dimension off the state it is given
     if kind == "zero":
-        n = int(p.get("n", 3))
-        return ode_term(lambda t, x: np.zeros(n), kind="zero", params=p,
+        return ode_term(lambda t, x: np.zeros_like(x), kind="zero", params=p,
                         mu=mu)
 
     if kind == "ode-sin-forcing":
@@ -462,11 +442,10 @@ def _build_from_descriptor(desc):
         omega = float(p["omega"])
         shift = float(p.get("shift", 0.0))
         axis = int(p.get("axis", 1))
-        n = int(p.get("n", 3))
 
         def g(t, x):
-            out = np.zeros(n)
-            out[axis] = a * math.sin(omega * (t - shift))
+            out = np.zeros_like(x)
+            out[:, axis] = a * np.sin(omega * (t - shift))
             return out
 
         return ode_term(g, lip_t=abs(a * omega), lip_x=0.0, mu=mu,
@@ -486,11 +465,10 @@ def _build_from_descriptor(desc):
         lag = float(p.get("lag", 1.0))
         h = float(p.get("h", max(1.0, lag)))
         axis = int(p.get("axis", 1))
-        n = int(p.get("n", 3))
 
         def Q(t, y):
-            out = np.zeros(n)
-            out[axis] = a * math.sin(omega * y[0])
+            out = np.zeros_like(y)
+            out[:, axis] = a * np.sin(omega * y[:, 0])
             return out
 
         def r(t, y):
@@ -507,7 +485,7 @@ def _build_from_descriptor(desc):
         comp = int(p.get("component", 0))
 
         def r(t, x):
-            return -(c0 + c1 * math.tanh(x[comp]))
+            return -(c0 + c1 * np.tanh(x[:, comp]))
 
         return state_dependent_delay(
             _id_q, r, h, r_bound=abs(c0) + abs(c1), lip_q=1.0, lip_r=abs(c1),
@@ -521,7 +499,7 @@ def _build_from_descriptor(desc):
         v_bound = float(p.get("deriv_bound", 2.0))
 
         def r(t, y):
-            return -(c0 + c1 * y[comp])
+            return -(c0 + c1 * y[:, comp])
 
         return neutral_delay(
             _id_q, r, h, r_bound=abs(c0) + abs(c1) * v_bound, lip_q=1.0,
@@ -533,7 +511,7 @@ def _build_from_descriptor(desc):
         comp = int(p.get("component", 0))
 
         def r(t, x):
-            return max(-h, -abs(x[comp]))
+            return np.maximum(-h, -np.abs(x[:, comp]))
 
         def r1(x):
             return inner

@@ -20,7 +20,6 @@ between criteria, so the whole gate stays around a minute.
 """
 
 import functools
-import math
 import time
 
 import numpy as np
@@ -80,8 +79,8 @@ def sine_delay_spec(a, omega):
     # reads a sin(omega y_0) one unit in the past: the forcing
     # (0, eps a sin(omega(t-1)), 0) on the straight saddle orbit
     def Q(t, y):
-        out = np.zeros(3)
-        out[1] = a * math.sin(omega * y[0])
+        out = np.zeros_like(y)
+        out[:, 1] = a * np.sin(omega * y[:, 0])
         return out
 
     return state_dependent_delay(Q, lambda t, y: -1.0, h=1.0,
@@ -102,12 +101,12 @@ def stable_response_d1(rho, a, omega, eps):
 def sdd_spec():
     # every slot forced, and the delay genuinely reads the state
     def Q(t, y):
-        return np.array([0.3 * math.sin(1.1 * y[0]),
-                         0.8 * math.sin(1.4 * y[0]),
-                         0.5 * math.cos(0.9 * y[0])])
+        return np.column_stack([0.3 * np.sin(1.1 * y[:, 0]),
+                                0.8 * np.sin(1.4 * y[:, 0]),
+                                0.5 * np.cos(0.9 * y[:, 0])])
 
     def r(t, y):
-        return -0.8 + 0.15 * math.sin(y[1])
+        return -0.8 + 0.15 * np.sin(y[:, 1])
 
     return state_dependent_delay(Q, r, h=1.0, r_bound=0.95,
                                  lip_q=0.8 * 1.4, lip_r=0.15, traj_c1=1.3)
@@ -116,11 +115,11 @@ def sdd_spec():
 def neutral_spec():
     # derivative of the state read at a state-dependent lag
     def Q(t, v):
-        return np.array([0.0, 0.7 * math.sin(1.1 * t) * v[0],
-                         0.4 * math.cos(0.8 * t) * v[0]])
+        return np.column_stack([0.0 * t, 0.7 * np.sin(1.1 * t) * v[:, 0],
+                                0.4 * np.cos(0.8 * t) * v[:, 0]])
 
     def r(t, y):
-        return -0.6 + 0.15 * math.sin(y[1])
+        return -0.6 + 0.15 * np.sin(y[:, 1])
 
     return neutral_delay(Q, r, h=1.0, r_bound=0.75, lip_q=0.7, lip_r=0.15,
                          traj_c1=1.3)
@@ -307,7 +306,7 @@ def test_criterion_04_contraction_lemmas():
     assert violations == 0
 
     spec = state_dependent_delay(
-        lambda t, y: np.array([0.0, 0.1 * math.sin(y[0]), 0.0]),
+        lambda t, y: 0.1 * np.sin(y[:, :1]) * [0.0, 1.0, 0.0],
         lambda t, y: -0.5, h=1.0, lip_q=0.2, lip_r=0.0, traj_c1=1.3)
     for seed in range(100):
         v, wst = random_pair(fr, cfg, seed=1000 + seed)
@@ -355,15 +354,15 @@ def test_criterion_06_eps_scaling():
     spec = small_delay_q(model, [lambda t, seg: 1.0], h=0.5,
                          tau_bounds=[1.0], eps_max=0.2)
 
-    seg = HistorySegment.from_callable(
-        lambda u: np.array([math.cos(u), math.sin(u)]), 0.3, 0.5,
-        dfn=lambda u: np.array([-math.sin(u), math.cos(u)]))
-    limit = -np.asarray(model.df(seg.eval(0.0)[0])) @ seg.deriv(0.0)[0]
+    seg = HistorySegment(
+        0.3, 0.5, lambda u: np.column_stack([np.cos(u), np.sin(u)]),
+        lambda u: np.column_stack([-np.sin(u), np.cos(u)]))
+    limit = -model.df_batch(seg.eval(0.0))[0] @ seg.deriv(0.0)[0]
     gaps = []
     for eps in EPS_SWEEP:
         got = spec(0.0, seg, eps)
-        quotient = (model.f(seg.eval(-eps)[0])
-                    - model.f(seg.eval(0.0)[0])) / eps
+        quotient = (model.f_batch(seg.eval(-eps))[0]
+                    - model.f_batch(seg.eval(0.0))[0]) / eps
         assert np.abs(got - quotient).max() <= 5e-13
         gaps.append(float(np.abs(got - limit).max()))
     slope = loglog_slope(EPS_SWEEP, gaps)
@@ -432,7 +431,7 @@ def test_criterion_09_aposteriori_sandwich():
         for omega in (1.0, 2.0):
             fr, cfg, final, report = sandwich_run(a, omega)
             assert report.converged, (a, omega)
-            rows = aposteriori_bounds(report, cfg, (-2.0, 2.0),
+            rows = aposteriori_bounds(report.e_eta, final, cfg, (-2.0, 2.0),
                                       report.kappa_hat)
             table = {(r["component"], r["j"]): r["bound"] for r in rows}
             # the metric lives at the nodes; between them the grid

@@ -7,13 +7,17 @@ iterations even on the coarse grid used here, which keeps the suite
 quick while still exercising every artifact writer.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypershadow import cli
 from hypershadow.hyperbolic import frame_from_descriptor
@@ -43,6 +47,15 @@ def write_scenario(tmp_path, name="scn.json", **over):
     path = tmp_path / name
     path.write_text(json.dumps(scn))
     return str(path), scn
+
+
+# the benchmark's periodic-orbit frame and its operator settings
+FLOQUET = ({"mode": "floquet", "model": "planar-limit-cycle"},
+           {"eta": 0.25, "window": 12.0, "delta": 0.2, "tol_eta": 1e-6})
+SDD_TANH = {"kind": "sdd-tanh", "parameters": {"h": 1.0, "c0": 0.5, "c1": 0.2}}
+NEUTRAL = {"kind": "neutral-linear",
+           "parameters": {"h": 1.0, "c0": 0.5, "c1": 0.5,
+                          "deriv_bound": 1.0}}
 
 
 def closed_form(rho, eps, a=1.0, omega=2.0, lag=1.0, lam=1.0):
@@ -185,7 +198,9 @@ class TestRunVerb:
         # a spec that returns NaN beyond t = 3: the operator must stop
         # with its own exit code, not report infeasible radii
         def g(t, x):
-            return np.array([0.0, np.nan if t > 3.0 else 0.1, 0.0])
+            out = np.zeros_like(x)
+            out[:, 1] = np.where(t > 3.0, np.nan, 0.1)
+            return out
 
         monkeypatch.setattr(cli, "spec_from_descriptor",
                             lambda desc: ode_term(g))
@@ -213,6 +228,34 @@ class TestRunVerb:
         assert "flow guard failed: iteration 2: round-trip defect" in err
         assert "sup|X - 1| = 0.972" in err and "t0 = 0.2" in err
         assert not os.path.exists(scn["out"])
+
+    @pytest.mark.parametrize("frame,perturbation,eps,code,says", [
+        # kinds read their output dimension off the state
+        (FLOQUET, {"kind": "zero"}, 0.01, 0, None),
+        (FLOQUET, {"kind": "ode-sin-forcing",
+                   "parameters": {"a": 0.45, "omega": 1.0, "axis": 1}},
+         0.01, 0, None),
+        (None, {"kind": "delayed-sin-forcing",
+                "parameters": {"a": 1.0, "omega": 2.0, "axis": 5}},
+         0.01, 1, "does not fit the model of dimension 3"),
+        # the center update would make X = 1 + xhat reach 0
+        (None, SDD_TANH, 0.5, 3, "left the 't' ball at level 0"),
+        # the delay reaches past the declared history radius
+        (None, NEUTRAL, 0.02, 1, "history lookup at -1.001 outside radius 1"),
+    ])
+    def test_descriptor_misfits_end_in_their_codes(self, tmp_path, capsys,
+                                                   frame, perturbation, eps,
+                                                   code, says):
+        over = {"frame": frame[0], "config": frame[1]} if frame else {}
+        path, scn = write_scenario(tmp_path, perturbation=perturbation,
+                                   eps=eps, **over)
+        assert cli.main(["run", path, "--quiet"]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert len(err.strip().splitlines()) == 1 and says in err
+            assert not os.path.exists(scn["out"])
 
     def test_iteration_cap_is_exit_two(self, tmp_path):
         path, scn = write_scenario(tmp_path)
@@ -368,6 +411,20 @@ class TestVerifyVerb:
         assert len(err.strip().splitlines()) == 1
         assert not os.path.exists(scn["out"])
 
+    @pytest.mark.parametrize("perturbation,eps,code,says", [
+        (SDD_TANH, 0.5, 3, "left the 't' ball at level 0"),
+        (NEUTRAL, 0.02, 1, "history lookup at -1.001 outside radius 1"),
+    ])
+    def test_operator_failures_end_in_their_codes(self, tmp_path, capsys,
+                                                  linear_run, perturbation,
+                                                  eps, code, says):
+        path, scn = write_scenario(tmp_path, name="ver.json", eps=eps,
+                                   perturbation=perturbation)
+        assert cli.main(["verify", path, linear_run["out"]]) == code
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and says in err
+        assert not os.path.exists(scn["out"])
+
     def test_missing_state_dir_is_exit_one(self, tmp_path):
         path, _ = write_scenario(tmp_path, name="ver.json")
         assert cli.main(["verify", path, str(tmp_path / "nowhere")]) == 1
@@ -390,6 +447,65 @@ class TestStatePersistence:
     def test_load_missing_dir_raises(self, tmp_path):
         with pytest.raises(OSError):
             cli.load_state(str(tmp_path / "void"))
+
+
+# every shipped kind with working parameters, plus one unknown kind
+FUZZ_KINDS = {
+    "zero": {},
+    "ode-sin-forcing": {"a": 0.45, "omega": 1.0, "axis": 1},
+    "delayed-sin-forcing": {"a": 1.0, "omega": 2.0, "h": 1.0, "lag": 1.0},
+    "multi-delay": {"pairs": [[-1.0, 1.0], [0.5, 2.0]], "h": 1.5},
+    "sdd-tanh": {"h": 1.0, "c0": 0.5, "c1": 0.2},
+    "neutral-linear": {"h": 1.0, "c0": 0.3, "c1": 0.1},
+    "nested-abs": {"h": 1.0, "inner_shift": -0.5},
+    "small-delay": {"model": "lin-saddle", "tau": 0.8, "h": 0.2},
+    "levitation": {"h": 1.0},
+}
+# the benchmark's frames and operator settings
+FUZZ_FRAMES = {
+    "analytic": ({"mode": "analytic", "model": "saddle-cubic",
+                  "lambda_s": 1.0, "lambda_u": 1.0, "cubic": [0.3, 0.2]},
+                 {"eta": 0.25, "window": 24.0, "delta": 0.1,
+                  "tol_eta": 1e-8}),
+    "floquet": FLOQUET,
+}
+
+
+@st.composite
+def fuzz_scenarios(draw):
+    """A bench frame, a kind, one parameter kept, dropped or spoiled."""
+    frame, config = FUZZ_FRAMES[draw(st.sampled_from(sorted(FUZZ_FRAMES)))]
+    kind = draw(st.sampled_from(sorted(FUZZ_KINDS)))
+    params = dict(FUZZ_KINDS[kind])
+    if params:
+        key = draw(st.sampled_from(sorted(params)))
+        params[key] = draw(st.sampled_from(
+            ["keep", "missing", "oops", None, -3.0, 0.0, 7.0, 1e6]))
+        if params[key] == "keep":
+            params[key] = FUZZ_KINDS[kind][key]
+        elif params[key] == "missing":
+            del params[key]
+    return {"frame": frame, "config": config,
+            "perturbation": {"kind": kind, "parameters": params},
+            "eps": draw(st.floats(0.0, 0.6)), "seed": 1}
+
+
+class TestFuzz:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(fuzz_scenarios())
+    def test_every_scenario_ends_in_a_documented_code(self, scn):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            path = os.path.join(tmp, "scn.json")
+            with open(path, "w") as fh:
+                json.dump(dict(scn, out=out), fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["run", path, "--max-iters", "3", "--quiet"])
+            assert code in (0, 1, 2, 3, 4)
+            if code != 0:
+                assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+                assert not os.path.exists(out)
 
 
 class TestEntryPoint:

@@ -48,7 +48,7 @@ def stacked_segment(sys, t, h=1.0):
         return np.concatenate([tr.pos(t) for tr in trs]
                               + [tr.vel(t) for tr in trs], axis=-1)
 
-    return HistorySegment.from_callable(y, t, h)
+    return HistorySegment(t, h, y)
 
 
 def loglog_slope(xs, ys):
@@ -638,7 +638,8 @@ class TestAssembly:
         sys = ed.ChargeSystem([qa, qb], masses=[1.0, 2.0],
                               charges=[1.0, -1.0], epsilon=0.05,
                               xi1=0.5, xi2=0.5)
-        sys.external = lambda t, q, v: np.array([0.0, 0.1 * t, -q[0]])
+        sys.external = lambda t, q, v: np.column_stack(
+            [np.zeros_like(t), 0.1 * t, -q[:, 0]])
         spec = ed.assemble_charge_perturbation(sys, window=4.0, mixing=0.5)
         ts = np.linspace(-2.0, 2.0, 7)
         batch = spec(ts, stacked_segment(sys, ts), sys.epsilon)
@@ -670,7 +671,7 @@ class TestAssembly:
 
     def test_external_field_enters_the_acceleration(self):
         sys = two_charge_system()
-        sys.external = lambda t, q, v: np.array([0.0, 0.0, -9.8])
+        sys.external = lambda t, q, v: np.tile([0.0, 0.0, -9.8], (len(t), 1))
         spec = ed.assemble_charge_perturbation(sys, window=4.0)
         seg = stacked_segment(sys, 0.0)
         sys.external = None
@@ -695,7 +696,7 @@ class TestAssembly:
         sys = two_charge_system()
 
         def flat(ci, cj, qi, vi, qj, vj):
-            return np.zeros(3)
+            return np.zeros_like(qi)
 
         with pytest.raises(ValueError, match="lip_x"):
             ed.assemble_charge_perturbation(sys, force=flat, window=4.0)
@@ -712,7 +713,7 @@ class TestAssembly:
     def test_wrong_state_size_rejected(self):
         sys = two_charge_system()
         spec = ed.assemble_charge_perturbation(sys, window=4.0)
-        seg = HistorySegment.from_callable(lambda t: np.zeros(5), 0.0, 1.0)
+        seg = HistorySegment(0.0, 1.0, lambda t: np.zeros((len(t), 5)))
         with pytest.raises(ValueError, match="components"):
             spec(0.0, seg, 0.0)
 
@@ -748,6 +749,26 @@ class TestSoftenedCoulomb:
         F = ed.softened_coulomb(softening=0.2)
         f = F(1.0, 1.0, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
         assert np.all(np.isfinite(f)) and np.abs(f).max() == 0.0
+
+    def test_batched_rows_match_single_rows_and_the_row_formula(self):
+        F = ed.softened_coulomb(softening=0.1, coupling=2.0)
+        rng = np.random.default_rng(9)
+        qi, vi, qj, vj = rng.standard_normal((4, 50, 3))
+        batch = F(1.0, -1.0, qi, vi, qj, vj)
+        assert batch.shape == (50, 3)
+        for k in range(50):
+            rows = slice(k, k + 1)
+            assert np.array_equal(
+                batch[k], F(1.0, -1.0, qi[rows], vi[rows], qj[rows],
+                            vj[rows])[0])
+            assert np.array_equal(
+                batch[k], F(1.0, -1.0, qi[k], vi[k], qj[k], vj[k]))
+            # the former one-row formula sums |d|^2 in another order and
+            # takes r2 ** 1.5 with pow: a few roundings apart
+            d = qi[k] - qj[k]
+            want = (2.0 * 1.0 * -1.0 / (float(d @ d) + 0.01) ** 1.5) * d
+            assert np.all(np.abs(batch[k] - want)
+                          <= 8 * np.finfo(float).eps * np.abs(want))
 
     def test_positive_softening_required(self):
         with pytest.raises(ValueError, match="softening"):

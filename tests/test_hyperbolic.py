@@ -44,15 +44,15 @@ def cycle_frame():
 class TestSaddleFrame:
     def test_orbit_and_speed(self):
         fr = saddle_frame()
-        assert fr.orbit(2.5) == pytest.approx([2.5, 0.0, 0.0])
-        assert fr.orbit_deriv(2.5) == pytest.approx([1.0, 0.0, 0.0])
+        assert fr.orbit_batch([2.5])[0] == pytest.approx([2.5, 0.0, 0.0])
+        assert fr.orbit_deriv_batch([2.5])[0] == pytest.approx([1.0, 0.0, 0.0])
 
     def test_propagator_values(self):
         fr = saddle_frame(lam_s=1.0, lam_u=0.5)
-        U = fr.prop_s(2.0, 0.0)
+        U = fr.prop_s_batch([2.0], [0.0])[0]
         assert U[1, 1] == pytest.approx(math.exp(-2.0), abs=1e-12)
         assert abs(U).max() == pytest.approx(math.exp(-2.0), abs=1e-12)
-        V = fr.prop_u(0.0, 3.0)
+        V = fr.prop_u_batch([0.0], [3.0])[0]
         assert V[2, 2] == pytest.approx(math.exp(-1.5), abs=1e-12)
 
     def test_projection_algebra_exact(self):
@@ -76,11 +76,12 @@ class TestSaddleFrame:
         Q = random_rotation(7)
         fr = saddle_frame(rotation=Q)
         base = saddle_frame()
-        Pc, Ps, Pu = fr.proj(1.3)
-        Pc0, Ps0, Pu0 = base.proj(1.3)
+        Pc, Ps, Pu = (P[0] for P in fr.proj_batch([1.3]))
+        Pc0, Ps0, Pu0 = (P[0] for P in base.proj_batch([1.3]))
         assert np.abs(Pc - Q @ Pc0 @ Q.T).max() <= 1e-12
         assert np.abs(Ps - Q @ Ps0 @ Q.T).max() <= 1e-12
-        assert np.abs(fr.prop_s(2.0, 0.5) - Q @ base.prop_s(2.0, 0.5) @ Q.T
+        assert np.abs(fr.prop_s_batch([2.0], [0.5])[0]
+                      - Q @ base.prop_s_batch([2.0], [0.5])[0] @ Q.T
                       ).max() <= 1e-12
         assert verify_frame(fr).ok
 
@@ -89,13 +90,14 @@ class TestSaddleFrame:
         assert verify_frame(fr).ok
         # off the orbit the field is genuinely nonlinear
         x = np.array([0.0, 0.5, 0.0])
-        assert fr.model.f(x)[1] == pytest.approx(-0.5 + 0.4 * 0.125)
+        assert fr.model.f_batch([x])[0, 1] == pytest.approx(-0.5 + 0.4 * 0.125)
 
     def test_descriptor_round_trip(self):
         fr = saddle_frame(lam_s=1.2, lam_u=0.9, rotation=random_rotation(3))
         desc = fr.descriptor()
         fr2 = frame_from_descriptor(desc)
-        assert np.abs(fr2.proj(0.7)[1] - fr.proj(0.7)[1]).max() <= 1e-12
+        assert np.abs(fr2.proj_batch([0.7])[1][0]
+                      - fr.proj_batch([0.7])[1][0]).max() <= 1e-12
 
     def test_corrupted_projection_fails_verification(self):
         fr = saddle_frame()
@@ -167,9 +169,9 @@ class TestFloquetFrame:
 
     def test_center_transport(self, cycle_frame):
         for t in (0.0, 1.1, -2.7):
-            U = cycle_frame.prop_full(t + 2.0, t)
-            want = cycle_frame.orbit_deriv(t + 2.0)
-            got = U @ cycle_frame.orbit_deriv(t)
+            U = cycle_frame.prop_full_batch([t + 2.0], [t])[0]
+            want = cycle_frame.orbit_deriv_batch([t + 2.0])[0]
+            got = U @ cycle_frame.orbit_deriv_batch([t])[0]
             assert np.abs(got - want).max() <= 1e-6
 
     def test_declared_decay_rate(self, cycle_frame):
@@ -190,12 +192,13 @@ class TestFloquetFrame:
 
     def test_rejects_unit_multiplier_multiplicity(self):
         def f(x):
-            return np.array([-x[1], x[0]])
+            return np.column_stack([-x[:, 1], x[:, 0]])
 
         def df(x):
-            return np.array([[0.0, -1.0], [1.0, 0.0]])
+            return np.tile([[0.0, -1.0], [1.0, 0.0]], (len(x), 1, 1))
 
-        model = OdeModel(2, f, df, lambda x: np.zeros((2, 2, 2)), b=1.0)
+        model = OdeModel(2, f, df, lambda x: np.zeros((len(x), 2, 2, 2)),
+                         b=1.0)
         orbit, period = unit_circle_orbit(delta=0.01)
         with pytest.raises(ValueError, match="exactly one multiplier"):
             floquet_frame(model, orbit, period)
@@ -205,19 +208,19 @@ class TestFloquetFrame:
         omega = 0.5
 
         def f(x):
-            return np.concatenate([cyc.f(x[:2]),
-                                   [-omega * x[3], omega * x[2]]])
+            return np.column_stack([cyc.f(x[:, :2]),
+                                    -omega * x[:, 3], omega * x[:, 2]])
 
         def df(x):
-            out = np.zeros((4, 4))
-            out[:2, :2] = cyc.df(x[:2])
-            out[2, 3] = -omega
-            out[3, 2] = omega
+            out = np.zeros((len(x), 4, 4))
+            out[:, :2, :2] = cyc.df(x[:, :2])
+            out[:, 2, 3] = -omega
+            out[:, 3, 2] = omega
             return out
 
         def d2f(x):
-            out = np.zeros((4, 4, 4))
-            out[:2, :2, :2] = cyc.d2f(x[:2])
+            out = np.zeros((len(x), 4, 4, 4))
+            out[:, :2, :2, :2] = cyc.d2f(x[:, :2])
             return out
 
         model = OdeModel(4, f, df, d2f, b=1.0)
@@ -267,9 +270,9 @@ class TestConvolve:
         for k, rho in enumerate(rhos):
             for i, v in enumerate(vs):
                 if sigma == "s" and v <= rho:
-                    out[k] += fr.prop_s(rho, v) @ ws[i]
+                    out[k] += fr.prop_s_batch([rho], [v])[0] @ ws[i]
                 elif sigma == "u" and v >= rho:
-                    out[k] += fr.prop_u(rho, v) @ ws[i]
+                    out[k] += fr.prop_u_batch([rho], [v])[0] @ ws[i]
         return out
 
     @pytest.mark.parametrize("kind", ["analytic", "floquet"])
@@ -301,18 +304,19 @@ class TestAugmentation:
         a = 0.05
 
         def g(x, t):
-            return np.array([1.0, -x[1] + a * math.sin(t), x[2]])
+            return np.column_stack([np.ones_like(t),
+                                    -x[:, 1] + a * np.sin(t), x[:, 2]])
 
         def jac(x, t):
-            out = np.zeros((3, 4))
-            out[1, 1] = -1.0
-            out[1, 3] = a * math.cos(t)
-            out[2, 2] = 1.0
+            out = np.zeros((len(t), 3, 4))
+            out[:, 1, 1] = -1.0
+            out[:, 1, 3] = a * np.cos(t)
+            out[:, 2, 2] = 1.0
             return out
 
         def hess(x, t):
-            out = np.zeros((3, 4, 4))
-            out[1, 3, 3] = -a * math.sin(t)
+            out = np.zeros((len(t), 3, 4, 4))
+            out[:, 1, 3, 3] = -a * np.sin(t)
             return out
 
         model = augment_nonautonomous(g, jac, 3, hess=hess)
@@ -322,20 +326,22 @@ class TestAugmentation:
             y = np.array([t, a * (math.sin(t) - math.cos(t)) / 2.0, 0.0, t])
             ydot = np.array([1.0, a * (math.cos(t) + math.sin(t)) / 2.0,
                              0.0, 1.0])
-            assert np.abs(model.f(y) - ydot).max() <= 1e-14
+            assert np.abs(model.f_batch([y])[0] - ydot).max() <= 1e-14
 
     def test_zero_field_augments_to_clock(self):
         model = augment_nonautonomous(
-            lambda x, t: np.zeros(2), lambda x, t: np.zeros((2, 3)), 2)
-        assert model.f(np.array([3.0, -1.0, 5.0])) == pytest.approx(
+            lambda x, t: np.zeros_like(x),
+            lambda x, t: np.zeros((len(t), 2, 3)), 2)
+        assert model.f_batch([[3.0, -1.0, 5.0]])[0] == pytest.approx(
             [0.0, 0.0, 1.0])
 
     def test_missing_curvature_is_caught(self):
         def g(x, t):
-            return np.array([math.sin(t) * x[0]])
+            return np.sin(t)[:, None] * x
 
         def jac(x, t):
-            return np.array([[math.sin(t), x[0] * math.cos(t)]])
+            return np.stack([np.sin(t), x[:, 0] * np.cos(t)],
+                            axis=-1)[:, None, :]
 
         model = augment_nonautonomous(g, jac, 1)  # hess omitted on purpose
         with pytest.raises(ValueError, match="d2f disagrees"):
@@ -348,8 +354,8 @@ class TestDescriptors:
         assert desc["mode"] == "floquet"
         assert desc["quality"]["lam_u"] is None
         fr2 = frame_from_descriptor(desc)
-        assert np.abs(fr2.proj(0.3)[1] - cycle_frame.proj(0.3)[1]
-                      ).max() <= 1e-9
+        assert np.abs(fr2.proj_batch([0.3])[1][0]
+                      - cycle_frame.proj_batch([0.3])[1][0]).max() <= 1e-9
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
@@ -440,7 +446,8 @@ def loop_fit(fr, sigma, bases, gaps):
         return None, 1.0
 
     def norm_at(t, g):
-        U = fr.prop_s(t + g, t) if sigma == "s" else fr.prop_u(t, t + g)
+        U = (fr.prop_s_batch([t + g], [t])[0] if sigma == "s"
+             else fr.prop_u_batch([t], [t + g])[0])
         return np.linalg.norm(U, 2)
 
     xs, ys = [], []
@@ -483,7 +490,7 @@ def loop_verify_frame(fr):
     completeness = idempotence = annihilation = center_align = 0.0
     projs = {}
     for rho in grid:
-        Pc, Ps, Pu = fr.proj(rho)
+        Pc, Ps, Pu = (P[0] for P in fr.proj_batch([rho]))
         projs[rho] = (Pc, Ps, Pu)
         completeness = max(completeness, np.abs(Pc + Ps + Pu - eye).max())
         for P in (Pc, Ps, Pu):
@@ -491,7 +498,7 @@ def loop_verify_frame(fr):
         for A, B in ((Pc, Ps), (Pc, Pu), (Ps, Pu), (Ps, Pc), (Pu, Pc),
                      (Pu, Ps)):
             annihilation = max(annihilation, np.abs(A @ B).max())
-        fvec = fr.orbit_deriv(rho)
+        fvec = fr.orbit_deriv_batch([rho])[0]
         fhat = fvec / np.linalg.norm(fvec)
         center_align = max(center_align, np.abs(
             (eye - np.outer(fhat, fhat)) @ Pc).max())
@@ -512,16 +519,18 @@ def loop_verify_frame(fr):
                 if (n_s if sigma == "s" else n_u) == 0:
                     continue
                 if sigma == "s":
-                    U1 = fr.prop_s(t + g, t)
-                    U2 = fr.prop_s(t + 2 * g, t + g)
-                    U12 = fr.prop_s(t + 2 * g, t)
-                    Pv, Pr, lam = fr.proj(t)[1], fr.proj(t + g)[1], q.lam_s
+                    U1 = fr.prop_s_batch([t + g], [t])[0]
+                    U2 = fr.prop_s_batch([t + 2 * g], [t + g])[0]
+                    U12 = fr.prop_s_batch([t + 2 * g], [t])[0]
+                    Pv, Pr, lam = (fr.proj_batch([t])[1][0],
+                                   fr.proj_batch([t + g])[1][0], q.lam_s)
                     chained = U2 @ U1
                 else:
-                    U1 = fr.prop_u(t, t + g)
-                    U2 = fr.prop_u(t + g, t + 2 * g)
-                    U12 = fr.prop_u(t, t + 2 * g)
-                    Pv, Pr, lam = fr.proj(t + 2 * g)[2], fr.proj(t)[2], q.lam_u
+                    U1 = fr.prop_u_batch([t], [t + g])[0]
+                    U2 = fr.prop_u_batch([t + g], [t + 2 * g])[0]
+                    U12 = fr.prop_u_batch([t], [t + 2 * g])[0]
+                    Pv, Pr, lam = (fr.proj_batch([t + 2 * g])[2][0],
+                                   fr.proj_batch([t])[2][0], q.lam_u)
                     chained = U1 @ U2
                 cocycle = max(cocycle, np.abs(chained - U12).max())
                 decay = math.exp(-lam * g) if math.isfinite(lam) else 0.0
@@ -529,9 +538,10 @@ def loop_verify_frame(fr):
                                  np.linalg.norm(U1, 2) - q.C_U * decay)
                 bundle_invariance = max(bundle_invariance, np.abs(
                     (eye - Pr) @ U1 @ Pv).max())
-        U = fr.prop_full(t + 1.3, t)
+        U = fr.prop_full_batch([t + 1.3], [t])[0]
         center_transport = max(center_transport, float(np.linalg.norm(
-            U @ fr.orbit_deriv(t) - fr.orbit_deriv(t + 1.3))))
+            U @ fr.orbit_deriv_batch([t])[0]
+            - fr.orbit_deriv_batch([t + 1.3])[0])))
     for rho in grid:
         for P in projs[rho]:
             proj_slack = max(proj_slack, np.linalg.norm(P, 2) - q.C_Pi)
@@ -553,7 +563,8 @@ def loop_verify_frame(fr):
         xs, ys = [], []
         for t in base:
             for g in np.linspace(0.5, 5.0, 8):
-                U = fr.prop_s(t + g, t) if sigma == "s" else fr.prop_u(t, t + g)
+                U = (fr.prop_s_batch([t + g], [t])[0] if sigma == "s"
+                     else fr.prop_u_batch([t], [t + g])[0])
                 nm = np.linalg.norm(U, 2)
                 if nm > 0:
                     xs.append(g)
@@ -661,10 +672,11 @@ class TestBatchedMatchesLoops:
         rhos = rng.uniform(-8.0, 8.0, size=25)
         vs = rng.uniform(-8.0, 8.0, size=25)
         for name in ("prop_s", "prop_u", "prop_full"):
-            batch = getattr(fr, name + "_batch")(rhos, vs)
-            scalar = getattr(fr, name)
+            prop = getattr(fr, name + "_batch")
+            batch = prop(rhos, vs)
             for k in range(rhos.size):
-                assert np.array_equal(batch[k], scalar(rhos[k], vs[k])), name
+                assert np.array_equal(batch[k],
+                                      prop([rhos[k]], [vs[k]])[0]), name
 
     def test_analytic_propagators_match_the_slot_formula(self):
         fr = frame_of("rotated-saddle", None)
@@ -673,7 +685,7 @@ class TestBatchedMatchesLoops:
                                 ("prop_u", (False, True, 0.0)),
                                 ("prop_full", (True, True, 1.0))):
                 want = scalar_prop_analytic(fr, rho, v, *flags)
-                got = getattr(fr, name)(rho, v)
+                got = getattr(fr, name + "_batch")([rho], [v])[0]
                 assert np.abs(got - want).max() <= 1e-15, name
 
 

@@ -83,12 +83,17 @@ def sine_delay_spec(a, omega, slot=1):
     # straight orbit y_0(t - 1) = t - 1 exactly, and the corrections
     # never touch slot 0, so the forcing is the same on every iterate
     def Q(t, y):
-        out = np.zeros(3)
-        out[slot] = a * math.sin(omega * y[0])
+        out = np.zeros_like(y)
+        out[:, slot] = a * np.sin(omega * y[:, 0])
         return out
 
     return state_dependent_delay(Q, lambda t, y: -1.0, h=1.0,
                                  lip_q=a * omega, lip_r=0.0, traj_c1=1.2)
+
+
+def constant_forcing(*vec):
+    """g(t, y) = vec on every row."""
+    return lambda t, y: np.tile(vec, (len(t), 1))
 
 
 def stable_response(rho, a, omega, eps):
@@ -106,12 +111,12 @@ def unstable_response(rho, a, omega, eps):
 def nonlinear_spec():
     # every slot forced, and the delay genuinely reads the state
     def Q(t, y):
-        return np.array([0.3 * math.sin(1.1 * y[0]),
-                         0.8 * math.sin(1.4 * y[0]),
-                         0.5 * math.cos(0.9 * y[0])])
+        return np.column_stack([0.3 * np.sin(1.1 * y[:, 0]),
+                                0.8 * np.sin(1.4 * y[:, 0]),
+                                0.5 * np.cos(0.9 * y[:, 0])])
 
     def r(t, y):
-        return -0.8 + 0.15 * math.sin(y[1])
+        return -0.8 + 0.15 * np.sin(y[:, 1])
 
     return state_dependent_delay(Q, r, h=1.0, r_bound=0.95,
                                  lip_q=0.8 * 1.4, lip_r=0.15, traj_c1=1.3)
@@ -397,7 +402,7 @@ class TestPerturbTerm:
         fr = lin_frame()
         cfg = base_cfg(eps=1e-2)
         st = initial_state(fr, cfg)
-        spec = ode_term(lambda t, y: np.zeros(3))
+        spec = ode_term(lambda t, y: np.zeros_like(y))
         out = varphi_at(fr, st, spec, 0.8, 1e-2)
         assert np.abs(out).max() == 0.0
 
@@ -407,9 +412,8 @@ class TestPerturbTerm:
         st = initial_state(fr, cfg)
         spec = nonlinear_spec()
         got = varphi_at(fr, st, spec, 0.7, 1e-2)
-        seg = HistorySegment.from_callable(
-            lambda u: fr.orbit(u), 0.7, spec.h,
-            dfn=lambda u: fr.orbit_deriv(u))
+        seg = HistorySegment(0.7, spec.h, fr.orbit_batch,
+                             fr.orbit_deriv_batch)
         want = spec(0.7, seg, 1e-2)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -441,7 +445,9 @@ class TestPerturbTerm:
         st = initial_state(fr, cfg)
 
         def g(t, x):
-            return np.array([0.0, math.nan if t > 1.0 else 0.0, 0.0])
+            out = np.zeros_like(x)
+            out[:, 1] = np.where(t > 1.0, math.nan, 0.0)
+            return out
 
         vs = np.array([0.0, 0.5, 1.5, 2.0])
         flow = _state_flow(st, 4.0)
@@ -469,7 +475,7 @@ class TestGammaCenter:
         fr = lin_frame()
         b1, eps = 0.7, 1e-2
         cfg = base_cfg(eps=eps)
-        spec = ode_term(lambda t, y: np.array([b1, 0.0, 0.0]))
+        spec = ode_term(constant_forcing(b1, 0.0, 0.0))
         X = gamma_c(fr, initial_state(fr, cfg), spec, cfg)
         vals = X.fast_value(X.xhat.nodes)
         assert vals == pytest.approx(np.full(vals.size, 1.0 + eps * b1),
@@ -727,8 +733,13 @@ class TestIterateFailureModes:
     def test_divergence_is_reported_after_five_bad_ratios(self):
         fr = lin_frame()
         cfg = base_cfg(eps=1.0, max_iters=12)
-        spec = ode_term(lambda t, y: np.array([0.0, 1.0 + 3.0 * y[1], 0.0]),
-                        lip_x=3.0)
+
+        def g(t, y):
+            out = np.zeros_like(y)
+            out[:, 1] = 1.0 + 3.0 * y[:, 1]
+            return out
+
+        spec = ode_term(g, lip_x=3.0)
         big = (1e9, 1e9, 1e9)
         with pytest.raises(DivergenceError, match="5 iterations"):
             iterate(fr, spec, cfg,
@@ -739,7 +750,7 @@ class TestIterateFailureModes:
     def test_ball_exit_names_the_component_and_level(self):
         fr = lin_frame()
         cfg = base_cfg(eps=1e-2)
-        spec = ode_term(lambda t, y: np.array([0.0, 1.0, 0.0]))
+        spec = ode_term(constant_forcing(0.0, 1.0, 0.0))
         tight = initial_state(fr, cfg, s_radii=(1e-6, 2.0, 10.0, 50.0))
         with pytest.raises(BallExitError) as err:
             iterate(fr, spec, cfg, initial=tight)
@@ -756,15 +767,16 @@ class TestIterateFailureModes:
 
 
 class TestAposteriori:
-    def _report(self, e_eta, eta=0.25):
-        return types.SimpleNamespace(
-            e_eta=e_eta, eta=eta, t_radii=(0.2, 1.0, 5.0),
-            s_radii=(0.5, 2.0, 10.0, 50.0), u_radii=(0.5, 2.0, 10.0, 50.0))
+    # radii of a state; the tests' cfg carries the weight eta = 0.25
+    STATE = types.SimpleNamespace(
+        t_ball=BallRadii((0.2, 1.0, 5.0)),
+        s_ball=BallRadii((0.5, 2.0, 10.0, 50.0)),
+        u_ball=BallRadii((0.5, 2.0, 10.0, 50.0)))
 
     def test_worked_example_level_zero(self):
         cfg = OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=0.0,
                              ell=1, interp_m=1.0)
-        rows = aposteriori_bounds(self._report(1e-4), cfg, (-2.0, 2.0), 0.5)
+        rows = aposteriori_bounds(1e-4, self.STATE, cfg, (-2.0, 2.0), 0.5)
         x0 = next(r for r in rows if r["component"] == "X" and r["j"] == 0)
         assert x0["exponent"] == 1.0
         assert x0["bound"] == pytest.approx(math.exp(0.5) * 2e-4, rel=1e-12)
@@ -774,7 +786,7 @@ class TestAposteriori:
     def test_exponent_table_for_ell_one(self):
         cfg = OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=0.0,
                              ell=1)
-        rows = aposteriori_bounds(self._report(1e-4), cfg, (-1.0, 1.0), 0.2)
+        rows = aposteriori_bounds(1e-4, self.STATE, cfg, (-1.0, 1.0), 0.2)
         table = {(r["component"], r["j"]): r["exponent"] for r in rows}
         assert table[("X", 0)] == 1.0
         assert table[("X", 1)] == pytest.approx(0.5)
@@ -785,24 +797,25 @@ class TestAposteriori:
 
     def test_zero_defect_gives_zero_bounds(self):
         cfg = OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=0.0)
-        for row in aposteriori_bounds(self._report(0.0), cfg, (-2.0, 2.0),
+        for row in aposteriori_bounds(0.0, self.STATE, cfg, (-2.0, 2.0),
                                       0.5):
             assert row["bound"] == 0.0
             assert row["semi_bound"] == 0.0
 
     def test_semi_line_bounds_only_for_small_amplified_defect(self):
         cfg = OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=0.0)
-        rows = aposteriori_bounds(self._report(10.0), cfg, (-2.0, 2.0), 0.5)
+        rows = aposteriori_bounds(10.0, self.STATE, cfg, (-2.0, 2.0), 0.5)
         assert all(r["semi_bound"] is None for r in rows)
 
     def test_kappa_at_or_above_one_rejected(self):
         cfg = OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=0.0)
         with pytest.raises(ValueError, match="below 1"):
-            aposteriori_bounds(self._report(1e-4), cfg, (-2.0, 2.0), 1.0)
+            aposteriori_bounds(1e-4, self.STATE, cfg, (-2.0, 2.0), 1.0)
 
     def test_bounds_sandwich_the_true_error_on_the_oracle(self):
         fr, spec, cfg, final, report = linear_run()
-        rows = aposteriori_bounds(report, cfg, (-2.0, 2.0), report.kappa_hat)
+        rows = aposteriori_bounds(report.e_eta, final, cfg, (-2.0, 2.0),
+                                  report.kappa_hat)
         # measure where the metric lives: at the nodes (between nodes the
         # representation adds its own interpolation term, budgeted by M)
         nodes = final.xs.nodes
@@ -924,7 +937,7 @@ class TestContraction:
         fr = lin_frame()
         cfg = base_cfg(eps=1e-3)
         spec = state_dependent_delay(
-            lambda t, y: np.array([0.0, 0.1 * math.sin(y[0]), 0.0]),
+            lambda t, y: 0.1 * np.sin(y[:, :1]) * [0.0, 1.0, 0.0],
             lambda t, y: -0.5, h=1.0, lip_q=0.2, lip_r=0.0, traj_c1=1.3)
         for seed in (3, 4):
             v, w = random_pair(fr, cfg, seed=seed)
@@ -959,7 +972,7 @@ class TestContraction:
         fr = lin_frame()
         cfg = base_cfg(eps=0.0)
         spec = state_dependent_delay(
-            lambda t, y: np.array([0.0, 0.1 * math.sin(y[0]), 0.0]),
+            lambda t, y: 0.1 * np.sin(y[:, :1]) * [0.0, 1.0, 0.0],
             lambda t, y: -0.5, h=1.0, lip_q=0.2, lip_r=0.0, traj_c1=1.3)
         for seed in (21, 22):
             v, w = random_pair(fr, cfg, seed=seed)

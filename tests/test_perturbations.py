@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hypershadow.funcspace import GridFunction
+from hypershadow.funcspace import GridFunction, pointwise
 from hypershadow.hyperbolic import OdeModel
 from hypershadow.perturbations import (
     HistorySegment,
@@ -24,7 +24,8 @@ from hypershadow.perturbations import (
 
 
 def seg_from_fn(fn, dfn, t=0.0, h=2.0):
-    return HistorySegment.from_callable(fn, t, h, dfn=dfn)
+    # fn and dfn take one time and return one state
+    return HistorySegment(t, h, pointwise(fn), pointwise(dfn))
 
 
 def orbit_segment(t, h=2.0):
@@ -35,10 +36,86 @@ def orbit_segment(t, h=2.0):
 
 def sine_traj(half_width=6.0, delta=0.01, amp=1.0, m=3):
     def fn(t):
-        return np.array([amp * math.sin(t), amp * math.cos(t), 0.0][:m])
+        return np.column_stack([amp * np.sin(t), amp * np.cos(t),
+                                0.0 * t])[:, :m]
 
     return GridFunction.sample(fn, half_width, delta, interp_order=5,
                                extension="constant-hold")
+
+
+def pointwise_kind(desc):
+    """A shipped kind rebuilt from its one-row formula through pointwise.
+
+    These are the formulas the descriptor kinds used before they were
+    vectorized, kept as the reference for the batched versions.
+    """
+    kind, p = desc["kind"], desc["parameters"]
+    n, axis = 3, int(p.get("axis", 1))
+
+    def ident(t, x):
+        return x
+
+    if kind == "zero":
+        return ode_term(pointwise(lambda t, x: np.zeros(n)))
+    if kind == "ode-sin-forcing":
+        def g(t, x):
+            out = np.zeros(n)
+            out[axis] = p["a"] * math.sin(
+                p["omega"] * (t - p.get("shift", 0.0)))
+            return out
+
+        return ode_term(pointwise(g))
+    if kind == "delayed-sin-forcing":
+        def Q(t, y):
+            out = np.zeros(n)
+            out[axis] = p["a"] * math.sin(p["omega"] * y[0])
+            return out
+
+        return state_dependent_delay(
+            pointwise(Q), pointwise(lambda t, y: -p["lag"]), p.get("h", 1.0))
+    if kind == "sdd-tanh":
+        return state_dependent_delay(pointwise(ident), pointwise(
+            lambda t, x: -(p["c0"] + p["c1"] * math.tanh(x[0]))), p["h"])
+    if kind == "neutral-linear":
+        return neutral_delay(pointwise(ident), pointwise(
+            lambda t, y: -(p["c0"] + p["c1"] * y[0])), p["h"])
+    if kind == "nested-abs":
+        h = p["h"]
+        return nested_delay(
+            pointwise(ident), pointwise(lambda t, x: max(-h, -abs(x[0]))),
+            pointwise(lambda x: p["inner_shift"]), h)
+    if kind == "small-delay":
+        from hypershadow.hyperbolic import builtin_model
+        model = builtin_model(p["model"], p["model_params"])
+        return small_delay_q(model, [pointwise(lambda t, seg: p["tau"])],
+                             p["h"], tau_bounds=[p["tau"]],
+                             eps_max=p["eps_max"])
+    raise KeyError(kind)
+
+
+class TestPointwise:
+    def test_rows_are_stacked_and_scalars_pass_through(self):
+        calls = []
+
+        def fn(t, y, c):
+            calls.append((t, c))
+            return y * t + c
+
+        ts = np.array([0.5, 2.0, -1.0])
+        ys = np.arange(6.0).reshape(3, 2)
+        out = pointwise(fn)(ts, ys, 10.0)
+        assert out.shape == (3, 2) and out.dtype == float
+        assert np.array_equal(out, ys * ts[:, None] + 10.0)
+        assert calls == [(0.5, 10.0), (2.0, 10.0), (-1.0, 10.0)]
+
+    def test_scalar_results_give_one_entry_per_row(self):
+        out = pointwise(lambda t, y: -abs(y[0]))(np.zeros(4),
+                                                 -np.ones((4, 3)))
+        assert out.shape == (4,) and np.all(out == -1.0)
+
+    def test_leading_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="one leading length"):
+            pointwise(lambda t, y: y)(np.zeros(3), np.zeros((2, 3)))
 
 
 class TestSegments:
@@ -125,14 +202,28 @@ class TestBatching:
         ts = np.linspace(-1.5, 2.0, 9)
         for desc in self.KINDS:
             spec = spec_from_descriptor(desc)
-            seg = HistorySegment.from_callable(self.wiggle, ts, 2.0,
-                                               dfn=self.dwiggle)
+            seg = seg_from_fn(self.wiggle, self.dwiggle, t=ts)
             batch = spec(ts, seg, 0.05)
             assert batch.shape == (ts.size, 3)
             for i, t in enumerate(ts):
-                one = HistorySegment.from_callable(self.wiggle, t, 2.0,
-                                                   dfn=self.dwiggle)
+                one = seg_from_fn(self.wiggle, self.dwiggle, t=t)
                 assert np.array_equal(batch[i], spec(t, one, 0.05)), desc
+
+    @pytest.mark.parametrize("desc", [d for d in KINDS
+                                      if d["kind"] != "multi-delay"],
+                             ids=lambda d: d["kind"])
+    def test_vectorized_kind_matches_its_pointwise_formula(self, desc):
+        ts = np.linspace(-1.5, 2.0, 9)
+        seg = seg_from_fn(self.wiggle, self.dwiggle, t=ts)
+        got = spec_from_descriptor(desc)(ts, seg, 0.05)
+        want = pointwise_kind(desc)(ts, seg, 0.05)
+        if desc["kind"] == "sdd-tanh":
+            # np.tanh and math.tanh may differ in the last place, which
+            # moves the lookup time by that much
+            assert np.abs(got - want).max() <= 2 * np.spacing(
+                np.abs(want).max())
+        else:
+            assert np.array_equal(got, want)
 
     def test_grid_tabulation_matches_pointwise_application(self):
         spec = spec_from_descriptor(self.KINDS[4])
@@ -144,7 +235,7 @@ class TestBatching:
 
 class TestOdeTerm:
     def test_zero(self):
-        spec = ode_term(lambda t, x: np.zeros(3))
+        spec = ode_term(lambda t, x: np.zeros_like(x))
         out = spec(0.7, orbit_segment(0.7), 0.1)
         assert np.all(out == 0.0)
 
@@ -154,7 +245,7 @@ class TestOdeTerm:
         assert out == pytest.approx([2.0, 0.0, 0.0])
 
     def test_time_forcing_ignores_state(self):
-        spec = ode_term(lambda t, x: np.array([0.0, math.sin(t), 0.0]))
+        spec = ode_term(lambda t, x: np.sin(t)[:, None] * [0.0, 1.0, 0.0])
         for t in (0.0, 1.3, -2.0):
             out = spec(t, orbit_segment(t), 0.5)
             assert out == pytest.approx([0.0, math.sin(t), 0.0])
@@ -171,7 +262,7 @@ class TestStateDependentDelay:
     def test_delay_irrelevant_on_constants(self):
         c = np.array([0.4, -1.0, 2.0])
         spec = state_dependent_delay(
-            lambda t, x: x, lambda t, x: -0.5 * (1.0 + math.tanh(x[0])),
+            lambda t, x: x, lambda t, x: -0.5 * (1.0 + np.tanh(x[:, 0])),
             h=1.0)
         seg = seg_from_fn(lambda u: c, lambda u: 0.0 * c, t=1.0, h=1.0)
         assert spec(1.0, seg, 0.0) == pytest.approx(c)
@@ -197,7 +288,8 @@ class TestNestedDelay:
 
     def test_constant_segments_short_circuit(self):
         c = np.array([2.0, 1.0])
-        spec = nested_delay(lambda t, x: x + t, lambda t, x: -abs(x[0]) / 4,
+        spec = nested_delay(lambda t, x: x + t[:, None],
+                            lambda t, x: -np.abs(x[:, 0]) / 4,
                             lambda x: -0.3, h=1.0)
         seg = seg_from_fn(lambda u: c, lambda u: 0 * c, t=0.5, h=1.0)
         assert spec(0.5, seg, 0.0) == pytest.approx(c + 0.5)
@@ -211,7 +303,7 @@ class TestNestedDelay:
             return a + s * b
 
         spec = nested_delay(lambda t, x: x,
-                            lambda t, x: max(-h, -abs(x[0])),
+                            lambda t, x: np.maximum(-h, -np.abs(x[:, 0])),
                             lambda x: -0.5, h=h)
         seg = seg_from_fn(theta, lambda s: b, t=0.0, h=h)
         inner = theta(-0.5)
@@ -232,7 +324,7 @@ class TestNeutralDelay:
         def r(t, y):
             return -0.4 - 0.2 * y[0]
 
-        spec = neutral_delay(lambda t, x: x, r, h=1.0)
+        spec = neutral_delay(lambda t, x: x, pointwise(r), h=1.0)
         seg = seg_from_fn(lambda s: s * v, lambda s: v, t=0.0, h=1.0)
         shift = r(0.0, v)
         assert spec(0.0, seg, 0.0) == pytest.approx(shift * v)
@@ -247,9 +339,9 @@ class TestNeutralDelay:
             return np.array([math.cos(t + s), -math.sin(t + s)])
 
         spec = neutral_delay(lambda u, x: x,
-                             lambda u, y: -0.5 - 0.1 * y[0], h=1.0)
-        seg = HistorySegment.from_callable(lambda u: theta(u - t), t, 1.0,
-                                           dfn=lambda u: dtheta(u - t))
+                             lambda u, y: -0.5 - 0.1 * y[:, 0], h=1.0)
+        seg = seg_from_fn(lambda u: theta(u - t), lambda u: dtheta(u - t),
+                          t=t, h=1.0)
         shift = -0.5 - 0.1 * math.cos(t)
         assert spec(t, seg, 0.0) == pytest.approx(
             theta(shift), abs=1e-10)
@@ -264,8 +356,10 @@ class TestNeutralDelay:
 class TestSmallDelay:
     def linear_model(self, A):
         A = np.asarray(A, dtype=float)
-        return OdeModel(A.shape[0], lambda x: A @ x, lambda x: A,
-                        lambda x: np.zeros((A.shape[0],) * 3), b=1.0)
+        n = A.shape[0]
+        return OdeModel(n, lambda x: x @ A.T,
+                        lambda x: np.broadcast_to(A, (len(x), n, n)),
+                        lambda x: np.zeros((len(x), n, n, n)), b=1.0)
 
     def test_zero_delay_gives_zero(self):
         model = self.linear_model(np.diag([1.0, 2.0]))
@@ -294,7 +388,7 @@ class TestSmallDelay:
         model = self.linear_model(A)
 
         def tau(t, seg):
-            return 1.0 + 0.1 * float(seg.eval(0.0)[0, 0]) ** 2
+            return 1.0 + 0.1 * seg.eval(0.0)[:, 0] ** 2
 
         spec = small_delay_q(model, [tau], h=0.5, tau_bounds=[1.2],
                              eps_max=0.2)
@@ -303,8 +397,8 @@ class TestSmallDelay:
                           h=0.5)
         for eps in (1e-2, 1e-3):
             tv = tau(0.0, seg)
-            quotient = (model.f(seg.eval(-eps * tv)[0])
-                        - model.f(seg.eval(0.0)[0])) / eps
+            quotient = (model.f_batch(seg.eval(-eps * tv))[0]
+                        - model.f_batch(seg.eval(0.0))[0]) / eps
             got = spec(0.0, seg, eps)
             assert np.abs(got - quotient).max() <= 1e-10
 
@@ -384,13 +478,13 @@ class TestMultiDelay:
 class TestApplyP:
     def test_zero_spec(self):
         traj = sine_traj()
-        spec = ode_term(lambda t, x: np.zeros(3))
+        spec = ode_term(lambda t, x: np.zeros_like(x))
         assert np.all(apply_P(spec, traj, 0.1, 0.5) == 0.0)
 
     def test_constant_delay_on_linear_trajectory(self):
         traj = GridFunction.sample(
-            lambda t: np.array([t, 0.0]), 6.0, 0.01, interp_order=5,
-            extension="linear")
+            lambda t: np.column_stack([t, 0.0 * t]), 6.0, 0.01,
+            interp_order=5, extension="linear")
         spec = multi_delay_advance([(-1.0, 1.0)])
         for t in (-2.0, 0.0, 3.0):
             out = apply_P(spec, traj, 0.0, t)
@@ -398,13 +492,13 @@ class TestApplyP:
 
     def test_sdd_matches_direct_formula(self):
         traj = GridFunction.sample(
-            lambda t: np.array([t, 0.0, 0.0]), 8.0, 0.01, interp_order=5,
-            extension="linear")
+            lambda t: np.column_stack([t, 0.0 * t, 0.0 * t]), 8.0, 0.01,
+            interp_order=5, extension="linear")
 
         def r(t, x):
             return -0.5 * (1.0 + math.tanh(x[0]))
 
-        spec = state_dependent_delay(lambda t, x: x, r, h=1.0)
+        spec = state_dependent_delay(lambda t, x: x, pointwise(r), h=1.0)
         for t in (-1.0, 0.4, 2.0):
             shift = r(t, np.array([t, 0.0, 0.0]))
             want = np.array([t + shift, 0.0, 0.0])
@@ -428,7 +522,7 @@ class TestLipschitzProbe:
                  (ss, HistorySegment.from_grid(traj, ss, h)))]
 
     def test_zero_spec_probes_zero(self):
-        spec = ode_term(lambda t, x: np.zeros(3))
+        spec = ode_term(lambda t, x: np.zeros_like(x))
         traj = sine_traj()
         rep = lipschitz_probe(spec, self.make_pairs(traj, [0.0, 0.5, 1.0],
                                                     spec.h))
@@ -497,7 +591,7 @@ class TestInvariants:
         vals[far] += 5.0 * np.sin(nodes[far])[:, None]
         traj2 = traj1.with_values(vals)
         spec = neutral_delay(lambda t, x: x,
-                             lambda t, y: -0.4 - 0.1 * y[0], h=1.0)
+                             lambda t, y: -0.4 - 0.1 * y[:, 0], h=1.0)
         a = apply_P(spec, traj1, 0.0, 0.0)
         b = apply_P(spec, traj2, 0.0, 0.0)
         assert np.abs(a - b).max() <= 1e-14
