@@ -239,26 +239,36 @@ def _complain(msg):
     print(f"hypershadow: {msg}", file=sys.stderr)
 
 
-def _run_one(scn, fr, spec, cfg, out, quiet):
-    """Iterate and write the run artifacts; returns (code, state, report)."""
+# operator failures -> exit code and message, first match wins; the
+# subject names what the scenario's declared bounds did not cover
+_FAILURES = (
+    (BallExitError, 3, "infeasible radii: {exc}"),
+    (DivergenceError, 2, "diverged: {exc}"),
+    (NumericalError, 4, "{exc.reason}: {exc}"),
+    (ValueError, 1,
+     "the scenario's declared bounds do not cover the {subject}: {exc}"),
+)
+_OPERATOR_FAILURES = tuple(kind for kind, _, _ in _FAILURES)
+
+
+def _fail(exc, subject, prefix=""):
+    """Print the one-line message of an operator failure; its exit code."""
+    code, text = next((code, text) for kind, code, text in _FAILURES
+                      if isinstance(exc, kind))
+    _complain(prefix + text.format(exc=exc, subject=subject))
+    return code
+
+
+def _run_one(scn, fr, spec, cfg, out, quiet, prefix=""):
+    """Iterate and write the run artifacts; returns (code, state, report).
+    A failure prints one line led by ``prefix`` and writes nothing."""
     try:
         state, report = iterate(fr, spec, cfg)
-    except BallExitError as exc:
-        _complain(f"infeasible radii: {exc}")
-        return 3, None, None
-    except DivergenceError as exc:
-        _complain(f"diverged: {exc}")
-        return 2, None, None
-    except NumericalError as exc:
-        _complain(f"{exc.reason}: {exc}")
-        return 4, None, None
-    except ValueError as exc:
-        _complain(f"the scenario's declared bounds do not cover the run: "
-                  f"{exc}")
-        return 1, None, None
+    except _OPERATOR_FAILURES as exc:
+        return _fail(exc, "run", prefix), None, None
     if not report.converged:
-        _complain(f"no convergence within {cfg.max_iters} iterations "
-                  f"(last distance {report.distances[-1]:.3e})")
+        _complain(prefix + f"no convergence within {cfg.max_iters} "
+                  f"iterations (last distance {report.distances[-1]:.3e})")
         return 2, None, None
     if report.kappa_hat < 1.0:
         rows = aposteriori_bounds(report.e_eta, state, cfg,
@@ -313,15 +323,15 @@ def cmd_sweep(scn, max_iters=None, quiet=False):
     except Exception as exc:
         _complain(str(exc))
         return 1
-    results = [_run_one(scn, fr, spec, replace(cfg, eps=eps),
-                        os.path.join(scn.out, f"eps_{eps:.6g}"), quiet=True)
-               for eps in eps_list]
-
     xhat_norms = []
     x_norms = []
-    for eps, (code, state, report) in zip(eps_list, results):
+    for eps in eps_list:
+        # the first failing member ends the sweep with its own code
+        code, state, report = _run_one(
+            scn, fr, spec, replace(cfg, eps=eps),
+            os.path.join(scn.out, f"eps_{eps:.6g}"), quiet=True,
+            prefix=f"sweep member eps={eps:g} failed: ")
         if code != 0:
-            _complain(f"sweep member eps={eps:g} failed with code {code}")
             return code
         core = report.core_half
         xhat_norms.append((state.xs + state.xu).restrict(core).norm_ck(0))
@@ -394,16 +404,8 @@ def cmd_verify(scn, state_dir, max_iters=None, quiet=False):
             # one more application measures the local contraction ratio
             _, d2 = gamma_step(fr, step1, spec, cfg)
             kappa = d2["d_eta"] / d1["d_eta"]
-    except BallExitError as exc:
-        _complain(f"infeasible radii: {exc}")
-        return 3
-    except NumericalError as exc:
-        _complain(f"{exc.reason}: {exc}")
-        return 4
-    except ValueError as exc:
-        _complain(f"the scenario's declared bounds do not cover the state: "
-                  f"{exc}")
-        return 1
+    except _OPERATOR_FAILURES as exc:
+        return _fail(exc, "state")
     if kappa >= 1.0:
         _complain(f"not certifiable: measured contraction ratio "
                   f"{kappa:.3f} >= 1")

@@ -651,7 +651,7 @@ def _segment_delay(seg, qi_now, block, eps, sign, tol=_DEFECT_TOL,
 
 def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
                                  mixing=1.0, lip_t=0.0, lip_x=None,
-                                 ell=3, mu=None):
+                                 ell=3):
     """Wrap the delayed pair forces into a functional on y = (q, dq).
 
     The returned spec evaluates the full first-order field: the velocity
@@ -749,6 +749,6 @@ def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
 
     params = {"N": N, "dim": d, "epsilon": eps0, "mixing": mixing,
               "force": getattr(force, "force_id", "custom")}
-    return PerturbationSpec(h=float(h), mu=mu, evaluate=evaluate,
+    return PerturbationSpec(h=float(h), evaluate=evaluate,
                             L1=float(lip_t), L2=float(lip_x), ell=int(ell),
                             kind="charge-system", params=params)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import BallRadii, GridFunction, GridSampler, WeightParam
+from .funcspace import BallRadii, GridFunction, GridSampler
 
 __all__ = [
     "NumericalError",
@@ -369,10 +369,9 @@ def flow_difference_eta(X, Y, weight):
 
     Returns (lhs, rhs) with lhs = ||phi_inv - psi_inv||_eta and
     rhs = ||X - Y||_eta / (eta (1 - t_0)^2), t_0 the larger of the two
-    ball radii. Raises if the bound fails beyond rounding.
+    ball radii and eta = weight.eta (a WeightParam). Raises if the bound
+    fails beyond rounding.
     """
-    if not isinstance(weight, WeightParam):
-        weight = WeightParam(float(weight))
     X.xhat._check_compatible(Y.xhat)
     eta = weight.eta
     t0 = max(X.t0, Y.t0)
@@ -394,11 +393,9 @@ def composite_difference_eta(X, Y, h, weight, rho_count=41, s_count=21):
 
     The bound is z ||X - Y||_eta with
     z = e^{t_1 h} (e^{eta (1 + t_0) h} - 1) / (eta (1 + t_0)),
-    where t_0, t_1 come from the larger of the two balls. Returns
-    (lhs, rhs, z).
+    where t_0, t_1 come from the larger of the two balls and
+    eta = weight.eta (a WeightParam). Returns (lhs, rhs, z).
     """
-    if not isinstance(weight, WeightParam):
-        weight = WeightParam(float(weight))
     X.xhat._check_compatible(Y.xhat)
     eta = weight.eta
     t0 = max(X.t0, Y.t0)

@@ -318,11 +318,19 @@ class GridFunction:
         steps = np.linalg.norm(np.diff(g.values, axis=0), axis=1)
         return float(steps.max() / self.delta)
 
-    def norm_razumikhin(self, weight):
-        """sup over nodes of |g(rho)| exp(-eta |rho|)."""
-        eta = weight.eta if isinstance(weight, WeightParam) else float(weight)
-        mags = np.linalg.norm(self.values, axis=1)
-        return float((mags * np.exp(-eta * np.abs(self.nodes))).max())
+    def norm_razumikhin(self, weight, core_half=None):
+        """sup over nodes of |g(rho)| exp(-eta |rho|), eta = weight.eta.
+
+        With ``core_half`` only the nodes with |rho| <= core_half count.
+        They are picked from this grid's own nodes, not by ``restrict``,
+        whose recomputed nodes can differ in the last ulp.
+        """
+        nodes, vals = self.nodes, self.values
+        if core_half is not None:
+            keep = np.abs(nodes) <= core_half + 1e-12
+            nodes, vals = nodes[keep], vals[keep]
+        mags = np.linalg.norm(vals, axis=1)
+        return float((mags * np.exp(-weight.eta * np.abs(nodes))).max())
 
     # -- arithmetic -------------------------------------------------------
 

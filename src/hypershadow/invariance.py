@@ -131,8 +131,8 @@ def resolve_geometry(cfg, fr, h, t0):
 
     Raises when the weight rate reaches the hyperbolicity rates, when
     the truncation rule cannot meet tol_eta, or when the margins leave
-    no core. ``h`` is the history radius of the perturbation (0 for
-    none) and ``t0`` the declared time-change radius.
+    no core. ``h`` is the history radius of the perturbation and ``t0``
+    the declared time-change radius.
     """
     q = fr.quality
     lam_min = q.lam_min
@@ -217,8 +217,8 @@ class CorrectionState:
 
 
 def distance_components(a, b, eta, core_half=None):
-    """The five eta-norm pieces of the contraction metric, as a dict."""
-    eta = eta.eta if isinstance(eta, WeightParam) else float(eta)
+    """The five eta-norm pieces of the contraction metric, as a dict;
+    ``eta`` is the WeightParam of the norm."""
     pieces = {
         "E_c": b.X.xhat - a.X.xhat,
         "E_s": b.xs - a.xs,
@@ -226,18 +226,7 @@ def distance_components(a, b, eta, core_half=None):
     }
     pieces["DE_s"] = pieces["E_s"].derivative(1)
     pieces["DE_u"] = pieces["E_u"].derivative(1)
-    return {k: _eta_norm(g, eta, core_half) for k, g in pieces.items()}
-
-
-def _eta_norm(g, eta, core_half=None):
-    nodes = g.nodes
-    vals = g.values
-    if core_half is not None:
-        keep = np.abs(nodes) <= core_half + 1e-12
-        nodes = nodes[keep]
-        vals = vals[keep]
-    mags = np.linalg.norm(vals, axis=1)
-    return float((mags * np.exp(-eta * np.abs(nodes))).max())
+    return {k: g.norm_razumikhin(eta, core_half) for k, g in pieces.items()}
 
 
 def initial_state(fr, cfg, t_radii=None, s_radii=None, u_radii=None):
@@ -321,11 +310,12 @@ def _quadratic_batch(fr, state, vs, at=None):
     return (1.0 - Xv)[:, None] * lin + taylor_remainder(fr, xh, vs)
 
 
-def _state_flow(state, half_width, lattices=None):
+def _state_flow(state, half_width, run=None):
     """Flow of the state's time change on the inflated window.
 
     An exactly-identity field short-circuits to the linear flow; the
-    general path integrates the field, reading it through ``lattices``.
+    general path integrates the field, reading it through the run's
+    samplers when ``run`` is given.
     """
     if state.X.sup_deviation() == 0.0:
         delta = state.X.xhat.delta
@@ -336,7 +326,7 @@ def _state_flow(state, half_width, lattices=None):
         inv = GridFunction(R, delta, vals.copy(), interp_order=7,
                            extension="linear")
         return Flow(phi, inv, state.X)
-    return solve_flow(state.X, half_width, lattices=lattices)
+    return solve_flow(state.X, half_width, lattices=run)
 
 
 def _trajectory(fr, state, phi=None):
@@ -402,12 +392,18 @@ def _gauss_panels(lo, hi, step, order):
     return pts.ravel(), wts.ravel().copy()
 
 
-class _Lattices:
-    """The fixed lattices every step of a run reads, and their samplers:
-    ``sampler(name, points, g)`` builds the sampler of lattice ``name`` on
-    g's geometry once per run; a name always denotes the same points."""
+class _Run:
+    """What every operator step of one run shares.
 
-    def __init__(self, geo, cfg):
+    ``geo`` is the window layout, ``gauss`` the (points, weights) of the
+    bundle quadrature and ``half_cells`` the lattice the perturbation
+    term is tabulated on. ``sampler(name, points, g)`` builds the
+    sampler of lattice ``name`` on g's geometry once per run; a name
+    always denotes the same points.
+    """
+
+    def __init__(self, fr, spec, cfg, t0):
+        self.geo = geo = resolve_geometry(cfg, fr, spec.h, t0)
         self.gauss = _gauss_panels(geo.lo, geo.hi, geo.quad, cfg.gauss_order)
         K = int(round(geo.hi / geo.quad))
         self.half_cells = -geo.hi + np.arange(2 * K + 1) * geo.quad
@@ -420,140 +416,94 @@ class _Lattices:
         return self._samplers[key]
 
 
-class _StepWorkspace:
-    """Everything one operator application needs, computed once."""
+def _step_load(fr, state, spec, cfg, run):
+    """The load g = B + eps varphi of one step, as ``load(name, vs)``
+    returning (g, X) at the times vs of run lattice ``name``.
 
-    def __init__(self, fr, state, spec, cfg, geo=None, lattices=None):
-        h = spec.h if spec is not None else 0.0
-        t0 = state.X.t0
-        self.geo = geo or resolve_geometry(cfg, fr, h, t0)
-        self.lat = lattices or _Lattices(self.geo, cfg)
-        self.fr = fr
-        self.state = state
-        self.spec = spec
-        self.cfg = cfg
-        self.flow = _state_flow(state, self.geo.flow_half, self.lat)
-        self.nodes = state.xs.nodes
-        self._quad = None
-        self._vphi = None
-
-    def _vphi_grid(self):
-        """Perturbation term tabulated once on the half-cell lattice.
-
-        Gauss points read it by interpolation; state nodes fall on the
-        lattice so they read the tabulated values exactly.
-        """
-        if self._vphi is None:
-            lat = self.lat.half_cells
-            inv_at = None if self.state.X.sup_deviation() == 0.0 else \
-                self.lat.sampler("half cells", lat, self.flow.phi_inv)
-            vals = _varphi_batch(self.fr, self.state, self.spec,
-                                 self.flow, lat, self.cfg.eps, inv_at)
-            self._vphi = GridFunction(self.geo.hi, self.geo.quad, vals,
-                                      interp_order=7,
-                                      extension="constant-hold")
-        return self._vphi
-
-    def integrand(self, name, vs):
-        """(g, X) on lattice ``name`` at the times vs."""
-        at = self.lat.sampler(name, vs, self.state.xs)
-        g = _quadratic_batch(self.fr, self.state, vs, at)
-        if self.cfg.eps != 0.0 and self.spec is not None:
-            vphi = self._vphi_grid()
-            g = g + self.cfg.eps * self.lat.sampler(name, vs, vphi).apply(vphi)
-        return g, 1.0 + at.apply(self.state.X.xhat)[:, 0]
-
-    @property
-    def quad(self):
-        if self._quad is None:
-            vs, ws = self.lat.gauss
-            g, Xv = self.integrand("gauss", vs)
-            scaled = g / Xv[:, None]
-            Pc, Ps, Pu = self.fr.proj_batch(vs)
-            ws_s = np.einsum("kij,kj->ki", Ps, scaled)
-            ws_u = np.einsum("kij,kj->ki", Pu, scaled)
-            sup_s = float(np.linalg.norm(ws_s, axis=1).max())
-            sup_u = float(np.linalg.norm(ws_u, axis=1).max())
-            self._quad = (vs, ws, ws_s * ws[:, None], ws_u * ws[:, None],
-                          sup_s, sup_u)
-        return self._quad
-
-    def tail_budget(self):
-        q = self.fr.quality
-        _, _, _, _, sup_s, sup_u = self.quad
-        tail_s = q.C_U * sup_s * math.exp(-q.lam_s * self.geo.t_int) / q.lam_s
-        tail_u = 0.0
-        if np.isfinite(q.lam_u):
-            tail_u = (q.C_U * sup_u
-                      * math.exp(-q.lam_u * self.geo.t_int) / q.lam_u)
-        return tail_s, tail_u
-
-
-def gamma_c(fr, state, spec, cfg, _ws=None):
-    """Center update: a new scalar field on the state's grid.
-
-    Raises BallExitError at level 0 of the t ball when sup|X - 1| would
-    reach 1 anywhere on the window.
+    The flow of the state's time change is solved here, and varphi
+    tabulated once on the half-cell lattice: Gauss points read it by
+    interpolation, and state nodes fall on the lattice, so they read
+    the tabulated values exactly.
     """
-    ws = _ws or _StepWorkspace(fr, state, spec, cfg)
-    nodes = ws.nodes
-    f0 = fr.orbit_deriv_batch(nodes)
-    speed = np.linalg.norm(f0, axis=1)
-    if float(speed.min()) < fr.model.b - 1e-12:
-        raise ValueError("orbit speed falls below the frame's floor b")
-    g, _ = ws.integrand("nodes", nodes)
-    num = np.einsum("ki,ki->k", fr.proj_apply("c", nodes, g), f0)
-    den = np.einsum("ki,ki->k", f0, f0)
-    vals = num / den
-    sup = float(np.abs(vals).max())
-    if sup >= 1.0:
-        raise BallExitError("t", 0, sup, 1.0)
-    return ScalarField(state.X.xhat.with_values(vals, extension="zero"),
-                       state.X.ball)
+    flow = _state_flow(state, run.geo.flow_half, run)
+    vphi = None
+    if cfg.eps != 0.0:
+        lat = run.half_cells
+        inv_at = None if state.X.sup_deviation() == 0.0 else \
+            run.sampler("half cells", lat, flow.phi_inv)
+        vphi = GridFunction(
+            run.geo.hi, run.geo.quad,
+            _varphi_batch(fr, state, spec, flow, lat, cfg.eps, inv_at),
+            interp_order=7, extension="constant-hold")
+
+    def load(name, vs):
+        at = run.sampler(name, vs, state.xs)
+        g = _quadratic_batch(fr, state, vs, at)
+        if vphi is not None:
+            g = g + cfg.eps * run.sampler(name, vs, vphi).apply(vphi)
+        return g, 1.0 + at.apply(state.X.xhat)[:, 0]
+
+    return load
 
 
-def _gamma_sigma(fr, state, spec, cfg, sigma, _ws=None):
-    ws = _ws or _StepWorkspace(fr, state, spec, cfg)
-    vs, _, w_s, w_u, _, _ = ws.quad
-    nodes = ws.nodes
-    if sigma == "s":
-        vals = fr.convolve_stable(nodes, vs, w_s)
-    else:
-        vals = -fr.convolve_unstable(nodes, vs, w_u)
-    # quadrature drift off the bundle is removed here, keeping the
-    # range constraint machine-true
-    vals = fr.proj_apply(sigma, nodes, vals)
-    return state.xs.with_values(vals, extension="zero")
-
-
-def gamma_s(fr, state, spec, cfg, _ws=None):
-    """Stable update: decaying-kernel integral of the projected load."""
-    return _gamma_sigma(fr, state, spec, cfg, "s", _ws=_ws)
-
-
-def gamma_u(fr, state, spec, cfg, _ws=None):
-    """Unstable update, mirrored kernel over v >= rho."""
-    return _gamma_sigma(fr, state, spec, cfg, "u", _ws=_ws)
-
-
-def gamma_step(fr, state, spec, cfg, _geo=None, _lattices=None):
+def gamma_step(fr, state, spec, cfg, _run=None):
     """One application of the operator plus its defect measurements.
 
     Returns (new_state, defects) where defects holds the five weighted
     metric components on the core window, their sum ``d_eta``, and the
-    truncation tails.
+    truncation tails. Raises BallExitError at level 0 of the t ball when
+    the center update would make sup|X - 1| reach 1 anywhere on the
+    window. ``_run`` carries what the steps of one run share; a lone
+    step builds its own.
     """
-    ws = _StepWorkspace(fr, state, spec, cfg, geo=_geo, lattices=_lattices)
-    new_X = gamma_c(fr, state, spec, cfg, _ws=ws)
-    new_xs = gamma_s(fr, state, spec, cfg, _ws=ws)
-    new_xu = gamma_u(fr, state, spec, cfg, _ws=ws)
-    new_state = CorrectionState(X=new_X, xs=new_xs, xu=new_xu,
-                                s_ball=state.s_ball, u_ball=state.u_ball)
-    comps = distance_components(state, new_state, cfg.eta, ws.geo.core_half)
-    tail_s, tail_u = ws.tail_budget()
+    run = _run or _Run(fr, spec, cfg, state.X.t0)
+    geo = run.geo
+    nodes = state.xs.nodes
+    f0 = fr.orbit_deriv_batch(nodes)
+    if float(np.linalg.norm(f0, axis=1).min()) < fr.model.b - 1e-12:
+        raise ValueError("orbit speed falls below the frame's floor b")
+    load = _step_load(fr, state, spec, cfg, run)
+
+    # center: X <- 1 + <Pi_c g, f(x0)> / |f(x0)|^2 at the nodes
+    g, _ = load("nodes", nodes)
+    num = np.einsum("ki,ki->k", fr.proj_apply("c", nodes, g), f0)
+    vals = num / np.einsum("ki,ki->k", f0, f0)
+    sup = float(np.abs(vals).max())
+    if sup >= 1.0:
+        raise BallExitError("t", 0, sup, 1.0)
+    new_X = ScalarField(state.X.xhat.with_values(vals, extension="zero"),
+                        state.X.ball)
+
+    # bundles: kernel integrals of the projected load (1/X) g over the
+    # Gauss panels; the final projection removes the quadrature drift
+    # off the bundle, keeping the range constraint machine-true
+    vs, ws = run.gauss
+    g, Xv = load("gauss", vs)
+    scaled = g / Xv[:, None]
+    _, Ps, Pu = fr.proj_batch(vs)
+    load_s = np.einsum("kij,kj->ki", Ps, scaled)
+    load_u = np.einsum("kij,kj->ki", Pu, scaled)
+    xs = fr.convolve_stable(nodes, vs, load_s * ws[:, None])
+    xu = -fr.convolve_unstable(nodes, vs, load_u * ws[:, None])
+    new_state = CorrectionState(
+        X=new_X,
+        xs=state.xs.with_values(fr.proj_apply("s", nodes, xs),
+                                extension="zero"),
+        xu=state.xs.with_values(fr.proj_apply("u", nodes, xu),
+                                extension="zero"),
+        s_ball=state.s_ball, u_ball=state.u_ball)
+
+    # defects on the core, tails from the sup of each projected load
+    comps = distance_components(state, new_state, cfg.eta, geo.core_half)
+    q = fr.quality
+    sup_s = float(np.linalg.norm(load_s, axis=1).max())
+    sup_u = float(np.linalg.norm(load_u, axis=1).max())
     defects = dict(comps)
-    defects["tail_s"] = tail_s
-    defects["tail_u"] = tail_u
+    defects["tail_s"] = q.C_U * sup_s * math.exp(-q.lam_s * geo.t_int) / q.lam_s
+    defects["tail_u"] = 0.0
+    if np.isfinite(q.lam_u):
+        defects["tail_u"] = (q.C_U * sup_u
+                             * math.exp(-q.lam_u * geo.t_int) / q.lam_u)
     defects["d_eta"] = sum(comps.values())
     return new_state, defects
 
@@ -646,7 +596,7 @@ def _ball_snapshot(state, core_half):
     return out
 
 
-def _guarded_step(fr, state, spec, cfg, geo, lattices, it):
+def _guarded_step(fr, state, spec, cfg, run, it):
     """gamma_step that names the iteration when the flow fails a guard.
 
     The ball check looks only at the core window, so a time change can
@@ -654,7 +604,7 @@ def _guarded_step(fr, state, spec, cfg, geo, lattices, it):
     compares sup|X - 1| over the whole window with t_0.
     """
     try:
-        return gamma_step(fr, state, spec, cfg, _geo=geo, _lattices=lattices)
+        return gamma_step(fr, state, spec, cfg, run)
     except FlowGuardError as exc:
         raise FlowGuardError(
             f"iteration {it}: {exc}; sup|X - 1| = "
@@ -676,9 +626,7 @@ def iterate(fr, spec, cfg, initial=None):
     genuinely belongs to it.
     """
     state = initial if initial is not None else initial_state(fr, cfg)
-    h = spec.h if spec is not None else 0.0
-    geo = resolve_geometry(cfg, fr, h, state.X.t0)
-    lattices = _Lattices(geo, cfg)
+    run = _Run(fr, spec, cfg, state.X.t0)
     distances = []
     ratios = []
     history = []
@@ -686,8 +634,7 @@ def iterate(fr, spec, cfg, initial=None):
     bad_streak = 0
     converged = False
     for it in range(1, cfg.max_iters + 1):
-        new_state, defects = _guarded_step(fr, state, spec, cfg, geo,
-                                           lattices, it)
+        new_state, defects = _guarded_step(fr, state, spec, cfg, run, it)
         d = defects["d_eta"]
         distances.append(d)
         kappa_running = 0.0
@@ -705,7 +652,7 @@ def iterate(fr, spec, cfg, initial=None):
                 bad_streak = 0
         history.append((it, d, kappa_running,
                         defects["E_c"], defects["E_s"], defects["E_u"]))
-        snapshot = _ball_snapshot(new_state, geo.core_half)
+        snapshot = _ball_snapshot(new_state, run.geo.core_half)
         ball_history.append(
             {k: {"ok": bool(rep), "measured": list(rep.measured),
                  "limits": list(rep.limits)} for k, rep in snapshot.items()})
@@ -719,7 +666,7 @@ def iterate(fr, spec, cfg, initial=None):
             converged = True
             break
     # defect of the state actually returned
-    _, final_defects = _guarded_step(fr, state, spec, cfg, geo, lattices,
+    _, final_defects = _guarded_step(fr, state, spec, cfg, run,
                                      len(distances) + 1)
     e_eta = (final_defects["d_eta"] + final_defects["tail_s"]
              + final_defects["tail_u"])
@@ -736,7 +683,7 @@ def iterate(fr, spec, cfg, initial=None):
         tail_u=final_defects["tail_u"],
         eta=cfg.eta.eta,
         eps=cfg.eps,
-        core_half=geo.core_half,
+        core_half=run.geo.core_half,
         history=tuple(history),
         ball_history=tuple(ball_history),
         t_radii=state.t_ball.c,
@@ -753,12 +700,10 @@ def derivative_identity_defect(fr, state, spec, cfg):
     numerical derivative must match the right-hand side built from the
     same integrand; the returned sup is the larger of the two bundles.
     """
-    h = spec.h if spec is not None else 0.0
-    geo = resolve_geometry(cfg, fr, h, state.X.t0)
-    ws = _StepWorkspace(fr, state, spec, cfg, geo=geo)
-    nodes = ws.nodes
-    core = np.abs(nodes) <= geo.core_half + 1e-12
-    g, Xv = ws.integrand("nodes", nodes)
+    run = _Run(fr, spec, cfg, state.X.t0)
+    nodes = state.xs.nodes
+    core = np.abs(nodes) <= run.geo.core_half + 1e-12
+    g, Xv = _step_load(fr, state, spec, cfg, run)("nodes", nodes)
     scaled = g / Xv[:, None]
     Df0 = fr.df_along_orbit(nodes)
     worst = 0.0
@@ -788,8 +733,7 @@ def residual_fde(fr, state, spec, eps, probe):
     steps = np.diff(probe)
     if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-9):
         raise ValueError("probe grid must be uniform")
-    h = spec.h if spec is not None else 0.0
-    t_max = max(abs(probe[0]), abs(probe[-1])) + h + 1.0
+    t_max = max(abs(probe[0]), abs(probe[-1])) + spec.h + 1.0
     traj, dtraj = _trajectory(fr, state, _state_flow(state, t_max).phi)
     # only the spacing matters for the difference stencils, so an
     # off-center probe may be differentiated on a centered proxy grid
@@ -800,7 +744,7 @@ def residual_fde(fr, state, spec, eps, probe):
     dx = xg.derivative(1).values
     fx = fr.model.f_batch(samples)
     res = dx - fx
-    if eps != 0.0 and spec is not None:
+    if eps != 0.0:
         seg = HistorySegment(probe, spec.h, traj, dtraj)
         res -= eps * spec(probe, seg, eps)
     return float(np.linalg.norm(res, axis=1).max())
@@ -889,11 +833,25 @@ def orbit_field_norms(fr, half_width, samples=201):
 
 def _varphi_sup_estimate(fr, spec, cfg, samples=33):
     """sup of |p| along the unperturbed orbit, on the core-ish window."""
-    if spec is None:
-        return 0.0
     ts = np.linspace(-cfg.window / 2.0, cfg.window / 2.0, samples)
     seg = HistorySegment(ts, spec.h, fr.orbit_batch, fr.orbit_deriv_batch)
     return float(np.linalg.norm(spec(ts, seg, cfg.eps), axis=1).max())
+
+
+def _quadratic_sup(f_c1, f_c2, t0, s0, u0):
+    """Zero-order sup of the quadratic term B over the declared balls."""
+    return t0 * f_c1 * (s0 + u0) + 0.5 * f_c2 * (s0 + u0) ** 2
+
+
+def _center_gain(fr, f_c0):
+    """C_Pi sup|f| / b^2: the center update's gain on its load."""
+    return fr.quality.C_Pi * f_c0 / fr.model.b ** 2
+
+
+def _b_difference_constants(f_c1, f_c2, lip_d2f, t0, s0, u0):
+    """(c_B, d_B): |B[v] - B[w]| <= c_B |xhat_v - xhat_w| + d_B |X_v - X_w|."""
+    return (f_c1 * t0 + (s0 + u0) * (lip_d2f * (s0 + u0) + f_c2),
+            f_c1 * (s0 + u0))
 
 
 @dataclass(frozen=True)
@@ -945,9 +903,8 @@ def propagated_bounds_report(fr, spec, cfg, radii, f_norms=None,
     if varphi_sup is None:
         varphi_sup = _varphi_sup_estimate(fr, spec, cfg)
     q = fr.quality
-    bracket = t0 * f_c1 * (s0 + u0) + 0.5 * f_c2 * (s0 + u0) ** 2
-    b_fl = fr.model.b
-    pre_c = q.C_Pi * f_c0 / b_fl ** 2
+    bracket = _quadratic_sup(f_c1, f_c2, t0, s0, u0)
+    pre_c = _center_gain(fr, f_c0)
     pre_s = q.C_Pi * q.C_U / (q.lam_s * (1.0 - t0))
     pre_u = 0.0
     if np.isfinite(q.lam_u):
@@ -995,9 +952,7 @@ def contraction_constants(fr, spec, cfg, t_ball, s_ball, u_ball,
     """
     eta = cfg.eta.eta
     eps = cfg.eps
-    h = spec.h if spec is not None else 0.0
-    L1 = spec.L1 if spec is not None else 0.0
-    L2 = spec.L2 if spec is not None else 0.0
+    h, L1, L2 = spec.h, spec.L1, spec.L2
     if f_norms is None:
         f_norms = orbit_field_norms(fr, cfg.window)
     f_c0, f_c1, f_c2 = (float(x) for x in f_norms)
@@ -1010,12 +965,11 @@ def contraction_constants(fr, spec, cfg, t_ball, s_ball, u_ball,
     u2 = u_ball.c[2] if len(u_ball.c) > 3 else u_ball.c[-1]
     q = fr.quality
 
-    c_B = f_c1 * t0 + (s0 + u0) * (lip_d2f * (s0 + u0) + f_c2)
-    d_B = f_c1 * (s0 + u0)
+    c_B, d_B = _b_difference_constants(f_c1, f_c2, lip_d2f, t0, s0, u0)
 
     qq = 1.0 + t0
     ewh = math.exp(eta * qq * h)
-    z = math.exp(t1 * h) * (ewh - 1.0) / (eta * qq) if h > 0.0 else 0.0
+    z = math.exp(t1 * h) * (ewh - 1.0) / (eta * qq)
     orbit_c1 = f_c0
     lip_orbit_deriv = f_c1 * f_c0
     c_phi = L2 * ewh
@@ -1031,11 +985,10 @@ def contraction_constants(fr, spec, cfg, t_ball, s_ball, u_ball,
     a_x = c_B + eps * c_phi
     a_dx = eps * e_phi
     # sup of the bundle integrand, entering through the 1/X difference
-    g_sup = t0 * f_c1 * (s0 + u0) + 0.5 * f_c2 * (s0 + u0) ** 2 \
-        + eps * float(varphi_sup)
+    g_sup = _quadratic_sup(f_c1, f_c2, t0, s0, u0) + eps * float(varphi_sup)
     a_X_sig = a_X + g_sup / (1.0 - t0)
 
-    pre_c = q.C_Pi * f_c0 / fr.model.b ** 2
+    pre_c = _center_gain(fr, f_c0)
     pre_sig = []
     for lam in (q.lam_s, q.lam_u):
         if np.isfinite(lam):
@@ -1079,12 +1032,12 @@ def contraction_probe(fr, spec, cfg, state_v, state_w):
     predicted kappa assembled from the difference-bound constants of
     the common ball.
     """
-    h = spec.h if spec is not None else 0.0
-    geo = resolve_geometry(cfg, fr, h, state_v.X.t0)
-    new_v, _ = gamma_step(fr, state_v, spec, cfg, _geo=geo)
-    new_w, _ = gamma_step(fr, state_w, spec, cfg, _geo=geo)
-    d_in = state_v.distance(state_w, cfg.eta, geo.core_half)
-    d_out = new_v.distance(new_w, cfg.eta, geo.core_half)
+    run = _Run(fr, spec, cfg, state_v.X.t0)
+    new_v, _ = gamma_step(fr, state_v, spec, cfg, run)
+    new_w, _ = gamma_step(fr, state_w, spec, cfg, run)
+    core_half = run.geo.core_half
+    d_in = state_v.distance(state_w, cfg.eta, core_half)
+    d_out = new_v.distance(new_w, cfg.eta, core_half)
     consts = contraction_constants(fr, spec, cfg, state_v.t_ball,
                                    state_v.s_ball, state_v.u_ball)
     measured = 0.0 if d_in == 0.0 else d_out / d_in
@@ -1100,9 +1053,9 @@ def b_difference_probe(fr, state_v, state_w, eta, f_norms=None,
 
     Returns (lhs, rhs): the weighted sup of B[v] - B[w] over the nodes
     and c_B |xhat_v - xhat_w|_eta + d_B |X_v - X_w|_eta. The bound uses
-    the states' own ball radii, which must agree.
+    the states' own ball radii, which must agree; ``eta`` is the
+    WeightParam of the norm.
     """
-    eta = eta.eta if isinstance(eta, WeightParam) else float(eta)
     if state_v.t_ball.c != state_w.t_ball.c:
         raise ValueError("probe states must share the declared balls")
     nodes = state_v.xs.nodes
@@ -1110,18 +1063,16 @@ def b_difference_probe(fr, state_v, state_w, eta, f_norms=None,
     Bw = _quadratic_batch(fr, state_w, nodes)
     diff = GridFunction(state_v.xs.half_width, state_v.xs.delta, Bv - Bw,
                         extension="zero")
-    lhs = _eta_norm(diff, eta, core_half)
+    lhs = diff.norm_razumikhin(eta, core_half)
     if f_norms is None:
         f_norms = orbit_field_norms(fr, state_v.xs.half_width)
     _, f_c1, f_c2 = (float(x) for x in f_norms)
-    t0 = state_v.t_ball.c[0]
-    s0 = state_v.s_ball.c[0]
-    u0 = state_v.u_ball.c[0]
-    c_B = f_c1 * t0 + (s0 + u0) * (lip_d2f * (s0 + u0) + f_c2)
-    d_B = f_c1 * (s0 + u0)
-    dx = _eta_norm(state_v.xs - state_w.xs + (state_v.xu - state_w.xu),
-                   eta, core_half)
-    dX = _eta_norm(state_v.X.xhat - state_w.X.xhat, eta, core_half)
+    c_B, d_B = _b_difference_constants(
+        f_c1, f_c2, lip_d2f, state_v.t_ball.c[0], state_v.s_ball.c[0],
+        state_v.u_ball.c[0])
+    dx = (state_v.xs - state_w.xs + (state_v.xu - state_w.xu)) \
+        .norm_razumikhin(eta, core_half)
+    dX = (state_v.X.xhat - state_w.X.xhat).norm_razumikhin(eta, core_half)
     return lhs, c_B * dx + d_B * dX
 
 
@@ -1131,10 +1082,10 @@ def varphi_difference_probe(fr, spec, state_v, state_w, eta,
 
     lhs is the weighted sup over core nodes of varphi[v] - varphi[w]
     (each with its own flow); rhs assembles c_phi, d_phi, e_phi from
-    the declared balls and the spec's Lipschitz constants. ``eps`` is
-    only forwarded to the spec, whose value may depend on it.
+    the declared balls and the spec's Lipschitz constants. ``eta`` is
+    the WeightParam of the norm; ``eps`` is only forwarded to the spec,
+    whose value may depend on it.
     """
-    eta_v = eta.eta if isinstance(eta, WeightParam) else float(eta)
     T = state_v.xs.half_width
     if core_half is None:
         core_half = T - (1.0 + state_v.t_ball.c[0]) * spec.h - 1.0
@@ -1146,17 +1097,17 @@ def varphi_difference_probe(fr, spec, state_v, state_w, eta,
         flow = _state_flow(st, reach)
         vals.append(_varphi_batch(fr, st, spec, flow, nodes[keep], eps))
     mags = np.linalg.norm(vals[0] - vals[1], axis=1)
-    lhs = float((mags * np.exp(-eta_v * np.abs(nodes[keep]))).max())
-    cfg_like = OperatorConfig(eta=WeightParam(eta_v), window=T, eps=0.0,
+    lhs = float((mags * np.exp(-eta.eta * np.abs(nodes[keep]))).max())
+    cfg_like = OperatorConfig(eta=eta, window=T, eps=0.0,
                               delta=state_v.xs.delta)
     consts = contraction_constants(fr, spec, cfg_like, state_v.t_ball,
                                    state_v.s_ball, state_v.u_ball,
                                    f_norms=f_norms, varphi_sup=0.0)
-    dx = _eta_norm(state_v.xs - state_w.xs + (state_v.xu - state_w.xu),
-                   eta_v, core_half)
-    dX = _eta_norm(state_v.X.xhat - state_w.X.xhat, eta_v, core_half)
-    ddx = _eta_norm((state_v.xs - state_w.xs).derivative(1)
-                    + (state_v.xu - state_w.xu).derivative(1),
-                    eta_v, core_half)
+    dx = (state_v.xs - state_w.xs + (state_v.xu - state_w.xu)) \
+        .norm_razumikhin(eta, core_half)
+    dX = (state_v.X.xhat - state_w.X.xhat).norm_razumikhin(eta, core_half)
+    ddx = ((state_v.xs - state_w.xs).derivative(1)
+           + (state_v.xu - state_w.xu).derivative(1)) \
+        .norm_razumikhin(eta, core_half)
     rhs = consts["c_phi"] * dx + consts["d_phi"] * dX + consts["e_phi"] * ddx
     return lhs, rhs

@@ -121,14 +121,12 @@ class PerturbationSpec:
     """
 
     h: float
-    mu: object
     evaluate: object
     L1: float
     L2: float
     ell: int = 3
     kind: str = "custom"
     params: dict = field(default_factory=dict)
-    uses_derivative: bool = False
 
     def __post_init__(self):
         if not (self.h > 0.0):
@@ -145,12 +143,12 @@ class PerturbationSpec:
 
     def descriptor(self):
         return {"kind": self.kind, "parameters": dict(self.params),
-                "h": self.h, "mu": self.mu, "L1": self.L1, "L2": self.L2}
+                "h": self.h, "L1": self.L1, "L2": self.L2}
 
 
 # -- builders -------------------------------------------------------------
 
-def ode_term(g, lip_t=0.0, lip_x=0.0, mu=None, ell=3, kind="ode",
+def ode_term(g, lip_t=0.0, lip_x=0.0, ell=3, kind="ode",
              params=None):
     """Perturbation reading only the present state: p(t, theta) = g(t, theta(0)).
 
@@ -161,13 +159,13 @@ def ode_term(g, lip_t=0.0, lip_x=0.0, mu=None, ell=3, kind="ode",
     def evaluate(ts, seg, eps):
         return g(ts, seg.eval(0.0))
 
-    return PerturbationSpec(h=1e-9, mu=mu, evaluate=evaluate, L1=lip_t,
+    return PerturbationSpec(h=1e-9, evaluate=evaluate, L1=lip_t,
                             L2=lip_x, ell=ell, kind=kind,
                             params=dict(params or {}))
 
 
 def state_dependent_delay(Q, r, h, r_bound=None, lip_q=1.0, lip_r=1.0,
-                          traj_c1=1.0, mu=None, ell=3, kind="sdd",
+                          traj_c1=1.0, ell=3, kind="sdd",
                           params=None):
     """p(t, theta) = Q(t, theta(r(t, theta(0)))).
 
@@ -184,12 +182,12 @@ def state_dependent_delay(Q, r, h, r_bound=None, lip_q=1.0, lip_r=1.0,
         return Q(ts, seg.eval(r(ts, seg.eval(0.0))))
 
     L = lip_q * (1.0 + traj_c1 * lip_r)
-    return PerturbationSpec(h=h, mu=mu, evaluate=evaluate, L1=L, L2=L,
+    return PerturbationSpec(h=h, evaluate=evaluate, L1=L, L2=L,
                             ell=ell, kind=kind, params=dict(params or {}))
 
 
 def nested_delay(Q, r, r1, h, r_bound=None, r1_bound=None, lip_q=1.0,
-                 lip_r=1.0, lip_r1=1.0, traj_c1=1.0, mu=None, ell=3,
+                 lip_r=1.0, lip_r1=1.0, traj_c1=1.0, ell=3,
                  kind="nested", params=None):
     """p(t, theta) = Q(t, theta(r(t, theta(r1(theta(0)))))).
 
@@ -208,12 +206,12 @@ def nested_delay(Q, r, r1, h, r_bound=None, r1_bound=None, lip_q=1.0,
 
     L1 = lip_q * (1.0 + traj_c1 * lip_r)
     L2 = lip_q * (1.0 + traj_c1 * lip_r * (1.0 + traj_c1 * lip_r1))
-    return PerturbationSpec(h=h, mu=mu, evaluate=evaluate, L1=L1, L2=L2,
+    return PerturbationSpec(h=h, evaluate=evaluate, L1=L1, L2=L2,
                             ell=ell, kind=kind, params=dict(params or {}))
 
 
 def neutral_delay(Q, r, h, r_bound=None, lip_q=1.0, lip_r=1.0, traj_c1=1.0,
-                  mu=None, ell=3, kind="neutral", params=None):
+                  ell=3, kind="neutral", params=None):
     """p(t, theta) = Q(t, theta(r(t, theta'(0)))).
 
     The delay consumes the segment derivative at zero, which equals the
@@ -228,13 +226,13 @@ def neutral_delay(Q, r, h, r_bound=None, lip_q=1.0, lip_r=1.0, traj_c1=1.0,
         return Q(ts, seg.eval(r(ts, seg.deriv(0.0))))
 
     L = lip_q * (1.0 + traj_c1 * lip_r)
-    return PerturbationSpec(h=h, mu=mu, evaluate=evaluate, L1=L, L2=L,
+    return PerturbationSpec(h=h, evaluate=evaluate, L1=L, L2=L,
                             ell=max(1, ell), kind=kind,
-                            params=dict(params or {}), uses_derivative=True)
+                            params=dict(params or {}))
 
 
 def small_delay_q(f_model, tau_fns, h, blocks=None, tau_bounds=None,
-                  eps_max=1.0, quad_order=8, declared=None, mu=None, ell=2,
+                  eps_max=1.0, quad_order=8, declared=None, ell=2,
                   kind="small-delay", params=None):
     """The induced functional of small state-dependent delays.
 
@@ -294,12 +292,11 @@ def small_delay_q(f_model, tau_fns, h, blocks=None, tau_bounds=None,
     if declared is None:
         declared = (1.0, 1.0)
     L1, L2 = declared
-    return PerturbationSpec(h=h, mu=mu, evaluate=evaluate, L1=L1, L2=L2,
-                            ell=ell, kind=kind, params=dict(params or {}),
-                            uses_derivative=True)
+    return PerturbationSpec(h=h, evaluate=evaluate, L1=L1, L2=L2,
+                            ell=ell, kind=kind, params=dict(params or {}))
 
 
-def multi_delay_advance(pairs, h=None, mu=None, ell=3, kind="multi-delay",
+def multi_delay_advance(pairs, h=None, ell=3, kind="multi-delay",
                         params=None):
     """Weighted sum of fixed shifts: sum_i w_i theta(s_i), mixed signs allowed."""
     pairs = [(float(s), float(w)) for s, w in pairs]
@@ -318,7 +315,7 @@ def multi_delay_advance(pairs, h=None, mu=None, ell=3, kind="multi-delay",
         return out
 
     L2 = sum(abs(w) for _, w in pairs)
-    return PerturbationSpec(h=h, mu=mu, evaluate=evaluate, L1=0.0, L2=L2,
+    return PerturbationSpec(h=h, evaluate=evaluate, L1=0.0, L2=L2,
                             ell=ell, kind=kind,
                             params=dict(params or {"pairs": pairs}))
 
@@ -417,54 +414,61 @@ def _id_q(t, x):
     return x
 
 
+_REQUIRED = object()
+
+
 def spec_from_descriptor(desc):
     """Build a shipped perturbation from its JSON descriptor."""
-    try:
-        return _build_from_descriptor(desc)
-    except KeyError as exc:
-        raise ValueError(
-            f"descriptor kind {desc.get('kind', '?')!r} is missing "
-            f"parameter {exc.args[0]!r}") from exc
-
-
-def _build_from_descriptor(desc):
-    kind = desc["kind"]
+    kind = desc.get("kind")
     p = dict(desc.get("parameters", {}))
-    mu = desc.get("mu")
+
+    def param(name, default=_REQUIRED, cast=float):
+        # a null value reads as an absent one
+        value = p.get(name)
+        if value is None:
+            if default is _REQUIRED:
+                raise ValueError(f"descriptor kind {kind!r} is missing "
+                                 f"parameter {name!r}")
+            return default
+        try:
+            return cast(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"descriptor kind {kind!r} parameter {name!r} "
+                             f"is not numeric: {value!r}") from None
 
     # every kind reads its output dimension off the state it is given
     if kind == "zero":
-        return ode_term(lambda t, x: np.zeros_like(x), kind="zero", params=p,
-                        mu=mu)
+        return ode_term(lambda t, x: np.zeros_like(x), kind="zero", params=p)
 
     if kind == "ode-sin-forcing":
-        a = float(p["a"])
-        omega = float(p["omega"])
-        shift = float(p.get("shift", 0.0))
-        axis = int(p.get("axis", 1))
+        a = param("a")
+        omega = param("omega")
+        shift = param("shift", 0.0)
+        axis = param("axis", 1, int)
 
         def g(t, x):
             out = np.zeros_like(x)
             out[:, axis] = a * np.sin(omega * (t - shift))
             return out
 
-        return ode_term(g, lip_t=abs(a * omega), lip_x=0.0, mu=mu,
-                        kind=kind, params=p)
+        return ode_term(g, lip_t=abs(a * omega), lip_x=0.0, kind=kind,
+                        params=p)
 
     if kind == "multi-delay":
-        pairs = [(float(s), float(w)) for s, w in p["pairs"]]
-        return multi_delay_advance(pairs, h=p.get("h"), mu=mu, kind=kind,
+        pairs = param("pairs",
+                      cast=lambda v: [(float(s), float(w)) for s, w in v])
+        return multi_delay_advance(pairs, h=param("h", None), kind=kind,
                                    params=p)
 
     if kind == "delayed-sin-forcing":
         # sine of the delayed first coordinate on one slot; on a saddle
         # orbit this reads a*sin(omega*(t - lag)) and admits a closed
         # form response, which makes it the standard oracle scenario
-        a = float(p["a"])
-        omega = float(p["omega"])
-        lag = float(p.get("lag", 1.0))
-        h = float(p.get("h", max(1.0, lag)))
-        axis = int(p.get("axis", 1))
+        a = param("a")
+        omega = param("omega")
+        lag = param("lag", 1.0)
+        h = param("h", max(1.0, lag))
+        axis = param("axis", 1, int)
 
         def Q(t, y):
             out = np.zeros_like(y)
@@ -476,39 +480,39 @@ def _build_from_descriptor(desc):
 
         return state_dependent_delay(
             Q, r, h, r_bound=lag, lip_q=abs(a * omega), lip_r=0.0,
-            traj_c1=float(p.get("traj_c1", 2.0)), mu=mu, kind=kind, params=p)
+            traj_c1=param("traj_c1", 2.0), kind=kind, params=p)
 
     if kind == "sdd-tanh":
-        h = float(p["h"])
-        c0 = float(p["c0"])
-        c1 = float(p["c1"])
-        comp = int(p.get("component", 0))
+        h = param("h")
+        c0 = param("c0")
+        c1 = param("c1")
+        comp = param("component", 0, int)
 
         def r(t, x):
             return -(c0 + c1 * np.tanh(x[:, comp]))
 
         return state_dependent_delay(
             _id_q, r, h, r_bound=abs(c0) + abs(c1), lip_q=1.0, lip_r=abs(c1),
-            traj_c1=float(p.get("traj_c1", 2.0)), mu=mu, kind=kind, params=p)
+            traj_c1=param("traj_c1", 2.0), kind=kind, params=p)
 
     if kind == "neutral-linear":
-        h = float(p["h"])
-        c0 = float(p["c0"])
-        c1 = float(p["c1"])
-        comp = int(p.get("component", 0))
-        v_bound = float(p.get("deriv_bound", 2.0))
+        h = param("h")
+        c0 = param("c0")
+        c1 = param("c1")
+        comp = param("component", 0, int)
+        v_bound = param("deriv_bound", 2.0)
 
         def r(t, y):
             return -(c0 + c1 * y[:, comp])
 
         return neutral_delay(
             _id_q, r, h, r_bound=abs(c0) + abs(c1) * v_bound, lip_q=1.0,
-            lip_r=abs(c1), traj_c1=v_bound, mu=mu, kind=kind, params=p)
+            lip_r=abs(c1), traj_c1=v_bound, kind=kind, params=p)
 
     if kind == "nested-abs":
-        h = float(p["h"])
-        inner = float(p.get("inner_shift", -0.5))
-        comp = int(p.get("component", 0))
+        h = param("h")
+        inner = param("inner_shift", -0.5)
+        comp = param("component", 0, int)
 
         def r(t, x):
             return np.maximum(-h, -np.abs(x[:, comp]))
@@ -518,28 +522,27 @@ def _build_from_descriptor(desc):
 
         return nested_delay(_id_q, r, r1, h, r_bound=h, r1_bound=abs(inner),
                             lip_q=1.0, lip_r=1.0, lip_r1=0.0,
-                            traj_c1=float(p.get("traj_c1", 2.0)), mu=mu,
-                            kind=kind, params=p)
+                            traj_c1=param("traj_c1", 2.0), kind=kind,
+                            params=p)
 
     if kind == "small-delay":
         from .hyperbolic import builtin_model
         model = builtin_model(p.get("model", "lin-saddle"),
                               p.get("model_params", {}))
-        tau = float(p.get("tau", 1.0))
-        h = float(p["h"])
+        tau = param("tau", 1.0)
+        h = param("h")
         return small_delay_q(model, [lambda t, seg: tau], h,
                              tau_bounds=[abs(tau)],
-                             eps_max=float(p.get("eps_max", h / max(abs(tau), 1e-12))),
-                             mu=mu, kind=kind, params=p)
+                             eps_max=param("eps_max",
+                                           h / max(abs(tau), 1e-12)),
+                             kind=kind, params=p)
 
-    raise ValueError(f"unknown perturbation kind {desc['kind']!r}")
+    raise ValueError(f"unknown perturbation kind {kind!r}")
 
 
 def mu_sensitivity(desc, t, segment, eps, target, dmu=1e-4):
-    """Central difference of the functional output in the parameter mu.
-
-    ``target`` names the entry of ``parameters`` that mu feeds.
-    """
+    """Central difference of the functional output in the descriptor
+    parameter named ``target``, with step ``dmu``."""
     lo = {**desc, "parameters": {**desc.get("parameters", {})}}
     hi = {**desc, "parameters": {**desc.get("parameters", {})}}
     base = float(desc["parameters"][target])

@@ -40,6 +40,8 @@ from hypershadow.perturbations import (HistorySegment, small_delay_q,
                                        neutral_delay, spec_from_descriptor,
                                        state_dependent_delay)
 
+# the shipped "no perturbation" kind
+ZERO = spec_from_descriptor({"kind": "zero"})
 EPS_SWEEP = (4e-3, 2e-3, 1e-3)
 PROBE = np.linspace(-2.0, 2.0, 81)
 
@@ -237,7 +239,7 @@ def test_criterion_01_trivial_fixed_point():
              ("limit-cycle", cycle_frame(), cycle_cfg(0.0)))
     for name, fr, cfg in cases:
         t0 = time.perf_counter()
-        final, report = iterate(fr, None, cfg)
+        final, report = iterate(fr, ZERO, cfg)
         elapsed = time.perf_counter() - t0
         assert report.converged, name
         assert report.iterations <= 2, name
@@ -456,7 +458,7 @@ def test_criterion_10_propagated_bounds_feasibility():
     radii = (BallRadii((0.1, 1.0, 5.0)),
              BallRadii((0.1, 1.0, 1.0, 1.0)),
              BallRadii((0.1, 1.0, 1.0, 1.0)))
-    rep = propagated_bounds_report(fr, None, cfg, radii,
+    rep = propagated_bounds_report(fr, ZERO, cfg, radii,
                                    f_norms=(1.0, 1.0, 1.0), varphi_sup=0.5)
     want = (0.1 * 1.0 * 0.2 + 0.5 * 1.0 * 0.2 ** 2) / 0.9  # = 0.0444...
     assert abs(rep.b_s0 - want) <= 1e-12

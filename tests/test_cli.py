@@ -322,6 +322,27 @@ class TestSweepVerb:
         path, _ = write_scenario(tmp_path, eps=[4e-3, 2e-3, 1e-3])
         assert cli.main(["sweep", path, "--max-iters", "1", "--quiet"]) == 2
 
+    def test_first_failing_member_ends_the_sweep(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the center update leaves the t ball at every eps of this list:
+        # the sweep stops at eps 0.8 and says so in one line
+        attempted = []
+        iterate = cli.iterate
+
+        def counting(fr, spec, cfg):
+            attempted.append(cfg.eps)
+            return iterate(fr, spec, cfg)
+
+        monkeypatch.setattr(cli, "iterate", counting)
+        path, scn = write_scenario(tmp_path, eps=[0.8, 0.4, 0.2],
+                                   perturbation=SDD_TANH)
+        assert cli.main(["sweep", path]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "sweep member eps=0.8 failed: infeasible radii" in err
+        assert attempted == [0.8]
+        assert not os.path.exists(scn["out"])
+
     def test_vanishing_response_writes_strict_json(self, tmp_path, capsys):
         # on the saddle, sdd-tanh only moves along the orbit: every
         # |xhat| is 0, so its slope is undefined and written as null
@@ -450,6 +471,7 @@ class TestStatePersistence:
 
 
 # every shipped kind with working parameters, plus one unknown kind
+FUZZ_UNKNOWN = "levitation"
 FUZZ_KINDS = {
     "zero": {},
     "ode-sin-forcing": {"a": 0.45, "omega": 1.0, "axis": 1},
@@ -459,7 +481,7 @@ FUZZ_KINDS = {
     "neutral-linear": {"h": 1.0, "c0": 0.3, "c1": 0.1},
     "nested-abs": {"h": 1.0, "inner_shift": -0.5},
     "small-delay": {"model": "lin-saddle", "tau": 0.8, "h": 0.2},
-    "levitation": {"h": 1.0},
+    FUZZ_UNKNOWN: {"h": 1.0},
 }
 # the benchmark's frames and operator settings
 FUZZ_FRAMES = {
@@ -506,6 +528,14 @@ class TestFuzz:
             if code != 0:
                 assert len(err.getvalue().splitlines()) == 1, err.getvalue()
                 assert not os.path.exists(out)
+            # a non-numeric value of a numeric parameter is named
+            kind = scn["perturbation"]["kind"]
+            spoiled = [key for key, value
+                       in scn["perturbation"]["parameters"].items()
+                       if value == "oops"
+                       and not isinstance(FUZZ_KINDS[kind][key], str)]
+            if code == 1 and spoiled and kind != FUZZ_UNKNOWN:
+                assert f"parameter {spoiled[0]!r}" in err.getvalue()
 
 
 class TestEntryPoint:

@@ -723,8 +723,12 @@ class TestAssembly:
         assert spec.kind == "charge-system"
         assert spec.params["mixing"] == 0.25
         assert spec.params["force"] == "softened-coulomb"
-        assert not spec.uses_derivative
         assert spec.L2 > 1.0
+        # the spec never reads a segment derivative: it evaluates on a
+        # segment built without one
+        seg = stacked_segment(sys, 0.0)
+        assert not seg.has_derivative
+        assert np.isfinite(spec(0.0, seg, sys.epsilon)).all()
 
     def test_single_particle_is_pure_external(self):
         sys = ed.ChargeSystem([drifting(1.0, 0.1)], masses=[2.0],

@@ -40,10 +40,7 @@ from hypershadow.invariance import (
     contraction_probe,
     derivative_identity_defect,
     distance_components,
-    gamma_c,
-    gamma_s,
     gamma_step,
-    gamma_u,
     initial_state,
     iterate,
     orbit_field_norms,
@@ -58,8 +55,12 @@ from hypershadow.invariance import (
 from hypershadow.perturbations import (
     HistorySegment,
     ode_term,
+    spec_from_descriptor,
     state_dependent_delay,
 )
+
+# the shipped "no perturbation" kind
+ZERO = spec_from_descriptor({"kind": "zero"})
 
 
 def lin_frame(lam_s=1.0, lam_u=1.0):
@@ -363,7 +364,7 @@ class TestTaylorRemainder:
         cfg = base_cfg(eps=0.0)
         st = state_with(fr, cfg, xs_col=0.1)
         with pytest.raises(ValueError, match="valid neighborhood"):
-            gamma_step(fr, st, None, cfg)
+            gamma_step(fr, st, ZERO, cfg)
 
 
 def quadratic_at(fr, st, rho):
@@ -461,14 +462,14 @@ class TestGammaCenter:
     def test_unperturbed_center_is_exactly_one(self):
         fr = lin_frame()
         cfg = base_cfg(eps=0.0)
-        X = gamma_c(fr, initial_state(fr, cfg), None, cfg)
+        X = gamma_step(fr, initial_state(fr, cfg), ZERO, cfg)[0].X
         assert X.sup_deviation() == 0.0
 
     def test_orthogonal_forcing_leaves_center_exact(self):
         fr = lin_frame()
         cfg = base_cfg(eps=1e-2)
-        X = gamma_c(fr, initial_state(fr, cfg), sine_delay_spec(1.0, 2.0),
-                    cfg)
+        X = gamma_step(fr, initial_state(fr, cfg), sine_delay_spec(1.0, 2.0),
+                       cfg)[0].X
         assert X.sup_deviation() == 0.0
 
     def test_constant_axial_forcing_shifts_center_by_eps_b(self):
@@ -476,7 +477,7 @@ class TestGammaCenter:
         b1, eps = 0.7, 1e-2
         cfg = base_cfg(eps=eps)
         spec = ode_term(constant_forcing(b1, 0.0, 0.0))
-        X = gamma_c(fr, initial_state(fr, cfg), spec, cfg)
+        X = gamma_step(fr, initial_state(fr, cfg), spec, cfg)[0].X
         vals = X.fast_value(X.xhat.nodes)
         assert vals == pytest.approx(np.full(vals.size, 1.0 + eps * b1),
                                      abs=1e-13)
@@ -487,15 +488,15 @@ class TestGammaBundles:
         fr = lin_frame()
         cfg = base_cfg(eps=0.0)
         st = initial_state(fr, cfg)
-        assert not gamma_s(fr, st, None, cfg).values.any()
-        assert not gamma_u(fr, st, None, cfg).values.any()
+        assert not gamma_step(fr, st, ZERO, cfg)[0].xs.values.any()
+        assert not gamma_step(fr, st, ZERO, cfg)[0].xu.values.any()
 
     def test_stable_convolution_matches_closed_form(self):
         fr = lin_frame()
         a, omega, eps = 1.0, 2.0, 1e-2
         cfg = base_cfg(eps=eps)
-        gs = gamma_s(fr, initial_state(fr, cfg), sine_delay_spec(a, omega),
-                     cfg)
+        gs = gamma_step(fr, initial_state(fr, cfg), sine_delay_spec(a, omega),
+                        cfg)[0].xs
         rho = np.linspace(-2.0, 2.0, 41)
         got = gs.eval(rho)
         assert np.abs(got[:, 1] - stable_response(rho, a, omega, eps)).max() \
@@ -506,8 +507,8 @@ class TestGammaBundles:
         fr = lin_frame()
         a, omega, eps = 0.8, 1.0, 1e-2
         cfg = base_cfg(eps=eps)
-        gu = gamma_u(fr, initial_state(fr, cfg),
-                     sine_delay_spec(a, omega, slot=2), cfg)
+        gu = gamma_step(fr, initial_state(fr, cfg),
+                        sine_delay_spec(a, omega, slot=2), cfg)[0].xu
         rho = np.linspace(-2.0, 2.0, 41)
         got = gu.eval(rho)
         assert np.abs(got[:, 2] - unstable_response(rho, a, omega, eps)).max() \
@@ -520,7 +521,7 @@ class TestGammaStep:
         fr = lin_frame()
         cfg = base_cfg(eps=0.0)
         st = initial_state(fr, cfg)
-        new, defects = gamma_step(fr, st, None, cfg)
+        new, defects = gamma_step(fr, st, ZERO, cfg)
         assert new.X.sup_deviation() == 0.0
         assert not new.xs.values.any() and not new.xu.values.any()
         assert defects["d_eta"] == 0.0
@@ -553,7 +554,7 @@ class TestIterateLinear:
     def test_unperturbed_converges_immediately(self):
         fr = lin_frame()
         cfg = base_cfg(eps=0.0)
-        final, report = iterate(fr, None, cfg)
+        final, report = iterate(fr, ZERO, cfg)
         assert report.converged and report.iterations == 1
         assert report.distances[0] == 0.0
         assert final.X.sup_deviation() <= 1e-12
@@ -617,7 +618,7 @@ class TestResidualValidation:
         cfg = base_cfg(eps=0.0)
         st = initial_state(fr, cfg)
         probe = np.linspace(-2.0, 2.0, 81)
-        assert residual_fde(fr, st, None, 0.0, probe) < 1e-8
+        assert residual_fde(fr, st, ZERO, 0.0, probe) < 1e-8
 
     def test_probe_grid_must_be_uniform(self):
         fr, spec, cfg, final, report = linear_run()
@@ -690,8 +691,7 @@ def test_static_lattices_are_sampled_once_per_run(monkeypatch):
     # solves a flow and reads every lattice; their stencils must be
     # built once per run, not once per step
     from hypershadow import funcspace
-    from hypershadow.invariance import _Lattices
-    from hypershadow.perturbations import spec_from_descriptor
+    from hypershadow.invariance import _Run
 
     fr = analytic_frame({"model": "saddle-cubic", "lambda_s": 1.0,
                          "lambda_u": 1.0, "cubic": (0.3, 0.2)})
@@ -709,8 +709,8 @@ def test_static_lattices_are_sampled_once_per_run(monkeypatch):
     state, report = iterate(fr, spec, cfg)
     assert report.converged and report.iterations >= 4
     assert state.X.sup_deviation() > 1e-3
-    lat = _Lattices(resolve_geometry(cfg, fr, spec.h, state.X.t0), cfg)
-    for points in (lat.gauss[0], lat.half_cells, state.xs.nodes):
+    run = _Run(fr, spec, cfg, state.X.t0)
+    for points in (run.gauss[0], run.half_cells, state.xs.nodes):
         geoms = [g for g, t in builds
                  if t.shape == points.shape and np.array_equal(t, points)]
         assert geoms and len(geoms) == len(set(geoms))
@@ -840,7 +840,7 @@ class TestPropagatedBounds:
         radii = (BallRadii((0.1, 1.0, 5.0)),
                  BallRadii((0.1, 1.0, 1.0, 1.0)),
                  BallRadii((0.1, 1.0, 1.0, 1.0)))
-        rep = propagated_bounds_report(fr, None, cfg, radii,
+        rep = propagated_bounds_report(fr, ZERO, cfg, radii,
                                        f_norms=(1.0, 1.0, 1.0),
                                        varphi_sup=0.5)
         want = (0.1 * 1.0 * 0.2 + 0.5 * 1.0 * 0.2 ** 2) / 0.9
@@ -858,7 +858,7 @@ class TestPropagatedBounds:
         radii = (BallRadii((0.0, 1.0, 5.0)),
                  BallRadii((0.0, 1.0, 1.0, 1.0)),
                  BallRadii((0.0, 1.0, 1.0, 1.0)))
-        rep = propagated_bounds_report(fr, None, cfg, radii,
+        rep = propagated_bounds_report(fr, ZERO, cfg, radii,
                                        f_norms=(1.0, 1.0, 1.0),
                                        varphi_sup=0.5)
         assert rep.b_c0 == rep.b_s0 == rep.b_u0 == 0.0
@@ -871,7 +871,7 @@ class TestPropagatedBounds:
         tiny = (BallRadii((1e-4, 1.0, 5.0)),
                 BallRadii((1e-4, 1.0, 1.0, 1.0)),
                 BallRadii((1e-4, 1.0, 1.0, 1.0)))
-        rep = propagated_bounds_report(fr, None, cfg, tiny,
+        rep = propagated_bounds_report(fr, ZERO, cfg, tiny,
                                        f_norms=(1.0, 1.0, 1.0),
                                        varphi_sup=0.5)
         assert not any(rep.feasible.values())
@@ -919,7 +919,7 @@ class TestContraction:
         fr = lin_frame()
         cfg = base_cfg(eps=0.0)
         v, _ = random_pair(fr, cfg, seed=7)
-        probe = contraction_probe(fr, None, cfg, v, v)
+        probe = contraction_probe(fr, ZERO, cfg, v, v)
         assert probe.distance_in == 0.0
         assert probe.distance_out == 0.0
         assert probe.measured == 0.0 and probe.ok
@@ -929,7 +929,7 @@ class TestContraction:
         cfg = base_cfg(eps=0.0)
         for seed in range(5):
             v, w = random_pair(fr, cfg, seed=100 + seed)
-            probe = contraction_probe(fr, None, cfg, v, w)
+            probe = contraction_probe(fr, ZERO, cfg, v, w)
             assert probe.predicted < 1.0
             assert probe.measured <= probe.predicted + 1e-12
 
@@ -950,7 +950,7 @@ class TestContraction:
                              delta=0.1)
         v, w = random_pair(fr, base_cfg(eps=0.0), seed=1)
         with pytest.raises(ValueError, match="must stay below"):
-            contraction_probe(fr, None, cfg, v, w)
+            contraction_probe(fr, ZERO, cfg, v, w)
 
     def test_quadratic_difference_probe_is_bounded(self):
         fr = lin_frame()

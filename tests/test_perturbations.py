@@ -653,8 +653,24 @@ class TestDescriptors:
         with pytest.raises(ValueError, match="unknown perturbation kind"):
             spec_from_descriptor({"kind": "nope", "parameters": {}})
 
+    @pytest.mark.parametrize("kind,params,says", [
+        ("ode-sin-forcing", {"a": "oops", "omega": 1.0},
+         "parameter 'a' is not numeric: 'oops'"),
+        ("multi-delay", {"pairs": [[-1.0, 1.0]], "h": "oops"},
+         "parameter 'h' is not numeric: 'oops'"),
+        # a null value reads as an absent one
+        ("sdd-tanh", {"h": None, "c0": 0.5, "c1": 0.2},
+         "is missing parameter 'h'"),
+    ])
+    def test_bad_parameter_names_kind_and_parameter(self, kind, params,
+                                                    says):
+        with pytest.raises(ValueError) as info:
+            spec_from_descriptor({"kind": kind, "parameters": params})
+        assert str(info.value).startswith(f"descriptor kind {kind!r} ")
+        assert says in str(info.value)
+
     def test_mu_sensitivity_matches_closed_form(self):
-        desc = {"kind": "ode-sin-forcing", "mu": 0.5,
+        desc = {"kind": "ode-sin-forcing",
                 "parameters": {"a": 0.5, "omega": 2.0, "shift": 0.0,
                                "axis": 1, "n": 3}}
         seg = orbit_segment(0.7)
