@@ -172,32 +172,23 @@ def write_bounds_csv(rows, path):
     return path
 
 
-def _merged_frame_params(frame_desc):
-    merged = dict(frame_desc.get("parameters", {}))
-    merged.update({k: v for k, v in frame_desc.items()
-                   if k not in ("parameters", "mode", "model")})
-    return merged
-
-
-def _linear_oracle(scn):
+def _linear_oracle(fr, spec):
     """Closed-form stable response for the saddle + delayed-sine scenario.
 
     Bounded solution of x' = -lam x + eps a sin(omega (t - lag)) on the
     stable slot. Returns None when the scenario is not of that shape.
     """
-    if scn.frame.get("mode", "analytic") != "analytic":
+    if fr.mode != "analytic" or fr.model.name != "lin-saddle":
         return None
-    if scn.frame.get("model", "lin-saddle") != "lin-saddle":
+    if fr.model.params.get("rotation") is not None:
         return None
-    fp = _merged_frame_params(scn.frame)
-    if fp.get("rotation") is not None:
+    if spec.kind != "delayed-sin-forcing":
         return None
-    if scn.perturbation.get("kind") != "delayed-sin-forcing":
-        return None
-    p = scn.perturbation.get("parameters", {})
+    # a null parameter reads as an absent one, as the spec read it
+    p = {k: v for k, v in spec.params.items() if v is not None}
     if int(p.get("axis", 1)) != 1:
         return None
-    lam = float(fp.get("lambda_s", 1.0))
+    lam = float(fr.model.params["lambda_s"])
     a = float(p["a"])
     omega = float(p["omega"])
     lag = float(p.get("lag", 1.0))
@@ -210,8 +201,8 @@ def _linear_oracle(scn):
     return truth
 
 
-def _write_oracle_csv(scn, state, report, cfg, out):
-    truth = _linear_oracle(scn)
+def _write_oracle_csv(fr, spec, state, report, cfg, out):
+    truth = _linear_oracle(fr, spec)
     if truth is None:
         return None
     core = state.xs.restrict(report.core_half)
@@ -282,7 +273,7 @@ def _run_one(scn, fr, spec, cfg, out, quiet, prefix=""):
     report.to_json(os.path.join(out, "report.json"))
     write_residual_csv(report, os.path.join(out, "residuals.csv"))
     write_bounds_csv(rows, os.path.join(out, "bounds.csv"))
-    oracle = _write_oracle_csv(scn, state, report, cfg, out)
+    oracle = _write_oracle_csv(fr, spec, state, report, cfg, out)
     _say(quiet, f"converged in {report.iterations} iterations: "
                 f"d_eta={report.distances[-1]:.3e} "
                 f"kappa_hat={report.kappa_hat:.3f} -> {out}"

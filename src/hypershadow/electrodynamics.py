@@ -379,31 +379,36 @@ def _fixed_point(step, times, tol, max_iters):
         f"iterations; last update {update[0]:.3e}")
 
 
-def _retarded_values(qi, qj, eps, at, times, tol, max_iters):
-    """Fixed point of tau -> eps |q_i(t) - q_j(t - tau)| at every t in ``at``.
+def _cone_step(here, partner, eps, sign):
+    """The light-cone map tau -> eps |here[rows] - partner(rows, sign tau)|.
 
-    All nodes are solved at once from tau_0 = eps |q_i(t) - q_j(t)|;
-    ``times`` labels the nodes in errors. Returns values, the largest
-    per-node iteration count, and the largest per-node defect.
+    ``here`` holds one observer position per element and
+    ``partner(rows, offsets)`` gives the partner positions at the times
+    of the selected elements moved by ``offsets``: sign -1 reads the
+    retarded partner, +1 the advanced one.
     """
     def step(rows, tau):
-        t = at[rows]
-        gap = qi.pos(t) - qj.pos(t - tau)
+        gap = here[rows] - partner(rows, sign * tau)
         return eps * np.sqrt(np.einsum("kd,kd->k", gap, gap))
-
-    vals, iters = _fixed_point(step, times, tol, max_iters)
-    defect = float(np.abs(step(np.arange(at.size), vals) - vals).max())
-    return vals, iters, defect
+    return step
 
 
 def _delay_values(qi, qj, eps, mode, nodes, tol, max_iters):
-    if mode == "retarded":
-        return _retarded_values(qi, qj, eps, nodes, nodes, tol, max_iters)
-    if mode != "advanced":
+    """Fixed point of tau = eps |q_i(t) - q_j(t -+ tau)| at every node.
+
+    All nodes are solved at once from tau_0 = eps |q_i(t) - q_j(t)|.
+    Returns values, the largest per-node iteration count, and the
+    largest per-node defect.
+    """
+    signs = {"retarded": -1.0, "advanced": 1.0}
+    if mode not in signs:
         raise ValueError(f"mode must be 'retarded' or 'advanced', got {mode!r}")
-    # advance of (q_i, q_j) at t = delay of the time-reversed pair at -t
-    return _retarded_values(qi.reflected(), qj.reflected(), eps, -nodes,
-                            nodes, tol, max_iters)
+    step = _cone_step(qi.pos(nodes),
+                      lambda rows, off: qj.pos(nodes[rows] + off),
+                      eps, signs[mode])
+    vals, iters = _fixed_point(step, nodes, tol, max_iters)
+    defect = float(np.abs(step(np.arange(nodes.size), vals) - vals).max())
+    return vals, iters, defect
 
 
 def _solve_grid(qi, qj, eps, modes, window, delta, tol, max_iters,
@@ -440,8 +445,8 @@ def solve_delay(qi, qj, eps, mode="retarded", window=8.0, delta=0.1,
     The defining equation tau(t) = eps |q_i(t) - q_j(t - tau(t))| is a
     contraction of rate eps * sup|dq_j|, checked before iterating; every
     node is solved at once, each starting from tau_0 = eps |q_i(t) -
-    q_j(t)|. Advanced mode solves the retarded problem of the
-    time-reversed trajectories at -t.
+    q_j(t)|. Advanced mode reads the partner at t + tau in place of
+    t - tau.
     """
     [(field, _, _)] = _solve_grid(qi, qj, eps, (mode,), window, delta, tol,
                                   max_iters, interp_order)
@@ -642,10 +647,9 @@ def _segment_delay(seg, qi_now, block, eps, sign, tol=_DEFECT_TOL,
     that wanders past the history radius surfaces as the segment's own
     range error.
     """
-    def step(rows, tau):
-        gap = qi_now[rows] - seg.take(rows).eval(sign * tau)[:, block]
-        return eps * np.sqrt(np.einsum("kd,kd->k", gap, gap))
-
+    step = _cone_step(qi_now,
+                      lambda rows, off: seg.take(rows).eval(off)[:, block],
+                      eps, sign)
     return _fixed_point(step, seg.t, tol, max_iters)[0]
 
 

@@ -2,10 +2,15 @@
 
 A frame bundles the orbit evaluator x0, the projections onto the center,
 stable and unstable subspaces along the orbit, the decaying propagators
-on the stable and unstable bundles, and the quality measures
-(C_U, C_Pi, lambda_s, lambda_u) that size every contraction estimate
-downstream. Frames come from closed-form descriptors (saddle benchmarks)
-or from the Floquet construction on a periodic orbit.
+on the stable and unstable bundles, their weighted sums (the bundle
+integrals of every operator step), and the quality measures (C_U, C_Pi,
+lambda_s, lambda_u) that size every contraction estimate downstream.
+
+Each frame supplies only its adapted basis and the carry of bundle
+coordinates between two times; ``_FrameBase`` derives the rest. Frames
+come from closed-form descriptors (``AnalyticFrame``, the saddle
+benchmarks) or from the Floquet construction on a periodic orbit
+(``FloquetFrame``).
 
 The center direction is always the span of f(x0), so n_c = 1.
 """
@@ -126,7 +131,24 @@ class QualityMeasures:
 
 
 class _FrameBase:
-    """Methods shared by the frames, over their batched interface."""
+    """Projections, propagators and bundle sums over two frame primitives.
+
+    A frame carries ``model``, ``dims = (1, n_s, n_u)``, ``quality`` and
+    ``mode``, evaluates the orbit with ``orbit_batch(ts)``, and supplies
+
+    - ``_basis(ts) -> (A, Ainv)``: the adapted basis [f(x0) | stable |
+      unstable] at each time, columns in that order, and its inverse,
+      each (k, n, n), or (1, n, n) when the basis does not move;
+    - ``_carry(sigma, to, frm) -> (k, n_sigma, n_sigma)``: the
+      propagator of sigma-bundle coordinates from ``frm`` to ``to``.
+
+    Everything else is written once here. The projection onto a bundle
+    is A[:, sigma] Ainv[sigma, :]; a propagator is A(rho)
+    blockdiag(carries) Ainv(v), with the center coordinate carried by 1
+    because the linearized flow moves f(x0(v)) onto f(x0(rho)); a bundle
+    sum carries each weight to the node that collects it and runs the
+    decay scan with the carries between neighbouring nodes as factors.
+    """
 
     def orbit_deriv_batch(self, ts):
         # the orbit solves the unperturbed equation, so its derivative is f(x0)
@@ -135,10 +157,88 @@ class _FrameBase:
     def df_along_orbit(self, ts):
         return self.model.df_batch(self.orbit_batch(ts))
 
+    def _slot(self, sigma):
+        """Columns of the adapted basis that span bundle ``sigma``."""
+        _, n_s, n_u = self.dims
+        return {"c": slice(0, 1), "s": slice(1, 1 + n_s),
+                "u": slice(1 + n_s, 1 + n_s + n_u)}[sigma]
+
+    def _projector(self, sigma, A, Ainv):
+        sl = self._slot(sigma)
+        return A[:, :, sl] @ Ainv[:, sl, :]
+
+    def basis(self, sigma, rho=0.0):
+        A, _ = self._basis(np.atleast_1d(float(rho)))
+        return A[0][:, self._slot(sigma)]
+
+    def proj_batch(self, rhos):
+        rhos = np.asarray(rhos, dtype=float)
+        A, Ainv = self._basis(rhos)
+        shape = (rhos.size,) + A.shape[1:]
+        return tuple(np.broadcast_to(self._projector(sigma, A, Ainv),
+                                     shape).copy() for sigma in "csu")
+
     def proj_apply(self, sigma, rhos, vecs):
-        Pc, Ps, Pu = self.proj_batch(np.asarray(rhos, dtype=float))
-        P = {"c": Pc, "s": Ps, "u": Pu}[sigma]
-        return np.einsum("kij,kj->ki", P, np.asarray(vecs, dtype=float))
+        A, Ainv = self._basis(np.asarray(rhos, dtype=float))
+        return _apply(self._projector(sigma, A, Ainv),
+                      np.asarray(vecs, dtype=float))
+
+    # -- propagators ------------------------------------------------------
+
+    def prop_s_batch(self, rhos, vs):
+        return self._propagate(rhos, vs, "s")
+
+    def prop_u_batch(self, rhos, vs):
+        return self._propagate(rhos, vs, "u")
+
+    def prop_full_batch(self, rhos, vs):
+        return self._propagate(rhos, vs, "csu")
+
+    def _propagate(self, rhos, vs, sigmas):
+        rhos, vs = _pairs(rhos, vs)
+        n = self.model.n
+        C = np.zeros((rhos.size, n, n))
+        for sigma in sigmas:
+            sl = self._slot(sigma)
+            if sigma == "c":
+                C[:, sl, sl] = 1.0
+            elif sl.stop > sl.start:
+                C[:, sl, sl] = self._carry(sigma, rhos, vs)
+        return self._basis(rhos)[0] @ C @ self._basis(vs)[1]
+
+    # -- weighted propagator sums ---------------------------------------
+
+    def convolve_stable(self, rhos, vs, wvs):
+        """sum over v_i <= rho of U^s(rho; v_i) wvs_i for each rho.
+
+        ``rhos`` and ``vs`` ascending (``ValueError`` otherwise); ``wvs``
+        already carries the quadrature weights. Each weight is carried
+        to the first rho at or after it, and a doubling scan carries the
+        running sum from each rho to the next, so every carry applied
+        contracts.
+        """
+        return self._bundle_sum("s", rhos, vs, wvs)
+
+    def convolve_unstable(self, rhos, vs, wvs):
+        """sum over v_i >= rho of U^u(rho; v_i) wvs_i for each rho."""
+        return self._bundle_sum("u", rhos, vs, wvs)
+
+    def _bundle_sum(self, sigma, rhos, vs, wvs):
+        rhos, vs, order, owner, keep = _sweep(rhos, vs, sigma == "s")
+        sl = self._slot(sigma)
+        if sl.stop == sl.start:
+            return np.zeros((rhos.size, self.model.n))
+        coords = _apply(self._basis(vs)[1][:, sl, :],
+                        np.asarray(wvs, dtype=float))[keep]
+        nodes = rhos[order]
+        owner = owner[keep]
+        load = np.zeros((rhos.size, sl.stop - sl.start))
+        np.add.at(load, owner,
+                  _apply(self._carry(sigma, nodes[owner], vs[keep]), coords))
+        fac = np.zeros(load.shape + load.shape[1:])
+        fac[1:] = self._carry(sigma, nodes[1:], nodes[:-1])
+        return _apply(self._basis(rhos)[0][:, :, sl],
+                      _decay_scan(fac, load)[order])
 
     def descriptor(self):
         return {
@@ -148,6 +248,11 @@ class _FrameBase:
             "mode": self.mode,
             "dims": list(self.dims),
         }
+
+
+def _apply(mats, vecs):
+    """mats[k] @ vecs[k] for each k, a stack of one matrix broadcasting."""
+    return np.einsum("...ij,...j->...i", mats, vecs)
 
 
 def _pairs(rhos, vs):
@@ -181,18 +286,19 @@ def _sweep(rhos, vs, stable):
 
 
 def _decay_scan(fac, load):
-    """acc_k = fac_k * acc_{k-1} + load_k along axis 0, with fac_0 = 0.
+    """acc_k = fac_k @ acc_{k-1} + load_k along axis 0, with fac_0 = 0.
 
-    Hillis-Steele doubling: pass d composes each affine map with the one
-    d rows before it, so log2(K) vectorized passes replace the K-step
-    recurrence. Every fac is at most 1, and so is every product.
+    ``fac`` is (K, m, m) and ``load`` (K, m). Hillis-Steele doubling:
+    pass d composes each affine map with the one d rows before it, the
+    later factor on the left, so log2(K) vectorized passes replace the
+    K-step recurrence. Every factor contracts, and so does every product.
     """
     a = fac.copy()
     b = load.copy()
     d = 1
     while d < b.shape[0]:
-        b[d:] = b[d:] + a[d:] * b[:-d]
-        a[d:] = a[d:] * a[:-d]
+        b[d:] = b[d:] + _apply(a[d:], b[:-d])
+        a[d:] = a[d:] @ a[:-d]
         d *= 2
     return b
 
@@ -203,13 +309,12 @@ class AnalyticFrame(_FrameBase):
     In base coordinates the orbit is (t, 0, ..., 0), the center direction
     is the first axis and each stable/unstable slot decays at its own
     exact rate. ``rotation`` conjugates everything by a fixed orthogonal
-    matrix.
+    matrix, which is then the adapted basis at every time.
     """
 
     mode = "analytic"
 
-    def __init__(self, model, rates_s, rates_u, rotation=None,
-                 orbit_speed=1.0, desc=None):
+    def __init__(self, model, rates_s, rates_u, rotation=None):
         self.model = model
         n = model.n
         self.rates_s = np.asarray(rates_s, dtype=float)
@@ -222,86 +327,28 @@ class AnalyticFrame(_FrameBase):
         if np.abs(self.Q @ self.Q.T - np.eye(n)).max() > 1e-12:
             raise ValueError("rotation must be orthogonal")
         self.dims = (1, n_s, n_u)
-        self.s_slots = np.arange(1, 1 + n_s)
-        self.u_slots = np.arange(1 + n_s, n)
-        self.orbit_speed = float(orbit_speed)
         lam_s = float(self.rates_s.min()) if n_s else math.inf
         lam_u = float(self.rates_u.min()) if n_u else math.inf
         self.quality = QualityMeasures(1.0, 1.0, lam_s, lam_u)
-        self._desc = desc or {}
-
-    # -- geometry -----------------------------------------------------
 
     def orbit_batch(self, ts):
         ts = np.asarray(ts, dtype=float)
         out = np.zeros((ts.size, self.model.n))
-        out[:, 0] = self.orbit_speed * ts
+        out[:, 0] = ts
         return out @ self.Q.T
 
-    def proj_batch(self, rhos):
-        k = np.asarray(rhos, dtype=float).size
-        n = self.model.n
-        return tuple(np.broadcast_to(B @ B.T, (k, n, n)).copy()
-                     for B in map(self.basis, "csu"))
+    def _basis(self, ts):
+        # one matrix for every time; callers broadcast the leading 1
+        return self.Q[None], self.Q.T[None]
 
-    def _diag_prop(self, rhos, vs, stable, unstable, center):
-        # exact decay per slot, conjugated by the rotation: Q diag(d) Q^T
-        rhos, vs = _pairs(rhos, vs)
-        dt = rhos - vs
-        d = np.zeros((dt.size, self.model.n))
-        d[:, 0] = center
-        if stable:
-            d[:, self.s_slots] = np.exp(-np.outer(dt, self.rates_s))
-        if unstable:
-            d[:, self.u_slots] = np.exp(np.outer(dt, self.rates_u))
-        return (self.Q * d[:, None, :]) @ self.Q.T
-
-    def prop_s_batch(self, rhos, vs):
-        return self._diag_prop(rhos, vs, True, False, 0.0)
-
-    def prop_u_batch(self, rhos, vs):
-        return self._diag_prop(rhos, vs, False, True, 0.0)
-
-    def prop_full_batch(self, rhos, vs):
-        return self._diag_prop(rhos, vs, True, True, 1.0)
-
-    def basis(self, sigma, rho=0.0):
-        slots = {"c": [0], "s": self.s_slots, "u": self.u_slots}[sigma]
-        return self.Q[:, list(slots)]
-
-    # -- weighted propagator sums ---------------------------------------
-
-    def convolve_stable(self, rhos, vs, wvs):
-        """sum over v_i <= rho of U^s(rho; v_i) wvs_i for each rho.
-
-        ``rhos`` and ``vs`` ascending (``ValueError`` otherwise); ``wvs``
-        already carries the quadrature weights. Each v decays to the
-        first rho at or after it, and the decay between neighbouring
-        rhos is applied by a doubling scan, so no exponential ever
-        exceeds 1.
-        """
-        return self._convolve(rhos, vs, wvs, self.s_slots, self.rates_s,
-                              stable=True)
-
-    def convolve_unstable(self, rhos, vs, wvs):
-        """sum over v_i >= rho of U^u(rho; v_i) wvs_i for each rho."""
-        return self._convolve(rhos, vs, wvs, self.u_slots, self.rates_u,
-                              stable=False)
-
-    def _convolve(self, rhos, vs, wvs, slots, rates, stable):
-        rhos, vs, order, owner, keep = _sweep(rhos, vs, stable)
-        if len(slots) == 0:
-            return np.zeros((rhos.size, self.model.n))
-        basis = self.Q[:, list(slots)]
-        coords = (np.asarray(wvs, dtype=float) @ self.Q)[:, list(slots)]
-        nodes = rhos[order]
-        owner = owner[keep]
-        decay = np.exp(-np.outer(np.abs(nodes[owner] - vs[keep]), rates))
-        load = np.zeros((rhos.size, len(slots)))
-        np.add.at(load, owner, decay * coords[keep])
-        fac = np.zeros_like(load)
-        fac[1:] = np.exp(-np.outer(np.abs(np.diff(nodes)), rates))
-        return _decay_scan(fac, load)[order] @ basis.T
+    def _carry(self, sigma, to, frm):
+        # exact decay per slot: e^{-rate (to - frm)} on the stable slots,
+        # e^{rate (to - frm)} on the unstable ones
+        rates, sign = ((self.rates_s, -1.0) if sigma == "s"
+                       else (self.rates_u, 1.0))
+        dt = np.asarray(to, dtype=float) - np.asarray(frm, dtype=float)
+        d = np.exp(sign * np.outer(dt, rates))
+        return d[:, :, None] * np.eye(rates.size)
 
 
 def _realify(eigvals, eigvecs, selector):
@@ -350,15 +397,14 @@ def _realify(eigvals, eigvecs, selector):
 class FloquetFrame(_FrameBase):
     """Frame built from the monodromy of a periodic orbit.
 
-    The fundamental solution over one period is integrated with a fixed
-    fourth-order step; the monodromy spectrum supplies the stable and
-    unstable eigenspaces (complex pairs realified), which are carried to
-    every time by the propagated bases. Projections are assembled from
-    the direct sum with the center span{f(x0)}, so the projector algebra
-    holds exactly by construction and only interpolation noise remains.
-    Propagators and bundle sums are batched over points: the block map
-    (the monodromy restricted to a bundle) enters once per distinct
-    period offset, and the bundle sums loop only over periods.
+    The fundamental solution Psi over one period is integrated with a
+    fixed fourth-order step; the monodromy spectrum supplies the stable
+    and unstable eigenspaces V_s, V_u (complex pairs realified) and the
+    block maps S_s, S_u they restrict it to. The adapted basis at t is
+    [f(x0(t)) | Psi(t) V_s | Psi(t) V_u], with Psi read at t wrapped into
+    the base period, so projections are exact by construction up to
+    interpolation noise. Crossing k periods carries bundle coordinates
+    by S^k, one cached power per period offset.
     """
 
     mode = "floquet"
@@ -422,13 +468,11 @@ class FloquetFrame(_FrameBase):
         if 1 + n_s + n_u != n:
             raise ValueError("splitting dimensions do not fill the space")
         self.dims = (1, n_s, n_u)
-        self._s_pow = {}
-        self._u_pow = {}
+        self._powers = {}
         self.quality = self._estimate_quality()
 
-    # -- periodic bookkeeping -------------------------------------------
-
     def _wrap(self, ts):
+        """Times wrapped into the base period, and their period indices."""
         ts = np.asarray(ts, dtype=float)
         P = self.period
         k = np.floor((ts + P / 2.0) / P)
@@ -438,177 +482,57 @@ class FloquetFrame(_FrameBase):
         r, _ = self._wrap(ts)
         return self.orbit_grid.eval(r)
 
-    def _psi_at(self, ts):
-        r, k = self._wrap(ts)
+    def _basis(self, ts):
+        r, _ = self._wrap(ts)
         n = self.model.n
-        mats = self._psi.eval(r).reshape(-1, n, n)
-        return mats, k
+        psi = self._psi.eval(r).reshape(-1, n, n)
+        fc = self.model.f_batch(self.orbit_batch(ts))
+        # an empty bundle contributes no columns
+        A = np.concatenate([fc[:, :, None], psi @ self.V_s, psi @ self.V_u],
+                           axis=2)
+        return A, np.linalg.inv(A)
 
-    def _spow(self, S, cache, k):
-        k = int(k)
-        if k not in cache:
-            cache[k] = np.linalg.matrix_power(S, k)
-        return cache[k]
-
-    def _bases(self, ts):
-        mats, k = self._psi_at(ts)
-        x0 = self.orbit_batch(ts)
-        fc = self.model.f_batch(x0)
-        # an empty bundle gives (k, n, 0) bases
-        return fc, mats @ self.V_s, mats @ self.V_u, k
-
-    def _full_basis(self, ts):
-        fc, A_s, A_u, k = self._bases(ts)
-        A = np.concatenate([fc[:, :, None], A_s, A_u], axis=2)
-        return A, k
-
-    def basis(self, sigma, rho=0.0):
-        fc, A_s, A_u, _ = self._bases(np.atleast_1d(float(rho)))
-        return {"c": fc[0][:, None], "s": A_s[0], "u": A_u[0]}[sigma]
-
-    # -- projections and propagators --------------------------------------
-
-    def proj_batch(self, rhos):
-        rhos = np.asarray(rhos, dtype=float)
-        A, _ = self._full_basis(rhos)
-        Ainv = np.linalg.inv(A)
-        return tuple(np.einsum("kis,ksj->kij", A[:, :, sl], Ainv[:, sl, :])
-                     for sl in (slice(0, 1), self._block("s")[0],
-                                self._block("u")[0]))
-
-    def _coords(self, sigma, vs, ws):
-        A, k = self._full_basis(np.asarray(vs, dtype=float))
-        sl = self._block(sigma)[0]
-        return np.einsum("ksj,kj->ks", np.linalg.inv(A)[:, sl, :], ws), k
-
-    def _block(self, sigma):
-        n_s = self.dims[1]
-        if sigma == "s":
-            return slice(1, 1 + n_s), self.S_s, self._s_pow
-        return slice(1 + n_s, self.model.n), self.S_u, self._u_pow
-
-    def prop_s_batch(self, rhos, vs):
-        return self._prop_sigma(rhos, vs, "s")
-
-    def prop_u_batch(self, rhos, vs):
-        return self._prop_sigma(rhos, vs, "u")
-
-    def _prop_sigma(self, rhos, vs, sigma):
-        rhos, vs = _pairs(rhos, vs)
-        n = self.model.n
-        out = np.zeros((rhos.size, n, n))
-        sl, S, cache = self._block(sigma)
-        if sl.stop == sl.start:
-            return out
-        A_r, k_r = self._full_basis(rhos)
-        A_v, k_v = self._full_basis(vs)
-        lead = A_r[:, :, sl]
-        tail = np.linalg.inv(A_v)[:, sl, :]
-        # one block-map power per distinct period offset
-        gap = k_r - k_v
-        for e in np.unique(gap):
-            m = gap == e
-            out[m] = lead[m] @ self._spow(S, cache, e) @ tail[m]
+    def _carry(self, sigma, to, frm):
+        # S^k across k periods, each power computed once per bundle
+        gap = self._wrap(to)[1] - self._wrap(frm)[1]
+        S = self.S_s if sigma == "s" else self.S_u
+        out = np.empty((gap.size,) + S.shape)
+        for e in np.unique(gap).tolist():
+            if (sigma, e) not in self._powers:
+                self._powers[sigma, e] = np.linalg.matrix_power(S, e)
+            out[gap == e] = self._powers[sigma, e]
         return out
-
-    def prop_full_batch(self, rhos, vs):
-        rhos, vs = _pairs(rhos, vs)
-        mats_r, k_r = self._psi_at(rhos)
-        mats_v, k_v = self._psi_at(vs)
-        inv_v = np.linalg.inv(mats_v)
-        out = np.empty_like(mats_r)
-        gap = k_r - k_v
-        for e in np.unique(gap):
-            m = gap == e
-            Mk = np.linalg.matrix_power(self.monodromy, int(e))
-            out[m] = mats_r[m] @ Mk @ inv_v[m]
-        return out
-
-    # -- weighted propagator sums ----------------------------------------
-
-    def convolve_stable(self, rhos, vs, wvs):
-        """sum over v_i <= rho of U^s(rho; v_i) wvs_i for each rho.
-
-        ``rhos`` and ``vs`` ascending (``ValueError`` otherwise). Each
-        weight is carried by the block map to the period of the first
-        rho at or after it, summed cumulatively within each period, and
-        the block map carries the running sum across period changes.
-        """
-        return self._convolve(rhos, vs, wvs, "s")
-
-    def convolve_unstable(self, rhos, vs, wvs):
-        """sum over v_i >= rho of U^u(rho; v_i) wvs_i for each rho."""
-        return self._convolve(rhos, vs, wvs, "u")
-
-    def _convolve(self, rhos, vs, wvs, sigma):
-        rhos, vs, order, owner, keep = _sweep(rhos, vs, sigma == "s")
-        n = self.model.n
-        sl, S, cache = self._block(sigma)
-        n_sig = sl.stop - sl.start
-        if n_sig == 0 or rhos.size == 0:
-            return np.zeros((rhos.size, n))
-        coords, k_v = self._coords(sigma, vs, np.asarray(wvs, dtype=float))
-        _, A_s, A_u, k_r = self._bases(rhos)
-        A_r = A_s if sigma == "s" else A_u
-        k_sw = k_r[order]
-        owner = owner[keep]
-        # carry each weight to the period of the node that collects it;
-        # in the sweep direction these powers contract
-        carried = coords[keep]
-        gap = k_sw[owner] - k_v[keep]
-        for e in np.unique(gap):
-            m = gap == e
-            carried[m] = carried[m] @ self._spow(S, cache, e).T
-        # weights in sweep order; ends[j] counts those collected by node j
-        # or earlier in the sweep
-        by_node = np.argsort(owner, kind="stable")
-        carried = carried[by_node]
-        ends = np.searchsorted(owner[by_node], np.arange(rhos.size),
-                               side="right")
-        res = np.empty((rhos.size, n_sig))
-        run = np.zeros(n_sig)
-        cuts = np.flatnonzero(np.diff(k_sw)) + 1
-        for a, b in zip(np.r_[0, cuts], np.r_[cuts, rhos.size]):
-            if a > 0:
-                # crossing periods applies the block map to the running sum
-                run = self._spow(S, cache, k_sw[a] - k_sw[a - 1]) @ run
-            first = ends[a - 1] if a > 0 else 0
-            sums = np.cumsum(np.vstack([run, carried[first:ends[b - 1]]]),
-                             axis=0)
-            res[a:b] = sums[ends[a:b] - first]
-            run = res[b - 1]
-        return np.einsum("kis,ks->ki", A_r, res[order])
-
-    # -- quality ----------------------------------------------------------
 
     def _estimate_quality(self):
         gaps = np.linspace(0.5, 5.0, 10)
         bases = np.linspace(0.0, self.period, 7)
-        lam_s, C_s = self._fit("s", bases, gaps)
-        lam_u, C_u = self._fit("u", bases, gaps)
+        lam_s, C_s = _rate_fit(self, "s", bases, gaps)
+        lam_u, C_u = _rate_fit(self, "u", bases, gaps)
         Pc, Ps, Pu = self.proj_batch(np.linspace(0.0, self.period, 33))
         # sampled maxima get headroom so the declared constants majorize
         # the modulation between sample points
         C_Pi = max(1.0, 1.02 * max(np.linalg.norm(P, ord=2, axis=(1, 2)).max()
                                    for P in (Pc, Ps, Pu)))
         C_U = max(1.0, 1.05 * C_s, 1.05 * C_u)
-        return QualityMeasures(C_U, C_Pi,
-                               lam_s if lam_s is not None else math.inf,
-                               lam_u if lam_u is not None else math.inf)
+        return QualityMeasures(C_U, C_Pi, lam_s, lam_u)
 
-    def _fit(self, sigma, bases, gaps):
-        if (self.dims[1] if sigma == "s" else self.dims[2]) == 0:
-            return None, 1.0
-        g = np.tile(gaps, len(bases))
-        t = np.repeat(bases, len(gaps))
-        U = (self.prop_s_batch(t + g, t) if sigma == "s"
-             else self.prop_u_batch(t, t + g))
-        nm = np.linalg.norm(U, 2, axis=(1, 2))
-        pos = nm > 0.0
-        slope, intercept = np.polyfit(g[pos], np.log(nm[pos]), 1)
-        lam = -float(slope)
-        worst = max(1.0, float((nm * np.exp(lam * g)).max()))
-        return lam, worst
+
+def _rate_fit(fr, sigma, bases, gaps):
+    """Log-linear fit of |U^sigma| over every (base, gap) pair.
+
+    Returns the fitted decay rate and max(1, sup |U^sigma| e^{rate gap});
+    an empty bundle gives (inf, 1).
+    """
+    if fr.dims[1 if sigma == "s" else 2] == 0:
+        return math.inf, 1.0
+    g = np.tile(gaps, len(bases))
+    t = np.repeat(bases, len(gaps))
+    U = (fr.prop_s_batch(t + g, t) if sigma == "s"
+         else fr.prop_u_batch(t, t + g))
+    nm = np.linalg.norm(U, 2, axis=(1, 2))
+    pos = nm > 0.0
+    lam = -float(np.polyfit(g[pos], np.log(nm[pos]), 1)[0])
+    return lam, max(1.0, float((nm * np.exp(lam * g)).max()))
 
 
 # -- builtin models -----------------------------------------------------
@@ -857,18 +781,9 @@ def verify_frame(fr, sample_grid=None, tol_algebra=None, tol_cocycle=1e-7,
             failures.append(f"{label} {val:.2e}")
 
     lam_hat = {}
-    fit_g = np.tile(np.linspace(0.5, 5.0, 8), base.size)
-    fit_t = np.repeat(base, 8)
     for sigma in ("s", "u"):
-        if (n_s if sigma == "s" else n_u) == 0:
-            lam_hat[sigma] = math.inf
-            continue
-        U = (fr.prop_s_batch(fit_t + fit_g, fit_t) if sigma == "s"
-             else fr.prop_u_batch(fit_t, fit_t + fit_g))
-        nm = np.linalg.norm(U, 2, axis=(1, 2))
-        pos = nm > 0
-        slope = np.polyfit(fit_g[pos], np.log(nm[pos]), 1)[0]
-        lam_hat[sigma] = -float(slope)
+        lam_hat[sigma], _ = _rate_fit(fr, sigma, base,
+                                      np.linspace(0.5, 5.0, 8))
         declared = q.lam_s if sigma == "s" else q.lam_u
         if fr.mode == "analytic" and math.isfinite(declared):
             if abs(lam_hat[sigma] - declared) > 0.02 * declared:

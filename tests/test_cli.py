@@ -148,6 +148,21 @@ class TestRunVerb:
         rho0, want0 = (float(x) for x in lines[1].split(",")[:2])
         assert want0 == pytest.approx(closed_form(rho0, 0.01), abs=1e-15)
 
+    def test_null_optional_parameters_still_write_the_oracle(self, tmp_path,
+                                                             linear_run):
+        # lag and axis null take their defaults 1.0 and 1, in the spec
+        # and in the oracle, so the artifacts match the explicit run
+        params = {"a": 1.0, "omega": 2.0, "h": 1.0, "lag": None,
+                  "axis": None}
+        path, scn = write_scenario(
+            tmp_path, perturbation={"kind": "delayed-sin-forcing",
+                                    "parameters": params})
+        assert cli.main(["run", path, "--quiet"]) == 0
+        for name in ("oracle.csv", "xhat_s.csv"):
+            with open(os.path.join(scn["out"], name)) as a, \
+                    open(os.path.join(linear_run["out"], name)) as b:
+                assert a.read() == b.read()
+
     def test_state_roundtrip(self, linear_run):
         state = cli.load_state(linear_run["out"])
         truth = closed_form(state.xs.nodes, 0.01)

@@ -368,11 +368,11 @@ class TestDescriptors:
 
 def loop_convolve_analytic(fr, rhos, vs, wvs, stable):
     """Per-rho decay recurrence over the sorted weights."""
-    slots = fr.s_slots if stable else fr.u_slots
+    slots = fr._slot("s" if stable else "u")
     rates = fr.rates_s if stable else fr.rates_u
-    coords = (np.asarray(wvs, dtype=float) @ fr.Q)[:, list(slots)]
-    acc = np.zeros(len(slots))
-    res = np.empty((rhos.size, len(slots)))
+    coords = (np.asarray(wvs, dtype=float) @ fr.Q)[:, slots]
+    acc = np.zeros(rates.size)
+    res = np.empty((rhos.size, rates.size))
     if stable:
         cut = np.searchsorted(vs, rhos, side="right")
         lo, order = 0, range(rhos.size)
@@ -394,48 +394,61 @@ def loop_convolve_analytic(fr, rhos, vs, wvs, stable):
         lo = hi
         res[k] = acc
         prev = rho
-    return res @ fr.Q[:, list(slots)].T
+    return res @ fr.Q[:, slots].T
 
 
 def loop_convolve_floquet(fr, rhos, vs, wvs, stable):
-    """Per-rho sweep adding one block-map power per weight."""
+    """Per-rho sweep adding one carried coordinate vector per weight."""
     sigma = "s" if stable else "u"
-    coords, k_v = fr._coords(sigma, vs, np.asarray(wvs, dtype=float))
+    sl = fr._slot(sigma)
+    coords = np.einsum("ksj,kj->ks", fr._basis(vs)[1][:, sl, :],
+                       np.asarray(wvs, dtype=float))
+    A_r = fr._basis(rhos)[0][:, :, sl]
     if stable:
-        S, cache = fr.S_s, fr._s_pow
-        A_r, k_r = fr._bases(rhos)[1], fr._wrap(rhos)[1]
         cut = np.searchsorted(vs, rhos, side="right")
         order, lo = range(rhos.size), 0
     else:
-        S, cache = fr.S_u, fr._u_pow
-        A_r, k_r = fr._bases(rhos)[2], fr._wrap(rhos)[1]
         cut = np.searchsorted(vs, rhos, side="left")
         order, lo = range(rhos.size - 1, -1, -1), vs.size
     acc = np.zeros(coords.shape[1])
     res = np.empty((rhos.size, coords.shape[1]))
-    prev_k = None
+    prev = None
     for idx in order:
-        kr = int(k_r[idx])
-        if prev_k is not None and kr != prev_k:
-            acc = fr._spow(S, cache, kr - prev_k) @ acc
+        rho = rhos[idx]
+        if prev is not None:
+            acc = fr._carry(sigma, [rho], [prev])[0] @ acc
         hi = cut[idx]
         for q in (range(lo, hi) if stable else range(hi, lo)):
-            acc = acc + fr._spow(S, cache, kr - int(k_v[q])) @ coords[q]
+            acc = acc + fr._carry(sigma, [rho], [vs[q]])[0] @ coords[q]
         lo = hi
         res[idx] = acc
-        prev_k = kr
+        prev = rho
     return np.einsum("kis,ks->ki", A_r, res)
+
+
+def psi_prop_floquet(fr, rhos, vs):
+    """Psi(rho) M^k Psi(v)^-1, k the number of periods from v to rho."""
+    n = fr.model.n
+    r_r, k_r = fr._wrap(rhos)
+    r_v, k_v = fr._wrap(vs)
+    out = np.empty((len(rhos), n, n))
+    for i in range(len(rhos)):
+        Mk = np.linalg.matrix_power(fr.monodromy, int(k_r[i] - k_v[i]))
+        out[i] = (fr._psi.eval(r_r[i]).reshape(n, n) @ Mk
+                  @ np.linalg.inv(fr._psi.eval(r_v[i]).reshape(n, n)))
+    return out
 
 
 def scalar_prop_analytic(fr, rho, v, stable, unstable, center):
     """Q D Q^T with the diagonal built one slot at a time."""
     D = np.zeros((fr.model.n, fr.model.n))
     D[0, 0] = center
+    n_s = fr.rates_s.size
     if stable:
-        for s, r in zip(fr.s_slots, fr.rates_s):
+        for s, r in enumerate(fr.rates_s, start=1):
             D[s, s] = math.exp(-r * (rho - v))
     if unstable:
-        for s, r in zip(fr.u_slots, fr.rates_u):
+        for s, r in enumerate(fr.rates_u, start=1 + n_s):
             D[s, s] = math.exp(r * (rho - v))
     return fr.Q @ D @ fr.Q.T
 
@@ -677,6 +690,34 @@ class TestBatchedMatchesLoops:
             for k in range(rhos.size):
                 assert np.array_equal(batch[k],
                                       prop([rhos[k]], [vs[k]])[0]), name
+
+    def test_floquet_full_propagator_matches_the_monodromy_formula(self,
+                                                                  cycle_frame):
+        P = cycle_frame.period
+        rng = np.random.default_rng(6)
+        rhos = rng.uniform(-3.0 * P, 3.0 * P, size=40)
+        vs = rng.uniform(-3.0 * P, 3.0 * P, size=40)
+        got = cycle_frame.prop_full_batch(rhos, vs)
+        want = psi_prop_floquet(cycle_frame, rhos, vs)
+        for k in range(rhos.size):
+            assert rel_err(got[k], want[k]) <= 1e-9
+
+    def test_decay_scan_composes_maps_in_order(self):
+        # random non-commuting 2x2 factors, scaled to contract; each
+        # acc_k = F_k @ acc_{k-1} + L_k must come out as the recurrence
+        from hypershadow.hyperbolic import _decay_scan
+        rng = np.random.default_rng(12)
+        for K in (1, 2, 7, 64, 100):
+            fac = rng.standard_normal((K, 2, 2))
+            fac /= 1.1 * np.linalg.norm(fac, 2, axis=(1, 2))[:, None, None]
+            fac[0] = 0.0
+            load = rng.standard_normal((K, 2))
+            want = np.empty_like(load)
+            acc = np.zeros(2)
+            for k in range(K):
+                acc = fac[k] @ acc + load[k]
+                want[k] = acc
+            assert rel_err(_decay_scan(fac, load), want) <= 1e-13
 
     def test_analytic_propagators_match_the_slot_formula(self):
         fr = frame_of("rotated-saddle", None)
