@@ -516,10 +516,10 @@ def save_grid_function(g, csv_path):
     """
     csv_path = str(csv_path)
     cols = ",".join(f"v{i}" for i in range(g.m))
+    row = ",".join(["{:.17g}"] * (g.m + 1)).format
     lines = [f"t,{cols}"]
-    for t, row in zip(g.nodes, g.values):
-        cells = ",".join(f"{x:.17g}" for x in row)
-        lines.append(f"{t:.17g},{cells}")
+    lines.extend(row(*r) for r in
+                 np.column_stack([g.nodes, g.values]).tolist())
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     sidecar = {

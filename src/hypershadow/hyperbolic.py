@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "QualityMeasures",
     "AnalyticFrame",
     "FloquetFrame",
+    "FrameTable",
     "FrameReport",
     "BundleReport",
     "analytic_frame",
@@ -130,6 +132,58 @@ class QualityMeasures:
                 "lam_u": None if math.isinf(self.lam_u) else self.lam_u}
 
 
+class FrameTable:
+    """A frame evaluated at fixed times, for every call that reads them.
+
+    ``times`` (k,); ``x0`` the orbit there, ``f0`` = f(x0), ``df0`` =
+    Df(x0), each (k, ...); ``A`` and ``Ainv`` the frame's adapted basis
+    and its inverse (see ``_FrameBase``). Each is computed on first use
+    and kept, so a table built once per lattice pays for the frame once,
+    and a table made on the spot for raw times computes only what its
+    caller reads. ``np.asarray(table)`` gives the times, so a table goes
+    wherever times go.
+    """
+
+    def __init__(self, frame, times):
+        self.frame = frame
+        self.times = np.asarray(times, dtype=float)
+
+    @classmethod
+    def of(cls, frame, ts):
+        """``ts`` as a table of ``frame``: one of its tables passes
+        through, anything else is tabulated here."""
+        if isinstance(ts, cls) and ts.frame is frame:
+            return ts
+        return cls(frame, ts)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.times, dtype=dtype, copy=copy)
+
+    @cached_property
+    def x0(self):
+        return self.frame.orbit_batch(self.times)
+
+    @cached_property
+    def f0(self):
+        return self.frame.model.f_batch(self.x0)
+
+    @cached_property
+    def df0(self):
+        return self.frame.model.df_batch(self.x0)
+
+    @cached_property
+    def _basis_pair(self):
+        return self.frame._basis(self.times)
+
+    @property
+    def A(self):
+        return self._basis_pair[0]
+
+    @property
+    def Ainv(self):
+        return self._basis_pair[1]
+
+
 class _FrameBase:
     """Projections, propagators and bundle sums over two frame primitives.
 
@@ -148,14 +202,24 @@ class _FrameBase:
     because the linearized flow moves f(x0(v)) onto f(x0(rho)); a bundle
     sum carries each weight to the node that collects it and runs the
     decay scan with the carries between neighbouring nodes as factors.
+
+    Every method taking times also takes a :class:`FrameTable` of this
+    frame from ``table(ts)``. ``_bases`` is the one place bases are read:
+    from the table when given one, from ``_basis`` on the spot for raw
+    times. A caller that queries the same times repeatedly builds the
+    table once.
     """
+
+    def table(self, ts):
+        """The frame at the times ``ts`` as a :class:`FrameTable`."""
+        return FrameTable.of(self, ts)
 
     def orbit_deriv_batch(self, ts):
         # the orbit solves the unperturbed equation, so its derivative is f(x0)
-        return self.model.f_batch(self.orbit_batch(ts))
+        return self.table(ts).f0
 
     def df_along_orbit(self, ts):
-        return self.model.df_batch(self.orbit_batch(ts))
+        return self.table(ts).df0
 
     def _slot(self, sigma):
         """Columns of the adapted basis that span bundle ``sigma``."""
@@ -163,23 +227,28 @@ class _FrameBase:
         return {"c": slice(0, 1), "s": slice(1, 1 + n_s),
                 "u": slice(1 + n_s, 1 + n_s + n_u)}[sigma]
 
+    def _bases(self, ts):
+        """(A, Ainv) at ``ts``: a table's own, or built here from times."""
+        if isinstance(ts, FrameTable) and ts.frame is self:
+            return ts.A, ts.Ainv
+        return self._basis(np.asarray(ts, dtype=float))
+
     def _projector(self, sigma, A, Ainv):
         sl = self._slot(sigma)
         return A[:, :, sl] @ Ainv[:, sl, :]
 
     def basis(self, sigma, rho=0.0):
-        A, _ = self._basis(np.atleast_1d(float(rho)))
+        A, _ = self._bases(np.atleast_1d(float(rho)))
         return A[0][:, self._slot(sigma)]
 
     def proj_batch(self, rhos):
-        rhos = np.asarray(rhos, dtype=float)
-        A, Ainv = self._basis(rhos)
-        shape = (rhos.size,) + A.shape[1:]
+        A, Ainv = self._bases(rhos)
+        shape = (np.size(rhos),) + A.shape[1:]
         return tuple(np.broadcast_to(self._projector(sigma, A, Ainv),
                                      shape).copy() for sigma in "csu")
 
     def proj_apply(self, sigma, rhos, vecs):
-        A, Ainv = self._basis(np.asarray(rhos, dtype=float))
+        A, Ainv = self._bases(rhos)
         return _apply(self._projector(sigma, A, Ainv),
                       np.asarray(vecs, dtype=float))
 
@@ -204,7 +273,7 @@ class _FrameBase:
                 C[:, sl, sl] = 1.0
             elif sl.stop > sl.start:
                 C[:, sl, sl] = self._carry(sigma, rhos, vs)
-        return self._basis(rhos)[0] @ C @ self._basis(vs)[1]
+        return self._bases(rhos)[0] @ C @ self._bases(vs)[1]
 
     # -- weighted propagator sums ---------------------------------------
 
@@ -224,20 +293,21 @@ class _FrameBase:
         return self._bundle_sum("u", rhos, vs, wvs)
 
     def _bundle_sum(self, sigma, rhos, vs, wvs):
-        rhos, vs, order, owner, keep = _sweep(rhos, vs, sigma == "s")
+        # rhos and vs may be tables: times for the sweep, bases from _bases
+        ts, us, order, owner, keep = _sweep(rhos, vs, sigma == "s")
         sl = self._slot(sigma)
         if sl.stop == sl.start:
-            return np.zeros((rhos.size, self.model.n))
-        coords = _apply(self._basis(vs)[1][:, sl, :],
+            return np.zeros((ts.size, self.model.n))
+        coords = _apply(self._bases(vs)[1][:, sl, :],
                         np.asarray(wvs, dtype=float))[keep]
-        nodes = rhos[order]
+        nodes = ts[order]
         owner = owner[keep]
-        load = np.zeros((rhos.size, sl.stop - sl.start))
+        load = np.zeros((ts.size, sl.stop - sl.start))
         np.add.at(load, owner,
-                  _apply(self._carry(sigma, nodes[owner], vs[keep]), coords))
+                  _apply(self._carry(sigma, nodes[owner], us[keep]), coords))
         fac = np.zeros(load.shape + load.shape[1:])
         fac[1:] = self._carry(sigma, nodes[1:], nodes[:-1])
-        return _apply(self._basis(rhos)[0][:, :, sl],
+        return _apply(self._bases(rhos)[0][:, :, sl],
                       _decay_scan(fac, load)[order])
 
     def descriptor(self):
@@ -301,6 +371,20 @@ def _decay_scan(fac, load):
         a[d:] = a[d:] @ a[:-d]
         d *= 2
     return b
+
+
+def _prefix_products(mats):
+    """I, M_0, M_1 M_0, ..., M_{K-1} ... M_0 for a (K, n, n) stack.
+
+    The doubling of :func:`_decay_scan`: pass d multiplies each running
+    product by the one d rows before it, the later factor on the left.
+    """
+    out = np.concatenate([np.eye(mats.shape[1])[None], mats])
+    d = 1
+    while d < out.shape[0]:
+        out[d:] = out[d:] @ out[:-d]
+        d *= 2
+    return out
 
 
 class AnalyticFrame(_FrameBase):
@@ -397,9 +481,13 @@ def _realify(eigvals, eigvecs, selector):
 class FloquetFrame(_FrameBase):
     """Frame built from the monodromy of a periodic orbit.
 
-    The fundamental solution Psi over one period is integrated with a
-    fixed fourth-order step; the monodromy spectrum supplies the stable
-    and unstable eigenspaces V_s, V_u (complex pairs realified) and the
+    The fundamental solution Psi over one period comes from a fixed
+    fourth-order rule. The variational equation is linear, so each RK4
+    substep is one transition matrix M_i, and all of them are built in a
+    few batched products from Df at the substep's start, middle and end;
+    Psi at every node is then the prefix product M_{j-1} ... M_0 of a
+    doubling scan. The monodromy spectrum supplies the stable and
+    unstable eigenspaces V_s, V_u (complex pairs realified) and the
     block maps S_s, S_u they restrict it to. The adapted basis at t is
     [f(x0(t)) | Psi(t) V_s | Psi(t) V_u], with Psi read at t wrapped into
     the base period, so projections are exact by construction up to
@@ -427,26 +515,20 @@ class FloquetFrame(_FrameBase):
         if abs(nsteps * delta - P) > 1e-9:
             raise ValueError("period must be a whole number of grid cells")
         h = delta / substeps
-        # orbit points at all half-steps of the integration
+        # Df along the orbit at every half-step; substep i reads the
+        # three at its start, middle and end
         fine = -P / 2.0 + 0.5 * h * np.arange(2 * nsteps * substeps + 1)
         dfs = model.df_batch(self.orbit_batch(fine))
-        psi = np.eye(n)
-        stored = np.empty((nsteps + 1, n * n))
-        stored[0] = psi.ravel()
-        idx = 0
-        for step in range(nsteps):
-            for sub in range(substeps):
-                A1 = dfs[idx]
-                A2 = dfs[idx + 1]
-                A3 = dfs[idx + 2]
-                k1 = A1 @ psi
-                k2 = A2 @ (psi + 0.5 * h * k1)
-                k3 = A2 @ (psi + 0.5 * h * k2)
-                k4 = A3 @ (psi + h * k3)
-                psi = psi + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-                idx += 2
-            stored[step + 1] = psi.ravel()
-        self.monodromy = psi.copy()
+        A1, A2, A3 = dfs[:-1:2], dfs[1::2], dfs[2::2]
+        # the variational equation is linear, so each RK4 substep is one
+        # fixed matrix M_i and Psi at substep j is M_{j-1} ... M_0
+        eye = np.eye(n)
+        K2 = A2 @ (eye + 0.5 * h * A1)
+        K3 = A2 @ (eye + 0.5 * h * K2)
+        K4 = A3 @ (eye + h * K3)
+        psi = _prefix_products(eye + (h / 6.0) * (A1 + 2.0 * (K2 + K3) + K4))
+        stored = psi[::substeps].reshape(nsteps + 1, n * n)
+        self.monodromy = psi[-1].copy()
         self._psi = GridFunction(P / 2.0, delta, stored, interp_order=5,
                                  extension="constant-hold")
 

@@ -32,6 +32,7 @@ from .flows import (Flow, FlowGuardError, NumericalError, ScalarField,
                     solve_flow)
 from .funcspace import (BallRadii, GridFunction, GridSampler, WeightParam,
                         ball_membership)
+from .hyperbolic import FrameTable
 from .perturbations import HistorySegment
 
 
@@ -269,20 +270,22 @@ def center_defect(fr, state):
 def taylor_remainder(fr, xhat, rho, cross_check=False):
     """T = f(x0 + xhat) - f(x0) - Df(x0) xhat at the orbit points x0(rho).
 
-    ``xhat`` is (k, n) and ``rho`` (k,); returns (k, n). With
-    ``cross_check`` the direct formula is compared against the
-    double-integral form int_0^1 int_0^s D2f(x0 + r xhat) xhat^2 dr ds
+    ``xhat`` is (k, n) and ``rho`` (k,) times or a FrameTable of ``fr``;
+    returns (k, n). With ``cross_check`` the direct formula is compared
+    against the double-integral form
+    int_0^1 int_0^s D2f(x0 + r xhat) xhat^2 dr ds
     and a larger-than-roundoff disagreement raises.
     """
     model = fr.model
     xhat = np.asarray(xhat, dtype=float)
-    x0 = fr.orbit_batch(rho)
+    tab = FrameTable.of(fr, rho)
+    x0 = tab.x0
     radius = getattr(model, "valid_radius", math.inf)
     if float(np.linalg.norm(xhat, axis=1).max()) > radius:
         raise ValueError(
             "correction leaves the model's valid neighborhood of the orbit")
-    lin = np.einsum("kij,kj->ki", model.df_batch(x0), xhat)
-    direct = model.f_batch(x0 + xhat) - model.f_batch(x0) - lin
+    lin = np.einsum("kij,kj->ki", tab.df0, xhat)
+    direct = model.f_batch(x0 + xhat) - tab.f0 - lin
     if cross_check:
         # iterated-integral form, 20-point Gauss in each layer
         gx, gw = np.polynomial.legendre.leggauss(20)
@@ -300,14 +303,15 @@ def taylor_remainder(fr, xhat, rho, cross_check=False):
 
 
 def _quadratic_batch(fr, state, vs, at=None):
-    """B = (1 - X) Df(x0) xhat + T[x0, xhat] at the times vs, shape (k, n);
-    ``at`` is a sampler of vs on the state's grids, built when not given."""
+    """B = (1 - X) Df(x0) xhat + T[x0, xhat] at the times vs (or their
+    FrameTable), shape (k, n); ``at`` is a sampler of vs on the state's
+    grids, built when not given."""
     at = at or GridSampler(state.xs, vs)
-    x0 = fr.orbit_batch(vs)
+    tab = fr.table(vs)
     xh = at.apply(state.xs + state.xu)
     Xv = 1.0 + at.apply(state.X.xhat)[:, 0]
-    lin = np.einsum("kij,kj->ki", fr.model.df_batch(x0), xh)
-    return (1.0 - Xv)[:, None] * lin + taylor_remainder(fr, xh, vs)
+    lin = np.einsum("kij,kj->ki", tab.df0, xh)
+    return (1.0 - Xv)[:, None] * lin + taylor_remainder(fr, xh, tab)
 
 
 def _state_flow(state, half_width, run=None):
@@ -397,17 +401,23 @@ class _Run:
 
     ``geo`` is the window layout, ``gauss`` the (points, weights) of the
     bundle quadrature and ``half_cells`` the lattice the perturbation
-    term is tabulated on. ``sampler(name, points, g)`` builds the
-    sampler of lattice ``name`` on g's geometry once per run; a name
-    always denotes the same points.
+    term is tabulated on. Lattices have names ("nodes", "gauss", "half
+    cells"), and a name always denotes the same points.
+    ``sampler(name, points, g)`` builds the sampler of lattice ``name``
+    on g's geometry once per run, and ``table(name, points)`` the
+    frame's FrameTable of it, so the orbit, the field and its
+    derivative along it, and the adapted bases behind every projection
+    and bundle sum are evaluated once per run, not once per step.
     """
 
     def __init__(self, fr, spec, cfg, t0):
+        self.fr = fr
         self.geo = geo = resolve_geometry(cfg, fr, spec.h, t0)
         self.gauss = _gauss_panels(geo.lo, geo.hi, geo.quad, cfg.gauss_order)
         K = int(round(geo.hi / geo.quad))
         self.half_cells = -geo.hi + np.arange(2 * K + 1) * geo.quad
         self._samplers = {}
+        self._tables = {}
 
     def sampler(self, name, points, g):
         key = (name, g.geometry)
@@ -415,10 +425,15 @@ class _Run:
             self._samplers[key] = GridSampler(g, points)
         return self._samplers[key]
 
+    def table(self, name, points):
+        if name not in self._tables:
+            self._tables[name] = self.fr.table(points)
+        return self._tables[name]
+
 
 def _step_load(fr, state, spec, cfg, run):
     """The load g = B + eps varphi of one step, as ``load(name, vs)``
-    returning (g, X) at the times vs of run lattice ``name``.
+    returning (g, X) on the run's FrameTable vs of lattice ``name``.
 
     The flow of the state's time change is solved here, and varphi
     tabulated once on the half-cell lattice: Gauss points read it by
@@ -458,8 +473,8 @@ def gamma_step(fr, state, spec, cfg, _run=None):
     """
     run = _run or _Run(fr, spec, cfg, state.X.t0)
     geo = run.geo
-    nodes = state.xs.nodes
-    f0 = fr.orbit_deriv_batch(nodes)
+    nodes = run.table("nodes", state.xs.nodes)
+    f0 = nodes.f0
     if float(np.linalg.norm(f0, axis=1).min()) < fr.model.b - 1e-12:
         raise ValueError("orbit speed falls below the frame's floor b")
     load = _step_load(fr, state, spec, cfg, run)
@@ -477,12 +492,11 @@ def gamma_step(fr, state, spec, cfg, _run=None):
     # bundles: kernel integrals of the projected load (1/X) g over the
     # Gauss panels; the final projection removes the quadrature drift
     # off the bundle, keeping the range constraint machine-true
-    vs, ws = run.gauss
+    vs, ws = run.table("gauss", run.gauss[0]), run.gauss[1]
     g, Xv = load("gauss", vs)
     scaled = g / Xv[:, None]
-    _, Ps, Pu = fr.proj_batch(vs)
-    load_s = np.einsum("kij,kj->ki", Ps, scaled)
-    load_u = np.einsum("kij,kj->ki", Pu, scaled)
+    load_s = fr.proj_apply("s", vs, scaled)
+    load_u = fr.proj_apply("u", vs, scaled)
     xs = fr.convolve_stable(nodes, vs, load_s * ws[:, None])
     xu = -fr.convolve_unstable(nodes, vs, load_u * ws[:, None])
     new_state = CorrectionState(
@@ -623,7 +637,9 @@ def iterate(fr, spec, cfg, initial=None):
     FlowGuardError, naming the iteration, when the flow of an iterate's
     time change fails its checks. The defects of the returned state are
     measured by one extra operator application, so the report's e_eta
-    genuinely belongs to it.
+    genuinely belongs to it. ``kappa_hat`` is the largest ratio of
+    consecutive distances; a run that stops after one iteration takes
+    it from that extra application, so a resumed run measures it too.
     """
     state = initial if initial is not None else initial_state(fr, cfg)
     run = _Run(fr, spec, cfg, state.X.t0)
@@ -670,7 +686,11 @@ def iterate(fr, spec, cfg, initial=None):
                                      len(distances) + 1)
     e_eta = (final_defects["d_eta"] + final_defects["tail_s"]
              + final_defects["tail_u"])
-    kappa_hat = max(ratios) if ratios else 0.0
+    if ratios or distances[0] <= 1e-300:
+        kappa_hat = max(ratios, default=0.0)
+    else:
+        # one iteration left no ratio; the extra application measures it
+        kappa_hat = final_defects["d_eta"] / distances[0]
     report = IterationReport(
         distances=tuple(distances),
         ratios=tuple(ratios),
@@ -701,11 +721,11 @@ def derivative_identity_defect(fr, state, spec, cfg):
     same integrand; the returned sup is the larger of the two bundles.
     """
     run = _Run(fr, spec, cfg, state.X.t0)
-    nodes = state.xs.nodes
-    core = np.abs(nodes) <= run.geo.core_half + 1e-12
+    nodes = run.table("nodes", state.xs.nodes)
+    core = np.abs(nodes.times) <= run.geo.core_half + 1e-12
     g, Xv = _step_load(fr, state, spec, cfg, run)("nodes", nodes)
     scaled = g / Xv[:, None]
-    Df0 = fr.df_along_orbit(nodes)
+    Df0 = nodes.df0
     worst = 0.0
     for sigma, grid in (("s", state.xs), ("u", state.xu)):
         load = fr.proj_apply(sigma, nodes, scaled)

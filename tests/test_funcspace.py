@@ -294,6 +294,22 @@ def test_csv_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    # one format call per row writes exactly what formatting each value
+    # with .17g does, signed zeros, subnormals, extremes and integers too
+    rng = np.random.default_rng(5)
+    vals = rng.normal(size=(21, 3)) * 10.0 ** rng.integers(-300, 300, (21, 3))
+    vals[:4] = [[0.0, -0.0, 5e-324], [-2.5e-310, 1e308, -1e308],
+                [3.0, -7.0, 2.0 ** 60], [1.0 / 3.0, -1e-5, 12345.0]]
+    g = fs.GridFunction(1.0, 0.1, vals)
+    path = tmp_path / "g.csv"
+    fs.save_grid_function(g, path)
+    want = ["t,v0,v1,v2"] + [
+        f"{t:.17g}," + ",".join(f"{x:.17g}" for x in row)
+        for t, row in zip(g.nodes, g.values)]
+    assert path.read_text() == "\n".join(want) + "\n"
+
+
 # -- sampler -----------------------------------------------------------
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

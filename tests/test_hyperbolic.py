@@ -730,6 +730,85 @@ class TestBatchedMatchesLoops:
                 assert np.abs(got - want).max() <= 1e-15, name
 
 
+def loop_monodromy(fr):
+    """Psi at every orbit node by the sequential RK4 step, one substep
+    after the other, that the batched transition matrices replaced."""
+    P, delta, n = fr.period, fr.orbit_grid.delta, fr.model.n
+    substeps = max(1, int(math.ceil(delta / 0.01)))
+    nsteps = int(round(P / delta))
+    h = delta / substeps
+    fine = -P / 2.0 + 0.5 * h * np.arange(2 * nsteps * substeps + 1)
+    dfs = fr.model.df_batch(fr.orbit_batch(fine))
+    psi = np.eye(n)
+    stored = [psi]
+    idx = 0
+    for _ in range(nsteps):
+        for _ in range(substeps):
+            A1, A2, A3 = dfs[idx], dfs[idx + 1], dfs[idx + 2]
+            k1 = A1 @ psi
+            k2 = A2 @ (psi + 0.5 * h * k1)
+            k3 = A2 @ (psi + 0.5 * h * k2)
+            k4 = A3 @ (psi + h * k3)
+            psi = psi + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            idx += 2
+        stored.append(psi)
+    return np.array(stored).reshape(nsteps + 1, n * n)
+
+
+class TestMonodromyScan:
+    # 0.005, 0.01 and 0.03 take one, two and three RK4 substeps per cell
+    @pytest.mark.parametrize("delta", [0.005, 0.01, 0.03])
+    def test_matches_the_sequential_loop(self, delta):
+        orbit, period = unit_circle_orbit(delta=delta)
+        fr = floquet_frame(builtin_model("planar-limit-cycle"), orbit, period)
+        want = loop_monodromy(fr)
+        assert np.abs(fr._psi.values - want).max() <= 1e-12
+        mus = np.linalg.eigvals(want[-1].reshape(2, 2))
+        assert np.abs(np.sort_complex(fr.multipliers)
+                      - np.sort_complex(mus)).max() <= 1e-12
+        assert verify_frame(fr).ok
+
+    def test_prefix_products_compose_in_order(self):
+        from hypershadow.hyperbolic import _prefix_products
+        rng = np.random.default_rng(9)
+        for K in (1, 2, 5, 64, 100):
+            mats = rng.standard_normal((K, 3, 3)) / 2.0
+            want = [np.eye(3)]
+            for M in mats:
+                want.append(M @ want[-1])
+            assert rel_err(_prefix_products(mats), np.array(want)) <= 1e-13
+
+
+class TestFrameTable:
+    @pytest.mark.parametrize("kind", ["rotated-saddle", "cycle"])
+    def test_tables_and_raw_times_agree_bitwise(self, kind, cycle_frame):
+        fr = frame_of(kind, cycle_frame)
+        rng = np.random.default_rng(21)
+        rhos = np.sort(rng.uniform(-9.0, 9.0, size=50))
+        vs = np.sort(rng.uniform(-12.0, 12.0, size=400))
+        ws = rng.standard_normal((vs.size, fr.model.n))
+        at_rho, at_v = fr.table(rhos), fr.table(vs)
+        for sigma in "csu":
+            assert np.array_equal(fr.proj_apply(sigma, rhos, ws[:50]),
+                                  fr.proj_apply(sigma, at_rho, ws[:50]))
+        for raw, tab in zip(fr.proj_batch(vs), fr.proj_batch(at_v)):
+            assert np.array_equal(raw, tab)
+        for conv in (fr.convolve_stable, fr.convolve_unstable):
+            assert np.array_equal(conv(rhos, vs, ws), conv(at_rho, at_v, ws))
+
+    def test_a_table_stands_for_its_times(self, cycle_frame):
+        ts = np.linspace(-3.0, 3.0, 13)
+        tab = cycle_frame.table(ts)
+        assert np.array_equal(np.asarray(tab), ts) and np.size(tab) == 13
+        assert cycle_frame.table(tab) is tab
+        assert np.array_equal(tab.x0, cycle_frame.orbit_batch(ts))
+        assert np.array_equal(tab.f0, cycle_frame.orbit_deriv_batch(ts))
+        assert np.array_equal(tab.df0, cycle_frame.df_along_orbit(ts))
+        # a table of another frame is read for its times only
+        other = saddle_frame()
+        assert other.table(tab).frame is other
+
+
 class TestConvolvePrecondition:
     @pytest.mark.parametrize("kind", ["rotated-saddle", "cycle"])
     def test_unsorted_input_raises(self, kind, cycle_frame):

@@ -666,6 +666,17 @@ class TestIterateNonlinear:
         probe = np.linspace(-2.0, 2.0, 81)
         assert residual_fde(fr, final, spec, cfg.eps, probe) < 1e-5
 
+    def test_resumed_run_measures_kappa(self):
+        # resuming from the fixed point converges in one iteration; the
+        # extra application of the operator measures kappa, not 0
+        fr, spec, cfg, final, report = nonlinear_run()
+        _, resumed = iterate(fr, spec, cfg, initial=final)
+        assert resumed.converged and resumed.iterations == 1
+        assert resumed.ratios == ()
+        assert resumed.kappa_hat == (resumed.defects["d_eta"]
+                                     / resumed.distances[0])
+        assert resumed.kappa_hat == pytest.approx(report.kappa_hat, rel=0.5)
+
     def test_every_iterate_stayed_in_its_ball(self):
         fr, spec, cfg, final, report = nonlinear_run()
         assert report.ball_history
@@ -717,6 +728,26 @@ def test_static_lattices_are_sampled_once_per_run(monkeypatch):
     # nor is any other query sampled twice on one geometry
     seen = {(g, t.tobytes()) for g, t in builds}
     assert len(seen) == len(builds)
+
+
+@pytest.mark.parametrize("max_iters", [2, 5])
+def test_floquet_bases_are_built_once_per_lattice(max_iters, monkeypatch):
+    # the orbit, its field and the adapted bases of the node and Gauss
+    # lattices are tabulated once per run, whatever the iteration count
+    fr = frame_from_descriptor({"mode": "floquet",
+                                "model": "planar-limit-cycle"})
+    spec = spec_from_descriptor({"kind": "ode-sin-forcing", "parameters":
+                                 {"a": 0.45, "omega": 1.0, "n": 2,
+                                  "axis": 1}})
+    cfg = OperatorConfig(eta=WeightParam(0.25), window=12.0, eps=0.01,
+                         delta=0.2, tol_eta=1e-6, max_iters=max_iters)
+    calls = []
+    basis = fr._basis
+    monkeypatch.setattr(fr, "_basis",
+                        lambda ts: calls.append(np.size(ts)) or basis(ts))
+    _, report = iterate(fr, spec, cfg)
+    assert report.iterations == min(max_iters, 3)
+    assert len(calls) == 2
 
 
 def _loglog_fit(x, y):
