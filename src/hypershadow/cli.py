@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -71,6 +72,12 @@ class Scenario:
         """Build (frame, spec, cfg); raises on any descriptor problem."""
         fr = frame_from_descriptor(self.frame)
         spec = spec_from_descriptor(self.perturbation)
+        # the fields of OperatorConfig; eps comes from the scenario
+        settings = [f.name for f in fields(OperatorConfig)]
+        unknown = sorted(set(self.config) - set(settings))
+        if unknown:
+            raise ValueError(f"config key {unknown[0]!r} is not a setting; "
+                             f"config takes {', '.join(settings)}")
         cfg_kw = dict(self.config)
         if eps is None:
             eps = self.eps
@@ -113,6 +120,10 @@ def load_scenario(path):
     interval = tuple(float(x) for x in raw.get("bounds_interval", (-2.0, 2.0)))
     if len(interval) != 2:
         raise ValueError("bounds_interval must be [a, b]")
+    # checked before any compute, so a bad interval never costs a run
+    if not (all(map(math.isfinite, interval)) and interval[0] < interval[1]):
+        raise ValueError(f"bounds_interval must be finite with a < b, got "
+                         f"[{interval[0]:g}, {interval[1]:g}]")
     return Scenario(frame=dict(raw["frame"]),
                     perturbation=dict(raw["perturbation"]),
                     config=dict(raw["config"]),

@@ -151,7 +151,7 @@ class Trajectory:
                    params={"half_width": g.half_width, "delta": g.delta})
 
     @classmethod
-    def from_callable(cls, fn, dfn, dim, kind="custom", params=None):
+    def from_callable(cls, fn, dfn, dim):
         def wrap(f):
             rows = pointwise(f)
 
@@ -162,7 +162,7 @@ class Trajectory:
                 return rows(t)
             return ev
 
-        return cls(wrap(fn), wrap(dfn), dim, kind=kind, params=params)
+        return cls(wrap(fn), wrap(dfn), dim)
 
     def reflected(self):
         """Time reversal: positions at -t, velocities negated."""
@@ -186,8 +186,9 @@ class Trajectory:
         return Trajectory(lambda t: pos(t) + off, self.vel, self.dim,
                           kind=self.kind, params={**self.params, "shifted": True})
 
-    def speed_sup(self, lo, hi, samples=2049):
-        ts = np.linspace(float(lo), float(hi), int(samples))
+    def speed_sup(self, lo, hi):
+        """sup |vel| over [lo, hi], sampled at 2049 times."""
+        ts = np.linspace(float(lo), float(hi), 2049)
         return float(np.linalg.norm(self.vel(ts), axis=-1).max())
 
     def descriptor(self):
@@ -343,16 +344,16 @@ def _contraction_rate(qi, qj, eps, window):
     return eps * qj.speed_sup(-window - pad, window + pad)
 
 
-def _fixed_point(step, times, tol, max_iters):
+def _fixed_point(step, times):
     """Elementwise fixed point of tau = step(rows, tau) over all elements.
 
     ``step(rows, tau)`` maps the current values of the selected elements
     (an index array) to their next iterate. The sweep starts every
     element from tau_0 = step(all, 0) and freezes an element once its
-    update is <= ``tol``, so each takes exactly the iterates a
+    update is <= ``_DEFECT_TOL``, so each takes exactly the iterates a
     one-element loop would. ``times`` labels the elements in errors: the
     first non-finite value raises ``NumericalError`` on the iterate it
-    appears, a sweep that outlasts ``max_iters`` raises
+    appears, a sweep that outlasts ``_MAX_ITERS`` raises
     ``DelaySolveError``. Returns the values and the largest per-element
     iteration count.
     """
@@ -366,16 +367,16 @@ def _fixed_point(step, times, tol, max_iters):
 
     rows = np.arange(len(times))
     tau = finite(step(rows, 0.0), rows, 0)
-    for it in range(1, max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         nxt = finite(step(rows, tau[rows]), rows, it)
         update = np.abs(nxt - tau[rows])
         tau[rows] = nxt
-        moving = update > tol
+        moving = update > _DEFECT_TOL
         if not moving.any():
             return tau, it
         rows, update = rows[moving], update[moving]
     raise DelaySolveError(
-        f"delay at t={times[rows[0]]:.6g} still moving after {max_iters} "
+        f"delay at t={times[rows[0]]:.6g} still moving after {_MAX_ITERS} "
         f"iterations; last update {update[0]:.3e}")
 
 
@@ -393,7 +394,7 @@ def _cone_step(here, partner, eps, sign):
     return step
 
 
-def _delay_values(qi, qj, eps, mode, nodes, tol, max_iters):
+def _delay_values(qi, qj, eps, mode, nodes):
     """Fixed point of tau = eps |q_i(t) - q_j(t -+ tau)| at every node.
 
     All nodes are solved at once from tau_0 = eps |q_i(t) - q_j(t)|.
@@ -406,13 +407,12 @@ def _delay_values(qi, qj, eps, mode, nodes, tol, max_iters):
     step = _cone_step(qi.pos(nodes),
                       lambda rows, off: qj.pos(nodes[rows] + off),
                       eps, signs[mode])
-    vals, iters = _fixed_point(step, nodes, tol, max_iters)
+    vals, iters = _fixed_point(step, nodes)
     defect = float(np.abs(step(np.arange(nodes.size), vals) - vals).max())
     return vals, iters, defect
 
 
-def _solve_grid(qi, qj, eps, modes, window, delta, tol, max_iters,
-                interp_order):
+def _solve_grid(qi, qj, eps, modes, window, delta):
     """One (field, iterations, defect) per mode on the symmetric node grid.
 
     The defining equation is a contraction of rate eps * sup|dq_j|,
@@ -431,15 +431,12 @@ def _solve_grid(qi, qj, eps, modes, window, delta, tol, max_iters,
     nodes = -window + np.arange(n) * float(delta)
     out = []
     for mode in modes:
-        vals, iters, defect = _delay_values(qi, qj, eps, mode, nodes, tol,
-                                            max_iters)
-        out.append((GridFunction(window, delta, vals,
-                                 interp_order=interp_order), iters, defect))
+        vals, iters, defect = _delay_values(qi, qj, eps, mode, nodes)
+        out.append((GridFunction(window, delta, vals), iters, defect))
     return out
 
 
-def solve_delay(qi, qj, eps, mode="retarded", window=8.0, delta=0.1,
-                tol=_DEFECT_TOL, max_iters=_MAX_ITERS, interp_order=5):
+def solve_delay(qi, qj, eps, mode="retarded", window=8.0, delta=0.1):
     """Solve the implicit delay (or advance) on a symmetric node grid.
 
     The defining equation tau(t) = eps |q_i(t) - q_j(t - tau(t))| is a
@@ -448,8 +445,7 @@ def solve_delay(qi, qj, eps, mode="retarded", window=8.0, delta=0.1,
     q_j(t)|. Advanced mode reads the partner at t + tau in place of
     t - tau.
     """
-    [(field, _, _)] = _solve_grid(qi, qj, eps, (mode,), window, delta, tol,
-                                  max_iters, interp_order)
+    [(field, _, _)] = _solve_grid(qi, qj, eps, (mode,), window, delta)
     return field
 
 
@@ -483,11 +479,9 @@ class DelayField:
             raise ValueError("delay defect exceeds the certification threshold")
 
     @classmethod
-    def solve(cls, qi, qj, eps, window=8.0, delta=0.1, pair=(0, 1),
-              tol=_DEFECT_TOL, max_iters=_MAX_ITERS, interp_order=5):
+    def solve(cls, qi, qj, eps, window=8.0, delta=0.1, pair=(0, 1)):
         (tau, tit, tdef), (sigma, sit, sdef) = _solve_grid(
-            qi, qj, eps, ("retarded", "advanced"), window, delta, tol,
-            max_iters, interp_order)
+            qi, qj, eps, ("retarded", "advanced"), window, delta)
         return cls(tau, sigma, float(eps), pair=tuple(pair),
                    tau_iterations=tit, tau_defect=tdef,
                    sigma_iterations=sit, sigma_defect=sdef)
@@ -503,8 +497,7 @@ class DelayField:
         return paths
 
 
-def solve_system_delays(sys, window=8.0, delta=0.1, tol=_DEFECT_TOL,
-                        max_iters=_MAX_ITERS):
+def solve_system_delays(sys, window=8.0, delta=0.1):
     """DelayField for every ordered pair of distinct particles."""
     fields = {}
     for i in range(sys.N):
@@ -514,8 +507,7 @@ def solve_system_delays(sys, window=8.0, delta=0.1, tol=_DEFECT_TOL,
             qi, qj = sys.pair(i, j)
             fields[(i, j)] = DelayField.solve(qi, qj, sys.epsilon,
                                               window=window, delta=delta,
-                                              pair=(i, j), tol=tol,
-                                              max_iters=max_iters)
+                                              pair=(i, j))
     return fields
 
 
@@ -549,12 +541,11 @@ class ExpansionReport:
         return self.passed
 
 
-def expansion_order_sweep(qi, qj, eps_values, window=8.0, delta=0.1,
-                          min_slope=2.7):
+def expansion_order_sweep(qi, qj, eps_values, window=8.0, delta=0.1):
     """Dyadic eps sweep of the expansion gap with a log-log slope fit.
 
-    A slope at or above ``min_slope`` certifies the cubic remainder in
-    the two-term delay expansion.
+    A slope at or above 2.7 certifies the cubic remainder in the
+    two-term delay expansion.
     """
     eps_values = tuple(float(e) for e in eps_values)
     if len(eps_values) < 2:
@@ -572,7 +563,7 @@ def expansion_order_sweep(qi, qj, eps_values, window=8.0, delta=0.1,
     y = np.log(np.asarray(devs))
     slope = float(np.polyfit(x, y, 1)[0])
     return ExpansionReport(eps_values, tuple(devs), slope,
-                           passed=slope >= float(min_slope))
+                           passed=slope >= 2.7)
 
 
 @dataclass(frozen=True)
@@ -600,13 +591,13 @@ class NonsingularityReport:
                 f"(pair {self.worst_pair} at t={self.worst_pair_time:.4g})")
 
 
-def nonsingularity_check(sys, window=8.0, samples=1025):
+def nonsingularity_check(sys, window=8.0):
     """Scan speeds against xi1 * c and pairwise gaps against xi2.
 
-    With eps = 0 the light speed is infinite and only the separation
-    margin can fail.
+    The scan reads 1025 times over [-window, window]. With eps = 0 the
+    light speed is infinite and only the separation margin can fail.
     """
-    ts = np.linspace(-float(window), float(window), int(samples))
+    ts = np.linspace(-float(window), float(window), 1025)
     pos = np.stack([tr.pos(ts) for tr in sys.trajectories])       # (N, k, d)
     spd = np.stack([np.linalg.norm(tr.vel(ts), axis=-1)
                     for tr in sys.trajectories])                  # (N, k)
@@ -636,8 +627,7 @@ def nonsingularity_check(sys, window=8.0, samples=1025):
 # -- assembly into a perturbation spec -------------------------------------
 
 
-def _segment_delay(seg, qi_now, block, eps, sign, tol=_DEFECT_TOL,
-                   max_iters=_MAX_ITERS):
+def _segment_delay(seg, qi_now, block, eps, sign):
     """Delays of one pair read off a batch of stacked history segments.
 
     ``qi_now`` is (k, d), one observer position per segment center, and
@@ -650,12 +640,11 @@ def _segment_delay(seg, qi_now, block, eps, sign, tol=_DEFECT_TOL,
     step = _cone_step(qi_now,
                       lambda rows, off: seg.take(rows).eval(off)[:, block],
                       eps, sign)
-    return _fixed_point(step, seg.t, tol, max_iters)[0]
+    return _fixed_point(step, seg.t)[0]
 
 
 def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
-                                 mixing=1.0, lip_t=0.0, lip_x=None,
-                                 ell=3):
+                                 mixing=1.0, lip_x=None):
     """Wrap the delayed pair forces into a functional on y = (q, dq).
 
     The returned spec evaluates the full first-order field: the velocity
@@ -666,8 +655,10 @@ def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
     collapses exactly to the instantaneous-force right-hand side. The
     force is called as ``force(ci, cj, qi, vi, qj, vj)`` with scalar
     charges and (k, d) rows, the external field as ``external(ts, q, v)``
-    with base times (k,); both return (k, d). The mixing weight is exposed because the equations accept any convex
-    combination; no particular value is endorsed here.
+    with base times (k,); both return (k, d). The mixing weight is
+    exposed because the equations accept any convex combination; no
+    particular value is endorsed here. The declared time Lipschitz
+    constant L1 is 0.
 
     Raises when the system fails its own margins on the window or when
     the worst-case delay bound eps * sup distance / (1 - kappa) exceeds
@@ -754,5 +745,5 @@ def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
     params = {"N": N, "dim": d, "epsilon": eps0, "mixing": mixing,
               "force": getattr(force, "force_id", "custom")}
     return PerturbationSpec(h=float(h), evaluate=evaluate,
-                            L1=float(lip_t), L2=float(lip_x), ell=int(ell),
+                            L1=0.0, L2=float(lip_x),
                             kind="charge-system", params=params)

@@ -6,9 +6,9 @@ phi' = X(phi) with phi(0) = 0, is a strictly increasing bijection.
 solve_flow builds the inverse first, from the exact identity
 phi_inv(t) = int_0^t dsigma / X(sigma) summed per cell by Gauss
 quadrature, and then gets phi at every grid node at once by Newton
-sweeps on phi_inv(phi(t)) = t, all of it vectorized.
-composite_window assembles the reparametrized history maps
-alpha(rho, s) = phi(phi_inv(rho) + s).
+sweeps on phi_inv(phi(t)) = t, all of it vectorized. The reparametrized
+history maps are alpha(rho, s) = phi(phi_inv(rho) + s), read as
+``fl.phi.eval1(fl.phi_inv.eval1(rho) + s)``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "DistortionReport",
     "solve_flow",
     "distortion_check",
-    "composite_window",
     "flow_difference_eta",
     "composite_difference_eta",
     "phi_derivative_bounds",
@@ -83,19 +82,16 @@ class ScalarField:
         return float(np.abs(self.xhat.values).max())
 
     @classmethod
-    def identity(cls, half_width, delta, ball=None, interp_order=5,
-                 extension="zero"):
+    def identity(cls, half_width, delta, ball=None):
+        """X = 1, its deviation zero beyond the window."""
         n = int(np.floor(2.0 * half_width / delta + 1e-9)) + 1
-        g = GridFunction(half_width, delta, np.zeros(n),
-                         interp_order=interp_order, extension=extension)
+        g = GridFunction(half_width, delta, np.zeros(n), extension="zero")
         return cls(g, ball if ball is not None else BallRadii((0.0, 0.0)))
 
     @classmethod
-    def from_callable(cls, fn, half_width, delta, ball, interp_order=5,
-                      extension="zero"):
+    def from_callable(cls, fn, half_width, delta, ball, extension="zero"):
         """The field whose deviation X - 1 is ``fn(times (k,)) -> (k,)``."""
-        g = GridFunction.sample(fn, half_width, delta,
-                                interp_order=interp_order, extension=extension)
+        g = GridFunction.sample(fn, half_width, delta, extension=extension)
         return cls(g, ball)
 
     def fast_value(self, t):
@@ -171,12 +167,9 @@ class Flow:
                 np.abs(self.phi_inv.eval1(r2[keep2]) - t2[keep2]).max()))
         return worst
 
-    def phi_at(self, t):
-        return self.phi.eval1(t)
 
-    def inv_at(self, rho):
-        return self.phi_inv.eval1(rho)
-
+# interpolation degree of both flow maps
+_FLOW_ORDER = 7
 
 # Newton stops once its residual no longer halves below this level; the
 # sweep cap only bounds the work, a flow still off by then fails its
@@ -210,17 +203,16 @@ def _quadrature_inverse(field, table, y):
     return table.values[j, 0] + half * (inv @ gw), X[pts.size:]
 
 
-def solve_flow(field, window, interp_order=7, lattices=None):
+def solve_flow(field, window, lattices=None):
     """The flow phi' = X(phi), phi(0) = 0, and its inverse map.
 
     Parameters
     ----------
     field : ScalarField
-    window : float or pair
-        Half-width (or interval) the flow must cover in t; it is rounded
-        up to a whole number of grid cells so 0 stays a node.
-    interp_order : int
-        Interpolation degree of both maps.
+    window : float
+        Half-width the flow must cover in t; it is rounded up to a whole
+        number of grid cells so 0 stays a node. Both maps interpolate
+        with degree 7.
     lattices : optional
         A run's sampler store; solves then share the cell points' sampler.
 
@@ -236,16 +228,13 @@ def solve_flow(field, window, interp_order=7, lattices=None):
     """
     if float(np.abs(field.xhat.values).max()) >= 1.0:
         raise ValueError("sup|X - 1| must be < 1")
-    if isinstance(window, (tuple, list)):
-        R = max(abs(float(window[0])), abs(float(window[1])))
-    else:
-        R = abs(float(window))
+    R = abs(float(window))
     delta = field.xhat.delta
-    K = max(int(math.ceil(R / delta - 1e-9)), (interp_order + 2) // 2)
+    K = max(int(math.ceil(R / delta - 1e-9)), (_FLOW_ORDER + 2) // 2)
     R_phi = K * delta
 
     K_inv = max(int(math.ceil((1.0 + field.t0) * R_phi / delta - 1e-9)),
-                (interp_order + 2) // 2)
+                (_FLOW_ORDER + 2) // 2)
     R_inv = K_inv * delta
     gx, gw = _gauss6()
     cell_lo = -R_inv + np.arange(2 * K_inv) * delta
@@ -259,7 +248,7 @@ def solve_flow(field, window, interp_order=7, lattices=None):
     inv_vals[K_inv] = 0.0
     inv_vals[K_inv + 1:] = np.cumsum(cells[K_inv:])
     inv_vals[:K_inv] = -np.cumsum(cells[:K_inv][::-1])[::-1]
-    phi_inv = GridFunction(R_inv, delta, inv_vals, interp_order=interp_order,
+    phi_inv = GridFunction(R_inv, delta, inv_vals, interp_order=_FLOW_ORDER,
                            extension="linear")
 
     t = -R_phi + np.arange(2 * K + 1) * delta
@@ -274,7 +263,7 @@ def solve_flow(field, window, interp_order=7, lattices=None):
         y -= r * X
         prev = res
     y[K] = 0.0
-    phi = GridFunction(R_phi, delta, y, interp_order=interp_order,
+    phi = GridFunction(R_phi, delta, y, interp_order=_FLOW_ORDER,
                        extension="linear")
     return Flow(phi, phi_inv, field)
 
@@ -323,12 +312,16 @@ def _pairwise_slacks(x, y, lo_fac, hi_fac, chunk=256):
     return worst_lo, worst_hi
 
 
-def distortion_check(fl, tolerance=1e-8):
+# slack below zero that a distortion bound forgives as rounding
+_DISTORTION_TOL = 1e-8
+
+
+def distortion_check(fl):
     """Verify the two-sided distortion bounds over all node pairs.
 
     phi must move pairs by between (1 - t_0) and (1 + t_0) times their
     separation, and phi_inv by the reciprocal factors. Returns the worst
-    slack per bound and the count of violations beyond the tolerance.
+    slack per bound and the count of violations beyond 1e-8.
     """
     t0 = fl.t0
     phi_lo, phi_hi = _pairwise_slacks(fl.phi.nodes, fl.phi.values[:, 0],
@@ -337,31 +330,10 @@ def distortion_check(fl, tolerance=1e-8):
                                       fl.phi_inv.values[:, 0],
                                       1.0 / (1.0 + t0), 1.0 / (1.0 - t0))
     slacks = (phi_lo, phi_hi, inv_lo, inv_hi)
-    violations = sum(1 for s in slacks if s < -tolerance)
+    violations = sum(1 for s in slacks if s < -_DISTORTION_TOL)
     return DistortionReport(t0=t0, phi_lower=phi_lo, phi_upper=phi_hi,
                             inv_lower=inv_lo, inv_upper=inv_hi,
-                            violations=violations, tolerance=tolerance)
-
-
-class CompositeWindow:
-    """The map s -> alpha(rho, s) = phi(phi_inv(rho) + s) on [-h, h]."""
-
-    def __init__(self, flow, rho, h):
-        base = flow.inv_at(float(rho))
-        if abs(base) + h > flow.phi.half_width + 1e-12:
-            raise ValueError("rho leaves the flow's valid range")
-        self.flow = flow
-        self.rho = float(rho)
-        self.h = float(h)
-        self.base = float(base)
-
-    def __call__(self, s):
-        return self.flow.phi.eval1(self.base + np.asarray(s, dtype=float))
-
-
-def composite_window(fl, rho, h):
-    """History-window composite alpha(rho, .) for segments of radius h."""
-    return CompositeWindow(fl, rho, h)
+                            violations=violations, tolerance=_DISTORTION_TOL)
 
 
 def flow_difference_eta(X, Y, weight):
@@ -412,12 +384,14 @@ def composite_difference_eta(X, Y, h, weight, rho_count=41, s_count=21):
     flY = solve_flow(Y, R_t)
     rhos = np.linspace(-R_rho, R_rho, rho_count)
     ss = np.linspace(-h, h, s_count)
-    lhs = 0.0
-    for rho in rhos:
-        a = composite_window(flX, rho, h)
-        b = composite_window(flY, rho, h)
-        gap = float(np.abs(a(ss) - b(ss)).max())
-        lhs = max(lhs, gap * math.exp(-eta * abs(rho)))
+
+    def alpha(fl):
+        # phi(phi_inv(rho) + s) at every (rho, s) pair, rows by rho
+        times = fl.phi_inv.eval1(rhos)[:, None] + ss[None, :]
+        return fl.phi.eval1(times.ravel()).reshape(times.shape)
+
+    gaps = np.abs(alpha(flX) - alpha(flY)).max(axis=1)
+    lhs = float((gaps * np.exp(-eta * np.abs(rhos))).max())
     z = math.exp(t1 * h) * math.expm1(eta * (1.0 + t0) * h) / (eta * (1.0 + t0))
     rhs = z * (X.xhat - Y.xhat).norm_razumikhin(weight)
     return lhs, rhs, z

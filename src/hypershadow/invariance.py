@@ -66,26 +66,20 @@ class BallExitError(RuntimeError):
 class OperatorConfig:
     """Geometry and stopping rules of the correction operator.
 
-    ``window`` is the half-width of the correction grids, ``t_int`` the
-    truncation length of the bundle integrals (derived from tol_eta when
-    omitted), ``quadrature`` the composite-Gauss panel width (defaults
-    to half a grid cell so panels never straddle interpolation joints).
-    ``integrand_bound`` is the declared sup of the bundle integrand used
-    by the truncation rule exp(-lam_min t_int) * bound < tol_eta / 10.
+    ``window`` is the half-width of the correction grids and ``delta``
+    their step. Everything else the operator needs follows from these:
+    the bundle integrals are truncated at the t_int that ``tol_eta``
+    implies (see :func:`resolve_geometry`) and summed by 3-point Gauss
+    panels on half grid cells, so panels never straddle interpolation
+    joints.
     """
 
     eta: WeightParam
     window: float
     eps: float
     delta: float = 0.05
-    t_int: float = None
-    quadrature: float = None
-    gauss_order: int = 3
     max_iters: int = 40
     tol_eta: float = 1e-9
-    ell: int = 1
-    interp_m: float = 1.0
-    integrand_bound: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.eta, WeightParam):
@@ -96,22 +90,10 @@ class OperatorConfig:
             raise ValueError("delta must be positive and below the window")
         if self.eps < 0.0:
             raise ValueError("eps must be nonnegative")
-        if self.t_int is not None and not (self.t_int > 0.0):
-            raise ValueError("t_int must be positive when given")
-        if self.quadrature is not None and not (0.0 < self.quadrature <= self.delta):
-            raise ValueError("quadrature step must lie in (0, delta]")
-        if self.gauss_order < 2:
-            raise ValueError("gauss_order must be at least 2")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (self.tol_eta > 0.0):
             raise ValueError("tol_eta must be positive")
-        if self.ell < 1:
-            raise ValueError("ell must be at least 1")
-        if not (self.interp_m > 0.0):
-            raise ValueError("interp_m must be positive")
-        if not (self.integrand_bound > 0.0):
-            raise ValueError("integrand_bound must be positive")
 
 
 @dataclass(frozen=True)
@@ -127,13 +109,19 @@ class _Geometry:
     hi: float
 
 
+# declared sup of the bundle integrand in the truncation rule
+# exp(-lam_min t_int) * bound < tol_eta / 10
+_INTEGRAND_BOUND = 1.0
+
+
 def resolve_geometry(cfg, fr, h, t0):
     """Validate cfg against the frame and lay out the windows.
 
-    Raises when the weight rate reaches the hyperbolicity rates, when
-    the truncation rule cannot meet tol_eta, or when the margins leave
-    no core. ``h`` is the history radius of the perturbation and ``t0``
-    the declared time-change radius.
+    The quadrature step is half a grid cell and t_int the shortest whole
+    number of quadrature steps that meets the truncation rule at
+    tol_eta. Raises when the weight rate reaches the hyperbolicity
+    rates or when the margins leave no core. ``h`` is the history radius
+    of the perturbation and ``t0`` the declared time-change radius.
     """
     q = fr.quality
     lam_min = q.lam_min
@@ -141,23 +129,18 @@ def resolve_geometry(cfg, fr, h, t0):
         raise ValueError(
             f"weight rate {cfg.eta.eta} must stay below the hyperbolicity "
             f"rates (min rate {lam_min})")
-    quad = cfg.quadrature if cfg.quadrature is not None else cfg.delta / 2.0
-    ratio = cfg.delta / quad
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError("quadrature step must divide the grid step")
+    quad = cfg.delta / 2.0
     cells = 2.0 * cfg.window / cfg.delta
     if abs(cells - round(cells)) > 1e-6:
         raise ValueError("window must hold an integer number of grid cells")
-    if cfg.t_int is None:
-        raw = math.log(10.0 * cfg.integrand_bound / cfg.tol_eta) / lam_min
-    else:
-        raw = cfg.t_int
+    raw = math.log(10.0 * _INTEGRAND_BOUND / cfg.tol_eta) / lam_min
     t_int = math.ceil(raw / quad - 1e-9) * quad
-    if math.exp(-lam_min * t_int) * cfg.integrand_bound >= cfg.tol_eta / 10.0:
+    # the rounding slack above may land a hair short of the rule
+    if math.exp(-lam_min * t_int) * _INTEGRAND_BOUND >= cfg.tol_eta / 10.0:
         raise ValueError(
-            "truncation window too short for the stopping tolerance: "
-            f"exp(-{lam_min:g} * {t_int:g}) * {cfg.integrand_bound:g} "
-            f">= {cfg.tol_eta:g} / 10")
+            f"truncation length t_int = {t_int:g} derived from tol_eta "
+            f"rounds short of the tail rule: exp(-{lam_min:g} * {t_int:g}) "
+            f"* {_INTEGRAND_BOUND:g} >= {cfg.tol_eta:g} / 10")
     margin = t_int + (1.0 + t0) * h
     core_half = cfg.window - margin
     # metrics need at least a handful of core nodes
@@ -165,7 +148,7 @@ def resolve_geometry(cfg, fr, h, t0):
     if core_half < 3.0 * cfg.delta:
         raise ValueError(
             "correction window leaves no core once the truncation and "
-            "history margins are removed; enlarge window or shrink t_int")
+            "history margins are removed; enlarge window or loosen tol_eta")
     lo = -cfg.window - t_int
     hi = cfg.window + t_int
     flow_half = (cfg.window + t_int) / max(1.0 - t0, 1e-9) + h + 1.0
@@ -235,8 +218,7 @@ def initial_state(fr, cfg, t_radii=None, s_radii=None, u_radii=None):
     t_ball = BallRadii(t_radii if t_radii is not None else DEFAULT_T_RADII)
     s_ball = BallRadii(s_radii if s_radii is not None else DEFAULT_S_RADII)
     u_ball = BallRadii(u_radii if u_radii is not None else DEFAULT_U_RADII)
-    X = ScalarField.identity(cfg.window, cfg.delta, ball=t_ball,
-                             extension="zero")
+    X = ScalarField.identity(cfg.window, cfg.delta, ball=t_ball)
     n_nodes = X.xhat.n
     zeros = np.zeros((n_nodes, fr.model.n))
     xs = GridFunction(cfg.window, cfg.delta, zeros, extension="zero")
@@ -386,10 +368,10 @@ def _varphi_batch(fr, state, spec, flow, vs, eps, inv_at=None):
 # the operator
 
 
-def _gauss_panels(lo, hi, step, order):
-    """Composite-Gauss nodes and weights over [lo, hi], ascending."""
+def _gauss_panels(lo, hi, step):
+    """Composite 3-point Gauss nodes and weights over [lo, hi], ascending."""
     n_cells = int(round((hi - lo) / step))
-    gx, gw = np.polynomial.legendre.leggauss(order)
+    gx, gw = np.polynomial.legendre.leggauss(3)
     starts = lo + np.arange(n_cells) * step
     pts = starts[:, None] + 0.5 * step * (gx[None, :] + 1.0)
     wts = np.broadcast_to(0.5 * step * gw, pts.shape)
@@ -413,7 +395,7 @@ class _Run:
     def __init__(self, fr, spec, cfg, t0):
         self.fr = fr
         self.geo = geo = resolve_geometry(cfg, fr, spec.h, t0)
-        self.gauss = _gauss_panels(geo.lo, geo.hi, geo.quad, cfg.gauss_order)
+        self.gauss = _gauss_panels(geo.lo, geo.hi, geo.quad)
         K = int(round(geo.hi / geo.quad))
         self.half_cells = -geo.hi + np.arange(2 * K + 1) * geo.quad
         self._samplers = {}
@@ -787,16 +769,22 @@ def _semi_constants(j, eta, R, M):
     return cs
 
 
+# interpolation constant M of the C^j bounds
+_INTERP_M = 1.0
+
+
 def aposteriori_bounds(e_eta, state, cfg, interval, kappa_hat):
     """C^j error bounds for the distance to the true fixed point.
 
     ``e_eta`` is the measured defect of ``state``, whose ball radii size
     the interpolation. On the interval [a, b] each level-j bound is
     M [e^{delta eta} (1 - kappa)^{-1} E_eta]^theta R^{1-theta} with
-    theta = (l+1-j)/(l+1) for X and (l+2-j)/(l+2) for the bundle
-    corrections, R twice the top ball radius, delta = max(|a|, |b|).
-    When the amplified defect is at most 1 the table also carries the
-    semi-line weighted bounds with exponents 1/(j+1).
+    M = 1, theta = (l+1-j)/(l+1) for j = 0..l, l the level count of the
+    component's own ball (1 for X and 2 for the bundle corrections under
+    the default radii), R twice the top ball radius and
+    delta = max(|a|, |b|). When the amplified defect is at most 1 the
+    table also carries the semi-line weighted bounds with exponents
+    1/(j+1).
     """
     kappa_hat = float(kappa_hat)
     if not (kappa_hat < 1.0):
@@ -806,18 +794,15 @@ def aposteriori_bounds(e_eta, state, cfg, interval, kappa_hat):
         raise ValueError("interval must be nondegenerate")
     delta = max(abs(a), abs(b))
     eta = cfg.eta.eta
-    M = cfg.interp_m
-    ell = cfg.ell
+    M = _INTERP_M
     amp = e_eta / (1.0 - kappa_hat)
     rows = []
-    comps = (("X", state.t_ball.c, ell, ell + 1),
-             ("xs", state.s_ball.c, ell + 1, ell + 2),
-             ("xu", state.u_ball.c, ell + 1, ell + 2))
-    for name, radii, j_max, denom in comps:
-        R = 2.0 * max(radii)
-        semi_cs = _semi_constants(j_max, eta, R, M) if amp <= 1.0 else None
-        for j in range(j_max + 1):
-            theta = (denom - j) / denom
+    for name, ball in (("X", state.t_ball), ("xs", state.s_ball),
+                       ("xu", state.u_ball)):
+        R = 2.0 * max(ball.c)
+        semi_cs = _semi_constants(ball.ell, eta, R, M) if amp <= 1.0 else None
+        for j in range(ball.ell + 1):
+            theta = (ball.ell + 1 - j) / (ball.ell + 1)
             bound = M * (math.exp(delta * eta) * amp) ** theta \
                 * R ** (1.0 - theta)
             row = {
@@ -839,9 +824,10 @@ def aposteriori_bounds(e_eta, state, cfg, interval, kappa_hat):
 # propagated zero-order feasibility
 
 
-def orbit_field_norms(fr, half_width, samples=201):
-    """(sup|f|, sup|Df|, sup|D2f|) measured along the orbit window."""
-    ts = np.linspace(-half_width, half_width, samples)
+def orbit_field_norms(fr, half_width):
+    """(sup|f|, sup|Df|, sup|D2f|) sampled at 201 times along the orbit
+    window."""
+    ts = np.linspace(-half_width, half_width, 201)
     pts = fr.orbit_batch(ts)
     f_c0 = float(np.linalg.norm(fr.model.f_batch(pts), axis=1).max())
     f_c1 = float(np.linalg.norm(fr.model.df_batch(pts), 2, axis=(1, 2)).max())
@@ -851,9 +837,9 @@ def orbit_field_norms(fr, half_width, samples=201):
     return f_c0, f_c1, f_c2
 
 
-def _varphi_sup_estimate(fr, spec, cfg, samples=33):
+def _varphi_sup_estimate(fr, spec, cfg):
     """sup of |p| along the unperturbed orbit, on the core-ish window."""
-    ts = np.linspace(-cfg.window / 2.0, cfg.window / 2.0, samples)
+    ts = np.linspace(-cfg.window / 2.0, cfg.window / 2.0, 33)
     seg = HistorySegment(ts, spec.h, fr.orbit_batch, fr.orbit_deriv_batch)
     return float(np.linalg.norm(spec(ts, seg, cfg.eps), axis=1).max())
 
@@ -1067,14 +1053,14 @@ def contraction_probe(fr, spec, cfg, state_v, state_w):
                             constants=consts, ok=ok)
 
 
-def b_difference_probe(fr, state_v, state_w, eta, f_norms=None,
-                       lip_d2f=0.0, core_half=None):
+def b_difference_probe(fr, state_v, state_w, eta, lip_d2f=0.0):
     """Pointwise quadratic-term difference against its declared bound.
 
     Returns (lhs, rhs): the weighted sup of B[v] - B[w] over the nodes
     and c_B |xhat_v - xhat_w|_eta + d_B |X_v - X_w|_eta. The bound uses
-    the states' own ball radii, which must agree; ``eta`` is the
-    WeightParam of the norm.
+    the states' own ball radii, which must agree, and the field norms
+    measured along the orbit window; ``eta`` is the WeightParam of the
+    norm.
     """
     if state_v.t_ball.c != state_w.t_ball.c:
         raise ValueError("probe states must share the declared balls")
@@ -1083,46 +1069,43 @@ def b_difference_probe(fr, state_v, state_w, eta, f_norms=None,
     Bw = _quadratic_batch(fr, state_w, nodes)
     diff = GridFunction(state_v.xs.half_width, state_v.xs.delta, Bv - Bw,
                         extension="zero")
-    lhs = diff.norm_razumikhin(eta, core_half)
-    if f_norms is None:
-        f_norms = orbit_field_norms(fr, state_v.xs.half_width)
-    _, f_c1, f_c2 = (float(x) for x in f_norms)
+    lhs = diff.norm_razumikhin(eta)
+    _, f_c1, f_c2 = orbit_field_norms(fr, state_v.xs.half_width)
     c_B, d_B = _b_difference_constants(
         f_c1, f_c2, lip_d2f, state_v.t_ball.c[0], state_v.s_ball.c[0],
         state_v.u_ball.c[0])
     dx = (state_v.xs - state_w.xs + (state_v.xu - state_w.xu)) \
-        .norm_razumikhin(eta, core_half)
-    dX = (state_v.X.xhat - state_w.X.xhat).norm_razumikhin(eta, core_half)
+        .norm_razumikhin(eta)
+    dX = (state_v.X.xhat - state_w.X.xhat).norm_razumikhin(eta)
     return lhs, c_B * dx + d_B * dX
 
 
-def varphi_difference_probe(fr, spec, state_v, state_w, eta,
-                            core_half=None, f_norms=None, eps=0.0):
+def varphi_difference_probe(fr, spec, state_v, state_w, eta):
     """Reparametrized-perturbation difference against its bound.
 
     lhs is the weighted sup over core nodes of varphi[v] - varphi[w]
-    (each with its own flow); rhs assembles c_phi, d_phi, e_phi from
-    the declared balls and the spec's Lipschitz constants. ``eta`` is
-    the WeightParam of the norm; ``eps`` is only forwarded to the spec,
-    whose value may depend on it.
+    (each with its own flow, the spec evaluated at eps = 0); rhs
+    assembles c_phi, d_phi, e_phi from the declared balls, the spec's
+    Lipschitz constants and the field norms along the orbit window.
+    The core keeps one time unit beyond the history margin
+    (1 + t_0) h. ``eta`` is the WeightParam of the norm.
     """
     T = state_v.xs.half_width
-    if core_half is None:
-        core_half = T - (1.0 + state_v.t_ball.c[0]) * spec.h - 1.0
+    core_half = T - (1.0 + state_v.t_ball.c[0]) * spec.h - 1.0
     reach = (T + spec.h) / max(1.0 - state_v.X.t0, 1e-9) + 1.0
     nodes = state_v.xs.nodes
     keep = np.abs(nodes) <= core_half + 1e-12
     vals = []
     for st in (state_v, state_w):
         flow = _state_flow(st, reach)
-        vals.append(_varphi_batch(fr, st, spec, flow, nodes[keep], eps))
+        vals.append(_varphi_batch(fr, st, spec, flow, nodes[keep], 0.0))
     mags = np.linalg.norm(vals[0] - vals[1], axis=1)
     lhs = float((mags * np.exp(-eta.eta * np.abs(nodes[keep]))).max())
     cfg_like = OperatorConfig(eta=eta, window=T, eps=0.0,
                               delta=state_v.xs.delta)
     consts = contraction_constants(fr, spec, cfg_like, state_v.t_ball,
                                    state_v.s_ball, state_v.u_ball,
-                                   f_norms=f_norms, varphi_sup=0.0)
+                                   varphi_sup=0.0)
     dx = (state_v.xs - state_w.xs + (state_v.xu - state_w.xu)) \
         .norm_razumikhin(eta, core_half)
     dX = (state_v.X.xhat - state_w.X.xhat).norm_razumikhin(eta, core_half)

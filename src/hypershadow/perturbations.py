@@ -62,8 +62,8 @@ class HistorySegment:
     __slots__ = ("t", "h", "_eval", "_deriv")
 
     def __init__(self, t, h, eval_fn, deriv_fn=None):
-        if not (h > 0.0):
-            raise ValueError("history radius must be positive")
+        if not (h >= 0.0):
+            raise ValueError("history radius must be nonnegative")
         self.t = np.atleast_1d(np.asarray(t, dtype=float))
         self.h = float(h)
         self._eval = eval_fn
@@ -116,21 +116,20 @@ class PerturbationSpec:
     segment with one center per base time; calling the spec with a
     scalar t runs the same code with k = 1 and returns (n,). L1 and L2
     are the declared time/state Lipschitz constants against |s - t| and
-    the C^1 segment distance; ``ell`` is the regularity budget the
-    builder vouches for.
+    the C^1 segment distance. A spec that reads only the present state
+    declares h = 0.
     """
 
     h: float
     evaluate: object
     L1: float
     L2: float
-    ell: int = 3
     kind: str = "custom"
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (self.h > 0.0):
-            raise ValueError("history radius must be positive")
+        if not (self.h >= 0.0):
+            raise ValueError("history radius must be nonnegative")
         if self.L1 < 0.0 or self.L2 < 0.0:
             raise ValueError("Lipschitz constants must be nonnegative")
 
@@ -148,25 +147,21 @@ class PerturbationSpec:
 
 # -- builders -------------------------------------------------------------
 
-def ode_term(g, lip_t=0.0, lip_x=0.0, ell=3, kind="ode",
-             params=None):
+def ode_term(g, lip_t=0.0, lip_x=0.0, kind="ode", params=None):
     """Perturbation reading only the present state: p(t, theta) = g(t, theta(0)).
 
-    ``g(ts, xs) -> (k, n)``. A vanishing history radius is represented
-    by a tiny positive one.
+    ``g(ts, xs) -> (k, n)``; the history radius is 0.
     """
 
     def evaluate(ts, seg, eps):
         return g(ts, seg.eval(0.0))
 
-    return PerturbationSpec(h=1e-9, evaluate=evaluate, L1=lip_t,
-                            L2=lip_x, ell=ell, kind=kind,
-                            params=dict(params or {}))
+    return PerturbationSpec(h=0.0, evaluate=evaluate, L1=lip_t,
+                            L2=lip_x, kind=kind, params=dict(params or {}))
 
 
 def state_dependent_delay(Q, r, h, r_bound=None, lip_q=1.0, lip_r=1.0,
-                          traj_c1=1.0, ell=3, kind="sdd",
-                          params=None):
+                          traj_c1=1.0, kind="sdd", params=None):
     """p(t, theta) = Q(t, theta(r(t, theta(0)))).
 
     ``Q(ts, ys) -> (k, n)`` and ``r(ts, xs) -> (k,)``. ``r_bound`` is
@@ -183,12 +178,12 @@ def state_dependent_delay(Q, r, h, r_bound=None, lip_q=1.0, lip_r=1.0,
 
     L = lip_q * (1.0 + traj_c1 * lip_r)
     return PerturbationSpec(h=h, evaluate=evaluate, L1=L, L2=L,
-                            ell=ell, kind=kind, params=dict(params or {}))
+                            kind=kind, params=dict(params or {}))
 
 
 def nested_delay(Q, r, r1, h, r_bound=None, r1_bound=None, lip_q=1.0,
-                 lip_r=1.0, lip_r1=1.0, traj_c1=1.0, ell=3,
-                 kind="nested", params=None):
+                 lip_r=1.0, lip_r1=1.0, traj_c1=1.0, kind="nested",
+                 params=None):
     """p(t, theta) = Q(t, theta(r(t, theta(r1(theta(0)))))).
 
     The inner shift ``r1(xs) -> (k,)`` produces a lookup whose value
@@ -207,16 +202,15 @@ def nested_delay(Q, r, r1, h, r_bound=None, r1_bound=None, lip_q=1.0,
     L1 = lip_q * (1.0 + traj_c1 * lip_r)
     L2 = lip_q * (1.0 + traj_c1 * lip_r * (1.0 + traj_c1 * lip_r1))
     return PerturbationSpec(h=h, evaluate=evaluate, L1=L1, L2=L2,
-                            ell=ell, kind=kind, params=dict(params or {}))
+                            kind=kind, params=dict(params or {}))
 
 
 def neutral_delay(Q, r, h, r_bound=None, lip_q=1.0, lip_r=1.0, traj_c1=1.0,
-                  ell=3, kind="neutral", params=None):
+                  kind="neutral", params=None):
     """p(t, theta) = Q(t, theta(r(t, theta'(0)))).
 
     The delay consumes the segment derivative at zero, which equals the
-    trajectory's time derivative, so this spec costs one derivative of
-    regularity relative to the plain delay case.
+    trajectory's time derivative.
     """
     r_bound = h if r_bound is None else float(r_bound)
     if r_bound > h + 1e-12:
@@ -227,13 +221,12 @@ def neutral_delay(Q, r, h, r_bound=None, lip_q=1.0, lip_r=1.0, traj_c1=1.0,
 
     L = lip_q * (1.0 + traj_c1 * lip_r)
     return PerturbationSpec(h=h, evaluate=evaluate, L1=L, L2=L,
-                            ell=max(1, ell), kind=kind,
-                            params=dict(params or {}))
+                            kind=kind, params=dict(params or {}))
 
 
 def small_delay_q(f_model, tau_fns, h, blocks=None, tau_bounds=None,
-                  eps_max=1.0, quad_order=8, declared=None, ell=2,
-                  kind="small-delay", params=None):
+                  eps_max=1.0, quad_order=8, kind="small-delay",
+                  params=None):
     """The induced functional of small state-dependent delays.
 
     Encodes x'(t) = f(x(t - eps tau_1), ..., x(t - eps tau_L)) as the
@@ -248,6 +241,7 @@ def small_delay_q(f_model, tau_fns, h, blocks=None, tau_bounds=None,
     classical one-delay rewrite. The sigma integral uses fixed-order
     Gauss quadrature. Each ``tau(ts, segment) -> (k,)`` gets the k base
     times and their k-center segment; a scalar applies to every row.
+    The declared Lipschitz constants are L1 = L2 = 1.
     """
     n = f_model.n
     L = len(tau_fns)
@@ -289,20 +283,20 @@ def small_delay_q(f_model, tau_fns, h, blocks=None, tau_bounds=None,
                     "kij,kj->ki", J[:, :, b], dth[:, b])
         return out
 
-    if declared is None:
-        declared = (1.0, 1.0)
-    L1, L2 = declared
-    return PerturbationSpec(h=h, evaluate=evaluate, L1=L1, L2=L2,
-                            ell=ell, kind=kind, params=dict(params or {}))
+    return PerturbationSpec(h=h, evaluate=evaluate, L1=1.0, L2=1.0,
+                            kind=kind, params=dict(params or {}))
 
 
-def multi_delay_advance(pairs, h=None, ell=3, kind="multi-delay",
-                        params=None):
-    """Weighted sum of fixed shifts: sum_i w_i theta(s_i), mixed signs allowed."""
+def multi_delay_advance(pairs, h=None, kind="multi-delay", params=None):
+    """Weighted sum of fixed shifts: sum_i w_i theta(s_i), mixed signs allowed.
+
+    The history radius defaults to the largest |s_i|, 0 for a sum that
+    reads only the present state.
+    """
     pairs = [(float(s), float(w)) for s, w in pairs]
     worst = max((abs(s) for s, _ in pairs), default=0.0)
     if h is None:
-        h = max(worst, 1e-9)
+        h = worst
     if worst > h + 1e-12:
         raise ValueError("shift outside the history radius")
 
@@ -316,35 +310,35 @@ def multi_delay_advance(pairs, h=None, ell=3, kind="multi-delay",
 
     L2 = sum(abs(w) for _, w in pairs)
     return PerturbationSpec(h=h, evaluate=evaluate, L1=0.0, L2=L2,
-                            ell=ell, kind=kind,
-                            params=dict(params or {"pairs": pairs}))
+                            kind=kind, params=dict(params or {"pairs": pairs}))
 
 
 # -- application and probing ----------------------------------------------
 
-def apply_P(spec, u, eps, t, du=None):
+def apply_P(spec, u, eps, t):
     """Evaluate the functional on a trajectory at the base time(s) t.
 
     A scalar t gives (n,), a 1-D array of k times (k, n). ``u`` is a
     GridFunction, an already-built HistorySegment centered at t, or a
-    batched trajectory ``u(times (k,)) -> (k, n)`` (then ``du``
-    optionally supplies the derivative the same way).
+    batched trajectory ``u(times (k,)) -> (k, n)``, whose segments carry
+    no derivative.
     """
     if isinstance(u, HistorySegment):
         seg = u
     elif isinstance(u, GridFunction):
         seg = HistorySegment.from_grid(u, t, spec.h)
     else:
-        seg = HistorySegment(t, spec.h, u, du)
+        seg = HistorySegment(t, spec.h, u)
     return spec(t, seg, eps)
 
 
-def segment_distance_c1(seg_a, seg_b, samples=33):
-    """Per center: max over levels 0,1 of the sampled sup distance, shape (k,)."""
+def segment_distance_c1(seg_a, seg_b):
+    """Per center: max over levels 0,1 of the sup distance sampled at 33
+    offsets, shape (k,)."""
     h = min(seg_a.h, seg_b.h)
     both = seg_a.has_derivative and seg_b.has_derivative
     dist = 0.0
-    for s in np.linspace(-h, h, samples):
+    for s in np.linspace(-h, h, 33):
         dist = np.maximum(dist, np.linalg.norm(
             seg_a.eval(s) - seg_b.eval(s), axis=1))
         if both:
@@ -363,14 +357,14 @@ class ProbeReport:
     worst_excess: float
 
 
-def lipschitz_probe(spec, sample_pairs, eps=0.0, tol=1e-9):
+def lipschitz_probe(spec, sample_pairs):
     """Empirical check of the declared (L1, L2) on sampled segment pairs.
 
     Each sample is ((t, seg_a), (s, seg_b)): two segment batches with
     centers t and s (scalars or equal-length arrays), compared row by
-    row. Pure time shifts feed the L1 estimate, equal-time pairs feed
-    L2, and every row must satisfy the combined declared bound up to
-    ``tol`` slack.
+    row with the spec at eps = 0. Pure time shifts feed the L1 estimate,
+    equal-time pairs feed L2, and every row must satisfy the combined
+    declared bound up to 1e-9 slack.
     """
     L1_hat = 0.0
     L2_hat = 0.0
@@ -378,7 +372,7 @@ def lipschitz_probe(spec, sample_pairs, eps=0.0, tol=1e-9):
     for (t, seg_a), (s, seg_b) in sample_pairs:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        lhs = np.linalg.norm(spec(s, seg_b, eps) - spec(t, seg_a, eps),
+        lhs = np.linalg.norm(spec(s, seg_b, 0.0) - spec(t, seg_a, 0.0),
                              axis=1)
         dt = np.abs(s - t)
         dist = segment_distance_c1(seg_a, seg_b)
@@ -391,7 +385,7 @@ def lipschitz_probe(spec, sample_pairs, eps=0.0, tol=1e-9):
         worst = max(worst, float(
             (lhs - (spec.L1 * dt + spec.L2 * dist)).max()))
     return ProbeReport(L1_hat=L1_hat, L2_hat=L2_hat,
-                       dominated=worst <= tol, worst_excess=worst)
+                       dominated=worst <= 1e-9, worst_excess=worst)
 
 
 def functional_output_grid(spec, traj, eps, half_width, delta):
@@ -540,9 +534,10 @@ def spec_from_descriptor(desc):
     raise ValueError(f"unknown perturbation kind {kind!r}")
 
 
-def mu_sensitivity(desc, t, segment, eps, target, dmu=1e-4):
+def mu_sensitivity(desc, t, segment, eps, target):
     """Central difference of the functional output in the descriptor
-    parameter named ``target``, with step ``dmu``."""
+    parameter named ``target``, with step 1e-4."""
+    dmu = 1e-4
     lo = {**desc, "parameters": {**desc.get("parameters", {})}}
     hi = {**desc, "parameters": {**desc.get("parameters", {})}}
     base = float(desc["parameters"][target])

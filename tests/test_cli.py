@@ -10,6 +10,7 @@ quick while still exercising every artifact writer.
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -100,6 +101,16 @@ class TestScenarioLoading:
         with pytest.raises(ValueError, match="interval"):
             cli.load_scenario(str(p))
 
+    @pytest.mark.parametrize("interval", [
+        [2.0, -2.0], [1.0, 1.0], [0.0, math.nan], [0.0, math.inf],
+        [-math.inf, 0.0]])
+    def test_bounds_interval_must_be_finite_and_increasing(self, tmp_path,
+                                                            interval):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(scenario_dict(bounds_interval=interval)))
+        with pytest.raises(ValueError, match="finite with a < b"):
+            cli.load_scenario(str(p))
+
     def test_unreadable_scenario_exits_one(self, tmp_path):
         p = tmp_path / "nonsense.json"
         p.write_text("{not json")
@@ -187,6 +198,31 @@ class TestRunVerb:
         assert cli.main(["run", path]) == 1
         assert not os.path.exists(scn["out"])
         assert "must stay below" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["t_int", "quadrature", "gauss_order",
+                                     "ell", "interp_m", "integrand_bound"])
+    def test_removed_config_key_is_exit_one(self, tmp_path, capsys, key):
+        config = dict(scenario_dict()["config"], **{key: 3})
+        path, scn = write_scenario(tmp_path, config=config)
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"config key {key!r} is not a setting" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(scn["out"])
+
+    @pytest.mark.parametrize("interval", [[2.0, -2.0], [0.0, math.nan],
+                                          [0.0, math.inf]])
+    def test_bad_bounds_interval_fails_before_compute(self, tmp_path, capsys,
+                                                      monkeypatch, interval):
+        monkeypatch.setattr(cli, "iterate",
+                            lambda *a: pytest.fail("iterated"))
+        path, scn = write_scenario(tmp_path, bounds_interval=interval)
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "bounds_interval must be finite with a < b" in err
+        assert not os.path.exists(scn["out"])
 
     def test_unknown_perturbation_is_descriptor_failure(self, tmp_path):
         path, scn = write_scenario(
@@ -459,6 +495,21 @@ class TestVerifyVerb:
         assert cli.main(["verify", path, linear_run["out"]]) == code
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and says in err
+        assert not os.path.exists(scn["out"])
+
+    @pytest.mark.parametrize("interval", [[2.0, -2.0], [0.0, math.nan],
+                                          [0.0, math.inf]])
+    def test_bad_bounds_interval_fails_before_compute(self, tmp_path, capsys,
+                                                      monkeypatch, linear_run,
+                                                      interval):
+        monkeypatch.setattr(cli, "gamma_step",
+                            lambda *a: pytest.fail("stepped"))
+        path, scn = write_scenario(tmp_path, name="ver.json",
+                                   bounds_interval=interval)
+        assert cli.main(["verify", path, linear_run["out"]]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "bounds_interval must be finite with a < b" in err
         assert not os.path.exists(scn["out"])
 
     def test_missing_state_dir_is_exit_one(self, tmp_path):

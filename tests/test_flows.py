@@ -45,16 +45,16 @@ def random_field(seed, T=6.0, delta=0.05, cap=0.35):
 
 def test_identity_flow():
     fl = flows.solve_flow(flows.ScalarField.identity(4.0, 0.1), 4.0)
-    assert fl.phi_at(0.0) == 0.0
-    assert abs(fl.phi_at(1.7) - 1.7) <= 1e-12
-    assert abs(fl.inv_at(-2.3) + 2.3) <= 1e-12
+    assert fl.phi.eval1(0.0) == 0.0
+    assert abs(fl.phi.eval1(1.7) - 1.7) <= 1e-12
+    assert abs(fl.phi_inv.eval1(-2.3) + 2.3) <= 1e-12
 
 
 def test_constant_flow():
     fl = flows.solve_flow(constant_field(1.25), 3.0)
-    assert abs(fl.phi_at(2.0) - 2.5) <= 1e-10
-    assert abs(fl.inv_at(2.5) - 2.0) <= 1e-10
-    assert abs(fl.inv_at(-1.0) + 0.8) <= 1e-10
+    assert abs(fl.phi.eval1(2.0) - 2.5) <= 1e-10
+    assert abs(fl.phi_inv.eval1(2.5) - 2.0) <= 1e-10
+    assert abs(fl.phi_inv.eval1(-1.0) + 0.8) <= 1e-10
 
 
 def test_inverse_against_adaptive_quadrature():
@@ -64,7 +64,7 @@ def test_inverse_against_adaptive_quadrature():
     for rho in (1.0, 2.5, -3.0):
         want = quad(lambda s: 1.0 / (1.0 + 0.1 * math.sin(s)), 0.0, rho,
                     epsabs=1e-13, epsrel=1e-13)[0]
-        assert abs(fl.inv_at(rho) - want) <= 1e-9
+        assert abs(fl.phi_inv.eval1(rho) - want) <= 1e-9
 
 
 def test_rejects_large_deviation():
@@ -185,15 +185,20 @@ def test_distortion_sine():
 
 # -- composites ---------------------------------------------------------
 
+def composite(fl, rho):
+    """s -> alpha(rho, s) = phi(phi_inv(rho) + s)."""
+    return lambda s: fl.phi.eval1(fl.phi_inv.eval1(rho) + s)
+
+
 def test_composite_identity():
     fl = flows.solve_flow(flows.ScalarField.identity(4.0, 0.1), 4.0)
-    alpha = flows.composite_window(fl, 2.0, 1.0)
+    alpha = composite(fl, 2.0)
     assert abs(alpha(-0.5) - 1.5) <= 1e-10
 
 
 def test_composite_constant():
     fl = flows.solve_flow(constant_field(1.25), 4.0)
-    alpha = flows.composite_window(fl, 1.0, 1.0)
+    alpha = composite(fl, 1.0)
     # alpha(rho, s) = rho + c s for constant fields
     assert abs(alpha(0.8) - (1.0 + 1.25 * 0.8)) <= 1e-9
 
@@ -202,7 +207,7 @@ def test_composite_against_two_stage_oracle():
     # oracle: invert by quadrature + root finding, independent of the flow
     field = sine_field(0.1, 1.0, T=5.0)
     fl = flows.solve_flow(field, 6.0)
-    alpha = flows.composite_window(fl, 2.0, 1.0)
+    alpha = composite(fl, 2.0)
 
     def inv(y):
         return quad(lambda s: 1.0 / (1.0 + 0.1 * math.sin(s)), 0.0, y,
@@ -212,12 +217,6 @@ def test_composite_against_two_stage_oracle():
     target = base - 1.0
     want = brentq(lambda y: inv(y) - target, -8.0, 8.0, xtol=1e-12)
     assert abs(alpha(-1.0) - want) <= 1e-7
-
-
-def test_composite_out_of_range():
-    fl = flows.solve_flow(flows.ScalarField.identity(2.0, 0.1), 2.0)
-    with pytest.raises(ValueError):
-        flows.composite_window(fl, 1.9, 1.0)
 
 
 # -- difference bounds ---------------------------------------------------

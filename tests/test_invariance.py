@@ -214,12 +214,6 @@ class TestConfigAndGeometry:
         with pytest.raises(ValueError, match="must stay below"):
             resolve_geometry(cfg, fr, 0.0, 0.0)
 
-    def test_quadrature_must_divide_grid_step(self):
-        fr = lin_frame()
-        cfg = base_cfg(eps=0.0, quadrature=0.07)
-        with pytest.raises(ValueError, match="must divide"):
-            resolve_geometry(cfg, fr, 0.0, 0.0)
-
     def test_window_must_hold_whole_cells(self):
         fr = lin_frame()
         cfg = OperatorConfig(eta=WeightParam(0.25), window=24.03, eps=0.0,
@@ -227,10 +221,13 @@ class TestConfigAndGeometry:
         with pytest.raises(ValueError, match="integer number of grid cells"):
             resolve_geometry(cfg, fr, 0.0, 0.0)
 
-    def test_explicit_truncation_too_short(self):
+    def test_truncation_rounding_is_guarded(self):
+        # tol_eta puts the exact t_int 1e-11 past 100 quadrature steps of
+        # 0.05: inside the rounding slack, so t_int rounds down to 5.0 and
+        # the tail rule exp(-5) < tol_eta / 10 fails by a hair
         fr = lin_frame()
-        cfg = base_cfg(eps=0.0, t_int=5.0)
-        with pytest.raises(ValueError, match="truncation window too short"):
+        cfg = base_cfg(eps=0.0, tol_eta=10.0 * math.exp(-(5.0 + 1e-11)))
+        with pytest.raises(ValueError, match="rounds short of the tail rule"):
             resolve_geometry(cfg, fr, 0.0, 0.0)
 
     def test_margins_can_eat_the_core(self):
@@ -244,19 +241,28 @@ class TestConfigAndGeometry:
         fr = lin_frame()
         cfg = base_cfg(eps=0.0)
         geo = resolve_geometry(cfg, fr, 1.0, 0.2)
-        assert math.exp(-1.0 * geo.t_int) * cfg.integrand_bound \
-            < cfg.tol_eta / 10.0
-        # snapped to a whole number of quadrature cells
+        assert math.exp(-1.0 * geo.t_int) < cfg.tol_eta / 10.0
+        # the shortest whole number of half-cell quadrature steps
+        assert geo.quad == cfg.delta / 2.0
         assert abs(geo.t_int / geo.quad - round(geo.t_int / geo.quad)) < 1e-9
+        assert math.exp(-1.0 * (geo.t_int - geo.quad)) >= cfg.tol_eta / 10.0
         assert geo.margin == pytest.approx(geo.t_int + 1.2)
         assert geo.lo == -geo.hi
+
+    def test_present_state_spec_keeps_the_whole_core(self):
+        # h = 0 adds no history margin: window 24 minus t_int 20.8 leaves
+        # 3.2, a whole number of cells of 0.2
+        cfg = OperatorConfig(eta=WeightParam(0.25), window=24.0, eps=0.0,
+                             delta=0.2, tol_eta=1e-8)
+        geo = resolve_geometry(cfg, lin_frame(), ZERO.h, 0.2)
+        assert ZERO.h == 0.0
+        assert geo.t_int == pytest.approx(20.8)
+        assert geo.core_half == pytest.approx(3.2)
+        assert geo.margin == geo.t_int
 
     def test_config_rejects_bad_fields(self):
         with pytest.raises(ValueError, match="eps must be nonnegative"):
             OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=-1.0)
-        with pytest.raises(ValueError, match="quadrature step"):
-            OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=0.0,
-                           delta=0.1, quadrature=0.2)
         with pytest.raises(ValueError, match="tol_eta"):
             OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=0.0,
                            tol_eta=0.0)
@@ -805,8 +811,7 @@ class TestAposteriori:
         u_ball=BallRadii((0.5, 2.0, 10.0, 50.0)))
 
     def test_worked_example_level_zero(self):
-        cfg = OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=0.0,
-                             ell=1, interp_m=1.0)
+        cfg = OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=0.0)
         rows = aposteriori_bounds(1e-4, self.STATE, cfg, (-2.0, 2.0), 0.5)
         x0 = next(r for r in rows if r["component"] == "X" and r["j"] == 0)
         assert x0["exponent"] == 1.0
@@ -815,8 +820,7 @@ class TestAposteriori:
         assert x0["semi_bound"] == pytest.approx(2e-4, rel=1e-12)
 
     def test_exponent_table_for_ell_one(self):
-        cfg = OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=0.0,
-                             ell=1)
+        cfg = OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=0.0)
         rows = aposteriori_bounds(1e-4, self.STATE, cfg, (-1.0, 1.0), 0.2)
         table = {(r["component"], r["j"]): r["exponent"] for r in rows}
         assert table[("X", 0)] == 1.0

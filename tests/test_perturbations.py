@@ -9,6 +9,7 @@ from hypershadow.funcspace import GridFunction, pointwise
 from hypershadow.hyperbolic import OdeModel
 from hypershadow.perturbations import (
     HistorySegment,
+    PerturbationSpec,
     apply_P,
     functional_output_grid,
     lipschitz_probe,
@@ -142,6 +143,17 @@ class TestSegments:
         with pytest.raises(ValueError, match="does not expose a derivative"):
             seg.deriv(0.0)
 
+    def test_zero_radius_reads_only_the_present(self):
+        seg = orbit_segment(np.array([0.5, 2.0]), h=0.0)
+        assert seg.eval(0.0)[:, 0] == pytest.approx([0.5, 2.0])
+        with pytest.raises(ValueError, match="outside radius"):
+            seg.eval(0.1)
+
+    @pytest.mark.parametrize("h", [-0.5, math.nan])
+    def test_negative_or_nan_radius_rejected(self, h):
+        with pytest.raises(ValueError, match="nonnegative"):
+            HistorySegment(0.0, h, lambda a: a[:, None])
+
 
 class TestBatching:
     """k centers in one call equal k single-center calls, exactly."""
@@ -249,6 +261,23 @@ class TestOdeTerm:
         for t in (0.0, 1.3, -2.0):
             out = spec(t, orbit_segment(t), 0.5)
             assert out == pytest.approx([0.0, math.sin(t), 0.0])
+
+    def test_present_state_kinds_declare_no_history(self):
+        assert ode_term(lambda t, x: x).h == 0.0
+        for desc in ({"kind": "zero"},
+                     {"kind": "ode-sin-forcing",
+                      "parameters": {"a": 1.0, "omega": 1.0}},
+                     {"kind": "multi-delay",
+                      "parameters": {"pairs": [[0.0, 2.0]]}}):
+            spec = spec_from_descriptor(desc)
+            assert spec.h == 0.0
+            assert spec(1.5, orbit_segment(1.5, h=0.0), 0.1).shape == (3,)
+
+    @pytest.mark.parametrize("h", [-1e-3, math.nan])
+    def test_spec_rejects_negative_or_nan_radius(self, h):
+        spec = ode_term(lambda t, x: x)
+        with pytest.raises(ValueError, match="nonnegative"):
+            PerturbationSpec(h=h, evaluate=spec.evaluate, L1=0.0, L2=0.0)
 
 
 class TestStateDependentDelay:
@@ -462,6 +491,7 @@ class TestMultiDelay:
 
     def test_empty_sum_is_zero(self):
         spec = multi_delay_advance([])
+        assert spec.h == 0.0
         assert np.all(spec(0.0, orbit_segment(0.0), 0.0) == 0.0)
 
     def test_linear_segment(self):
