@@ -6,9 +6,13 @@ phi' = X(phi) with phi(0) = 0, is a strictly increasing bijection.
 solve_flow builds the inverse first, from the exact identity
 phi_inv(t) = int_0^t dsigma / X(sigma) summed per cell by Gauss
 quadrature, and then gets phi at every grid node at once by Newton
-sweeps on phi_inv(phi(t)) = t, all of it vectorized. The reparametrized
-history maps are alpha(rho, s) = phi(phi_inv(rho) + s), read as
-``fl.phi.eval1(fl.phi_inv.eval1(rho) + s)``.
+sweeps on phi_inv(phi(t)) = t, all of it vectorized. The sweeps read X
+at points that move every sweep, so they go through the field's cell
+table (:class:`~hypershadow.funcspace.CellTable`, built once per field
+from the same stencils as ``xhat.eval1``) rather than a new sampler,
+and they stop at the first residual at or below 1e-13. The
+reparametrized history maps are alpha(rho, s) = phi(phi_inv(rho) + s),
+read as ``fl.phi.eval1(fl.phi_inv.eval1(rho) + s)``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import BallRadii, GridFunction, GridSampler
+from .funcspace import BallRadii, CellTable, GridFunction, GridSampler
 
 __all__ = [
     "NumericalError",
@@ -94,9 +98,18 @@ class ScalarField:
         g = GridFunction.sample(fn, half_width, delta, extension=extension)
         return cls(g, ball)
 
+    @functools.cached_property
+    def _cells(self):
+        # built on first lookup; the field never changes after that
+        return CellTable(self.xhat)
+
     def fast_value(self, t):
-        """X(t) = 1 + xhat(t) at a time or a 1-D array of times."""
-        return 1.0 + self.xhat.eval1(t)
+        """X(t) = 1 + xhat(t) at a time or a 1-D array of times.
+
+        Read from the field's cell table, which evaluates the stencils
+        of ``xhat.eval1`` and agrees with it to rounding.
+        """
+        return 1.0 + self._cells(t)
 
 
 class Flow:
@@ -171,9 +184,9 @@ class Flow:
 # interpolation degree of both flow maps
 _FLOW_ORDER = 7
 
-# Newton stops once its residual no longer halves below this level; the
-# sweep cap only bounds the work, a flow still off by then fails its
-# round-trip guard
+# Newton stops at the first sweep whose residual is at or below this
+# level; the sweep cap only bounds the work, a flow still off by then
+# fails its round-trip guard
 _NEWTON_FLOOR = 1e-13
 _NEWTON_MAX_SWEEPS = 50
 
@@ -189,8 +202,8 @@ def _quadrature_inverse(field, table, y):
 
     Phi(y) is the table value at the left node of y's cell plus the
     6-point Gauss integral of 1/X over the partial cell up to y; the end
-    cells stretch to reach a y beyond the table. One field lookup covers
-    the Gauss points and y itself.
+    cells stretch to reach a y beyond the table. One field lookup, a
+    read of the field's cell table, covers the Gauss points and y itself.
     """
     j = np.floor((y - table.nodes[0]) / table.delta).astype(np.int64)
     np.clip(j, 0, table.n - 2, out=j)
@@ -222,9 +235,11 @@ def solve_flow(field, window, lattices=None):
     Phi(phi) = t_i, with Phi the quadrature inverse (table plus partial
     cell, see ``_quadrature_inverse``), by Newton sweeps over all nodes
     at once, phi <- phi - (Phi(phi) - t) X(phi), started from linear
-    interpolation of the inverse table. Since Phi' = 1/X exactly, the
-    sweeps converge quadratically; they stop when the largest residual
-    no longer halves below about 1e-13.
+    interpolation of the inverse table. Each sweep reads X once, from
+    the field's cell table, so no sampler is built for its moving
+    points. Since Phi' = 1/X exactly, the sweeps converge
+    quadratically; they stop at the first sweep whose largest residual
+    is at or below 1e-13, before applying its update.
     """
     if float(np.abs(field.xhat.values).max()) >= 1.0:
         raise ValueError("sup|X - 1| must be < 1")
@@ -253,15 +268,12 @@ def solve_flow(field, window, lattices=None):
 
     t = -R_phi + np.arange(2 * K + 1) * delta
     y = np.interp(t, inv_vals, phi_inv.nodes)
-    prev = np.inf
     for _ in range(_NEWTON_MAX_SWEEPS):
         Phi, X = _quadrature_inverse(field, phi_inv, y)
         r = Phi - t
-        res = float(np.abs(r).max())
-        if res == 0.0 or (res <= _NEWTON_FLOOR and res > 0.5 * prev):
+        if float(np.abs(r).max()) <= _NEWTON_FLOOR:
             break
         y -= r * X
-        prev = res
     y[K] = 0.0
     phi = GridFunction(R_phi, delta, y, interp_order=_FLOW_ORDER,
                        extension="linear")

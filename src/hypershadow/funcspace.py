@@ -22,6 +22,7 @@ __all__ = [
     "EXTENSIONS",
     "GridFunction",
     "GridSampler",
+    "CellTable",
     "BallRadii",
     "WeightParam",
     "BallReport",
@@ -366,6 +367,15 @@ class GridFunction:
                 f"extension={self.extension!r})")
 
 
+def _stencil_start(cell, p, n):
+    """First node of the p + 1 node interpolation stencil of each cell.
+
+    The stencil is centred on the cell and shifted inward at the window
+    ends; both :class:`GridSampler` and :class:`CellTable` read it here.
+    """
+    return np.clip(cell - (p - 1) // 2, 0, n - 1 - p)
+
+
 class GridSampler:
     """Interpolation of the 1-D query array ``t`` on the geometry of ``g``.
 
@@ -390,7 +400,7 @@ class GridSampler:
             t = t[self.inside]
         cell = np.floor((t + T) / g.delta).astype(np.int64)
         np.clip(cell, 0, g.n - 2, out=cell)
-        start = np.clip(cell - (p - 1) // 2, 0, g.n - 1 - p)
+        start = _stencil_start(cell, p, g.n)
         self.cols = start[:, None] + np.arange(p + 1)[None, :]
         diff = t[:, None] - g.nodes[self.cols]
         # barycentric form; uniform spacing makes the weights binomial.
@@ -421,6 +431,54 @@ class GridSampler:
         for mask, u, side in self.edges:
             out[mask] = g._extend(u, side)
         return out
+
+
+class CellTable:
+    """The local interpolants of a scalar GridFunction, one row per cell.
+
+    Row c holds the Newton coefficients Delta^k f / k!, k = 0..p, of the
+    stencil :class:`GridSampler` uses for cell c, on the unit-spaced
+    stencil nodes. ``table(t)`` evaluates at a time or a 1-D array of
+    times with one floor for the cell, one gather of its row and p
+    nested multiply-adds in w = (t - stencil start) / delta; beyond the
+    window it follows the extension policy as ``g.eval1`` does. It
+    agrees with ``g.eval1`` to rounding and, unlike a sampler, needs no
+    set-up per query array, so it serves points that move every call.
+    """
+
+    __slots__ = ("grid", "coef", "left")
+
+    def __init__(self, g):
+        if g.m != 1:
+            raise ValueError("a cell table needs m = 1 samples")
+        p, n = g.interp_order, g.n
+        start = _stencil_start(np.arange(n - 1), p, n)
+        diff = g.values[:, 0]
+        coef = np.empty((n - 1, p + 1))
+        coef[:, 0] = diff[start]
+        for k in range(1, p + 1):
+            diff = np.diff(diff)
+            coef[:, k] = diff[start] / math.factorial(k)
+        self.grid = g
+        self.coef = coef
+        self.left = g.nodes[start]
+
+    def __call__(self, t):
+        g = self.grid
+        T, p = g.half_width, g.interp_order
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        cell = np.floor((ts + T) / g.delta).astype(np.int64)
+        np.clip(cell, 0, g.n - 2, out=cell)
+        c = self.coef[cell]
+        w = (ts - self.left[cell]) / g.delta
+        out = c[:, p].copy()
+        for k in range(p - 1, -1, -1):
+            out *= w - k
+            out += c[:, k]
+        for mask, side in ((ts < -T, -1), (ts > T, +1)):
+            if mask.any():
+                out[mask] = g._extend(side * ts[mask] - T, side)[:, 0]
+        return float(out[0]) if np.ndim(t) == 0 else out
 
 
 @dataclass(frozen=True)

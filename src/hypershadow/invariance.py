@@ -24,6 +24,7 @@ infinite-line problem. All convergence metrics are measured there.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,12 +89,18 @@ class OperatorConfig:
             raise ValueError("window must be positive")
         if not (self.delta > 0.0 and self.delta < self.window):
             raise ValueError("delta must be positive and below the window")
-        if self.eps < 0.0:
-            raise ValueError("eps must be nonnegative")
+        if not (self.eps >= 0.0 and math.isfinite(self.eps)):
+            raise ValueError(f"eps must be nonnegative and finite, got "
+                             f"{self.eps!r}")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, numbers.Integral)):
+            raise ValueError(f"max_iters must be an integer, got "
+                             f"{self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (self.tol_eta > 0.0):
-            raise ValueError("tol_eta must be positive")
+        if not (self.tol_eta > 0.0 and math.isfinite(self.tol_eta)):
+            raise ValueError(f"tol_eta must be positive and finite, got "
+                             f"{self.tol_eta!r}")
 
 
 @dataclass(frozen=True)

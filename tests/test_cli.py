@@ -211,6 +211,31 @@ class TestRunVerb:
         assert "Traceback" not in err
         assert not os.path.exists(scn["out"])
 
+    @pytest.mark.parametrize("key,value,reason", [
+        ("eps", math.nan, "eps must be nonnegative and finite, got nan"),
+        ("eps", math.inf, "eps must be nonnegative and finite, got inf"),
+        ("tol_eta", math.inf, "tol_eta must be positive and finite, got inf"),
+        ("tol_eta", math.nan, "tol_eta must be positive and finite, got nan"),
+        ("max_iters", 2.5, "max_iters must be an integer, got 2.5"),
+        ("max_iters", True, "max_iters must be an integer, got True"),
+    ])
+    def test_bad_setting_fails_before_compute(self, tmp_path, capsys,
+                                              monkeypatch, key, value,
+                                              reason):
+        # a value that is not a number of the right kind is a scenario
+        # failure, reported in one line before the operator runs
+        monkeypatch.setattr(cli, "iterate",
+                            lambda *a: pytest.fail("iterated"))
+        if key == "eps":
+            path, scn = write_scenario(tmp_path, eps=value)
+        else:
+            config = dict(scenario_dict()["config"], **{key: value})
+            path, scn = write_scenario(tmp_path, config=config)
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [f"hypershadow: {reason}"]
+        assert not os.path.exists(scn["out"])
+
     @pytest.mark.parametrize("interval", [[2.0, -2.0], [0.0, math.nan],
                                           [0.0, math.inf]])
     def test_bad_bounds_interval_fails_before_compute(self, tmp_path, capsys,

@@ -101,6 +101,66 @@ def test_phi_inverts_the_quadrature_inverse_exactly():
         assert np.array_equal(X, field.fast_value(fl.phi.values[:, 0]))
 
 
+@pytest.mark.parametrize("extension", ["constant-hold", "linear", "zero"])
+@pytest.mark.parametrize("order", [3, 5, 7])
+def test_fast_value_agrees_with_the_sampler(extension, order):
+    # the cell table evaluates the stencils GridSampler interpolates
+    # with, so both agree to rounding: inside, at nodes, at the window
+    # edges and beyond, where the extension policy takes over
+    rng = np.random.default_rng(order)
+    for seed in range(12):
+        src = random_field(seed, cap=0.35 if seed % 2 else 0.99)
+        xhat = GridFunction(src.xhat.half_width, src.xhat.delta,
+                            src.xhat.values, interp_order=order,
+                            extension=extension)
+        field = flows.ScalarField(xhat, src.ball)
+        T, d = xhat.half_width, xhat.delta
+        t = np.concatenate([
+            rng.uniform(-T, T, 400), xhat.nodes,
+            [-T, T, np.nextafter(-T, 0.0), np.nextafter(T, 0.0),
+             np.nextafter(-T, -1.0), np.nextafter(T, 1.0)],
+            rng.uniform(T, T + 3.0 * d, 20), -rng.uniform(T, T + 3.0 * d, 20)])
+        want = 1.0 + xhat.eval1(t)
+        got = field.fast_value(t)
+        assert got.shape == t.shape
+        assert np.abs(got - want).max() <= 2e-15, seed
+        for ti in t[::37]:
+            one = field.fast_value(float(ti))
+            assert isinstance(one, float)
+            assert abs(one - (1.0 + xhat.eval1(float(ti)))) <= 2e-15
+
+
+def test_solve_flow_work_counts(monkeypatch):
+    # per solve: one field lookup per Newton sweep, and Newton stops at
+    # the first sweep at the floor, so quadratic convergence from the
+    # interpolated start needs at most 4 of them. The sweeps read the
+    # field's cell table, so the only sampler built on the field's grid
+    # is the one of the cell quadrature points.
+    from hypershadow import funcspace
+
+    lookups, builds = [], []
+    fast_value = flows.ScalarField.fast_value
+    build = funcspace.GridSampler.__init__
+
+    def counting_lookup(self, t):
+        lookups.append(t)
+        return fast_value(self, t)
+
+    def counting_build(self, g, t):
+        builds.append(g.geometry)
+        build(self, g, t)
+
+    monkeypatch.setattr(flows.ScalarField, "fast_value", counting_lookup)
+    monkeypatch.setattr(funcspace.GridSampler, "__init__", counting_build)
+    for seed in range(100):
+        field = random_field(seed)
+        lookups.clear()
+        builds.clear()
+        flows.solve_flow(field, 6.0)
+        assert 1 <= len(lookups) <= 4, (seed, len(lookups))
+        assert builds.count(field.xhat.geometry) == 1, seed
+
+
 def _inverse_by_solve_ivp(fields, ys):
     """t_k(y) = int_0^y ds / X_k(s) for fields sharing one grid.
 
