@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -27,7 +28,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .flows import ScalarField
-from .funcspace import BallRadii, load_grid_function, save_grid_function
+from .funcspace import (BallRadii, load_grid_function, real_number,
+                        save_grid_function)
 from .hyperbolic import frame_from_descriptor
 from .invariance import (
     BallExitError,
@@ -84,7 +86,7 @@ class Scenario:
         if not np.isscalar(eps):
             raise ValueError("this verb needs a single eps; use sweep "
                              "for lists")
-        cfg_kw["eps"] = float(eps)
+        cfg_kw["eps"] = real_number("eps", eps)
         if max_iters is not None:
             cfg_kw["max_iters"] = int(max_iters)
         cfg = OperatorConfig(**cfg_kw)
@@ -117,19 +119,23 @@ def load_scenario(path):
     out = raw.get("out")
     if out is None:
         out = os.path.splitext(str(path))[0] + "_out"
-    interval = tuple(float(x) for x in raw.get("bounds_interval", (-2.0, 2.0)))
+    interval = tuple(real_number("bounds_interval", x)
+                     for x in raw.get("bounds_interval", (-2.0, 2.0)))
     if len(interval) != 2:
         raise ValueError("bounds_interval must be [a, b]")
     # checked before any compute, so a bad interval never costs a run
     if not (all(map(math.isfinite, interval)) and interval[0] < interval[1]):
         raise ValueError(f"bounds_interval must be finite with a < b, got "
                          f"[{interval[0]:g}, {interval[1]:g}]")
+    seed = raw.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     return Scenario(frame=dict(raw["frame"]),
                     perturbation=dict(raw["perturbation"]),
                     config=dict(raw["config"]),
                     eps=raw["eps"],
                     out=str(out),
-                    seed=int(raw.get("seed", 0)),
+                    seed=int(seed),
                     bounds_interval=interval)
 
 
@@ -305,11 +311,11 @@ def cmd_run(scn, max_iters=None, quiet=False):
 def _dyadic_eps_list(eps):
     if np.isscalar(eps):
         raise ValueError("sweep needs a list of eps values")
-    vals = [float(e) for e in eps]
+    vals = [real_number("eps", e) for e in eps]
     if len(vals) < 3:
         raise ValueError("sweep needs at least 3 eps values")
-    if min(vals) <= 0.0:
-        raise ValueError("sweep eps values must be positive")
+    if not all(0.0 < v < math.inf for v in vals):
+        raise ValueError("sweep eps values must be positive and finite")
     vals.sort(reverse=True)
     for big, small in zip(vals, vals[1:]):
         if abs(big / small - 2.0) > 1e-9:

@@ -11,8 +11,10 @@ per-level slack report.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -31,6 +33,7 @@ __all__ = [
     "save_grid_function",
     "load_grid_function",
     "pointwise",
+    "real_number",
 ]
 
 EXTENSIONS = ("constant-hold", "linear", "zero")
@@ -58,6 +61,20 @@ def pointwise(fn):
                           dtype=float)
 
     return batched
+
+
+def real_number(name, value, finite=False):
+    """``value`` as a float, or a ValueError naming ``name``.
+
+    Rejects anything but a real number, booleans and numeric strings
+    included, and with ``finite`` also NaN and infinities.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} is not numeric: {value!r}")
+    value = float(value)
+    if finite and not math.isfinite(value):
+        raise ValueError(f"{name} is not finite: {value!r}")
+    return value
 
 
 def fd_weights(x, x0, k):
@@ -96,6 +113,28 @@ def fd_weights(x, x0, k):
     return c[:, k].copy()
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
+def _stencil_table(p, k, delta):
+    # row q: weights of D^k at node q of p + 1 nodes spaced delta apart
+    return _frozen(np.array([
+        fd_weights(np.arange(p + 1, dtype=float) * delta, q * delta, k)
+        for q in range(p + 1)]))
+
+
+@functools.cache
+def _slope_weights(p, half_width, delta):
+    # one-sided D^1 weights at both window ends, over p + 1 end nodes
+    n = int(np.floor(2.0 * half_width / delta + 1e-9)) + 1
+    x = -half_width + np.arange(n) * delta
+    return (_frozen(fd_weights(x[:p + 1], x[0], 1)),
+            _frozen(fd_weights(x[-p - 1:], x[-1], 1)))
+
+
 class GridFunction:
     """Uniform samples of a function [-T, T] -> R^m.
 
@@ -119,15 +158,15 @@ class GridFunction:
 
     Instances are immutable after construction. ``eval(t)`` builds, applies
     and drops a :class:`GridSampler`. Derivatives are cached per order;
-    difference weights are shared with grids made by ``with_values``.
+    difference weights are tabulated once per grid geometry and shared
+    by every grid of that geometry.
     """
 
     __slots__ = ("half_width", "delta", "values", "interp_order",
-                 "extension", "nodes", "geometry", "_dcache", "_slopes",
-                 "_stencils")
+                 "extension", "nodes", "geometry", "_dcache", "_slopes")
 
     def __init__(self, half_width, delta, values, interp_order=5,
-                 extension="constant-hold", _stencils=None):
+                 extension="constant-hold"):
         half_width = float(half_width)
         delta = float(delta)
         if not (half_width > 0.0 and np.isfinite(half_width)):
@@ -163,7 +202,6 @@ class GridFunction:
         self.geometry = (half_width, delta, n, interp_order)
         self._dcache = {}
         self._slopes = None
-        self._stencils = {} if _stencils is None else _stencils
 
     # -- basic geometry -------------------------------------------------
 
@@ -195,8 +233,7 @@ class GridFunction:
     def with_values(self, values, extension=None):
         """Same grid, new values; same extension policy unless given."""
         return GridFunction(self.half_width, self.delta, values,
-                            self.interp_order, extension or self.extension,
-                            self._stencils)
+                            self.interp_order, extension or self.extension)
 
     def restrict(self, half_width):
         """Restriction to a smaller symmetric window whose ends lie on nodes."""
@@ -210,7 +247,7 @@ class GridFunction:
             return self
         return GridFunction(self.half_width - k * self.delta, self.delta,
                             self.values[k:-k], self.interp_order,
-                            self.extension, self._stencils)
+                            self.extension)
 
     # -- evaluation -----------------------------------------------------
 
@@ -249,25 +286,15 @@ class GridFunction:
     def _boundary_slope(self, side):
         if self._slopes is None:
             w = self.interp_order + 1
-            x = self.nodes
-            wl, wr = self._stencil(("slope", self.half_width), lambda: (
-                fd_weights(x[:w], x[0], 1), fd_weights(x[-w:], x[-1], 1)))
+            wl, wr = _slope_weights(self.interp_order, self.half_width,
+                                    self.delta)
             self._slopes = (wl @ self.values[:w], wr @ self.values[-w:])
         return self._slopes[0] if side < 0 else self._slopes[1]
 
-    def _stencil(self, key, build):
-        # weights shared by the grids of one step and order, built once
-        w = self._stencils.get(key)
-        if w is None:
-            w = self._stencils[key] = build()
-        return w
-
     def stencil_weights(self, k):
-        """Row q: Fornberg weights of D^k at node q of a stencil."""
-        p = self.interp_order
-        return self._stencil(k, lambda: np.array([
-            fd_weights(np.arange(p + 1, dtype=float) * self.delta,
-                       q * self.delta, k) for q in range(p + 1)]))
+        """Row q: Fornberg weights of D^k at node q of a stencil, shared
+        read-only by every grid of this order and step."""
+        return _stencil_table(self.interp_order, k, self.delta)
 
     # -- derivatives and norms -------------------------------------------
 

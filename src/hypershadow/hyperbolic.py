@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .funcspace import GridFunction
+from .funcspace import GridFunction, real_number
 
 __all__ = [
     "OdeModel",
@@ -732,11 +732,17 @@ def analytic_frame(descriptor):
     name = descriptor.get("model", "lin-saddle")
     if name not in ("lin-saddle", "saddle-cubic"):
         raise ValueError(f"no analytic splitting for model {name!r}")
-    lam_s = float(descriptor.get("lambda_s", 1.0))
-    lam_u = float(descriptor.get("lambda_u", 1.0))
-    cubic = descriptor.get("cubic", (0.0, 0.0))
+    lam_s, lam_u = (real_number(key, descriptor.get(key, 1.0), finite=True)
+                    for key in ("lambda_s", "lambda_u"))
+    cubic = [real_number("cubic", c, finite=True) for c in
+             np.asarray(descriptor.get("cubic", (0.0, 0.0)),
+                        dtype=object).ravel()]
+    if len(cubic) != 2:
+        raise ValueError(f"cubic must be [c2, c3], got {cubic!r}")
     rot = descriptor.get("rotation")
     if rot is not None:
+        for x in np.asarray(rot, dtype=object).ravel():
+            real_number("rotation", x, finite=True)
         rot = np.asarray(rot, dtype=float)
     model = _saddle_model(lam_s, lam_u, cubic=cubic, rotation=rot)
     frame = AnalyticFrame(model, [lam_s], [lam_u], rotation=rot)

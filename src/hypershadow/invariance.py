@@ -29,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import (Flow, FlowGuardError, NumericalError, ScalarField,
-                    solve_flow)
+from .flows import FlowGuardError, NumericalError, ScalarField, solve_flow
 from .funcspace import (BallRadii, GridFunction, GridSampler, WeightParam,
-                        ball_membership)
+                        ball_membership, real_number)
 from .hyperbolic import FrameTable
 from .perturbations import HistorySegment
 
@@ -84,7 +83,10 @@ class OperatorConfig:
 
     def __post_init__(self):
         if not isinstance(self.eta, WeightParam):
-            object.__setattr__(self, "eta", WeightParam(float(self.eta)))
+            object.__setattr__(self, "eta",
+                               WeightParam(real_number("eta", self.eta)))
+        for name in ("window", "delta", "eps", "tol_eta"):
+            real_number(name, getattr(self, name))
         if not (self.window > 0.0 and np.isfinite(self.window)):
             raise ValueError("window must be positive")
         if not (self.delta > 0.0 and self.delta < self.window):
@@ -304,63 +306,68 @@ def _quadratic_batch(fr, state, vs, at=None):
 
 
 def _state_flow(state, half_width, run=None):
-    """Flow of the state's time change on the inflated window.
+    """Flow of the state's time change on the inflated window, and the
+    half-width its t-grid covers.
 
-    An exactly-identity field short-circuits to the linear flow; the
-    general path integrates the field, reading it through the run's
-    samplers when ``run`` is given.
+    The flow of an exactly-identity field is the identity, so none is
+    built: the flow is None and the reach is ``half_width`` rounded up
+    to whole cells, at least 8. The general path integrates the field,
+    reading it through the run's samplers when ``run`` is given.
     """
     if state.X.sup_deviation() == 0.0:
         delta = state.X.xhat.delta
-        K = max(int(math.ceil(half_width / delta - 1e-9)), 8)
-        R = K * delta
-        vals = -R + np.arange(2 * K + 1) * delta
-        phi = GridFunction(R, delta, vals, interp_order=7, extension="linear")
-        inv = GridFunction(R, delta, vals.copy(), interp_order=7,
-                           extension="linear")
-        return Flow(phi, inv, state.X)
-    return solve_flow(state.X, half_width, lattices=run)
+        return None, max(int(math.ceil(half_width / delta - 1e-9)), 8) * delta
+    flow = solve_flow(state.X, half_width, lattices=run)
+    return flow, flow.phi.half_width
 
 
-def _trajectory(fr, state, phi=None):
-    """(x0 + xhat) o phi and its derivative as batch maps (phi None: the
-    identity); one sampler per query reads xhat, its derivative and X."""
+def _trajectory(fr, state, flow=None):
+    """(x0 + xhat) o phi and its derivative as batch maps (flow None: the
+    identity); one sampler per query reads xhat, its derivative and X.
+    The derivative of xhat is built on the first derivative query and
+    reused by the later ones."""
     xh = state.xs + state.xu
-    xh1 = state.xs.derivative(1) + state.xu.derivative(1)
+    xh1 = None
 
     def theta(a):
-        a = a if phi is None else phi.eval1(a)
+        a = a if flow is None else flow.phi.eval1(a)
         return fr.orbit_batch(a) + GridSampler(state.xs, a).apply(xh)
 
     def dtheta(a):
-        a = a if phi is None else phi.eval1(a)
+        nonlocal xh1
+        if xh1 is None:
+            xh1 = state.xs.derivative(1) + state.xu.derivative(1)
+        a = a if flow is None else flow.phi.eval1(a)
         s = GridSampler(state.xs, a)
         out = fr.orbit_deriv_batch(a) + s.apply(xh1)
-        if phi is not None:
+        if flow is not None:
             out = out * (1.0 + s.apply(state.X.xhat)[:, 0])[:, None]
         return out
 
     return theta, dtheta
 
 
-def _varphi_batch(fr, state, spec, flow, vs, eps, inv_at=None):
+def _varphi_batch(fr, state, spec, flow, reach, vs, eps, inv_at=None):
     """varphi(rho) = p(phi^{-1}(rho), ((x0 + xhat) o phi)_{phi^{-1}(rho)}).
 
-    One spec call for all k times vs, returning (k, n). The segments
-    read (x0 + xhat)(phi(t + s)); their derivative is the chain rule
-    value (x0 + xhat)'(alpha) X(alpha). An exactly-identity time change
-    skips the flow lookups. This is where perturbation values enter the
-    operator, so a non-finite value raises NumericalError here. ``inv_at``
-    samples vs on the inverse flow's grid; built here when not given.
+    One spec call for all k times vs, returning (k, n). ``flow`` and
+    ``reach`` are what :func:`_state_flow` returns; no flow means the
+    identity time change, which reads the segments at vs directly. The
+    segments read (x0 + xhat)(phi(t + s)); their derivative is the chain
+    rule value (x0 + xhat)'(alpha) X(alpha), built only when the spec
+    reads it. This is where perturbation values enter the operator, so a
+    non-finite value raises NumericalError here. ``inv_at`` samples vs
+    on the inverse flow's grid; built here when not given.
     """
-    ident = state.X.sup_deviation() == 0.0
-    inv = flow.phi_inv
-    bases = vs if ident else (inv_at or GridSampler(inv, vs)).apply(inv)[:, 0]
-    if float(np.abs(bases).max()) + spec.h > flow.phi.half_width + 1e-12:
+    if flow is None:
+        bases = vs
+    else:
+        inv = flow.phi_inv
+        bases = (inv_at or GridSampler(inv, vs)).apply(inv)[:, 0]
+    if float(np.abs(bases).max()) + spec.h > reach + 1e-12:
         raise ValueError(
             "integrand evaluation leaves the inflated flow window")
-    seg = HistorySegment(bases, spec.h,
-                         *_trajectory(fr, state, None if ident else flow.phi))
+    seg = HistorySegment(bases, spec.h, *_trajectory(fr, state, flow))
     out = spec(bases, seg, eps)
     bad = ~np.isfinite(out).all(axis=1)
     if bad.any():
@@ -429,15 +436,15 @@ def _step_load(fr, state, spec, cfg, run):
     interpolation, and state nodes fall on the lattice, so they read
     the tabulated values exactly.
     """
-    flow = _state_flow(state, run.geo.flow_half, run)
+    flow, reach = _state_flow(state, run.geo.flow_half, run)
     vphi = None
     if cfg.eps != 0.0:
         lat = run.half_cells
-        inv_at = None if state.X.sup_deviation() == 0.0 else \
+        inv_at = None if flow is None else \
             run.sampler("half cells", lat, flow.phi_inv)
         vphi = GridFunction(
             run.geo.hi, run.geo.quad,
-            _varphi_batch(fr, state, spec, flow, lat, cfg.eps, inv_at),
+            _varphi_batch(fr, state, spec, flow, reach, lat, cfg.eps, inv_at),
             interp_order=7, extension="constant-hold")
 
     def load(name, vs):
@@ -615,6 +622,17 @@ def _guarded_step(fr, state, spec, cfg, run, it):
             f"against t0 = {state.X.t0:g}") from exc
 
 
+def _reproduces(a, b):
+    """True when state b holds the grids of state a bit for bit.
+
+    Balls need no comparison: :func:`gamma_step` carries them over.
+    """
+    return all(g.extension == h.extension
+               and np.array_equal(g.values, h.values)
+               for g, h in ((a.X.xhat, b.X.xhat), (a.xs, b.xs),
+                            (a.xu, b.xu)))
+
+
 def iterate(fr, spec, cfg, initial=None):
     """Drive the operator to its fixed point from ``initial``.
 
@@ -626,9 +644,12 @@ def iterate(fr, spec, cfg, initial=None):
     FlowGuardError, naming the iteration, when the flow of an iterate's
     time change fails its checks. The defects of the returned state are
     measured by one extra operator application, so the report's e_eta
-    genuinely belongs to it. ``kappa_hat`` is the largest ratio of
-    consecutive distances; a run that stops after one iteration takes
-    it from that extra application, so a resumed run measures it too.
+    genuinely belongs to it. When the last iteration reproduced its
+    input bit for bit, that extra application would repeat it exactly,
+    so its defects are taken instead. ``kappa_hat`` is the largest ratio
+    of consecutive distances; a run that stops after one iteration takes
+    it from the defects of the returned state, so a resumed run measures
+    it too.
     """
     state = initial if initial is not None else initial_state(fr, cfg)
     run = _Run(fr, spec, cfg, state.X.t0)
@@ -666,19 +687,24 @@ def iterate(fr, spec, cfg, initial=None):
                 level = int(np.argmin(rep.slack))
                 raise BallExitError(name, level,
                                     rep.measured[level], rep.limits[level])
-        state = new_state
+        last_input, state = state, new_state
         if d <= cfg.tol_eta:
             converged = True
             break
-    # defect of the state actually returned
-    _, final_defects = _guarded_step(fr, state, spec, cfg, run,
-                                     len(distances) + 1)
+    # defect of the state actually returned; a last step that
+    # reproduced its input has measured it already
+    if _reproduces(last_input, state):
+        final_defects = defects
+    else:
+        _, final_defects = _guarded_step(fr, state, spec, cfg, run,
+                                         len(distances) + 1)
     e_eta = (final_defects["d_eta"] + final_defects["tail_s"]
              + final_defects["tail_u"])
     if ratios or distances[0] <= 1e-300:
         kappa_hat = max(ratios, default=0.0)
     else:
-        # one iteration left no ratio; the extra application measures it
+        # one iteration left no ratio; the returned state's defects
+        # measure it
         kappa_hat = final_defects["d_eta"] / distances[0]
     report = IterationReport(
         distances=tuple(distances),
@@ -743,7 +769,7 @@ def residual_fde(fr, state, spec, eps, probe):
     if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-9):
         raise ValueError("probe grid must be uniform")
     t_max = max(abs(probe[0]), abs(probe[-1])) + spec.h + 1.0
-    traj, dtraj = _trajectory(fr, state, _state_flow(state, t_max).phi)
+    traj, dtraj = _trajectory(fr, state, _state_flow(state, t_max)[0])
     # only the spacing matters for the difference stencils, so an
     # off-center probe may be differentiated on a centered proxy grid
     half = 0.5 * (probe[-1] - probe[0])
@@ -1104,8 +1130,9 @@ def varphi_difference_probe(fr, spec, state_v, state_w, eta):
     keep = np.abs(nodes) <= core_half + 1e-12
     vals = []
     for st in (state_v, state_w):
-        flow = _state_flow(st, reach)
-        vals.append(_varphi_batch(fr, st, spec, flow, nodes[keep], 0.0))
+        flow, flow_reach = _state_flow(st, reach)
+        vals.append(_varphi_batch(fr, st, spec, flow, flow_reach,
+                                  nodes[keep], 0.0))
     mags = np.linalg.norm(vals[0] - vals[1], axis=1)
     lhs = float((mags * np.exp(-eta.eta * np.abs(nodes[keep]))).max())
     cfg_like = OperatorConfig(eta=eta, window=T, eps=0.0,

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .funcspace import GridFunction
+from .flows import NumericalError
+from .funcspace import GridFunction, real_number
 
 __all__ = [
     "HistorySegment",
@@ -74,6 +75,11 @@ class HistorySegment:
 
     def _times(self, s):
         s = np.asarray(s, dtype=float)
+        if not np.isfinite(s).all():
+            s = np.broadcast_to(s, self.t.shape)
+            i = int(np.argmax(~np.isfinite(s)))
+            raise NumericalError(f"history lookup offset {s[i]} at "
+                                 f"t={self.t[i]:.6g} is not finite")
         outside = np.abs(s) > self.h + _LOOKUP_SLACK
         if outside.any():
             bad = float(s.flat[int(np.argmax(outside))])
@@ -424,11 +430,14 @@ def spec_from_descriptor(desc):
                 raise ValueError(f"descriptor kind {kind!r} is missing "
                                  f"parameter {name!r}")
             return default
+        label = f"descriptor kind {kind!r} parameter {name!r}"
+        # every entry of a list parameter too
+        for entry in np.asarray(value, dtype=object).ravel():
+            real_number(label, entry, finite=True)
         try:
             return cast(value)
         except (TypeError, ValueError):
-            raise ValueError(f"descriptor kind {kind!r} parameter {name!r} "
-                             f"is not numeric: {value!r}") from None
+            raise ValueError(f"{label} is not numeric: {value!r}") from None
 
     # every kind reads its output dimension off the state it is given
     if kind == "zero":

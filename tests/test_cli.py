@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from hypershadow import cli
 from hypershadow.hyperbolic import frame_from_descriptor
 from hypershadow.invariance import OperatorConfig, CorrectionState, initial_state
-from hypershadow.perturbations import ode_term
+from hypershadow.perturbations import ode_term, state_dependent_delay
 
 
 def scenario_dict(**over):
@@ -218,6 +219,12 @@ class TestRunVerb:
         ("tol_eta", math.nan, "tol_eta must be positive and finite, got nan"),
         ("max_iters", 2.5, "max_iters must be an integer, got 2.5"),
         ("max_iters", True, "max_iters must be an integer, got True"),
+        ("tol_eta", True, "tol_eta is not numeric: True"),
+        ("delta", "0.1", "delta is not numeric: '0.1'"),
+        ("eta", "0.25", "eta is not numeric: '0.25'"),
+        ("window", False, "window is not numeric: False"),
+        ("eps", True, "eps is not numeric: True"),
+        ("eps", "0.01", "eps is not numeric: '0.01'"),
     ])
     def test_bad_setting_fails_before_compute(self, tmp_path, capsys,
                                               monkeypatch, key, value,
@@ -234,6 +241,68 @@ class TestRunVerb:
         assert cli.main(["run", path]) == 1
         err = capsys.readouterr().err
         assert err.strip().splitlines() == [f"hypershadow: {reason}"]
+        assert not os.path.exists(scn["out"])
+
+    @pytest.mark.parametrize("verb,over,reason", [
+        ("run", {"perturbation": {"kind": "delayed-sin-forcing",
+                                  "parameters": {"a": math.nan,
+                                                 "omega": 2.0}}},
+         "descriptor kind 'delayed-sin-forcing' parameter 'a' is not "
+         "finite: nan"),
+        ("run", {"perturbation": {"kind": "sdd-tanh",
+                                  "parameters": {"h": 1.0, "c0": math.nan,
+                                                 "c1": 0.2}}},
+         "descriptor kind 'sdd-tanh' parameter 'c0' is not finite: nan"),
+        ("run", {"frame": {"mode": "analytic", "model": "saddle-cubic",
+                           "cubic": [math.nan, 0.2]}},
+         "cubic is not finite: nan"),
+        ("run", {"frame": {"mode": "analytic", "model": "lin-saddle",
+                           "lambda_s": math.inf}},
+         "lambda_s is not finite: inf"),
+        ("run", {"frame": {"mode": "analytic", "model": "lin-saddle",
+                           "rotation": [[1, 0, 0], [0, 1, 0],
+                                        [0, 0, math.nan]]}},
+         "rotation is not finite: nan"),
+        ("run", {"seed": 1.7},
+         "cannot read scenario: seed must be an integer, got 1.7"),
+        ("run", {"seed": True},
+         "cannot read scenario: seed must be an integer, got True"),
+        ("run", {"bounds_interval": [True, 2.0]},
+         "cannot read scenario: bounds_interval is not numeric: True"),
+        ("sweep", {"eps": [0.04, "x", 0.01]}, "eps is not numeric: 'x'"),
+        ("sweep", {"eps": [0.04, True, 0.01]}, "eps is not numeric: True"),
+        ("sweep", {"eps": [math.nan, 0.02, 0.01]},
+         "sweep eps values must be positive and finite"),
+    ])
+    def test_bad_number_fails_before_compute(self, tmp_path, capsys,
+                                             monkeypatch, verb, over,
+                                             reason):
+        # a value that is not a finite number, or a number passed as a
+        # bool or string, is named in one line before the operator runs
+        monkeypatch.setattr(cli, "iterate",
+                            lambda *a: pytest.fail("iterated"))
+        path, scn = write_scenario(tmp_path, **over)
+        assert cli.main([verb, path]) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [f"hypershadow: {reason}"]
+        assert not os.path.exists(scn["out"])
+
+    def test_non_finite_delay_is_exit_four(self, tmp_path, capsys,
+                                           monkeypatch):
+        # a delay map that turns NaN beyond t = 3 fails at the lookup,
+        # naming the centre, and no interpolation warning gets out
+        spec = state_dependent_delay(
+            lambda t, y: 0.1 * y,
+            lambda t, x: np.where(t > 3.0, math.nan, -0.5), h=1.0)
+        monkeypatch.setattr(cli, "spec_from_descriptor", lambda desc: spec)
+        path, scn = write_scenario(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", path]) == 4
+        assert caught == []
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "non-finite value: history lookup offset nan at t=" in err
         assert not os.path.exists(scn["out"])
 
     @pytest.mark.parametrize("interval", [[2.0, -2.0], [0.0, math.nan],

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hypershadow.flows import NumericalError
 from hypershadow.funcspace import GridFunction, pointwise
 from hypershadow.hyperbolic import OdeModel
 from hypershadow.perturbations import (
@@ -132,6 +133,16 @@ class TestSegments:
         seg = orbit_segment(0.0, h=1.0)
         with pytest.raises(ValueError, match="outside radius"):
             seg.eval(1.5)
+
+    @pytest.mark.parametrize("offset", [math.nan, [0.0, -math.inf]])
+    def test_non_finite_offset_names_the_centre(self, offset):
+        # caught before the lookup, which would interpolate at NaN
+        seg = orbit_segment(np.array([0.5, 2.0]), h=1.0)
+        where = "0.5" if np.ndim(offset) == 0 else "2"
+        with pytest.raises(NumericalError,
+                           match=rf"offset -?(nan|inf) at t={where} is not "
+                                 rf"finite"):
+            seg.eval(offset)
 
     def test_window_too_small(self):
         traj = sine_traj(half_width=1.0)
@@ -688,6 +699,12 @@ class TestDescriptors:
          "parameter 'a' is not numeric: 'oops'"),
         ("multi-delay", {"pairs": [[-1.0, 1.0]], "h": "oops"},
          "parameter 'h' is not numeric: 'oops'"),
+        ("ode-sin-forcing", {"a": True, "omega": 1.0},
+         "parameter 'a' is not numeric: True"),
+        ("sdd-tanh", {"h": 1.0, "c0": math.nan, "c1": 0.2},
+         "parameter 'c0' is not finite: nan"),
+        ("multi-delay", {"pairs": [[-1.0, 1.0], [0.5, math.inf]]},
+         "parameter 'pairs' is not finite: inf"),
         # a null value reads as an absent one
         ("sdd-tanh", {"h": None, "c0": 0.5, "c1": 0.2},
          "is missing parameter 'h'"),
