@@ -127,12 +127,14 @@ def _stencil_table(p, k, delta):
 
 
 @functools.cache
-def _slope_weights(p, half_width, delta):
-    # one-sided D^1 weights at both window ends, over p + 1 end nodes
-    n = int(np.floor(2.0 * half_width / delta + 1e-9)) + 1
-    x = -half_width + np.arange(n) * delta
-    return (_frozen(fd_weights(x[:p + 1], x[0], 1)),
-            _frozen(fd_weights(x[-p - 1:], x[-1], 1)))
+def _slope_weights(geometry):
+    # one-sided D^1 weights at both window ends of a grid with this
+    # geometry, over its p + 1 end nodes
+    half_width, delta, n, p = geometry
+    first = -half_width + np.arange(p + 1) * delta
+    last = -half_width + np.arange(n - p - 1, n) * delta
+    return (_frozen(fd_weights(first, first[0], 1)),
+            _frozen(fd_weights(last, last[-1], 1)))
 
 
 class GridFunction:
@@ -286,8 +288,7 @@ class GridFunction:
     def _boundary_slope(self, side):
         if self._slopes is None:
             w = self.interp_order + 1
-            wl, wr = _slope_weights(self.interp_order, self.half_width,
-                                    self.delta)
+            wl, wr = _slope_weights(self.geometry)
             self._slopes = (wl @ self.values[:w], wr @ self.values[-w:])
         return self._slopes[0] if side < 0 else self._slopes[1]
 

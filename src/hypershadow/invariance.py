@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import FlowGuardError, NumericalError, ScalarField, solve_flow
+from .flows import (Flow, FlowGuardError, NumericalError, ScalarField,
+                    solve_flow)
 from .funcspace import (BallRadii, GridFunction, GridSampler, WeightParam,
                         ball_membership, real_number)
 from .hyperbolic import FrameTable
@@ -306,23 +307,26 @@ def _quadratic_batch(fr, state, vs, at=None):
 
 
 def _state_flow(state, half_width, run=None):
-    """Flow of the state's time change on the inflated window, and the
-    half-width its t-grid covers.
+    """Flow of the state's time change on the inflated window.
 
-    The flow of an exactly-identity field is the identity, so none is
-    built: the flow is None and the reach is ``half_width`` rounded up
-    to whole cells, at least 8. The general path integrates the field,
-    reading it through the run's samplers when ``run`` is given.
+    An exactly-identity field short-circuits to the linear flow; the
+    general path integrates the field, reading it through the run's
+    samplers when ``run`` is given.
     """
     if state.X.sup_deviation() == 0.0:
         delta = state.X.xhat.delta
-        return None, max(int(math.ceil(half_width / delta - 1e-9)), 8) * delta
-    flow = solve_flow(state.X, half_width, lattices=run)
-    return flow, flow.phi.half_width
+        K = max(int(math.ceil(half_width / delta - 1e-9)), 8)
+        R = K * delta
+        vals = -R + np.arange(2 * K + 1) * delta
+        phi = GridFunction(R, delta, vals, interp_order=7, extension="linear")
+        inv = GridFunction(R, delta, vals.copy(), interp_order=7,
+                           extension="linear")
+        return Flow(phi, inv, state.X)
+    return solve_flow(state.X, half_width, lattices=run)
 
 
-def _trajectory(fr, state, flow=None):
-    """(x0 + xhat) o phi and its derivative as batch maps (flow None: the
+def _trajectory(fr, state, phi=None):
+    """(x0 + xhat) o phi and its derivative as batch maps (phi None: the
     identity); one sampler per query reads xhat, its derivative and X.
     The derivative of xhat is built on the first derivative query and
     reused by the later ones."""
@@ -330,44 +334,42 @@ def _trajectory(fr, state, flow=None):
     xh1 = None
 
     def theta(a):
-        a = a if flow is None else flow.phi.eval1(a)
+        a = a if phi is None else phi.eval1(a)
         return fr.orbit_batch(a) + GridSampler(state.xs, a).apply(xh)
 
     def dtheta(a):
         nonlocal xh1
         if xh1 is None:
             xh1 = state.xs.derivative(1) + state.xu.derivative(1)
-        a = a if flow is None else flow.phi.eval1(a)
+        a = a if phi is None else phi.eval1(a)
         s = GridSampler(state.xs, a)
         out = fr.orbit_deriv_batch(a) + s.apply(xh1)
-        if flow is not None:
+        if phi is not None:
             out = out * (1.0 + s.apply(state.X.xhat)[:, 0])[:, None]
         return out
 
     return theta, dtheta
 
 
-def _varphi_batch(fr, state, spec, flow, reach, vs, eps, inv_at=None):
+def _varphi_batch(fr, state, spec, flow, vs, eps, inv_at=None):
     """varphi(rho) = p(phi^{-1}(rho), ((x0 + xhat) o phi)_{phi^{-1}(rho)}).
 
-    One spec call for all k times vs, returning (k, n). ``flow`` and
-    ``reach`` are what :func:`_state_flow` returns; no flow means the
-    identity time change, which reads the segments at vs directly. The
-    segments read (x0 + xhat)(phi(t + s)); their derivative is the chain
-    rule value (x0 + xhat)'(alpha) X(alpha), built only when the spec
-    reads it. This is where perturbation values enter the operator, so a
-    non-finite value raises NumericalError here. ``inv_at`` samples vs
-    on the inverse flow's grid; built here when not given.
+    One spec call for all k times vs, returning (k, n). The segments
+    read (x0 + xhat)(phi(t + s)); their derivative is the chain rule
+    value (x0 + xhat)'(alpha) X(alpha), built only when the spec reads
+    it. An exactly-identity time change skips the flow lookups. This is
+    where perturbation values enter the operator, so a non-finite value
+    raises NumericalError here. ``inv_at`` samples vs on the inverse
+    flow's grid; built here when not given.
     """
-    if flow is None:
-        bases = vs
-    else:
-        inv = flow.phi_inv
-        bases = (inv_at or GridSampler(inv, vs)).apply(inv)[:, 0]
-    if float(np.abs(bases).max()) + spec.h > reach + 1e-12:
+    ident = state.X.sup_deviation() == 0.0
+    inv = flow.phi_inv
+    bases = vs if ident else (inv_at or GridSampler(inv, vs)).apply(inv)[:, 0]
+    if float(np.abs(bases).max()) + spec.h > flow.phi.half_width + 1e-12:
         raise ValueError(
             "integrand evaluation leaves the inflated flow window")
-    seg = HistorySegment(bases, spec.h, *_trajectory(fr, state, flow))
+    seg = HistorySegment(bases, spec.h,
+                         *_trajectory(fr, state, None if ident else flow.phi))
     out = spec(bases, seg, eps)
     bad = ~np.isfinite(out).all(axis=1)
     if bad.any():
@@ -436,15 +438,15 @@ def _step_load(fr, state, spec, cfg, run):
     interpolation, and state nodes fall on the lattice, so they read
     the tabulated values exactly.
     """
-    flow, reach = _state_flow(state, run.geo.flow_half, run)
+    flow = _state_flow(state, run.geo.flow_half, run)
     vphi = None
     if cfg.eps != 0.0:
         lat = run.half_cells
-        inv_at = None if flow is None else \
+        inv_at = None if state.X.sup_deviation() == 0.0 else \
             run.sampler("half cells", lat, flow.phi_inv)
         vphi = GridFunction(
             run.geo.hi, run.geo.quad,
-            _varphi_batch(fr, state, spec, flow, reach, lat, cfg.eps, inv_at),
+            _varphi_batch(fr, state, spec, flow, lat, cfg.eps, inv_at),
             interp_order=7, extension="constant-hold")
 
     def load(name, vs):
@@ -769,7 +771,7 @@ def residual_fde(fr, state, spec, eps, probe):
     if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-9):
         raise ValueError("probe grid must be uniform")
     t_max = max(abs(probe[0]), abs(probe[-1])) + spec.h + 1.0
-    traj, dtraj = _trajectory(fr, state, _state_flow(state, t_max)[0])
+    traj, dtraj = _trajectory(fr, state, _state_flow(state, t_max).phi)
     # only the spacing matters for the difference stencils, so an
     # off-center probe may be differentiated on a centered proxy grid
     half = 0.5 * (probe[-1] - probe[0])
@@ -1130,9 +1132,8 @@ def varphi_difference_probe(fr, spec, state_v, state_w, eta):
     keep = np.abs(nodes) <= core_half + 1e-12
     vals = []
     for st in (state_v, state_w):
-        flow, flow_reach = _state_flow(st, reach)
-        vals.append(_varphi_batch(fr, st, spec, flow, flow_reach,
-                                  nodes[keep], 0.0))
+        flow = _state_flow(st, reach)
+        vals.append(_varphi_batch(fr, st, spec, flow, nodes[keep], 0.0))
     mags = np.linalg.norm(vals[0] - vals[1], axis=1)
     lhs = float((mags * np.exp(-eta.eta * np.abs(nodes[keep]))).max())
     cfg_like = OperatorConfig(eta=eta, window=T, eps=0.0,

@@ -16,7 +16,7 @@ import types
 import numpy as np
 import pytest
 
-from hypershadow import flows, funcspace, invariance
+from hypershadow import funcspace, invariance
 from hypershadow.flows import ScalarField, solve_flow
 from hypershadow.funcspace import BallRadii, GridFunction, WeightParam
 from hypershadow.hyperbolic import (
@@ -401,8 +401,8 @@ class TestQuadraticTerm:
 
 
 def varphi_at(fr, st, spec, rho, eps):
-    flow, reach = _state_flow(st, abs(rho) + spec.h + 2.0)
-    return _varphi_batch(fr, st, spec, flow, reach, np.array([rho]), eps)[0]
+    flow = _state_flow(st, abs(rho) + spec.h + 2.0)
+    return _varphi_batch(fr, st, spec, flow, np.array([rho]), eps)[0]
 
 
 class TestPerturbTerm:
@@ -440,11 +440,11 @@ class TestPerturbTerm:
         st = state_with(fr, cfg, x_dev=0.02, xs_col=0.05, xu_col=-0.03)
         spec = nonlinear_spec()
         vs = np.linspace(-3.0, 3.0, 13)
-        flow, reach = _state_flow(st, 6.0)
-        batch = _varphi_batch(fr, st, spec, flow, reach, vs, 1e-2)
+        flow = _state_flow(st, 6.0)
+        batch = _varphi_batch(fr, st, spec, flow, vs, 1e-2)
         assert batch.shape == (13, 3)
         for i, v in enumerate(vs):
-            one = _varphi_batch(fr, st, spec, flow, reach, vs[i:i + 1], 1e-2)
+            one = _varphi_batch(fr, st, spec, flow, vs[i:i + 1], 1e-2)
             assert np.array_equal(batch[i], one[0])
 
     def test_non_finite_value_names_the_time(self):
@@ -458,9 +458,9 @@ class TestPerturbTerm:
             return out
 
         vs = np.array([0.0, 0.5, 1.5, 2.0])
-        flow, reach = _state_flow(st, 4.0)
+        flow = _state_flow(st, 4.0)
         with pytest.raises(NumericalError, match=r"t=1\.5 .*not finite"):
-            _varphi_batch(fr, st, ode_term(g), flow, reach, vs, 1e-2)
+            _varphi_batch(fr, st, ode_term(g), flow, vs, 1e-2)
         with pytest.raises(NumericalError, match="not finite"):
             iterate(fr, ode_term(g), cfg)
 
@@ -760,35 +760,13 @@ def test_floquet_bases_are_built_once_per_lattice(max_iters, monkeypatch):
 # -- known results are not recomputed -------------------------------------
 
 
-def test_identity_time_change_builds_no_flow(monkeypatch):
-    # X = 1 has the identity flow: no Flow, and no sampler on the grids
-    # of one (interpolation degree 7 at the state's step)
-    fr = lin_frame()
-    cfg = base_cfg(eps=1e-2)
-    state = initial_state(fr, cfg)
-    made, geoms = [], []
-    flow_init = flows.Flow.__init__
-    sampler_init = funcspace.GridSampler.__init__
-    monkeypatch.setattr(flows.Flow, "__init__", lambda self, *a:
-                        made.append(a) or flow_init(self, *a))
-    monkeypatch.setattr(funcspace.GridSampler, "__init__", lambda self, g, t:
-                        geoms.append(g.geometry) or sampler_init(self, g, t))
-    new_state, _ = gamma_step(fr, state, sine_delay_spec(1.0, 2.0), cfg)
-    assert new_state.X.sup_deviation() == 0.0
-    assert made == []
-    assert geoms and not [g for g in geoms
-                          if g[3] == 7 and g[1] == cfg.delta]
-    # the window check keeps the identity grid's reach: at least 8 cells
-    assert _state_flow(state, 0.3) == (None, 8 * cfg.delta)
-    assert _state_flow(state, 4.0) == (None, 40 * cfg.delta)
-
-
 @pytest.mark.parametrize("x_dev", [None, 0.02])
 def test_segment_derivative_is_built_only_when_read(monkeypatch, x_dev):
     fr = cubic_frame()
     cfg = base_cfg(eps=1e-2)
     st = state_with(fr, cfg, x_dev=x_dev, xs_col=0.05, xu_col=-0.03)
-    flow, reach = _state_flow(st, 6.0)
+    flow = _state_flow(st, 6.0)
+    ident = x_dev is None
     vs = np.linspace(-3.0, 3.0, 13)
     calls = []
     deriv = GridFunction.derivative
@@ -796,19 +774,19 @@ def test_segment_derivative_is_built_only_when_read(monkeypatch, x_dev):
                         calls.append(k) or deriv(self, k))
     sdd = spec_from_descriptor({"kind": "sdd-tanh", "parameters":
                                 {"h": 1.0, "c0": 0.5, "c1": 0.2}})
-    _varphi_batch(fr, st, sdd, flow, reach, vs, 1e-2)
+    _varphi_batch(fr, st, sdd, flow, vs, 1e-2)
     assert calls == []
 
     # a neutral delay reads theta'(0); its values are those of a segment
     # whose derivative was built up front
     neutral = spec_from_descriptor({"kind": "neutral-linear", "parameters":
                                     {"h": 1.0, "c0": 0.3, "c1": 0.3}})
-    got = _varphi_batch(fr, st, neutral, flow, reach, vs, 1e-2)
+    got = _varphi_batch(fr, st, neutral, flow, vs, 1e-2)
     assert calls
     xh = st.xs + st.xu
     xh1 = deriv(st.xs, 1) + deriv(st.xu, 1)
-    phi = (lambda a: a) if flow is None else flow.phi.eval1
-    bases = vs if flow is None else flow.phi_inv.eval1(vs)
+    phi = (lambda a: a) if ident else flow.phi.eval1
+    bases = vs if ident else flow.phi_inv.eval1(vs)
 
     def theta(a):
         a = phi(a)
@@ -817,7 +795,7 @@ def test_segment_derivative_is_built_only_when_read(monkeypatch, x_dev):
     def dtheta(a):
         a = phi(a)
         out = fr.orbit_deriv_batch(a) + xh1.eval(a)
-        return out if flow is None else out * (1.0 + st.X.xhat.eval(a))
+        return out if ident else out * (1.0 + st.X.xhat.eval(a))
 
     want = neutral(bases, HistorySegment(bases, 1.0, theta, dtheta), 1e-2)
     assert np.array_equal(got, want)
@@ -829,15 +807,15 @@ def test_integrand_past_the_flow_window_is_rejected(x_dev):
     cfg = base_cfg(eps=1e-2)
     st = state_with(fr, cfg, x_dev=x_dev)
     spec = sine_delay_spec(1.0, 2.0)
-    flow, reach = _state_flow(st, 4.0)
-    assert (flow is None) == (x_dev is None) and reach == pytest.approx(4.0)
+    flow = _state_flow(st, 4.0)
+    assert flow.phi.half_width == pytest.approx(4.0)
     # bases are vs, or phi_inv(vs) ~ vs / 1.02: the segment around 2.9
     # fits the window, the one around 3.5 reaches 1 beyond 3.4
-    _varphi_batch(fr, st, spec, flow, reach, np.array([-2.9, 2.9]), 1e-2)
+    _varphi_batch(fr, st, spec, flow, np.array([-2.9, 2.9]), 1e-2)
     with pytest.raises(ValueError,
                        match="integrand evaluation leaves the inflated flow "
                              "window"):
-        _varphi_batch(fr, st, spec, flow, reach, np.array([0.0, 3.5]), 1e-2)
+        _varphi_batch(fr, st, spec, flow, np.array([0.0, 3.5]), 1e-2)
 
 
 def _counted_steps(monkeypatch):
