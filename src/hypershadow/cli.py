@@ -28,8 +28,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .flows import ScalarField
-from .funcspace import (BallRadii, load_grid_function, real_number,
-                        save_grid_function)
+from .funcspace import (BallRadii, json_text, load_grid_function,
+                        real_number, save_grid_function, write_lines)
 from .hyperbolic import frame_from_descriptor
 from .invariance import (
     BallExitError,
@@ -157,11 +157,8 @@ def save_state(state, directory, seed=0):
         "files": {name: name + ".csv" for name in _STATE_FILES},
         "seed": int(seed),
     }
-    path = os.path.join(directory, "state.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    return path
+    return write_lines(os.path.join(directory, "state.json"),
+                       [json_text(meta)])
 
 
 def load_state(directory):
@@ -184,9 +181,7 @@ def write_bounds_csv(rows, path):
         semi = "" if r["semi_bound"] is None else f"{r['semi_bound']:.17e}"
         lines.append(f"{r['component']},{r['j']},{r['exponent']:.17g},"
                      f"{r['bound']:.17e},{r['semi_exponent']:.17g},{semi}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return write_lines(path, lines)
 
 
 def _linear_oracle(fr, spec):
@@ -229,10 +224,7 @@ def _write_oracle_csv(fr, spec, state, report, cfg, out):
     for rho, want, have in zip(core.nodes, expected, got):
         lines.append(f"{rho:.17g},{want:.17e},{have:.17e},"
                      f"{abs(have - want):.17e}")
-    path = os.path.join(out, "oracle.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return write_lines(os.path.join(out, "oracle.csv"), lines)
 
 
 # -- verbs ------------------------------------------------------------------
@@ -366,14 +358,10 @@ def cmd_sweep(scn, max_iters=None, quiet=False):
         "seed": scn.seed,
     }
     os.makedirs(scn.out, exist_ok=True)
-    with open(os.path.join(scn.out, "sweep.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    lines = ["eps,xhat_c0,X_c0"]
-    for e, a, b in zip(eps_list, xhat_norms, x_norms):
-        lines.append(f"{e:.17g},{a:.17e},{b:.17e}")
-    with open(os.path.join(scn.out, "sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(os.path.join(scn.out, "sweep.json"), [json_text(summary)])
+    write_lines(os.path.join(scn.out, "sweep.csv"), ["eps,xhat_c0,X_c0"] + [
+        f"{e:.17g},{a:.17e},{b:.17e}"
+        for e, a, b in zip(eps_list, xhat_norms, x_norms)])
     shown = "undefined (|xhat| = 0)" if slope_xhat is None \
         else f"{slope_xhat:.4f}"
     _say(quiet, f"slope |xhat| vs eps: {shown} -> {scn.out}")
@@ -433,9 +421,7 @@ def cmd_verify(scn, state_dir, max_iters=None, quiet=False):
         "state_dir": str(state_dir),
         "seed": scn.seed,
     }
-    with open(os.path.join(out, "verify.json"), "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_lines(os.path.join(out, "verify.json"), [json_text(record)])
     _say(quiet, f"E_eta={e_eta:.3e} kappa_hat={kappa:.3f} -> {out}")
     return 0
 

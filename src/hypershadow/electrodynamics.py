@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import NumericalError
-from .funcspace import GridFunction, pointwise, save_grid_function
+from .funcspace import GridFunction, lattice, pointwise, save_grid_function
 from .perturbations import PerturbationSpec
 
 __all__ = [
@@ -427,8 +427,7 @@ def _solve_grid(qi, qj, eps, modes, window, delta):
     if kappa >= 1.0:
         raise ValueError(
             f"contraction condition violated: eps * sup|dq_j| = {kappa:.3g} >= 1")
-    n = int(round(2.0 * window / delta)) + 1
-    nodes = -window + np.arange(n) * float(delta)
+    nodes = lattice(window, delta)
     out = []
     for mode in modes:
         vals, iters, defect = _delay_values(qi, qj, eps, mode, nodes)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import BallRadii, CellTable, GridFunction, GridSampler
+from .funcspace import (BallRadii, CellTable, GridFunction, GridSampler,
+                        lattice)
 
 __all__ = [
     "NumericalError",
@@ -32,6 +33,7 @@ __all__ = [
     "Flow",
     "DistortionReport",
     "solve_flow",
+    "flow_cells",
     "distortion_check",
     "flow_difference_eta",
     "composite_difference_eta",
@@ -88,8 +90,8 @@ class ScalarField:
     @classmethod
     def identity(cls, half_width, delta, ball=None):
         """X = 1, its deviation zero beyond the window."""
-        n = int(np.floor(2.0 * half_width / delta + 1e-9)) + 1
-        g = GridFunction(half_width, delta, np.zeros(n), extension="zero")
+        g = GridFunction.sample(np.zeros_like, half_width, delta,
+                                extension="zero")
         return cls(g, ball if ball is not None else BallRadii((0.0, 0.0)))
 
     @classmethod
@@ -191,6 +193,12 @@ _NEWTON_FLOOR = 1e-13
 _NEWTON_MAX_SWEEPS = 50
 
 
+def flow_cells(reach, delta):
+    """The whole number of cells of step ``delta`` that covers ``reach``,
+    and at least half a degree-7 stencil, so 0 stays a node."""
+    return max(int(math.ceil(reach / delta - 1e-9)), (_FLOW_ORDER + 2) // 2)
+
+
 @functools.cache
 def _gauss6():
     # built on first use: numpy.polynomial is not loaded at import
@@ -245,14 +253,13 @@ def solve_flow(field, window, lattices=None):
         raise ValueError("sup|X - 1| must be < 1")
     R = abs(float(window))
     delta = field.xhat.delta
-    K = max(int(math.ceil(R / delta - 1e-9)), (_FLOW_ORDER + 2) // 2)
+    K = flow_cells(R, delta)
     R_phi = K * delta
 
-    K_inv = max(int(math.ceil((1.0 + field.t0) * R_phi / delta - 1e-9)),
-                (_FLOW_ORDER + 2) // 2)
+    K_inv = flow_cells((1.0 + field.t0) * R_phi, delta)
     R_inv = K_inv * delta
     gx, gw = _gauss6()
-    cell_lo = -R_inv + np.arange(2 * K_inv) * delta
+    cell_lo = lattice(R_inv, delta)[:-1]
     # quadrature points of every cell at once, then 1/X there
     pts = cell_lo[:, None] + (0.5 * delta) * (gx[None, :] + 1.0)
     at = GridSampler(field.xhat, pts.ravel()) if lattices is None else \
@@ -266,7 +273,7 @@ def solve_flow(field, window, lattices=None):
     phi_inv = GridFunction(R_inv, delta, inv_vals, interp_order=_FLOW_ORDER,
                            extension="linear")
 
-    t = -R_phi + np.arange(2 * K + 1) * delta
+    t = lattice(R_phi, delta)
     y = np.interp(t, inv_vals, phi_inv.nodes)
     for _ in range(_NEWTON_MAX_SWEEPS):
         Phi, X = _quadrature_inverse(field, phi_inv, y)

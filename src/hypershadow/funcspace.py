@@ -30,6 +30,9 @@ __all__ = [
     "BallReport",
     "ball_membership",
     "fd_weights",
+    "lattice",
+    "json_text",
+    "write_lines",
     "save_grid_function",
     "load_grid_function",
     "pointwise",
@@ -113,6 +116,20 @@ def fd_weights(x, x0, k):
     return c[:, k].copy()
 
 
+def lattice(half_width, delta):
+    """The nodes -T + i delta, i < n = floor(2T/delta + 1e-9) + 1, of the
+    window [-T, T]: the one rule for which points a window holds. The
+    window must hold whole cells, 2T/delta within 1e-6 of n - 1."""
+    half_width, delta = float(half_width), float(delta)
+    cells = 2.0 * half_width / delta
+    n = int(np.floor(cells + 1e-9)) + 1
+    if abs(cells - (n - 1)) > 1e-6:
+        raise ValueError(
+            f"window must hold an integer number of grid cells: "
+            f"2 * {half_width!r} / {delta!r} = {cells:.12g}")
+    return -half_width + np.arange(n) * delta
+
+
 def _frozen(a):
     a.flags.writeable = False
     return a
@@ -130,11 +147,10 @@ def _stencil_table(p, k, delta):
 def _slope_weights(geometry):
     # one-sided D^1 weights at both window ends of a grid with this
     # geometry, over its p + 1 end nodes
-    half_width, delta, n, p = geometry
-    first = -half_width + np.arange(p + 1) * delta
-    last = -half_width + np.arange(n - p - 1, n) * delta
-    return (_frozen(fd_weights(first, first[0], 1)),
-            _frozen(fd_weights(last, last[-1], 1)))
+    half_width, delta, _, p = geometry
+    nodes = lattice(half_width, delta)
+    return (_frozen(fd_weights(nodes[:p + 1], nodes[0], 1)),
+            _frozen(fd_weights(nodes[-p - 1:], nodes[-1], 1)))
 
 
 class GridFunction:
@@ -144,8 +160,8 @@ class GridFunction:
     ----------
     half_width : float
         T > 0. The window is the closed interval [-T, T] and must hold an
-        integer number of cells: 2T/delta within 1e-9 of an integer.
-        Node count is floor(2T/delta) + 1.
+        integer number of cells: 2T/delta within 1e-6 of an integer, not
+        below it by more than 1e-9. The nodes are :func:`lattice`.
     delta : float
         Grid spacing > 0.
     values : array, shape (n,) or (n, m)
@@ -180,10 +196,8 @@ class GridFunction:
             raise ValueError("interp_order must be at least 3")
         if extension not in EXTENSIONS:
             raise ValueError(f"unknown extension policy {extension!r}")
-        cells = 2.0 * half_width / delta
-        n = int(np.floor(cells + 1e-9)) + 1
-        if abs(cells - (n - 1)) > 1e-6:
-            raise ValueError("window must hold an integer number of cells")
+        nodes = lattice(half_width, delta)
+        n = nodes.size
         vals = np.asarray(values, dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
@@ -199,7 +213,7 @@ class GridFunction:
         self.values = vals
         self.interp_order = interp_order
         self.extension = extension
-        self.nodes = -half_width + np.arange(n) * delta
+        self.nodes = nodes
         # everything a GridSampler depends on
         self.geometry = (half_width, delta, n, interp_order)
         self._dcache = {}
@@ -227,10 +241,8 @@ class GridFunction:
         ``fn`` maps the 1-D array of node times to (n,) or (n, m)
         values; wrap a function of one time with :func:`pointwise`.
         """
-        n = int(np.floor(2.0 * float(half_width) / float(delta) + 1e-9)) + 1
-        nodes = -float(half_width) + np.arange(n) * float(delta)
-        return cls(half_width, delta, fn(nodes), interp_order=interp_order,
-                   extension=extension)
+        return cls(half_width, delta, fn(lattice(half_width, delta)),
+                   interp_order=interp_order, extension=extension)
 
     def with_values(self, values, extension=None):
         """Same grid, new values; same extension policy unless given."""
@@ -593,6 +605,21 @@ def ball_membership(g, center, radii):
     return BallReport(ok=ok, measured=measured, limits=radii.c, slack=slack)
 
 
+def json_text(obj):
+    """``obj`` as strict JSON artifact text, keys sorted and indented by
+    two; NaN or infinity raise ValueError before any file is opened."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+def write_lines(path, lines):
+    """Write ``lines`` to ``path``, each ending in a newline; the writer
+    of every artifact, a JSON one being the single line of
+    :func:`json_text`. Returns ``path``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
 def save_grid_function(g, csv_path):
     """Write nodes and values as CSV plus a JSON sidecar.
 
@@ -603,20 +630,15 @@ def save_grid_function(g, csv_path):
     csv_path = str(csv_path)
     cols = ",".join(f"v{i}" for i in range(g.m))
     row = ",".join(["{:.17g}"] * (g.m + 1)).format
-    lines = [f"t,{cols}"]
-    lines.extend(row(*r) for r in
-                 np.column_stack([g.nodes, g.values]).tolist())
-    with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    sidecar = {
+    sidecar = json_text({
         "window": [-g.half_width, g.half_width],
         "delta": g.delta,
         "interp_order": g.interp_order,
         "extension": g.extension,
-    }
-    with open(os.path.splitext(csv_path)[0] + ".json", "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+    })
+    write_lines(csv_path, [f"t,{cols}"] + [
+        row(*r) for r in np.column_stack([g.nodes, g.values]).tolist()])
+    write_lines(os.path.splitext(csv_path)[0] + ".json", [sidecar])
     return csv_path
 
 

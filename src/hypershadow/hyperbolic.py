@@ -148,14 +148,6 @@ class FrameTable:
         self.frame = frame
         self.times = np.asarray(times, dtype=float)
 
-    @classmethod
-    def of(cls, frame, ts):
-        """``ts`` as a table of ``frame``: one of its tables passes
-        through, anything else is tabulated here."""
-        if isinstance(ts, cls) and ts.frame is frame:
-            return ts
-        return cls(frame, ts)
-
     def __array__(self, dtype=None, copy=None):
         return np.array(self.times, dtype=dtype, copy=copy)
 
@@ -204,15 +196,18 @@ class _FrameBase:
     decay scan with the carries between neighbouring nodes as factors.
 
     Every method taking times also takes a :class:`FrameTable` of this
-    frame from ``table(ts)``. ``_bases`` is the one place bases are read:
-    from the table when given one, from ``_basis`` on the spot for raw
-    times. A caller that queries the same times repeatedly builds the
-    table once.
+    frame from ``table(ts)``, the one place tables are made, and reads
+    the frame through it: a table's own values when given one, a table
+    made on the spot for raw times. A caller that queries the same times
+    repeatedly builds the table once.
     """
 
     def table(self, ts):
-        """The frame at the times ``ts`` as a :class:`FrameTable`."""
-        return FrameTable.of(self, ts)
+        """The frame at the times ``ts`` as a :class:`FrameTable`: one of
+        this frame's tables passes through, anything else is tabulated."""
+        if isinstance(ts, FrameTable) and ts.frame is self:
+            return ts
+        return FrameTable(self, ts)
 
     def orbit_deriv_batch(self, ts):
         # the orbit solves the unperturbed equation, so its derivative is f(x0)
@@ -228,10 +223,9 @@ class _FrameBase:
                 "u": slice(1 + n_s, 1 + n_s + n_u)}[sigma]
 
     def _bases(self, ts):
-        """(A, Ainv) at ``ts``: a table's own, or built here from times."""
-        if isinstance(ts, FrameTable) and ts.frame is self:
-            return ts.A, ts.Ainv
-        return self._basis(np.asarray(ts, dtype=float))
+        """(A, Ainv) at ``ts``, read through ``table(ts)``."""
+        tab = self.table(ts)
+        return tab.A, tab.Ainv
 
     def _projector(self, sigma, A, Ainv):
         sl = self._slot(sigma)
@@ -697,14 +691,26 @@ def _limit_cycle_model():
 
 
 def builtin_model(name, params=None):
-    """Construct a named model: lin-saddle, saddle-cubic, planar-limit-cycle."""
+    """Construct a named model: lin-saddle, saddle-cubic, planar-limit-cycle.
+
+    The saddles read lambda_s and lambda_u (default 1), optional cubic
+    [c2, c3] and optional rotation (orthogonal matrix as nested lists),
+    each entry a finite real; a ValueError names the first that is not.
+    """
     params = dict(params or {})
     if name in ("lin-saddle", "saddle-cubic"):
+        lam_s, lam_u = (real_number(key, params.get(key, 1.0), finite=True)
+                        for key in ("lambda_s", "lambda_u"))
+        cubic = [real_number("cubic", c, finite=True) for c in
+                 np.asarray(params.get("cubic", (0.0, 0.0)),
+                            dtype=object).ravel()]
+        if len(cubic) != 2:
+            raise ValueError(f"cubic must be [c2, c3], got {cubic!r}")
         rot = params.get("rotation")
-        return _saddle_model(params.get("lambda_s", 1.0),
-                             params.get("lambda_u", 1.0),
-                             cubic=params.get("cubic", (0.0, 0.0)),
-                             rotation=rot)
+        if rot is not None:
+            for x in np.asarray(rot, dtype=object).ravel():
+                real_number("rotation", x, finite=True)
+        return _saddle_model(lam_s, lam_u, cubic=cubic, rotation=rot)
     if name == "planar-limit-cycle":
         return _limit_cycle_model()
     raise ValueError(f"unknown model {name!r}")
@@ -713,39 +719,23 @@ def builtin_model(name, params=None):
 def unit_circle_orbit(delta=0.01):
     """The unit-circle orbit of the planar limit cycle over one period."""
     P = 2.0 * math.pi
-    K = int(round((P / 2.0) / delta))
-    eff = (P / 2.0) / K
-    n = 2 * K + 1
-    ts = -P / 2.0 + np.arange(n) * eff
-    vals = np.column_stack([np.cos(ts), np.sin(ts)])
-    return GridFunction(P / 2.0, eff, vals, interp_order=5,
-                        extension="constant-hold"), P
+    eff = (P / 2.0) / max(1, int(round((P / 2.0) / delta)))
+    return GridFunction.sample(
+        lambda ts: np.column_stack([np.cos(ts), np.sin(ts)]), P / 2.0, eff,
+        interp_order=5, extension="constant-hold"), P
 
 
 def analytic_frame(descriptor):
-    """Frame from a closed-form descriptor dict.
-
-    Keys: model (lin-saddle or saddle-cubic), lambda_s, lambda_u,
-    optional rotation (orthogonal matrix as nested lists), optional
-    cubic [c2, c3]. The frame's invariants are verified on construction.
-    """
+    """Frame from a closed-form descriptor dict: model (lin-saddle or
+    saddle-cubic) and the parameters :func:`builtin_model` reads. The
+    frame's invariants are verified on construction."""
     name = descriptor.get("model", "lin-saddle")
     if name not in ("lin-saddle", "saddle-cubic"):
         raise ValueError(f"no analytic splitting for model {name!r}")
-    lam_s, lam_u = (real_number(key, descriptor.get(key, 1.0), finite=True)
-                    for key in ("lambda_s", "lambda_u"))
-    cubic = [real_number("cubic", c, finite=True) for c in
-             np.asarray(descriptor.get("cubic", (0.0, 0.0)),
-                        dtype=object).ravel()]
-    if len(cubic) != 2:
-        raise ValueError(f"cubic must be [c2, c3], got {cubic!r}")
-    rot = descriptor.get("rotation")
-    if rot is not None:
-        for x in np.asarray(rot, dtype=object).ravel():
-            real_number("rotation", x, finite=True)
-        rot = np.asarray(rot, dtype=float)
-    model = _saddle_model(lam_s, lam_u, cubic=cubic, rotation=rot)
-    frame = AnalyticFrame(model, [lam_s], [lam_u], rotation=rot)
+    model = builtin_model(name, descriptor)
+    p = model.params
+    frame = AnalyticFrame(model, [p["lambda_s"]], [p["lambda_u"]],
+                          rotation=p.get("rotation"))
     report = verify_frame(frame)
     if not report.ok:
         raise ValueError(f"descriptor inconsistency: {report.failures}")
@@ -912,12 +902,10 @@ def bundle_characterization_test(fr, sigma, xi0):
     P0 = {"s": Ps, "u": Pu, "c": Pc}[sigma]
     if np.linalg.norm(xi0 - P0 @ xi0) > 1e-8 * max(1.0, np.linalg.norm(xi0)):
         raise ValueError("xi0 must lie in the declared subspace")
-    K = int(round(half_width / delta))
-    ts = -half_width + delta * np.arange(2 * K + 1)
     prop = fr.prop_s_batch if sigma == "s" else fr.prop_u_batch
-    xi = prop(ts, 0.0) @ xi0
-    g = GridFunction(half_width, delta, xi, interp_order=5,
-                     extension="constant-hold")
+    g = GridFunction.sample(lambda ts: prop(ts, 0.0) @ xi0, half_width,
+                            delta, interp_order=5, extension="constant-hold")
+    ts, xi = g.nodes, g.values
     dxi = g.derivative(1).values
     dfs = fr.df_along_orbit(ts)
     resid = dxi - np.einsum("kij,kj->ki", dfs, xi)
@@ -976,7 +964,12 @@ def frame_from_descriptor(desc):
         name = desc.get("model", "planar-limit-cycle")
         if name != "planar-limit-cycle":
             raise ValueError(f"no stored periodic orbit for model {name!r}")
-        params = desc.get("parameters", {})
-        orbit, period = unit_circle_orbit(params.get("delta", 0.01))
+        delta = real_number("frame parameter 'delta'",
+                            desc.get("parameters", {}).get("delta", 0.01),
+                            finite=True)
+        if delta <= 0.0:
+            raise ValueError(f"frame parameter 'delta' must be positive, "
+                             f"got {delta!r}")
+        orbit, period = unit_circle_orbit(delta)
         return floquet_frame(builtin_model(name), orbit, period)
     raise ValueError(f"unknown splitting mode {mode!r}")

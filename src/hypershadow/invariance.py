@@ -22,7 +22,6 @@ time, so only the core [-T + margin, T - margin] is faithful to the
 infinite-line problem. All convergence metrics are measured there.
 """
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -30,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import (Flow, FlowGuardError, NumericalError, ScalarField,
-                    solve_flow)
+                    flow_cells, solve_flow)
 from .funcspace import (BallRadii, GridFunction, GridSampler, WeightParam,
-                        ball_membership, real_number)
-from .hyperbolic import FrameTable
+                        ball_membership, json_text, lattice, real_number,
+                        write_lines)
 from .perturbations import HistorySegment
 
 
@@ -115,7 +114,6 @@ class _Geometry:
     margin: float
     core_half: float
     flow_half: float
-    lo: float
     hi: float
 
 
@@ -130,8 +128,9 @@ def resolve_geometry(cfg, fr, h, t0):
     The quadrature step is half a grid cell and t_int the shortest whole
     number of quadrature steps that meets the truncation rule at
     tol_eta. Raises when the weight rate reaches the hyperbolicity
-    rates or when the margins leave no core. ``h`` is the history radius
-    of the perturbation and ``t0`` the declared time-change radius.
+    rates, when the margins leave no core, or when a grid of the run
+    holds no whole number of cells. ``h`` is the history radius of the
+    perturbation and ``t0`` the declared time-change radius.
     """
     q = fr.quality
     lam_min = q.lam_min
@@ -140,9 +139,7 @@ def resolve_geometry(cfg, fr, h, t0):
             f"weight rate {cfg.eta.eta} must stay below the hyperbolicity "
             f"rates (min rate {lam_min})")
     quad = cfg.delta / 2.0
-    cells = 2.0 * cfg.window / cfg.delta
-    if abs(cells - round(cells)) > 1e-6:
-        raise ValueError("window must hold an integer number of grid cells")
+    lattice(cfg.window, cfg.delta)
     raw = math.log(10.0 * _INTEGRAND_BOUND / cfg.tol_eta) / lam_min
     t_int = math.ceil(raw / quad - 1e-9) * quad
     # the rounding slack above may land a hair short of the rule
@@ -159,11 +156,15 @@ def resolve_geometry(cfg, fr, h, t0):
         raise ValueError(
             "correction window leaves no core once the truncation and "
             "history margins are removed; enlarge window or loosen tol_eta")
-    lo = -cfg.window - t_int
     hi = cfg.window + t_int
+    try:
+        lattice(hi, quad)
+    except ValueError as exc:
+        raise ValueError(f"half-cell grid of the window widened by t_int = "
+                         f"{t_int:g}: {exc}") from None
     flow_half = (cfg.window + t_int) / max(1.0 - t0, 1e-9) + h + 1.0
     return _Geometry(t_int=t_int, quad=quad, margin=margin,
-                     core_half=core_half, flow_half=flow_half, lo=lo, hi=hi)
+                     core_half=core_half, flow_half=flow_half, hi=hi)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +271,7 @@ def taylor_remainder(fr, xhat, rho, cross_check=False):
     """
     model = fr.model
     xhat = np.asarray(xhat, dtype=float)
-    tab = FrameTable.of(fr, rho)
+    tab = fr.table(rho)
     x0 = tab.x0
     radius = getattr(model, "valid_radius", math.inf)
     if float(np.linalg.norm(xhat, axis=1).max()) > radius:
@@ -315,13 +316,10 @@ def _state_flow(state, half_width, run=None):
     """
     if state.X.sup_deviation() == 0.0:
         delta = state.X.xhat.delta
-        K = max(int(math.ceil(half_width / delta - 1e-9)), 8)
-        R = K * delta
-        vals = -R + np.arange(2 * K + 1) * delta
-        phi = GridFunction(R, delta, vals, interp_order=7, extension="linear")
-        inv = GridFunction(R, delta, vals.copy(), interp_order=7,
-                           extension="linear")
-        return Flow(phi, inv, state.X)
+        R = flow_cells(half_width, delta) * delta
+        phi = GridFunction.sample(np.array, R, delta, interp_order=7,
+                                  extension="linear")
+        return Flow(phi, phi, state.X)
     return solve_flow(state.X, half_width, lattices=run)
 
 
@@ -384,11 +382,10 @@ def _varphi_batch(fr, state, spec, flow, vs, eps, inv_at=None):
 # the operator
 
 
-def _gauss_panels(lo, hi, step):
-    """Composite 3-point Gauss nodes and weights over [lo, hi], ascending."""
-    n_cells = int(round((hi - lo) / step))
+def _gauss_panels(starts, step):
+    """Composite 3-point Gauss nodes and weights over the panels of
+    width ``step`` that start at ``starts``, ascending."""
     gx, gw = np.polynomial.legendre.leggauss(3)
-    starts = lo + np.arange(n_cells) * step
     pts = starts[:, None] + 0.5 * step * (gx[None, :] + 1.0)
     wts = np.broadcast_to(0.5 * step * gw, pts.shape)
     return pts.ravel(), wts.ravel().copy()
@@ -411,9 +408,8 @@ class _Run:
     def __init__(self, fr, spec, cfg, t0):
         self.fr = fr
         self.geo = geo = resolve_geometry(cfg, fr, spec.h, t0)
-        self.gauss = _gauss_panels(geo.lo, geo.hi, geo.quad)
-        K = int(round(geo.hi / geo.quad))
-        self.half_cells = -geo.hi + np.arange(2 * K + 1) * geo.quad
+        self.half_cells = lattice(geo.hi, geo.quad)
+        self.gauss = _gauss_panels(self.half_cells[:-1], geo.quad)
         self._samplers = {}
         self._tables = {}
 
@@ -575,13 +571,9 @@ class IterationReport:
             "bounds": [dict(b) for b in self.bounds],
         }
 
-    def to_json(self, path=None):
-        text = json.dumps(self.as_dict(), indent=2, sort_keys=True,
-                          allow_nan=False)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        return text
+    def to_json(self, path):
+        """Write the record to ``path`` as strict JSON; returns ``path``."""
+        return write_lines(path, [json_text(self.as_dict())])
 
 
 def write_residual_csv(report, path):
@@ -590,8 +582,7 @@ def write_residual_csv(report, path):
     for row in report.history:
         i, d, k, ec, es, eu = row
         lines.append(f"{int(i)},{d:.17e},{k:.17e},{ec:.17e},{es:.17e},{eu:.17e}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def _ball_snapshot(state, core_half):

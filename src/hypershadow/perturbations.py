@@ -401,11 +401,9 @@ def functional_output_grid(spec, traj, eps, half_width, delta):
     """
     if half_width + spec.h > traj.half_width + 1e-12:
         raise ValueError("trajectory window too small for this probe")
-    K = int(round(half_width / delta))
-    ts = -half_width + delta * np.arange(2 * K + 1)
-    vals = apply_P(spec, traj, eps, ts)
-    return GridFunction(half_width, delta, vals, interp_order=5,
-                        extension="constant-hold")
+    return GridFunction.sample(lambda ts: apply_P(spec, traj, eps, ts),
+                               half_width, delta, interp_order=5,
+                               extension="constant-hold")
 
 
 # -- descriptors -----------------------------------------------------------
@@ -435,9 +433,12 @@ def spec_from_descriptor(desc):
         for entry in np.asarray(value, dtype=object).ravel():
             real_number(label, entry, finite=True)
         try:
-            return cast(value)
+            out = cast(value)
         except (TypeError, ValueError):
             raise ValueError(f"{label} is not numeric: {value!r}") from None
+        if cast is int and out != value:
+            raise ValueError(f"{label} is not an integer: {value!r}")
+        return out
 
     # every kind reads its output dimension off the state it is given
     if kind == "zero":

@@ -273,6 +273,27 @@ class TestRunVerb:
         ("sweep", {"eps": [0.04, True, 0.01]}, "eps is not numeric: True"),
         ("sweep", {"eps": [math.nan, 0.02, 0.01]},
          "sweep eps values must be positive and finite"),
+        ("run", {"perturbation": {"kind": "small-delay",
+                                  "parameters": {"h": 1.0, "model_params": {
+                                      "cubic": [math.nan, 0.0]}}}},
+         "cubic is not finite: nan"),
+        ("run", {"frame": {"mode": "floquet", "model": "planar-limit-cycle",
+                           "parameters": {"delta": True}}},
+         "frame parameter 'delta' is not numeric: True"),
+        ("run", {"frame": {"mode": "floquet", "model": "planar-limit-cycle",
+                           "parameters": {"delta": -0.01}}},
+         "frame parameter 'delta' must be positive, got -0.01"),
+        ("run", {"perturbation": {"kind": "ode-sin-forcing",
+                                  "parameters": {"a": 0.1, "omega": 1.0,
+                                                 "axis": 1.7}}},
+         "descriptor kind 'ode-sin-forcing' parameter 'axis' is not an "
+         "integer: 1.7"),
+        # 2T/delta = 479.9999995 is no whole number of cells: resolve
+        # says so before compute, as every grid of the run would
+        ("run", {"config": {"eta": 0.25, "window": 24.0,
+                            "delta": 0.1000000001041667, "tol_eta": 1e-8}},
+         "window must hold an integer number of grid cells: "
+         "2 * 24.0 / 0.1000000001041667 = 479.9999995"),
     ])
     def test_bad_number_fails_before_compute(self, tmp_path, capsys,
                                              monkeypatch, verb, over,
@@ -419,13 +440,30 @@ class TestRunVerb:
         assert capsys.readouterr().out == ""
 
     def test_byte_identical_reruns(self, tmp_path, linear_run):
+        # every file run, verify and sweep write, JSON and sidecars too
+        def tree(root):
+            return {os.path.relpath(os.path.join(d, f), root):
+                    open(os.path.join(d, f), "rb").read()
+                    for d, _, files in os.walk(root) for f in files}
+
         path, scn = write_scenario(tmp_path)
         assert cli.main(["run", path, "--quiet"]) == 0
-        for name in ("xhat_t.csv", "xhat_s.csv", "xhat_u.csv",
-                     "residuals.csv", "bounds.csv", "oracle.csv"):
-            a = open(os.path.join(linear_run["out"], name), "rb").read()
-            b = open(os.path.join(scn["out"], name), "rb").read()
-            assert a == b, name
+        assert tree(scn["out"]) == tree(linear_run["out"])
+        verified = [str(tmp_path / f"verify{i}") for i in range(2)]
+        for out in verified:
+            assert cli.main(["verify", path, linear_run["out"], "--out", out,
+                             "--quiet"]) == 0
+        assert sorted(tree(verified[0])) == ["bounds.csv", "verify.json"]
+        assert tree(verified[0]) == tree(verified[1])
+        swept = []
+        for i in range(2):
+            spath, sscn = write_scenario(tmp_path, name=f"sweep{i}.json",
+                                         out=str(tmp_path / f"sweep{i}"),
+                                         eps=[4e-3, 2e-3, 1e-3])
+            assert cli.main(["sweep", spath, "--quiet"]) == 0
+            swept.append(tree(sscn["out"]))
+        # sweep.json, sweep.csv and the 11 run artifacts of each member
+        assert len(swept[0]) == 2 + 3 * 11 and swept[0] == swept[1]
 
 
 class TestSweepVerb:

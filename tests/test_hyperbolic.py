@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hypershadow.funcspace import GridFunction
+from hypershadow.funcspace import GridFunction, lattice
 from hypershadow.hyperbolic import (
     AnalyticFrame,
     OdeModel,
@@ -642,7 +642,7 @@ class TestBatchedMatchesLoops:
         from hypershadow.invariance import _gauss_panels
         fr = frame_of(kind, cycle_frame)
         rhos = -24.0 + 0.1 * np.arange(481)
-        vs, wts = _gauss_panels(-26.0, 26.0, 0.05)
+        vs, wts = _gauss_panels(lattice(26.0, 0.05)[:-1], 0.05)
         rng = np.random.default_rng(3)
         ws = rng.standard_normal((vs.size, 3)) * wts[:, None]
         for got, want in self.convolve_both(fr, rhos, vs, ws):

@@ -8,6 +8,7 @@ uses the cubic saddle, where only the a-posteriori machinery can vouch
 for the answer.
 """
 
+import dataclasses
 import functools
 import json
 import math
@@ -15,6 +16,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypershadow import funcspace, invariance
 from hypershadow.flows import ScalarField, solve_flow
@@ -222,6 +224,39 @@ class TestConfigAndGeometry:
         with pytest.raises(ValueError, match="integer number of grid cells"):
             resolve_geometry(cfg, fr, 0.0, 0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.integers(400, 2000), offset=st.floats(-2e-6, 2e-6),
+           delta=st.floats(0.05, 0.25))
+    def test_resolve_accepts_exactly_the_grids_gridfunction_accepts(
+            self, cells, offset, delta):
+        # a run builds the correction grid on (window, delta) and the
+        # half-cell grid on (window + t_int, delta / 2); resolve accepts a
+        # window exactly when GridFunction accepts both, so no grid fails
+        # once compute has started
+        def builds(half_width, step):
+            try:
+                GridFunction.sample(np.zeros_like, half_width, step)
+            except ValueError:
+                return False
+            return True
+
+        def config(window):
+            return OperatorConfig(eta=WeightParam(0.25), window=window,
+                                  eps=0.0, delta=delta, tol_eta=1e-2)
+
+        fr = lin_frame()
+        window = (cells + offset) * delta / 2.0
+        t_int = resolve_geometry(config(cells * delta / 2.0), fr, 0.0,
+                                 0.0).t_int
+        try:
+            resolve_geometry(config(window), fr, 0.0, 0.0)
+            accepted = True
+        except ValueError as exc:
+            assert "integer number of grid cells" in str(exc)
+            accepted = False
+        assert accepted == (builds(window, delta)
+                            and builds(window + t_int, delta / 2.0))
+
     def test_truncation_rounding_is_guarded(self):
         # tol_eta puts the exact t_int 1e-11 past 100 quadrature steps of
         # 0.05: inside the rounding slack, so t_int rounds down to 5.0 and
@@ -248,7 +283,6 @@ class TestConfigAndGeometry:
         assert abs(geo.t_int / geo.quad - round(geo.t_int / geo.quad)) < 1e-9
         assert math.exp(-1.0 * (geo.t_int - geo.quad)) >= cfg.tol_eta / 10.0
         assert geo.margin == pytest.approx(geo.t_int + 1.2)
-        assert geo.lo == -geo.hi
 
     def test_present_state_spec_keeps_the_whole_core(self):
         # h = 0 adds no history margin: window 24 minus t_int 20.8 leaves
@@ -351,10 +385,10 @@ class TestTaylorRemainder:
             n=3, f_batch=model.f_batch, df_batch=model.df_batch,
             d2f_batch=lambda pts: 2.0 * model.d2f_batch(pts))
         with pytest.raises(ValueError, match="forms disagree"):
-            taylor_remainder(types.SimpleNamespace(
-                model=bad, orbit_batch=fr.orbit_batch),
-                np.array([[0.0, 0.2, -0.3]]), np.array([0.0]),
-                cross_check=True)
+            taylor_remainder(AnalyticFrame(bad, fr.rates_s, fr.rates_u,
+                                           rotation=fr.Q),
+                             np.array([[0.0, 0.2, -0.3]]), np.array([0.0]),
+                             cross_check=True)
 
     def test_region_exit(self):
         model = builtin_model("lin-saddle")
@@ -1143,6 +1177,14 @@ class TestReports:
         assert data["kappa_hat"] == report.kappa_hat
         assert len(data["history"]) == report.iterations
         assert len(data["ball_history"]) == report.iterations
+
+    def test_non_finite_report_writes_no_file(self, tmp_path):
+        # the strict JSON text is built before the file is opened
+        report = dataclasses.replace(linear_run()[4], e_eta=math.nan)
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            report.to_json(path)
+        assert not path.exists()
 
     def test_kappa_hat_is_the_worst_ratio(self):
         fr, spec, cfg, final, report = nonlinear_run()

@@ -708,6 +708,8 @@ class TestDescriptors:
         # a null value reads as an absent one
         ("sdd-tanh", {"h": None, "c0": 0.5, "c1": 0.2},
          "is missing parameter 'h'"),
+        ("ode-sin-forcing", {"a": 1.0, "omega": 1.0, "axis": 1.7},
+         "parameter 'axis' is not an integer: 1.7"),
     ])
     def test_bad_parameter_names_kind_and_parameter(self, kind, params,
                                                     says):
@@ -715,6 +717,12 @@ class TestDescriptors:
             spec_from_descriptor({"kind": kind, "parameters": params})
         assert str(info.value).startswith(f"descriptor kind {kind!r} ")
         assert says in str(info.value)
+
+    def test_integral_float_index_is_accepted(self):
+        spec = spec_from_descriptor({"kind": "ode-sin-forcing", "parameters":
+                                     {"a": 1.0, "omega": 1.0, "axis": 2.0}})
+        out = spec(np.array([0.5]), orbit_segment(0.5), 0.0)
+        assert out[0] == pytest.approx([0.0, 0.0, math.sin(0.5)], abs=1e-15)
 
     def test_mu_sensitivity_matches_closed_form(self):
         desc = {"kind": "ode-sin-forcing",
