@@ -37,8 +37,10 @@ from .invariance import (
     DivergenceError,
     NumericalError,
     OperatorConfig,
+    _Run,
     aposteriori_bounds,
     gamma_step,
+    initial_state,
     iterate,
     resolve_geometry,
     write_residual_csv,
@@ -259,11 +261,12 @@ def _fail(exc, subject, prefix=""):
     return code
 
 
-def _run_one(scn, fr, spec, cfg, out, quiet, prefix=""):
+def _run_one(scn, fr, spec, cfg, out, quiet, prefix="", run=None):
     """Iterate and write the run artifacts; returns (code, state, report).
-    A failure prints one line led by ``prefix`` and writes nothing."""
+    A failure prints one line led by ``prefix`` and writes nothing.
+    ``run`` is a run layout shared with other members of a sweep."""
     try:
-        state, report = iterate(fr, spec, cfg)
+        state, report = iterate(fr, spec, cfg, _run=run)
     except _OPERATOR_FAILURES as exc:
         return _fail(exc, "run", prefix), None, None
     if not report.converged:
@@ -323,6 +326,14 @@ def cmd_sweep(scn, max_iters=None, quiet=False):
     except Exception as exc:
         _complain(str(exc))
         return 1
+    prefix = "sweep member eps={:g} failed: "
+    try:
+        # the run layout (geometry, lattices, samplers, frame tables)
+        # does not depend on eps either: one for every member, dropped
+        # when the sweep returns
+        run = _Run(fr, spec, cfg, initial_state(fr, cfg).X.t0)
+    except ValueError as exc:
+        return _fail(exc, "run", prefix.format(eps_list[0]))
     xhat_norms = []
     x_norms = []
     for eps in eps_list:
@@ -330,7 +341,7 @@ def cmd_sweep(scn, max_iters=None, quiet=False):
         code, state, report = _run_one(
             scn, fr, spec, replace(cfg, eps=eps),
             os.path.join(scn.out, f"eps_{eps:.6g}"), quiet=True,
-            prefix=f"sweep member eps={eps:g} failed: ")
+            prefix=prefix.format(eps), run=run)
         if code != 0:
             return code
         core = report.core_half

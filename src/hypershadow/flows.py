@@ -5,14 +5,17 @@ sup|xhat| < 1, so X stays positive and its flow phi, solving
 phi' = X(phi) with phi(0) = 0, is a strictly increasing bijection.
 solve_flow builds the inverse first, from the exact identity
 phi_inv(t) = int_0^t dsigma / X(sigma) summed per cell by Gauss
-quadrature, and then gets phi at every grid node at once by Newton
-sweeps on phi_inv(phi(t)) = t, all of it vectorized. The sweeps read X
-at points that move every sweep, so they go through the field's cell
-table (:class:`~hypershadow.funcspace.CellTable`, built once per field
-from the same stencils as ``xhat.eval1``) rather than a new sampler,
-and they stop at the first residual at or below 1e-13. The
-reparametrized history maps are alpha(rho, s) = phi(phi_inv(rho) + s),
-read as ``fl.phi.eval1(fl.phi_inv.eval1(rho) + s)``.
+quadrature, and then gets phi at every grid node by Newton sweeps on
+phi_inv(phi(t)) = t, all of it vectorized. The sweeps start from cubic
+(4-point Lagrange) interpolation of the inverse table, and a node
+takes no further sweep once its measured residual is at or below
+1e-13, so each sweep re-reads only the nodes still above that floor.
+The sweeps read X at points that move every sweep, so they go through
+the field's cell table (:class:`~hypershadow.funcspace.CellTable`,
+built once per field from the same stencils as ``xhat.eval1``) rather
+than a new sampler. The reparametrized history maps are
+alpha(rho, s) = phi(phi_inv(rho) + s); phi at moving points is read
+from the flow's own cell table, ``fl.fast_phi``.
 """
 
 from __future__ import annotations
@@ -128,6 +131,10 @@ class Flow:
     window edge, so interpolating the flow across those points cannot
     sustain the tolerance; callers are expected to size the field window
     so every lookup they care about lands in the certified region.
+
+    phi at points that move from call to call (the history lookups and
+    the forward half of the round-trip guard) is read from one cell
+    table of phi, built on first use: ``fast_phi``.
     """
 
     ROUNDTRIP_TOL = 1e-9
@@ -141,6 +148,16 @@ class Flow:
     @property
     def t0(self):
         return self.source.t0
+
+    @functools.cached_property
+    def _cells(self):
+        # built on first lookup; the flow never changes after that
+        return CellTable(self.phi)
+
+    def fast_phi(self, t):
+        """phi(t) at a time or a 1-D array of times, from the flow's cell
+        table; it agrees with ``phi.eval1`` to rounding."""
+        return self._cells(t)
 
     def _validate(self):
         izero = (self.phi.n - 1) // 2
@@ -172,7 +189,9 @@ class Flow:
                 & (np.abs(t) <= min(self.phi.half_width, Tf) - reach))
         worst = 0.0
         if keep.any():
-            worst = float(np.abs(self.phi.eval1(t[keep]) - rho[keep]).max())
+            worst = float(np.abs(self.fast_phi(t[keep]) - rho[keep]).max())
+        # phi_inv has no other reader at moving points, so its half
+        # stays on a sampler: a table built for it alone costs as much
         t2 = self.phi.nodes
         r2 = self.phi.values[:, 0]
         keep2 = ((np.abs(t2) <= Tf)
@@ -186,9 +205,9 @@ class Flow:
 # interpolation degree of both flow maps
 _FLOW_ORDER = 7
 
-# Newton stops at the first sweep whose residual is at or below this
-# level; the sweep cap only bounds the work, a flow still off by then
-# fails its round-trip guard
+# a Newton node takes no further sweep once its measured residual is at
+# or below this level; the sweep cap only bounds the work, a flow still
+# off by then fails its round-trip guard
 _NEWTON_FLOOR = 1e-13
 _NEWTON_MAX_SWEEPS = 50
 
@@ -214,7 +233,8 @@ def _quadrature_inverse(field, table, y):
     read of the field's cell table, covers the Gauss points and y itself.
     """
     j = np.floor((y - table.nodes[0]) / table.delta).astype(np.int64)
-    np.clip(j, 0, table.n - 2, out=j)
+    np.maximum(j, 0, out=j)
+    np.minimum(j, table.n - 2, out=j)
     left = table.nodes[j]
     half = 0.5 * (y - left)
     gx, gw = _gauss6()
@@ -222,6 +242,26 @@ def _quadrature_inverse(field, table, y):
     X = field.fast_value(np.concatenate([pts.ravel(), y]))
     inv = 1.0 / X[:pts.size].reshape(pts.shape)
     return table.values[j, 0] + half * (inv @ gw), X[pts.size:]
+
+
+def _cubic_start(t, xs, ys):
+    """4-point Lagrange interpolation of the table (xs, ys), xs strictly
+    increasing, at the times t; the stencil is the two table points on
+    either side of each t, shifted inward at the table ends."""
+    j = np.searchsorted(xs, t) - 2
+    np.maximum(j, 0, out=j)
+    np.minimum(j, xs.size - 4, out=j)
+    cols = j[:, None] + np.arange(4)[None, :]
+    x, y = xs[cols], ys[cols]
+    d = t[:, None] - x
+    out = np.zeros(t.size)
+    for k in range(4):
+        num = y[:, k].copy()
+        for m in range(4):
+            if m != k:
+                num *= d[:, m] / (x[:, k] - x[:, m])
+        out += num
+    return out
 
 
 def solve_flow(field, window, lattices=None):
@@ -241,13 +281,17 @@ def solve_flow(field, window, lattices=None):
     per cell with a 6-point Gauss rule on a window inflated by (1 + t_0)
     so it covers the image of phi. phi at every node t_i then solves
     Phi(phi) = t_i, with Phi the quadrature inverse (table plus partial
-    cell, see ``_quadrature_inverse``), by Newton sweeps over all nodes
-    at once, phi <- phi - (Phi(phi) - t) X(phi), started from linear
-    interpolation of the inverse table. Each sweep reads X once, from
-    the field's cell table, so no sampler is built for its moving
-    points. Since Phi' = 1/X exactly, the sweeps converge
-    quadratically; they stop at the first sweep whose largest residual
-    is at or below 1e-13, before applying its update.
+    cell, see ``_quadrature_inverse``), by vectorized Newton sweeps
+    phi <- phi - (Phi(phi) - t) X(phi), started from cubic (4-point
+    Lagrange) interpolation of the inverse table's (value, node) pairs.
+    Each sweep reads X once, from the field's cell table, so no sampler
+    is built for its moving points, and only at the nodes whose last
+    measured residual is above 1e-13: a node stops, with no further
+    update, at its first measured residual at or below that floor, so
+    every node of phi ends with a measured residual <= 1e-13. Since
+    Phi' = 1/X exactly, the sweeps converge quadratically. Where X is 1
+    (beyond the field window) the cubic start is already exact, so
+    those nodes stop after one sweep.
     """
     if float(np.abs(field.xhat.values).max()) >= 1.0:
         raise ValueError("sup|X - 1| must be < 1")
@@ -274,13 +318,17 @@ def solve_flow(field, window, lattices=None):
                            extension="linear")
 
     t = lattice(R_phi, delta)
-    y = np.interp(t, inv_vals, phi_inv.nodes)
+    y = _cubic_start(t, inv_vals, phi_inv.nodes)
+    live = np.arange(t.size)
     for _ in range(_NEWTON_MAX_SWEEPS):
-        Phi, X = _quadrature_inverse(field, phi_inv, y)
-        r = Phi - t
-        if float(np.abs(r).max()) <= _NEWTON_FLOOR:
+        Phi, X = _quadrature_inverse(field, phi_inv, y[live])
+        r = Phi - t[live]
+        # a NaN residual is not at the floor: it keeps its node live
+        above = ~(np.abs(r) <= _NEWTON_FLOOR)
+        if not above.any():
             break
-        y -= r * X
+        live = live[above]
+        y[live] -= r[above] * X[above]
     y[K] = 0.0
     phi = GridFunction(R_phi, delta, y, interp_order=_FLOW_ORDER,
                        extension="linear")

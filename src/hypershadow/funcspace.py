@@ -144,6 +144,13 @@ def _stencil_table(p, k, delta):
 
 
 @functools.cache
+def _binomial_weights(p):
+    # barycentric weights of p + 1 equally spaced nodes
+    return _frozen(np.array([(-1.0) ** k * math.comb(p, k)
+                             for k in range(p + 1)]))
+
+
+@functools.cache
 def _slope_weights(geometry):
     # one-sided D^1 weights at both window ends of a grid with this
     # geometry, over its p + 1 end nodes
@@ -413,7 +420,9 @@ def _stencil_start(cell, p, n):
     The stencil is centred on the cell and shifted inward at the window
     ends; both :class:`GridSampler` and :class:`CellTable` read it here.
     """
-    return np.clip(cell - (p - 1) // 2, 0, n - 1 - p)
+    start = cell - (p - 1) // 2
+    np.maximum(start, 0, out=start)
+    return np.minimum(start, n - 1 - p, out=start)
 
 
 class GridSampler:
@@ -439,22 +448,23 @@ class GridSampler:
         if self.edges:
             t = t[self.inside]
         cell = np.floor((t + T) / g.delta).astype(np.int64)
-        np.clip(cell, 0, g.n - 2, out=cell)
+        np.maximum(cell, 0, out=cell)
+        np.minimum(cell, g.n - 2, out=cell)
         start = _stencil_start(cell, p, g.n)
         self.cols = start[:, None] + np.arange(p + 1)[None, :]
         diff = t[:, None] - g.nodes[self.cols]
         # barycentric form; uniform spacing makes the weights binomial.
         # A query landing on a node takes the sample directly, keeping
-        # node evaluation exact.
-        bary = np.array([(-1.0) ** k * math.comb(p, k) for k in range(p + 1)])
-        # a query a subnormal distance from a node overflows to inf here
-        # and is then treated as landing on the node
+        # node evaluation exact; one a subnormal distance from a node
+        # overflows to inf here and is then treated as landing on it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = bary / diff
+            w = _binomial_weights(p) / diff
         bad = ~np.isfinite(w)
         if bad.any():
             rows = bad.any(axis=1)
             w[rows] = np.where(bad[rows], 1.0, 0.0)
+        # the row sum's order is part of the bits: adding the columns
+        # one at a time changes them at order 7
         w /= w.sum(axis=1)[:, None]
         self.weights = w
 
@@ -508,7 +518,8 @@ class CellTable:
         T, p = g.half_width, g.interp_order
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         cell = np.floor((ts + T) / g.delta).astype(np.int64)
-        np.clip(cell, 0, g.n - 2, out=cell)
+        np.maximum(cell, 0, out=cell)
+        np.minimum(cell, g.n - 2, out=cell)
         c = self.coef[cell]
         w = (ts - self.left[cell]) / g.delta
         out = c[:, p].copy()

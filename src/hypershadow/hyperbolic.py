@@ -716,6 +716,19 @@ def builtin_model(name, params=None):
     raise ValueError(f"unknown model {name!r}")
 
 
+# bounds of the step of the stored unit-circle orbit. Its degree-5
+# stencil needs six nodes: delta <= pi/3 keeps at least three cells per
+# half period, seven nodes per period. The orbit and the RK4 monodromy
+# hold rows per cell (Df at two per RK4 step), 2 pi/delta cells per
+# period, so a floor bounds their size: at delta = 1e-4 that is 62 832
+# cells, against 628 at the default 0.01. Refining further buys no
+# accuracy: the centre multiplier's distance from 1 is 9e-14 at 0.01,
+# 2e-16 at 1e-3, and grows again below that as rounding accumulates
+# along the longer prefix products (4e-14 at 1e-4).
+_ORBIT_DELTA_MIN = 1e-4
+_ORBIT_DELTA_MAX = math.pi / 3.0
+
+
 def unit_circle_orbit(delta=0.01):
     """The unit-circle orbit of the planar limit cycle over one period."""
     P = 2.0 * math.pi
@@ -970,6 +983,17 @@ def frame_from_descriptor(desc):
         if delta <= 0.0:
             raise ValueError(f"frame parameter 'delta' must be positive, "
                              f"got {delta!r}")
+        if delta < _ORBIT_DELTA_MIN:
+            raise ValueError(
+                f"frame parameter 'delta' must be at least "
+                f"{_ORBIT_DELTA_MIN:g}, at most "
+                f"{2.0 * math.pi / _ORBIT_DELTA_MIN:.0f} cells per period, "
+                f"got {delta!r}")
+        if delta > _ORBIT_DELTA_MAX:
+            raise ValueError(
+                f"frame parameter 'delta' must be at most pi/3 = "
+                f"{_ORBIT_DELTA_MAX:.6g}, three cells per half period for "
+                f"the orbit's degree-5 stencil, got {delta!r}")
         orbit, period = unit_circle_orbit(delta)
         return floquet_frame(builtin_model(name), orbit, period)
     raise ValueError(f"unknown splitting mode {mode!r}")

@@ -260,6 +260,17 @@ def center_defect(fr, state):
 # pointwise terms
 
 
+def _taylor_split(fr, tab, xhat):
+    # (Df(x0) xhat, f(x0 + xhat) - f(x0) - Df(x0) xhat) at the
+    # FrameTable's times, inside the model's valid neighborhood
+    radius = getattr(fr.model, "valid_radius", math.inf)
+    if float(np.linalg.norm(xhat, axis=1).max()) > radius:
+        raise ValueError(
+            "correction leaves the model's valid neighborhood of the orbit")
+    lin = np.einsum("kij,kj->ki", tab.df0, xhat)
+    return lin, fr.model.f_batch(tab.x0 + xhat) - tab.f0 - lin
+
+
 def taylor_remainder(fr, xhat, rho, cross_check=False):
     """T = f(x0 + xhat) - f(x0) - Df(x0) xhat at the orbit points x0(rho).
 
@@ -273,12 +284,7 @@ def taylor_remainder(fr, xhat, rho, cross_check=False):
     xhat = np.asarray(xhat, dtype=float)
     tab = fr.table(rho)
     x0 = tab.x0
-    radius = getattr(model, "valid_radius", math.inf)
-    if float(np.linalg.norm(xhat, axis=1).max()) > radius:
-        raise ValueError(
-            "correction leaves the model's valid neighborhood of the orbit")
-    lin = np.einsum("kij,kj->ki", tab.df0, xhat)
-    direct = model.f_batch(x0 + xhat) - tab.f0 - lin
+    _, direct = _taylor_split(fr, tab, xhat)
     if cross_check:
         # iterated-integral form, 20-point Gauss in each layer
         gx, gw = np.polynomial.legendre.leggauss(20)
@@ -296,15 +302,17 @@ def taylor_remainder(fr, xhat, rho, cross_check=False):
 
 
 def _quadratic_batch(fr, state, vs, at=None):
-    """B = (1 - X) Df(x0) xhat + T[x0, xhat] at the times vs (or their
-    FrameTable), shape (k, n); ``at`` is a sampler of vs on the state's
-    grids, built when not given."""
+    """(B, X) at the times vs (or their FrameTable): the quadratic term
+    B = (1 - X) Df(x0) xhat + T[x0, xhat], shape (k, n), and the time
+    change X there, shape (k,). Df(x0) xhat is formed once for both
+    parts; ``at`` is a sampler of vs on the state's grids, built when
+    not given."""
     at = at or GridSampler(state.xs, vs)
     tab = fr.table(vs)
     xh = at.apply(state.xs + state.xu)
     Xv = 1.0 + at.apply(state.X.xhat)[:, 0]
-    lin = np.einsum("kij,kj->ki", tab.df0, xh)
-    return (1.0 - Xv)[:, None] * lin + taylor_remainder(fr, xh, tab)
+    lin, rem = _taylor_split(fr, tab, xh)
+    return (1.0 - Xv)[:, None] * lin + rem, Xv
 
 
 def _state_flow(state, half_width, run=None):
@@ -323,26 +331,27 @@ def _state_flow(state, half_width, run=None):
     return solve_flow(state.X, half_width, lattices=run)
 
 
-def _trajectory(fr, state, phi=None):
-    """(x0 + xhat) o phi and its derivative as batch maps (phi None: the
-    identity); one sampler per query reads xhat, its derivative and X.
-    The derivative of xhat is built on the first derivative query and
+def _trajectory(fr, state, flow=None):
+    """(x0 + xhat) o phi and its derivative as batch maps, phi the flow's
+    (flow None: the identity). phi is read from the flow's cell table;
+    one sampler per query reads xhat, its derivative and X. The
+    derivative of xhat is built on the first derivative query and
     reused by the later ones."""
     xh = state.xs + state.xu
     xh1 = None
 
     def theta(a):
-        a = a if phi is None else phi.eval1(a)
+        a = a if flow is None else flow.fast_phi(a)
         return fr.orbit_batch(a) + GridSampler(state.xs, a).apply(xh)
 
     def dtheta(a):
         nonlocal xh1
         if xh1 is None:
             xh1 = state.xs.derivative(1) + state.xu.derivative(1)
-        a = a if phi is None else phi.eval1(a)
+        a = a if flow is None else flow.fast_phi(a)
         s = GridSampler(state.xs, a)
         out = fr.orbit_deriv_batch(a) + s.apply(xh1)
-        if phi is not None:
+        if flow is not None:
             out = out * (1.0 + s.apply(state.X.xhat)[:, 0])[:, None]
         return out
 
@@ -367,7 +376,7 @@ def _varphi_batch(fr, state, spec, flow, vs, eps, inv_at=None):
         raise ValueError(
             "integrand evaluation leaves the inflated flow window")
     seg = HistorySegment(bases, spec.h,
-                         *_trajectory(fr, state, None if ident else flow.phi))
+                         *_trajectory(fr, state, None if ident else flow))
     out = spec(bases, seg, eps)
     bad = ~np.isfinite(out).all(axis=1)
     if bad.any():
@@ -446,11 +455,11 @@ def _step_load(fr, state, spec, cfg, run):
             interp_order=7, extension="constant-hold")
 
     def load(name, vs):
-        at = run.sampler(name, vs, state.xs)
-        g = _quadratic_batch(fr, state, vs, at)
+        g, Xv = _quadratic_batch(fr, state, vs,
+                                 run.sampler(name, vs, state.xs))
         if vphi is not None:
             g = g + cfg.eps * run.sampler(name, vs, vphi).apply(vphi)
-        return g, 1.0 + at.apply(state.X.xhat)[:, 0]
+        return g, Xv
 
     return load
 
@@ -626,7 +635,7 @@ def _reproduces(a, b):
                             (a.xu, b.xu)))
 
 
-def iterate(fr, spec, cfg, initial=None):
+def iterate(fr, spec, cfg, initial=None, _run=None):
     """Drive the operator to its fixed point from ``initial``.
 
     Stops when the weighted distance between consecutive iterates falls
@@ -642,10 +651,12 @@ def iterate(fr, spec, cfg, initial=None):
     so its defects are taken instead. ``kappa_hat`` is the largest ratio
     of consecutive distances; a run that stops after one iteration takes
     it from the defects of the returned state, so a resumed run measures
-    it too.
+    it too. ``_run`` carries a run layout built for the same frame,
+    spec, time-change radius and config up to eps (a sweep shares one
+    across its members); a lone run builds its own.
     """
     state = initial if initial is not None else initial_state(fr, cfg)
-    run = _Run(fr, spec, cfg, state.X.t0)
+    run = _run or _Run(fr, spec, cfg, state.X.t0)
     distances = []
     ratios = []
     history = []
@@ -762,7 +773,7 @@ def residual_fde(fr, state, spec, eps, probe):
     if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-9):
         raise ValueError("probe grid must be uniform")
     t_max = max(abs(probe[0]), abs(probe[-1])) + spec.h + 1.0
-    traj, dtraj = _trajectory(fr, state, _state_flow(state, t_max).phi)
+    traj, dtraj = _trajectory(fr, state, _state_flow(state, t_max))
     # only the spacing matters for the difference stencils, so an
     # off-center probe may be differentiated on a centered proxy grid
     half = 0.5 * (probe[-1] - probe[0])
@@ -1091,8 +1102,8 @@ def b_difference_probe(fr, state_v, state_w, eta, lip_d2f=0.0):
     if state_v.t_ball.c != state_w.t_ball.c:
         raise ValueError("probe states must share the declared balls")
     nodes = state_v.xs.nodes
-    Bv = _quadratic_batch(fr, state_v, nodes)
-    Bw = _quadratic_batch(fr, state_w, nodes)
+    Bv, _ = _quadratic_batch(fr, state_v, nodes)
+    Bw, _ = _quadratic_batch(fr, state_w, nodes)
     diff = GridFunction(state_v.xs.half_width, state_v.xs.delta, Bv - Bw,
                         extension="zero")
     lhs = diff.norm_razumikhin(eta)

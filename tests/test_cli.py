@@ -294,6 +294,18 @@ class TestRunVerb:
                             "delta": 0.1000000001041667, "tol_eta": 1e-8}},
          "window must hold an integer number of grid cells: "
          "2 * 24.0 / 0.1000000001041667 = 479.9999995"),
+        # too coarse for the orbit's degree-5 stencil, and so fine that
+        # the orbit and the monodromy would hold millions of cells
+        ("run", {"frame": {"mode": "floquet", "model": "planar-limit-cycle",
+                           "parameters": {"delta": 10}}},
+         "frame parameter 'delta' must be at most pi/3 = 1.0472, three "
+         "cells per half period for the orbit's degree-5 stencil, got 10.0"),
+        ("sweep", {"frame": {"mode": "floquet",
+                             "model": "planar-limit-cycle",
+                             "parameters": {"delta": 1e-6}},
+                   "eps": [0.01, 0.005, 0.0025]},
+         "frame parameter 'delta' must be at least 0.0001, at most 62832 "
+         "cells per period, got 1e-06"),
     ])
     def test_bad_number_fails_before_compute(self, tmp_path, capsys,
                                              monkeypatch, verb, over,
@@ -512,9 +524,9 @@ class TestSweepVerb:
         attempted = []
         iterate = cli.iterate
 
-        def counting(fr, spec, cfg):
+        def counting(fr, spec, cfg, **kw):
             attempted.append(cfg.eps)
-            return iterate(fr, spec, cfg)
+            return iterate(fr, spec, cfg, **kw)
 
         monkeypatch.setattr(cli, "iterate", counting)
         path, scn = write_scenario(tmp_path, eps=[0.8, 0.4, 0.2],
@@ -525,6 +537,36 @@ class TestSweepVerb:
         assert "sweep member eps=0.8 failed: infeasible radii" in err
         assert attempted == [0.8]
         assert not os.path.exists(scn["out"])
+
+    def test_floquet_members_share_one_run_layout(self, tmp_path,
+                                                  monkeypatch):
+        # the frame's adapted bases are evaluated on the two lattices of
+        # the run (nodes and Gauss points) once per sweep, not once per
+        # member, and every member still equals a standalone run
+        from hypershadow import hyperbolic
+        from hypershadow.invariance import iterate
+        frame, config = FLOQUET
+        path, scn = write_scenario(
+            tmp_path, frame=frame, config=config, eps=[0.01, 0.005, 0.0025],
+            perturbation={"kind": "ode-sin-forcing", "parameters": {
+                "a": 0.45, "omega": 1.0, "n": 2, "axis": 1}})
+        fr = frame_from_descriptor(frame)
+        monkeypatch.setattr(cli, "frame_from_descriptor", lambda desc: fr)
+        lattices = []
+        basis = hyperbolic.FloquetFrame._basis
+        monkeypatch.setattr(hyperbolic.FloquetFrame, "_basis",
+                            lambda self, ts: lattices.append(np.size(ts))
+                            or basis(self, ts))
+        assert cli.main(["sweep", path, "--quiet"]) == 0
+        assert len(lattices) == 2
+        monkeypatch.undo()
+        for eps in scn["eps"]:
+            _, spec, cfg = cli.load_scenario(path).resolve(eps=eps)
+            want, _ = iterate(fr, spec, cfg)
+            got = cli.load_state(os.path.join(scn["out"], f"eps_{eps:g}"))
+            for a, b in ((got.X.xhat, want.X.xhat), (got.xs, want.xs),
+                         (got.xu, want.xu)):
+                assert np.array_equal(a.values, b.values), eps
 
     def test_vanishing_response_writes_strict_json(self, tmp_path, capsys):
         # on the saddle, sdd-tanh only moves along the orbit: every

@@ -161,6 +161,40 @@ def test_solve_flow_work_counts(monkeypatch):
         assert builds.count(field.xhat.geometry) == 1, seed
 
 
+def test_newton_sweeps_only_the_nodes_above_the_floor(monkeypatch):
+    # a node stops at its first measured residual at or below 1e-13, and
+    # the cubic start is exact where X = 1, so a solve reads the field at
+    # about 1.5 (at most 2.1) sweeps' worth of points, 7 per node; the
+    # residual of every node, window edges included, is at the floor
+    points = []
+    fast_value = flows.ScalarField.fast_value
+
+    def counting_lookup(self, t):
+        points.append(np.size(t))
+        return fast_value(self, t)
+
+    monkeypatch.setattr(flows.ScalarField, "fast_value", counting_lookup)
+    for seed in range(100):
+        field = random_field(seed)
+        points.clear()
+        fl = flows.solve_flow(field, 6.0)
+        assert sum(points) <= 2.1 * 7 * fl.phi.n, (seed, sum(points))
+        Phi, _ = flows._quadrature_inverse(field, fl.phi_inv,
+                                           fl.phi.values[:, 0])
+        assert np.abs(Phi - fl.phi.nodes).max() <= 1e-13, seed
+
+
+def test_fast_phi_agrees_with_the_sampler():
+    # the flow's cell table of phi reads what phi.eval1 reads, inside
+    # the window and beyond it, where phi extends linearly
+    for seed in range(8):
+        fl = flows.solve_flow(random_field(seed), 6.0)
+        T = fl.phi.half_width
+        t = np.concatenate([np.linspace(-T - 0.3, T + 0.3, 977),
+                            fl.phi.nodes])
+        assert np.abs(fl.fast_phi(t) - fl.phi.eval1(t)).max() <= 1e-14
+
+
 def _inverse_by_solve_ivp(fields, ys):
     """t_k(y) = int_0^y ds / X_k(s) for fields sharing one grid.
 

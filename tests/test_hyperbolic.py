@@ -357,6 +357,23 @@ class TestDescriptors:
         assert np.abs(fr2.proj_batch([0.3])[1][0]
                       - cycle_frame.proj_batch([0.3])[1][0]).max() <= 1e-9
 
+    @pytest.mark.parametrize("delta,reason", [
+        (1e-12, "must be at least 0.0001"),
+        (9.99e-5, "must be at least 0.0001"),
+        (1.05, "must be at most pi/3"),
+        (1e300, "must be at most pi/3")])
+    def test_floquet_step_bounded_before_the_orbit_is_built(
+            self, monkeypatch, delta, reason):
+        # a step outside the bounds names the field, and nothing is
+        # allocated for the orbit or its monodromy first
+        from hypershadow import hyperbolic
+        monkeypatch.setattr(hyperbolic, "unit_circle_orbit",
+                            lambda d: pytest.fail("orbit built"))
+        with pytest.raises(ValueError, match=r"frame parameter 'delta' "
+                                             + reason):
+            frame_from_descriptor({"mode": "floquet",
+                                   "parameters": {"delta": delta}})
+
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
             builtin_model("does-not-exist")

@@ -409,7 +409,8 @@ class TestTaylorRemainder:
 
 
 def quadratic_at(fr, st, rho):
-    return _quadratic_batch(fr, st, np.array([rho]))[0]
+    B, _ = _quadratic_batch(fr, st, np.array([rho]))
+    return B[0]
 
 
 class TestQuadraticTerm:
@@ -432,6 +433,9 @@ class TestQuadraticTerm:
         st = state_with(fr, cfg, x_dev=-0.1, xs_col=c)
         B = quadratic_at(fr, st, 0.6)
         assert B == pytest.approx([0.0, 0.1 * (-1.0 * c), 0.0], abs=1e-12)
+        # the time change comes back with the term, read once
+        _, X = _quadratic_batch(fr, st, np.array([0.6]))
+        assert X == pytest.approx([0.9], abs=1e-15)
 
 
 def varphi_at(fr, st, spec, rho, eps):
@@ -819,7 +823,7 @@ def test_segment_derivative_is_built_only_when_read(monkeypatch, x_dev):
     assert calls
     xh = st.xs + st.xu
     xh1 = deriv(st.xs, 1) + deriv(st.xu, 1)
-    phi = (lambda a: a) if ident else flow.phi.eval1
+    phi = (lambda a: a) if ident else flow.fast_phi
     bases = vs if ident else flow.phi_inv.eval1(vs)
 
     def theta(a):
@@ -833,6 +837,27 @@ def test_segment_derivative_is_built_only_when_read(monkeypatch, x_dev):
 
     want = neutral(bases, HistorySegment(bases, 1.0, theta, dtheta), 1e-2)
     assert np.array_equal(got, want)
+
+
+def test_history_lookups_build_no_sampler_on_phi(monkeypatch):
+    # on a moving time change the segments read phi at times that move
+    # with every call; they go through the flow's cell table, so no
+    # sampler is built on phi's grid, for the values or the derivative
+    fr = cubic_frame()
+    cfg = base_cfg(eps=1e-2)
+    st = state_with(fr, cfg, x_dev=0.02, xs_col=0.05, xu_col=-0.03)
+    flow = _state_flow(st, 6.0)
+    assert flow.phi_inv.geometry != flow.phi.geometry
+    builds = []
+    build = funcspace.GridSampler.__init__
+    monkeypatch.setattr(funcspace.GridSampler, "__init__",
+                        lambda self, g, t: builds.append(g.geometry)
+                        or build(self, g, t))
+    neutral = spec_from_descriptor({"kind": "neutral-linear", "parameters":
+                                    {"h": 1.0, "c0": 0.3, "c1": 0.3}})
+    _varphi_batch(fr, st, neutral, flow, np.linspace(-3.0, 3.0, 13), 1e-2)
+    assert st.xs.geometry in builds
+    assert flow.phi.geometry not in builds
 
 
 @pytest.mark.parametrize("x_dev", [None, 0.02])
