@@ -66,7 +66,7 @@ class ScalarField:
     ``xhat`` stores the deviation X - 1 (m = 1); ``ball`` holds the
     radii (t_0, ..., t_l, t_l^Lip) the field is asserted to live in,
     with t_0 < 1 so X remains positive. Construction rejects fields
-    whose nodal sup deviation reaches 1.
+    with a non-finite node or whose nodal sup deviation reaches 1.
     """
 
     def __init__(self, xhat, ball):
@@ -78,6 +78,11 @@ class ScalarField:
             raise TypeError("ball must be BallRadii")
         if ball.c[0] >= 1.0:
             raise ValueError("ball radius t_0 must be < 1")
+        bad = ~np.isfinite(xhat.values).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"X - 1 is not finite at node t = "
+                             f"{xhat.nodes[i]:g}: {xhat.values[i, 0]:g}")
         if float(np.abs(xhat.values).max()) >= 1.0:
             raise ValueError("sup|X - 1| must be < 1")
         self.xhat = xhat

@@ -141,7 +141,8 @@ class FrameTable:
     and kept, so a table built once per lattice pays for the frame once,
     and a table made on the spot for raw times computes only what its
     caller reads. ``np.asarray(table)`` gives the times, so a table goes
-    wherever times go.
+    wherever times go. ``take(rows)`` cuts a table for some of the times
+    out of one whose basis is evaluated once for all of them.
     """
 
     def __init__(self, frame, times):
@@ -174,6 +175,14 @@ class FrameTable:
     @property
     def Ainv(self):
         return self._basis_pair[1]
+
+    def take(self, rows):
+        """The table at ``times[rows]``, its basis the rows of this one's."""
+        sub = FrameTable(self.frame, self.times[rows])
+        A, Ainv = self._basis_pair
+        # a basis that does not move is one matrix for every time
+        sub._basis_pair = (A, Ainv) if len(A) == 1 else (A[rows], Ainv[rows])
+        return sub
 
 
 class _FrameBase:
@@ -258,16 +267,19 @@ class _FrameBase:
         return self._propagate(rhos, vs, "csu")
 
     def _propagate(self, rhos, vs, sigmas):
-        rhos, vs = _pairs(rhos, vs)
+        # tables of one size keep their bases; raw times broadcast to pairs
+        to, frm = _pairs(rhos, vs)
         n = self.model.n
-        C = np.zeros((rhos.size, n, n))
+        C = np.zeros((to.size, n, n))
         for sigma in sigmas:
             sl = self._slot(sigma)
             if sigma == "c":
                 C[:, sl, sl] = 1.0
             elif sl.stop > sl.start:
-                C[:, sl, sl] = self._carry(sigma, rhos, vs)
-        return self._bases(rhos)[0] @ C @ self._bases(vs)[1]
+                C[:, sl, sl] = self._carry(sigma, to, frm)
+        A = self._bases(rhos if isinstance(rhos, FrameTable) else to)[0]
+        Ainv = self._bases(vs if isinstance(vs, FrameTable) else frm)[1]
+        return A @ C @ Ainv
 
     # -- weighted propagator sums ---------------------------------------
 
@@ -528,9 +540,13 @@ class FloquetFrame(_FrameBase):
                                  extension="constant-hold")
 
         mus, vecs = np.linalg.eig(self.monodromy)
-        close_one = np.abs(mus - 1.0) <= 1e-6
+        to_one = np.abs(mus - 1.0)
+        close_one = to_one <= 1e-6
         if close_one.sum() != 1:
-            raise ValueError("monodromy must have exactly one multiplier at 1")
+            raise ValueError(
+                f"monodromy must have exactly one multiplier at 1, found "
+                f"{close_one.sum()} within 1e-6 (nearest |mu - 1| = "
+                f"{to_one.min():.2e})")
         off = np.abs(np.abs(mus) - 1.0)
         if np.any((~close_one) & (off < 1e-3)):
             raise ValueError("monodromy has non-hyperbolic multipliers")
@@ -581,11 +597,28 @@ class FloquetFrame(_FrameBase):
         return out
 
     def _estimate_quality(self):
-        gaps = np.linspace(0.5, 5.0, 10)
-        bases = np.linspace(0.0, self.period, 7)
-        lam_s, C_s = _rate_fit(self, "s", bases, gaps)
-        lam_u, C_u = _rate_fit(self, "u", bases, gaps)
-        Pc, Ps, Pu = self.proj_batch(np.linspace(0.0, self.period, 33))
+        """C_U and the decay rates from a log-linear fit of the bundle
+        propagators over (base, gap) pairs, C_Pi from the projections at
+        33 times of one period. The basis is evaluated once, on one table
+        over the later and earlier times of the pairs and the projection
+        times; each batch reads its rows of it."""
+        t, g = _rate_pairs(np.linspace(0.0, self.period, 7),
+                           np.linspace(0.5, 5.0, 10))
+        m = t.size
+        tab = self.table(np.concatenate(
+            [t + g, t, np.linspace(0.0, self.period, 33)]))
+        later, earlier, grid = (tab.take(rows) for rows in (
+            slice(0, m), slice(m, 2 * m), slice(2 * m, None)))
+        # an empty bundle has rate inf and constant 1
+        lam_s = lam_u = math.inf
+        C_s = C_u = 1.0
+        if self.dims[1]:
+            lam_s, C_s = _fit_rate(g, np.linalg.norm(
+                self.prop_s_batch(later, earlier), 2, axis=(1, 2)))
+        if self.dims[2]:
+            lam_u, C_u = _fit_rate(g, np.linalg.norm(
+                self.prop_u_batch(earlier, later), 2, axis=(1, 2)))
+        Pc, Ps, Pu = self.proj_batch(grid)
         # sampled maxima get headroom so the declared constants majorize
         # the modulation between sample points
         C_Pi = max(1.0, 1.02 * max(np.linalg.norm(P, ord=2, axis=(1, 2)).max()
@@ -594,22 +627,20 @@ class FloquetFrame(_FrameBase):
         return QualityMeasures(C_U, C_Pi, lam_s, lam_u)
 
 
-def _rate_fit(fr, sigma, bases, gaps):
-    """Log-linear fit of |U^sigma| over every (base, gap) pair.
+def _rate_pairs(bases, gaps):
+    """The (base, gap) pairs of a decay-rate fit, every gap at every base,
+    as two flat arrays ``(t, g)``; the propagator spans t to t + g."""
+    return np.repeat(bases, len(gaps)), np.tile(gaps, len(bases))
 
-    Returns the fitted decay rate and max(1, sup |U^sigma| e^{rate gap});
-    an empty bundle gives (inf, 1).
+
+def _fit_rate(gaps, norms):
+    """Log-linear fit of the propagator norms |U| against their gaps.
+
+    Returns the fitted decay rate and max(1, sup |U| e^{rate gap}).
     """
-    if fr.dims[1 if sigma == "s" else 2] == 0:
-        return math.inf, 1.0
-    g = np.tile(gaps, len(bases))
-    t = np.repeat(bases, len(gaps))
-    U = (fr.prop_s_batch(t + g, t) if sigma == "s"
-         else fr.prop_u_batch(t, t + g))
-    nm = np.linalg.norm(U, 2, axis=(1, 2))
-    pos = nm > 0.0
-    lam = -float(np.polyfit(g[pos], np.log(nm[pos]), 1)[0])
-    return lam, max(1.0, float((nm * np.exp(lam * g)).max()))
+    pos = norms > 0.0
+    lam = -float(np.polyfit(gaps[pos], np.log(norms[pos]), 1)[0])
+    return lam, max(1.0, float((norms * np.exp(lam * gaps)).max()))
 
 
 # -- builtin models -----------------------------------------------------
@@ -724,7 +755,11 @@ def builtin_model(name, params=None):
 # cells, against 628 at the default 0.01. Refining further buys no
 # accuracy: the centre multiplier's distance from 1 is 9e-14 at 0.01,
 # 2e-16 at 1e-3, and grows again below that as rounding accumulates
-# along the longer prefix products (4e-14 at 1e-4).
+# along the longer prefix products (4e-14 at 1e-4). Within the bounds,
+# a step coarser than pi/18.5 (about 0.17; fewer than 19 cells per half
+# period) passes the stencil but moves the centre multiplier more than
+# 1e-6 from 1 (1.2e-6 at 0.17, 7e-4 at 0.5), and the build fails naming
+# the step.
 _ORBIT_DELTA_MIN = 1e-4
 _ORBIT_DELTA_MAX = math.pi / 3.0
 
@@ -796,9 +831,15 @@ def verify_frame(fr):
     bounds with the declared constants, bundle invariance of the
     propagators, transport of the orbit direction, and a log-linear
     refit of the decay rates (2% agreement required on analytic frames).
-    Every identity is checked over stacks: one projection batch on 41
-    times over [-10, 10] (one period either side on Floquet frames), one
-    propagator batch per law over all (base, gap) pairs.
+    The checks read 41 sample times over [-10, 10] (one period either
+    side on Floquet frames) and (base, gap) pairs on nine of them. Each
+    frame primitive is called once, through the frame's public methods,
+    over the union of the times its checks read: one projection batch,
+    one propagator batch per nonempty bundle holding the three cocycle
+    legs and the refit pairs, one full propagator batch and one orbit
+    derivative batch. One stack of spectral norms serves the projection
+    bound, the propagator bound and the refits; each check reads its
+    rows.
     """
     # Floquet bases are interpolated, so their algebra holds more loosely
     if fr.mode == "floquet":
@@ -806,16 +847,43 @@ def verify_frame(fr):
     else:
         reach, tol_algebra = 10.0, 1e-10
     sample_grid = np.linspace(-reach, reach, 41)
+    base = sample_grid[:: max(1, sample_grid.size // 8)]
+    t, g = _rate_pairs(base, np.array([0.7, 1.7, 3.1]))
+    fit_t, fit_g = _rate_pairs(base, np.linspace(0.5, 5.0, 8))
+    k, m, r = sample_grid.size, t.size, fit_t.size
     eye = np.eye(fr.model.n)
+    q = fr.quality
+    _, n_s, n_u = fr.dims
     failures = []
 
-    projs = fr.proj_batch(sample_grid)
+    # the grid, then t, t + g and t + 2g of the cocycle legs
+    proj_all = fr.proj_batch(np.concatenate([sample_grid, t, t + g,
+                                             t + 2 * g]))
+    projs = tuple(P[:k] for P in proj_all)
+    # per bundle U1, the refit pairs, U2 and U12: the stable propagator
+    # runs from the earlier time to the later one, the unstable one back
+    later = np.concatenate([t + g, fit_t + fit_g, t + 2 * g, t + 2 * g])
+    earlier = np.concatenate([t, fit_t, t + g, t])
+    props = {}
+    if n_s:
+        props["s"] = fr.prop_s_batch(later, earlier)
+    if n_u:
+        props["u"] = fr.prop_u_batch(earlier, later)
+    U = fr.prop_full_batch(base + 1.3, base)
+    f_all = fr.orbit_deriv_batch(np.concatenate([sample_grid, base,
+                                                 base + 1.3]))
+    fvec, f_base, f_moved = (f_all[:k], f_all[k:k + base.size],
+                             f_all[k + base.size:])
+    # the projectors, then U1 and the refit pairs of each bundle
+    norms = np.linalg.norm(np.concatenate(
+        projs + tuple(Us[:m + r] for Us in props.values())), 2, axis=(1, 2))
+    bundle_norms = norms[3 * k:].reshape(len(props), m + r)
+
     Pc, Ps, Pu = projs
     completeness = float(np.abs(Pc + Ps + Pu - eye).max())
     idempotence = max(float(np.abs(P @ P - P).max()) for P in projs)
     annihilation = max(float(np.abs(A @ B).max()) for A, B in (
         (Pc, Ps), (Pc, Pu), (Ps, Pu), (Ps, Pc), (Pu, Pc), (Pu, Ps)))
-    fvec = fr.orbit_deriv_batch(sample_grid)
     fhat = fvec / np.linalg.norm(fvec, axis=1)[:, None]
     center_align = float(np.abs(
         (eye - fhat[:, :, None] * fhat[:, None, :]) @ Pc).max())
@@ -826,45 +894,27 @@ def verify_frame(fr):
         if val > tol_algebra:
             failures.append(f"{label} {val:.2e}")
 
-    q = fr.quality
-    n_c, n_s, n_u = fr.dims
     bundle_invariance = cocycle = 0.0
     expo_slack = -math.inf
-    base = sample_grid[:: max(1, sample_grid.size // 8)]
-    gaps = np.array([0.7, 1.7, 3.1])
-    t = np.repeat(base, gaps.size)
-    g = np.tile(gaps, base.size)
-    for sigma in ("s", "u"):
-        if (n_s if sigma == "s" else n_u) == 0:
-            continue
+    lam_hat = {"s": math.inf, "u": math.inf}
+    for i, (sigma, Us) in enumerate(props.items()):
+        U1, U2, U12 = Us[:m], Us[m + r:2 * m + r], Us[2 * m + r:]
+        at_t, at_tg, at_t2g = proj_all["csu".index(sigma)][k:].reshape(
+            (3, m) + eye.shape)
         if sigma == "s":
-            U1 = fr.prop_s_batch(t + g, t)
-            U2 = fr.prop_s_batch(t + 2 * g, t + g)
-            U12 = fr.prop_s_batch(t + 2 * g, t)
-            Pv = fr.proj_batch(t)[1]
-            Pr = fr.proj_batch(t + g)[1]
-            lam = q.lam_s
-            chained = U2 @ U1
+            chained, Pv, Pr, lam = U2 @ U1, at_t, at_tg, q.lam_s
         else:
-            U1 = fr.prop_u_batch(t, t + g)
-            U2 = fr.prop_u_batch(t + g, t + 2 * g)
-            U12 = fr.prop_u_batch(t, t + 2 * g)
-            Pv = fr.proj_batch(t + 2 * g)[2]
-            Pr = fr.proj_batch(t)[2]
-            lam = q.lam_u
-            chained = U1 @ U2
+            chained, Pv, Pr, lam = U1 @ U2, at_t2g, at_t, q.lam_u
+        norm_U1, norm_fit = bundle_norms[i, :m], bundle_norms[i, m:]
         cocycle = max(cocycle, float(np.abs(chained - U12).max()))
         decay = np.exp(-lam * g) if math.isfinite(lam) else np.zeros_like(g)
-        expo_slack = max(expo_slack, float((np.linalg.norm(
-            U1, 2, axis=(1, 2)) - q.C_U * decay).max()))
+        expo_slack = max(expo_slack, float((norm_U1 - q.C_U * decay).max()))
         bundle_invariance = max(bundle_invariance, float(
             np.abs((eye - Pr) @ U1 @ Pv).max()))
-    U = fr.prop_full_batch(base + 1.3, base)
-    moved = np.einsum("kij,kj->ki", U, fr.orbit_deriv_batch(base))
-    center_transport = float(np.linalg.norm(
-        moved - fr.orbit_deriv_batch(base + 1.3), axis=1).max())
-    proj_slack = max(float(np.linalg.norm(P, 2, axis=(1, 2)).max()) - q.C_Pi
-                     for P in projs)
+        lam_hat[sigma], _ = _fit_rate(fit_g, norm_fit)
+    moved = np.einsum("kij,kj->ki", U, f_base)
+    center_transport = float(np.linalg.norm(moved - f_moved, axis=1).max())
+    proj_slack = float(norms[:3 * k].max()) - q.C_Pi
     for label, val, tol in (
             ("cocycle", cocycle, _TOL_COCYCLE),
             ("propagator bound exceeded by", expo_slack, 1e-9),
@@ -874,10 +924,7 @@ def verify_frame(fr):
         if val > tol:
             failures.append(f"{label} {val:.2e}")
 
-    lam_hat = {}
     for sigma in ("s", "u"):
-        lam_hat[sigma], _ = _rate_fit(fr, sigma, base,
-                                      np.linspace(0.5, 5.0, 8))
         declared = q.lam_s if sigma == "s" else q.lam_u
         if fr.mode == "analytic" and math.isfinite(declared):
             if abs(lam_hat[sigma] - declared) > 0.02 * declared:
@@ -995,5 +1042,10 @@ def frame_from_descriptor(desc):
                 f"{_ORBIT_DELTA_MAX:.6g}, three cells per half period for "
                 f"the orbit's degree-5 stencil, got {delta!r}")
         orbit, period = unit_circle_orbit(delta)
-        return floquet_frame(builtin_model(name), orbit, period)
+        try:
+            return floquet_frame(builtin_model(name), orbit, period)
+        except ValueError as exc:
+            # the stored orbit is exact, so its step is what failed
+            raise ValueError(f"frame parameter 'delta' = {delta!r} is too "
+                             f"coarse for the stored orbit: {exc}") from None
     raise ValueError(f"unknown splitting mode {mode!r}")

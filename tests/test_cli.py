@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -318,6 +319,24 @@ class TestRunVerb:
         assert cli.main([verb, path]) == 1
         err = capsys.readouterr().err
         assert err.strip().splitlines() == [f"hypershadow: {reason}"]
+        assert not os.path.exists(scn["out"])
+
+    def test_floquet_step_too_coarse_for_the_orbit_names_the_step(
+            self, tmp_path, capsys, monkeypatch):
+        # inside the stencil bound, but the centre multiplier of a
+        # monodromy built on 0.2 steps sits 2.4e-6 from 1
+        monkeypatch.setattr(cli, "iterate",
+                            lambda *a: pytest.fail("iterated"))
+        frame = {"mode": "floquet", "model": "planar-limit-cycle",
+                 "parameters": {"delta": 0.2}}
+        path, scn = write_scenario(tmp_path, frame=frame, config=FLOQUET[1])
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "hypershadow: frame parameter 'delta' = 0.2 is too coarse for "
+            "the stored orbit: monodromy must have exactly one multiplier "
+            "at 1, found 0 within 1e-6 (nearest |mu - 1| = ")
         assert not os.path.exists(scn["out"])
 
     def test_non_finite_delay_is_exit_four(self, tmp_path, capsys,
@@ -684,6 +703,27 @@ class TestVerifyVerb:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "bounds_interval must be finite with a < b" in err
+        assert not os.path.exists(scn["out"])
+
+    def test_non_finite_time_change_is_exit_one(self, tmp_path, capsys,
+                                                linear_run):
+        # a NaN node in the saved X - 1 is refused on load, naming the
+        # node, before any flow is solved and with no numpy warning
+        bad_dir = tmp_path / "nan_state"
+        shutil.copytree(linear_run["out"], bad_dir)
+        csv = bad_dir / "xhat_t.csv"
+        lines = csv.read_text().splitlines()
+        t = lines[5].split(",")[0]
+        lines[5] = f"{t},nan"
+        csv.write_text("\n".join(lines) + "\n")
+        path, scn = write_scenario(tmp_path, name="ver.json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["verify", path, str(bad_dir)]) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            f"hypershadow: X - 1 is not finite at node t = {float(t):g}: nan"]
         assert not os.path.exists(scn["out"])
 
     def test_missing_state_dir_is_exit_one(self, tmp_path):

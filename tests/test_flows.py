@@ -75,6 +75,17 @@ def test_rejects_large_deviation():
         flows.ScalarField(g, BallRadii((1.0, 0.0)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_deviation(bad):
+    # NaN compares false against the sup bound, so it is checked first
+    vals = np.zeros(21)
+    vals[7] = bad
+    g = GridFunction(1.0, 0.1, vals)
+    with pytest.raises(ValueError,
+                       match=f"X - 1 is not finite at node t = -0.3: {bad:g}"):
+        flows.ScalarField(g, BallRadii((0.5, 0.0)))
+
+
 def test_roundtrip_random_fields():
     for seed in range(8):
         field = random_field(seed)

@@ -8,6 +8,7 @@ import pytest
 from hypershadow.funcspace import GridFunction, lattice
 from hypershadow.hyperbolic import (
     AnalyticFrame,
+    FloquetFrame,
     OdeModel,
     QualityMeasures,
     analytic_frame,
@@ -374,11 +375,73 @@ class TestDescriptors:
             frame_from_descriptor({"mode": "floquet",
                                    "parameters": {"delta": delta}})
 
+    @pytest.mark.parametrize("delta", [0.17, 0.2, 0.5])
+    def test_floquet_step_too_coarse_for_the_orbit_names_the_step(
+            self, delta):
+        # inside the stencil bound, but the interpolated orbit moves the
+        # centre multiplier more than 1e-6 from 1
+        with pytest.raises(ValueError, match=(
+                rf"frame parameter 'delta' = {delta} is too coarse for the "
+                r"stored orbit: monodromy must have exactly one multiplier "
+                r"at 1, found 0 within 1e-6 \(nearest \|mu - 1\| = ")):
+            frame_from_descriptor({"mode": "floquet",
+                                   "parameters": {"delta": delta}})
+
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
             builtin_model("does-not-exist")
         with pytest.raises(ValueError, match="no analytic splitting"):
             analytic_frame({"model": "planar-limit-cycle"})
+
+
+FRAME_PRIMITIVES = ("proj_batch", "prop_s_batch", "prop_u_batch",
+                    "prop_full_batch", "orbit_deriv_batch")
+
+
+def counting(cls):
+    """A subclass of frame class ``cls`` that counts its primitive calls
+    in ``calls``; set ``calls = {}`` on an instance to start a count."""
+    def counted(name):
+        def method(self, *args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return getattr(super(sub, self), name)(*args)
+        return method
+
+    sub = type("Counting" + cls.__name__, (cls,),
+               {"calls": {}, **{name: counted(name)
+                                for name in FRAME_PRIMITIVES}})
+    return sub
+
+
+class TestOneBatchPerPrimitive:
+    """verify_frame evaluates each frame primitive once."""
+
+    @pytest.mark.parametrize("rotation,cubic", [
+        (None, (0.0, 0.0)), (random_rotation(5), (0.3, 0.2))])
+    def test_saddle_verification(self, rotation, cubic):
+        model = saddle_frame(rotation=rotation, cubic=cubic).model
+        fr = counting(AnalyticFrame)(model, [1.0], [1.0], rotation=rotation)
+        fr.calls = {}
+        assert verify_frame(fr).ok
+        assert fr.calls == dict.fromkeys(FRAME_PRIMITIVES, 1)
+
+    def test_cycle_verification_and_quality(self):
+        orbit, period = unit_circle_orbit(delta=0.01)
+        basis_calls = []
+
+        class Counting(counting(FloquetFrame)):
+            def _basis(self, ts):
+                basis_calls.append(np.size(ts))
+                return super()._basis(ts)
+
+        fr = Counting(builtin_model("planar-limit-cycle"), orbit, period)
+        # the quality estimate reads the basis once, over every time
+        assert basis_calls == [2 * 7 * 10 + 33]
+        fr.calls = {}
+        assert verify_frame(fr).ok
+        # no unstable bundle, so no unstable propagator batch
+        assert fr.calls == {"proj_batch": 1, "prop_s_batch": 1,
+                            "prop_full_batch": 1, "orbit_deriv_batch": 1}
 
 
 # -- oracles: the per-point loops the batched frame code replaced ----------
