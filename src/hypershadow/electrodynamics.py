@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .flows import NumericalError
-from .funcspace import GridFunction, lattice, pointwise, save_grid_function
+from .funcspace import GridFunction, lattice, pointwise
 from .perturbations import PerturbationSpec
 
 __all__ = [
@@ -42,9 +41,7 @@ __all__ = [
     "charge_system_from_descriptor",
     "softened_coulomb",
     "DelaySolveError",
-    "solve_delay",
     "DelayField",
-    "solve_system_delays",
     "delay_expansion_check",
     "ExpansionReport",
     "expansion_order_sweep",
@@ -394,58 +391,19 @@ def _cone_step(here, partner, eps, sign):
     return step
 
 
-def _delay_values(qi, qj, eps, mode, nodes):
-    """Fixed point of tau = eps |q_i(t) - q_j(t -+ tau)| at every node.
+def _delay_values(qi, qj, eps, sign, nodes):
+    """Fixed point of tau = eps |q_i(t) - q_j(t + sign tau)| at every node.
 
-    All nodes are solved at once from tau_0 = eps |q_i(t) - q_j(t)|.
-    Returns values, the largest per-node iteration count, and the
-    largest per-node defect.
+    All nodes are solved at once from tau_0 = eps |q_i(t) - q_j(t)|;
+    sign -1 gives the delay, +1 the advance. Returns values, the largest
+    per-node iteration count, and the largest per-node defect.
     """
-    signs = {"retarded": -1.0, "advanced": 1.0}
-    if mode not in signs:
-        raise ValueError(f"mode must be 'retarded' or 'advanced', got {mode!r}")
     step = _cone_step(qi.pos(nodes),
                       lambda rows, off: qj.pos(nodes[rows] + off),
-                      eps, signs[mode])
+                      eps, sign)
     vals, iters = _fixed_point(step, nodes)
     defect = float(np.abs(step(np.arange(nodes.size), vals) - vals).max())
     return vals, iters, defect
-
-
-def _solve_grid(qi, qj, eps, modes, window, delta):
-    """One (field, iterations, defect) per mode on the symmetric node grid.
-
-    The defining equation is a contraction of rate eps * sup|dq_j|,
-    checked before iterating.
-    """
-    eps = float(eps)
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
-    window = float(window)
-    kappa = _finite("contraction rate eps * sup|dq_j|",
-                    _contraction_rate(qi, qj, eps, window))
-    if kappa >= 1.0:
-        raise ValueError(
-            f"contraction condition violated: eps * sup|dq_j| = {kappa:.3g} >= 1")
-    nodes = lattice(window, delta)
-    out = []
-    for mode in modes:
-        vals, iters, defect = _delay_values(qi, qj, eps, mode, nodes)
-        out.append((GridFunction(window, delta, vals), iters, defect))
-    return out
-
-
-def solve_delay(qi, qj, eps, mode="retarded", window=8.0, delta=0.1):
-    """Solve the implicit delay (or advance) on a symmetric node grid.
-
-    The defining equation tau(t) = eps |q_i(t) - q_j(t - tau(t))| is a
-    contraction of rate eps * sup|dq_j|, checked before iterating; every
-    node is solved at once, each starting from tau_0 = eps |q_i(t) -
-    q_j(t)|. Advanced mode reads the partner at t + tau in place of
-    t - tau.
-    """
-    [(field, _, _)] = _solve_grid(qi, qj, eps, (mode,), window, delta)
-    return field
 
 
 @dataclass(frozen=True)
@@ -462,7 +420,6 @@ class DelayField:
     tau: GridFunction
     sigma: GridFunction
     eps: float
-    pair: tuple = (0, 1)
     tau_iterations: int = 0
     tau_defect: float = 0.0
     sigma_iterations: int = 0
@@ -478,36 +435,31 @@ class DelayField:
             raise ValueError("delay defect exceeds the certification threshold")
 
     @classmethod
-    def solve(cls, qi, qj, eps, window=8.0, delta=0.1, pair=(0, 1)):
-        (tau, tit, tdef), (sigma, sit, sdef) = _solve_grid(
-            qi, qj, eps, ("retarded", "advanced"), window, delta)
-        return cls(tau, sigma, float(eps), pair=tuple(pair),
+    def solve(cls, qi, qj, eps, window=8.0, delta=0.1):
+        """Solve the delay and the advance on a symmetric node grid.
+
+        The defining equation tau(t) = eps |q_i(t) - q_j(t - tau(t))| is
+        a contraction of rate eps * sup|dq_j|, checked before iterating;
+        every node is solved at once, each starting from tau_0 =
+        eps |q_i(t) - q_j(t)|. The advance sigma reads the partner at
+        t + sigma in place of t - tau.
+        """
+        eps = float(eps)
+        if eps < 0.0:
+            raise ValueError("eps must be nonnegative")
+        window = float(window)
+        kappa = _finite("contraction rate eps * sup|dq_j|",
+                        _contraction_rate(qi, qj, eps, window))
+        if kappa >= 1.0:
+            raise ValueError(f"contraction condition violated: "
+                             f"eps * sup|dq_j| = {kappa:.3g} >= 1")
+        nodes = lattice(window, delta)
+        tau, tit, tdef = _delay_values(qi, qj, eps, -1.0, nodes)
+        sigma, sit, sdef = _delay_values(qi, qj, eps, 1.0, nodes)
+        return cls(GridFunction(window, delta, tau),
+                   GridFunction(window, delta, sigma), eps,
                    tau_iterations=tit, tau_defect=tdef,
                    sigma_iterations=sit, sigma_defect=sdef)
-
-    def export_csv(self, directory):
-        """Write tau and sigma as CSV (plus sidecars); returns the paths."""
-        os.makedirs(directory, exist_ok=True)
-        i, j = self.pair
-        paths = []
-        for name, g in (("tau", self.tau), ("sigma", self.sigma)):
-            paths.append(save_grid_function(
-                g, os.path.join(directory, f"{name}_{i}_{j}.csv")))
-        return paths
-
-
-def solve_system_delays(sys, window=8.0, delta=0.1):
-    """DelayField for every ordered pair of distinct particles."""
-    fields = {}
-    for i in range(sys.N):
-        for j in range(sys.N):
-            if i == j:
-                continue
-            qi, qj = sys.pair(i, j)
-            fields[(i, j)] = DelayField.solve(qi, qj, sys.epsilon,
-                                              window=window, delta=delta,
-                                              pair=(i, j))
-    return fields
 
 
 # -- expansion and singularity diagnostics ---------------------------------

@@ -38,6 +38,8 @@ __all__ = [
     "solve_flow",
     "flow_cells",
     "distortion_check",
+    "inverse_flow_factor",
+    "composite_factor",
     "flow_difference_eta",
     "composite_difference_eta",
     "phi_derivative_bounds",
@@ -366,12 +368,16 @@ class DistortionReport:
                    self.inv_lower, self.inv_upper)
 
 
-def _pairwise_slacks(x, y, lo_fac, hi_fac, chunk=256):
+# rows of the pairwise difference matrices formed at once
+_PAIR_CHUNK = 256
+
+
+def _pairwise_slacks(x, y, lo_fac, hi_fac):
     worst_lo = np.inf
     worst_hi = np.inf
     n = x.size
-    for a in range(0, n, chunk):
-        b = min(a + chunk, n)
+    for a in range(0, n, _PAIR_CHUNK):
+        b = min(a + _PAIR_CHUNK, n)
         dx = np.abs(x[a:b, None] - x[None, :])
         dy = np.abs(y[a:b, None] - y[None, :])
         same = dx == 0.0
@@ -408,16 +414,29 @@ def distortion_check(fl):
                             violations=violations, tolerance=_DISTORTION_TOL)
 
 
+def inverse_flow_factor(eta, t0):
+    """1 / (eta (1 - t_0)^2): the gain from ||X - Y||_eta to the weighted
+    distance of the inverse flows."""
+    return 1.0 / (eta * (1.0 - t0) ** 2)
+
+
+def composite_factor(eta, t0, t1, h):
+    """z = e^{t_1 h} (e^{eta (1 + t_0) h} - 1) / (eta (1 + t_0)): the gain
+    from ||X - Y||_eta to the weighted distance of the history maps
+    alpha(rho, s) = phi(phi_inv(rho) + s) over |s| <= h."""
+    q = 1.0 + t0
+    return math.exp(t1 * h) * math.expm1(eta * q * h) / (eta * q)
+
+
 def flow_difference_eta(X, Y, weight):
     """Weighted distance of the inverse flows against its a-priori bound.
 
     Returns (lhs, rhs) with lhs = ||phi_inv - psi_inv||_eta and
-    rhs = ||X - Y||_eta / (eta (1 - t_0)^2), t_0 the larger of the two
-    ball radii and eta = weight.eta (a WeightParam). Raises if the bound
-    fails beyond rounding.
+    rhs = ||X - Y||_eta times :func:`inverse_flow_factor`, t_0 the larger
+    of the two ball radii and eta = weight.eta (a WeightParam). Raises if
+    the bound fails beyond rounding.
     """
     X.xhat._check_compatible(Y.xhat)
-    eta = weight.eta
     t0 = max(X.t0, Y.t0)
     flX = solve_flow(X, X.xhat.half_width)
     flY = solve_flow(Y, Y.xhat.half_width)
@@ -425,7 +444,8 @@ def flow_difference_eta(X, Y, weight):
     gx = flX.phi_inv.restrict(R)
     gy = flY.phi_inv.restrict(R)
     lhs = (gx - gy).norm_razumikhin(weight)
-    rhs = (X.xhat - Y.xhat).norm_razumikhin(weight) / (eta * (1.0 - t0) ** 2)
+    rhs = (X.xhat - Y.xhat).norm_razumikhin(weight) \
+        * inverse_flow_factor(weight.eta, t0)
     if lhs > rhs + 1e-12:
         raise RuntimeError(
             f"inverse-flow difference bound violated: {lhs:.3e} > {rhs:.3e}")
@@ -435,8 +455,7 @@ def flow_difference_eta(X, Y, weight):
 def composite_difference_eta(X, Y, h, weight, rho_count=41, s_count=21):
     """Weighted sup over rho of max_s |alpha(rho,s) - beta(rho,s)| and its bound.
 
-    The bound is z ||X - Y||_eta with
-    z = e^{t_1 h} (e^{eta (1 + t_0) h} - 1) / (eta (1 + t_0)),
+    The bound is z ||X - Y||_eta with z the :func:`composite_factor`,
     where t_0, t_1 come from the larger of the two balls and
     eta = weight.eta (a WeightParam). Returns (lhs, rhs, z).
     """
@@ -464,7 +483,7 @@ def composite_difference_eta(X, Y, h, weight, rho_count=41, s_count=21):
 
     gaps = np.abs(alpha(flX) - alpha(flY)).max(axis=1)
     lhs = float((gaps * np.exp(-eta * np.abs(rhos))).max())
-    z = math.exp(t1 * h) * math.expm1(eta * (1.0 + t0) * h) / (eta * (1.0 + t0))
+    z = composite_factor(eta, t0, t1, h)
     rhs = z * (X.xhat - Y.xhat).norm_razumikhin(weight)
     return lhs, rhs, z
 

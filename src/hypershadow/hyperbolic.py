@@ -37,7 +37,6 @@ __all__ = [
     "floquet_frame",
     "verify_frame",
     "bundle_characterization_test",
-    "augment_nonautonomous",
     "builtin_model",
     "unit_circle_orbit",
     "frame_from_descriptor",
@@ -978,37 +977,6 @@ def bundle_characterization_test(fr, sigma, xi0):
     return BundleReport(sigma=sigma, residual_sup=sup,
                         xi_sup=float(np.linalg.norm(xi, axis=1).max()),
                         ok=sup <= 1e-6)
-
-
-def augment_nonautonomous(g, jac, n, hess=None):
-    """Autonomize a time-dependent field by adjoining the time variable.
-
-    Batched over k points like the model: ``g(x (k, n), t (k,)) -> (k, n)``
-    with ``jac(x, t) -> (k, n, n+1)`` the derivative in (x, t) and
-    optional ``hess(x, t) -> (k, n, n+1, n+1)``. Returns the OdeModel for
-    y' = (g(y_head, y_last), 1), whose speed floor b is 1: the adjoined
-    time moves at unit rate.
-    """
-    m = n + 1
-
-    def f(y):
-        out = np.empty(y.shape)
-        out[:, :n] = g(y[:, :n], y[:, n])
-        out[:, n] = 1.0
-        return out
-
-    def df(y):
-        out = np.zeros((y.shape[0], m, m))
-        out[:, :n, :] = jac(y[:, :n], y[:, n])
-        return out
-
-    def d2f(y):
-        out = np.zeros((y.shape[0], m, m, m))
-        if hess is not None:
-            out[:, :n, :, :] = hess(y[:, :n], y[:, n])
-        return out
-
-    return OdeModel(m, f, df, d2f, b=1.0, name="nonautonomous")
 
 
 def frame_from_descriptor(desc):

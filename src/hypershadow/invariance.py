@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import (Flow, FlowGuardError, NumericalError, ScalarField,
-                    flow_cells, solve_flow)
+                    composite_factor, flow_cells, inverse_flow_factor,
+                    solve_flow)
 from .funcspace import (BallRadii, GridFunction, GridSampler, WeightParam,
                         ball_membership, json_text, lattice, real_number,
                         write_lines)
@@ -204,6 +205,11 @@ class CorrectionState:
     @property
     def t_ball(self):
         return self.X.ball
+
+    @property
+    def radii(self):
+        """The (t, s, u) triple of declared balls."""
+        return self.X.ball, self.s_ball, self.u_ball
 
     def distance(self, other, eta, core_half=None):
         """Weighted metric d = sum of the five component eta-norms."""
@@ -858,20 +864,32 @@ def aposteriori_bounds(e_eta, state, cfg, interval, kappa_hat):
 
 
 # ---------------------------------------------------------------------------
-# propagated zero-order feasibility
+# a-priori constants of the declared balls
 
 
 def orbit_field_norms(fr, half_width):
-    """(sup|f|, sup|Df|, sup|D2f|) sampled at 201 times along the orbit
-    window."""
+    """(sup|f|, sup|Df|, sup|D2f|, f_c3) sampled at 201 times along the
+    orbit window.
+
+    f_c3 takes the forward differences of D2f with step 1 along the n
+    coordinate axes and combines their (n, n^2) spectral norms as
+    sqrt(sum_k |D2f(x + e_k) - D2f(x)|^2), which bounds |D3f[e]| for
+    every unit e; it is exact for fields of degree at most 3, as every
+    built-in model is.
+    """
     ts = np.linspace(-half_width, half_width, 201)
     pts = fr.orbit_batch(ts)
-    f_c0 = float(np.linalg.norm(fr.model.f_batch(pts), axis=1).max())
-    f_c1 = float(np.linalg.norm(fr.model.df_batch(pts), 2, axis=(1, 2)).max())
-    n = fr.model.n
-    D2 = fr.model.d2f_batch(pts).reshape(len(ts), n, n * n)
+    model = fr.model
+    k, n = pts.shape
+    f_c0 = float(np.linalg.norm(model.f_batch(pts), axis=1).max())
+    f_c1 = float(np.linalg.norm(model.df_batch(pts), 2, axis=(1, 2)).max())
+    D2 = model.d2f_batch(pts).reshape(k, n, n * n)
     f_c2 = float(np.linalg.norm(D2, 2, axis=(1, 2)).max())
-    return f_c0, f_c1, f_c2
+    stepped = model.d2f_batch((pts[:, None, :] + np.eye(n)).reshape(k * n, n))
+    D3 = np.linalg.norm(stepped.reshape(k, n, n, n * n) - D2[:, None], 2,
+                        axis=(2, 3))
+    f_c3 = float(np.sqrt((D3 ** 2).sum(axis=1)).max())
+    return f_c0, f_c1, f_c2, f_c3
 
 
 def _varphi_sup_estimate(fr, spec, cfg):
@@ -881,143 +899,79 @@ def _varphi_sup_estimate(fr, spec, cfg):
     return float(np.linalg.norm(spec(ts, seg, cfg.eps), axis=1).max())
 
 
-def _quadratic_sup(f_c1, f_c2, t0, s0, u0):
-    """Zero-order sup of the quadratic term B over the declared balls."""
-    return t0 * f_c1 * (s0 + u0) + 0.5 * f_c2 * (s0 + u0) ** 2
+def contraction_constants(fr, spec, cfg, radii, norms=None):
+    """The a-priori constants of the declared balls, from one sampling.
 
+    ``radii`` is the (t, s, u) triple of BallRadii. ``norms`` is the
+    ``norms`` entry of an earlier record: the field norms f_c0..f_c3
+    along the orbit window (:func:`orbit_field_norms`) and ``varphi_sup``,
+    the sup of the perturbation along the unperturbed orbit; both are
+    sampled here when it is not given. The returned dict holds
 
-def _center_gain(fr, f_c0):
-    """C_Pi sup|f| / b^2: the center update's gain on its load."""
-    return fr.quality.C_Pi * f_c0 / fr.model.b ** 2
-
-
-def _b_difference_constants(f_c1, f_c2, lip_d2f, t0, s0, u0):
-    """(c_B, d_B): |B[v] - B[w]| <= c_B |xhat_v - xhat_w| + d_B |X_v - X_w|."""
-    return (f_c1 * t0 + (s0 + u0) * (lip_d2f * (s0 + u0) + f_c2),
-            f_c1 * (s0 + u0))
-
-
-@dataclass(frozen=True)
-class PropagatedBounds:
-    """Zero-order feasibility of the declared ball radii.
-
-    b-constants are the perturbation-free parts, d-constants multiply
-    eps; the configuration is feasible at eps when b + eps d fits under
-    every radius. ``eps_max`` is the largest admissible eps at order 0.
-    """
-
-    b_c0: float
-    b_s0: float
-    b_u0: float
-    d_c0: float
-    d_s0: float
-    d_u0: float
-    radii: dict
-    feasible: dict
-    eps: float
-    eps_max: float
-    norms: dict
-
-    def as_dict(self):
-        return {
-            "b_c0": self.b_c0, "b_s0": self.b_s0, "b_u0": self.b_u0,
-            "d_c0": self.d_c0, "d_s0": self.d_s0, "d_u0": self.d_u0,
-            "radii": dict(self.radii), "feasible": dict(self.feasible),
-            "eps": self.eps, "eps_max": self.eps_max,
-            "norms": dict(self.norms),
-        }
-
-
-def propagated_bounds_report(fr, spec, cfg, radii, f_norms=None,
-                             varphi_sup=None):
-    """Evaluate the zero-order constants and check b + eps d <= radius.
-
-    ``radii`` is the (t, s, u) triple of BallRadii. Norm arguments
-    default to sups measured along the orbit; infeasibility is reported
-    in the result, never raised.
+    - the zero-order feasibility: b constants (perturbation-free parts)
+      and d constants (multiplying eps) of the center (``c``) and bundle
+      (``s``, ``u``) updates, ``feasible`` per radius when b + eps d fits
+      under it, and ``eps_max``, the largest admissible eps at order 0.
+      Infeasibility is reported, never raised;
+    - the difference constants: c_B, d_B bound the quadratic-term
+      difference, c_phi, d_phi, e_phi the reparametrized-perturbation
+      difference, and ``kappa`` is the worst column sum of the assembled
+      five-component coefficient matrix in the weighted metric.
     """
     t_ball, s_ball, u_ball = radii
-    t0 = t_ball.c[0]
-    s0 = s_ball.c[0]
-    u0 = u_ball.c[0]
-    if f_norms is None:
-        f_norms = orbit_field_norms(fr, cfg.window)
-    f_c0, f_c1, f_c2 = (float(x) for x in f_norms)
-    if varphi_sup is None:
-        varphi_sup = _varphi_sup_estimate(fr, spec, cfg)
-    q = fr.quality
-    bracket = _quadratic_sup(f_c1, f_c2, t0, s0, u0)
-    pre_c = _center_gain(fr, f_c0)
-    pre_s = q.C_Pi * q.C_U / (q.lam_s * (1.0 - t0))
-    pre_u = 0.0
-    if np.isfinite(q.lam_u):
-        pre_u = q.C_Pi * q.C_U / (q.lam_u * (1.0 - t0))
-    b_c0 = pre_c * bracket
-    b_s0 = pre_s * bracket
-    b_u0 = pre_u * bracket
-    d_c0 = pre_c * varphi_sup
-    d_s0 = pre_s * varphi_sup
-    d_u0 = pre_u * varphi_sup
-    rad = {"t": t0, "s": s0, "u": u0}
-    eps = cfg.eps
-    feas = {
-        "t": b_c0 + eps * d_c0 <= t0,
-        "s": b_s0 + eps * d_s0 <= s0,
-        "u": b_u0 + eps * d_u0 <= u0,
-    }
-    eps_max = math.inf
-    for bb, dd, rr in ((b_c0, d_c0, t0), (b_s0, d_s0, s0), (b_u0, d_u0, u0)):
-        if dd > 0.0:
-            eps_max = min(eps_max, max((rr - bb) / dd, 0.0))
-        elif bb > rr:
-            eps_max = 0.0
-    return PropagatedBounds(
-        b_c0=b_c0, b_s0=b_s0, b_u0=b_u0,
-        d_c0=d_c0, d_s0=d_s0, d_u0=d_u0,
-        radii=rad, feasible=feas, eps=eps, eps_max=eps_max,
-        norms={"f_c0": f_c0, "f_c1": f_c1, "f_c2": f_c2,
-               "varphi_sup": float(varphi_sup)},
-    )
-
-
-# ---------------------------------------------------------------------------
-# contraction constants and probes
-
-
-def contraction_constants(fr, spec, cfg, t_ball, s_ball, u_ball,
-                          f_norms=None, lip_d2f=0.0, varphi_sup=None):
-    """The difference-bound constants and the predicted ratio.
-
-    c_B, d_B bound the quadratic-term difference; c_phi, d_phi, e_phi
-    the reparametrized-perturbation difference; the predicted kappa is
-    the worst column sum of the assembled five-component coefficient
-    matrix in the weighted metric.
-    """
+    if norms is None:
+        norms = dict(zip(("f_c0", "f_c1", "f_c2", "f_c3"),
+                         orbit_field_norms(fr, cfg.window)))
+        norms["varphi_sup"] = _varphi_sup_estimate(fr, spec, cfg)
+    f_c0, f_c1, f_c2, f_c3, varphi_sup = (
+        float(norms[k]) for k in ("f_c0", "f_c1", "f_c2", "f_c3",
+                                  "varphi_sup"))
     eta = cfg.eta.eta
     eps = cfg.eps
     h, L1, L2 = spec.h, spec.L1, spec.L2
-    if f_norms is None:
-        f_norms = orbit_field_norms(fr, cfg.window)
-    f_c0, f_c1, f_c2 = (float(x) for x in f_norms)
-    if varphi_sup is None:
-        varphi_sup = _varphi_sup_estimate(fr, spec, cfg)
     t0, t1 = t_ball.c[0], t_ball.c[1]
     s0, s1 = s_ball.c[0], s_ball.c[1]
     s2 = s_ball.c[2] if len(s_ball.c) > 3 else s_ball.c[-1]
     u0, u1 = u_ball.c[0], u_ball.c[1]
     u2 = u_ball.c[2] if len(u_ball.c) > 3 else u_ball.c[-1]
+    r0 = s0 + u0
     q = fr.quality
+    rec = {"radii": {"t": t0, "s": s0, "u": u0}, "norms": dict(norms),
+           "eps": eps}
 
-    c_B, d_B = _b_difference_constants(f_c1, f_c2, lip_d2f, t0, s0, u0)
+    # zero order: the sup over the balls of B = (1 - X) Df(x0) xhat + T,
+    # |T| <= f_c2 r^2 / 2 + f_c3 r^3 / 6, through each update's gain
+    quad_sup = t0 * f_c1 * r0 + 0.5 * f_c2 * r0 ** 2 + f_c3 * r0 ** 3 / 6.0
+    pre_c = q.C_Pi * f_c0 / fr.model.b ** 2
+    gains = {"c": pre_c}
+    for name, lam in (("s", q.lam_s), ("u", q.lam_u)):
+        gains[name] = (q.C_Pi * q.C_U / (lam * (1.0 - t0))
+                       if np.isfinite(lam) else 0.0)
+    feas = {}
+    eps_max = math.inf
+    for name, ball, radius in (("c", "t", t0), ("s", "s", s0),
+                               ("u", "u", u0)):
+        bb = rec[f"b_{name}0"] = gains[name] * quad_sup
+        dd = rec[f"d_{name}0"] = gains[name] * varphi_sup
+        feas[ball] = bb + eps * dd <= radius
+        if dd > 0.0:
+            eps_max = min(eps_max, max((radius - bb) / dd, 0.0))
+        elif bb > radius:
+            eps_max = 0.0
+    rec["feasible"] = feas
+    rec["eps_max"] = eps_max
 
+    # differences: |B[v] - B[w]| <= c_B |xhat_v - xhat_w| + d_B |X_v - X_w|
+    c_B = f_c1 * t0 + r0 * (f_c3 * r0 + f_c2)
+    d_B = f_c1 * r0
     qq = 1.0 + t0
     ewh = math.exp(eta * qq * h)
-    z = math.exp(t1 * h) * (ewh - 1.0) / (eta * qq)
+    z = composite_factor(eta, t0, t1, h)
     orbit_c1 = f_c0
     lip_orbit_deriv = f_c1 * f_c0
     c_phi = L2 * ewh
     e_phi = L2 * qq * ewh
-    d_phi = L1 / (eta * (1.0 - t0) ** 2)
+    d_phi = L1 * inverse_flow_factor(eta, t0)
     d_phi += L2 * (z * (orbit_c1 + s1 + u1)
                    + qq * lip_orbit_deriv * z
                    + orbit_c1 * (ewh + t1 * z)
@@ -1028,10 +982,9 @@ def contraction_constants(fr, spec, cfg, t_ball, s_ball, u_ball,
     a_x = c_B + eps * c_phi
     a_dx = eps * e_phi
     # sup of the bundle integrand, entering through the 1/X difference
-    g_sup = _quadratic_sup(f_c1, f_c2, t0, s0, u0) + eps * float(varphi_sup)
+    g_sup = quad_sup + eps * varphi_sup
     a_X_sig = a_X + g_sup / (1.0 - t0)
 
-    pre_c = _center_gain(fr, f_c0)
     pre_sig = []
     for lam in (q.lam_s, q.lam_u):
         if np.isfinite(lam):
@@ -1046,14 +999,18 @@ def contraction_constants(fr, spec, cfg, t_ball, s_ball, u_ball,
         col_X += p * a_X_sig + (f_c1 * p + pre_d) * a_X_sig
         col_x += p * a_x + (f_c1 * p + pre_d) * a_x
         col_dx += p * a_dx + (f_c1 * p + pre_d) * a_dx
-    kappa = max(col_X, col_x, col_dx)
-    return {
+    rec.update({
         "c_B": c_B, "d_B": d_B,
         "c_phi": c_phi, "d_phi": d_phi, "e_phi": e_phi,
         "z": z, "g_sup": g_sup,
-        "kappa": kappa,
+        "kappa": max(col_X, col_x, col_dx),
         "columns": {"X": col_X, "xhat": col_x, "dxhat": col_dx},
-    }
+    })
+    return rec
+
+
+# ---------------------------------------------------------------------------
+# probes of the a-priori constants
 
 
 @dataclass(frozen=True)
@@ -1071,9 +1028,9 @@ class ContractionProbe:
 def contraction_probe(fr, spec, cfg, state_v, state_w):
     """Apply the operator to both states and compare the shrink ratio.
 
-    The measured ratio d(G v, G w) / d(v, w) must not exceed the
-    predicted kappa assembled from the difference-bound constants of
-    the common ball.
+    The measured ratio d(G v, G w) / d(v, w) on the run's core must not
+    exceed the predicted kappa of :func:`contraction_constants` on the
+    balls of ``state_v``.
     """
     run = _Run(fr, spec, cfg, state_v.X.t0)
     new_v, _ = gamma_step(fr, state_v, spec, cfg, run)
@@ -1081,8 +1038,7 @@ def contraction_probe(fr, spec, cfg, state_v, state_w):
     core_half = run.geo.core_half
     d_in = state_v.distance(state_w, cfg.eta, core_half)
     d_out = new_v.distance(new_w, cfg.eta, core_half)
-    consts = contraction_constants(fr, spec, cfg, state_v.t_ball,
-                                   state_v.s_ball, state_v.u_ball)
+    consts = contraction_constants(fr, spec, cfg, state_v.radii)
     measured = 0.0 if d_in == 0.0 else d_out / d_in
     ok = measured <= consts["kappa"] + 1e-12
     return ContractionProbe(distance_in=d_in, distance_out=d_out,
@@ -1090,59 +1046,50 @@ def contraction_probe(fr, spec, cfg, state_v, state_w):
                             constants=consts, ok=ok)
 
 
-def b_difference_probe(fr, state_v, state_w, eta, lip_d2f=0.0):
+def b_difference_probe(fr, spec, cfg, state_v, state_w):
     """Pointwise quadratic-term difference against its declared bound.
 
     Returns (lhs, rhs): the weighted sup of B[v] - B[w] over the nodes
-    and c_B |xhat_v - xhat_w|_eta + d_B |X_v - X_w|_eta. The bound uses
-    the states' own ball radii, which must agree, and the field norms
-    measured along the orbit window; ``eta`` is the WeightParam of the
-    norm.
+    and c_B |xhat_v - xhat_w|_eta + d_B |X_v - X_w|_eta, with c_B and
+    d_B from :func:`contraction_constants` on the states' balls, which
+    must agree. The bound holds node by node, so the whole window is
+    checked, not only the run's core.
     """
     if state_v.t_ball.c != state_w.t_ball.c:
         raise ValueError("probe states must share the declared balls")
+    eta = cfg.eta
     nodes = state_v.xs.nodes
     Bv, _ = _quadratic_batch(fr, state_v, nodes)
     Bw, _ = _quadratic_batch(fr, state_w, nodes)
-    diff = GridFunction(state_v.xs.half_width, state_v.xs.delta, Bv - Bw,
-                        extension="zero")
-    lhs = diff.norm_razumikhin(eta)
-    _, f_c1, f_c2 = orbit_field_norms(fr, state_v.xs.half_width)
-    c_B, d_B = _b_difference_constants(
-        f_c1, f_c2, lip_d2f, state_v.t_ball.c[0], state_v.s_ball.c[0],
-        state_v.u_ball.c[0])
+    lhs = state_v.xs.with_values(Bv - Bw).norm_razumikhin(eta)
+    consts = contraction_constants(fr, spec, cfg, state_v.radii)
     dx = (state_v.xs - state_w.xs + (state_v.xu - state_w.xu)) \
         .norm_razumikhin(eta)
     dX = (state_v.X.xhat - state_w.X.xhat).norm_razumikhin(eta)
-    return lhs, c_B * dx + d_B * dX
+    return lhs, consts["c_B"] * dx + consts["d_B"] * dX
 
 
-def varphi_difference_probe(fr, spec, state_v, state_w, eta):
+def varphi_difference_probe(fr, spec, cfg, state_v, state_w):
     """Reparametrized-perturbation difference against its bound.
 
-    lhs is the weighted sup over core nodes of varphi[v] - varphi[w]
-    (each with its own flow, the spec evaluated at eps = 0); rhs
-    assembles c_phi, d_phi, e_phi from the declared balls, the spec's
-    Lipschitz constants and the field norms along the orbit window.
-    The core keeps one time unit beyond the history margin
-    (1 + t_0) h. ``eta`` is the WeightParam of the norm.
+    lhs is the weighted sup over the run's core nodes of
+    varphi[v] - varphi[w], each read through its own flow on the run's
+    flow window and the spec evaluated at eps = 0; rhs assembles c_phi,
+    d_phi, e_phi of :func:`contraction_constants` on the balls of
+    ``state_v`` with the matching weighted distances on the core.
     """
-    T = state_v.xs.half_width
-    core_half = T - (1.0 + state_v.t_ball.c[0]) * spec.h - 1.0
-    reach = (T + spec.h) / max(1.0 - state_v.X.t0, 1e-9) + 1.0
+    run = _Run(fr, spec, cfg, state_v.X.t0)
+    core_half = run.geo.core_half
+    eta = cfg.eta
     nodes = state_v.xs.nodes
     keep = np.abs(nodes) <= core_half + 1e-12
     vals = []
     for st in (state_v, state_w):
-        flow = _state_flow(st, reach)
+        flow = _state_flow(st, run.geo.flow_half, run)
         vals.append(_varphi_batch(fr, st, spec, flow, nodes[keep], 0.0))
     mags = np.linalg.norm(vals[0] - vals[1], axis=1)
     lhs = float((mags * np.exp(-eta.eta * np.abs(nodes[keep]))).max())
-    cfg_like = OperatorConfig(eta=eta, window=T, eps=0.0,
-                              delta=state_v.xs.delta)
-    consts = contraction_constants(fr, spec, cfg_like, state_v.t_ball,
-                                   state_v.s_ball, state_v.u_ball,
-                                   varphi_sup=0.0)
+    consts = contraction_constants(fr, spec, cfg, state_v.radii)
     dx = (state_v.xs - state_w.xs + (state_v.xu - state_w.xu)) \
         .norm_razumikhin(eta, core_half)
     dX = (state_v.X.xhat - state_w.X.xhat).norm_razumikhin(eta, core_half)

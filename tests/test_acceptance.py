@@ -26,15 +26,15 @@ import numpy as np
 
 from hypershadow import flows
 from hypershadow.electrodynamics import (DelayField, Trajectory,
-                                         expansion_order_sweep, solve_delay)
+                                         expansion_order_sweep)
 from hypershadow.flows import ScalarField, solve_flow
 from hypershadow.funcspace import BallRadii, WeightParam
 from hypershadow.hyperbolic import (analytic_frame, builtin_model,
                                     floquet_frame, unit_circle_orbit)
 from hypershadow.invariance import (CorrectionState, OperatorConfig,
                                     aposteriori_bounds, b_difference_probe,
-                                    center_defect, gamma_step, initial_state,
-                                    iterate, propagated_bounds_report,
+                                    center_defect, contraction_constants,
+                                    gamma_step, initial_state, iterate,
                                     residual_fde, varphi_difference_probe)
 from hypershadow.perturbations import (HistorySegment, small_delay_q,
                                        neutral_delay, spec_from_descriptor,
@@ -303,7 +303,7 @@ def test_criterion_04_contraction_lemmas():
     cfg = base_cfg(eps=0.0, delta=0.2)
     for seed in range(100):
         v, wst = random_pair(fr, cfg, seed=seed)
-        lhs, rhs = b_difference_probe(fr, v, wst, cfg.eta)
+        lhs, rhs = b_difference_probe(fr, ZERO, cfg, v, wst)
         violations += lhs > rhs + slack
     assert violations == 0
 
@@ -312,7 +312,7 @@ def test_criterion_04_contraction_lemmas():
         lambda t, y: -0.5, h=1.0, lip_q=0.2, lip_r=0.0, traj_c1=1.3)
     for seed in range(100):
         v, wst = random_pair(fr, cfg, seed=1000 + seed)
-        lhs, rhs = varphi_difference_probe(fr, spec, v, wst, cfg.eta)
+        lhs, rhs = varphi_difference_probe(fr, spec, cfg, v, wst)
         violations += lhs > rhs + slack
     assert violations == 0
 
@@ -409,9 +409,9 @@ def test_criterion_08_electrodynamic_delays():
         assert gap <= 1e-12, name
 
     d, v = 2.0, 0.3
-    tau = solve_delay(observer, Trajectory.uniform((d, 0.0, 0.0),
-                                                   (v, 0.0, 0.0)), eps,
-                      window=4.0, delta=0.1)
+    tau = DelayField.solve(observer, Trajectory.uniform((d, 0.0, 0.0),
+                                                        (v, 0.0, 0.0)), eps,
+                           window=4.0, delta=0.1).tau
     want = eps * (d + v * tau.nodes) / (1.0 + eps * v)
     assert np.abs(tau.values[:, 0] - want).max() <= 1e-12
 
@@ -458,18 +458,19 @@ def test_criterion_10_propagated_bounds_feasibility():
     radii = (BallRadii((0.1, 1.0, 5.0)),
              BallRadii((0.1, 1.0, 1.0, 1.0)),
              BallRadii((0.1, 1.0, 1.0, 1.0)))
-    rep = propagated_bounds_report(fr, ZERO, cfg, radii,
-                                   f_norms=(1.0, 1.0, 1.0), varphi_sup=0.5)
+    rep = contraction_constants(fr, ZERO, cfg, radii, norms={
+        "f_c0": 1.0, "f_c1": 1.0, "f_c2": 1.0, "f_c3": 0.0,
+        "varphi_sup": 0.5})
     want = (0.1 * 1.0 * 0.2 + 0.5 * 1.0 * 0.2 ** 2) / 0.9  # = 0.0444...
-    assert abs(rep.b_s0 - want) <= 1e-12
+    assert abs(rep["b_s0"] - want) <= 1e-12
     assert abs(want - 0.044444444444444446) <= 1e-15
 
     # the same radii stay feasible under measured norms, with room for
     # the eps the converged runs actually used
-    measured = propagated_bounds_report(fr, sine_delay_spec(1.0, 2.0), cfg,
-                                        radii)
-    assert all(measured.feasible.values())
-    assert measured.eps_max >= 1e-2
+    measured = contraction_constants(fr, sine_delay_spec(1.0, 2.0), cfg,
+                                     radii)
+    assert all(measured["feasible"].values())
+    assert measured["eps_max"] >= 1e-2
 
     # and the iterations never left their declared balls, with level-0
     # occupancy far inside the feasible configuration above

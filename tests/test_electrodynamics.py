@@ -12,15 +12,13 @@ exactly. Circular motion about the observer keeps the distance constant,
 so tau = eps * R with a vanishing radial velocity term.
 """
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypershadow import electrodynamics as ed
 from hypershadow.flows import NumericalError
-from hypershadow.funcspace import GridFunction, load_grid_function
+from hypershadow.funcspace import GridFunction
 from hypershadow.perturbations import HistorySegment
 
 
@@ -190,26 +188,28 @@ class TestChargeSystem:
 
 class TestSolveDelay:
     def test_static_pair_exact(self):
-        g = ed.solve_delay(origin(), drifting(2.0, 0.0), 0.05,
-                           window=4.0, delta=0.1)
+        g = ed.DelayField.solve(origin(), drifting(2.0, 0.0), 0.05,
+                                window=4.0, delta=0.1).tau
         assert np.abs(g.values - 0.1).max() == 0.0
 
     def test_uniform_closed_form(self):
         d, v, eps = 2.0, 0.3, 0.05
-        g = ed.solve_delay(origin(), drifting(d, v), eps, window=4.0, delta=0.1)
+        g = ed.DelayField.solve(origin(), drifting(d, v), eps,
+                                window=4.0, delta=0.1).tau
         truth = eps * (d + v * g.nodes) / (1.0 + eps * v)
         assert np.abs(g.values[:, 0] - truth).max() < 1e-12
 
     def test_advanced_closed_form(self):
         d, v, eps = 2.0, 0.3, 0.05
-        g = ed.solve_delay(origin(), drifting(d, v), eps, mode="advanced",
-                           window=4.0, delta=0.1)
+        g = ed.DelayField.solve(origin(), drifting(d, v), eps,
+                                window=4.0, delta=0.1).sigma
         truth = eps * (d + v * g.nodes) / (1.0 - eps * v)
         assert np.abs(g.values[:, 0] - truth).max() < 1e-12
 
     def test_circular_centered_constant(self):
         qj = ed.Trajectory.circular([0.0, 0.0, 0.0], 1.5, 0.7)
-        g = ed.solve_delay(origin(), qj, 0.05, window=4.0, delta=0.1)
+        g = ed.DelayField.solve(origin(), qj, 0.05,
+                                window=4.0, delta=0.1).tau
         assert np.abs(g.values - 0.05 * 1.5).max() < 1e-13
 
     def test_defect_identity_every_node(self):
@@ -221,7 +221,7 @@ class TestSolveDelay:
         qj = ed.Trajectory.from_grid(path)
         qi = origin()
         eps = 0.08
-        g = ed.solve_delay(qi, qj, eps, window=4.0, delta=0.1)
+        g = ed.DelayField.solve(qi, qj, eps, window=4.0, delta=0.1).tau
         for t, tau in zip(g.nodes, g.values[:, 0]):
             defect = eps * np.linalg.norm(qi.pos(t) - qj.pos(t - tau)) - tau
             assert abs(defect) <= 1e-12
@@ -229,29 +229,26 @@ class TestSolveDelay:
 
     def test_contraction_precondition(self):
         with pytest.raises(ValueError, match="contraction"):
-            ed.solve_delay(origin(), drifting(2.0, 1.2), 1.0,
-                           window=4.0, delta=0.1)
+            ed.DelayField.solve(origin(), drifting(2.0, 1.2), 1.0,
+                                window=4.0, delta=0.1)
 
     def test_slow_contraction_hits_iteration_cap(self):
         # rate 0.999 passes the precondition but cannot reach 1e-13 in 200 steps
         with pytest.raises(ed.DelaySolveError, match="200"):
-            ed.solve_delay(origin(), drifting(5.0, 0.999), 1.0,
-                           window=2.0, delta=0.5)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            ed.solve_delay(origin(), drifting(), 0.05, mode="sideways",
-                           window=2.0, delta=0.5)
+            ed.DelayField.solve(origin(), drifting(5.0, 0.999), 1.0,
+                                window=2.0, delta=0.5)
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError, match="eps"):
-            ed.solve_delay(origin(), drifting(), -0.05, window=2.0, delta=0.5)
+            ed.DelayField.solve(origin(), drifting(), -0.05,
+                                window=2.0, delta=0.5)
 
     @settings(max_examples=25, deadline=None)
     @given(d=st.floats(1.5, 3.0), v=st.floats(-0.3, 0.3),
            eps=st.floats(0.01, 0.3))
     def test_uniform_family_property(self, d, v, eps):
-        g = ed.solve_delay(origin(), drifting(d, v), eps, window=2.0, delta=0.25)
+        g = ed.DelayField.solve(origin(), drifting(d, v), eps,
+                                window=2.0, delta=0.25).tau
         truth = eps * (d + v * g.nodes) / (1.0 + eps * v)
         assert np.abs(g.values[:, 0] - truth).max() < 1e-11
         assert g.values.min() >= 0.0
@@ -260,8 +257,7 @@ class TestSolveDelay:
 class TestDelayField:
     def test_solve_carries_diagnostics(self):
         fld = ed.DelayField.solve(origin(), drifting(), 0.05,
-                                  window=4.0, delta=0.1, pair=(0, 1))
-        assert fld.pair == (0, 1)
+                                  window=4.0, delta=0.1)
         assert fld.tau_defect <= 1e-13 and fld.sigma_defect <= 1e-13
         assert 1 <= fld.tau_iterations <= 200
 
@@ -275,35 +271,6 @@ class TestDelayField:
         g = GridFunction(1.0, 0.1, np.full(21, 0.01))
         with pytest.raises(ValueError, match="defect"):
             ed.DelayField(g, g, 0.05, tau_defect=1e-9)
-
-    def test_export_csv_roundtrip(self, tmp_path):
-        fld = ed.DelayField.solve(origin(), drifting(), 0.05,
-                                  window=2.0, delta=0.1, pair=(0, 1))
-        paths = fld.export_csv(tmp_path)
-        assert sorted(os.path.basename(p) for p in paths) == \
-            ["sigma_0_1.csv", "tau_0_1.csv"]
-        back = load_grid_function(paths[0])
-        assert np.array_equal(back.values, fld.tau.values)
-
-    def test_export_is_byte_deterministic(self, tmp_path):
-        blobs = []
-        for sub in ("a", "b"):
-            fld = ed.DelayField.solve(origin(), drifting(), 0.05,
-                                      window=2.0, delta=0.1)
-            p = fld.export_csv(tmp_path / sub)[0]
-            blobs.append(open(p, "rb").read())
-        assert blobs[0] == blobs[1]
-
-    def test_system_delays_all_ordered_pairs(self):
-        qc = ed.Trajectory.static([0.0, 3.0, 0.0])
-        sys = ed.ChargeSystem(
-            [origin(), drifting(), qc], masses=[1, 1, 1],
-            charges=[1, -1, 1], epsilon=0.02, xi2=0.5)
-        fields = ed.solve_system_delays(sys, window=2.0, delta=0.1)
-        assert set(fields) == {(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)}
-        for (i, j), fld in fields.items():
-            assert fld.pair == (i, j)
-            assert fld.tau_defect <= 1e-12
 
 
 def per_node_delays(qi, qj, eps, nodes, warm=True, tol=1e-13,
@@ -372,12 +339,14 @@ class TestNodeKernel:
         qi = ed.Trajectory.uniform([0.0, 0.0, 0.0], [0.0, 0.1, 0.0])
         qj = PARTNERS[name]()
         eps = 0.05
-        g = ed.solve_delay(qi, qj, eps, mode=mode, window=4.0, delta=0.1)
+        fld = ed.DelayField.solve(qi, qj, eps, window=4.0, delta=0.1)
+        g = fld.tau if mode == "retarded" else fld.sigma
         want, _, _ = per_node_field(qi, qj, eps, mode, g.nodes)
         assert np.abs(g.values[:, 0] - want).max() <= 1e-14
 
-        fld = ed.DelayField.solve(qi, qj, eps, window=4.0, delta=0.1)
-        got = fld.tau if mode == "retarded" else fld.sigma
+        # a second solve reproduces the field bit for bit
+        again = ed.DelayField.solve(qi, qj, eps, window=4.0, delta=0.1)
+        got = again.tau if mode == "retarded" else again.sigma
         assert np.array_equal(got.values, g.values)
         sign = -1.0 if mode == "retarded" else 1.0
         ts, vals = g.nodes, g.values[:, 0]
@@ -410,8 +379,8 @@ class TestNodeKernel:
         with pytest.raises(ed.DelaySolveError,
                            match=r"t=-2 still moving after 200 iterations; "
                                  r"last update \d"):
-            ed.solve_delay(origin(), drifting(5.0, 0.999), 1.0,
-                           window=2.0, delta=0.5)
+            ed.DelayField.solve(origin(), drifting(5.0, 0.999), 1.0,
+                                window=2.0, delta=0.5)
 
     def test_nan_partner_is_a_numerical_error(self):
         # the first node whose partner position is lost is t = 1.1
@@ -422,8 +391,8 @@ class TestNodeKernel:
         # the advance at t = 1 reads the partner at 1 + 0.1: iterate 1
         with pytest.raises(NumericalError,
                            match=r"t=1 is not finite on iterate 1"):
-            ed.solve_delay(origin(), nan_after(1.05), 0.05, mode="advanced",
-                           window=1.0, delta=0.1)
+            ed.DelayField.solve(origin(), nan_after(1.05), 0.05,
+                                window=1.0, delta=0.1)
 
     def test_nan_velocity_rate_is_a_numerical_error(self):
         # a NaN rate fails every comparison, so it used to skip the
@@ -432,7 +401,7 @@ class TestNodeKernel:
             lambda t: [2.0 + 5.0 * t, 0.0, 0.0], lambda t: [np.nan] * 3, 3)
         with pytest.raises(NumericalError,
                            match=r"contraction rate .* is not finite \(nan\)"):
-            ed.solve_delay(origin(), fast, 1.0, window=2.0, delta=0.5)
+            ed.DelayField.solve(origin(), fast, 1.0, window=2.0, delta=0.5)
 
     @pytest.mark.parametrize("what,pos,vel", [
         # velocity lost only in the delay allowance beyond the window
@@ -489,8 +458,10 @@ class TestSymmetries:
         eps_list = [4e-3, 2e-3, 1e-3]
         gaps = []
         for eps in eps_list:
-            f_ij = ed.solve_delay(qi, qj, eps, window=4.0, delta=0.1)
-            f_ji = ed.solve_delay(qj, qi, eps, window=4.0, delta=0.1)
+            f_ij = ed.DelayField.solve(qi, qj, eps, window=4.0,
+                                       delta=0.1).tau
+            f_ji = ed.DelayField.solve(qj, qi, eps, window=4.0,
+                                       delta=0.1).tau
             gaps.append(np.abs(f_ij.values - f_ji.values).max())
         slope = loglog_slope(eps_list, gaps)
         assert abs(slope - 2.0) < 0.1
@@ -499,10 +470,10 @@ class TestSymmetries:
         # both trajectories shifted: measured change <= eps/(1-kappa) * total
         qa, qb = origin(), drifting(2.0, 0.3)
         eps, shift = 0.05, 1e-3
-        g1 = ed.solve_delay(qa, qb, eps, window=4.0, delta=0.1)
-        g2 = ed.solve_delay(qa.shifted([shift, 0.0, 0.0]),
-                            qb.shifted([0.0, shift, 0.0]), eps,
-                            window=4.0, delta=0.1)
+        g1 = ed.DelayField.solve(qa, qb, eps, window=4.0, delta=0.1).tau
+        g2 = ed.DelayField.solve(qa.shifted([shift, 0.0, 0.0]),
+                                 qb.shifted([0.0, shift, 0.0]), eps,
+                                 window=4.0, delta=0.1).tau
         moved = np.abs(g1.values - g2.values).max()
         kappa = eps * 0.3
         assert moved <= eps / (1.0 - kappa) * 2.0 * shift

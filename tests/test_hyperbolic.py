@@ -12,7 +12,6 @@ from hypershadow.hyperbolic import (
     OdeModel,
     QualityMeasures,
     analytic_frame,
-    augment_nonautonomous,
     builtin_model,
     bundle_characterization_test,
     floquet_frame,
@@ -138,6 +137,13 @@ class TestOdeModel:
         good = builtin_model("planar-limit-cycle")
         bad = OdeModel(2, good.f, lambda x: good.df(x) + 0.01, good.d2f, 1.0)
         with pytest.raises(ValueError, match="df disagrees"):
+            bad.check_derivatives(np.array([[0.5, 0.5]]))
+
+    def test_missing_curvature_is_caught(self):
+        good = builtin_model("planar-limit-cycle")
+        bad = OdeModel(2, good.f, good.df,
+                       lambda x: np.zeros((len(x), 2, 2, 2)), 1.0)
+        with pytest.raises(ValueError, match="d2f disagrees"):
             bad.check_derivatives(np.array([[0.5, 0.5]]))
 
     def test_quality_validation(self):
@@ -298,55 +304,6 @@ class TestConvolve:
         ws = np.ones((9, 2))
         out = cycle_frame.convolve_unstable(np.array([0.0]), vs, ws)
         assert np.abs(out).max() == 0.0
-
-
-class TestAugmentation:
-    def test_forced_linear_orbit_is_exact(self):
-        a = 0.05
-
-        def g(x, t):
-            return np.column_stack([np.ones_like(t),
-                                    -x[:, 1] + a * np.sin(t), x[:, 2]])
-
-        def jac(x, t):
-            out = np.zeros((len(t), 3, 4))
-            out[:, 1, 1] = -1.0
-            out[:, 1, 3] = a * np.cos(t)
-            out[:, 2, 2] = 1.0
-            return out
-
-        def hess(x, t):
-            out = np.zeros((len(t), 3, 4, 4))
-            out[:, 1, 3, 3] = -a * np.sin(t)
-            return out
-
-        model = augment_nonautonomous(g, jac, 3, hess=hess)
-        assert model.n == 4
-        model.check_derivatives(np.array([[0.1, 0.2, 0.0, 0.7]]))
-        for t in np.linspace(-3.0, 3.0, 13):
-            y = np.array([t, a * (math.sin(t) - math.cos(t)) / 2.0, 0.0, t])
-            ydot = np.array([1.0, a * (math.cos(t) + math.sin(t)) / 2.0,
-                             0.0, 1.0])
-            assert np.abs(model.f_batch([y])[0] - ydot).max() <= 1e-14
-
-    def test_zero_field_augments_to_clock(self):
-        model = augment_nonautonomous(
-            lambda x, t: np.zeros_like(x),
-            lambda x, t: np.zeros((len(t), 2, 3)), 2)
-        assert model.f_batch([[3.0, -1.0, 5.0]])[0] == pytest.approx(
-            [0.0, 0.0, 1.0])
-
-    def test_missing_curvature_is_caught(self):
-        def g(x, t):
-            return np.sin(t)[:, None] * x
-
-        def jac(x, t):
-            return np.stack([np.sin(t), x[:, 0] * np.cos(t)],
-                            axis=-1)[:, None, :]
-
-        model = augment_nonautonomous(g, jac, 1)  # hess omitted on purpose
-        with pytest.raises(ValueError, match="d2f disagrees"):
-            model.check_derivatives(np.array([[1.0, 0.9]]))
 
 
 class TestDescriptors:

@@ -47,7 +47,6 @@ from hypershadow.invariance import (
     initial_state,
     iterate,
     orbit_field_norms,
-    propagated_bounds_report,
     range_defect,
     resolve_geometry,
     residual_fde,
@@ -1028,6 +1027,11 @@ class TestAposteriori:
         assert np.abs(final.X.xhat.values).max() <= table[("X", 0)]
 
 
+# field norms and perturbation sup given, as a record's ``norms`` entry
+UNIT_NORMS = {"f_c0": 1.0, "f_c1": 1.0, "f_c2": 1.0, "f_c3": 0.0,
+              "varphi_sup": 0.5}
+
+
 class TestPropagatedBounds:
     def test_hand_evaluated_stable_constant(self):
         fr = lin_frame()
@@ -1035,17 +1039,15 @@ class TestPropagatedBounds:
         radii = (BallRadii((0.1, 1.0, 5.0)),
                  BallRadii((0.1, 1.0, 1.0, 1.0)),
                  BallRadii((0.1, 1.0, 1.0, 1.0)))
-        rep = propagated_bounds_report(fr, ZERO, cfg, radii,
-                                       f_norms=(1.0, 1.0, 1.0),
-                                       varphi_sup=0.5)
+        rep = contraction_constants(fr, ZERO, cfg, radii, norms=UNIT_NORMS)
         want = (0.1 * 1.0 * 0.2 + 0.5 * 1.0 * 0.2 ** 2) / 0.9
-        assert rep.b_s0 == pytest.approx(want, abs=1e-12)
-        assert rep.b_u0 == pytest.approx(want, abs=1e-12)
-        assert rep.b_c0 == pytest.approx(0.04, abs=1e-12)
-        assert rep.d_s0 == pytest.approx(0.5 / 0.9, abs=1e-12)
-        assert all(rep.feasible.values())
-        assert rep.eps_max == pytest.approx((0.1 - want) / (0.5 / 0.9),
-                                            rel=1e-9)
+        assert rep["b_s0"] == pytest.approx(want, abs=1e-12)
+        assert rep["b_u0"] == pytest.approx(want, abs=1e-12)
+        assert rep["b_c0"] == pytest.approx(0.04, abs=1e-12)
+        assert rep["d_s0"] == pytest.approx(0.5 / 0.9, abs=1e-12)
+        assert all(rep["feasible"].values())
+        assert rep["eps_max"] == pytest.approx((0.1 - want) / (0.5 / 0.9),
+                                               rel=1e-9)
 
     def test_zero_radii_leave_only_perturbation_terms(self):
         fr = lin_frame()
@@ -1053,12 +1055,10 @@ class TestPropagatedBounds:
         radii = (BallRadii((0.0, 1.0, 5.0)),
                  BallRadii((0.0, 1.0, 1.0, 1.0)),
                  BallRadii((0.0, 1.0, 1.0, 1.0)))
-        rep = propagated_bounds_report(fr, ZERO, cfg, radii,
-                                       f_norms=(1.0, 1.0, 1.0),
-                                       varphi_sup=0.5)
-        assert rep.b_c0 == rep.b_s0 == rep.b_u0 == 0.0
-        assert rep.d_s0 > 0.0
-        assert rep.eps_max == 0.0  # any eps > 0 overflows a zero radius
+        rep = contraction_constants(fr, ZERO, cfg, radii, norms=UNIT_NORMS)
+        assert rep["b_c0"] == rep["b_s0"] == rep["b_u0"] == 0.0
+        assert rep["d_s0"] > 0.0
+        assert rep["eps_max"] == 0.0  # any eps > 0 overflows a zero radius
 
     def test_infeasibility_is_flagged_not_raised(self):
         fr = lin_frame()
@@ -1066,11 +1066,9 @@ class TestPropagatedBounds:
         tiny = (BallRadii((1e-4, 1.0, 5.0)),
                 BallRadii((1e-4, 1.0, 1.0, 1.0)),
                 BallRadii((1e-4, 1.0, 1.0, 1.0)))
-        rep = propagated_bounds_report(fr, ZERO, cfg, tiny,
-                                       f_norms=(1.0, 1.0, 1.0),
-                                       varphi_sup=0.5)
-        assert not any(rep.feasible.values())
-        assert rep.eps_max < cfg.eps
+        rep = contraction_constants(fr, ZERO, cfg, tiny, norms=UNIT_NORMS)
+        assert not any(rep["feasible"].values())
+        assert rep["eps_max"] < cfg.eps
 
     def test_measured_norms_are_used_when_not_given(self):
         fr = lin_frame()
@@ -1078,13 +1076,37 @@ class TestPropagatedBounds:
         radii = (BallRadii((0.1, 1.0, 5.0)),
                  BallRadii((0.1, 1.0, 1.0, 1.0)),
                  BallRadii((0.1, 1.0, 1.0, 1.0)))
-        rep = propagated_bounds_report(fr, sine_delay_spec(1.0, 2.0), cfg,
-                                       radii)
-        # the straight-line orbit has |f| = 1, |Df| = 1, D2f = 0
-        assert rep.norms["f_c0"] == pytest.approx(1.0, abs=1e-12)
-        assert rep.norms["f_c1"] == pytest.approx(1.0, abs=1e-12)
-        assert rep.norms["f_c2"] == pytest.approx(0.0, abs=1e-12)
-        assert 0.0 < rep.norms["varphi_sup"] <= 1.0
+        rep = contraction_constants(fr, sine_delay_spec(1.0, 2.0), cfg,
+                                    radii)
+        # the straight-line orbit has |f| = 1, |Df| = 1, D2f = D3f = 0
+        assert rep["norms"]["f_c0"] == pytest.approx(1.0, abs=1e-12)
+        assert rep["norms"]["f_c1"] == pytest.approx(1.0, abs=1e-12)
+        assert rep["norms"]["f_c2"] == pytest.approx(0.0, abs=1e-12)
+        assert rep["norms"]["f_c3"] == 0.0
+        assert 0.0 < rep["norms"]["varphi_sup"] <= 1.0
+
+    def test_one_record_samples_the_field_norms_once(self, monkeypatch):
+        calls = []
+        sample = invariance.orbit_field_norms
+
+        def counted(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(invariance, "orbit_field_norms", counted)
+        fr = cubic_frame()
+        cfg = base_cfg(eps=1e-2)
+        rec = contraction_constants(fr, sine_delay_spec(1.0, 2.0), cfg,
+                                    initial_state(fr, cfg).radii)
+        assert len(calls) == 1
+        assert {"b_c0", "feasible", "eps_max", "c_B", "d_B", "c_phi",
+                "d_phi", "e_phi", "z", "g_sup", "columns",
+                "kappa"} <= set(rec)
+        # a record rebuilt from its own norms samples nothing
+        again = contraction_constants(fr, sine_delay_spec(1.0, 2.0), cfg,
+                                      initial_state(fr, cfg).radii,
+                                      norms=rec["norms"])
+        assert len(calls) == 1 and again == rec
 
 
 @pytest.mark.parametrize("frame", ["cubic", "floquet"])
@@ -1100,13 +1122,27 @@ def test_orbit_field_norms_match_per_sample_norms(frame):
     n = fr.model.n
     Df = fr.model.df_batch(pts)
     D2 = fr.model.d2f_batch(pts)
+
+    def d3(x):
+        # forward differences of D2f along each axis, step 1
+        here = fr.model.d2f_batch([x])[0].reshape(n, n * n)
+        norms = [np.linalg.norm(
+            fr.model.d2f_batch([x + e])[0].reshape(n, n * n) - here, 2)
+            for e in np.eye(n)]
+        return math.sqrt(sum(v * v for v in norms))
+
     want = (float(np.linalg.norm(fr.model.f_batch(pts), axis=1).max()),
             max(float(np.linalg.norm(Df[k], 2)) for k in range(ts.size)),
             max(float(np.linalg.norm(D2[k].reshape(n, n * n), 2))
-                for k in range(ts.size)))
-    assert got == want
+                for k in range(ts.size)),
+            max(d3(x) for x in pts))
+    assert got[:3] == want[:3]
+    assert got[3] == pytest.approx(want[3], rel=1e-14, abs=1e-14)
     if frame == "floquet":
         assert got[2] > 0.0
+    # both models are cubic, so the differences are D3f itself
+    assert got[3] == pytest.approx(
+        {"cubic": 3.0, "floquet": math.sqrt(80.0)}[frame], rel=1e-12)
 
 
 class TestContraction:
@@ -1152,7 +1188,7 @@ class TestContraction:
         cfg = base_cfg(eps=0.0)
         for seed in (11, 12, 13):
             v, w = random_pair(fr, cfg, seed=seed)
-            lhs, rhs = b_difference_probe(fr, v, w, cfg.eta)
+            lhs, rhs = b_difference_probe(fr, ZERO, cfg, v, w)
             assert lhs <= rhs + 1e-12
 
     def test_quadratic_probe_requires_shared_balls(self):
@@ -1161,7 +1197,7 @@ class TestContraction:
         v, _ = random_pair(fr, cfg, seed=2)
         other = initial_state(fr, cfg)
         with pytest.raises(ValueError, match="share the declared balls"):
-            b_difference_probe(fr, v, other, cfg.eta)
+            b_difference_probe(fr, ZERO, cfg, v, other)
 
     def test_perturbation_difference_probe_is_bounded(self):
         fr = lin_frame()
@@ -1171,7 +1207,7 @@ class TestContraction:
             lambda t, y: -0.5, h=1.0, lip_q=0.2, lip_r=0.0, traj_c1=1.3)
         for seed in (21, 22):
             v, w = random_pair(fr, cfg, seed=seed)
-            lhs, rhs = varphi_difference_probe(fr, spec, v, w, cfg.eta)
+            lhs, rhs = varphi_difference_probe(fr, spec, cfg, v, w)
             assert lhs <= rhs + 1e-12
 
     def test_predicted_constants_expose_their_parts(self):
@@ -1179,15 +1215,63 @@ class TestContraction:
         cfg = base_cfg(eps=1e-3)
         spec = sine_delay_spec(0.5, 1.0)
         consts = contraction_constants(fr, spec, cfg,
-                                       BallRadii((0.1, 0.5, 2.0)),
-                                       BallRadii((0.1, 0.5, 2.0, 10.0)),
-                                       BallRadii((0.1, 0.5, 2.0, 10.0)))
+                                       (BallRadii((0.1, 0.5, 2.0)),
+                                        BallRadii((0.1, 0.5, 2.0, 10.0)),
+                                        BallRadii((0.1, 0.5, 2.0, 10.0))))
         assert consts["d_B"] == pytest.approx(0.2, abs=1e-12)
-        assert consts["c_B"] == pytest.approx(0.1, abs=1e-12)  # f_c2 = 0
+        # f_c2 = f_c3 = 0
+        assert consts["c_B"] == pytest.approx(0.1, abs=1e-12)
         assert consts["c_phi"] > 0.0 and consts["d_phi"] > 0.0
         assert consts["e_phi"] > consts["c_phi"]  # q = 1 + t0 > 1
         assert set(consts["columns"]) == {"X", "xhat", "dxhat"}
         assert consts["kappa"] == max(consts["columns"].values())
+
+    def test_cubic_field_carries_the_third_derivative(self):
+        # saddle-cubic (0.4, -0.3): D2f vanishes on the straight orbit,
+        # D3f does not; c_B = f_c1 t0 + (s0 + u0) (f_c3 (s0 + u0) + f_c2)
+        fr = cubic_frame()
+        cfg = base_cfg(eps=0.0)
+        radii = (BallRadii((0.1, 0.5, 2.0)),
+                 BallRadii((0.1, 0.5, 2.0, 10.0)),
+                 BallRadii((0.1, 0.5, 2.0, 10.0)))
+        consts = contraction_constants(fr, ZERO, cfg, radii)
+        norms = consts["norms"]
+        assert norms["f_c2"] == 0.0
+        assert norms["f_c3"] == pytest.approx(3.0, rel=1e-12)
+        assert consts["c_B"] == pytest.approx(
+            norms["f_c1"] * 0.1 + 0.2 ** 2 * 3.0, rel=1e-12)
+        flat = contraction_constants(fr, ZERO, cfg, radii,
+                                     norms={**norms, "f_c3": 0.0})
+        assert consts["c_B"] - flat["c_B"] == pytest.approx(0.2 ** 2 * 3.0,
+                                                             rel=1e-12)
+
+    def test_probes_read_the_run_geometry(self, monkeypatch):
+        fr = lin_frame()
+        cfg = base_cfg(eps=0.0)
+        spec = sine_delay_spec(0.5, 1.0)
+        v, w = random_pair(fr, cfg, seed=5)
+        geo = resolve_geometry(cfg, fr, spec.h, v.X.t0)
+        reaches = []
+        flow_of = invariance._state_flow
+
+        def spy(state, half_width, run=None):
+            reaches.append(half_width)
+            return flow_of(state, half_width, run)
+
+        monkeypatch.setattr(invariance, "_state_flow", spy)
+        varphi_difference_probe(fr, spec, cfg, v, w)
+        assert reaches == [geo.flow_half, geo.flow_half]
+        cores = []
+        norm = GridFunction.norm_razumikhin
+
+        def spy_norm(self, weight, core_half=None):
+            cores.append(core_half)
+            return norm(self, weight, core_half)
+
+        monkeypatch.setattr(GridFunction, "norm_razumikhin", spy_norm)
+        varphi_difference_probe(fr, spec, cfg, v, w)
+        contraction_probe(fr, spec, cfg, v, w)
+        assert set(cores) == {geo.core_half}
 
 
 class TestReports:
