@@ -403,13 +403,15 @@ def cmd_verify(scn, state_dir, max_iters=None, quiet=False):
         _complain(str(exc))
         return 1
     try:
-        step1, d1 = gamma_step(fr, state, spec, cfg)
+        # both applications share one run layout
+        run = _Run(fr, spec, cfg, state.X.t0)
+        step1, d1 = gamma_step(fr, state, spec, cfg, run)
         e_eta = d1["d_eta"] + d1["tail_s"] + d1["tail_u"]
         if d1["d_eta"] <= cfg.tol_eta:
             kappa = 0.0
         else:
             # one more application measures the local contraction ratio
-            _, d2 = gamma_step(fr, step1, spec, cfg)
+            _, d2 = gamma_step(fr, step1, spec, cfg, run)
             kappa = d2["d_eta"] / d1["d_eta"]
     except _OPERATOR_FAILURES as exc:
         return _fail(exc, "state")
@@ -429,7 +431,9 @@ def cmd_verify(scn, state_dir, max_iters=None, quiet=False):
         "tail_u": d1["tail_u"],
         "components": {k: d1[k] for k in ("E_c", "E_s", "E_u",
                                           "DE_s", "DE_u")},
-        "state_dir": str(state_dir),
+        # relative to the output, so the record does not depend on
+        # where the two directories live
+        "state_dir": os.path.relpath(state_dir, out),
         "seed": scn.seed,
     }
     write_lines(os.path.join(out, "verify.json"), [json_text(record)])

@@ -279,11 +279,6 @@ class ChargeSystem:
     def N(self):
         return len(self.trajectories)
 
-    def pair(self, i, j):
-        if i == j:
-            raise ValueError("a particle has no delay to itself")
-        return self.trajectories[i], self.trajectories[j]
-
     def descriptor(self):
         force = getattr(self.pair_force, "force_id", "custom")
         fdesc = {"id": force}

@@ -104,12 +104,6 @@ class ScalarField:
                                 extension="zero")
         return cls(g, ball if ball is not None else BallRadii((0.0, 0.0)))
 
-    @classmethod
-    def from_callable(cls, fn, half_width, delta, ball, extension="zero"):
-        """The field whose deviation X - 1 is ``fn(times (k,)) -> (k,)``."""
-        g = GridFunction.sample(fn, half_width, delta, extension=extension)
-        return cls(g, ball)
-
     @functools.cached_property
     def _cells(self):
         # built on first lookup; the field never changes after that

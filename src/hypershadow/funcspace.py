@@ -119,20 +119,25 @@ def fd_weights(x, x0, k):
 def lattice(half_width, delta):
     """The nodes -T + i delta, i < n = floor(2T/delta + 1e-9) + 1, of the
     window [-T, T]: the one rule for which points a window holds. The
-    window must hold whole cells, 2T/delta within 1e-6 of n - 1."""
-    half_width, delta = float(half_width), float(delta)
+    window must hold whole cells, 2T/delta within 1e-6 of n - 1. The
+    array is built once per geometry and shared read-only."""
+    return _lattice(float(half_width), float(delta))
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=32)
+def _lattice(half_width, delta):
     cells = 2.0 * half_width / delta
     n = int(np.floor(cells + 1e-9)) + 1
     if abs(cells - (n - 1)) > 1e-6:
         raise ValueError(
             f"window must hold an integer number of grid cells: "
             f"2 * {half_width!r} / {delta!r} = {cells:.12g}")
-    return -half_width + np.arange(n) * delta
-
-
-def _frozen(a):
-    a.flags.writeable = False
-    return a
+    return _frozen(-half_width + np.arange(n) * delta)
 
 
 @functools.cache
@@ -183,8 +188,8 @@ class GridFunction:
 
     Instances are immutable after construction. ``eval(t)`` builds, applies
     and drops a :class:`GridSampler`. Derivatives are cached per order;
-    difference weights are tabulated once per grid geometry and shared
-    by every grid of that geometry.
+    the nodes and the difference weights are tabulated once per grid
+    geometry and shared, read-only, by every grid of that geometry.
     """
 
     __slots__ = ("half_width", "delta", "values", "interp_order",
@@ -246,9 +251,11 @@ class GridFunction:
         """Build a GridFunction from ``fn(nodes)``, one batched call.
 
         ``fn`` maps the 1-D array of node times to (n,) or (n, m)
-        values; wrap a function of one time with :func:`pointwise`.
+        values; wrap a function of one time with :func:`pointwise`. It
+        gets a copy of the shared :func:`lattice`, which it may write
+        into or return as the values.
         """
-        return cls(half_width, delta, fn(lattice(half_width, delta)),
+        return cls(half_width, delta, fn(lattice(half_width, delta).copy()),
                    interp_order=interp_order, extension=extension)
 
     def with_values(self, values, extension=None):
@@ -559,10 +566,6 @@ class BallRadii:
         if j < 0 or j > self.ell:
             raise ValueError("no such derivative level")
         return self.c[j]
-
-    @property
-    def lip(self):
-        return self.c[-1]
 
     @classmethod
     def uniform(cls, ell, value):

@@ -141,31 +141,51 @@ class FrameTable:
     and a table made on the spot for raw times computes only what its
     caller reads. ``np.asarray(table)`` gives the times, so a table goes
     wherever times go. ``take(rows)`` cuts a table for some of the times
-    out of one whose basis is evaluated once for all of them.
+    out of this one: each value it reads is those rows of this one's,
+    evaluated once for all of the times.
+
+    A table also keeps what the frame composes from its values: the
+    projector onto each bundle (``projector(sigma)``) and, in ``plans``,
+    the plan of each bundle sum over these times, keyed by the bundle
+    and the table of the weights' times (see ``_BundlePlan``).
     """
 
     def __init__(self, frame, times):
         self.frame = frame
         self.times = np.asarray(times, dtype=float)
+        self.plans = {}
+        self._projectors = {}
+        self._cut = None  # (parent table, rows) of a table from take
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.times, dtype=dtype, copy=copy)
 
+    def _value(self, name, compute):
+        if self._cut is None:
+            return compute()
+        parent, rows = self._cut
+        return getattr(parent, name)[rows]
+
     @cached_property
     def x0(self):
-        return self.frame.orbit_batch(self.times)
+        return self._value("x0", lambda: self.frame.orbit_batch(self.times))
 
     @cached_property
     def f0(self):
-        return self.frame.model.f_batch(self.x0)
+        return self._value("f0", lambda: self.frame.model.f_batch(self.x0))
 
     @cached_property
     def df0(self):
-        return self.frame.model.df_batch(self.x0)
+        return self._value("df0", lambda: self.frame.model.df_batch(self.x0))
 
     @cached_property
     def _basis_pair(self):
-        return self.frame._basis(self.times)
+        if self._cut is None:
+            return self.frame._basis(self.times)
+        parent, rows = self._cut
+        A, Ainv = parent._basis_pair
+        # a basis that does not move is one matrix for every time
+        return (A, Ainv) if len(A) == 1 else (A[rows], Ainv[rows])
 
     @property
     def A(self):
@@ -175,12 +195,18 @@ class FrameTable:
     def Ainv(self):
         return self._basis_pair[1]
 
+    def projector(self, sigma):
+        """The projection onto bundle ``sigma`` at each time, (k, n, n),
+        or (1, n, n) when the basis does not move."""
+        if sigma not in self._projectors:
+            self._projectors[sigma] = self.frame._projector(sigma, self.A,
+                                                            self.Ainv)
+        return self._projectors[sigma]
+
     def take(self, rows):
-        """The table at ``times[rows]``, its basis the rows of this one's."""
+        """The table at ``times[rows]``, its values the rows of this one's."""
         sub = FrameTable(self.frame, self.times[rows])
-        A, Ainv = self._basis_pair
-        # a basis that does not move is one matrix for every time
-        sub._basis_pair = (A, Ainv) if len(A) == 1 else (A[rows], Ainv[rows])
+        sub._cut = (self, rows)
         return sub
 
 
@@ -202,6 +228,8 @@ class _FrameBase:
     because the linearized flow moves f(x0(v)) onto f(x0(rho)); a bundle
     sum carries each weight to the node that collects it and runs the
     decay scan with the carries between neighbouring nodes as factors.
+    Everything of a bundle sum but its weights is composed once per pair
+    of tables, as a ``_BundlePlan``.
 
     Every method taking times also takes a :class:`FrameTable` of this
     frame from ``table(ts)``, the one place tables are made, and reads
@@ -221,37 +249,24 @@ class _FrameBase:
         # the orbit solves the unperturbed equation, so its derivative is f(x0)
         return self.table(ts).f0
 
-    def df_along_orbit(self, ts):
-        return self.table(ts).df0
-
     def _slot(self, sigma):
         """Columns of the adapted basis that span bundle ``sigma``."""
         _, n_s, n_u = self.dims
         return {"c": slice(0, 1), "s": slice(1, 1 + n_s),
                 "u": slice(1 + n_s, 1 + n_s + n_u)}[sigma]
 
-    def _bases(self, ts):
-        """(A, Ainv) at ``ts``, read through ``table(ts)``."""
-        tab = self.table(ts)
-        return tab.A, tab.Ainv
-
     def _projector(self, sigma, A, Ainv):
         sl = self._slot(sigma)
         return A[:, :, sl] @ Ainv[:, sl, :]
 
-    def basis(self, sigma, rho=0.0):
-        A, _ = self._bases(np.atleast_1d(float(rho)))
-        return A[0][:, self._slot(sigma)]
-
     def proj_batch(self, rhos):
-        A, Ainv = self._bases(rhos)
-        shape = (np.size(rhos),) + A.shape[1:]
-        return tuple(np.broadcast_to(self._projector(sigma, A, Ainv),
-                                     shape).copy() for sigma in "csu")
+        tab = self.table(rhos)
+        shape = (np.size(rhos),) + tab.A.shape[1:]
+        return tuple(np.broadcast_to(tab.projector(sigma), shape).copy()
+                     for sigma in "csu")
 
     def proj_apply(self, sigma, rhos, vecs):
-        A, Ainv = self._bases(rhos)
-        return _apply(self._projector(sigma, A, Ainv),
+        return _apply(self.table(rhos).projector(sigma),
                       np.asarray(vecs, dtype=float))
 
     # -- propagators ------------------------------------------------------
@@ -276,8 +291,8 @@ class _FrameBase:
                 C[:, sl, sl] = 1.0
             elif sl.stop > sl.start:
                 C[:, sl, sl] = self._carry(sigma, to, frm)
-        A = self._bases(rhos if isinstance(rhos, FrameTable) else to)[0]
-        Ainv = self._bases(vs if isinstance(vs, FrameTable) else frm)[1]
+        A = self.table(rhos if isinstance(rhos, FrameTable) else to).A
+        Ainv = self.table(vs if isinstance(vs, FrameTable) else frm).Ainv
         return A @ C @ Ainv
 
     # -- weighted propagator sums ---------------------------------------
@@ -298,22 +313,13 @@ class _FrameBase:
         return self._bundle_sum("u", rhos, vs, wvs)
 
     def _bundle_sum(self, sigma, rhos, vs, wvs):
-        # rhos and vs may be tables: times for the sweep, bases from _bases
-        ts, us, order, owner, keep = _sweep(rhos, vs, sigma == "s")
-        sl = self._slot(sigma)
-        if sl.stop == sl.start:
-            return np.zeros((ts.size, self.model.n))
-        coords = _apply(self._bases(vs)[1][:, sl, :],
-                        np.asarray(wvs, dtype=float))[keep]
-        nodes = ts[order]
-        owner = owner[keep]
-        load = np.zeros((ts.size, sl.stop - sl.start))
-        np.add.at(load, owner,
-                  _apply(self._carry(sigma, nodes[owner], us[keep]), coords))
-        fac = np.zeros(load.shape + load.shape[1:])
-        fac[1:] = self._carry(sigma, nodes[1:], nodes[:-1])
-        return _apply(self._bases(rhos)[0][:, :, sl],
-                      _decay_scan(fac, load)[order])
+        # the plan lives on the table of rhos, keyed by the table of vs;
+        # tables made on the spot for raw times drop theirs after the call
+        rhos, vs = self.table(rhos), self.table(vs)
+        key = (sigma, vs)
+        if key not in rhos.plans:
+            rhos.plans[key] = _BundlePlan(self, sigma, rhos, vs)
+        return rhos.plans[key](wvs)
 
     def descriptor(self):
         return {
@@ -360,20 +366,75 @@ def _sweep(rhos, vs, stable):
     return rhos, vs, order, owner, owner < K
 
 
-def _decay_scan(fac, load):
+class _BundlePlan:
+    """A bundle sum over fixed tables of rhos and vs, all but the weights.
+
+    Built by ``_FrameBase._bundle_sum`` once per pair of tables: the
+    sweep (node order, the node that collects each v, the mask of
+    collected v), the carry of each v to its node, the doubling factors
+    of the decay scan (:func:`_doubling_factors`) and the basis slices
+    of the bundle. Calling it with the weights makes one projection, one
+    ``np.add.at``, one vector update per doubling pass and one basis
+    product: no carry and no matrix-matrix product.
+    """
+
+    def __init__(self, frame, sigma, rhos, vs):
+        # the ascending check of the sweep comes before the empty bundle
+        ts, us, order, owner, keep = _sweep(rhos, vs, sigma == "s")
+        sl = frame._slot(sigma)
+        self.size = ts.size
+        self.n = frame.model.n
+        self.empty = sl.stop == sl.start
+        if self.empty:
+            return
+        nodes = ts[order]
+        self.order, self.keep, self.owner = order, keep, owner[keep]
+        self.Ainv = vs.Ainv[:, sl, :]
+        self.A = rhos.A[:, :, sl]
+        self.carries = frame._carry(sigma, nodes[self.owner], us[keep])
+        m = sl.stop - sl.start
+        fac = np.zeros((ts.size, m, m))
+        fac[1:] = frame._carry(sigma, nodes[1:], nodes[:-1])
+        self.factors = _doubling_factors(fac)
+
+    def __call__(self, wvs):
+        if self.empty:
+            return np.zeros((self.size, self.n))
+        coords = _apply(self.Ainv, np.asarray(wvs, dtype=float))[self.keep]
+        load = np.zeros((self.size, self.carries.shape[1]))
+        np.add.at(load, self.owner, _apply(self.carries, coords))
+        return _apply(self.A, _decay_scan(self.factors, load)[self.order])
+
+
+def _doubling_factors(fac):
+    """The factors each pass of :func:`_decay_scan` applies.
+
+    ``fac`` is (K, m, m) with fac_0 = 0. Pass d (d = 1, 2, 4, ... < K)
+    applies to row k the product of the factors of rows k - d + 1 .. k,
+    the later on the left: the rows d.. of the running products, taken
+    before the pass composes each with the one d rows before it.
+    """
+    a, out, d = fac, [], 1
+    while d < len(a):
+        out.append(a[d:])
+        a = np.concatenate([a[:d], a[d:] @ a[:-d]])
+        d *= 2
+    return out
+
+
+def _decay_scan(factors, load):
     """acc_k = fac_k @ acc_{k-1} + load_k along axis 0, with fac_0 = 0.
 
-    ``fac`` is (K, m, m) and ``load`` (K, m). Hillis-Steele doubling:
-    pass d composes each affine map with the one d rows before it, the
-    later factor on the left, so log2(K) vectorized passes replace the
-    K-step recurrence. Every factor contracts, and so does every product.
+    ``factors`` are the :func:`_doubling_factors` of the (K, m, m)
+    ``fac`` and ``load`` is (K, m). Hillis-Steele doubling: pass d adds
+    to each row the running sum d rows before it, carried by the pass's
+    factor, so log2(K) vectorized passes replace the K-step recurrence.
+    Every factor contracts, and so does every product.
     """
-    a = fac.copy()
     b = load.copy()
     d = 1
-    while d < b.shape[0]:
-        b[d:] = b[d:] + _apply(a[d:], b[:-d])
-        a[d:] = a[d:] @ a[:-d]
+    for a in factors:
+        b[d:] += _apply(a, b[:-d])
         d *= 2
     return b
 
@@ -381,8 +442,9 @@ def _decay_scan(fac, load):
 def _prefix_products(mats):
     """I, M_0, M_1 M_0, ..., M_{K-1} ... M_0 for a (K, n, n) stack.
 
-    The doubling of :func:`_decay_scan`: pass d multiplies each running
-    product by the one d rows before it, the later factor on the left.
+    The doubling of :func:`_doubling_factors`: pass d multiplies each
+    running product by the one d rows before it, the later factor on the
+    left.
     """
     out = np.concatenate([np.eye(mats.shape[1])[None], mats])
     d = 1
@@ -966,7 +1028,7 @@ def bundle_characterization_test(fr, sigma, xi0):
                             delta, interp_order=5, extension="constant-hold")
     ts, xi = g.nodes, g.values
     dxi = g.derivative(1).values
-    dfs = fr.df_along_orbit(ts)
+    dfs = fr.table(ts).df0
     resid = dxi - np.einsum("kij,kj->ki", dfs, xi)
     Pall = fr.proj_batch(ts)
     P = {"c": Pall[0], "s": Pall[1], "u": Pall[2]}[sigma]

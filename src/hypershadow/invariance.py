@@ -416,8 +416,11 @@ class _Run:
     ``sampler(name, points, g)`` builds the sampler of lattice ``name``
     on g's geometry once per run, and ``table(name, points)`` the
     frame's FrameTable of it, so the orbit, the field and its
-    derivative along it, and the adapted bases behind every projection
-    and bundle sum are evaluated once per run, not once per step.
+    derivative along it, the adapted bases, the projectors and the
+    bundle-sum plans behind every projection and bundle sum are
+    evaluated once per run, not once per step. ``support(name, points,
+    g)`` cuts the points a zero-extended grid of g's geometry reaches
+    out of the lattice's table, with their sampler.
     """
 
     def __init__(self, fr, spec, cfg, t0):
@@ -427,6 +430,7 @@ class _Run:
         self.gauss = _gauss_panels(self.half_cells[:-1], geo.quad)
         self._samplers = {}
         self._tables = {}
+        self._supports = {}
 
     def sampler(self, name, points, g):
         key = (name, g.geometry)
@@ -439,6 +443,26 @@ class _Run:
             self._tables[name] = self.fr.table(points)
         return self._tables[name]
 
+    def support(self, name, points, g):
+        """(rows, table, sampler) of the points of lattice ``name`` with
+        |t| < T + delta, T and delta g's, or None when that is all of
+        them. A grid with the zero extension is exactly 0 beyond
+        T + delta, where it has tapered over one cell. ``points`` is the
+        lattice's FrameTable; a lattice ascends, so the rows are a slice
+        and the table cut out of it holds views of its values. The
+        sampler reads g's geometry at the rows' times."""
+        key = (name, g.geometry)
+        if key not in self._supports:
+            t, reach = points.times, g.half_width + g.delta
+            rows = slice(np.searchsorted(t, -reach, side="right"),
+                         np.searchsorted(t, reach, side="left"))
+            cut = None
+            if rows.stop - rows.start < t.size:
+                sub = points.take(rows)
+                cut = rows, sub, GridSampler(g, sub.times)
+            self._supports[key] = cut
+        return self._supports[key]
+
 
 def _step_load(fr, state, spec, cfg, run):
     """The load g = B + eps varphi of one step, as ``load(name, vs)``
@@ -447,7 +471,10 @@ def _step_load(fr, state, spec, cfg, run):
     The flow of the state's time change is solved here, and varphi
     tabulated once on the half-cell lattice: Gauss points read it by
     interpolation, and state nodes fall on the lattice, so they read
-    the tabulated values exactly.
+    the tabulated values exactly. When X - 1, xhat_s and xhat_u all
+    extend by zero, xhat = 0 and X = 1 beyond one cell past the window,
+    so B = 0 there: the quadratic term is evaluated on the lattice's
+    support only (:meth:`_Run.support`) and is 0, with X = 1, elsewhere.
     """
     flow = _state_flow(state, run.geo.flow_half, run)
     vphi = None
@@ -459,10 +486,19 @@ def _step_load(fr, state, spec, cfg, run):
             run.geo.hi, run.geo.quad,
             _varphi_batch(fr, state, spec, flow, lat, cfg.eps, inv_at),
             interp_order=7, extension="constant-hold")
+    tapered = all(g.extension == "zero"
+                  for g in (state.X.xhat, state.xs, state.xu))
 
     def load(name, vs):
-        g, Xv = _quadratic_batch(fr, state, vs,
-                                 run.sampler(name, vs, state.xs))
+        cut = run.support(name, vs, state.xs) if tapered else None
+        if cut is None:
+            g, Xv = _quadratic_batch(fr, state, vs,
+                                     run.sampler(name, vs, state.xs))
+        else:
+            rows, sub, at = cut
+            g = np.zeros((vs.times.size, fr.model.n))
+            Xv = np.ones(vs.times.size)
+            g[rows], Xv[rows] = _quadratic_batch(fr, state, sub, at)
         if vphi is not None:
             g = g + cfg.eps * run.sampler(name, vs, vphi).apply(vphi)
         return g, Xv

@@ -28,7 +28,7 @@ from hypershadow import flows
 from hypershadow.electrodynamics import (DelayField, Trajectory,
                                          expansion_order_sweep)
 from hypershadow.flows import ScalarField, solve_flow
-from hypershadow.funcspace import BallRadii, WeightParam
+from hypershadow.funcspace import BallRadii, GridFunction, WeightParam
 from hypershadow.hyperbolic import (analytic_frame, builtin_model,
                                     floquet_frame, unit_circle_orbit)
 from hypershadow.invariance import (CorrectionState, OperatorConfig,
@@ -198,7 +198,8 @@ def random_field(seed, T=6.0, delta=0.05, cap=0.35):
     ball = BallRadii((a1 + a2, a1 * w1 + a2 * w2,
                       a1 * w1 ** 2 + a2 * w2 ** 2,
                       a1 * w1 ** 3 + a2 * w2 ** 3))
-    return ScalarField.from_callable(fn, T, delta, ball)
+    return ScalarField(GridFunction.sample(fn, T, delta, extension="zero"),
+                       ball)
 
 
 def random_pair(fr, cfg, seed, amp=0.01):
@@ -329,9 +330,9 @@ def test_criterion_05_flow_distortion():
     for c, tight in ((1.3, ("phi_upper", "inv_lower")),
                      (0.7, ("phi_lower", "inv_upper"))):
         ball = BallRadii((abs(c - 1.0), 0.0))
-        field = ScalarField.from_callable(
-            lambda t: (c - 1.0) + 0.0 * t, 4.0, 0.05, ball,
-            extension="constant-hold")
+        field = ScalarField(GridFunction.sample(
+            lambda t: (c - 1.0) + 0.0 * t, 4.0, 0.05,
+            extension="constant-hold"), ball)
         rep = flows.distortion_check(solve_flow(field, 3.0))
         assert rep.violations == 0
         for name in tight:

@@ -726,6 +726,21 @@ class TestVerifyVerb:
             f"hypershadow: X - 1 is not finite at node t = {float(t):g}: nan"]
         assert not os.path.exists(scn["out"])
 
+    def test_record_does_not_depend_on_where_the_layout_lives(self,
+                                                                tmp_path):
+        # one layout under two roots whose paths differ in length
+        texts = []
+        for root in (tmp_path / "a", tmp_path / "a-longer-checkout-path"):
+            root.mkdir()
+            path, scn = write_scenario(root)
+            assert cli.main(["run", path, "--quiet"]) == 0
+            ver = root / "verify"
+            assert cli.main(["verify", path, scn["out"], "--out", str(ver),
+                             "--quiet"]) == 0
+            texts.append((ver / "verify.json").read_bytes())
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["state_dir"] == os.path.join("..", "out")
+
     def test_missing_state_dir_is_exit_one(self, tmp_path):
         path, _ = write_scenario(tmp_path, name="ver.json")
         assert cli.main(["verify", path, str(tmp_path / "nowhere")]) == 1

@@ -160,9 +160,15 @@ class TestChargeSystem:
             ed.ChargeSystem([qa, qb], [1, 1], [1, -1], 0.05)
 
     def test_self_pair_rejected(self):
-        sys = two_charge_system()
-        with pytest.raises(ValueError, match="itself"):
-            sys.pair(1, 1)
+        # a particle's pair with itself is never evaluated: a lone
+        # drifting charge feels no force, delayed or advanced
+        sys = ed.ChargeSystem([drifting()], masses=[1.0], charges=[1.0],
+                              epsilon=0.05, xi1=0.5, xi2=0.5)
+        spec = ed.assemble_charge_perturbation(sys, window=4.0)
+        seg = stacked_segment(sys, 0.7)
+        out = spec(0.7, seg, sys.epsilon)
+        assert np.array_equal(out[:3], seg.eval(0.0)[0, 3:])
+        assert np.array_equal(out[3:], np.zeros(3))
 
     def test_descriptor_roundtrip(self):
         sys = two_charge_system()

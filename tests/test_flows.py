@@ -14,15 +14,15 @@ from hypershadow.funcspace import BallRadii, GridFunction, WeightParam
 def sine_field(amp, freq, T=6.0, delta=0.05, extension="zero"):
     # amplitude amp and frequency freq give exact derivative-level radii
     ball = BallRadii((amp, amp * freq, amp * freq ** 2, amp * freq ** 3))
-    return flows.ScalarField.from_callable(
-        lambda t: amp * np.sin(freq * t), T, delta, ball, extension=extension)
+    return flows.ScalarField(GridFunction.sample(
+        lambda t: amp * np.sin(freq * t), T, delta, extension=extension), ball)
 
 
 def constant_field(c, T=4.0, delta=0.05):
     ball = BallRadii((abs(c - 1.0), 0.0))
-    return flows.ScalarField.from_callable(
-        lambda t: (c - 1.0) + 0.0 * t, T, delta, ball,
-        extension="constant-hold")
+    return flows.ScalarField(GridFunction.sample(
+        lambda t: (c - 1.0) + 0.0 * t, T, delta,
+        extension="constant-hold"), ball)
 
 
 def random_field(seed, T=6.0, delta=0.05, cap=0.35):
@@ -38,7 +38,8 @@ def random_field(seed, T=6.0, delta=0.05, cap=0.35):
                       a1 * w1 + a2 * w2,
                       a1 * w1 ** 2 + a2 * w2 ** 2,
                       a1 * w1 ** 3 + a2 * w2 ** 3))
-    return flows.ScalarField.from_callable(fn, T, delta, ball)
+    return flows.ScalarField(GridFunction.sample(fn, T, delta,
+                                                 extension="zero"), ball)
 
 
 # -- solve_flow ---------------------------------------------------------

@@ -195,7 +195,7 @@ def test_ball_radii_validation():
     with pytest.raises(ValueError):
         fs.BallRadii((0.1, -0.2))
     r = fs.BallRadii((0.1, 0.2, 0.3))
-    assert r.ell == 1 and r.lip == 0.3 and r.level(1) == 0.2
+    assert r.ell == 1 and r.c[-1] == 0.3 and r.level(1) == 0.2
 
 
 def test_weight_param_validation():
@@ -259,6 +259,32 @@ def test_node_count_formula():
         fs.GridFunction(1.0, 0.1, np.zeros(20))
     with pytest.raises(ValueError):
         fs.GridFunction(1.0, 0.3, np.zeros(7))  # window not a whole cell count
+
+
+def test_lattice_is_built_once_per_geometry_and_read_only():
+    nodes = fs.lattice(2.0, 0.1)
+    assert fs.lattice(np.float64(2.0), 0.1) is nodes
+    assert not nodes.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        nodes[0] = 0.0
+    g = fs.GridFunction(2.0, 0.1, np.zeros(41))
+    assert g.nodes is nodes and g.with_values(np.ones(41)).nodes is nodes
+
+
+def test_sample_hands_fn_a_copy_it_may_write():
+    def doubled_in_place(t):
+        t *= 2.0
+        return t
+
+    nodes = fs.lattice(2.0, 0.1)
+    want = 2.0 * nodes
+    g = fs.GridFunction.sample(doubled_in_place, 2.0, 0.1)
+    assert np.array_equal(g.values[:, 0], want)
+    # the shared nodes did not move, and a grid of fn's own array is
+    # still free to be written
+    assert np.array_equal(nodes, want / 2.0) and g.nodes is nodes
+    mine = fs.GridFunction.sample(lambda t: t, 2.0, 0.1)
+    assert mine.values.flags.writeable
 
 
 def test_restrict():

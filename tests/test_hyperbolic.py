@@ -259,7 +259,8 @@ class TestBundleCharacterization:
         assert rep_u.ok and rep_u.residual_sup <= 1e-8
 
     def test_cycle_stable_direction(self, cycle_frame):
-        xi0 = cycle_frame.basis("s", 0.0)[:, 0]
+        # the stable column of the adapted basis at time 0
+        xi0 = cycle_frame.table([0.0]).A[0][:, 1]
         rep = bundle_characterization_test(cycle_frame, "s", xi0)
         assert rep.ok, rep.residual_sup
 
@@ -742,7 +743,8 @@ class TestBatchedMatchesLoops:
     def test_decay_scan_composes_maps_in_order(self):
         # random non-commuting 2x2 factors, scaled to contract; each
         # acc_k = F_k @ acc_{k-1} + L_k must come out as the recurrence
-        from hypershadow.hyperbolic import _decay_scan
+        # when the scan applies the factors a plan stores
+        from hypershadow.hyperbolic import _decay_scan, _doubling_factors
         rng = np.random.default_rng(12)
         for K in (1, 2, 7, 64, 100):
             fac = rng.standard_normal((K, 2, 2))
@@ -754,7 +756,8 @@ class TestBatchedMatchesLoops:
             for k in range(K):
                 acc = fac[k] @ acc + load[k]
                 want[k] = acc
-            assert rel_err(_decay_scan(fac, load), want) <= 1e-13
+            got = _decay_scan(_doubling_factors(fac), load)
+            assert rel_err(got, want) <= 1e-13
 
     def test_analytic_propagators_match_the_slot_formula(self):
         fr = frame_of("rotated-saddle", None)
@@ -840,10 +843,108 @@ class TestFrameTable:
         assert cycle_frame.table(tab) is tab
         assert np.array_equal(tab.x0, cycle_frame.orbit_batch(ts))
         assert np.array_equal(tab.f0, cycle_frame.orbit_deriv_batch(ts))
-        assert np.array_equal(tab.df0, cycle_frame.df_along_orbit(ts))
+        assert np.array_equal(tab.df0, cycle_frame.model.df_batch(tab.x0))
         # a table of another frame is read for its times only
         other = saddle_frame()
         assert other.table(tab).frame is other
+
+
+def percall_bundle_sum(fr, sigma, rhos, vs, wvs):
+    """The bundle sum as composed on every call before plans: the sweep,
+    the carries and the doubling products, then the scan."""
+    from hypershadow.hyperbolic import _apply, _sweep
+    ts, us, order, owner, keep = _sweep(rhos, vs, sigma == "s")
+    sl = fr._slot(sigma)
+    if sl.stop == sl.start:
+        return np.zeros((ts.size, fr.model.n))
+    coords = _apply(fr.table(vs).Ainv[:, sl, :], wvs)[keep]
+    nodes = ts[order]
+    owner = owner[keep]
+    b = np.zeros((ts.size, sl.stop - sl.start))
+    np.add.at(b, owner, _apply(fr._carry(sigma, nodes[owner], us[keep]),
+                               coords))
+    a = np.zeros(b.shape + b.shape[1:])
+    a[1:] = fr._carry(sigma, nodes[1:], nodes[:-1])
+    d = 1
+    while d < b.shape[0]:
+        b[d:] = b[d:] + _apply(a[d:], b[:-d])
+        a[d:] = a[d:] @ a[:-d]
+        d *= 2
+    return _apply(fr.table(rhos).A[:, :, sl], b[order])
+
+
+class TestBundlePlans:
+    """A bundle sum is composed once per pair of tables."""
+
+    @pytest.mark.parametrize("kind", ["lin-saddle", "rotated-saddle",
+                                      "cycle"])
+    def test_planned_and_on_the_spot_sums_agree_bitwise(self, kind,
+                                                         cycle_frame):
+        fr = frame_of(kind, cycle_frame)
+        rng = np.random.default_rng(23)
+        rhos = np.sort(rng.uniform(-9.0, 9.0, size=60))
+        vs = np.sort(rng.uniform(-12.0, 12.0, size=500))
+        loads = rng.standard_normal((3, vs.size, fr.model.n))
+        at_rho, at_v = fr.table(rhos), fr.table(vs)
+        for sigma, conv in (("s", fr.convolve_stable),
+                            ("u", fr.convolve_unstable)):
+            for k, ws in enumerate(loads):
+                planned = conv(at_rho, at_v, ws)
+                if k == 0:
+                    plan = at_rho.plans[sigma, at_v]
+                # later weights reuse the plan of the first call
+                assert at_rho.plans[sigma, at_v] is plan
+                assert np.array_equal(planned, conv(rhos, vs, ws))
+                assert np.array_equal(
+                    planned, percall_bundle_sum(fr, sigma, rhos, vs, ws))
+        if kind == "cycle":
+            # the cycle has no unstable bundle: its plan sums to zeros
+            assert fr.dims[2] == 0
+            assert np.array_equal(fr.convolve_unstable(at_rho, at_v,
+                                                       loads[0]),
+                                  np.zeros((rhos.size, 2)))
+
+    @pytest.mark.parametrize("kind", ["rotated-saddle", "cycle"])
+    def test_a_plan_carries_nothing_when_applied(self, kind, cycle_frame):
+        fr = frame_of(kind, cycle_frame)
+        calls = []
+        carry = fr._carry
+        fr._carry = lambda *a: calls.append(a[0]) or carry(*a)
+        try:
+            rhos = fr.table(np.linspace(-4.0, 4.0, 33))
+            vs = fr.table(np.linspace(-6.0, 6.0, 301))
+            ws = np.ones((301, fr.model.n))
+            fr.convolve_stable(rhos, vs, ws)
+            fr.convolve_unstable(rhos, vs, ws)
+            built = list(calls)
+            # the owners' carries and the neighbours' of each bundle
+            assert built == ["s", "s"] + (["u", "u"] if fr.dims[2] else [])
+            for _ in range(3):
+                fr.convolve_stable(rhos, vs, ws)
+                fr.convolve_unstable(rhos, vs, ws)
+            assert calls == built
+        finally:
+            del fr._carry
+
+    def test_tables_keep_their_projectors(self, cycle_frame):
+        fr = cycle_frame
+        ts = np.linspace(-3.0, 3.0, 41)
+        tab = fr.table(ts)
+        vecs = np.ones((41, 2))
+        calls = []
+        projector = fr._projector
+        fr._projector = lambda *a: calls.append(a[0]) or projector(*a)
+        try:
+            for _ in range(3):
+                got = [fr.proj_apply(sigma, tab, vecs) for sigma in "csu"]
+            fr.proj_batch(tab)
+            assert calls == ["c", "s", "u"]
+            # raw times make a table on the spot, and its projector
+            for sigma, want in zip("csu", got):
+                assert np.array_equal(fr.proj_apply(sigma, ts, vecs), want)
+            assert calls == ["c", "s", "u"] * 2
+        finally:
+            del fr._projector
 
 
 class TestConvolvePrecondition:

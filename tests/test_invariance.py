@@ -794,6 +794,80 @@ def test_floquet_bases_are_built_once_per_lattice(max_iters, monkeypatch):
     assert len(calls) == 2
 
 
+def _sdd_cubic():
+    # the bench's sdd-cubic scenario: its delay moves X at every step
+    fr = analytic_frame({"model": "saddle-cubic", "lambda_s": 1.0,
+                         "lambda_u": 1.0, "cubic": (0.3, 0.2)})
+    spec = spec_from_descriptor({"kind": "sdd-tanh", "parameters":
+                                 {"h": 1.0, "c0": 0.5, "c1": 0.2}})
+    return fr, spec, base_cfg(eps=0.02)
+
+
+@pytest.mark.parametrize("max_iters", [2, 5])
+def test_bundle_carries_are_composed_once_per_run(max_iters, monkeypatch):
+    # each bundle's plan carries its weights to their nodes and its
+    # nodes to their neighbours once; the steps only apply it
+    fr, spec, cfg = _sdd_cubic()
+    calls = []
+    carry = fr._carry
+    monkeypatch.setattr(fr, "_carry",
+                        lambda *a: calls.append(a[0]) or carry(*a))
+    _, report = iterate(fr, spec, dataclasses.replace(cfg,
+                                                      max_iters=max_iters))
+    assert report.iterations == max_iters
+    assert sorted(calls) == ["s", "s", "u", "u"]
+
+
+@pytest.mark.parametrize("frame", ["sdd-cubic", "floquet"])
+def test_quadratic_term_is_evaluated_on_the_state_support(frame,
+                                                          monkeypatch):
+    from hypershadow.invariance import _Run, _step_load
+    if frame == "sdd-cubic":
+        fr, spec, cfg = _sdd_cubic()
+    else:
+        fr = frame_from_descriptor({"mode": "floquet",
+                                    "model": "planar-limit-cycle"})
+        spec = spec_from_descriptor({"kind": "ode-sin-forcing",
+                                     "parameters": {"a": 0.45, "omega": 1.0,
+                                                    "n": 2, "axis": 1}})
+        cfg = OperatorConfig(eta=WeightParam(0.25), window=12.0, eps=0.01,
+                             delta=0.2, tol_eta=1e-6)
+    state, _ = iterate(fr, spec, dataclasses.replace(cfg, max_iters=3))
+    sizes = []
+    quadratic = invariance._quadratic_batch
+    monkeypatch.setattr(invariance, "_quadratic_batch",
+                        lambda fr, st, vs, at=None:
+                        sizes.append(np.size(vs)) or quadratic(fr, st, vs, at))
+    # eps = 0 leaves the load its quadratic term alone
+    quiet = dataclasses.replace(cfg, eps=0.0)
+
+    def loads(st):
+        run = _Run(fr, spec, quiet, st.X.t0)
+        load = _step_load(fr, st, spec, quiet, run)
+        nodes = run.table("nodes", st.xs.nodes)
+        gauss = run.table("gauss", run.gauss[0])
+        assert run.support("nodes", nodes, st.xs) is None
+        return load("nodes", nodes), load("gauss", gauss), gauss
+
+    (g_n, X_n), (g_g, X_g), gauss = loads(state)
+    T, delta = state.xs.half_width, state.xs.delta
+    inside = int((np.abs(gauss.times) < T + delta).sum())
+    assert sizes == [state.xs.n, inside] and inside < gauss.times.size
+    if frame == "sdd-cubic":
+        assert (state.xs.n, inside, gauss.times.size) == (481, 2892, 5370)
+    for (g, X), vs in (((g_n, X_n), state.xs.nodes),
+                       ((g_g, X_g), gauss.times)):
+        B, Xv = quadratic(fr, state, vs)
+        assert np.array_equal(g, B) and np.array_equal(X, Xv)
+
+    # another extension anywhere reaches every point of the lattice
+    linear = dataclasses.replace(
+        state, xu=state.xu.with_values(state.xu.values, extension="linear"))
+    sizes.clear()
+    loads(linear)
+    assert sizes == [state.xs.n, gauss.times.size]
+
+
 # -- known results are not recomputed -------------------------------------
 
 

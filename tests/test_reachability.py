@@ -11,6 +11,10 @@ Names are matched across modules, which can only over-count what is
 reached. ``__all__`` lists name nothing: they are strings in an
 assignment that is never read.
 
+The methods of a top-level class other than its dunders are definitions
+of their own, named ``Class.method`` and reached when ``method`` is
+read; the dunders run without being named, so they belong to the class.
+
 A definition that no root reaches runs only under tests. Each one still
 in ``src/`` is listed in ALLOWED with the ROADMAP item that will make a
 run read it or delete it; the list is meant to shrink to nothing.
@@ -41,6 +45,7 @@ ALLOWED = {
     "ProbeReport": 1,
     "lipschitz_probe": 1,
     "segment_distance_c1": 1,
+    "HistorySegment.has_derivative": 1,
     # items 2 and 3: guard probes become report fields or go
     "range_defect": 2,
     "center_defect": 2,
@@ -55,11 +60,18 @@ ALLOWED = {
     "_partitions": 3,
     "BundleReport": 3,
     "bundle_characterization_test": 3,
+    "OdeModel.check_derivatives": 3,
     # item 4: parameter dependence
     "mu_sensitivity": 4,
-    # item 6: a charge-system scenario reads the descriptors
+    # item 6: a charge-system scenario reads the descriptors and the
+    # trajectory builders, and wraps maps of one time
     "trajectory_from_descriptor": 6,
     "charge_system_from_descriptor": 6,
+    "Trajectory.circular": 6,
+    "Trajectory.from_callable": 6,
+    "Trajectory.reflected": 6,
+    "Trajectory.shifted": 6,
+    "pointwise": 6,
 }
 
 
@@ -84,16 +96,45 @@ def _names(node, strings=False):
     return out
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions():
-    """{name: [(module, node)]} of top-level src definitions, and the
-    names read by module code outside any definition."""
+    """{name: [(qualified name, module, lines, names read)]} of src
+    definitions, and the names read by module code outside any
+    definition.
+
+    Top-level functions, classes and assigned names are definitions, and
+    so is every method of a top-level class but the dunders, under its
+    own name: ``Class.method`` is reached when ``method`` is read. A
+    class reads its bases, decorators, class-level statements and
+    dunders, which run without being named; its other methods read
+    their own bodies.
+    """
     defs = {}
     loose = set()
+
+    def define(name, qualname, module, node, reads):
+        lines = node.end_lineno - node.lineno + 1
+        defs.setdefault(name, []).append((qualname, module, lines, reads))
+
     for path in sorted(SRC.glob("*.py")):
         for node in _parse(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                defs.setdefault(node.name, []).append((path.name, node))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                define(node.name, node.name, path.name, node, _names(node))
+            elif isinstance(node, ast.ClassDef):
+                reads = set()
+                for part in (*node.bases, *node.keywords,
+                             *node.decorator_list, *node.body):
+                    if (isinstance(part, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                            and not _is_dunder(part.name)):
+                        define(part.name, f"{node.name}.{part.name}",
+                               path.name, part, _names(part))
+                    else:
+                        reads |= _names(part)
+                define(node.name, node.name, path.name, node, reads)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) \
                     else [node.target]
@@ -101,7 +142,7 @@ def _definitions():
                 if named == ["__all__"]:
                     continue
                 for name in named:
-                    defs.setdefault(name, []).append((path.name, node))
+                    define(name, name, path.name, node, _names(node))
                 if not named:
                     loose |= _names(node)
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -110,7 +151,7 @@ def _definitions():
 
 
 def unreached():
-    """{name: (module, lines)} of top-level src definitions no root
+    """{qualified name: (module, lines)} of src definitions no root
     reaches."""
     defs, loose = _definitions()
     roots = [SRC / "cli.py", *sorted((ROOT / "bench").glob("*.py")),
@@ -124,11 +165,15 @@ def unreached():
         if name in seen:
             continue
         seen.add(name)
-        for _, node in defs.get(name, ()):
-            todo |= _names(node) - seen
-    return {name: (sites[0][0], sum(n.end_lineno - n.lineno + 1
-                                    for _, n in sites))
-            for name, sites in defs.items() if name not in seen}
+        for _, _, _, reads in defs.get(name, ()):
+            todo |= reads - seen
+    out = {}
+    for name, sites in defs.items():
+        if name not in seen:
+            for qualname, module, lines, _ in sites:
+                where = out.get(qualname, (module, 0))
+                out[qualname] = (where[0], where[1] + lines)
+    return out
 
 
 def test_only_allowlisted_definitions_are_test_only():
@@ -143,6 +188,16 @@ def test_allowlist_names_only_unreached_definitions():
     # an adopted or deleted name leaves the list
     stale = set(ALLOWED) - set(unreached())
     assert not stale, f"allowlisted but reached or gone: {sorted(stale)}"
+
+
+def test_walk_sees_methods_but_not_dunders():
+    # a method only tests call is found under its class; a method a run
+    # calls, and the dunders, are not
+    found = unreached()
+    assert "OdeModel.check_derivatives" in found
+    assert "FrameTable.take" not in found
+    assert not [name for name in found if name.rpartition(".")[2]
+                .startswith("__")]
 
 
 def test_walk_sees_through_all_lists():
