@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import NumericalError
-from .funcspace import GridFunction, lattice, pointwise
+from .funcspace import GridFunction, lattice, pointwise, real_number
 from .perturbations import PerturbationSpec
 
 __all__ = [
@@ -336,18 +336,21 @@ def _contraction_rate(qi, qj, eps, window):
     return eps * qj.speed_sup(-window - pad, window + pad)
 
 
-def _fixed_point(step, times):
-    """Elementwise fixed point of tau = step(rows, tau) over all elements.
+def _fixed_point(step, start, sign, times):
+    """Fixed point of tau = step(rows, sign * tau) for a stack of rows.
 
-    ``step(rows, tau)`` maps the current values of the selected elements
-    (an index array) to their next iterate. The sweep starts every
-    element from tau_0 = step(all, 0) and freezes an element once its
-    update is <= ``_DEFECT_TOL``, so each takes exactly the iterates a
-    one-element loop would. ``times`` labels the elements in errors: the
-    first non-finite value raises ``NumericalError`` on the iterate it
-    appears, a sweep that outlasts ``_MAX_ITERS`` raises
-    ``DelaySolveError``. Returns the values and the largest per-element
-    iteration count.
+    There is one row per (center, equation): ``times`` holds the row's
+    center, ``sign`` its direction (-1 reads the partner retarded, +1
+    advanced) and ``start`` its iterate 0, which the caller computes.
+    ``step(rows, offsets)`` maps the partner offsets of the selected
+    rows (an index array) to their next iterate, so each iterate is one
+    call over every row still moving. A row freezes once its update is
+    <= ``_DEFECT_TOL``, so each takes exactly the iterates a one-element
+    loop would. The first non-finite value raises ``NumericalError`` on
+    the earliest iterate it appears on, naming the first such row in
+    stack order; a row still moving after ``_MAX_ITERS`` iterates raises
+    ``DelaySolveError``. Returns the values and the freeze record: the
+    iterate on which each row froze.
     """
     def finite(vals, rows, it):
         bad = ~np.isfinite(vals)
@@ -358,47 +361,35 @@ def _fixed_point(step, times):
         return vals
 
     rows = np.arange(len(times))
-    tau = finite(step(rows, 0.0), rows, 0)
+    tau = finite(np.array(start, dtype=float), rows, 0)
+    frozen = np.zeros(tau.size, dtype=int)
     for it in range(1, _MAX_ITERS + 1):
-        nxt = finite(step(rows, tau[rows]), rows, it)
+        nxt = finite(step(rows, sign[rows] * tau[rows]), rows, it)
         update = np.abs(nxt - tau[rows])
         tau[rows] = nxt
         moving = update > _DEFECT_TOL
+        frozen[rows[~moving]] = it
         if not moving.any():
-            return tau, it
+            return tau, frozen
         rows, update = rows[moving], update[moving]
     raise DelaySolveError(
         f"delay at t={times[rows[0]]:.6g} still moving after {_MAX_ITERS} "
         f"iterations; last update {update[0]:.3e}")
 
 
-def _cone_step(here, partner, eps, sign):
-    """The light-cone map tau -> eps |here[rows] - partner(rows, sign tau)|.
-
-    ``here`` holds one observer position per element and
-    ``partner(rows, offsets)`` gives the partner positions at the times
-    of the selected elements moved by ``offsets``: sign -1 reads the
-    retarded partner, +1 the advanced one.
-    """
-    def step(rows, tau):
-        gap = here[rows] - partner(rows, sign * tau)
-        return eps * np.sqrt(np.einsum("kd,kd->k", gap, gap))
-    return step
+def _cone_distance(eps, here, there):
+    """eps |here - there| row by row: the light-cone map of each row."""
+    gap = here - there
+    return eps * np.sqrt(np.einsum("kd,kd->k", gap, gap))
 
 
-def _delay_values(qi, qj, eps, sign, nodes):
-    """Fixed point of tau = eps |q_i(t) - q_j(t + sign tau)| at every node.
-
-    All nodes are solved at once from tau_0 = eps |q_i(t) - q_j(t)|;
-    sign -1 gives the delay, +1 the advance. Returns values, the largest
-    per-node iteration count, and the largest per-node defect.
-    """
-    step = _cone_step(qi.pos(nodes),
-                      lambda rows, off: qj.pos(nodes[rows] + off),
-                      eps, sign)
-    vals, iters = _fixed_point(step, nodes)
-    defect = float(np.abs(step(np.arange(nodes.size), vals) - vals).max())
-    return vals, iters, defect
+def _positive(name, value):
+    """``value`` as a float, or a ValueError naming ``name`` unless it is
+    positive and finite."""
+    value = real_number(name, value)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -434,27 +425,46 @@ class DelayField:
         """Solve the delay and the advance on a symmetric node grid.
 
         The defining equation tau(t) = eps |q_i(t) - q_j(t - tau(t))| is
-        a contraction of rate eps * sup|dq_j|, checked before iterating;
-        every node is solved at once, each starting from tau_0 =
-        eps |q_i(t) - q_j(t)|. The advance sigma reads the partner at
-        t + sigma in place of t - tau.
+        a contraction of rate eps * sup|dq_j|, checked before iterating.
+        The advance sigma reads the partner at t + sigma in place of
+        t - tau. Both are one fixed point over a stack of 2n rows, the
+        delay's nodes then the advance's, each starting from tau_0 =
+        eps |q_i(t) - q_j(t)|. The iteration counts are read off the
+        freeze record, and both defects off one more step over the
+        stack. ``window`` and ``delta`` must be positive and finite and
+        ``eps`` nonnegative; these are checked before any compute.
         """
         eps = float(eps)
         if eps < 0.0:
             raise ValueError("eps must be nonnegative")
-        window = float(window)
+        window = _positive("window", window)
+        delta = _positive("delta", delta)
+        nodes = lattice(window, delta)
         kappa = _finite("contraction rate eps * sup|dq_j|",
                         _contraction_rate(qi, qj, eps, window))
         if kappa >= 1.0:
             raise ValueError(f"contraction condition violated: "
                              f"eps * sup|dq_j| = {kappa:.3g} >= 1")
-        nodes = lattice(window, delta)
-        tau, tit, tdef = _delay_values(qi, qj, eps, -1.0, nodes)
-        sigma, sit, sdef = _delay_values(qi, qj, eps, 1.0, nodes)
-        return cls(GridFunction(window, delta, tau),
-                   GridFunction(window, delta, sigma), eps,
-                   tau_iterations=tit, tau_defect=tdef,
-                   sigma_iterations=sit, sigma_defect=sdef)
+        n = nodes.size
+        observer = qi.pos(nodes)
+        start = _cone_distance(eps, observer, qj.pos(nodes))
+        here = np.concatenate([observer, observer])
+        times = np.concatenate([nodes, nodes])
+        sign = np.repeat([-1.0, 1.0], n)
+
+        def step(rows, offsets):
+            return _cone_distance(eps, here[rows],
+                                  qj.pos(times[rows] + offsets))
+
+        vals, frozen = _fixed_point(step, np.concatenate([start, start]),
+                                    sign, times)
+        defect = np.abs(step(np.arange(2 * n), sign * vals) - vals)
+        return cls(GridFunction(window, delta, vals[:n]),
+                   GridFunction(window, delta, vals[n:]), eps,
+                   tau_iterations=int(frozen[:n].max()),
+                   tau_defect=float(defect[:n].max()),
+                   sigma_iterations=int(frozen[n:].max()),
+                   sigma_defect=float(defect[n:].max()))
 
 
 # -- expansion and singularity diagnostics ---------------------------------
@@ -573,20 +583,35 @@ def nonsingularity_check(sys, window=8.0):
 # -- assembly into a perturbation spec -------------------------------------
 
 
-def _segment_delay(seg, qi_now, block, eps, sign):
-    """Delays of one pair read off a batch of stacked history segments.
+def _cone_states(seg, y0, eps, here, there, sign):
+    """Partner states at the light-cone times of a stack of equations.
 
-    ``qi_now`` is (k, d), one observer position per segment center, and
-    ``block`` slices the partner's position out of the stacked state.
-    The fixed point runs elementwise over k through the same kernel as
-    the grid solve. Lookups run through the segment itself, so a delay
-    that wanders past the history radius surfaces as the segment's own
-    range error.
+    Equation e reads the observer position from the column indices
+    ``here[e]`` of the stacked state and the partner position from
+    ``there[e]``, delayed (``sign[e]`` -1) or advanced (+1).
+    Every equation is solved at every center of ``seg`` in one fixed
+    point, from the present-state read ``y0`` = ``seg.eval(0.0)``: each
+    later iterate reads every still-moving row in one segment lookup,
+    and one final lookup reads every partner state. Lookups run through
+    the segment itself, so a delay that wanders past the history radius
+    surfaces as the segment's own range error. Returns (E, k, n).
     """
-    step = _cone_step(qi_now,
-                      lambda rows, off: seg.take(rows).eval(off)[:, block],
-                      eps, sign)
-    return _fixed_point(step, seg.t)[0]
+    k = len(seg)
+    stack = seg.take(np.tile(np.arange(k), len(sign)))
+    # row r belongs to equation r // k and reads the center r % k
+    obs = np.concatenate(y0[:, here].swapaxes(0, 1))
+    start = _cone_distance(eps, obs,
+                           np.concatenate(y0[:, there].swapaxes(0, 1)))
+    cols = np.repeat(there, k, axis=0)
+    sign = np.repeat(sign, k)
+
+    def step(rows, offsets):
+        y = stack.take(rows).eval(offsets)
+        return _cone_distance(eps, obs[rows],
+                              y[np.arange(rows.size)[:, None], cols[rows]])
+
+    tau, _ = _fixed_point(step, start, sign, stack.t)
+    return stack.eval(sign * tau).reshape(-1, k, y0.shape[1])
 
 
 def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
@@ -597,8 +622,12 @@ def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
     block verbatim and accelerations from the pair force read at the
     implicitly delayed (weight ``mixing``) and advanced (weight
     ``1 - mixing``) partner states, plus any external field. Delays are
-    solved from the history segment at each evaluation, so eps = 0
-    collapses exactly to the instantaneous-force right-hand side. The
+    solved from the history segment at each evaluation: every
+    (i, j, direction) equation with a nonzero weight is stacked into one
+    fixed point, which costs one segment lookup per iterate for any
+    number of charges, plus the present-state read and one read of
+    every partner state. eps = 0 collapses exactly to the
+    instantaneous-force right-hand side, and a negative eps raises. The
     force is called as ``force(ci, cj, qi, vi, qj, vj)`` with scalar
     charges and (k, d) rows, the external field as ``external(ts, q, v)``
     with base times (k,); both return (k, d). The mixing weight is
@@ -653,8 +682,19 @@ def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
     external = sys.external
     qslice = [slice(i * d, (i + 1) * d) for i in range(N)]
     vslice = [slice(N * d + i * d, N * d + (i + 1) * d) for i in range(N)]
+    pairs = [(i, j) for i in range(N) for j in range(N) if j != i]
+    # one light-cone equation per ordered pair and direction, with its
+    # mixing weight; the delayed one first
+    eqs = [(i, j, sign, weight) for i, j in pairs
+           for sign, weight in ((-1.0, mixing), (1.0, 1.0 - mixing))
+           if weight > 0.0]
+    here = [list(range(i * d, (i + 1) * d)) for i, _, _, _ in eqs]
+    there = [list(range(j * d, (j + 1) * d)) for _, j, _, _ in eqs]
+    signs = [sign for _, _, sign, _ in eqs]
 
     def evaluate(ts, seg, eps):
+        if eps < 0.0:
+            raise ValueError("eps must be nonnegative")
         y0 = seg.eval(0.0)
         if y0.shape[1] != 2 * N * d:
             raise ValueError(
@@ -668,23 +708,16 @@ def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
             return force(charges[i], charges[j], q[i], v[i],
                          y[:, qslice[j]], y[:, vslice[j]])
 
-        for i in range(N):
-            if external is not None:
+        if external is not None:
+            for i in range(N):
                 acc[:, i] += external(ts, q[i], v[i])
-            for j in range(N):
-                if j == i:
-                    continue
-                if eps == 0.0:
-                    acc[:, i] += pair(i, j, y0) / masses[i]
-                    continue
-                if mixing > 0.0:
-                    tau = _segment_delay(seg, q[i], qslice[j], eps, -1.0)
-                    acc[:, i] += mixing * pair(i, j, seg.eval(-tau)) \
-                        / masses[i]
-                if mixing < 1.0:
-                    sig = _segment_delay(seg, q[i], qslice[j], eps, +1.0)
-                    acc[:, i] += (1.0 - mixing) * pair(i, j, seg.eval(sig)) \
-                        / masses[i]
+        if eps == 0.0:
+            for i, j in pairs:
+                acc[:, i] += pair(i, j, y0) / masses[i]
+        elif eqs:
+            states = _cone_states(seg, y0, eps, here, there, signs)
+            for (i, j, _, weight), y in zip(eqs, states):
+                acc[:, i] += weight * pair(i, j, y) / masses[i]
         return np.concatenate([y0[:, N * d:], acc.reshape(ts.size, N * d)],
                               axis=1)
 

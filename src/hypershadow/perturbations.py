@@ -107,11 +107,12 @@ class HistorySegment:
 
     @classmethod
     def from_grid(cls, traj, t, h):
-        """Window the GridFunction ``traj`` at the centers t."""
+        """Window the GridFunction ``traj`` at the centers t. Its
+        derivative grid is built on the first derivative read."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if float(np.abs(t).max()) + h > traj.half_width + 1e-12:
             raise ValueError("trajectory window too small for this segment")
-        return cls(t, h, traj.eval, traj.derivative(1).eval)
+        return cls(t, h, traj.eval, lambda a: traj.derivative(1).eval(a))
 
 
 @dataclass(frozen=True)

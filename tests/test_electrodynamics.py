@@ -12,6 +12,9 @@ exactly. Circular motion about the observer keeps the distance constant,
 so tau = eps * R with a vanishing radial velocity term.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from hypershadow import electrodynamics as ed
 from hypershadow.flows import NumericalError
 from hypershadow.funcspace import GridFunction
-from hypershadow.perturbations import HistorySegment
+from hypershadow.perturbations import HistorySegment, functional_output_grid
 
 
 def origin():
@@ -37,8 +40,8 @@ def two_charge_system(eps=0.05, v=(0.2, 0.1, 0.0)):
                            epsilon=eps, xi1=0.5, xi2=0.5)
 
 
-def stacked_segment(sys, t, h=1.0):
-    """History segment that follows the system's own trajectories."""
+def stacked_state(sys):
+    """t -> (q_1..q_N, dq_1..dq_N) of the system's own trajectories."""
     trs = sys.trajectories
 
     def y(t):
@@ -46,7 +49,12 @@ def stacked_segment(sys, t, h=1.0):
         return np.concatenate([tr.pos(t) for tr in trs]
                               + [tr.vel(t) for tr in trs], axis=-1)
 
-    return HistorySegment(t, h, y)
+    return y
+
+
+def stacked_segment(sys, t, h=1.0):
+    """History segment that follows the system's own trajectories."""
+    return HistorySegment(t, h, stacked_state(sys))
 
 
 def loglog_slope(xs, ys):
@@ -249,6 +257,28 @@ class TestSolveDelay:
             ed.DelayField.solve(origin(), drifting(), -0.05,
                                 window=2.0, delta=0.5)
 
+    @pytest.mark.parametrize("name,value", [
+        ("delta", 0.0), ("delta", -0.1), ("delta", math.nan),
+        ("delta", math.inf), ("window", -1.0), ("window", 0.0),
+        ("window", math.inf), ("window", math.nan)])
+    def test_bad_grid_rejected_before_any_compute(self, name, value):
+        args = {"window": 2.0, "delta": 0.5, name: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=rf"^{name} must be positive and finite, "
+                                     rf"got {value!r}$"):
+                ed.DelayField.solve(origin(), drifting(), 0.05, **args)
+
+    def test_one_fixed_point_per_solve(self, monkeypatch):
+        calls = []
+        solve = ed._fixed_point
+        monkeypatch.setattr(ed, "_fixed_point",
+                            lambda *a: (calls.append(1), solve(*a))[1])
+        ed.DelayField.solve(origin(), drifting(), 0.05, window=2.0,
+                            delta=0.1)
+        assert len(calls) == 1
+
     @settings(max_examples=25, deadline=None)
     @given(d=st.floats(1.5, 3.0), v=st.floats(-0.3, 0.3),
            eps=st.floats(0.01, 0.3))
@@ -366,20 +396,33 @@ class TestNodeKernel:
                    else fld.sigma_iterations)
         assert counted == iters
 
-    def test_segment_delay_matches_grid_solve(self):
+    def test_spec_delays_match_grid_solve(self):
         qa = ed.Trajectory.circular([0.0, 0.0, 0.0], 0.3, 0.8)
         qb = ed.Trajectory.uniform([2.0, 0.0, 0.0], [0.2, 0.1, 0.0])
         sys = ed.ChargeSystem([qa, qb], masses=[1.0, 2.0],
                               charges=[1.0, -1.0], epsilon=0.05,
                               xi1=0.5, xi2=0.5)
-        fld = ed.DelayField.solve(qa, qb, sys.epsilon, window=4.0, delta=0.1)
-        ts = fld.tau.nodes[10:-10]
-        seg = stacked_segment(sys, ts)
-        block = slice(3, 6)
-        tau = ed._segment_delay(seg, qa.pos(ts), block, sys.epsilon, -1.0)
-        sig = ed._segment_delay(seg, qa.pos(ts), block, sys.epsilon, +1.0)
-        assert np.abs(tau - fld.tau.values[10:-10, 0]).max() <= 1e-14
-        assert np.abs(sig - fld.sigma.values[10:-10, 0]).max() <= 1e-14
+        spec = ed.assemble_charge_perturbation(sys, window=4.0, mixing=0.5)
+        fields = [ed.DelayField.solve(qa, qb, sys.epsilon, window=4.0,
+                                      delta=0.1),
+                  ed.DelayField.solve(qb, qa, sys.epsilon, window=4.0,
+                                      delta=0.1)]
+        ts = fields[0].tau.nodes[10:-10]
+        state = stacked_state(sys)
+        reads = []
+
+        def y(times):
+            reads.append(np.array(times))
+            return state(times)
+
+        spec(ts, HistorySegment(ts, 1.0, y), sys.epsilon)
+        # the last lookup reads every partner at its light-cone time:
+        # (0, 1) delayed and advanced, then (1, 0)
+        offsets = (reads[-1] - np.tile(ts, 4)).reshape(4, ts.size)
+        for e, fld in enumerate(fields):
+            tau, sig = -offsets[2 * e], offsets[2 * e + 1]
+            assert np.abs(tau - fld.tau.values[10:-10, 0]).max() <= 1e-14
+            assert np.abs(sig - fld.sigma.values[10:-10, 0]).max() <= 1e-14
 
     def test_iteration_cap_names_the_first_moving_node(self):
         with pytest.raises(ed.DelaySolveError,
@@ -682,6 +725,14 @@ class TestAssembly:
         seg = stacked_segment(sys, 0.0)
         assert np.abs(spec(0.0, seg, sys.epsilon)[6:]).max() == 0.0
 
+    def test_negative_eps_rejected(self):
+        # a negative eps would read the "retarded" partner in the future
+        sys = two_charge_system()
+        spec = ed.assemble_charge_perturbation(sys, window=4.0)
+        traj = GridFunction.sample(stacked_state(sys), 5.0, 0.01)
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            functional_output_grid(spec, traj, -0.05, 4.0, 0.01)
+
     def test_bad_mixing_rejected(self):
         with pytest.raises(ValueError, match="mixing"):
             ed.assemble_charge_perturbation(two_charge_system(),
@@ -715,6 +766,147 @@ class TestAssembly:
         out = spec(0.0, seg, sys.epsilon)
         assert np.allclose(out[:3], [0.1, 0.0, 0.0])
         assert np.abs(out[3:]).max() == 0.0
+
+
+def per_equation_delay(seg, here, block, eps, sign):
+    """One light-cone equation solved alone over the segment's centers,
+    elementwise from tau_0 = eps |q_i(t) - q_j(t)|: the per-equation loop
+    the stacked solve replaced. Returns the values and the largest
+    per-center iteration count."""
+    def step(rows, tau):
+        gap = here[rows] - seg.take(rows).eval(sign * tau)[:, block]
+        return eps * np.sqrt(np.einsum("kd,kd->k", gap, gap))
+
+    rows = np.arange(len(seg))
+    tau = step(rows, 0.0)
+    for it in range(1, 201):
+        nxt = step(rows, tau[rows])
+        update = np.abs(nxt - tau[rows])
+        tau[rows] = nxt
+        rows = rows[update > 1e-13]
+        if rows.size == 0:
+            return tau, it
+    raise AssertionError("reference loop stuck")
+
+
+def per_equation_field(sys, mixing, ts, seg, eps):
+    """The assembled field with each (i, j, direction) equation solved by
+    its own fixed point and read by its own lookup, in the order the
+    spec adds them up. Returns the field and the largest iteration
+    count of any equation."""
+    N, d = sys.N, sys.dim
+    force = sys.pair_force
+    y0 = seg.eval(0.0)
+    q = [y0[:, i * d:(i + 1) * d] for i in range(N)]
+    v = [y0[:, (N + i) * d:(N + i + 1) * d] for i in range(N)]
+    acc = np.zeros((ts.size, N, d))
+    worst = 0
+    for i in range(N):
+        if sys.external is not None:
+            acc[:, i] += sys.external(ts, q[i], v[i])
+        for j in range(N):
+            if j == i:
+                continue
+            for sign, weight in ((-1.0, mixing), (1.0, 1.0 - mixing)):
+                if weight == 0.0:
+                    continue
+                tau, it = per_equation_delay(seg, q[i],
+                                             slice(j * d, (j + 1) * d),
+                                             eps, sign)
+                worst = max(worst, it)
+                y = seg.eval(sign * tau)
+                acc[:, i] += weight * force(
+                    sys.charges[i], sys.charges[j], q[i], v[i],
+                    y[:, j * d:(j + 1) * d],
+                    y[:, (N + j) * d:(N + j + 1) * d]) / sys.masses[i]
+    return np.concatenate([y0[:, N * d:], acc.reshape(ts.size, N * d)],
+                          axis=1), worst
+
+
+STACK_PARTNERS = {
+    "static": lambda: ed.Trajectory.static([2.0, 0.5, 0.0]),
+    "uniform": lambda: ed.Trajectory.uniform([2.0, 0.0, 0.0],
+                                             [0.2, -0.1, 0.05]),
+    "circular": lambda: ed.Trajectory.circular([2.0, 0.0, 0.0], 0.4, 0.6),
+    "grid": PARTNERS["grid"],
+}
+
+
+def three_charges(partner, external):
+    sys = ed.ChargeSystem(
+        [ed.Trajectory.circular([0.0, 0.0, 0.0], 0.3, 0.8),
+         STACK_PARTNERS[partner](),
+         ed.Trajectory.uniform([-1.5, 1.0, 0.0], [0.1, -0.1, 0.05])],
+        masses=[1.0, 2.0, 1.5], charges=[1.0, -1.0, 0.5], epsilon=0.05,
+        xi1=0.5, xi2=0.5)
+    if external:
+        sys.external = lambda t, q, v: np.column_stack(
+            [np.zeros_like(t), 0.1 * t, -q[:, 0]])
+    return sys
+
+
+def tabulated_segment(sys, ts, h=1.0):
+    """Segment over the system's stacked state sampled on a grid."""
+    grid = GridFunction.sample(stacked_state(sys), 3.0, 0.02)
+    return grid, HistorySegment.from_grid(grid, ts, h)
+
+
+def count_evals(monkeypatch, grid):
+    """A list that grows by one per ``GridFunction.eval`` call on
+    ``grid``, for segments built after this call."""
+    calls = []
+    evaluate = GridFunction.eval
+
+    def counted(g, t):
+        if g is grid:
+            calls.append(np.size(t))
+        return evaluate(g, t)
+
+    monkeypatch.setattr(GridFunction, "eval", counted)
+    return calls
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("external", [False, True])
+    @pytest.mark.parametrize("mixing", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("partner", sorted(STACK_PARTNERS))
+    def test_matches_per_equation_reference(self, partner, mixing, external,
+                                            monkeypatch):
+        sys = three_charges(partner, external)
+        spec = ed.assemble_charge_perturbation(sys, window=4.0,
+                                               mixing=mixing)
+        ts = np.linspace(-1.5, 1.5, 13)
+        for seg in (stacked_segment(sys, ts), tabulated_segment(sys, ts)[1]):
+            want, _ = per_equation_field(sys, mixing, ts, seg, sys.epsilon)
+            assert np.array_equal(spec(ts, seg, sys.epsilon), want)
+
+        # one lookup for the present state, one per iterate after the
+        # first, one for the partner states
+        grid, seg = tabulated_segment(sys, ts)
+        _, worst = per_equation_field(sys, mixing, ts, seg, sys.epsilon)
+        calls = count_evals(monkeypatch, grid)
+        spec(ts, HistorySegment.from_grid(grid, ts, 1.0), sys.epsilon)
+        assert len(calls) == worst + 2
+
+    def test_lookups_do_not_grow_with_the_stack(self, monkeypatch):
+        # charges at rest: every equation freezes on iterate 1
+        counts = []
+        for n, mixing in ((2, 1.0), (4, 0.5)):
+            sys = ed.ChargeSystem(
+                [ed.Trajectory.static([2.0 * i, 0.5 * i, 0.0])
+                 for i in range(n)],
+                masses=[1.0] * n, charges=[1.0, -1.0] * (n // 2),
+                epsilon=0.05, xi1=0.5, xi2=0.5)
+            spec = ed.assemble_charge_perturbation(sys, h=1.0, window=4.0,
+                                                   mixing=mixing)
+            ts = np.linspace(-1.5, 1.5, 13)
+            grid = GridFunction.sample(stacked_state(sys), 3.0, 0.02)
+            with monkeypatch.context() as m:
+                calls = count_evals(m, grid)
+                spec(ts, HistorySegment.from_grid(grid, ts, 1.0),
+                     sys.epsilon)
+            counts.append(len(calls))
+        assert counts == [3, 3]
 
 
 class TestSoftenedCoulomb:

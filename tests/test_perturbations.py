@@ -129,6 +129,21 @@ class TestSegments:
         assert seg.deriv(0.0)[0] == pytest.approx(
             [math.cos(1.0), -math.sin(1.0), 0.0], abs=1e-7)
 
+    def test_grid_segment_builds_its_derivative_on_first_read(self,
+                                                              monkeypatch):
+        traj = sine_traj()
+        want = traj.derivative(1).eval(np.array([0.7, 1.2]))
+        traj = sine_traj()
+        builds = []
+        derivative = GridFunction.derivative
+        monkeypatch.setattr(GridFunction, "derivative", lambda g, k=1: (
+            builds.append(k), derivative(g, k))[1])
+        seg = HistorySegment.from_grid(traj, np.array([0.5, 1.0]), 0.5)
+        seg.eval(0.2)
+        assert builds == []
+        assert np.array_equal(seg.deriv(0.2), want)
+        assert builds == [1]
+
     def test_lookup_outside_radius_raises(self):
         seg = orbit_segment(0.0, h=1.0)
         with pytest.raises(ValueError, match="outside radius"):
