@@ -8,11 +8,13 @@ list of eps values and fits the first-order response slope; ``verify``
 re-certifies a stored state by applying the operator once.
 
 Exit codes: 0 success, 1 scenario or descriptor failure, including a
-run that reaches past the bounds its descriptors declare (nothing is
-written), 2 divergence (or a certification with kappa >= 1), 3 an
-iterate leaving its declared ball, 4 a numerical failure: a non-finite
-value entering the operator or a time-change flow failing its checks.
-A failed run or verify writes no output directory.
+run that reaches past the bounds its descriptors declare and a saved
+state whose grids do not extend by zero (nothing is written), 2
+divergence, or a converged ``run`` or a ``verify`` whose contraction
+estimate kappa is at or above 1, 3 an iterate leaving its declared
+ball, 4 a numerical failure: a non-finite value entering the operator
+or a time-change flow failing its checks. A failed run or verify
+writes no output directory.
 """
 
 from __future__ import annotations
@@ -261,6 +263,11 @@ def _fail(exc, subject, prefix=""):
     return code
 
 
+def _not_certifiable(kappa):
+    """The one line of a contraction estimate at or above 1 (exit 2)."""
+    return f"not certifiable: measured contraction ratio {kappa:.3f} >= 1"
+
+
 def _run_one(scn, fr, spec, cfg, out, quiet, prefix="", run=None):
     """Iterate and write the run artifacts; returns (code, state, report).
     A failure prints one line led by ``prefix`` and writes nothing.
@@ -273,13 +280,11 @@ def _run_one(scn, fr, spec, cfg, out, quiet, prefix="", run=None):
         _complain(prefix + f"no convergence within {cfg.max_iters} "
                   f"iterations (last distance {report.distances[-1]:.3e})")
         return 2, None, None
-    if report.kappa_hat < 1.0:
-        rows = aposteriori_bounds(report.e_eta, state, cfg,
-                                  scn.bounds_interval, report.kappa_hat)
-    else:
-        rows = []
-        _complain("warning: measured contraction ratio reached 1; "
-                  "bound table left empty")
+    if report.kappa_hat >= 1.0:
+        _complain(prefix + _not_certifiable(report.kappa_hat))
+        return 2, None, None
+    rows = aposteriori_bounds(report.e_eta, state, cfg,
+                              scn.bounds_interval, report.kappa_hat)
     report.bounds = tuple(rows)
     save_state(state, out, seed=scn.seed)
     report.to_json(os.path.join(out, "report.json"))
@@ -416,8 +421,7 @@ def cmd_verify(scn, state_dir, max_iters=None, quiet=False):
     except _OPERATOR_FAILURES as exc:
         return _fail(exc, "state")
     if kappa >= 1.0:
-        _complain(f"not certifiable: measured contraction ratio "
-                  f"{kappa:.3f} >= 1")
+        _complain(_not_certifiable(kappa))
         return 2
     rows = aposteriori_bounds(e_eta, state, cfg, scn.bounds_interval, kappa)
     out = scn.out

@@ -431,8 +431,10 @@ class DelayField:
         delay's nodes then the advance's, each starting from tau_0 =
         eps |q_i(t) - q_j(t)|. The iteration counts are read off the
         freeze record, and both defects off one more step over the
-        stack. ``window`` and ``delta`` must be positive and finite and
-        ``eps`` nonnegative; these are checked before any compute.
+        stack. ``window`` and ``delta`` must be positive and finite,
+        their lattice must hold a grid's interpolation stencil, and
+        ``eps`` must be nonnegative; these are checked before any
+        compute.
         """
         eps = float(eps)
         if eps < 0.0:
@@ -440,6 +442,11 @@ class DelayField:
         window = _positive("window", window)
         delta = _positive("delta", delta)
         nodes = lattice(window, delta)
+        try:
+            grid = GridFunction(window, delta, np.zeros(nodes.size))
+        except ValueError as exc:
+            raise ValueError(f"window {window:g} with delta {delta:g} gives "
+                             f"{nodes.size} nodes: {exc}") from None
         kappa = _finite("contraction rate eps * sup|dq_j|",
                         _contraction_rate(qi, qj, eps, window))
         if kappa >= 1.0:
@@ -459,8 +466,7 @@ class DelayField:
         vals, frozen = _fixed_point(step, np.concatenate([start, start]),
                                     sign, times)
         defect = np.abs(step(np.arange(2 * n), sign * vals) - vals)
-        return cls(GridFunction(window, delta, vals[:n]),
-                   GridFunction(window, delta, vals[n:]), eps,
+        return cls(grid.with_values(vals[:n]), grid.with_values(vals[n:]), eps,
                    tau_iterations=int(frozen[:n].max()),
                    tau_defect=float(defect[:n].max()),
                    sigma_iterations=int(frozen[n:].max()),

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,15 +33,12 @@ __all__ = [
     "FlowGuardError",
     "ScalarField",
     "Flow",
-    "DistortionReport",
     "solve_flow",
     "flow_cells",
-    "distortion_check",
     "inverse_flow_factor",
     "composite_factor",
     "flow_difference_eta",
     "composite_difference_eta",
-    "phi_derivative_bounds",
 ]
 
 
@@ -336,78 +332,6 @@ def solve_flow(field, window, lattices=None):
     return Flow(phi, phi_inv, field)
 
 
-@dataclass(frozen=True)
-class DistortionReport:
-    """Worst slack of the two-sided flow distortion bounds.
-
-    Slacks are bound minus measured (lower bounds measured minus bound),
-    so negative entries beyond the tolerance are violations.
-    """
-
-    t0: float
-    phi_lower: float
-    phi_upper: float
-    inv_lower: float
-    inv_upper: float
-    violations: int
-    tolerance: float
-
-    @property
-    def ok(self):
-        return self.violations == 0
-
-    @property
-    def worst(self):
-        return min(self.phi_lower, self.phi_upper,
-                   self.inv_lower, self.inv_upper)
-
-
-# rows of the pairwise difference matrices formed at once
-_PAIR_CHUNK = 256
-
-
-def _pairwise_slacks(x, y, lo_fac, hi_fac):
-    worst_lo = np.inf
-    worst_hi = np.inf
-    n = x.size
-    for a in range(0, n, _PAIR_CHUNK):
-        b = min(a + _PAIR_CHUNK, n)
-        dx = np.abs(x[a:b, None] - x[None, :])
-        dy = np.abs(y[a:b, None] - y[None, :])
-        same = dx == 0.0
-        lo = dy - lo_fac * dx
-        hi = hi_fac * dx - dy
-        lo[same] = np.inf
-        hi[same] = np.inf
-        worst_lo = min(worst_lo, float(lo.min()))
-        worst_hi = min(worst_hi, float(hi.min()))
-    return worst_lo, worst_hi
-
-
-# slack below zero that a distortion bound forgives as rounding
-_DISTORTION_TOL = 1e-8
-
-
-def distortion_check(fl):
-    """Verify the two-sided distortion bounds over all node pairs.
-
-    phi must move pairs by between (1 - t_0) and (1 + t_0) times their
-    separation, and phi_inv by the reciprocal factors. Returns the worst
-    slack per bound and the count of violations beyond 1e-8.
-    """
-    t0 = fl.t0
-    phi_lo, phi_hi = _pairwise_slacks(fl.phi.nodes, fl.phi.values[:, 0],
-                                      1.0 - t0, 1.0 + t0)
-    inv_lo, inv_hi = _pairwise_slacks(fl.phi_inv.nodes,
-                                      fl.phi_inv.values[:, 0],
-                                      1.0 / (1.0 + t0), 1.0 / (1.0 - t0))
-    slacks = (phi_lo, phi_hi, inv_lo, inv_hi)
-    violations = sum(1 for s in slacks if s < -_DISTORTION_TOL)
-    return DistortionReport(t0=t0, phi_lower=phi_lo, phi_upper=phi_hi,
-                            inv_lower=inv_lo, inv_upper=inv_hi,
-                            violations=violations, tolerance=_DISTORTION_TOL)
-
-
 def inverse_flow_factor(eta, t0):
     """1 / (eta (1 - t_0)^2): the gain from ||X - Y||_eta to the weighted
     distance of the inverse flows."""
@@ -480,45 +404,3 @@ def composite_difference_eta(X, Y, h, weight, rho_count=41, s_count=21):
     z = composite_factor(eta, t0, t1, h)
     rhs = z * (X.xhat - Y.xhat).norm_razumikhin(weight)
     return lhs, rhs, z
-
-
-def _partitions(r):
-    # multisets (m_1, ..., m_r) with sum j m_j = r
-    def rec(remaining, j):
-        if remaining == 0:
-            yield {}
-            return
-        if j > remaining:
-            return
-        for m in range(remaining // j + 1):
-            for rest in rec(remaining - j * m, j + 1):
-                if m:
-                    rest = dict(rest)
-                    rest[j] = m
-                yield rest
-    yield from rec(r, 1)
-
-
-def phi_derivative_bounds(ball):
-    """Bounds on |D^{j+1} phi| for j = 0..l from the field's ball radii.
-
-    Chain of the flow equation: |D phi| <= 1 + t_0, and each further
-    derivative comes from differentiating xhat(phi) with the composite
-    derivative formula, replacing |D^k xhat| by t_k and lower phi
-    derivatives by the already computed bounds.
-    """
-    t = ball.c
-    ell = ball.ell
-    bounds = [1.0 + t[0]]
-    for r in range(1, ell + 1):
-        total = 0.0
-        for part in _partitions(r):
-            order = sum(part.values())
-            coef = math.factorial(r)
-            prod = 1.0
-            for j, m in part.items():
-                coef //= math.factorial(m) * math.factorial(j) ** m
-                prod *= bounds[j - 1] ** m
-            total += coef * t[order] * prod
-        bounds.append(total)
-    return bounds

@@ -601,18 +601,17 @@ class BallReport:
         return self.ok
 
 
-def ball_membership(g, center, radii):
-    """Check whether g lies in the ball of ``radii`` around ``center``.
+def ball_membership(g, radii):
+    """Check whether g lies in the ball of ``radii`` around 0.
 
-    Levels 0..l compare nodal sups of derivatives of g - center against
-    the radii; the last entry compares the adjacent-node Lipschitz
-    estimate of the top derivative.
+    Levels 0..l compare nodal sups of derivatives of g against the
+    radii; the last entry compares the adjacent-node Lipschitz estimate
+    of the top derivative. For a ball around another centre, pass the
+    difference.
     """
-    center._check_compatible(g)
-    diff = g - center
     ell = radii.ell
-    measured = [diff._level_sup(j) for j in range(ell + 1)]
-    measured.append(diff.lipschitz_estimate(ell))
+    measured = [g._level_sup(j) for j in range(ell + 1)]
+    measured.append(g.lipschitz_estimate(ell))
     measured = tuple(measured)
     slack = tuple(lim - m for lim, m in zip(radii.c, measured))
     ok = all(s >= 0.0 for s in slack)

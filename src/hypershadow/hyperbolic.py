@@ -32,11 +32,9 @@ __all__ = [
     "FloquetFrame",
     "FrameTable",
     "FrameReport",
-    "BundleReport",
     "analytic_frame",
     "floquet_frame",
     "verify_frame",
-    "bundle_characterization_test",
     "builtin_model",
     "unit_circle_orbit",
     "frame_from_descriptor",
@@ -74,38 +72,6 @@ class OdeModel:
     def d2f_batch(self, pts):
         return np.asarray(self.d2f(np.asarray(pts, dtype=float)), dtype=float)
 
-    def check_derivatives(self, points):
-        """Compare df against differences of f, and d2f against df.
-
-        Relative to 1 + the norm of the analytic value, point by point;
-        every point and coordinate step is differenced in one batch.
-        Raises on disagreement beyond 1e-6 for df and 1e-5 for d2f.
-        """
-        x = np.atleast_2d(np.asarray(points, dtype=float))
-        k, n = x.shape
-        size = 1.0 + np.abs(x).max(axis=1)
-
-        def worst(exact, fn, h):
-            # row (p, j) steps point p by h_p along e_j; the difference
-            # along e_j fills the last axis of the analytic value
-            steps = h[:, None, None] * np.eye(n)
-            plus = fn((x[:, None, :] + steps).reshape(k * n, n))
-            minus = fn((x[:, None, :] - steps).reshape(k * n, n))
-            fd = ((plus - minus).reshape((k, n) + exact.shape[1:-1])
-                  / (2.0 * h).reshape((k,) + (1,) * (exact.ndim - 1)))
-            fd = np.moveaxis(fd, 1, -1)
-            axes = tuple(range(1, exact.ndim))
-            return float((np.abs(exact - fd).max(axis=axes)
-                          / (1.0 + np.abs(exact).max(axis=axes))).max())
-
-        worst_df = worst(self.df_batch(x), self.f_batch, 1e-6 * size)
-        worst_d2f = worst(self.d2f_batch(x), self.df_batch, 1e-4 * size)
-        if worst_df > 1e-6:
-            raise ValueError(f"df disagrees with differences of f: {worst_df:.2e}")
-        if worst_d2f > 1e-5:
-            raise ValueError(f"d2f disagrees with differences of df: {worst_d2f:.2e}")
-        return worst_df, worst_d2f
-
 
 @dataclass(frozen=True)
 class QualityMeasures:
@@ -125,10 +91,6 @@ class QualityMeasures:
     @property
     def lam_min(self):
         return min(self.lam_s, self.lam_u)
-
-    def as_dict(self):
-        return {"C_U": self.C_U, "C_Pi": self.C_Pi, "lam_s": self.lam_s,
-                "lam_u": None if math.isinf(self.lam_u) else self.lam_u}
 
 
 class FrameTable:
@@ -320,15 +282,6 @@ class _FrameBase:
         if key not in rhos.plans:
             rhos.plans[key] = _BundlePlan(self, sigma, rhos, vs)
         return rhos.plans[key](wvs)
-
-    def descriptor(self):
-        return {
-            "model": self.model.name,
-            "parameters": self.model.params,
-            "quality": self.quality.as_dict(),
-            "mode": self.mode,
-            "dims": list(self.dims),
-        }
 
 
 def _apply(mats, vecs):
@@ -1000,45 +953,6 @@ def verify_frame(fr):
         expo_slack=expo_slack, proj_slack=proj_slack,
         lambda_hat_s=lam_hat["s"], lambda_hat_u=lam_hat["u"],
         declared=q, failures=failures)
-
-
-@dataclass(frozen=True)
-class BundleReport:
-    sigma: str
-    residual_sup: float
-    xi_sup: float
-    ok: bool
-
-
-def bundle_characterization_test(fr, sigma, xi0):
-    """Propagate xi0 in its bundle and test the residual characterization.
-
-    xi(t) = U^sigma(t; 0) xi0 must satisfy xi' - Df(x0) xi in E^sigma_t;
-    the report carries the sup of (I - Pi^sigma)(xi' - Df xi) over
-    [-2, 2] at step 0.01, which must stay below 1e-6.
-    """
-    half_width, delta = 2.0, 0.01
-    xi0 = np.asarray(xi0, dtype=float)
-    Pc, Ps, Pu = (P[0] for P in fr.proj_batch(np.zeros(1)))
-    P0 = {"s": Ps, "u": Pu, "c": Pc}[sigma]
-    if np.linalg.norm(xi0 - P0 @ xi0) > 1e-8 * max(1.0, np.linalg.norm(xi0)):
-        raise ValueError("xi0 must lie in the declared subspace")
-    prop = fr.prop_s_batch if sigma == "s" else fr.prop_u_batch
-    g = GridFunction.sample(lambda ts: prop(ts, 0.0) @ xi0, half_width,
-                            delta, interp_order=5, extension="constant-hold")
-    ts, xi = g.nodes, g.values
-    dxi = g.derivative(1).values
-    dfs = fr.table(ts).df0
-    resid = dxi - np.einsum("kij,kj->ki", dfs, xi)
-    Pall = fr.proj_batch(ts)
-    P = {"c": Pall[0], "s": Pall[1], "u": Pall[2]}[sigma]
-    out = resid - np.einsum("kij,kj->ki", P, resid)
-    # window ends use one-sided difference stencils; drop the edge nodes
-    core = slice(3, -3)
-    sup = float(np.linalg.norm(out[core], axis=1).max())
-    return BundleReport(sigma=sigma, residual_sup=sup,
-                        xi_sup=float(np.linalg.norm(xi, axis=1).max()),
-                        ok=sup <= 1e-6)
 
 
 def frame_from_descriptor(desc):

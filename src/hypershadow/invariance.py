@@ -183,8 +183,10 @@ class CorrectionState:
 
     ``X`` carries its own ball radii; ``s_ball`` and ``u_ball`` bound
     the bundle corrections. Values of ``xs``/``xu`` are meant to lie in
-    the stable/unstable bundle at each node; builders re-project, and
-    :func:`range_defect` measures the leftover.
+    the stable/unstable bundle at each node; :func:`gamma_step`
+    re-projects them. All three grids (X - 1, xhat_s, xhat_u) extend by
+    zero, so the correction vanishes one cell past the window and the
+    operator's load is the perturbation term alone there.
     """
 
     X: ScalarField
@@ -201,6 +203,11 @@ class CorrectionState:
                                  "and interpolation order")
         if self.xs.m != self.xu.m:
             raise ValueError("bundle corrections must share the dimension")
+        for name, grid in (("xhat_t", g), ("xhat_s", self.xs),
+                           ("xhat_u", self.xu)):
+            if grid.extension != "zero":
+                raise ValueError(f"state grid {name} must extend by zero, "
+                                 f"got extension {grid.extension!r}")
 
     @property
     def t_ball(self):
@@ -243,25 +250,6 @@ def initial_state(fr, cfg, t_radii=None, s_radii=None, u_radii=None):
     return CorrectionState(X=X, xs=xs, xu=xu, s_ball=s_ball, u_ball=u_ball)
 
 
-def range_defect(fr, state):
-    """max over nodes of |(I - Pi_sigma) xhat_sigma| for both bundles."""
-    nodes = state.xs.nodes
-    worst = 0.0
-    for sigma, g in (("s", state.xs), ("u", state.xu)):
-        proj = fr.proj_apply(sigma, nodes, g.values)
-        worst = max(worst, float(
-            np.linalg.norm(g.values - proj, axis=1).max()))
-    return worst
-
-
-def center_defect(fr, state):
-    """max over nodes of |Pi_c (xhat_s + xhat_u)|: the normalization."""
-    nodes = state.xs.nodes
-    total = state.xs.values + state.xu.values
-    proj = fr.proj_apply("c", nodes, total)
-    return float(np.linalg.norm(proj, axis=1).max())
-
-
 # ---------------------------------------------------------------------------
 # pointwise terms
 
@@ -275,36 +263,6 @@ def _taylor_split(fr, tab, xhat):
             "correction leaves the model's valid neighborhood of the orbit")
     lin = np.einsum("kij,kj->ki", tab.df0, xhat)
     return lin, fr.model.f_batch(tab.x0 + xhat) - tab.f0 - lin
-
-
-def taylor_remainder(fr, xhat, rho, cross_check=False):
-    """T = f(x0 + xhat) - f(x0) - Df(x0) xhat at the orbit points x0(rho).
-
-    ``xhat`` is (k, n) and ``rho`` (k,) times or a FrameTable of ``fr``;
-    returns (k, n). With ``cross_check`` the direct formula is compared
-    against the double-integral form
-    int_0^1 int_0^s D2f(x0 + r xhat) xhat^2 dr ds
-    and a larger-than-roundoff disagreement raises.
-    """
-    model = fr.model
-    xhat = np.asarray(xhat, dtype=float)
-    tab = fr.table(rho)
-    x0 = tab.x0
-    _, direct = _taylor_split(fr, tab, xhat)
-    if cross_check:
-        # iterated-integral form, 20-point Gauss in each layer
-        gx, gw = np.polynomial.legendre.leggauss(20)
-        s = 0.5 * (gx + 1.0)
-        w = 0.5 * gw
-        acc = np.zeros_like(direct)
-        for si, wi in zip(s, w):
-            for rj, wj in zip(s * si, w * si):
-                H = model.d2f_batch(x0 + rj * xhat)
-                acc += (wi * wj) * np.einsum("kijl,kj,kl->ki", H, xhat, xhat)
-        scale = 1.0 + float(np.abs(direct).max())
-        if float(np.abs(acc - direct).max()) > 1e-8 * scale:
-            raise ValueError("Taylor remainder forms disagree")
-    return direct
 
 
 def _quadratic_batch(fr, state, vs, at=None):
@@ -419,8 +377,8 @@ class _Run:
     derivative along it, the adapted bases, the projectors and the
     bundle-sum plans behind every projection and bundle sum are
     evaluated once per run, not once per step. ``support(name, points,
-    g)`` cuts the points a zero-extended grid of g's geometry reaches
-    out of the lattice's table, with their sampler.
+    g)`` cuts the points a state grid of g's geometry reaches out of the
+    lattice's table, with their sampler.
     """
 
     def __init__(self, fr, spec, cfg, t0):
@@ -445,22 +403,20 @@ class _Run:
 
     def support(self, name, points, g):
         """(rows, table, sampler) of the points of lattice ``name`` with
-        |t| < T + delta, T and delta g's, or None when that is all of
-        them. A grid with the zero extension is exactly 0 beyond
-        T + delta, where it has tapered over one cell. ``points`` is the
-        lattice's FrameTable; a lattice ascends, so the rows are a slice
-        and the table cut out of it holds views of its values. The
-        sampler reads g's geometry at the rows' times."""
+        |t| < T + delta, T and delta g's: the points where a state grid
+        of g's geometry can be nonzero, since it extends by zero and so
+        vanishes from one cell past its window. For the node lattice
+        that is all of its rows. ``points`` is the lattice's FrameTable;
+        a lattice ascends, so the rows are a slice and the table cut out
+        of it holds views of its values. The sampler reads g's geometry
+        at the rows' times."""
         key = (name, g.geometry)
         if key not in self._supports:
             t, reach = points.times, g.half_width + g.delta
             rows = slice(np.searchsorted(t, -reach, side="right"),
                          np.searchsorted(t, reach, side="left"))
-            cut = None
-            if rows.stop - rows.start < t.size:
-                sub = points.take(rows)
-                cut = rows, sub, GridSampler(g, sub.times)
-            self._supports[key] = cut
+            sub = points.take(rows)
+            self._supports[key] = rows, sub, GridSampler(g, sub.times)
         return self._supports[key]
 
 
@@ -471,9 +427,9 @@ def _step_load(fr, state, spec, cfg, run):
     The flow of the state's time change is solved here, and varphi
     tabulated once on the half-cell lattice: Gauss points read it by
     interpolation, and state nodes fall on the lattice, so they read
-    the tabulated values exactly. When X - 1, xhat_s and xhat_u all
-    extend by zero, xhat = 0 and X = 1 beyond one cell past the window,
-    so B = 0 there: the quadratic term is evaluated on the lattice's
+    the tabulated values exactly. X - 1, xhat_s and xhat_u extend by
+    zero, so xhat = 0 and X = 1 beyond one cell past the window, and
+    B = 0 there: the quadratic term is evaluated on the lattice's
     support only (:meth:`_Run.support`) and is 0, with X = 1, elsewhere.
     """
     flow = _state_flow(state, run.geo.flow_half, run)
@@ -486,19 +442,12 @@ def _step_load(fr, state, spec, cfg, run):
             run.geo.hi, run.geo.quad,
             _varphi_batch(fr, state, spec, flow, lat, cfg.eps, inv_at),
             interp_order=7, extension="constant-hold")
-    tapered = all(g.extension == "zero"
-                  for g in (state.X.xhat, state.xs, state.xu))
 
     def load(name, vs):
-        cut = run.support(name, vs, state.xs) if tapered else None
-        if cut is None:
-            g, Xv = _quadratic_batch(fr, state, vs,
-                                     run.sampler(name, vs, state.xs))
-        else:
-            rows, sub, at = cut
-            g = np.zeros((vs.times.size, fr.model.n))
-            Xv = np.ones(vs.times.size)
-            g[rows], Xv[rows] = _quadratic_batch(fr, state, sub, at)
+        rows, sub, at = run.support(name, vs, state.xs)
+        g = np.zeros((vs.times.size, fr.model.n))
+        Xv = np.ones(vs.times.size)
+        g[rows], Xv[rows] = _quadratic_batch(fr, state, sub, at)
         if vphi is not None:
             g = g + cfg.eps * run.sampler(name, vs, vphi).apply(vphi)
         return g, Xv
@@ -643,10 +592,7 @@ def _ball_snapshot(state, core_half):
               ("s", state.xs, state.s_ball),
               ("u", state.xu, state.u_ball))
     for name, g, radii in checks:
-        core = g.restrict(core_half)
-        center = core.with_values(np.zeros_like(core.values))
-        rep = ball_membership(core, center, radii)
-        out[name] = rep
+        out[name] = ball_membership(g.restrict(core_half), radii)
     return out
 
 
@@ -772,29 +718,6 @@ def iterate(fr, spec, cfg, initial=None, _run=None):
         u_radii=state.u_ball.c,
     )
     return state, report
-
-
-def derivative_identity_defect(fr, state, spec, cfg):
-    """sup over core nodes of |D xhat_sigma - Df(x0) xhat_sigma - load|.
-
-    The fixed point solves the bundle differential equations, so its
-    numerical derivative must match the right-hand side built from the
-    same integrand; the returned sup is the larger of the two bundles.
-    """
-    run = _Run(fr, spec, cfg, state.X.t0)
-    nodes = run.table("nodes", state.xs.nodes)
-    core = np.abs(nodes.times) <= run.geo.core_half + 1e-12
-    g, Xv = _step_load(fr, state, spec, cfg, run)("nodes", nodes)
-    scaled = g / Xv[:, None]
-    Df0 = nodes.df0
-    worst = 0.0
-    for sigma, grid in (("s", state.xs), ("u", state.xu)):
-        load = fr.proj_apply(sigma, nodes, scaled)
-        rhs = np.einsum("kij,kj->ki", Df0, grid.values) + load
-        lhs = grid.derivative(1).values
-        worst = max(worst, float(
-            np.linalg.norm((lhs - rhs)[core], axis=1).max()))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ __all__ = [
     "segment_distance_c1",
     "functional_output_grid",
     "spec_from_descriptor",
-    "mu_sensitivity",
 ]
 
 _LOOKUP_SLACK = 1e-9
@@ -146,10 +145,6 @@ class PerturbationSpec:
             raise ValueError("need one segment center per base time")
         out = self.evaluate(ts, segment, eps)
         return out[0] if np.ndim(t) == 0 else out
-
-    def descriptor(self):
-        return {"kind": self.kind, "parameters": dict(self.params),
-                "h": self.h, "L1": self.L1, "L2": self.L2}
 
 
 # -- builders -------------------------------------------------------------
@@ -543,17 +538,3 @@ def spec_from_descriptor(desc):
                              kind=kind, params=p)
 
     raise ValueError(f"unknown perturbation kind {kind!r}")
-
-
-def mu_sensitivity(desc, t, segment, eps, target):
-    """Central difference of the functional output in the descriptor
-    parameter named ``target``, with step 1e-4."""
-    dmu = 1e-4
-    lo = {**desc, "parameters": {**desc.get("parameters", {})}}
-    hi = {**desc, "parameters": {**desc.get("parameters", {})}}
-    base = float(desc["parameters"][target])
-    lo["parameters"][target] = base - dmu
-    hi["parameters"][target] = base + dmu
-    plo = spec_from_descriptor(lo)(t, segment, eps)
-    phi = spec_from_descriptor(hi)(t, segment, eps)
-    return (phi - plo) / (2.0 * dmu)

@@ -33,12 +33,13 @@ from hypershadow.hyperbolic import (analytic_frame, builtin_model,
                                     floquet_frame, unit_circle_orbit)
 from hypershadow.invariance import (CorrectionState, OperatorConfig,
                                     aposteriori_bounds, b_difference_probe,
-                                    center_defect, contraction_constants,
-                                    gamma_step, initial_state, iterate,
-                                    residual_fde, varphi_difference_probe)
+                                    contraction_constants, gamma_step,
+                                    initial_state, iterate, residual_fde,
+                                    varphi_difference_probe)
 from hypershadow.perturbations import (HistorySegment, small_delay_q,
                                        neutral_delay, spec_from_descriptor,
                                        state_dependent_delay)
+from test_flows import distortion_slacks
 
 # the shipped "no perturbation" kind
 ZERO = spec_from_descriptor({"kind": "zero"})
@@ -321,10 +322,11 @@ def test_criterion_04_contraction_lemmas():
 
 
 def test_criterion_05_flow_distortion():
+    # each flow passes its own checks (solve_flow returns a Flow) and
+    # the pairwise distortion bounds, up to 1e-8 of rounding
     for seed in range(100):
         fl = solve_flow(random_field(seed), 6.0)
-        rep = flows.distortion_check(fl)
-        assert rep.violations == 0, seed
+        assert min(distortion_slacks(fl).values()) >= -1e-8, seed
 
     # constant fields sit exactly on one side of each two-sided bound
     for c, tight in ((1.3, ("phi_upper", "inv_lower")),
@@ -333,10 +335,10 @@ def test_criterion_05_flow_distortion():
         field = ScalarField(GridFunction.sample(
             lambda t: (c - 1.0) + 0.0 * t, 4.0, 0.05,
             extension="constant-hold"), ball)
-        rep = flows.distortion_check(solve_flow(field, 3.0))
-        assert rep.violations == 0
+        slacks = distortion_slacks(solve_flow(field, 3.0))
+        assert min(slacks.values()) >= -1e-8
         for name in tight:
-            assert abs(getattr(rep, name)) <= 1e-9, (c, name)
+            assert abs(slacks[name]) <= 1e-9, (c, name)
 
 
 def test_criterion_06_eps_scaling():
@@ -380,7 +382,15 @@ def test_criterion_07_normalizations():
         state = initial_state(fr, cfg)
         for _ in range(steps):
             state, defects = gamma_step(fr, state, spec, cfg)
-            assert center_defect(fr, state) <= 1e-8
+            # gamma_step's final projection keeps each bundle grid in
+            # its bundle, so their sum has no center part
+            nodes = state.xs.nodes
+            for sigma, g in (("s", state.xs), ("u", state.xu)):
+                off = g.values - fr.proj_apply(sigma, nodes, g.values)
+                assert np.linalg.norm(off, axis=1).max() <= 1e-8
+            centre = fr.proj_apply("c", nodes, state.xs.values
+                                   + state.xu.values)
+            assert np.linalg.norm(centre, axis=1).max() <= 1e-8
             phi0 = solve_flow(state.X, 5.0).phi.eval1(0.0)
             assert phi0 == 0.0
             moved = max(moved, state.X.sup_deviation())

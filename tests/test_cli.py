@@ -8,6 +8,7 @@ quick while still exercising every artifact writer.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -459,6 +460,38 @@ class TestRunVerb:
         assert cli.main(["run", path, "--max-iters", "1", "--quiet"]) == 2
         assert not os.path.exists(scn["out"])
 
+    @pytest.mark.parametrize("verb", ["run", "sweep", "verify"])
+    def test_contraction_at_one_is_exit_two(self, tmp_path, capsys,
+                                            monkeypatch, linear_run, verb):
+        # a converged run, a sweep member or a verify whose contraction
+        # estimate reaches 1 says so in the same one line and writes
+        # nothing
+        iterate, gamma_step = cli.iterate, cli.gamma_step
+
+        def at_one(*a, **kw):
+            state, report = iterate(*a, **kw)
+            assert report.converged
+            return state, dataclasses.replace(report, kappa_hat=1.0)
+
+        def same_distance(*a):
+            # every application moves the state by the same distance
+            new, defects = gamma_step(*a)
+            return new, dict(defects, d_eta=1.0)
+
+        monkeypatch.setattr(cli, "iterate", at_one)
+        monkeypatch.setattr(cli, "gamma_step", same_distance)
+        eps = [4e-3, 2e-3, 1e-3] if verb == "sweep" else 0.01
+        path, scn = write_scenario(tmp_path, eps=eps)
+        argv = [verb, path, "--quiet"]
+        if verb == "verify":
+            argv.insert(2, linear_run["out"])
+        assert cli.main(argv) == 2
+        prefix = "sweep member eps=0.004 failed: " if verb == "sweep" else ""
+        assert capsys.readouterr().err.splitlines() == [
+            f"hypershadow: {prefix}not certifiable: measured contraction "
+            f"ratio 1.000 >= 1"]
+        assert not os.path.exists(scn["out"])
+
     def test_out_flag_overrides(self, tmp_path):
         path, _ = write_scenario(tmp_path, eps=0.0)
         other = tmp_path / "elsewhere"
@@ -740,6 +773,26 @@ class TestVerifyVerb:
             texts.append((ver / "verify.json").read_bytes())
         assert texts[0] == texts[1]
         assert json.loads(texts[0])["state_dir"] == os.path.join("..", "out")
+
+    @pytest.mark.parametrize("grid", ["xhat_t", "xhat_u"])
+    def test_state_without_zero_extension_is_exit_one(self, tmp_path, capsys,
+                                                      monkeypatch, linear_run,
+                                                      grid):
+        # a hand-edited sidecar whose grid would not vanish past the
+        # window is refused on load, before any operator step
+        monkeypatch.setattr(cli, "gamma_step",
+                            lambda *a: pytest.fail("stepped"))
+        bad_dir = tmp_path / "linear_state"
+        shutil.copytree(linear_run["out"], bad_dir)
+        sidecar = bad_dir / f"{grid}.json"
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps(dict(meta, extension="linear")))
+        path, scn = write_scenario(tmp_path, name="ver.json")
+        assert cli.main(["verify", path, str(bad_dir)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"hypershadow: state grid {grid} must extend by zero, got "
+            f"extension 'linear'"]
+        assert not os.path.exists(scn["out"])
 
     def test_missing_state_dir_is_exit_one(self, tmp_path):
         path, _ = write_scenario(tmp_path, name="ver.json")

@@ -270,6 +270,19 @@ class TestSolveDelay:
                                      rf"got {value!r}$"):
                 ed.DelayField.solve(origin(), drifting(), 0.05, **args)
 
+    def test_window_too_small_for_the_stencil_fails_before_any_compute(
+            self, monkeypatch):
+        # 5 nodes cannot hold a grid's degree-5 stencil: the reason names
+        # both arguments, before the contraction rate is sampled
+        monkeypatch.setattr(ed, "_contraction_rate",
+                            lambda *a: pytest.fail("sampled"))
+        with pytest.raises(ValueError, match=r"^window 1 with delta 0\.5 "
+                                             r"gives 5 nodes: not enough "
+                                             r"nodes for the interpolation "
+                                             r"stencil$"):
+            ed.DelayField.solve(origin(), drifting(), 0.05, window=1.0,
+                                delta=0.5)
+
     def test_one_fixed_point_per_solve(self, monkeypatch):
         calls = []
         solve = ed._fixed_point

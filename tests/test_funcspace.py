@@ -152,9 +152,10 @@ def test_razumikhin_ramp_attains_inverse_e():
 # -- balls -------------------------------------------------------------
 
 def test_ball_membership_center():
+    # the ball is around 0; a ball around g is measured on g - g
     g = grid(np.cos, 2.0, 0.05)
     radii = fs.BallRadii((0.5, 0.4, 0.3))
-    rep = fs.ball_membership(g, g, radii)
+    rep = fs.ball_membership(g - g, radii)
     assert rep.ok
     assert rep.slack == pytest.approx(radii.c)
 
@@ -163,7 +164,7 @@ def test_ball_membership_level0_violation():
     center = grid(np.cos, 2.0, 0.05)
     radii = fs.BallRadii((0.5, 10.0, 10.0))
     g = center + center.with_values(np.full((center.n, 1), 1.0))
-    rep = fs.ball_membership(g, center, radii)
+    rep = fs.ball_membership(g - center, radii)
     assert not rep.ok
     assert rep.slack[0] < 0.0
     assert rep.slack[1] >= 0.0
@@ -172,10 +173,9 @@ def test_ball_membership_level0_violation():
 def test_ball_membership_scaled_sine():
     # displacement 0.5 sin(t/2): level sups 0.5, 0.25 and top-level
     # Lipschitz 0.125, computed by hand from the chain rule
-    center = grid(lambda t: 0.0 * t, 10.0, 0.01)
     g = grid(lambda t: 0.5 * np.sin(t / 2.0), 10.0, 0.01)
     radii = fs.BallRadii((1.0, 1.0, 0.2))
-    rep = fs.ball_membership(g, center, radii)
+    rep = fs.ball_membership(g, radii)
     assert rep.ok
     assert rep.measured[0] == pytest.approx(0.5, abs=1e-4)
     assert rep.measured[1] == pytest.approx(0.25, abs=1e-4)
@@ -183,10 +183,11 @@ def test_ball_membership_scaled_sine():
 
 
 def test_ball_membership_dimension_mismatch():
+    # a displacement needs a centre of the same dimension
     a = grid(np.sin, 1.0, 0.1)
     b = fs.GridFunction(1.0, 0.1, np.zeros((21, 2)))
     with pytest.raises(ValueError):
-        fs.ball_membership(a, b, fs.BallRadii((1.0, 1.0)))
+        fs.ball_membership(a - b, fs.BallRadii((1.0, 1.0)))
 
 
 def test_ball_radii_validation():

@@ -34,23 +34,22 @@ from hypershadow.invariance import (
     NumericalError,
     OperatorConfig,
     _quadratic_batch,
+    _Run,
     _state_flow,
+    _step_load,
+    _taylor_split,
     _varphi_batch,
     aposteriori_bounds,
     b_difference_probe,
-    center_defect,
     contraction_constants,
     contraction_probe,
-    derivative_identity_defect,
     distance_components,
     gamma_step,
     initial_state,
     iterate,
     orbit_field_norms,
-    range_defect,
     resolve_geometry,
     residual_fde,
-    taylor_remainder,
     varphi_difference_probe,
     write_residual_csv,
 )
@@ -79,6 +78,45 @@ def cubic_frame():
 def base_cfg(eps, delta=0.1, tol_eta=1e-8, **kw):
     return OperatorConfig(eta=WeightParam(0.25), window=24.0, eps=eps,
                           delta=delta, tol_eta=tol_eta, **kw)
+
+
+def off_bundle(fr, st):
+    """max over nodes of |(I - Pi_sigma) xhat_sigma| for both bundles:
+    the range constraint that gamma_step's final projection enforces."""
+    nodes = st.xs.nodes
+    return max(float(np.linalg.norm(
+        g.values - fr.proj_apply(sigma, nodes, g.values), axis=1).max())
+        for sigma, g in (("s", st.xs), ("u", st.xu)))
+
+
+def centre_part(fr, st):
+    """max over nodes of |Pi_c (xhat_s + xhat_u)|: the normalization."""
+    total = st.xs.values + st.xu.values
+    return float(np.linalg.norm(fr.proj_apply("c", st.xs.nodes, total),
+                                axis=1).max())
+
+
+def derivative_identity_defect(fr, st, spec, cfg):
+    """sup over core nodes of |D xhat_sigma - Df(x0) xhat_sigma - load|,
+    the larger of the two bundles.
+
+    The fixed point solves the bundle differential equations, so its
+    numerical derivative must match the right-hand side built from the
+    operator's own load.
+    """
+    run = _Run(fr, spec, cfg, st.X.t0)
+    nodes = run.table("nodes", st.xs.nodes)
+    core = np.abs(nodes.times) <= run.geo.core_half + 1e-12
+    g, Xv = _step_load(fr, st, spec, cfg, run)("nodes", nodes)
+    scaled = g / Xv[:, None]
+    worst = 0.0
+    for sigma, grid in (("s", st.xs), ("u", st.xu)):
+        rhs = (np.einsum("kij,kj->ki", nodes.df0, grid.values)
+               + fr.proj_apply(sigma, nodes, scaled))
+        lhs = grid.derivative(1).values
+        worst = max(worst, float(
+            np.linalg.norm((lhs - rhs)[core], axis=1).max()))
+    return worst
 
 
 def sine_delay_spec(a, omega, slot=1):
@@ -339,14 +377,63 @@ class TestStateBasics:
         fr = lin_frame()
         cfg = base_cfg(eps=0.0)
         st = state_with(fr, cfg, xs_col=0.1)
-        # slot 1 lies in the stable bundle: clean on both meters
-        assert range_defect(fr, st) <= 1e-14
-        assert center_defect(fr, st) <= 1e-14
+        # slot 1 lies in the stable bundle: clean on both constraints
+        assert off_bundle(fr, st) <= 1e-14
+        assert centre_part(fr, st) <= 1e-14
         bad = st.xs.with_values(np.tile([0.05, 0.1, 0.0], (st.xs.n, 1)))
         dirty = CorrectionState(X=st.X, xs=bad, xu=st.xu,
                                 s_ball=st.s_ball, u_ball=st.u_ball)
-        assert range_defect(fr, dirty) == pytest.approx(0.05, abs=1e-12)
-        assert center_defect(fr, dirty) == pytest.approx(0.05, abs=1e-12)
+        assert off_bundle(fr, dirty) == pytest.approx(0.05, abs=1e-12)
+        assert centre_part(fr, dirty) == pytest.approx(0.05, abs=1e-12)
+        # the operator's final projection removes them again
+        step, _ = gamma_step(fr, dirty, ZERO, cfg)
+        assert off_bundle(fr, step) <= 1e-14
+        assert centre_part(fr, step) <= 1e-14
+
+    @pytest.mark.parametrize("grid", ["xhat_t", "xhat_s", "xhat_u"])
+    def test_state_grids_must_extend_by_zero(self, grid):
+        fr = lin_frame()
+        st = initial_state(fr, base_cfg(eps=0.0))
+        X, xs, xu = st.X.xhat, st.xs, st.xu
+        if grid == "xhat_t":
+            X = X.with_values(X.values, extension="linear")
+        elif grid == "xhat_s":
+            xs = xs.with_values(xs.values, extension="constant-hold")
+        else:
+            xu = xu.with_values(xu.values, extension="linear")
+        with pytest.raises(ValueError, match=rf"^state grid {grid} must "
+                                             rf"extend by zero, got "):
+            CorrectionState(X=ScalarField(X, st.t_ball), xs=xs, xu=xu,
+                            s_ball=st.s_ball, u_ball=st.u_ball)
+
+
+def taylor_remainder(fr, xhat, rho):
+    """T = f(x0 + xhat) - f(x0) - Df(x0) xhat at the orbit points x0(rho),
+    as the operator's quadratic term splits it; (k, n) from (k, n)."""
+    return _taylor_split(fr, fr.table(rho), np.asarray(xhat, dtype=float))[1]
+
+
+def taylor_double_integral(fr, xhat, rho):
+    """The same remainder as int_0^1 int_0^s D2f(x0 + r xhat) xhat^2 dr ds,
+    20-point Gauss in each layer: a form independent of f itself."""
+    xhat = np.asarray(xhat, dtype=float)
+    x0 = fr.orbit_batch(rho)
+    gx, gw = np.polynomial.legendre.leggauss(20)
+    s, w = 0.5 * (gx + 1.0), 0.5 * gw
+    acc = np.zeros_like(xhat)
+    for si, wi in zip(s, w):
+        for rj, wj in zip(s * si, w * si):
+            H = fr.model.d2f_batch(x0 + rj * xhat)
+            acc += (wi * wj) * np.einsum("kijl,kj,kl->ki", H, xhat, xhat)
+    return acc
+
+
+def taylor_forms_gap(fr, xhat, rho):
+    """Gap of the two remainder forms relative to 1 + the direct one's
+    size."""
+    direct = taylor_remainder(fr, xhat, rho)
+    gap = np.abs(taylor_double_integral(fr, xhat, rho) - direct).max()
+    return float(gap) / (1.0 + float(np.abs(direct).max()))
 
 
 class TestTaylorRemainder:
@@ -372,10 +459,7 @@ class TestTaylorRemainder:
     def test_cross_check_agrees_on_the_cubic(self):
         fr = cubic_frame()
         xhat = np.array([[0.0, 0.2, -0.3], [0.0, -0.1, 0.05]])
-        rho = np.array([0.0, 2.0])
-        direct = taylor_remainder(fr, xhat, rho)
-        checked = taylor_remainder(fr, xhat, rho, cross_check=True)
-        assert checked == pytest.approx(direct, abs=0.0)
+        assert taylor_forms_gap(fr, xhat, np.array([0.0, 2.0])) <= 1e-8
 
     def test_cross_check_catches_a_wrong_hessian(self):
         fr = cubic_frame()
@@ -383,11 +467,10 @@ class TestTaylorRemainder:
         bad = types.SimpleNamespace(
             n=3, f_batch=model.f_batch, df_batch=model.df_batch,
             d2f_batch=lambda pts: 2.0 * model.d2f_batch(pts))
-        with pytest.raises(ValueError, match="forms disagree"):
-            taylor_remainder(AnalyticFrame(bad, fr.rates_s, fr.rates_u,
-                                           rotation=fr.Q),
-                             np.array([[0.0, 0.2, -0.3]]), np.array([0.0]),
-                             cross_check=True)
+        assert taylor_forms_gap(AnalyticFrame(bad, fr.rates_s, fr.rates_u,
+                                              rotation=fr.Q),
+                                np.array([[0.0, 0.2, -0.3]]),
+                                np.array([0.0])) > 1e-8
 
     def test_region_exit(self):
         model = builtin_model("lin-saddle")
@@ -630,8 +713,8 @@ class TestIterateLinear:
 
     def test_normalization_is_machine_true(self):
         fr, spec, cfg, final, report = linear_run()
-        assert center_defect(fr, final) <= 1e-8
-        assert range_defect(fr, final) <= 1e-8
+        assert centre_part(fr, final) <= 1e-8
+        assert off_bundle(fr, final) <= 1e-8
         flow = solve_flow(final.X, 5.0)
         assert flow.phi.eval1(0.0) == 0.0
 
@@ -696,8 +779,8 @@ class TestIterateNonlinear:
     def test_normalization_preserved_with_live_time_change(self):
         fr, spec, cfg, final, report = nonlinear_run()
         assert final.X.sup_deviation() > 1e-5  # the scenario moves X
-        assert center_defect(fr, final) <= 1e-8
-        assert range_defect(fr, final) <= 1e-8
+        assert centre_part(fr, final) <= 1e-8
+        assert off_bundle(fr, final) <= 1e-8
         flow = solve_flow(final.X, 5.0)
         assert flow.phi.eval1(0.0) == 0.0
 
@@ -846,7 +929,9 @@ def test_quadratic_term_is_evaluated_on_the_state_support(frame,
         load = _step_load(fr, st, spec, quiet, run)
         nodes = run.table("nodes", st.xs.nodes)
         gauss = run.table("gauss", run.gauss[0])
-        assert run.support("nodes", nodes, st.xs) is None
+        # the node lattice lies within the state's reach: all its rows
+        rows, _, _ = run.support("nodes", nodes, st.xs)
+        assert (rows.start, rows.stop) == (0, st.xs.n)
         return load("nodes", nodes), load("gauss", gauss), gauss
 
     (g_n, X_n), (g_g, X_g), gauss = loads(state)
@@ -860,12 +945,12 @@ def test_quadratic_term_is_evaluated_on_the_state_support(frame,
         B, Xv = quadratic(fr, state, vs)
         assert np.array_equal(g, B) and np.array_equal(X, Xv)
 
-    # another extension anywhere reaches every point of the lattice
-    linear = dataclasses.replace(
-        state, xu=state.xu.with_values(state.xu.values, extension="linear"))
-    sizes.clear()
-    loads(linear)
-    assert sizes == [state.xs.n, gauss.times.size]
+    # a grid with another extension would reach every point of the
+    # lattice; it is not a state, so no load ever sees one
+    with pytest.raises(ValueError, match="^state grid xhat_u must extend "
+                                         "by zero, got extension 'linear'$"):
+        dataclasses.replace(state, xu=state.xu.with_values(
+            state.xu.values, extension="linear"))
 
 
 # -- known results are not recomputed -------------------------------------

@@ -1,19 +1,21 @@
 """Every definition in ``src/`` earns its place on a running path.
 
-The walk parses ``src/hypershadow/*.py`` with ``ast``. Its roots are the
-names used in ``cli.py``, ``bench/*.py`` and ``demos/*.py``: every
-identifier read there, every name imported there, and every identifier
-spelled as a string there (the bench tracer patches entry points by
-name). A top-level definition (function, class or assigned name) of a
-reached name is reached, and so is every name its body reads; module
-code outside any definition runs at import, so its names are roots too.
-Names are matched across modules, which can only over-count what is
-reached. ``__all__`` lists name nothing: they are strings in an
-assignment that is never read.
-
-The methods of a top-level class other than its dunders are definitions
-of their own, named ``Class.method`` and reached when ``method`` is
-read; the dunders run without being named, so they belong to the class.
+The walk parses ``src/hypershadow/*.py`` with ``ast``. Its roots are
+``cli.py``, ``bench/*.py`` and ``demos/*.py``. A top-level definition
+(function, class or assigned name) is reached by a bare or imported
+name, and a method of a top-level class other than its dunders, named
+``Class.method``, by an attribute of that name; an attribute read off
+one of the package's modules (``flows.solve_flow``) reaches the
+top-level definition. So a parameter named like a method does not
+reach the method. A reached definition reads what its body reads, and
+module code outside any definition runs at import, so its reads are
+roots too. The dunders of a class run without being named, so they
+belong to the class. The roots are read generously: their attributes,
+which may be read off a module under a local name, and their
+identifier-shaped strings (the bench tracer patches entry points by
+name) reach both kinds. Names are matched across modules and classes,
+which can only over-count what is reached. ``__all__`` lists name
+nothing: they are strings in an assignment that is never read.
 
 A definition that no root reaches runs only under tests. Each one still
 in ``src/`` is listed in ALLOWED with the ROADMAP item that will make a
@@ -22,6 +24,7 @@ run read it or delete it; the list is meant to shrink to nothing.
 
 import ast
 import pathlib
+import textwrap
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hypershadow"
@@ -46,27 +49,13 @@ ALLOWED = {
     "lipschitz_probe": 1,
     "segment_distance_c1": 1,
     "HistorySegment.has_derivative": 1,
-    # items 2 and 3: guard probes become report fields or go
-    "range_defect": 2,
-    "center_defect": 2,
-    "taylor_remainder": 2,
-    "derivative_identity_defect": 2,
-    "DistortionReport": 2,
-    "distortion_check": 2,
-    "_pairwise_slacks": 2,
-    "_PAIR_CHUNK": 2,
-    "_DISTORTION_TOL": 2,
-    "phi_derivative_bounds": 3,
-    "_partitions": 3,
-    "BundleReport": 3,
-    "bundle_characterization_test": 3,
-    "OdeModel.check_derivatives": 3,
-    # item 4: parameter dependence
-    "mu_sensitivity": 4,
+    "CorrectionState.radii": 1,
     # item 6: a charge-system scenario reads the descriptors and the
     # trajectory builders, and wraps maps of one time
     "trajectory_from_descriptor": 6,
     "charge_system_from_descriptor": 6,
+    "Trajectory.descriptor": 6,
+    "ChargeSystem.descriptor": 6,
     "Trajectory.circular": 6,
     "Trajectory.from_callable": 6,
     "Trajectory.reflected": 6,
@@ -79,20 +68,44 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _names(node, strings=False):
-    """Identifiers a node reads: names, attributes, imported names and,
-    with ``strings``, identifier-shaped string constants."""
+def _src_trees():
+    return [(path.name, _parse(path)) for path in sorted(SRC.glob("*.py"))]
+
+
+def _root_trees():
+    roots = [SRC / "cli.py", *sorted((ROOT / "bench").glob("*.py")),
+             *sorted((ROOT / "demos").glob("*.py"))]
+    return [_parse(path) for path in roots]
+
+
+# the kinds of definition a read reaches
+TOP, METHOD = "top", "method"
+
+
+def _reads(node, modules, root=False):
+    """Definitions a node reads, as (kind, name) keys.
+
+    A bare or imported name reads the top-level definitions of that
+    name (``TOP``), and an attribute the methods (``METHOD``), unless it
+    is read off a module of ``modules``. A ``root`` is read generously:
+    its attributes, which may be read off a module under another name,
+    and its identifier-shaped string constants read both kinds.
+    """
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out.add((TOP, sub.id))
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            owner = getattr(sub.value, "id", getattr(sub.value, "attr", None))
+            if root:
+                out |= {(TOP, sub.attr), (METHOD, sub.attr)}
+            else:
+                out.add((TOP if owner in modules else METHOD, sub.attr))
         elif isinstance(sub, ast.alias):
-            out.add(sub.name.rpartition(".")[2])
-        elif (strings and isinstance(sub, ast.Constant)
+            out.add((TOP, sub.name.rpartition(".")[2]))
+        elif (root and isinstance(sub, ast.Constant)
               and isinstance(sub.value, str) and sub.value.isidentifier()):
-            out.add(sub.value)
+            out |= {(TOP, sub.value), (METHOD, sub.value)}
     return out
 
 
@@ -100,29 +113,36 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def _definitions():
-    """{name: [(qualified name, module, lines, names read)]} of src
-    definitions, and the names read by module code outside any
-    definition.
+def _modules(src):
+    return {"hypershadow"} | {name.rpartition(".")[0] for name, _ in src}
 
-    Top-level functions, classes and assigned names are definitions, and
-    so is every method of a top-level class but the dunders, under its
-    own name: ``Class.method`` is reached when ``method`` is read. A
-    class reads its bases, decorators, class-level statements and
-    dunders, which run without being named; its other methods read
-    their own bodies.
+
+def _definitions(src):
+    """{(kind, name): [(qualified name, module, lines, reads)]} of the
+    definitions in the (module name, tree) pairs ``src``, and the reads
+    of module code outside any definition.
+
+    Top-level functions, classes and assigned names are ``TOP``
+    definitions, and every method of a top-level class but the dunders
+    is a ``METHOD`` definition under its own name, qualified
+    ``Class.method``. A class reads its bases, decorators, class-level
+    statements and dunders, which run without being named; its other
+    methods read their own bodies.
     """
+    modules = _modules(src)
     defs = {}
     loose = set()
 
-    def define(name, qualname, module, node, reads):
+    def define(kind, name, qualname, module, node, reads):
         lines = node.end_lineno - node.lineno + 1
-        defs.setdefault(name, []).append((qualname, module, lines, reads))
+        defs.setdefault((kind, name), []).append(
+            (qualname, module, lines, reads))
 
-    for path in sorted(SRC.glob("*.py")):
-        for node in _parse(path).body:
+    for module, tree in src:
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                define(node.name, node.name, path.name, node, _names(node))
+                define(TOP, node.name, node.name, module, node,
+                       _reads(node, modules))
             elif isinstance(node, ast.ClassDef):
                 reads = set()
                 for part in (*node.bases, *node.keywords,
@@ -130,11 +150,11 @@ def _definitions():
                     if (isinstance(part, (ast.FunctionDef,
                                           ast.AsyncFunctionDef))
                             and not _is_dunder(part.name)):
-                        define(part.name, f"{node.name}.{part.name}",
-                               path.name, part, _names(part))
+                        define(METHOD, part.name, f"{node.name}.{part.name}",
+                               module, part, _reads(part, modules))
                     else:
-                        reads |= _names(part)
-                define(node.name, node.name, path.name, node, reads)
+                        reads |= _reads(part, modules)
+                define(TOP, node.name, node.name, module, node, reads)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) \
                     else [node.target]
@@ -142,34 +162,37 @@ def _definitions():
                 if named == ["__all__"]:
                     continue
                 for name in named:
-                    define(name, name, path.name, node, _names(node))
+                    define(TOP, name, name, module, node,
+                           _reads(node, modules))
                 if not named:
-                    loose |= _names(node)
+                    loose |= _reads(node, modules)
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                loose |= _names(node)
+                loose |= _reads(node, modules)
     return defs, loose
 
 
-def unreached():
-    """{qualified name: (module, lines)} of src definitions no root
-    reaches."""
-    defs, loose = _definitions()
-    roots = [SRC / "cli.py", *sorted((ROOT / "bench").glob("*.py")),
-             *sorted((ROOT / "demos").glob("*.py"))]
+def unreached(src=None, roots=None):
+    """{qualified name: (module, lines)} of the definitions in ``src``
+    (module name, tree) pairs that no root tree reaches; by default the
+    package's modules and the files named in the module docstring."""
+    src = _src_trees() if src is None else src
+    roots = _root_trees() if roots is None else roots
+    defs, loose = _definitions(src)
+    modules = _modules(src)
     todo = set(loose)
-    for path in roots:
-        todo |= _names(_parse(path), strings=True)
+    for tree in roots:
+        todo |= _reads(tree, modules, root=True)
     seen = set()
     while todo:
-        name = todo.pop()
-        if name in seen:
+        key = todo.pop()
+        if key in seen:
             continue
-        seen.add(name)
-        for _, _, _, reads in defs.get(name, ()):
+        seen.add(key)
+        for _, _, _, reads in defs.get(key, ()):
             todo |= reads - seen
     out = {}
-    for name, sites in defs.items():
-        if name not in seen:
+    for key, sites in defs.items():
+        if key not in seen:
             for qualname, module, lines, _ in sites:
                 where = out.get(qualname, (module, 0))
                 out[qualname] = (where[0], where[1] + lines)
@@ -194,7 +217,7 @@ def test_walk_sees_methods_but_not_dunders():
     # a method only tests call is found under its class; a method a run
     # calls, and the dunders, are not
     found = unreached()
-    assert "OdeModel.check_derivatives" in found
+    assert "HistorySegment.has_derivative" in found
     assert "FrameTable.take" not in found
     assert not [name for name in found if name.rpartition(".")[2]
                 .startswith("__")]
@@ -205,3 +228,38 @@ def test_walk_sees_through_all_lists():
     # unreached, so __all__ is not read as a reference
     assert "flow_difference_eta" in unreached()
     assert "solve_flow" not in unreached()
+
+
+def test_a_read_reaches_only_definitions_of_its_kind():
+    # a parameter named like a method does not reach the method, and an
+    # attribute named like a function does not reach the function,
+    # unless it is read off a module; a root's string reaches both kinds
+    m = textwrap.dedent("""
+        def build(descriptor):
+            return descriptor.get("kind")
+
+        def helper():
+            return 1
+
+        def get():
+            return 2
+
+        class Spec:
+            def descriptor(self):
+                return helper()
+
+            def get(self):
+                return 0
+        """)
+    n = "from . import m\n\ndef run():\n    return m.get()\n"
+    src = [("m.py", ast.parse(m)), ("n.py", ast.parse(n))]
+
+    def found(root):
+        return set(unreached(src, [ast.parse(root)]))
+
+    assert found("build(x)") == {"helper", "get", "run", "Spec",
+                                 "Spec.descriptor"}
+    assert found("run()") == {"build", "helper", "Spec", "Spec.descriptor",
+                              "Spec.get"}
+    assert found("patch(m, 'descriptor')") == {"build", "get", "run",
+                                               "Spec", "Spec.get"}
