@@ -10,10 +10,11 @@ phi_inv(phi(t)) = t, all of it vectorized. The sweeps start from cubic
 (4-point Lagrange) interpolation of the inverse table, and a node
 takes no further sweep once its measured residual is at or below
 1e-13, so each sweep re-reads only the nodes still above that floor.
-The sweeps read X at points that move every sweep, so they go through
-the field's cell table (:class:`~hypershadow.funcspace.CellTable`,
-built once per field from the same stencils as ``xhat.eval1``) rather
-than a new sampler. The reparametrized history maps are
+Every read of X, at the quadrature points and at the points that move
+every sweep, goes through the field's cell table
+(:class:`~hypershadow.funcspace.CellTable`, built once per field from
+the same stencils as ``xhat.eval1``), so a solve builds no sampler on
+the field's grid. The reparametrized history maps are
 alpha(rho, s) = phi(phi_inv(rho) + s); phi at moving points is read
 from the flow's own cell table, ``fl.fast_phi``.
 """
@@ -25,8 +26,7 @@ import math
 
 import numpy as np
 
-from .funcspace import (BallRadii, CellTable, GridFunction, GridSampler,
-                        lattice)
+from .funcspace import BallRadii, CellTable, GridFunction, lattice
 
 __all__ = [
     "NumericalError",
@@ -261,7 +261,7 @@ def _cubic_start(t, xs, ys):
     return out
 
 
-def solve_flow(field, window, lattices=None):
+def solve_flow(field, window):
     """The flow phi' = X(phi), phi(0) = 0, and its inverse map.
 
     Parameters
@@ -271,23 +271,21 @@ def solve_flow(field, window, lattices=None):
         Half-width the flow must cover in t; it is rounded up to a whole
         number of grid cells so 0 stays a node. Both maps interpolate
         with degree 7.
-    lattices : optional
-        A run's sampler store; solves then share the cell points' sampler.
 
     The inverse comes first: phi_inv(t) is the integral of 1/X, summed
     per cell with a 6-point Gauss rule on a window inflated by (1 + t_0)
-    so it covers the image of phi. phi at every node t_i then solves
+    so it covers the image of phi; X is read at every Gauss point in one
+    lookup of the field's cell table. phi at every node t_i then solves
     Phi(phi) = t_i, with Phi the quadrature inverse (table plus partial
     cell, see ``_quadrature_inverse``), by vectorized Newton sweeps
     phi <- phi - (Phi(phi) - t) X(phi), started from cubic (4-point
     Lagrange) interpolation of the inverse table's (value, node) pairs.
-    Each sweep reads X once, from the field's cell table, so no sampler
-    is built for its moving points, and only at the nodes whose last
-    measured residual is above 1e-13: a node stops, with no further
-    update, at its first measured residual at or below that floor, so
-    every node of phi ends with a measured residual <= 1e-13. Since
-    Phi' = 1/X exactly, the sweeps converge quadratically. Where X is 1
-    (beyond the field window) the cubic start is already exact, so
+    Each sweep reads X once, from the same table, and only at the nodes
+    whose last measured residual is above 1e-13: a node stops, with no
+    further update, at its first measured residual at or below that
+    floor, so every node of phi ends with a measured residual <= 1e-13.
+    Since Phi' = 1/X exactly, the sweeps converge quadratically. Where X
+    is 1 (beyond the field window) the cubic start is already exact, so
     those nodes stop after one sweep.
     """
     if float(np.abs(field.xhat.values).max()) >= 1.0:
@@ -303,9 +301,7 @@ def solve_flow(field, window, lattices=None):
     cell_lo = lattice(R_inv, delta)[:-1]
     # quadrature points of every cell at once, then 1/X there
     pts = cell_lo[:, None] + (0.5 * delta) * (gx[None, :] + 1.0)
-    at = GridSampler(field.xhat, pts.ravel()) if lattices is None else \
-        lattices.sampler(("flow cells", K_inv), pts.ravel(), field.xhat)
-    integrand = 1.0 / (1.0 + at.apply(field.xhat)[:, 0])
+    integrand = 1.0 / field.fast_value(pts.ravel())
     cells = (integrand.reshape(pts.shape) @ gw) * (0.5 * delta)
     inv_vals = np.empty(2 * K_inv + 1)
     inv_vals[K_inv] = 0.0

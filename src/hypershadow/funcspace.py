@@ -241,10 +241,6 @@ class GridFunction:
     def m(self):
         return self.values.shape[1]
 
-    @property
-    def window(self):
-        return (-self.half_width, self.half_width)
-
     @classmethod
     def sample(cls, fn, half_width, delta, interp_order=5,
                extension="constant-hold"):
@@ -407,14 +403,6 @@ class GridFunction:
         self._check_compatible(other)
         return self.with_values(self.values - other.values)
 
-    def __mul__(self, scalar):
-        return self.with_values(self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.with_values(-self.values)
-
     def __repr__(self):
         return (f"GridFunction(T={self.half_width:g}, delta={self.delta:g}, "
                 f"n={self.n}, m={self.m}, order={self.interp_order}, "
@@ -524,16 +512,23 @@ class CellTable:
         g = self.grid
         T, p = g.half_width, g.interp_order
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        cell = np.floor((ts + T) / g.delta).astype(np.int64)
+        left, right = ts < -T, ts > T
+        inside = ~(left | right)
+        # the interpolant is evaluated only where it is read: a flow's
+        # quadrature points lie mostly beyond its field's window
+        x = ts[inside]
+        cell = np.floor((x + T) / g.delta).astype(np.int64)
         np.maximum(cell, 0, out=cell)
         np.minimum(cell, g.n - 2, out=cell)
         c = self.coef[cell]
-        w = (ts - self.left[cell]) / g.delta
-        out = c[:, p].copy()
+        w = (x - self.left[cell]) / g.delta
+        val = c[:, p].copy()
         for k in range(p - 1, -1, -1):
-            out *= w - k
-            out += c[:, k]
-        for mask, side in ((ts < -T, -1), (ts > T, +1)):
+            val *= w - k
+            val += c[:, k]
+        out = np.empty(ts.size)
+        out[inside] = val
+        for mask, side in ((left, -1), (right, +1)):
             if mask.any():
                 out[mask] = g._extend(side * ts[mask] - T, side)[:, 0]
         return float(out[0]) if np.ndim(t) == 0 else out
@@ -561,15 +556,6 @@ class BallRadii:
     @property
     def ell(self):
         return len(self.c) - 2
-
-    def level(self, j):
-        if j < 0 or j > self.ell:
-            raise ValueError("no such derivative level")
-        return self.c[j]
-
-    @classmethod
-    def uniform(cls, ell, value):
-        return cls((float(value),) * (ell + 2))
 
 
 @dataclass(frozen=True)

@@ -265,26 +265,22 @@ def _taylor_split(fr, tab, xhat):
     return lin, fr.model.f_batch(tab.x0 + xhat) - tab.f0 - lin
 
 
-def _quadratic_batch(fr, state, vs, at=None):
-    """(B, X) at the times vs (or their FrameTable): the quadratic term
+def _quadratic_batch(fr, state, vs, at):
+    """(B, X) at the FrameTable vs: the quadratic term
     B = (1 - X) Df(x0) xhat + T[x0, xhat], shape (k, n), and the time
     change X there, shape (k,). Df(x0) xhat is formed once for both
-    parts; ``at`` is a sampler of vs on the state's grids, built when
-    not given."""
-    at = at or GridSampler(state.xs, vs)
-    tab = fr.table(vs)
+    parts; ``at`` is a sampler of vs on the state's grids."""
     xh = at.apply(state.xs + state.xu)
     Xv = 1.0 + at.apply(state.X.xhat)[:, 0]
-    lin, rem = _taylor_split(fr, tab, xh)
+    lin, rem = _taylor_split(fr, vs, xh)
     return (1.0 - Xv)[:, None] * lin + rem, Xv
 
 
-def _state_flow(state, half_width, run=None):
+def _state_flow(state, half_width):
     """Flow of the state's time change on the inflated window.
 
     An exactly-identity field short-circuits to the linear flow; the
-    general path integrates the field, reading it through the run's
-    samplers when ``run`` is given.
+    general path integrates the field.
     """
     if state.X.sup_deviation() == 0.0:
         delta = state.X.xhat.delta
@@ -292,7 +288,7 @@ def _state_flow(state, half_width, run=None):
         phi = GridFunction.sample(np.array, R, delta, interp_order=7,
                                   extension="linear")
         return Flow(phi, phi, state.X)
-    return solve_flow(state.X, half_width, lattices=run)
+    return solve_flow(state.X, half_width)
 
 
 def _trajectory(fr, state, flow=None):
@@ -322,20 +318,18 @@ def _trajectory(fr, state, flow=None):
     return theta, dtheta
 
 
-def _varphi_batch(fr, state, spec, flow, vs, eps, inv_at=None):
+def _varphi_batch(fr, state, spec, flow, vs, bases, eps):
     """varphi(rho) = p(phi^{-1}(rho), ((x0 + xhat) o phi)_{phi^{-1}(rho)}).
 
-    One spec call for all k times vs, returning (k, n). The segments
+    One spec call for all k times vs, returning (k, n); ``bases`` are
+    their base times phi^{-1}(vs), or vs itself when X = 1. The segments
     read (x0 + xhat)(phi(t + s)); their derivative is the chain rule
     value (x0 + xhat)'(alpha) X(alpha), built only when the spec reads
     it. An exactly-identity time change skips the flow lookups. This is
     where perturbation values enter the operator, so a non-finite value
-    raises NumericalError here. ``inv_at`` samples vs on the inverse
-    flow's grid; built here when not given.
+    raises NumericalError here.
     """
     ident = state.X.sup_deviation() == 0.0
-    inv = flow.phi_inv
-    bases = vs if ident else (inv_at or GridSampler(inv, vs)).apply(inv)[:, 0]
     if float(np.abs(bases).max()) + spec.h > flow.phi.half_width + 1e-12:
         raise ValueError(
             "integrand evaluation leaves the inflated flow window")
@@ -364,92 +358,95 @@ def _gauss_panels(starts, step):
     return pts.ravel(), wts.ravel().copy()
 
 
+class _Lattice:
+    """A point set every step of a run reads.
+
+    ``times`` ascend, and ``table`` is the frame's FrameTable of them, so
+    the orbit, the field and its derivative along it, the adapted bases,
+    the projectors and the bundle-sum plans behind every projection and
+    bundle sum are evaluated once per run, not once per step.
+    ``read(g)`` is the sampler of the times on g's geometry and
+    ``support(g)`` the cut of the points a state grid of g's geometry
+    reaches; each is built once per geometry.
+    """
+
+    def __init__(self, fr, times):
+        self.times = times
+        self.table = fr.table(times)
+        self._readers = {}
+        self._supports = {}
+
+    def read(self, g):
+        if g.geometry not in self._readers:
+            self._readers[g.geometry] = GridSampler(g, self.times)
+        return self._readers[g.geometry]
+
+    def support(self, g):
+        """(rows, table, sampler) of the points with |t| < T + delta, T
+        and delta g's: the points where a state grid of g's geometry can
+        be nonzero, since it extends by zero and so vanishes from one
+        cell past its window. For the node lattice that is all of its
+        rows. The rows are a slice, and the table cut out of ``table``
+        holds views of its values. The sampler reads g's geometry at the
+        rows' times."""
+        if g.geometry not in self._supports:
+            reach = g.half_width + g.delta
+            rows = slice(np.searchsorted(self.times, -reach, side="right"),
+                         np.searchsorted(self.times, reach, side="left"))
+            sub = self.table.take(rows)
+            self._supports[g.geometry] = rows, sub, GridSampler(g, sub.times)
+        return self._supports[g.geometry]
+
+
 class _Run:
     """What every operator step of one run shares.
 
-    ``geo`` is the window layout, ``gauss`` the (points, weights) of the
-    bundle quadrature and ``half_cells`` the lattice the perturbation
-    term is tabulated on. Lattices have names ("nodes", "gauss", "half
-    cells"), and a name always denotes the same points.
-    ``sampler(name, points, g)`` builds the sampler of lattice ``name``
-    on g's geometry once per run, and ``table(name, points)`` the
-    frame's FrameTable of it, so the orbit, the field and its
-    derivative along it, the adapted bases, the projectors and the
-    bundle-sum plans behind every projection and bundle sum are
-    evaluated once per run, not once per step. ``support(name, points,
-    g)`` cuts the points a state grid of g's geometry reaches out of the
-    lattice's table, with their sampler.
+    ``geo`` is the window layout. The run owns one :class:`_Lattice` per
+    point set a step reads: ``nodes``, the state grid's nodes; ``gauss``,
+    the points of the bundle quadrature, with their ``weights``; and
+    ``half_cells``, the lattice the perturbation term is tabulated on.
     """
 
     def __init__(self, fr, spec, cfg, t0):
-        self.fr = fr
         self.geo = geo = resolve_geometry(cfg, fr, spec.h, t0)
-        self.half_cells = lattice(geo.hi, geo.quad)
-        self.gauss = _gauss_panels(self.half_cells[:-1], geo.quad)
-        self._samplers = {}
-        self._tables = {}
-        self._supports = {}
-
-    def sampler(self, name, points, g):
-        key = (name, g.geometry)
-        if key not in self._samplers:
-            self._samplers[key] = GridSampler(g, points)
-        return self._samplers[key]
-
-    def table(self, name, points):
-        if name not in self._tables:
-            self._tables[name] = self.fr.table(points)
-        return self._tables[name]
-
-    def support(self, name, points, g):
-        """(rows, table, sampler) of the points of lattice ``name`` with
-        |t| < T + delta, T and delta g's: the points where a state grid
-        of g's geometry can be nonzero, since it extends by zero and so
-        vanishes from one cell past its window. For the node lattice
-        that is all of its rows. ``points`` is the lattice's FrameTable;
-        a lattice ascends, so the rows are a slice and the table cut out
-        of it holds views of its values. The sampler reads g's geometry
-        at the rows' times."""
-        key = (name, g.geometry)
-        if key not in self._supports:
-            t, reach = points.times, g.half_width + g.delta
-            rows = slice(np.searchsorted(t, -reach, side="right"),
-                         np.searchsorted(t, reach, side="left"))
-            sub = points.take(rows)
-            self._supports[key] = rows, sub, GridSampler(g, sub.times)
-        return self._supports[key]
+        self.nodes = _Lattice(fr, lattice(cfg.window, cfg.delta))
+        half_cells = lattice(geo.hi, geo.quad)
+        self.half_cells = _Lattice(fr, half_cells)
+        points, self.weights = _gauss_panels(half_cells[:-1], geo.quad)
+        self.gauss = _Lattice(fr, points)
 
 
 def _step_load(fr, state, spec, cfg, run):
-    """The load g = B + eps varphi of one step, as ``load(name, vs)``
-    returning (g, X) on the run's FrameTable vs of lattice ``name``.
+    """The load g = B + eps varphi of one step, as ``load(lattice)``
+    returning (g, X) on one of the run's lattices.
 
     The flow of the state's time change is solved here, and varphi
-    tabulated once on the half-cell lattice: Gauss points read it by
-    interpolation, and state nodes fall on the lattice, so they read
-    the tabulated values exactly. X - 1, xhat_s and xhat_u extend by
-    zero, so xhat = 0 and X = 1 beyond one cell past the window, and
-    B = 0 there: the quadratic term is evaluated on the lattice's
-    support only (:meth:`_Run.support`) and is 0, with X = 1, elsewhere.
+    tabulated once on the half-cell lattice, at the base times its
+    sampler of phi^{-1} reads: Gauss points read it by interpolation,
+    and state nodes fall on the lattice, so they read the tabulated
+    values exactly. X - 1, xhat_s and xhat_u extend by zero, so xhat = 0
+    and X = 1 beyond one cell past the window, and B = 0 there: the
+    quadratic term is evaluated on the lattice's support only
+    (:meth:`_Lattice.support`) and is 0, with X = 1, elsewhere.
     """
-    flow = _state_flow(state, run.geo.flow_half, run)
+    flow = _state_flow(state, run.geo.flow_half)
     vphi = None
     if cfg.eps != 0.0:
         lat = run.half_cells
-        inv_at = None if state.X.sup_deviation() == 0.0 else \
-            run.sampler("half cells", lat, flow.phi_inv)
+        bases = lat.times if state.X.sup_deviation() == 0.0 else \
+            lat.read(flow.phi_inv).apply(flow.phi_inv)[:, 0]
         vphi = GridFunction(
             run.geo.hi, run.geo.quad,
-            _varphi_batch(fr, state, spec, flow, lat, cfg.eps, inv_at),
+            _varphi_batch(fr, state, spec, flow, lat.times, bases, cfg.eps),
             interp_order=7, extension="constant-hold")
 
-    def load(name, vs):
-        rows, sub, at = run.support(name, vs, state.xs)
-        g = np.zeros((vs.times.size, fr.model.n))
-        Xv = np.ones(vs.times.size)
+    def load(lat):
+        rows, sub, at = lat.support(state.xs)
+        g = np.zeros((lat.times.size, fr.model.n))
+        Xv = np.ones(lat.times.size)
         g[rows], Xv[rows] = _quadratic_batch(fr, state, sub, at)
         if vphi is not None:
-            g = g + cfg.eps * run.sampler(name, vs, vphi).apply(vphi)
+            g = g + cfg.eps * lat.read(vphi).apply(vphi)
         return g, Xv
 
     return load
@@ -467,14 +464,14 @@ def gamma_step(fr, state, spec, cfg, _run=None):
     """
     run = _run or _Run(fr, spec, cfg, state.X.t0)
     geo = run.geo
-    nodes = run.table("nodes", state.xs.nodes)
+    nodes = run.nodes.table
     f0 = nodes.f0
     if float(np.linalg.norm(f0, axis=1).min()) < fr.model.b - 1e-12:
         raise ValueError("orbit speed falls below the frame's floor b")
     load = _step_load(fr, state, spec, cfg, run)
 
     # center: X <- 1 + <Pi_c g, f(x0)> / |f(x0)|^2 at the nodes
-    g, _ = load("nodes", nodes)
+    g, _ = load(run.nodes)
     num = np.einsum("ki,ki->k", fr.proj_apply("c", nodes, g), f0)
     vals = num / np.einsum("ki,ki->k", f0, f0)
     sup = float(np.abs(vals).max())
@@ -486,8 +483,8 @@ def gamma_step(fr, state, spec, cfg, _run=None):
     # bundles: kernel integrals of the projected load (1/X) g over the
     # Gauss panels; the final projection removes the quadrature drift
     # off the bundle, keeping the range constraint machine-true
-    vs, ws = run.table("gauss", run.gauss[0]), run.gauss[1]
-    g, Xv = load("gauss", vs)
+    vs, ws = run.gauss.table, run.weights
+    g, Xv = load(run.gauss)
     scaled = g / Xv[:, None]
     load_s = fr.proj_apply("s", vs, scaled)
     load_u = fr.proj_apply("u", vs, scaled)
@@ -549,31 +546,12 @@ class IterationReport:
     u_radii: tuple
     bounds: tuple = ()
 
-    def as_dict(self):
-        return {
-            "distances": list(self.distances),
-            "ratios": list(self.ratios),
-            "kappa_hat": self.kappa_hat,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "defects": dict(self.defects),
-            "e_eta": self.e_eta,
-            "tail_s": self.tail_s,
-            "tail_u": self.tail_u,
-            "eta": self.eta,
-            "eps": self.eps,
-            "core_half": self.core_half,
-            "history": [list(r) for r in self.history],
-            "ball_history": [dict(b) for b in self.ball_history],
-            "t_radii": list(self.t_radii),
-            "s_radii": list(self.s_radii),
-            "u_radii": list(self.u_radii),
-            "bounds": [dict(b) for b in self.bounds],
-        }
-
     def to_json(self, path):
-        """Write the record to ``path`` as strict JSON; returns ``path``."""
-        return write_lines(path, [json_text(self.as_dict())])
+        """Write the record to ``path`` as strict JSON; returns ``path``.
+
+        The fields are serialized as they stand, tuples as JSON lists:
+        ``dataclasses.asdict`` would deep-copy every value first."""
+        return write_lines(path, [json_text(vars(self))])
 
 
 def write_residual_csv(report, path):
@@ -1017,9 +995,10 @@ def b_difference_probe(fr, spec, cfg, state_v, state_w):
     if state_v.t_ball.c != state_w.t_ball.c:
         raise ValueError("probe states must share the declared balls")
     eta = cfg.eta
-    nodes = state_v.xs.nodes
-    Bv, _ = _quadratic_batch(fr, state_v, nodes)
-    Bw, _ = _quadratic_batch(fr, state_w, nodes)
+    nodes = fr.table(state_v.xs.nodes)
+    at = GridSampler(state_v.xs, nodes.times)
+    Bv, _ = _quadratic_batch(fr, state_v, nodes, at)
+    Bw, _ = _quadratic_batch(fr, state_w, nodes, at)
     lhs = state_v.xs.with_values(Bv - Bw).norm_razumikhin(eta)
     consts = contraction_constants(fr, spec, cfg, state_v.radii)
     dx = (state_v.xs - state_w.xs + (state_v.xu - state_w.xu)) \
@@ -1044,8 +1023,10 @@ def varphi_difference_probe(fr, spec, cfg, state_v, state_w):
     keep = np.abs(nodes) <= core_half + 1e-12
     vals = []
     for st in (state_v, state_w):
-        flow = _state_flow(st, run.geo.flow_half, run)
-        vals.append(_varphi_batch(fr, st, spec, flow, nodes[keep], 0.0))
+        flow = _state_flow(st, run.geo.flow_half)
+        vs = nodes[keep]
+        bases = vs if st.X.sup_deviation() == 0.0 else flow.phi_inv.eval1(vs)
+        vals.append(_varphi_batch(fr, st, spec, flow, vs, bases, 0.0))
     mags = np.linalg.norm(vals[0] - vals[1], axis=1)
     lhs = float((mags * np.exp(-eta.eta * np.abs(nodes[keep]))).max())
     consts = contraction_constants(fr, spec, cfg, state_v.radii)

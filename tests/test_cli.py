@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -27,6 +28,14 @@ from hypershadow import cli
 from hypershadow.hyperbolic import frame_from_descriptor
 from hypershadow.invariance import OperatorConfig, CorrectionState, initial_state
 from hypershadow.perturbations import ode_term, state_dependent_delay
+
+
+def read_json(*parts):
+    return json.loads(pathlib.Path(*parts).read_text())
+
+
+def read_lines(*parts):
+    return pathlib.Path(*parts).read_text().splitlines()
 
 
 def scenario_dict(**over):
@@ -132,30 +141,27 @@ class TestRunVerb:
                          "xhat_u.csv", "xhat_u.json"]
 
     def test_report_contents(self, linear_run):
-        rep = json.load(open(os.path.join(linear_run["out"], "report.json")))
+        rep = read_json(linear_run["out"], "report.json")
         assert rep["converged"] is True
         assert rep["eps"] == 0.01
         assert rep["kappa_hat"] < 1.0
         assert len(rep["bounds"]) == 8  # 2 for X, 3 each for xs, xu
 
     def test_residual_table_layout(self, linear_run):
-        lines = open(os.path.join(linear_run["out"],
-                                  "residuals.csv")).read().splitlines()
+        lines = read_lines(linear_run["out"], "residuals.csv")
         assert lines[0] == "iter,d_eta,kappa_hat,E_c,E_s,E_u"
-        assert len(lines) == 1 + json.load(
-            open(os.path.join(linear_run["out"], "report.json")))["iterations"]
+        assert len(lines) == 1 + read_json(linear_run["out"],
+                                           "report.json")["iterations"]
 
     def test_bounds_table_layout(self, linear_run):
-        lines = open(os.path.join(linear_run["out"],
-                                  "bounds.csv")).read().splitlines()
+        lines = read_lines(linear_run["out"], "bounds.csv")
         assert lines[0] == "component,j,exponent,bound,semi_exponent,semi_bound"
         comps = [l.split(",")[0] for l in lines[1:]]
         assert comps == ["X", "X", "xs", "xs", "xs", "xu", "xu", "xu"]
         assert all(float(l.split(",")[3]) >= 0.0 for l in lines[1:])
 
     def test_oracle_artifact_matches_closed_form(self, linear_run):
-        lines = open(os.path.join(linear_run["out"],
-                                  "oracle.csv")).read().splitlines()
+        lines = read_lines(linear_run["out"], "oracle.csv")
         assert lines[0] == "rho,closed_form,computed,abs_err"
         errs = [float(l.split(",")[3]) for l in lines[1:]]
         assert max(errs) < 1e-9
@@ -187,7 +193,7 @@ class TestRunVerb:
     def test_zero_eps_single_iteration(self, tmp_path):
         path, scn = write_scenario(tmp_path, eps=0.0)
         assert cli.main(["run", path, "--quiet"]) == 0
-        rep = json.load(open(os.path.join(scn["out"], "report.json")))
+        rep = read_json(scn["out"], "report.json")
         assert rep["iterations"] == 1
         assert rep["distances"] == [0.0]
         state = cli.load_state(scn["out"])
@@ -507,7 +513,7 @@ class TestRunVerb:
         # every file run, verify and sweep write, JSON and sidecars too
         def tree(root):
             return {os.path.relpath(os.path.join(d, f), root):
-                    open(os.path.join(d, f), "rb").read()
+                    pathlib.Path(d, f).read_bytes()
                     for d, _, files in os.walk(root) for f in files}
 
         path, scn = write_scenario(tmp_path)
@@ -534,11 +540,11 @@ class TestSweepVerb:
     def test_linear_sweep_slope(self, tmp_path):
         path, scn = write_scenario(tmp_path, eps=[4e-3, 2e-3, 1e-3])
         assert cli.main(["sweep", path, "--quiet"]) == 0
-        sw = json.load(open(os.path.join(scn["out"], "sweep.json")))
+        sw = read_json(scn["out"], "sweep.json")
         assert abs(sw["slope_xhat"] - 1.0) < 0.02
         # the time change never moves on this scenario
         assert sw["slope_X"] is None and max(sw["X_c0"]) == 0.0
-        lines = open(os.path.join(scn["out"], "sweep.csv")).read().splitlines()
+        lines = read_lines(scn["out"], "sweep.csv")
         assert lines[0] == "eps,xhat_c0,X_c0" and len(lines) == 4
         for e in (0.004, 0.002, 0.001):
             member = os.path.join(scn["out"], f"eps_{e:g}")
@@ -635,7 +641,7 @@ class TestSweepVerb:
         def refuse(token):
             raise ValueError(f"non-finite JSON constant {token}")
 
-        text = open(os.path.join(scn["out"], "sweep.json")).read()
+        text = pathlib.Path(scn["out"], "sweep.json").read_text()
         sw = json.loads(text, parse_constant=refuse)
         assert max(sw["xhat_c0"]) == 0.0 and sw["slope_xhat"] is None
         assert abs(sw["slope_X"] - 1.0) < 0.05
@@ -644,7 +650,7 @@ class TestSweepVerb:
         monkeypatch.setenv("HYPERSHADOW_THREADS", "2")
         path, scn = write_scenario(tmp_path, eps=[4e-3, 2e-3, 1e-3])
         assert cli.main(["sweep", path, "--quiet"]) == 0
-        sw = json.load(open(os.path.join(scn["out"], "sweep.json")))
+        sw = read_json(scn["out"], "sweep.json")
         assert abs(sw["slope_xhat"] - 1.0) < 0.02
 
     def test_thread_env_is_ignored(self, tmp_path, monkeypatch):
@@ -659,7 +665,7 @@ class TestVerifyVerb:
     def test_converged_state_reverifies(self, tmp_path, linear_run):
         path, scn = write_scenario(tmp_path, name="ver.json")
         assert cli.main(["verify", path, linear_run["out"], "--quiet"]) == 0
-        rec = json.load(open(os.path.join(scn["out"], "verify.json")))
+        rec = read_json(scn["out"], "verify.json")
         assert rec["e_eta"] <= 2e-8
         assert rec["kappa_hat"] < 1.0
         assert os.path.exists(os.path.join(scn["out"], "bounds.csv"))
@@ -676,9 +682,9 @@ class TestVerifyVerb:
         cli.save_state(bad, str(bad_dir))
         path, scn = write_scenario(tmp_path, name="ver.json")
         assert cli.main(["verify", path, str(bad_dir), "--quiet"]) == 0
-        rec = json.load(open(os.path.join(scn["out"], "verify.json")))
+        rec = read_json(scn["out"], "verify.json")
         assert rec["e_eta"] > 1e-4  # clean state sits near 1e-11
-        lines = open(os.path.join(scn["out"], "bounds.csv")).read().splitlines()
+        lines = read_lines(scn["out"], "bounds.csv")
         xs0 = [l for l in lines[1:] if l.startswith("xs,0")][0]
         assert float(xs0.split(",")[3]) > 1e-3
 
@@ -696,7 +702,7 @@ class TestVerifyVerb:
         warm_dir = tmp_path / "warm"
         cli.save_state(warm, str(warm_dir))
         assert cli.main(["verify", path, str(warm_dir), "--quiet"]) == 0
-        rec = json.load(open(os.path.join(scn["out"], "verify.json")))
+        rec = read_json(scn["out"], "verify.json")
         assert np.isfinite(rec["e_eta"]) and rec["e_eta"] > 0.0
 
     def test_mismatched_grid_is_exit_one(self, tmp_path, capsys,
@@ -810,7 +816,7 @@ class TestStatePersistence:
         assert back.t_ball.c == state.t_ball.c
         assert back.s_ball.c == state.s_ball.c
         assert back.xs.delta == state.xs.delta
-        meta = json.load(open(tmp_path / "st" / "state.json"))
+        meta = read_json(tmp_path, "st", "state.json")
         assert meta["seed"] == 9
 
     def test_load_missing_dir_raises(self, tmp_path):

@@ -143,41 +143,50 @@ def test_fast_value_agrees_with_the_sampler(extension, order):
 
 
 def test_solve_flow_work_counts(monkeypatch):
-    # per solve: one field lookup per Newton sweep, and Newton stops at
-    # the first sweep at the floor, so quadratic convergence from the
-    # interpolated start needs at most 4 of them. The sweeps read the
-    # field's cell table, so the only sampler built on the field's grid
-    # is the one of the cell quadrature points.
+    # per solve: one field lookup for the cell quadrature points and one
+    # per Newton sweep, and Newton stops at the first sweep at the floor,
+    # so quadratic convergence from the interpolated start needs at most
+    # 4 sweeps. Every lookup reads the field's cell table, so no sampler
+    # is built on the field's grid.
     from hypershadow import funcspace
 
-    lookups, builds = [], []
+    lookups, sweeps, builds = [], [], []
     fast_value = flows.ScalarField.fast_value
+    quadrature_inverse = flows._quadrature_inverse
     build = funcspace.GridSampler.__init__
 
     def counting_lookup(self, t):
         lookups.append(t)
         return fast_value(self, t)
 
+    def counting_sweep(field, table, y):
+        sweeps.append(y)
+        return quadrature_inverse(field, table, y)
+
     def counting_build(self, g, t):
         builds.append(g.geometry)
         build(self, g, t)
 
     monkeypatch.setattr(flows.ScalarField, "fast_value", counting_lookup)
+    monkeypatch.setattr(flows, "_quadrature_inverse", counting_sweep)
     monkeypatch.setattr(funcspace.GridSampler, "__init__", counting_build)
     for seed in range(100):
         field = random_field(seed)
         lookups.clear()
+        sweeps.clear()
         builds.clear()
         flows.solve_flow(field, 6.0)
-        assert 1 <= len(lookups) <= 4, (seed, len(lookups))
-        assert builds.count(field.xhat.geometry) == 1, seed
+        assert 1 <= len(sweeps) <= 4, (seed, len(sweeps))
+        assert len(lookups) == len(sweeps) + 1, seed
+        assert builds.count(field.xhat.geometry) == 0, seed
 
 
 def test_newton_sweeps_only_the_nodes_above_the_floor(monkeypatch):
     # a node stops at its first measured residual at or below 1e-13, and
-    # the cubic start is exact where X = 1, so a solve reads the field at
-    # about 1.5 (at most 2.1) sweeps' worth of points, 7 per node; the
-    # residual of every node, window edges included, is at the floor
+    # the cubic start is exact where X = 1, so the sweeps read the field
+    # at about 1.5 (at most 2.1) sweeps' worth of points, 7 per node,
+    # after the one lookup of the cell quadrature's 6 points per cell;
+    # the residual of every node, window edges included, is at the floor
     points = []
     fast_value = flows.ScalarField.fast_value
 
@@ -190,7 +199,8 @@ def test_newton_sweeps_only_the_nodes_above_the_floor(monkeypatch):
         field = random_field(seed)
         points.clear()
         fl = flows.solve_flow(field, 6.0)
-        assert sum(points) <= 2.1 * 7 * fl.phi.n, (seed, sum(points))
+        assert points[0] == 6 * (fl.phi_inv.n - 1), seed
+        assert sum(points[1:]) <= 2.1 * 7 * fl.phi.n, (seed, sum(points))
         Phi, _ = flows._quadrature_inverse(field, fl.phi_inv,
                                            fl.phi.values[:, 0])
         assert np.abs(Phi - fl.phi.nodes).max() <= 1e-13, seed

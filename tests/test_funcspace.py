@@ -196,7 +196,7 @@ def test_ball_radii_validation():
     with pytest.raises(ValueError):
         fs.BallRadii((0.1, -0.2))
     r = fs.BallRadii((0.1, 0.2, 0.3))
-    assert r.ell == 1 and r.c[-1] == 0.3 and r.level(1) == 0.2
+    assert r.ell == 1 and r.c[-1] == 0.3 and r.c[1] == 0.2
 
 
 def test_weight_param_validation():
@@ -236,8 +236,9 @@ def test_derivative_linearity(a, b, k):
     rng = np.random.default_rng(123)
     f = fs.GridFunction(1.0, 0.05, rng.normal(size=41))
     g = fs.GridFunction(1.0, 0.05, rng.normal(size=41))
-    lhs = (a * f + b * g).derivative(k)
-    rhs = a * f.derivative(k) + b * g.derivative(k)
+    lhs = f.with_values(a * f.values + b * g.values).derivative(k)
+    rhs = f.with_values(a * f.derivative(k).values
+                        + b * g.derivative(k).values)
     scale = 1.0 + np.abs(rhs.values).max()
     assert np.abs(lhs.values - rhs.values).max() <= 1e-11 * scale
 

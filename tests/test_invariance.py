@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from hypershadow import funcspace, invariance
 from hypershadow.flows import ScalarField, solve_flow
-from hypershadow.funcspace import BallRadii, GridFunction, WeightParam
+from hypershadow.funcspace import (BallRadii, GridFunction, GridSampler,
+                                   WeightParam)
 from hypershadow.hyperbolic import (
     AnalyticFrame,
     analytic_frame,
@@ -105,9 +106,9 @@ def derivative_identity_defect(fr, st, spec, cfg):
     operator's own load.
     """
     run = _Run(fr, spec, cfg, st.X.t0)
-    nodes = run.table("nodes", st.xs.nodes)
+    nodes = run.nodes.table
     core = np.abs(nodes.times) <= run.geo.core_half + 1e-12
-    g, Xv = _step_load(fr, st, spec, cfg, run)("nodes", nodes)
+    g, Xv = _step_load(fr, st, spec, cfg, run)(run.nodes)
     scaled = g / Xv[:, None]
     worst = 0.0
     for sigma, grid in (("s", st.xs), ("u", st.xu)):
@@ -490,8 +491,22 @@ class TestTaylorRemainder:
             gamma_step(fr, st, ZERO, cfg)
 
 
+def quadratic(fr, st, vs):
+    """_quadratic_batch at the times vs, read by a sampler built here."""
+    tab = fr.table(vs)
+    return _quadratic_batch(fr, st, tab, GridSampler(st.xs, tab.times))
+
+
+def varphi(fr, st, spec, flow, vs, eps):
+    """_varphi_batch at the times vs, at the base times phi^{-1}(vs), or
+    vs when X = 1, read here."""
+    vs = np.asarray(vs, dtype=float)
+    bases = vs if st.X.sup_deviation() == 0.0 else flow.phi_inv.eval1(vs)
+    return _varphi_batch(fr, st, spec, flow, vs, bases, eps)
+
+
 def quadratic_at(fr, st, rho):
-    B, _ = _quadratic_batch(fr, st, np.array([rho]))
+    B, _ = quadratic(fr, st, np.array([rho]))
     return B[0]
 
 
@@ -516,13 +531,13 @@ class TestQuadraticTerm:
         B = quadratic_at(fr, st, 0.6)
         assert B == pytest.approx([0.0, 0.1 * (-1.0 * c), 0.0], abs=1e-12)
         # the time change comes back with the term, read once
-        _, X = _quadratic_batch(fr, st, np.array([0.6]))
+        _, X = quadratic(fr, st, np.array([0.6]))
         assert X == pytest.approx([0.9], abs=1e-15)
 
 
 def varphi_at(fr, st, spec, rho, eps):
     flow = _state_flow(st, abs(rho) + spec.h + 2.0)
-    return _varphi_batch(fr, st, spec, flow, np.array([rho]), eps)[0]
+    return varphi(fr, st, spec, flow, np.array([rho]), eps)[0]
 
 
 class TestPerturbTerm:
@@ -561,10 +576,10 @@ class TestPerturbTerm:
         spec = nonlinear_spec()
         vs = np.linspace(-3.0, 3.0, 13)
         flow = _state_flow(st, 6.0)
-        batch = _varphi_batch(fr, st, spec, flow, vs, 1e-2)
+        batch = varphi(fr, st, spec, flow, vs, 1e-2)
         assert batch.shape == (13, 3)
         for i, v in enumerate(vs):
-            one = _varphi_batch(fr, st, spec, flow, vs[i:i + 1], 1e-2)
+            one = varphi(fr, st, spec, flow, vs[i:i + 1], 1e-2)
             assert np.array_equal(batch[i], one[0])
 
     def test_non_finite_value_names_the_time(self):
@@ -580,7 +595,7 @@ class TestPerturbTerm:
         vs = np.array([0.0, 0.5, 1.5, 2.0])
         flow = _state_flow(st, 4.0)
         with pytest.raises(NumericalError, match=r"t=1\.5 .*not finite"):
-            _varphi_batch(fr, st, ode_term(g), flow, vs, 1e-2)
+            varphi(fr, st, ode_term(g), flow, vs, 1e-2)
         with pytest.raises(NumericalError, match="not finite"):
             iterate(fr, ode_term(g), cfg)
 
@@ -848,7 +863,7 @@ def test_static_lattices_are_sampled_once_per_run(monkeypatch):
     assert report.converged and report.iterations >= 4
     assert state.X.sup_deviation() > 1e-3
     run = _Run(fr, spec, cfg, state.X.t0)
-    for points in (run.gauss[0], run.half_cells, state.xs.nodes):
+    for points in (run.nodes.times, run.gauss.times, run.half_cells.times):
         geoms = [g for g, t in builds
                  if t.shape == points.shape and np.array_equal(t, points)]
         assert geoms and len(geoms) == len(set(geoms))
@@ -917,22 +932,20 @@ def test_quadratic_term_is_evaluated_on_the_state_support(frame,
                              delta=0.2, tol_eta=1e-6)
     state, _ = iterate(fr, spec, dataclasses.replace(cfg, max_iters=3))
     sizes = []
-    quadratic = invariance._quadratic_batch
+    quadratic_batch = invariance._quadratic_batch
     monkeypatch.setattr(invariance, "_quadratic_batch",
-                        lambda fr, st, vs, at=None:
-                        sizes.append(np.size(vs)) or quadratic(fr, st, vs, at))
+                        lambda fr, st, vs, at: sizes.append(np.size(vs))
+                        or quadratic_batch(fr, st, vs, at))
     # eps = 0 leaves the load its quadratic term alone
     quiet = dataclasses.replace(cfg, eps=0.0)
 
     def loads(st):
         run = _Run(fr, spec, quiet, st.X.t0)
         load = _step_load(fr, st, spec, quiet, run)
-        nodes = run.table("nodes", st.xs.nodes)
-        gauss = run.table("gauss", run.gauss[0])
         # the node lattice lies within the state's reach: all its rows
-        rows, _, _ = run.support("nodes", nodes, st.xs)
+        rows, _, _ = run.nodes.support(st.xs)
         assert (rows.start, rows.stop) == (0, st.xs.n)
-        return load("nodes", nodes), load("gauss", gauss), gauss
+        return load(run.nodes), load(run.gauss), run.gauss.table
 
     (g_n, X_n), (g_g, X_g), gauss = loads(state)
     T, delta = state.xs.half_width, state.xs.delta
@@ -970,14 +983,14 @@ def test_segment_derivative_is_built_only_when_read(monkeypatch, x_dev):
                         calls.append(k) or deriv(self, k))
     sdd = spec_from_descriptor({"kind": "sdd-tanh", "parameters":
                                 {"h": 1.0, "c0": 0.5, "c1": 0.2}})
-    _varphi_batch(fr, st, sdd, flow, vs, 1e-2)
+    varphi(fr, st, sdd, flow, vs, 1e-2)
     assert calls == []
 
     # a neutral delay reads theta'(0); its values are those of a segment
     # whose derivative was built up front
     neutral = spec_from_descriptor({"kind": "neutral-linear", "parameters":
                                     {"h": 1.0, "c0": 0.3, "c1": 0.3}})
-    got = _varphi_batch(fr, st, neutral, flow, vs, 1e-2)
+    got = varphi(fr, st, neutral, flow, vs, 1e-2)
     assert calls
     xh = st.xs + st.xu
     xh1 = deriv(st.xs, 1) + deriv(st.xu, 1)
@@ -1013,7 +1026,7 @@ def test_history_lookups_build_no_sampler_on_phi(monkeypatch):
                         or build(self, g, t))
     neutral = spec_from_descriptor({"kind": "neutral-linear", "parameters":
                                     {"h": 1.0, "c0": 0.3, "c1": 0.3}})
-    _varphi_batch(fr, st, neutral, flow, np.linspace(-3.0, 3.0, 13), 1e-2)
+    varphi(fr, st, neutral, flow, np.linspace(-3.0, 3.0, 13), 1e-2)
     assert st.xs.geometry in builds
     assert flow.phi.geometry not in builds
 
@@ -1028,11 +1041,11 @@ def test_integrand_past_the_flow_window_is_rejected(x_dev):
     assert flow.phi.half_width == pytest.approx(4.0)
     # bases are vs, or phi_inv(vs) ~ vs / 1.02: the segment around 2.9
     # fits the window, the one around 3.5 reaches 1 beyond 3.4
-    _varphi_batch(fr, st, spec, flow, np.array([-2.9, 2.9]), 1e-2)
+    varphi(fr, st, spec, flow, np.array([-2.9, 2.9]), 1e-2)
     with pytest.raises(ValueError,
                        match="integrand evaluation leaves the inflated flow "
                              "window"):
-        _varphi_batch(fr, st, spec, flow, np.array([0.0, 3.5]), 1e-2)
+        varphi(fr, st, spec, flow, np.array([0.0, 3.5]), 1e-2)
 
 
 def _counted_steps(monkeypatch):
@@ -1413,9 +1426,9 @@ class TestContraction:
         reaches = []
         flow_of = invariance._state_flow
 
-        def spy(state, half_width, run=None):
+        def spy(state, half_width):
             reaches.append(half_width)
-            return flow_of(state, half_width, run)
+            return flow_of(state, half_width)
 
         monkeypatch.setattr(invariance, "_state_flow", spy)
         varphi_difference_probe(fr, spec, cfg, v, w)

@@ -3,19 +3,25 @@
 The walk parses ``src/hypershadow/*.py`` with ``ast``. Its roots are
 ``cli.py``, ``bench/*.py`` and ``demos/*.py``. A top-level definition
 (function, class or assigned name) is reached by a bare or imported
-name, and a method of a top-level class other than its dunders, named
-``Class.method``, by an attribute of that name; an attribute read off
-one of the package's modules (``flows.solve_flow``) reaches the
-top-level definition. So a parameter named like a method does not
-reach the method. A reached definition reads what its body reads, and
-module code outside any definition runs at import, so its reads are
-roots too. The dunders of a class run without being named, so they
-belong to the class. The roots are read generously: their attributes,
-which may be read off a module under a local name, and their
-identifier-shaped strings (the bench tracer patches entry points by
-name) reach both kinds. Names are matched across modules and classes,
-which can only over-count what is reached. ``__all__`` lists name
-nothing: they are strings in an assignment that is never read.
+name, and an attribute read off one of the package's modules
+(``flows.solve_flow``) reaches the top-level definition. A method of a
+top-level class other than its dunders, named ``Class.method``, is
+reached by an attribute of that name. ``self.x`` or ``cls.x`` inside a
+class, and ``Klass.x`` off a class of the package, reach only the
+methods ``x`` of that class, its bases and its subclasses; any other
+attribute reaches every method of its name. So a parameter named like a
+method does not reach the method, and a method is not kept alive by a
+namesake in an unrelated class. A reached definition reads what its
+body reads, and module code outside any definition runs at import, so
+its reads are roots too. The dunders of a class run without being
+named, so they belong to the class. The roots are read generously:
+their attributes, which may be read off a module under a local name,
+also reach top-level definitions, and their identifier-shaped strings
+(the bench tracer patches entry points by name) reach both kinds; only
+a root's own ``self.x`` reaches nothing in the package. Names are
+matched across modules, which can only over-count what is reached.
+``__all__`` lists name nothing: they are strings in an assignment that
+is never read.
 
 A definition that no root reaches runs only under tests. Each one still
 in ``src/`` is listed in ALLOWED with the ROADMAP item that will make a
@@ -50,6 +56,7 @@ ALLOWED = {
     "segment_distance_c1": 1,
     "HistorySegment.has_derivative": 1,
     "CorrectionState.radii": 1,
+    "CorrectionState.distance": 1,
     # item 6: a charge-system scenario reads the descriptors and the
     # trajectory builders, and wraps maps of one time
     "trajectory_from_descriptor": 6,
@@ -60,6 +67,7 @@ ALLOWED = {
     "Trajectory.from_callable": 6,
     "Trajectory.reflected": 6,
     "Trajectory.shifted": 6,
+    "Trajectory.from_grid": 6,
     "pointwise": 6,
 }
 
@@ -80,16 +88,68 @@ def _root_trees():
 
 # the kinds of definition a read reaches
 TOP, METHOD = "top", "method"
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _reads(node, modules, root=False):
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+class _Scope:
+    """What a read resolves against: the package's module names and its
+    top-level classes, each with its base names and methods."""
+
+    def __init__(self, src):
+        self.modules = {"hypershadow"} | {name.rpartition(".")[0]
+                                          for name, _ in src}
+        self.classes = {}
+        for _, tree in src:
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef):
+                    bases = {getattr(b, "id", getattr(b, "attr", None))
+                             for b in node.bases}
+                    methods = {part.name for part in node.body
+                               if isinstance(part, _FUNCTIONS)
+                               and not _is_dunder(part.name)}
+                    self.classes[node.name] = bases, methods
+
+    def family(self, cls):
+        """``cls``, its bases and its subclasses, each transitively."""
+        found = set()
+        for step in (lambda c: self.classes[c][0],
+                     lambda c: [k for k, (bases, _) in self.classes.items()
+                                if c in bases]):
+            seen, todo = set(), [cls]
+            while todo:
+                c = todo.pop()
+                if c in self.classes and c not in seen:
+                    seen.add(c)
+                    todo.extend(step(c))
+            found |= seen
+        return found
+
+    def methods(self, name, classes=None):
+        """Keys of the methods ``name`` of ``classes``, by default of
+        every class."""
+        return {(METHOD, f"{c}.{name}")
+                for c in (self.classes if classes is None else classes)
+                if name in self.classes[c][1]}
+
+
+def _reads(node, scope, cls=None, root=False):
     """Definitions a node reads, as (kind, name) keys.
 
     A bare or imported name reads the top-level definitions of that
-    name (``TOP``), and an attribute the methods (``METHOD``), unless it
-    is read off a module of ``modules``. A ``root`` is read generously:
-    its attributes, which may be read off a module under another name,
-    and its identifier-shaped string constants read both kinds.
+    name (``TOP``). An attribute read off a module of the package reads
+    the top-level definition, and one read off ``self`` or ``cls``
+    inside class ``cls``, or off a class of the package, the methods of
+    that name (``METHOD``, qualified ``Class.method``) of the class, its
+    bases and its subclasses. Any other attribute reads every method of
+    that name. A ``root`` is read generously: its attributes, which may
+    be read off a module under another name, also read the top-level
+    definitions, and its identifier-shaped string constants read both
+    kinds; only its own ``self`` and ``cls`` reach nothing in the
+    package.
     """
     out = set()
     for sub in ast.walk(node):
@@ -97,64 +157,59 @@ def _reads(node, modules, root=False):
             out.add((TOP, sub.id))
         elif isinstance(sub, ast.Attribute):
             owner = getattr(sub.value, "id", getattr(sub.value, "attr", None))
-            if root:
-                out |= {(TOP, sub.attr), (METHOD, sub.attr)}
+            if isinstance(sub.value, ast.Name) and owner in ("self", "cls"):
+                if not root:
+                    out |= scope.methods(sub.attr, None if cls is None
+                                         else scope.family(cls))
+            elif owner in scope.classes:
+                out |= scope.methods(sub.attr, scope.family(owner))
+            elif root:
+                out |= {(TOP, sub.attr)} | scope.methods(sub.attr)
+            elif owner in scope.modules:
+                out.add((TOP, sub.attr))
             else:
-                out.add((TOP if owner in modules else METHOD, sub.attr))
+                out |= scope.methods(sub.attr)
         elif isinstance(sub, ast.alias):
             out.add((TOP, sub.name.rpartition(".")[2]))
         elif (root and isinstance(sub, ast.Constant)
               and isinstance(sub.value, str) and sub.value.isidentifier()):
-            out |= {(TOP, sub.value), (METHOD, sub.value)}
+            out |= {(TOP, sub.value)} | scope.methods(sub.value)
     return out
 
 
-def _is_dunder(name):
-    return name.startswith("__") and name.endswith("__")
-
-
-def _modules(src):
-    return {"hypershadow"} | {name.rpartition(".")[0] for name, _ in src}
-
-
-def _definitions(src):
+def _definitions(src, scope):
     """{(kind, name): [(qualified name, module, lines, reads)]} of the
     definitions in the (module name, tree) pairs ``src``, and the reads
     of module code outside any definition.
 
     Top-level functions, classes and assigned names are ``TOP``
     definitions, and every method of a top-level class but the dunders
-    is a ``METHOD`` definition under its own name, qualified
-    ``Class.method``. A class reads its bases, decorators, class-level
-    statements and dunders, which run without being named; its other
-    methods read their own bodies.
+    is a ``METHOD`` definition named ``Class.method``. A class reads its
+    bases, decorators, class-level statements and dunders, which run
+    without being named; its other methods read their own bodies.
     """
-    modules = _modules(src)
     defs = {}
     loose = set()
 
-    def define(kind, name, qualname, module, node, reads):
+    def define(kind, name, module, node, reads):
         lines = node.end_lineno - node.lineno + 1
-        defs.setdefault((kind, name), []).append(
-            (qualname, module, lines, reads))
+        defs.setdefault((kind, name), []).append((name, module, lines, reads))
 
     for module, tree in src:
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                define(TOP, node.name, node.name, module, node,
-                       _reads(node, modules))
+            if isinstance(node, _FUNCTIONS):
+                define(TOP, node.name, module, node, _reads(node, scope))
             elif isinstance(node, ast.ClassDef):
                 reads = set()
                 for part in (*node.bases, *node.keywords,
                              *node.decorator_list, *node.body):
-                    if (isinstance(part, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef))
+                    if (isinstance(part, _FUNCTIONS)
                             and not _is_dunder(part.name)):
-                        define(METHOD, part.name, f"{node.name}.{part.name}",
-                               module, part, _reads(part, modules))
+                        define(METHOD, f"{node.name}.{part.name}", module,
+                               part, _reads(part, scope, node.name))
                     else:
-                        reads |= _reads(part, modules)
-                define(TOP, node.name, node.name, module, node, reads)
+                        reads |= _reads(part, scope, node.name)
+                define(TOP, node.name, module, node, reads)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) \
                     else [node.target]
@@ -162,12 +217,11 @@ def _definitions(src):
                 if named == ["__all__"]:
                     continue
                 for name in named:
-                    define(TOP, name, name, module, node,
-                           _reads(node, modules))
+                    define(TOP, name, module, node, _reads(node, scope))
                 if not named:
-                    loose |= _reads(node, modules)
+                    loose |= _reads(node, scope)
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                loose |= _reads(node, modules)
+                loose |= _reads(node, scope)
     return defs, loose
 
 
@@ -177,11 +231,11 @@ def unreached(src=None, roots=None):
     package's modules and the files named in the module docstring."""
     src = _src_trees() if src is None else src
     roots = _root_trees() if roots is None else roots
-    defs, loose = _definitions(src)
-    modules = _modules(src)
+    scope = _Scope(src)
+    defs, loose = _definitions(src, scope)
     todo = set(loose)
     for tree in roots:
-        todo |= _reads(tree, modules, root=True)
+        todo |= _reads(tree, scope, root=True)
     seen = set()
     while todo:
         key = todo.pop()
@@ -263,3 +317,49 @@ def test_a_read_reaches_only_definitions_of_its_kind():
                               "Spec.get"}
     assert found("patch(m, 'descriptor')") == {"build", "get", "run",
                                                "Spec", "Spec.get"}
+
+
+def test_a_method_read_resolves_to_its_class_family():
+    # self.x and cls.x inside a class, and Klass.x, reach the methods x
+    # of that class, its bases and its subclasses, and no namesake in
+    # an unrelated class; a root's own self.x reaches nothing
+    m = textwrap.dedent("""
+        class Base:
+            def go(self):
+                return self.step()
+
+            def step(self):
+                return 0
+
+        class Child(Base):
+            def step(self):
+                return 1
+
+        class Other:
+            def step(self):
+                return 2
+
+            def make(cls):
+                return cls.build()
+
+            def build(self):
+                return 3
+
+        def use():
+            return Other.make()
+        """)
+    src = [("m.py", ast.parse(m))]
+    everything = {"Base", "Base.go", "Base.step", "Child", "Child.step",
+                  "Other", "Other.step", "Other.make", "Other.build", "use"}
+
+    def reached(root):
+        return everything - set(unreached(src, [ast.parse(root)]))
+
+    assert reached("x.go()") == {"Base.go", "Base.step", "Child.step"}
+    assert reached("use()") == {"use", "Other", "Other.make",
+                                "Other.build"}
+    assert reached("Child.go(x)") == {"Child", "Base", "Base.go",
+                                      "Base.step", "Child.step"}
+    assert reached("self.go()") == set()
+    assert reached("patch(m, 'step')") == {"Base.step", "Child.step",
+                                            "Other.step"}
