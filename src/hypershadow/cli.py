@@ -9,7 +9,8 @@ re-certifies a stored state by applying the operator once.
 
 Exit codes: 0 success, 1 scenario or descriptor failure, including a
 run that reaches past the bounds its descriptors declare and a saved
-state whose grids do not extend by zero (nothing is written), 2
+state with a malformed file, a value that is not finite or a grid that
+does not extend by zero (nothing is written), 2
 divergence, or a converged ``run`` or a ``verify`` whose contraction
 estimate kappa is at or above 1, 3 an iterate leaving its declared
 ball, 4 a numerical failure: a non-finite value entering the operator
@@ -20,7 +21,6 @@ writes no output directory.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import numbers
 import os
@@ -31,7 +31,8 @@ import numpy as np
 
 from .flows import ScalarField
 from .funcspace import (BallRadii, json_text, load_grid_function,
-                        real_number, save_grid_function, write_lines)
+                        read_record, real_number, save_grid_function,
+                        write_lines)
 from .hyperbolic import frame_from_descriptor
 from .invariance import (
     BallExitError,
@@ -41,6 +42,7 @@ from .invariance import (
     OperatorConfig,
     _Run,
     aposteriori_bounds,
+    check_state_grid,
     gamma_step,
     initial_state,
     iterate,
@@ -113,11 +115,8 @@ class Scenario:
 
 
 def load_scenario(path):
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    for key in ("frame", "perturbation", "config"):
-        if key not in raw:
-            raise ValueError(f"scenario is missing the {key!r} section")
+    raw = read_record(path, dict.fromkeys(("frame", "perturbation",
+                                           "config"), "an object"))
     if "eps" not in raw:
         raise ValueError("scenario must set eps (a number or a list)")
     out = raw.get("out")
@@ -165,15 +164,28 @@ def save_state(state, directory, seed=0):
                        [json_text(meta)])
 
 
+_RADII = ("t_radii", "s_radii", "u_radii")
+
+
 def load_state(directory):
-    with open(os.path.join(directory, "state.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
-    grids = {name: load_grid_function(os.path.join(directory, fname))
-             for name, fname in meta["files"].items()}
-    X = ScalarField(grids["xhat_t"], BallRadii(tuple(meta["t_radii"])))
-    return CorrectionState(X=X, xs=grids["xhat_s"], xu=grids["xhat_u"],
-                           s_ball=BallRadii(tuple(meta["s_radii"])),
-                           u_ball=BallRadii(tuple(meta["u_radii"])))
+    """The state :func:`save_state` wrote to ``directory``; a malformed
+    file raises a ValueError naming the file and the entry."""
+    path = os.path.join(directory, "state.json")
+    meta = read_record(path, dict.fromkeys(_RADII, "a list")
+                       | {"files": "an object"})
+    grids, balls = [], []
+    for name, key in zip(_STATE_FILES, _RADII):
+        fname = meta["files"].get(name)
+        if not isinstance(fname, str):
+            raise ValueError(f"{path}: entry 'files' names no CSV file for "
+                             f"{name!r}")
+        try:
+            balls.append(BallRadii(tuple(meta[key])))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: entry {key!r}: {exc}") from None
+        grids.append(load_grid_function(os.path.join(directory, fname)))
+    return CorrectionState(X=ScalarField(grids[0], balls[0]), xs=grids[1],
+                           xu=grids[2], s_ball=balls[1], u_ball=balls[2])
 
 
 # -- artifact writers -------------------------------------------------------
@@ -384,26 +396,11 @@ def cmd_sweep(scn, max_iters=None, quiet=False):
     return 0
 
 
-def _check_state_grid(state, fr, cfg):
-    """The saved state must live on the scenario's grid and dimension."""
-    g = state.xs
-    if (abs(g.half_width - cfg.window) > 1e-9
-            or abs(g.delta - cfg.delta) > 1e-12):
-        raise ValueError(
-            f"saved state grid (window {g.half_width:g}, delta {g.delta:g}) "
-            f"does not match the scenario (window {cfg.window:g}, "
-            f"delta {cfg.delta:g})")
-    if g.m != fr.model.n:
-        raise ValueError(
-            f"saved state has dimension {g.m}, the scenario's model "
-            f"{fr.model.n}")
-
-
 def cmd_verify(scn, state_dir, max_iters=None, quiet=False):
     try:
         fr, spec, cfg = scn.resolve(max_iters=max_iters)
         state = load_state(state_dir)
-        _check_state_grid(state, fr, cfg)
+        check_state_grid(state, fr, cfg)
     except Exception as exc:
         _complain(str(exc))
         return 1

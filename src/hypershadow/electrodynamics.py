@@ -142,7 +142,8 @@ class Trajectory:
 
     @classmethod
     def from_grid(cls, g):
-        """Window a GridFunction as a trajectory; extension policy applies."""
+        """Window a GridFunction as a trajectory; past the window it
+        tapers to 0 over one cell, so read it inside the window."""
         d1 = g.derivative(1)
         return cls(g.eval, d1.eval, g.m, kind="grid",
                    params={"half_width": g.half_width, "delta": g.delta})

@@ -95,9 +95,8 @@ class ScalarField:
 
     @classmethod
     def identity(cls, half_width, delta, ball=None):
-        """X = 1, its deviation zero beyond the window."""
-        g = GridFunction.sample(np.zeros_like, half_width, delta,
-                                extension="zero")
+        """X = 1 everywhere: its deviation is 0 at every node."""
+        g = GridFunction.sample(np.zeros_like, half_width, delta)
         return cls(g, ball if ball is not None else BallRadii((0.0, 0.0)))
 
     @functools.cached_property
@@ -123,11 +122,11 @@ class Flow:
     a round-trip defect below 1e-9.
 
     The certification covers the part of the range whose image stays
-    inside the field's sampled window. Beyond it the field is governed
-    by its extension policy, which is continuous but not smooth at the
-    window edge, so interpolating the flow across those points cannot
-    sustain the tolerance; callers are expected to size the field window
-    so every lookup they care about lands in the certified region.
+    inside the field's sampled window. Beyond it X - 1 tapers to 0,
+    which is continuous but not smooth at the window edge, so
+    interpolating the flow across those points cannot sustain the
+    tolerance; callers are expected to size the field window so every
+    lookup they care about lands in the certified region.
 
     phi at points that move from call to call (the history lookups and
     the forward half of the round-trip guard) is read from one cell
@@ -177,7 +176,7 @@ class Flow:
         inside both the partner's window and the field's sampled window.
         """
         Tf = self.source.xhat.half_width
-        # a full interpolation stencil must stay clear of the extension
+        # a full interpolation stencil must stay clear of the taper's
         # kinks at the field window edge
         reach = (self.phi.interp_order + 1) * self.phi.delta
         rho = self.phi_inv.nodes
@@ -307,8 +306,7 @@ def solve_flow(field, window):
     inv_vals[K_inv] = 0.0
     inv_vals[K_inv + 1:] = np.cumsum(cells[K_inv:])
     inv_vals[:K_inv] = -np.cumsum(cells[:K_inv][::-1])[::-1]
-    phi_inv = GridFunction(R_inv, delta, inv_vals, interp_order=_FLOW_ORDER,
-                           extension="linear")
+    phi_inv = GridFunction(R_inv, delta, inv_vals, interp_order=_FLOW_ORDER)
 
     t = lattice(R_phi, delta)
     y = _cubic_start(t, inv_vals, phi_inv.nodes)
@@ -323,8 +321,7 @@ def solve_flow(field, window):
         live = live[above]
         y[live] -= r[above] * X[above]
     y[K] = 0.0
-    phi = GridFunction(R_phi, delta, y, interp_order=_FLOW_ORDER,
-                       extension="linear")
+    phi = GridFunction(R_phi, delta, y, interp_order=_FLOW_ORDER)
     return Flow(phi, phi_inv, field)
 
 

@@ -2,11 +2,11 @@
 
 Everything downstream (orbits, reparametrizations, corrections, delay
 fields) is carried by :class:`GridFunction`: uniform samples of a function
-[-T, T] -> R^m with local polynomial interpolation, an extension policy
-beyond the window, finite difference derivatives, and the norms the
-contraction machinery needs: C^k sup norms, adjacent-node Lipschitz
-estimates, exponentially weighted sup norms, and ball membership with a
-per-level slack report.
+[-T, T] -> R^m with local polynomial interpolation, zero beyond the
+window (a linear taper to 0 over one cell past each end), finite
+difference derivatives, and the norms the contraction machinery needs:
+C^k sup norms, adjacent-node Lipschitz estimates, exponentially weighted
+sup norms, and ball membership with a per-level slack report.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "EXTENSIONS",
     "GridFunction",
     "GridSampler",
     "CellTable",
@@ -35,12 +34,10 @@ __all__ = [
     "write_lines",
     "save_grid_function",
     "load_grid_function",
+    "read_record",
     "pointwise",
     "real_number",
 ]
-
-EXTENSIONS = ("constant-hold", "linear", "zero")
-
 
 def pointwise(fn):
     """The batched form of ``fn``, a function written for one row.
@@ -155,18 +152,8 @@ def _binomial_weights(p):
                              for k in range(p + 1)]))
 
 
-@functools.cache
-def _slope_weights(geometry):
-    # one-sided D^1 weights at both window ends of a grid with this
-    # geometry, over its p + 1 end nodes
-    half_width, delta, _, p = geometry
-    nodes = lattice(half_width, delta)
-    return (_frozen(fd_weights(nodes[:p + 1], nodes[0], 1)),
-            _frozen(fd_weights(nodes[-p - 1:], nodes[-1], 1)))
-
-
 class GridFunction:
-    """Uniform samples of a function [-T, T] -> R^m.
+    """Uniform samples of a function [-T, T] -> R^m, zero beyond [-T, T].
 
     Parameters
     ----------
@@ -180,11 +167,12 @@ class GridFunction:
         One R^m value per node.
     interp_order : int
         Local polynomial degree for interpolation, at least 3.
-    extension : str
-        Behavior outside the window: "constant-hold" freezes the boundary
-        value, "linear" continues with the one-sided boundary slope, and
-        "zero" tapers linearly to 0 over one cell beyond each end (a hard
-        jump to zero would break continuity at the boundary).
+
+    Past each end a grid tapers linearly from its end value to 0 over
+    one cell (a jump would break continuity) and is 0 after that: the
+    corrections X - 1, xhat_s and xhat_u live on the whole line and
+    vanish there. Every other grid (flow maps, orbits, tabulated
+    perturbation terms) is read inside its window only.
 
     Instances are immutable after construction. ``eval(t)`` builds, applies
     and drops a :class:`GridSampler`. Derivatives are cached per order;
@@ -192,11 +180,10 @@ class GridFunction:
     geometry and shared, read-only, by every grid of that geometry.
     """
 
-    __slots__ = ("half_width", "delta", "values", "interp_order",
-                 "extension", "nodes", "geometry", "_dcache", "_slopes")
+    __slots__ = ("half_width", "delta", "values", "interp_order", "nodes",
+                 "geometry", "_dcache")
 
-    def __init__(self, half_width, delta, values, interp_order=5,
-                 extension="constant-hold"):
+    def __init__(self, half_width, delta, values, interp_order=5):
         half_width = float(half_width)
         delta = float(delta)
         if not (half_width > 0.0 and np.isfinite(half_width)):
@@ -206,8 +193,6 @@ class GridFunction:
         interp_order = int(interp_order)
         if interp_order < 3:
             raise ValueError("interp_order must be at least 3")
-        if extension not in EXTENSIONS:
-            raise ValueError(f"unknown extension policy {extension!r}")
         nodes = lattice(half_width, delta)
         n = nodes.size
         vals = np.asarray(values, dtype=float)
@@ -224,12 +209,10 @@ class GridFunction:
         self.delta = delta
         self.values = vals
         self.interp_order = interp_order
-        self.extension = extension
         self.nodes = nodes
         # everything a GridSampler depends on
         self.geometry = (half_width, delta, n, interp_order)
         self._dcache = {}
-        self._slopes = None
 
     # -- basic geometry -------------------------------------------------
 
@@ -242,8 +225,7 @@ class GridFunction:
         return self.values.shape[1]
 
     @classmethod
-    def sample(cls, fn, half_width, delta, interp_order=5,
-               extension="constant-hold"):
+    def sample(cls, fn, half_width, delta, interp_order=5):
         """Build a GridFunction from ``fn(nodes)``, one batched call.
 
         ``fn`` maps the 1-D array of node times to (n,) or (n, m)
@@ -252,12 +234,12 @@ class GridFunction:
         into or return as the values.
         """
         return cls(half_width, delta, fn(lattice(half_width, delta).copy()),
-                   interp_order=interp_order, extension=extension)
+                   interp_order=interp_order)
 
-    def with_values(self, values, extension=None):
-        """Same grid, new values; same extension policy unless given."""
+    def with_values(self, values):
+        """Same grid, new values."""
         return GridFunction(self.half_width, self.delta, values,
-                            self.interp_order, extension or self.extension)
+                            self.interp_order)
 
     def restrict(self, half_width):
         """Restriction to a smaller symmetric window whose ends lie on nodes."""
@@ -270,8 +252,7 @@ class GridFunction:
         if k == 0:
             return self
         return GridFunction(self.half_width - k * self.delta, self.delta,
-                            self.values[k:-k], self.interp_order,
-                            self.extension)
+                            self.values[k:-k], self.interp_order)
 
     # -- evaluation -----------------------------------------------------
 
@@ -280,8 +261,8 @@ class GridFunction:
 
         Returns shape (m,) for scalar input and (len(t), m) otherwise.
         Inside the window this is local Lagrange interpolation of degree
-        ``interp_order``, exact at the nodes; outside it follows the
-        extension policy and stays continuous across the boundary.
+        ``interp_order``, exact at the nodes; outside it tapers to 0 over
+        one cell and stays continuous across the boundary.
         """
         out = GridSampler(self, np.atleast_1d(t)).apply(self)
         return out[0] if np.ndim(t) == 0 else out
@@ -296,23 +277,19 @@ class GridFunction:
     def __call__(self, t):
         return self.eval(t)
 
-    def _extend(self, u, side):
-        # u: positive distances beyond the boundary; side -1 left, +1 right
-        v = self.values[0 if side < 0 else -1]
-        if self.extension == "constant-hold":
-            return np.broadcast_to(v, (u.size, self.m)).copy()
-        if self.extension == "zero":
-            factor = np.clip(1.0 - u / self.delta, 0.0, 1.0)
-            return factor[:, None] * v[None, :]
-        slope = self._boundary_slope(side)
-        return v[None, :] + (side * u)[:, None] * slope[None, :]
-
-    def _boundary_slope(self, side):
-        if self._slopes is None:
-            w = self.interp_order + 1
-            wl, wr = _slope_weights(self.geometry)
-            self._slopes = (wl @ self.values[:w], wr @ self.values[-w:])
-        return self._slopes[0] if side < 0 else self._slopes[1]
+    def _extend(self, inner, inside, edges):
+        # the reads at queries located by _locate: inner, (j, m) or (j,)
+        # when m = 1, inside the window, and at distance u past an end
+        # the end value tapered linearly to 0 over one cell
+        if inside is None:
+            return inner
+        out = np.empty(inside.shape + inner.shape[1:])
+        out[inside] = inner
+        for mask, u, side in edges:
+            end = self.values[0 if side < 0 else -1].reshape(inner.shape[1:])
+            out[mask] = np.multiply.outer(
+                np.clip(1.0 - u / self.delta, 0.0, 1.0), end)
+        return out
 
     def stencil_weights(self, k):
         """Row q: Fornberg weights of D^k at node q of a stencil, shared
@@ -405,8 +382,7 @@ class GridFunction:
 
     def __repr__(self):
         return (f"GridFunction(T={self.half_width:g}, delta={self.delta:g}, "
-                f"n={self.n}, m={self.m}, order={self.interp_order}, "
-                f"extension={self.extension!r})")
+                f"n={self.n}, m={self.m}, order={self.interp_order})")
 
 
 def _stencil_start(cell, p, n):
@@ -418,6 +394,27 @@ def _stencil_start(cell, p, n):
     start = cell - (p - 1) // 2
     np.maximum(start, 0, out=start)
     return np.minimum(start, n - 1 - p, out=start)
+
+
+def _locate(g, t):
+    """(inside, x, cell, edges) of the times ``t`` (a scalar or a 1-D
+    array) on g's geometry: the mask of the queries in the window (None
+    if all are), those queries x and their cells, and per end with
+    queries past it (mask, distance past the end, side -1 or +1). Both
+    engines locate their queries here and read through ``g._extend``.
+    """
+    T = g.half_width
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    left, right = t < -T, t > T
+    edges = [(mask, u, side) for mask, u, side in (
+        (left, -(t[left] + T), -1), (right, t[right] - T, +1)) if u.size]
+    inside = ~(left | right) if edges else None
+    if edges:
+        t = t[inside]
+    cell = np.floor((t + T) / g.delta).astype(np.int64)
+    np.maximum(cell, 0, out=cell)
+    np.minimum(cell, g.n - 2, out=cell)
+    return inside, t, cell, edges
 
 
 class GridSampler:
@@ -432,19 +429,9 @@ class GridSampler:
     __slots__ = ("geometry", "cols", "weights", "inside", "edges")
 
     def __init__(self, g, t):
-        t = np.asarray(t, dtype=float)
-        T, p = g.half_width, g.interp_order
+        p = g.interp_order
         self.geometry = g.geometry
-        left, right = t < -T, t > T
-        # (mask, distance beyond the end, side) per end with queries
-        self.edges = [(mask, u, side) for mask, u, side in (
-            (left, -(t[left] + T), -1), (right, t[right] - T, +1)) if u.size]
-        self.inside = ~(left | right) if self.edges else None
-        if self.edges:
-            t = t[self.inside]
-        cell = np.floor((t + T) / g.delta).astype(np.int64)
-        np.maximum(cell, 0, out=cell)
-        np.minimum(cell, g.n - 2, out=cell)
+        self.inside, t, cell, self.edges = _locate(g, t)
         start = _stencil_start(cell, p, g.n)
         self.cols = start[:, None] + np.arange(p + 1)[None, :]
         diff = t[:, None] - g.nodes[self.cols]
@@ -469,13 +456,7 @@ class GridSampler:
             raise ValueError(f"sampler of {self.geometry} read {g.geometry}")
         inner = np.einsum("kp,kpm->km", self.weights,
                           np.take(g.values, self.cols, axis=0))
-        if self.inside is None:
-            return inner
-        out = np.empty((self.inside.size, g.m))
-        out[self.inside] = inner
-        for mask, u, side in self.edges:
-            out[mask] = g._extend(u, side)
-        return out
+        return g._extend(inner, self.inside, self.edges)
 
 
 class CellTable:
@@ -485,9 +466,9 @@ class CellTable:
     stencil :class:`GridSampler` uses for cell c, on the unit-spaced
     stencil nodes. ``table(t)`` evaluates at a time or a 1-D array of
     times with one floor for the cell, one gather of its row and p
-    nested multiply-adds in w = (t - stencil start) / delta; beyond the
-    window it follows the extension policy as ``g.eval1`` does. It
-    agrees with ``g.eval1`` to rounding and, unlike a sampler, needs no
+    nested multiply-adds in w = (t - stencil start) / delta; it locates
+    and tapers as a sampler does, so beyond the window it is ``g.eval1``
+    bit for bit. It agrees with ``g.eval1`` to rounding and needs no
     set-up per query array, so it serves points that move every call.
     """
 
@@ -510,28 +491,18 @@ class CellTable:
 
     def __call__(self, t):
         g = self.grid
-        T, p = g.half_width, g.interp_order
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        left, right = ts < -T, ts > T
-        inside = ~(left | right)
+        p = g.interp_order
         # the interpolant is evaluated only where it is read: a flow's
         # quadrature points lie mostly beyond its field's window
-        x = ts[inside]
-        cell = np.floor((x + T) / g.delta).astype(np.int64)
-        np.maximum(cell, 0, out=cell)
-        np.minimum(cell, g.n - 2, out=cell)
+        inside, x, cell, edges = _locate(g, t)
         c = self.coef[cell]
         w = (x - self.left[cell]) / g.delta
         val = c[:, p].copy()
         for k in range(p - 1, -1, -1):
             val *= w - k
             val += c[:, k]
-        out = np.empty(ts.size)
-        out[inside] = val
-        for mask, side in ((left, -1), (right, +1)):
-            if mask.any():
-                out[mask] = g._extend(side * ts[mask] - T, side)[:, 0]
-        return float(out[0]) if np.ndim(t) == 0 else out
+        val = g._extend(val, inside, edges)
+        return float(val[0]) if np.ndim(t) == 0 else val
 
 
 @dataclass(frozen=True)
@@ -624,7 +595,8 @@ def save_grid_function(g, csv_path):
 
     The CSV has header ``t,v0,...,v{m-1}`` and one row per node; the
     sidecar (same path with .json) records window, delta, interp_order
-    and extension. Output is byte-deterministic for identical inputs.
+    and extension ("zero"). Output is byte-deterministic for identical
+    inputs.
     """
     csv_path = str(csv_path)
     cols = ",".join(f"v{i}" for i in range(g.m))
@@ -633,7 +605,7 @@ def save_grid_function(g, csv_path):
         "window": [-g.half_width, g.half_width],
         "delta": g.delta,
         "interp_order": g.interp_order,
-        "extension": g.extension,
+        "extension": "zero",
     })
     write_lines(csv_path, [f"t,{cols}"] + [
         row(*r) for r in np.column_stack([g.nodes, g.values]).tolist()])
@@ -641,16 +613,53 @@ def save_grid_function(g, csv_path):
     return csv_path
 
 
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "a number",
+          float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def read_record(path, entries):
+    """The JSON object in ``path``, holding each key of ``entries`` with
+    a value of the kind it names ("an object", "a list", "a string",
+    "a number"); otherwise a ValueError names the file and the entry."""
+    with open(path, encoding="utf-8") as fh:
+        rec = json.load(fh)
+    if not isinstance(rec, dict):
+        raise ValueError(f"{path}: holds {_KINDS[type(rec)]}, not an object")
+    for key, kind in entries.items():
+        if key not in rec:
+            raise ValueError(f"{path}: missing entry {key!r}")
+        if _KINDS[type(rec[key])] != kind:
+            raise ValueError(f"{path}: entry {key!r} must be {kind}, got "
+                             f"{_KINDS[type(rec[key])]}")
+    return rec
+
+
 def load_grid_function(csv_path):
-    """Inverse of :func:`save_grid_function`."""
+    """Inverse of :func:`save_grid_function`: the one way in for a grid
+    from outside, so a ValueError naming the file refuses a malformed
+    sidecar, an extension other than zero, a value that is not finite
+    and node times off the sidecar's grid."""
     csv_path = str(csv_path)
-    with open(os.path.splitext(csv_path)[0] + ".json") as fh:
-        meta = json.load(fh)
+    sidecar = os.path.splitext(csv_path)[0] + ".json"
+    meta = read_record(sidecar, {"window": "a list", "delta": "a number",
+                                 "interp_order": "a number",
+                                 "extension": "a string"})
+    if meta["extension"] != "zero":
+        raise ValueError(f"{sidecar}: grid must extend by zero, got "
+                         f"extension {meta['extension']!r}")
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    half_width = float(meta["window"][1])
-    g = GridFunction(half_width, float(meta["delta"]), data[:, 1:],
-                     interp_order=int(meta["interp_order"]),
-                     extension=str(meta["extension"]))
+    bad = ~np.isfinite(data)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"{csv_path}: {f'v{j - 1}' if j else 't'} is not "
+                         f"finite at node t = {data[i, 0]:g}: "
+                         f"{data[i, j]:g}")
+    try:
+        g = GridFunction(meta["window"][1], meta["delta"], data[:, 1:],
+                         interp_order=meta["interp_order"])
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"{csv_path}: {exc}") from None
     if np.abs(data[:, 0] - g.nodes).max() > 1e-9:
-        raise ValueError("CSV node times disagree with the sidecar grid")
+        raise ValueError(f"{csv_path}: node times disagree with the "
+                         f"sidecar grid")
     return g

@@ -325,7 +325,7 @@ class _BundlePlan:
     Built by ``_FrameBase._bundle_sum`` once per pair of tables: the
     sweep (node order, the node that collects each v, the mask of
     collected v), the carry of each v to its node, the doubling factors
-    of the decay scan (:func:`_doubling_factors`) and the basis slices
+    of the decay scan (:func:`_doubling`) and the basis slices
     of the bundle. Calling it with the weights makes one projection, one
     ``np.add.at``, one vector update per doubling pass and one basis
     product: no carry and no matrix-matrix product.
@@ -348,7 +348,8 @@ class _BundlePlan:
         m = sl.stop - sl.start
         fac = np.zeros((ts.size, m, m))
         fac[1:] = frame._carry(sigma, nodes[1:], nodes[:-1])
-        self.factors = _doubling_factors(fac)
+        self.factors = []
+        _doubling(fac, self.factors)
 
     def __call__(self, wvs):
         if self.empty:
@@ -359,26 +360,28 @@ class _BundlePlan:
         return _apply(self.A, _decay_scan(self.factors, load)[self.order])
 
 
-def _doubling_factors(fac):
-    """The factors each pass of :func:`_decay_scan` applies.
+def _doubling(a, factors=None):
+    """The prefix products a_k ... a_0 of the (K, m, m) stack ``a``.
 
-    ``fac`` is (K, m, m) with fac_0 = 0. Pass d (d = 1, 2, 4, ... < K)
-    applies to row k the product of the factors of rows k - d + 1 .. k,
-    the later on the left: the rows d.. of the running products, taken
-    before the pass composes each with the one d rows before it.
+    Hillis-Steele doubling: pass d (d = 1, 2, 4, ... < K) multiplies
+    each running product by the one d rows before it, the later factor
+    on the left. A list ``factors`` collects the factor each pass of
+    :func:`_decay_scan` applies: the rows d.. of the running products
+    before pass d composes them.
     """
-    a, out, d = fac, [], 1
+    d = 1
     while d < len(a):
-        out.append(a[d:])
+        if factors is not None:
+            factors.append(a[d:])
         a = np.concatenate([a[:d], a[d:] @ a[:-d]])
         d *= 2
-    return out
+    return a
 
 
 def _decay_scan(factors, load):
     """acc_k = fac_k @ acc_{k-1} + load_k along axis 0, with fac_0 = 0.
 
-    ``factors`` are the :func:`_doubling_factors` of the (K, m, m)
+    ``factors`` are the :func:`_doubling` factors of the (K, m, m)
     ``fac`` and ``load`` is (K, m). Hillis-Steele doubling: pass d adds
     to each row the running sum d rows before it, carried by the pass's
     factor, so log2(K) vectorized passes replace the K-step recurrence.
@@ -390,21 +393,6 @@ def _decay_scan(factors, load):
         b[d:] += _apply(a, b[:-d])
         d *= 2
     return b
-
-
-def _prefix_products(mats):
-    """I, M_0, M_1 M_0, ..., M_{K-1} ... M_0 for a (K, n, n) stack.
-
-    The doubling of :func:`_doubling_factors`: pass d multiplies each
-    running product by the one d rows before it, the later factor on the
-    left.
-    """
-    out = np.concatenate([np.eye(mats.shape[1])[None], mats])
-    d = 1
-    while d < out.shape[0]:
-        out[d:] = out[d:] @ out[:-d]
-        d *= 2
-    return out
 
 
 class AnalyticFrame(_FrameBase):
@@ -547,11 +535,12 @@ class FloquetFrame(_FrameBase):
         K2 = A2 @ (eye + 0.5 * h * A1)
         K3 = A2 @ (eye + 0.5 * h * K2)
         K4 = A3 @ (eye + h * K3)
-        psi = _prefix_products(eye + (h / 6.0) * (A1 + 2.0 * (K2 + K3) + K4))
+        # I, M_0, M_1 M_0, ...: the doubling's products over I and the M_i
+        psi = _doubling(np.concatenate(
+            [eye[None], eye + (h / 6.0) * (A1 + 2.0 * (K2 + K3) + K4)]))
         stored = psi[::substeps].reshape(nsteps + 1, n * n)
         self.monodromy = psi[-1].copy()
-        self._psi = GridFunction(P / 2.0, delta, stored, interp_order=5,
-                                 extension="constant-hold")
+        self._psi = GridFunction(P / 2.0, delta, stored, interp_order=5)
 
         mus, vecs = np.linalg.eig(self.monodromy)
         to_one = np.abs(mus - 1.0)
@@ -784,7 +773,7 @@ def unit_circle_orbit(delta=0.01):
     eff = (P / 2.0) / max(1, int(round((P / 2.0) / delta)))
     return GridFunction.sample(
         lambda ts: np.column_stack([np.cos(ts), np.sin(ts)]), P / 2.0, eff,
-        interp_order=5, extension="constant-hold"), P
+        interp_order=5), P
 
 
 def analytic_frame(descriptor):

@@ -184,9 +184,9 @@ class CorrectionState:
     ``X`` carries its own ball radii; ``s_ball`` and ``u_ball`` bound
     the bundle corrections. Values of ``xs``/``xu`` are meant to lie in
     the stable/unstable bundle at each node; :func:`gamma_step`
-    re-projects them. All three grids (X - 1, xhat_s, xhat_u) extend by
-    zero, so the correction vanishes one cell past the window and the
-    operator's load is the perturbation term alone there.
+    re-projects them. Like every grid, the three (X - 1, xhat_s, xhat_u)
+    are zero beyond the window, so the correction vanishes one cell past
+    it and the operator's load is the perturbation term alone there.
     """
 
     X: ScalarField
@@ -203,11 +203,6 @@ class CorrectionState:
                                  "and interpolation order")
         if self.xs.m != self.xu.m:
             raise ValueError("bundle corrections must share the dimension")
-        for name, grid in (("xhat_t", g), ("xhat_s", self.xs),
-                           ("xhat_u", self.xu)):
-            if grid.extension != "zero":
-                raise ValueError(f"state grid {name} must extend by zero, "
-                                 f"got extension {grid.extension!r}")
 
     @property
     def t_ball(self):
@@ -222,6 +217,22 @@ class CorrectionState:
         """Weighted metric d = sum of the five component eta-norms."""
         comps = distance_components(self, other, eta, core_half)
         return sum(comps.values())
+
+
+def check_state_grid(state, fr, cfg):
+    """The state must live on the config's grid and the frame's
+    dimension; a ValueError says which does not match."""
+    g = state.xs
+    if (abs(g.half_width - cfg.window) > 1e-9
+            or abs(g.delta - cfg.delta) > 1e-12):
+        raise ValueError(
+            f"saved state grid (window {g.half_width:g}, delta {g.delta:g}) "
+            f"does not match the scenario (window {cfg.window:g}, "
+            f"delta {cfg.delta:g})")
+    if g.m != fr.model.n:
+        raise ValueError(
+            f"saved state has dimension {g.m}, the scenario's model "
+            f"{fr.model.n}")
 
 
 def distance_components(a, b, eta, core_half=None):
@@ -245,7 +256,7 @@ def initial_state(fr, cfg, t_radii=None, s_radii=None, u_radii=None):
     X = ScalarField.identity(cfg.window, cfg.delta, ball=t_ball)
     n_nodes = X.xhat.n
     zeros = np.zeros((n_nodes, fr.model.n))
-    xs = GridFunction(cfg.window, cfg.delta, zeros, extension="zero")
+    xs = GridFunction(cfg.window, cfg.delta, zeros)
     xu = xs.with_values(zeros.copy())
     return CorrectionState(X=X, xs=xs, xu=xu, s_ball=s_ball, u_ball=u_ball)
 
@@ -285,8 +296,7 @@ def _state_flow(state, half_width):
     if state.X.sup_deviation() == 0.0:
         delta = state.X.xhat.delta
         R = flow_cells(half_width, delta) * delta
-        phi = GridFunction.sample(np.array, R, delta, interp_order=7,
-                                  extension="linear")
+        phi = GridFunction.sample(np.array, R, delta, interp_order=7)
         return Flow(phi, phi, state.X)
     return solve_flow(state.X, half_width)
 
@@ -438,7 +448,7 @@ def _step_load(fr, state, spec, cfg, run):
         vphi = GridFunction(
             run.geo.hi, run.geo.quad,
             _varphi_batch(fr, state, spec, flow, lat.times, bases, cfg.eps),
-            interp_order=7, extension="constant-hold")
+            interp_order=7)
 
     def load(lat):
         rows, sub, at = lat.support(state.xs)
@@ -459,9 +469,11 @@ def gamma_step(fr, state, spec, cfg, _run=None):
     metric components on the core window, their sum ``d_eta``, and the
     truncation tails. Raises BallExitError at level 0 of the t ball when
     the center update would make sup|X - 1| reach 1 anywhere on the
-    window. ``_run`` carries what the steps of one run share; a lone
-    step builds its own.
+    window, and ValueError off the config's grid (:func:`check_state_grid`).
+    ``_run`` carries what the steps of one run share; a lone step builds
+    its own.
     """
+    check_state_grid(state, fr, cfg)
     run = _run or _Run(fr, spec, cfg, state.X.t0)
     geo = run.geo
     nodes = run.nodes.table
@@ -477,8 +489,7 @@ def gamma_step(fr, state, spec, cfg, _run=None):
     sup = float(np.abs(vals).max())
     if sup >= 1.0:
         raise BallExitError("t", 0, sup, 1.0)
-    new_X = ScalarField(state.X.xhat.with_values(vals, extension="zero"),
-                        state.X.ball)
+    new_X = ScalarField(state.X.xhat.with_values(vals), state.X.ball)
 
     # bundles: kernel integrals of the projected load (1/X) g over the
     # Gauss panels; the final projection removes the quadrature drift
@@ -492,10 +503,8 @@ def gamma_step(fr, state, spec, cfg, _run=None):
     xu = -fr.convolve_unstable(nodes, vs, load_u * ws[:, None])
     new_state = CorrectionState(
         X=new_X,
-        xs=state.xs.with_values(fr.proj_apply("s", nodes, xs),
-                                extension="zero"),
-        xu=state.xs.with_values(fr.proj_apply("u", nodes, xu),
-                                extension="zero"),
+        xs=state.xs.with_values(fr.proj_apply("s", nodes, xs)),
+        xu=state.xs.with_values(fr.proj_apply("u", nodes, xu)),
         s_ball=state.s_ball, u_ball=state.u_ball)
 
     # defects on the core, tails from the sup of each projected load
@@ -595,8 +604,7 @@ def _reproduces(a, b):
 
     Balls need no comparison: :func:`gamma_step` carries them over.
     """
-    return all(g.extension == h.extension
-               and np.array_equal(g.values, h.values)
+    return all(np.array_equal(g.values, h.values)
                for g, h in ((a.X.xhat, b.X.xhat), (a.xs, b.xs),
                             (a.xu, b.xu)))
 
@@ -721,8 +729,7 @@ def residual_fde(fr, state, spec, eps, probe):
     # off-center probe may be differentiated on a centered proxy grid
     half = 0.5 * (probe[-1] - probe[0])
     samples = traj(probe)
-    xg = GridFunction(half, float(steps[0]), samples, interp_order=7,
-                      extension="linear")
+    xg = GridFunction(half, float(steps[0]), samples, interp_order=7)
     dx = xg.derivative(1).values
     fx = fr.model.f_batch(samples)
     res = dx - fx

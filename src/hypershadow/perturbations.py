@@ -398,8 +398,7 @@ def functional_output_grid(spec, traj, eps, half_width, delta):
     if half_width + spec.h > traj.half_width + 1e-12:
         raise ValueError("trajectory window too small for this probe")
     return GridFunction.sample(lambda ts: apply_P(spec, traj, eps, ts),
-                               half_width, delta, interp_order=5,
-                               extension="constant-hold")
+                               half_width, delta, interp_order=5)
 
 
 # -- descriptors -----------------------------------------------------------

@@ -199,7 +199,7 @@ def random_field(seed, T=6.0, delta=0.05, cap=0.35):
     ball = BallRadii((a1 + a2, a1 * w1 + a2 * w2,
                       a1 * w1 ** 2 + a2 * w2 ** 2,
                       a1 * w1 ** 3 + a2 * w2 ** 3))
-    return ScalarField(GridFunction.sample(fn, T, delta, extension="zero"),
+    return ScalarField(GridFunction.sample(fn, T, delta),
                        ball)
 
 
@@ -333,8 +333,7 @@ def test_criterion_05_flow_distortion():
                      (0.7, ("phi_lower", "inv_upper"))):
         ball = BallRadii((abs(c - 1.0), 0.0))
         field = ScalarField(GridFunction.sample(
-            lambda t: (c - 1.0) + 0.0 * t, 4.0, 0.05,
-            extension="constant-hold"), ball)
+            lambda t: (c - 1.0) + 0.0 * t, 4.0, 0.05), ball)
         slacks = distortion_slacks(solve_flow(field, 3.0))
         assert min(slacks.values()) >= -1e-8
         for name in tight:

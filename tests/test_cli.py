@@ -14,6 +14,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -91,6 +92,13 @@ class TestScenarioLoading:
         p.write_text(json.dumps({"frame": {}, "config": {}}))
         with pytest.raises(ValueError, match="perturbation"):
             cli.load_scenario(str(p))
+        # the sections must be objects, in a file that holds an object
+        for bad, what in (([{"frame": {}}], "holds a list, not an object"),
+                          (dict(scenario_dict(), frame=[]),
+                           "entry 'frame' must be an object, got a list")):
+            p.write_text(json.dumps(bad))
+            with pytest.raises(ValueError, match=re.escape(f"{p}: {what}")):
+                cli.load_scenario(str(p))
 
     def test_missing_eps_rejected(self, tmp_path):
         scn = scenario_dict()
@@ -747,13 +755,27 @@ class TestVerifyVerb:
     def test_non_finite_time_change_is_exit_one(self, tmp_path, capsys,
                                                 linear_run):
         # a NaN node in the saved X - 1 is refused on load, naming the
-        # node, before any flow is solved and with no numpy warning
-        bad_dir = tmp_path / "nan_state"
+        # file and the node, before any flow is solved and with no numpy
+        # warning
+        self._expect_non_finite(tmp_path, capsys, linear_run, "xhat_t",
+                                "nan")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("grid", ["xhat_s", "xhat_u"])
+    def test_non_finite_bundle_grid_is_exit_one(self, tmp_path, capsys,
+                                                linear_run, grid, value):
+        # refused on load, so no other grid takes the blame
+        self._expect_non_finite(tmp_path, capsys, linear_run, grid, value)
+
+    @staticmethod
+    def _expect_non_finite(tmp_path, capsys, linear_run, grid, value):
+        bad_dir = tmp_path / "bad_state"
         shutil.copytree(linear_run["out"], bad_dir)
-        csv = bad_dir / "xhat_t.csv"
+        csv = bad_dir / f"{grid}.csv"
         lines = csv.read_text().splitlines()
-        t = lines[5].split(",")[0]
-        lines[5] = f"{t},nan"
+        row = lines[5].split(",")
+        row[-1] = value
+        lines[5] = ",".join(row)
         csv.write_text("\n".join(lines) + "\n")
         path, scn = write_scenario(tmp_path, name="ver.json")
         with warnings.catch_warnings(record=True) as caught:
@@ -761,8 +783,42 @@ class TestVerifyVerb:
             assert cli.main(["verify", path, str(bad_dir)]) == 1
         assert caught == []
         err = capsys.readouterr().err
-        assert err.strip().splitlines() == [
-            f"hypershadow: X - 1 is not finite at node t = {float(t):g}: nan"]
+        assert err.splitlines() == [
+            f"hypershadow: {csv}: v{len(row) - 2} is not finite at node "
+            f"t = {float(row[0]):g}: {value}"]
+        assert not os.path.exists(scn["out"])
+
+    @pytest.mark.parametrize("file, edit, message", [
+        ("state.json", lambda m: {k: v for k, v in m.items()
+                                  if k != "files"},
+         "missing entry 'files'"),
+        ("state.json", lambda m: [m], "holds a list, not an object"),
+        ("state.json", lambda m: dict(m, files=["xhat_t.csv"]),
+         "entry 'files' must be an object, got a list"),
+        ("state.json", lambda m: dict(m, files={"xhat_t": "xhat_t.csv"}),
+         "entry 'files' names no CSV file for 'xhat_s'"),
+        ("state.json", lambda m: dict(m, s_radii=[0.5, None]),
+         "entry 's_radii': "),
+        ("xhat_s.json", lambda m: {k: v for k, v in m.items()
+                                   if k != "extension"},
+         "missing entry 'extension'"),
+        ("xhat_u.json", lambda m: dict(m, delta="0.1"),
+         "entry 'delta' must be a number, got a string"),
+    ], ids=["no-files", "list", "files-list", "files-short", "radii",
+            "no-extension", "delta-string"])
+    def test_malformed_state_file_is_exit_one(self, tmp_path, capsys,
+                                              linear_run, file, edit,
+                                              message):
+        # the one line names the file and the entry, not a bare key
+        bad_dir = tmp_path / "bad_state"
+        shutil.copytree(linear_run["out"], bad_dir)
+        target = bad_dir / file
+        target.write_text(json.dumps(edit(json.loads(target.read_text()))))
+        path, scn = write_scenario(tmp_path, name="ver.json")
+        assert cli.main(["verify", path, str(bad_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"hypershadow: {target}: {message}")
         assert not os.path.exists(scn["out"])
 
     def test_record_does_not_depend_on_where_the_layout_lives(self,
@@ -796,7 +852,7 @@ class TestVerifyVerb:
         path, scn = write_scenario(tmp_path, name="ver.json")
         assert cli.main(["verify", path, str(bad_dir)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"hypershadow: state grid {grid} must extend by zero, got "
+            f"hypershadow: {sidecar}: grid must extend by zero, got "
             f"extension 'linear'"]
         assert not os.path.exists(scn["out"])
 

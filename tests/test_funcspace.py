@@ -1,5 +1,6 @@
 """Grid representation: interpolation, derivatives, norms, balls, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -10,9 +11,8 @@ from hypothesis import strategies as st
 from hypershadow import funcspace as fs
 
 
-def grid(fn, T, delta, order=5, extension="constant-hold"):
-    return fs.GridFunction.sample(fn, T, delta, interp_order=order,
-                                  extension=extension)
+def grid(fn, T, delta, order=5):
+    return fs.GridFunction.sample(fn, T, delta, interp_order=order)
 
 
 # -- eval --------------------------------------------------------------
@@ -29,20 +29,8 @@ def test_eval_sine_against_direct_evaluation():
     assert err <= 1e-8
 
 
-def test_eval_constant_hold_extension():
-    g = grid(lambda t: t, 1.0, 0.1, extension="constant-hold")
-    assert g.eval1(2.0) == pytest.approx(1.0, abs=1e-12)
-    assert g.eval1(-3.5) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_eval_linear_extension():
-    g = grid(lambda t: 2.0 * t + 1.0, 1.0, 0.1, extension="linear")
-    assert g.eval1(1.7) == pytest.approx(2.0 * 1.7 + 1.0, abs=1e-9)
-    assert g.eval1(-2.0) == pytest.approx(-3.0, abs=1e-9)
-
-
 def test_eval_zero_extension_tapers_continuously():
-    g = grid(lambda t: np.ones_like(t), 1.0, 0.1, extension="zero")
+    g = grid(lambda t: np.ones_like(t), 1.0, 0.1)
     assert g.eval1(1.0) == pytest.approx(1.0)
     # halfway through the taper cell
     assert g.eval1(1.05) == pytest.approx(0.5, abs=1e-12)
@@ -59,12 +47,12 @@ def test_eval_exact_at_nodes():
 
 
 def test_eval_continuous_across_boundary_all_policies():
-    for ext in fs.EXTENSIONS:
-        g = grid(lambda t: np.sin(t) + 0.3 * t, 2.0, 0.05, extension=ext)
-        for side in (-2.0, 2.0):
-            inner = g.eval1(side - math.copysign(1e-10, side))
-            outer = g.eval1(side + math.copysign(1e-10, side))
-            assert abs(inner - outer) <= 1e-7, ext
+    # the taper to zero is the one rule past the window
+    g = grid(lambda t: np.sin(t) + 0.3 * t, 2.0, 0.05)
+    for side in (-2.0, 2.0):
+        inner = g.eval1(side - math.copysign(1e-10, side))
+        outer = g.eval1(side + math.copysign(1e-10, side))
+        assert abs(inner - outer) <= 1e-7
 
 
 # -- derivative --------------------------------------------------------
@@ -303,12 +291,14 @@ def test_restrict():
 def test_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     g = fs.GridFunction(1.0, 0.05, rng.normal(size=(41, 2)),
-                        interp_order=4, extension="zero")
+                        interp_order=4)
     path = tmp_path / "state.csv"
     fs.save_grid_function(g, path)
     h = fs.load_grid_function(path)
     assert np.array_equal(g.values, h.values)
-    assert h.interp_order == 4 and h.extension == "zero"
+    assert h.interp_order == 4
+    assert json.loads((tmp_path / "state.json").read_text())[
+        "extension"] == "zero"
     assert h.half_width == g.half_width and h.delta == g.delta
     header = path.read_text().splitlines()[0]
     assert header == "t,v0,v1"
@@ -342,26 +332,26 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(fs.EXTENSIONS), st.sampled_from([3, 5, 7]),
+@given(st.sampled_from([3, 5, 7]),
        st.lists(st.one_of(st.floats(-1.3, 1.3),
                           st.integers(0, 40).map(lambda i: -1.0 + 0.05 * i)),
                 min_size=1, max_size=12))
 # a query a subnormal distance from a node, as in the exactness test
-@example(ext="linear", order=5, ts=[1e-310, -1.0, 1.0, 1.2, -1.25])
-def test_sampler_matches_eval_bitwise(ext, order, ts):
+@example(order=5, ts=[1e-310, -1.0, 1.0, 1.2, -1.25])
+def test_sampler_matches_eval_bitwise(order, ts):
     # the sampler is built on one grid and read on another of the same
-    # geometry, with other values, dimension and extension policy
+    # geometry, with other values and dimension
     rng = np.random.default_rng(order)
     base = fs.GridFunction(1.0, 0.05, rng.normal(size=41),
                            interp_order=order)
     g = fs.GridFunction(1.0, 0.05, rng.normal(size=(41, 3)),
-                        interp_order=order, extension=ext)
+                        interp_order=order)
     t = np.asarray(ts)
     got = fs.GridSampler(base, t).apply(g)
     assert got.shape == (t.size, 3)
     assert np.array_equal(got, g.eval(t))
     # one query at a time: the masks of a mixed batch must route each
-    # row to interpolation or to the extension of its own side
+    # row to interpolation or to the taper of its own side
     assert np.array_equal(got, np.array([g.eval(x) for x in t]))
     on_node = np.isin(t, g.nodes)
     assert np.array_equal(got[on_node], g.values[np.searchsorted(

@@ -74,7 +74,7 @@ def bundle_residual(fr, sigma, xi0):
         raise ValueError("xi0 must lie in the declared subspace")
     prop = fr.prop_s_batch if sigma == "s" else fr.prop_u_batch
     xi = GridFunction.sample(lambda ts: prop(ts, 0.0) @ xi0, 2.0, 0.01,
-                             interp_order=5, extension="constant-hold")
+                             interp_order=5)
     tab = fr.table(xi.nodes)
     resid = xi.derivative(1).values - np.einsum("kij,kj->ki", tab.df0,
                                                 xi.values)
@@ -242,8 +242,7 @@ class TestFloquetFrame:
         delta = T / 200
         ts = -T + delta * np.arange(401)
         vals = np.column_stack([ts, np.zeros_like(ts), np.zeros_like(ts)])
-        line = GridFunction(T, delta, vals, interp_order=5,
-                            extension="constant-hold")
+        line = GridFunction(T, delta, vals, interp_order=5)
         with pytest.raises(ValueError, match="does not close"):
             floquet_frame(model, line, 2 * T)
 
@@ -287,8 +286,7 @@ class TestFloquetFrame:
         ts = -P / 2.0 + eff * np.arange(2 * K + 1)
         vals = np.column_stack([np.cos(ts), np.sin(ts),
                                 np.zeros_like(ts), np.zeros_like(ts)])
-        orbit = GridFunction(P / 2.0, eff, vals, interp_order=5,
-                             extension="constant-hold")
+        orbit = GridFunction(P / 2.0, eff, vals, interp_order=5)
         with pytest.raises(ValueError, match="non-hyperbolic"):
             floquet_frame(model, orbit, P)
 
@@ -794,7 +792,7 @@ class TestBatchedMatchesLoops:
         # random non-commuting 2x2 factors, scaled to contract; each
         # acc_k = F_k @ acc_{k-1} + L_k must come out as the recurrence
         # when the scan applies the factors a plan stores
-        from hypershadow.hyperbolic import _decay_scan, _doubling_factors
+        from hypershadow.hyperbolic import _decay_scan, _doubling
         rng = np.random.default_rng(12)
         for K in (1, 2, 7, 64, 100):
             fac = rng.standard_normal((K, 2, 2))
@@ -806,7 +804,9 @@ class TestBatchedMatchesLoops:
             for k in range(K):
                 acc = fac[k] @ acc + load[k]
                 want[k] = acc
-            got = _decay_scan(_doubling_factors(fac), load)
+            factors = []
+            _doubling(fac, factors)
+            got = _decay_scan(factors, load)
             assert rel_err(got, want) <= 1e-13
 
     def test_analytic_propagators_match_the_slot_formula(self):
@@ -859,14 +859,23 @@ class TestMonodromyScan:
         assert verify_frame(fr).ok
 
     def test_prefix_products_compose_in_order(self):
-        from hypershadow.hyperbolic import _prefix_products
+        from hypershadow.hyperbolic import _doubling
         rng = np.random.default_rng(9)
         for K in (1, 2, 5, 64, 100):
-            mats = rng.standard_normal((K, 3, 3)) / 2.0
-            want = [np.eye(3)]
-            for M in mats:
+            mats = np.concatenate([np.eye(3)[None],
+                                   rng.standard_normal((K, 3, 3)) / 2.0])
+            want = [mats[0]]
+            for M in mats[1:]:
                 want.append(M @ want[-1])
-            assert rel_err(_prefix_products(mats), np.array(want)) <= 1e-13
+            got = _doubling(mats)
+            assert rel_err(got, np.array(want)) <= 1e-13
+            # the same bits as the doubling done in place, pass by pass
+            ref = mats.copy()
+            d = 1
+            while d < len(ref):
+                ref[d:] = ref[d:] @ ref[:-d]
+                d *= 2
+            assert np.array_equal(got, ref)
 
 
 class TestFrameTable:

@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import types
 
 import numpy as np
@@ -356,11 +357,27 @@ class TestStateBasics:
         assert not st.xu.values.any()
         assert st.t_ball.c[0] == 0.2
 
+    def test_a_lone_step_checks_the_state_grid(self):
+        # the check the CLI runs on a saved state, with its message
+        fr = lin_frame()
+        cfg = base_cfg(eps=0.0)
+        st = initial_state(fr, dataclasses.replace(cfg, window=20.0))
+        with pytest.raises(ValueError, match=re.escape(
+                "saved state grid (window 20, delta 0.1) does not match "
+                "the scenario (window 24, delta 0.1)")):
+            gamma_step(fr, st, ZERO, cfg)
+        zeros = GridFunction(24.0, 0.1, np.zeros(481))
+        flat = CorrectionState(X=initial_state(fr, cfg).X, xs=zeros,
+                               xu=zeros, s_ball=st.s_ball, u_ball=st.u_ball)
+        with pytest.raises(ValueError, match="saved state has dimension 1, "
+                                             "the scenario's model 3"):
+            gamma_step(fr, flat, ZERO, cfg)
+
     def test_state_grids_must_match(self):
         fr = lin_frame()
         cfg = base_cfg(eps=0.0)
         st = initial_state(fr, cfg)
-        other = GridFunction(12.0, 0.1, np.zeros((241, 3)), extension="zero")
+        other = GridFunction(12.0, 0.1, np.zeros((241, 3)))
         with pytest.raises(ValueError, match="share window and step"):
             CorrectionState(X=st.X, xs=other, xu=st.xu,
                             s_ball=st.s_ball, u_ball=st.u_ball)
@@ -392,20 +409,30 @@ class TestStateBasics:
         assert centre_part(fr, step) <= 1e-14
 
     @pytest.mark.parametrize("grid", ["xhat_t", "xhat_s", "xhat_u"])
-    def test_state_grids_must_extend_by_zero(self, grid):
+    def test_state_grids_must_extend_by_zero(self, grid, tmp_path):
+        from hypershadow import cli
         fr = lin_frame()
-        st = initial_state(fr, base_cfg(eps=0.0))
-        X, xs, xu = st.X.xhat, st.xs, st.xu
-        if grid == "xhat_t":
-            X = X.with_values(X.values, extension="linear")
-        elif grid == "xhat_s":
-            xs = xs.with_values(xs.values, extension="constant-hold")
-        else:
-            xu = xu.with_values(xu.values, extension="linear")
-        with pytest.raises(ValueError, match=rf"^state grid {grid} must "
-                                             rf"extend by zero, got "):
-            CorrectionState(X=ScalarField(X, st.t_ball), xs=xs, xu=xu,
-                            s_ball=st.s_ball, u_ball=st.u_ball)
+        st = state_with(fr, base_cfg(eps=0.0), x_dev=0.1, xs_col=0.2,
+                        xu_col=0.3)
+        # a grid built in the program is zero one cell past its window,
+        # half its end value half a cell past it
+        T, d = st.xs.half_width, st.xs.delta
+        g = {"xhat_t": st.X.xhat, "xhat_s": st.xs, "xhat_u": st.xu}[grid]
+        end = g.values[-1]
+        half, one, far = g.eval(np.array([T + 0.5 * d, T + d, 3.0 * T]))
+        assert np.allclose(half, 0.5 * end, rtol=0.0, atol=1e-12)
+        assert not one.any() and not far.any() and end.any()
+        # a saved state is the one way in for a grid that is not, and
+        # its load refuses one
+        cli.save_state(st, str(tmp_path))
+        sidecar = tmp_path / f"{grid}.json"
+        meta = json.loads(sidecar.read_text())
+        assert meta["extension"] == "zero"
+        sidecar.write_text(json.dumps(dict(meta, extension="linear")))
+        with pytest.raises(ValueError, match=rf"{grid}\.json: grid must "
+                                             rf"extend by zero, got "
+                                             rf"extension 'linear'$"):
+            cli.load_state(str(tmp_path))
 
 
 def taylor_remainder(fr, xhat, rho):
@@ -901,6 +928,52 @@ def _sdd_cubic():
     return fr, spec, base_cfg(eps=0.02)
 
 
+def _floquet_scenario():
+    # the bench's floquet-sweep frame and forcing on a smaller window
+    fr = frame_from_descriptor({"mode": "floquet",
+                                "model": "planar-limit-cycle"})
+    spec = spec_from_descriptor({"kind": "ode-sin-forcing",
+                                 "parameters": {"a": 0.45, "omega": 1.0,
+                                                "n": 2, "axis": 1}})
+    cfg = OperatorConfig(eta=WeightParam(0.25), window=12.0, eps=0.01,
+                         delta=0.2, tol_eta=1e-6)
+    return fr, spec, cfg
+
+
+def test_only_state_grids_are_read_past_their_window(monkeypatch):
+    # every grid tapers to zero past its window, which is the rule the
+    # state grids (X - 1, xhat_s, xhat_u) need; a flow map, the
+    # tabulated perturbation term, an orbit or a frame grid read there
+    # would take that taper silently, so none may be
+    states = {}
+    for name, scenario in (("sdd-cubic", _sdd_cubic),
+                           ("floquet", _floquet_scenario)):
+        fr, spec, cfg = scenario()
+        # two steps move X off 1, so the step below solves a flow
+        state, _ = iterate(fr, spec, dataclasses.replace(cfg, max_iters=2))
+        assert state.X.sup_deviation() > 0.0
+        states[name] = fr, spec, cfg, state
+    reads = []
+    extend = GridFunction._extend
+
+    def spy(g, inner, inside, edges):
+        if edges:
+            reads.append(g.geometry)
+        return extend(g, inner, inside, edges)
+
+    monkeypatch.setattr(GridFunction, "_extend", spy)
+    for name, (fr, spec, cfg, state) in states.items():
+        reads.clear()
+        gamma_step(fr, state, spec, cfg)
+        if name == "sdd-cubic":
+            # a probe reaching past the state window
+            T = cfg.window
+            residual_fde(fr, state, spec, cfg.eps,
+                         np.linspace(-T - 2.0, T + 2.0, 561))
+        assert reads, name
+        assert set(reads) == {state.xs.geometry}, name
+
+
 @pytest.mark.parametrize("max_iters", [2, 5])
 def test_bundle_carries_are_composed_once_per_run(max_iters, monkeypatch):
     # each bundle's plan carries its weights to their nodes and its
@@ -920,16 +993,8 @@ def test_bundle_carries_are_composed_once_per_run(max_iters, monkeypatch):
 def test_quadratic_term_is_evaluated_on_the_state_support(frame,
                                                           monkeypatch):
     from hypershadow.invariance import _Run, _step_load
-    if frame == "sdd-cubic":
-        fr, spec, cfg = _sdd_cubic()
-    else:
-        fr = frame_from_descriptor({"mode": "floquet",
-                                    "model": "planar-limit-cycle"})
-        spec = spec_from_descriptor({"kind": "ode-sin-forcing",
-                                     "parameters": {"a": 0.45, "omega": 1.0,
-                                                    "n": 2, "axis": 1}})
-        cfg = OperatorConfig(eta=WeightParam(0.25), window=12.0, eps=0.01,
-                             delta=0.2, tol_eta=1e-6)
+    fr, spec, cfg = (_sdd_cubic if frame == "sdd-cubic"
+                     else _floquet_scenario)()
     state, _ = iterate(fr, spec, dataclasses.replace(cfg, max_iters=3))
     sizes = []
     quadratic_batch = invariance._quadratic_batch
@@ -957,13 +1022,6 @@ def test_quadratic_term_is_evaluated_on_the_state_support(frame,
                        ((g_g, X_g), gauss.times)):
         B, Xv = quadratic(fr, state, vs)
         assert np.array_equal(g, B) and np.array_equal(X, Xv)
-
-    # a grid with another extension would reach every point of the
-    # lattice; it is not a state, so no load ever sees one
-    with pytest.raises(ValueError, match="^state grid xhat_u must extend "
-                                         "by zero, got extension 'linear'$"):
-        dataclasses.replace(state, xu=state.xu.with_values(
-            state.xu.values, extension="linear"))
 
 
 # -- known results are not recomputed -------------------------------------

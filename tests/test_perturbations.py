@@ -40,8 +40,7 @@ def sine_traj(half_width=6.0, delta=0.01, amp=1.0, m=3):
         return np.column_stack([amp * np.sin(t), amp * np.cos(t),
                                 0.0 * t])[:, :m]
 
-    return GridFunction.sample(fn, half_width, delta, interp_order=5,
-                               extension="constant-hold")
+    return GridFunction.sample(fn, half_width, delta, interp_order=5)
 
 
 def pointwise_kind(desc):
@@ -539,7 +538,7 @@ class TestApplyP:
     def test_constant_delay_on_linear_trajectory(self):
         traj = GridFunction.sample(
             lambda t: np.column_stack([t, 0.0 * t]), 6.0, 0.01,
-            interp_order=5, extension="linear")
+            interp_order=5)
         spec = multi_delay_advance([(-1.0, 1.0)])
         for t in (-2.0, 0.0, 3.0):
             out = apply_P(spec, traj, 0.0, t)
@@ -548,7 +547,7 @@ class TestApplyP:
     def test_sdd_matches_direct_formula(self):
         traj = GridFunction.sample(
             lambda t: np.column_stack([t, 0.0 * t, 0.0 * t]), 8.0, 0.01,
-            interp_order=5, extension="linear")
+            interp_order=5)
 
         def r(t, x):
             return -0.5 * (1.0 + math.tanh(x[0]))
