@@ -5,17 +5,17 @@ one eps (or a dyadic list for sweeps), an output directory and a seed.
 Verbs: ``run`` drives the fixed point and writes the converged state
 with its convergence, residual and error-bound tables; ``sweep`` runs a
 list of eps values and fits the first-order response slope; ``verify``
-re-certifies a stored state by applying the operator once.
+re-certifies a stored state (see :func:`save_state`) by applying the
+operator once.
 
 Exit codes: 0 success, 1 scenario or descriptor failure, including a
 run that reaches past the bounds its descriptors declare and a saved
-state with a malformed file, a value that is not finite or a grid that
-does not extend by zero (nothing is written), 2
-divergence, or a converged ``run`` or a ``verify`` whose contraction
-estimate kappa is at or above 1, 3 an iterate leaving its declared
-ball, 4 a numerical failure: a non-finite value entering the operator
-or a time-change flow failing its checks. A failed run or verify
-writes no output directory.
+state with a malformed file or a value that is not finite (nothing is
+written), 2 divergence, or a converged ``run`` or a ``verify`` whose
+contraction estimate kappa is at or above 1, 3 an iterate leaving its
+declared ball, 4 a numerical failure: a non-finite value entering the
+operator or a time-change flow failing its checks. A failed run or
+verify writes no output directory.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from pathlib import PurePath
 
 import numpy as np
 
@@ -121,11 +122,13 @@ def load_scenario(path):
         raise ValueError("scenario must set eps (a number or a list)")
     out = raw.get("out")
     if out is None:
-        out = os.path.splitext(str(path))[0] + "_out"
-    interval = tuple(real_number("bounds_interval", x)
-                     for x in raw.get("bounds_interval", (-2.0, 2.0)))
-    if len(interval) != 2:
-        raise ValueError("bounds_interval must be [a, b]")
+        out = str(PurePath(path).with_suffix("")) + "_out"
+    elif not (isinstance(out, str) and out):
+        raise ValueError(f"out must be a directory name, got {out!r}")
+    interval = raw.get("bounds_interval", [-2.0, 2.0])
+    if not (isinstance(interval, list) and len(interval) == 2):
+        raise ValueError(f"bounds_interval must be [a, b], got {interval!r}")
+    interval = tuple(real_number("bounds_interval", x) for x in interval)
     # checked before any compute, so a bad interval never costs a run
     if not (all(map(math.isfinite, interval)) and interval[0] < interval[1]):
         raise ValueError(f"bounds_interval must be finite with a < b, got "
@@ -137,7 +140,7 @@ def load_scenario(path):
                     perturbation=dict(raw["perturbation"]),
                     config=dict(raw["config"]),
                     eps=raw["eps"],
-                    out=str(out),
+                    out=out,
                     seed=int(seed),
                     bounds_interval=interval)
 
@@ -145,45 +148,42 @@ def load_scenario(path):
 # -- state persistence ------------------------------------------------------
 
 _STATE_FILES = ("xhat_t", "xhat_s", "xhat_u")
+_RADII = ("t_radii", "s_radii", "u_radii")
+_GEOMETRY = ("window", "delta", "interp_order")
 
 
 def save_state(state, directory, seed=0):
-    """Correction state as three grid CSVs plus a radii sidecar."""
+    """Correction state as four files: the grids X - 1, xhat_s and xhat_u
+    as ``xhat_t.csv``, ``xhat_s.csv`` and ``xhat_u.csv``, and one record,
+    ``state.json``, of their geometry (``window`` the half-width,
+    ``delta``, ``interp_order``), the ball radii and the seed."""
     os.makedirs(directory, exist_ok=True)
-    grids = dict(zip(_STATE_FILES, (state.X.xhat, state.xs, state.xu)))
-    for name, g in grids.items():
+    for name, g in zip(_STATE_FILES, (state.X.xhat, state.xs, state.xu)):
         save_grid_function(g, os.path.join(directory, name + ".csv"))
-    meta = {
-        "t_radii": list(state.t_ball.c),
-        "s_radii": list(state.s_ball.c),
-        "u_radii": list(state.u_ball.c),
-        "files": {name: name + ".csv" for name in _STATE_FILES},
-        "seed": int(seed),
-    }
+    # the three grids share one geometry, as CorrectionState checks
+    half_width, delta, _, interp_order = state.xs.geometry
+    meta = dict(zip(_GEOMETRY, (half_width, delta, interp_order)),
+                seed=int(seed))
+    meta.update(zip(_RADII, (list(ball.c) for ball in state.radii)))
     return write_lines(os.path.join(directory, "state.json"),
                        [json_text(meta)])
 
 
-_RADII = ("t_radii", "s_radii", "u_radii")
-
-
 def load_state(directory):
     """The state :func:`save_state` wrote to ``directory``; a malformed
-    file raises a ValueError naming the file and the entry."""
+    file raises a ValueError naming the file and the entry or node."""
     path = os.path.join(directory, "state.json")
-    meta = read_record(path, dict.fromkeys(_RADII, "a list")
-                       | {"files": "an object"})
+    meta = read_record(path, dict.fromkeys(_GEOMETRY, "a number")
+                       | dict.fromkeys(_RADII, "a list"))
+    geometry = [meta[key] for key in _GEOMETRY]
     grids, balls = [], []
     for name, key in zip(_STATE_FILES, _RADII):
-        fname = meta["files"].get(name)
-        if not isinstance(fname, str):
-            raise ValueError(f"{path}: entry 'files' names no CSV file for "
-                             f"{name!r}")
         try:
             balls.append(BallRadii(tuple(meta[key])))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: entry {key!r}: {exc}") from None
-        grids.append(load_grid_function(os.path.join(directory, fname)))
+        grids.append(load_grid_function(
+            os.path.join(directory, name + ".csv"), *geometry))
     return CorrectionState(X=ScalarField(grids[0], balls[0]), xs=grids[1],
                            xu=grids[2], s_ball=balls[1], u_ball=balls[2])
 

@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -591,26 +590,13 @@ def write_lines(path, lines):
 
 
 def save_grid_function(g, csv_path):
-    """Write nodes and values as CSV plus a JSON sidecar.
-
-    The CSV has header ``t,v0,...,v{m-1}`` and one row per node; the
-    sidecar (same path with .json) records window, delta, interp_order
-    and extension ("zero"). Output is byte-deterministic for identical
-    inputs.
-    """
-    csv_path = str(csv_path)
+    """Write nodes and values as CSV: header ``t,v0,...,v{m-1}``, one
+    row per node, byte-deterministic for identical inputs. The caller
+    records the geometry (window, delta, interp_order)."""
     cols = ",".join(f"v{i}" for i in range(g.m))
     row = ",".join(["{:.17g}"] * (g.m + 1)).format
-    sidecar = json_text({
-        "window": [-g.half_width, g.half_width],
-        "delta": g.delta,
-        "interp_order": g.interp_order,
-        "extension": "zero",
-    })
-    write_lines(csv_path, [f"t,{cols}"] + [
+    return write_lines(csv_path, [f"t,{cols}"] + [
         row(*r) for r in np.column_stack([g.nodes, g.values]).tolist()])
-    write_lines(os.path.splitext(csv_path)[0] + ".json", [sidecar])
-    return csv_path
 
 
 _KINDS = {dict: "an object", list: "a list", str: "a string", int: "a number",
@@ -634,20 +620,15 @@ def read_record(path, entries):
     return rec
 
 
-def load_grid_function(csv_path):
-    """Inverse of :func:`save_grid_function`: the one way in for a grid
-    from outside, so a ValueError naming the file refuses a malformed
-    sidecar, an extension other than zero, a value that is not finite
-    and node times off the sidecar's grid."""
-    csv_path = str(csv_path)
-    sidecar = os.path.splitext(csv_path)[0] + ".json"
-    meta = read_record(sidecar, {"window": "a list", "delta": "a number",
-                                 "interp_order": "a number",
-                                 "extension": "a string"})
-    if meta["extension"] != "zero":
-        raise ValueError(f"{sidecar}: grid must extend by zero, got "
-                         f"extension {meta['extension']!r}")
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+def load_grid_function(csv_path, half_width, delta, interp_order):
+    """Inverse of :func:`save_grid_function` onto the geometry the caller
+    recorded: the one way in for a grid from outside, so a ValueError
+    naming the file refuses a value that is not a finite number, a row
+    count that does not fit the window and node times off the grid."""
+    try:
+        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{csv_path}: {exc}") from None
     bad = ~np.isfinite(data)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -655,11 +636,11 @@ def load_grid_function(csv_path):
                          f"finite at node t = {data[i, 0]:g}: "
                          f"{data[i, j]:g}")
     try:
-        g = GridFunction(meta["window"][1], meta["delta"], data[:, 1:],
-                         interp_order=meta["interp_order"])
-    except (IndexError, TypeError, ValueError) as exc:
+        g = GridFunction(half_width, delta, data[:, 1:],
+                         interp_order=interp_order)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{csv_path}: {exc}") from None
     if np.abs(data[:, 0] - g.nodes).max() > 1e-9:
-        raise ValueError(f"{csv_path}: node times disagree with the "
-                         f"sidecar grid")
+        raise ValueError(f"{csv_path}: node times disagree with the grid "
+                         f"of window {g.half_width:g}, delta {g.delta:g}")
     return g

@@ -593,7 +593,7 @@ class FloquetFrame(_FrameBase):
         gap = self._wrap(to)[1] - self._wrap(frm)[1]
         S = self.S_s if sigma == "s" else self.S_u
         out = np.empty((gap.size,) + S.shape)
-        for e in np.unique(gap).tolist():
+        for e in sorted(set(gap.tolist())):
             if (sigma, e) not in self._powers:
                 self._powers[sigma, e] = np.linalg.matrix_power(S, e)
             out[gap == e] = self._powers[sigma, e]
@@ -744,6 +744,9 @@ def builtin_model(name, params=None):
         if rot is not None:
             for x in np.asarray(rot, dtype=object).ravel():
                 real_number("rotation", x, finite=True)
+            if np.shape(rot) != (3, 3):
+                raise ValueError(f"rotation must be a 3 x 3 matrix, got "
+                                 f"shape {np.shape(rot)}")
         return _saddle_model(lam_s, lam_u, cubic=cubic, rotation=rot)
     if name == "planar-limit-cycle":
         return _limit_cycle_model()
@@ -947,9 +950,13 @@ def verify_frame(fr):
 def frame_from_descriptor(desc):
     """Build a frame from its JSON descriptor (mode analytic or floquet)."""
     mode = desc.get("mode", "analytic")
+    params = desc.get("parameters", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"frame entry 'parameters' must be an object, "
+                         f"got {params!r}")
     if mode == "analytic":
         merged = {"model": desc.get("model", "lin-saddle")}
-        merged.update(desc.get("parameters", {}))
+        merged.update(params)
         merged.update({k: v for k, v in desc.items()
                        if k not in ("parameters", "mode", "quality", "dims")})
         return analytic_frame(merged)
@@ -958,8 +965,7 @@ def frame_from_descriptor(desc):
         if name != "planar-limit-cycle":
             raise ValueError(f"no stored periodic orbit for model {name!r}")
         delta = real_number("frame parameter 'delta'",
-                            desc.get("parameters", {}).get("delta", 0.01),
-                            finite=True)
+                            params.get("delta", 0.01), finite=True)
         if delta <= 0.0:
             raise ValueError(f"frame parameter 'delta' must be positive, "
                              f"got {delta!r}")

@@ -413,7 +413,11 @@ _REQUIRED = object()
 def spec_from_descriptor(desc):
     """Build a shipped perturbation from its JSON descriptor."""
     kind = desc.get("kind")
-    p = dict(desc.get("parameters", {}))
+    p = desc.get("parameters", {})
+    if not isinstance(p, dict):
+        raise ValueError(f"perturbation entry 'parameters' must be an "
+                         f"object, got {p!r}")
+    p = dict(p)
 
     def param(name, default=_REQUIRED, cast=float):
         # a null value reads as an absent one
@@ -433,6 +437,9 @@ def spec_from_descriptor(desc):
             raise ValueError(f"{label} is not numeric: {value!r}") from None
         if cast is int and out != value:
             raise ValueError(f"{label} is not an integer: {value!r}")
+        # the int parameters index coordinates, counted from 0
+        if cast is int and out < 0:
+            raise ValueError(f"{label} must not be negative: {value!r}")
         return out
 
     # every kind reads its output dimension off the state it is given
@@ -526,8 +533,12 @@ def spec_from_descriptor(desc):
 
     if kind == "small-delay":
         from .hyperbolic import builtin_model
-        model = builtin_model(p.get("model", "lin-saddle"),
-                              p.get("model_params", {}))
+        model_params = p.get("model_params") or {}
+        if not isinstance(model_params, dict):
+            raise ValueError(f"descriptor kind {kind!r} parameter "
+                             f"'model_params' must be an object, got "
+                             f"{model_params!r}")
+        model = builtin_model(p.get("model", "lin-saddle"), model_params)
         tau = param("tau", 1.0)
         h = param("h")
         return small_delay_q(model, [lambda t, seg: tau], h,

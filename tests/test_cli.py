@@ -145,8 +145,14 @@ class TestRunVerb:
         names = sorted(os.listdir(linear_run["out"]))
         assert names == ["bounds.csv", "oracle.csv", "report.json",
                          "residuals.csv", "state.json", "xhat_s.csv",
-                         "xhat_s.json", "xhat_t.csv", "xhat_t.json",
-                         "xhat_u.csv", "xhat_u.json"]
+                         "xhat_t.csv", "xhat_u.csv"]
+        # the one record of the state: its grid geometry once, the radii
+        # and the seed
+        meta = read_json(linear_run["out"], "state.json")
+        assert sorted(meta) == ["delta", "interp_order", "s_radii", "seed",
+                                "t_radii", "u_radii", "window"]
+        assert (meta["window"], meta["delta"], meta["interp_order"]) == \
+            (24.0, 0.2, 5)
 
     def test_report_contents(self, linear_run):
         rep = read_json(linear_run["out"], "report.json")
@@ -336,6 +342,55 @@ class TestRunVerb:
         assert err.strip().splitlines() == [f"hypershadow: {reason}"]
         assert not os.path.exists(scn["out"])
 
+    @pytest.mark.parametrize("over, reason", [
+        ({"frame": {"mode": "analytic", "model": "lin-saddle",
+                    "parameters": [1]}},
+         "frame entry 'parameters' must be an object, got [1]"),
+        ({"frame": {"mode": "floquet", "model": "planar-limit-cycle",
+                    "parameters": [1]}},
+         "frame entry 'parameters' must be an object, got [1]"),
+        ({"perturbation": {"kind": "delayed-sin-forcing",
+                           "parameters": [1]}},
+         "perturbation entry 'parameters' must be an object, got [1]"),
+        ({"perturbation": {"kind": "small-delay",
+                           "parameters": {"h": 1.0, "model_params": [1]}}},
+         "descriptor kind 'small-delay' parameter 'model_params' must be "
+         "an object, got [1]"),
+        ({"frame": {"mode": "analytic", "model": "lin-saddle",
+                    "rotation": [[0, 1], [1, 0]]}},
+         "rotation must be a 3 x 3 matrix, got shape (2, 2)"),
+        ({"bounds_interval": 5},
+         "cannot read scenario: bounds_interval must be [a, b], got 5"),
+        ({"out": 5},
+         "cannot read scenario: out must be a directory name, got 5"),
+        ({"out": ""},
+         "cannot read scenario: out must be a directory name, got ''"),
+        ({"perturbation": {"kind": "delayed-sin-forcing",
+                           "parameters": {"a": 1.0, "omega": 2.0,
+                                          "axis": -1}}},
+         "descriptor kind 'delayed-sin-forcing' parameter 'axis' must not "
+         "be negative: -1"),
+        ({"perturbation": {"kind": "sdd-tanh",
+                           "parameters": {"h": 1.0, "c0": 0.5, "c1": 0.2,
+                                          "component": -1}}},
+         "descriptor kind 'sdd-tanh' parameter 'component' must not be "
+         "negative: -1"),
+    ], ids=["frame-parameters", "floquet-parameters",
+            "perturbation-parameters", "model-params", "rotation-shape",
+            "bounds-interval", "out", "out-empty", "axis", "component"])
+    def test_entry_of_the_wrong_type_or_range_is_exit_one(
+            self, tmp_path, capsys, monkeypatch, over, reason):
+        # named in one line before the operator runs; nothing is written,
+        # neither where "out" points nor next to the scenario
+        monkeypatch.setattr(cli, "iterate",
+                            lambda *a: pytest.fail("iterated"))
+        monkeypatch.chdir(tmp_path)
+        path, _ = write_scenario(tmp_path, **over)
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [f"hypershadow: {reason}"]
+        assert os.listdir(tmp_path) == ["scn.json"]
+
     def test_floquet_step_too_coarse_for_the_orbit_names_the_step(
             self, tmp_path, capsys, monkeypatch):
         # inside the stencil bound, but the centre multiplier of a
@@ -518,7 +573,7 @@ class TestRunVerb:
         assert capsys.readouterr().out == ""
 
     def test_byte_identical_reruns(self, tmp_path, linear_run):
-        # every file run, verify and sweep write, JSON and sidecars too
+        # every file run, verify and sweep write, JSON too
         def tree(root):
             return {os.path.relpath(os.path.join(d, f), root):
                     pathlib.Path(d, f).read_bytes()
@@ -540,8 +595,8 @@ class TestRunVerb:
                                          eps=[4e-3, 2e-3, 1e-3])
             assert cli.main(["sweep", spath, "--quiet"]) == 0
             swept.append(tree(sscn["out"]))
-        # sweep.json, sweep.csv and the 11 run artifacts of each member
-        assert len(swept[0]) == 2 + 3 * 11 and swept[0] == swept[1]
+        # sweep.json, sweep.csv and the 8 run artifacts of each member
+        assert len(swept[0]) == 2 + 3 * 8 and swept[0] == swept[1]
 
 
 class TestSweepVerb:
@@ -788,37 +843,61 @@ class TestVerifyVerb:
             f"t = {float(row[0]):g}: {value}"]
         assert not os.path.exists(scn["out"])
 
-    @pytest.mark.parametrize("file, edit, message", [
-        ("state.json", lambda m: {k: v for k, v in m.items()
-                                  if k != "files"},
-         "missing entry 'files'"),
-        ("state.json", lambda m: [m], "holds a list, not an object"),
-        ("state.json", lambda m: dict(m, files=["xhat_t.csv"]),
-         "entry 'files' must be an object, got a list"),
-        ("state.json", lambda m: dict(m, files={"xhat_t": "xhat_t.csv"}),
-         "entry 'files' names no CSV file for 'xhat_s'"),
-        ("state.json", lambda m: dict(m, s_radii=[0.5, None]),
-         "entry 's_radii': "),
-        ("xhat_s.json", lambda m: {k: v for k, v in m.items()
-                                   if k != "extension"},
-         "missing entry 'extension'"),
-        ("xhat_u.json", lambda m: dict(m, delta="0.1"),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: [m], "holds a list, not an object"),
+        (lambda m: dict(m, s_radii=[0.5, None]), "entry 's_radii': "),
+        (lambda m: dict(m, delta="0.1"),
          "entry 'delta' must be a number, got a string"),
-    ], ids=["no-files", "list", "files-list", "files-short", "radii",
-            "no-extension", "delta-string"])
+        (lambda m: {k: v for k, v in m.items() if k != "window"},
+         "missing entry 'window'"),
+        (lambda m: dict(m, interp_order="5"),
+         "entry 'interp_order' must be a number, got a string"),
+    ], ids=["list", "radii", "delta-string", "no-window",
+            "interp-order-string"])
     def test_malformed_state_file_is_exit_one(self, tmp_path, capsys,
-                                              linear_run, file, edit,
-                                              message):
+                                              monkeypatch, linear_run,
+                                              edit, message):
         # the one line names the file and the entry, not a bare key
+        monkeypatch.setattr(cli, "gamma_step",
+                            lambda *a: pytest.fail("stepped"))
         bad_dir = tmp_path / "bad_state"
         shutil.copytree(linear_run["out"], bad_dir)
-        target = bad_dir / file
+        target = bad_dir / "state.json"
         target.write_text(json.dumps(edit(json.loads(target.read_text()))))
         path, scn = write_scenario(tmp_path, name="ver.json")
         assert cli.main(["verify", path, str(bad_dir)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"hypershadow: {target}: {message}")
+        assert not os.path.exists(scn["out"])
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:-1],
+         "expected 241 nodes for this window, got 240"),
+        (lambda lines: lines[:1] + [
+            ",".join([f"{float(line.split(',')[0]) + 0.1:.17g}"]
+                     + line.split(",")[1:]) for line in lines[1:]],
+         "node times disagree with the grid of window 24, delta 0.2"),
+        (lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0] + ",abc"]
+         + lines[6:],
+         "could not convert string 'abc' to float64"),
+    ], ids=["row-count", "node-times", "text"])
+    def test_malformed_grid_csv_is_exit_one(self, tmp_path, capsys,
+                                            monkeypatch, linear_run, edit,
+                                            message):
+        # state.json holds the geometry; a CSV that does not fit it, or
+        # does not hold numbers, is named in the one line
+        monkeypatch.setattr(cli, "gamma_step",
+                            lambda *a: pytest.fail("stepped"))
+        bad_dir = tmp_path / "bad_state"
+        shutil.copytree(linear_run["out"], bad_dir)
+        csv = bad_dir / "xhat_u.csv"
+        csv.write_text("\n".join(edit(csv.read_text().splitlines())) + "\n")
+        path, scn = write_scenario(tmp_path, name="ver.json")
+        assert cli.main(["verify", path, str(bad_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"hypershadow: {csv}: {message}")
         assert not os.path.exists(scn["out"])
 
     def test_record_does_not_depend_on_where_the_layout_lives(self,
@@ -836,26 +915,6 @@ class TestVerifyVerb:
         assert texts[0] == texts[1]
         assert json.loads(texts[0])["state_dir"] == os.path.join("..", "out")
 
-    @pytest.mark.parametrize("grid", ["xhat_t", "xhat_u"])
-    def test_state_without_zero_extension_is_exit_one(self, tmp_path, capsys,
-                                                      monkeypatch, linear_run,
-                                                      grid):
-        # a hand-edited sidecar whose grid would not vanish past the
-        # window is refused on load, before any operator step
-        monkeypatch.setattr(cli, "gamma_step",
-                            lambda *a: pytest.fail("stepped"))
-        bad_dir = tmp_path / "linear_state"
-        shutil.copytree(linear_run["out"], bad_dir)
-        sidecar = bad_dir / f"{grid}.json"
-        meta = json.loads(sidecar.read_text())
-        sidecar.write_text(json.dumps(dict(meta, extension="linear")))
-        path, scn = write_scenario(tmp_path, name="ver.json")
-        assert cli.main(["verify", path, str(bad_dir)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"hypershadow: {sidecar}: grid must extend by zero, got "
-            f"extension 'linear'"]
-        assert not os.path.exists(scn["out"])
-
     def test_missing_state_dir_is_exit_one(self, tmp_path):
         path, _ = write_scenario(tmp_path, name="ver.json")
         assert cli.main(["verify", path, str(tmp_path / "nowhere")]) == 1
@@ -871,7 +930,7 @@ class TestStatePersistence:
         assert np.array_equal(back.xs.values, state.xs.values)
         assert back.t_ball.c == state.t_ball.c
         assert back.s_ball.c == state.s_ball.c
-        assert back.xs.delta == state.xs.delta
+        assert back.xs.geometry == state.xs.geometry
         meta = read_json(tmp_path, "st", "state.json")
         assert meta["seed"] == 9
 

@@ -206,7 +206,7 @@ def test_newton_sweeps_only_the_nodes_above_the_floor(monkeypatch):
 
 def test_fast_phi_agrees_with_the_sampler():
     # the flow's cell table of phi reads what phi.eval1 reads, inside
-    # the window and beyond it, where phi extends linearly
+    # the window and beyond it, where phi tapers to zero like every grid
     for seed in range(8):
         fl = flows.solve_flow(random_field(seed), 6.0)
         T = fl.phi.half_width

@@ -1,6 +1,10 @@
 """Frames: splitting algebra, propagator laws, Floquet construction."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -217,6 +221,29 @@ class TestFloquetFrame:
         a = min(abs(m) for m in cycle_frame.multipliers)
         b = min(abs(m) for m in fine.multipliers)
         assert abs(a - b) / abs(a) <= 1e-3
+
+    def test_frame_and_bundle_sums_leave_numpy_ma_unloaded(self):
+        # numpy imports numpy.ma lazily, on its first use (np.unique is
+        # one), and it stays resident; a fresh interpreter shows whether
+        # a frame build or a sum that crosses periods pulls it in, which
+        # pytest's own process, having maybe imported it, cannot
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from hypershadow.hyperbolic import frame_from_descriptor
+            fr = frame_from_descriptor({"mode": "floquet",
+                                        "model": "planar-limit-cycle"})
+            rhos = np.linspace(-2.0 * fr.period, 2.0 * fr.period, 81)
+            fr.convolve_stable(rhos, rhos, np.ones((rhos.size, 2)))
+            gaps = {k for sigma, k in fr._powers}
+            print(len(gaps) > 1, "numpy.ma" in sys.modules)
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "False"]
 
     def test_verification_passes(self, cycle_frame):
         rep = verify_frame(cycle_frame)

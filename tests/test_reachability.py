@@ -55,7 +55,6 @@ ALLOWED = {
     "lipschitz_probe": 1,
     "segment_distance_c1": 1,
     "HistorySegment.has_derivative": 1,
-    "CorrectionState.radii": 1,
     "CorrectionState.distance": 1,
     # item 6: a charge-system scenario reads the descriptors and the
     # trajectory builders, and wraps maps of one time
