@@ -176,6 +176,16 @@ def load_state(directory):
     meta = read_record(path, dict.fromkeys(_GEOMETRY, "a number")
                        | dict.fromkeys(_RADII, "a list"))
     geometry = [meta[key] for key in _GEOMETRY]
+    window, delta, order = geometry
+    for key, value, ok, rule in (
+            ("window", window, 0.0 < window < math.inf, "positive and finite"),
+            ("delta", delta, 0.0 < delta < math.inf, "positive and finite"),
+            ("interp_order", order, order >= 3 and (
+                isinstance(order, int) or order.is_integer()),
+             "an integer of at least 3")):
+        if not ok:
+            raise ValueError(f"{path}: entry {key!r} must be {rule}, "
+                             f"got {value!r}")
     grids, balls = [], []
     for name, key in zip(_STATE_FILES, _RADII):
         try:

@@ -7,10 +7,19 @@ the retarded delay between an ordered pair solves
 
 and the advance sigma_ij solves the mirror equation with t + sigma.
 Both are fixed points of a contraction whose rate is eps * sup|dq_j/dt|,
-so a fixed-point sweep over all nodes at once, each starting from
-eps |q_i(t) - q_j(t)|, converges fast whenever the partner moves slower
-than light. This module provides that solver, the
-first-order expansion check
+so each has one root whenever the partner moves slower than light.
+The solver finds it with the retarded-time Newton step: with s = -1
+(delay) or +1 (advance) and g = q_i(t) - q_j(t + s tau), the root of
+F(tau) = tau - eps |g| is approached by
+
+    tau <- tau - (tau - eps |g|) / (1 + eps s g/|g| . dq_j(t + s tau)),
+
+whose divisor is the Lienard-Wiechert factor 1 - n . beta. It converges
+quadratically from eps |q_i(t) - q_j(t)|, reads the partner's velocity
+at the same time as its position, and runs over all nodes at once. The
+certificate does not depend on the step: the reported defect is one
+application of the light-cone map tau -> eps |g| to the solved values.
+This module provides that solver, the first-order expansion check
 
     tau_ij = eps |q_i - q_j| + eps^2 (q_i - q_j) . dq_j/dt + O(eps^3),
 
@@ -55,7 +64,7 @@ _MAX_ITERS = 200
 
 
 class DelaySolveError(RuntimeError):
-    """The delay fixed point failed to reach the defect tolerance."""
+    """The delay solve failed to reach the defect tolerance."""
 
 
 # -- trajectories ----------------------------------------------------------
@@ -337,16 +346,15 @@ def _contraction_rate(qi, qj, eps, window):
     return eps * qj.speed_sup(-window - pad, window + pad)
 
 
-def _fixed_point(step, start, sign, times):
-    """Fixed point of tau = step(rows, sign * tau) for a stack of rows.
+def _fixed_point(step, start, times):
+    """Root of the light-cone equation for a stack of rows.
 
     There is one row per (center, equation): ``times`` holds the row's
-    center, ``sign`` its direction (-1 reads the partner retarded, +1
-    advanced) and ``start`` its iterate 0, which the caller computes.
-    ``step(rows, offsets)`` maps the partner offsets of the selected
-    rows (an index array) to their next iterate, so each iterate is one
-    call over every row still moving. A row freezes once its update is
-    <= ``_DEFECT_TOL``, so each takes exactly the iterates a one-element
+    center and ``start`` its iterate 0, which the caller computes.
+    ``step(rows, tau)`` maps the current values of the selected rows
+    (an index array) to their next iterate, so each iterate is one call
+    over every row still moving. A row freezes once its update is
+    <= ``_DEFECT_TOL``, so each takes exactly the iterates a one-row
     loop would. The first non-finite value raises ``NumericalError`` on
     the earliest iterate it appears on, naming the first such row in
     stack order; a row still moving after ``_MAX_ITERS`` iterates raises
@@ -365,7 +373,7 @@ def _fixed_point(step, start, sign, times):
     tau = finite(np.array(start, dtype=float), rows, 0)
     frozen = np.zeros(tau.size, dtype=int)
     for it in range(1, _MAX_ITERS + 1):
-        nxt = finite(step(rows, sign[rows] * tau[rows]), rows, it)
+        nxt = finite(step(rows, tau[rows]), rows, it)
         update = np.abs(nxt - tau[rows])
         tau[rows] = nxt
         moving = update > _DEFECT_TOL
@@ -384,6 +392,28 @@ def _cone_distance(eps, here, there):
     return eps * np.sqrt(np.einsum("kd,kd->k", gap, gap))
 
 
+def _newton_step(eps, sign, tau, here, there, vel):
+    """One retarded-time Newton update of tau = eps |here - there| per row.
+
+    ``there`` and ``vel`` are the partner's position and velocity read
+    at t + sign * tau. With g = here - there, F(tau) = tau - eps |g| has
+    the slope 1 + k, k = eps * sign * g/|g| . vel, and the update
+    tau - F / (1 + k) is computed as eps |g| + (tau - eps |g|) k / (1 + k),
+    so k = 0 gives the light-cone map itself. A row whose slope is not
+    positive and finite (a zero gap, or a velocity at or above light
+    speed) takes k = 0: the plain fixed-point update, with no division
+    by zero.
+    """
+    gap = here - there
+    dist = np.sqrt(np.einsum("kd,kd->k", gap, gap))
+    radial = np.divide(np.einsum("kd,kd->k", gap, vel), dist,
+                       out=np.zeros_like(dist), where=dist > 0.0)
+    k = eps * sign * radial
+    k[~(np.isfinite(k) & (k > -1.0))] = 0.0
+    cone = eps * dist
+    return cone + (tau - cone) * (k / (1.0 + k))
+
+
 def _positive(name, value):
     """``value`` as a float, or a ValueError naming ``name`` unless it is
     positive and finite."""
@@ -399,7 +429,7 @@ class DelayField:
 
     The stored defects are the worst nodewise residuals of the defining
     equations, and each iteration count is the largest number of
-    fixed-point updates any node took from its start tau_0 = eps |q_i(t) -
+    Newton updates any node took from its start tau_0 = eps |q_i(t) -
     q_j(t)|; construction refuses fields that miss the certification
     threshold or carry negative values.
     """
@@ -426,15 +456,19 @@ class DelayField:
         """Solve the delay and the advance on a symmetric node grid.
 
         The defining equation tau(t) = eps |q_i(t) - q_j(t - tau(t))| is
-        a contraction of rate eps * sup|dq_j|, checked before iterating.
-        The advance sigma reads the partner at t + sigma in place of
-        t - tau. Both are one fixed point over a stack of 2n rows, the
+        a contraction of rate eps * sup|dq_j|, checked before iterating:
+        below 1 it has one root, and its Newton slope is at least 1 minus
+        that rate. The advance sigma reads the partner at t + sigma in
+        place of t - tau. Both are solved over one stack of 2n rows, the
         delay's nodes then the advance's, each starting from tau_0 =
-        eps |q_i(t) - q_j(t)|. The iteration counts are read off the
-        freeze record, and both defects off one more step over the
-        stack. ``window`` and ``delta`` must be positive and finite,
-        their lattice must hold a grid's interpolation stencil, and
-        ``eps`` must be nonnegative; these are checked before any
+        eps |q_i(t) - q_j(t)|, by the retarded-time Newton step: each
+        iterate reads ``qj.pos`` and ``qj.vel`` at the same times. The
+        iteration counts are read off the freeze record. Both defects are
+        one application of the light-cone map eps |q_i(t) - q_j(t -+
+        tau)| to the solved stack, so they do not depend on how the
+        values were found. ``window`` and ``delta`` must be positive and
+        finite, their lattice must hold a grid's interpolation stencil,
+        and ``eps`` must be nonnegative; these are checked before any
         compute.
         """
         eps = float(eps)
@@ -460,13 +494,15 @@ class DelayField:
         times = np.concatenate([nodes, nodes])
         sign = np.repeat([-1.0, 1.0], n)
 
-        def step(rows, offsets):
-            return _cone_distance(eps, here[rows],
-                                  qj.pos(times[rows] + offsets))
+        def step(rows, tau):
+            at = times[rows] + sign[rows] * tau
+            return _newton_step(eps, sign[rows], tau, here[rows], qj.pos(at),
+                                qj.vel(at))
 
         vals, frozen = _fixed_point(step, np.concatenate([start, start]),
-                                    sign, times)
-        defect = np.abs(step(np.arange(2 * n), sign * vals) - vals)
+                                    times)
+        defect = np.abs(_cone_distance(eps, here, qj.pos(times + sign * vals))
+                        - vals)
         return cls(grid.with_values(vals[:n]), grid.with_values(vals[n:]), eps,
                    tau_iterations=int(frozen[:n].max()),
                    tau_defect=float(defect[:n].max()),
@@ -595,13 +631,15 @@ def _cone_states(seg, y0, eps, here, there, sign):
 
     Equation e reads the observer position from the column indices
     ``here[e]`` of the stacked state and the partner position from
-    ``there[e]``, delayed (``sign[e]`` -1) or advanced (+1).
-    Every equation is solved at every center of ``seg`` in one fixed
-    point, from the present-state read ``y0`` = ``seg.eval(0.0)``: each
-    later iterate reads every still-moving row in one segment lookup,
-    and one final lookup reads every partner state. Lookups run through
-    the segment itself, so a delay that wanders past the history radius
-    surfaces as the segment's own range error. Returns (E, k, n).
+    ``there[e]``, delayed (``sign[e]`` -1) or advanced (+1); the
+    partner velocity sits N*d columns further, in the velocity block.
+    Every equation is solved at every center of ``seg`` by the
+    retarded-time Newton step, from the present-state read ``y0`` =
+    ``seg.eval(0.0)``: each later iterate reads every still-moving row
+    in one segment lookup, taking the partner's position and velocity
+    from it, and one final lookup reads every partner state. Lookups run
+    through the segment itself, so a delay that wanders past the history
+    radius surfaces as the segment's own range error. Returns (E, k, n).
     """
     k = len(seg)
     stack = seg.take(np.tile(np.arange(k), len(sign)))
@@ -610,14 +648,16 @@ def _cone_states(seg, y0, eps, here, there, sign):
     start = _cone_distance(eps, obs,
                            np.concatenate(y0[:, there].swapaxes(0, 1)))
     cols = np.repeat(there, k, axis=0)
+    vcols = cols + y0.shape[1] // 2
     sign = np.repeat(sign, k)
 
-    def step(rows, offsets):
-        y = stack.take(rows).eval(offsets)
-        return _cone_distance(eps, obs[rows],
-                              y[np.arange(rows.size)[:, None], cols[rows]])
+    def step(rows, tau):
+        y = stack.take(rows).eval(sign[rows] * tau)
+        pick = np.arange(rows.size)[:, None]
+        return _newton_step(eps, sign[rows], tau, obs[rows],
+                            y[pick, cols[rows]], y[pick, vcols[rows]])
 
-    tau, _ = _fixed_point(step, start, sign, stack.t)
+    tau, _ = _fixed_point(step, start, stack.t)
     return stack.eval(sign * tau).reshape(-1, k, y0.shape[1])
 
 
@@ -631,7 +671,7 @@ def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
     ``1 - mixing``) partner states, plus any external field. Delays are
     solved from the history segment at each evaluation: every
     (i, j, direction) equation with a nonzero weight is stacked into one
-    fixed point, which costs one segment lookup per iterate for any
+    Newton solve, which costs one segment lookup per iterate for any
     number of charges, plus the present-state read and one read of
     every partner state. eps = 0 collapses exactly to the
     instantaneous-force right-hand side, and a negative eps raises. The

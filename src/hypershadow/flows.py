@@ -214,10 +214,14 @@ def flow_cells(reach, delta):
     return max(int(math.ceil(reach / delta - 1e-9)), (_FLOW_ORDER + 2) // 2)
 
 
-@functools.cache
-def _gauss6():
-    # built on first use: numpy.polynomial is not loaded at import
-    return np.polynomial.legendre.leggauss(6)
+# the 6-point Gauss-Legendre rule on [-1, 1], leggauss(6) bit for bit;
+# stored, so that no run loads numpy.polynomial
+_GAUSS6_NODES = np.array([
+    -0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+    0.2386191860831969, 0.6612093864662645, 0.9324695142031519])
+_GAUSS6_WEIGHTS = np.array([
+    0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+    0.46791393457269104, 0.3607615730481387, 0.17132449237917027])
 
 
 def _quadrature_inverse(field, table, y):
@@ -233,7 +237,7 @@ def _quadrature_inverse(field, table, y):
     np.minimum(j, table.n - 2, out=j)
     left = table.nodes[j]
     half = 0.5 * (y - left)
-    gx, gw = _gauss6()
+    gx, gw = _GAUSS6_NODES, _GAUSS6_WEIGHTS
     pts = left[:, None] + half[:, None] * (gx[None, :] + 1.0)
     X = field.fast_value(np.concatenate([pts.ravel(), y]))
     inv = 1.0 / X[:pts.size].reshape(pts.shape)
@@ -296,7 +300,7 @@ def solve_flow(field, window):
 
     K_inv = flow_cells((1.0 + field.t0) * R_phi, delta)
     R_inv = K_inv * delta
-    gx, gw = _gauss6()
+    gx, gw = _GAUSS6_NODES, _GAUSS6_WEIGHTS
     cell_lo = lattice(R_inv, delta)[:-1]
     # quadrature points of every cell at once, then 1/X there
     pts = cell_lo[:, None] + (0.5 * delta) * (gx[None, :] + 1.0)

@@ -626,7 +626,14 @@ def load_grid_function(csv_path, half_width, delta, interp_order):
     naming the file refuses a value that is not a finite number, a row
     count that does not fit the window and node times off the grid."""
     try:
-        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        # loadtxt gets lines, not a path, so it imports no gzip; the lines
+        # it would skip (blank or comment only) go first, because it warns
+        # on a table without rows, which GridFunction refuses below
+        with open(csv_path, encoding="utf-8") as fh:
+            fh.readline()
+            rows = [line for line in fh if line.split("#", 1)[0].strip()]
+        data = (np.loadtxt(rows, delimiter=",", ndmin=2) if rows
+                else np.empty((0, 1)))
     except ValueError as exc:
         raise ValueError(f"{csv_path}: {exc}") from None
     bad = ~np.isfinite(data)

@@ -359,12 +359,19 @@ def _varphi_batch(fr, state, spec, flow, vs, bases, eps):
 # the operator
 
 
+# the 3-point Gauss-Legendre rule on [-1, 1], leggauss(3) bit for bit
+# (its end weight rounds above 5/9); stored, so that no run loads
+# numpy.polynomial
+_GAUSS3_NODES = np.array([-0.7745966692414834, 0.0, 0.7745966692414834])
+_GAUSS3_WEIGHTS = np.array([0.5555555555555557, 0.8888888888888888,
+                            0.5555555555555557])
+
+
 def _gauss_panels(starts, step):
     """Composite 3-point Gauss nodes and weights over the panels of
     width ``step`` that start at ``starts``, ascending."""
-    gx, gw = np.polynomial.legendre.leggauss(3)
-    pts = starts[:, None] + 0.5 * step * (gx[None, :] + 1.0)
-    wts = np.broadcast_to(0.5 * step * gw, pts.shape)
+    pts = starts[:, None] + 0.5 * step * (_GAUSS3_NODES[None, :] + 1.0)
+    wts = np.broadcast_to(0.5 * step * _GAUSS3_WEIGHTS, pts.shape)
     return pts.ravel(), wts.ravel().copy()
 
 

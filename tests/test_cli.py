@@ -19,6 +19,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import textwrap
 import warnings
 
 import numpy as np
@@ -852,8 +853,23 @@ class TestVerifyVerb:
          "missing entry 'window'"),
         (lambda m: dict(m, interp_order="5"),
          "entry 'interp_order' must be a number, got a string"),
+        # out-of-range geometry is the record's fault, not a grid file's
+        (lambda m: dict(m, window=0),
+         "entry 'window' must be positive and finite, got 0"),
+        (lambda m: dict(m, delta=-0.2),
+         "entry 'delta' must be positive and finite, got -0.2"),
+        (lambda m: dict(m, delta=math.inf),
+         "entry 'delta' must be positive and finite, got inf"),
+        (lambda m: dict(m, delta=math.nan),
+         "entry 'delta' must be positive and finite, got nan"),
+        (lambda m: dict(m, interp_order=2),
+         "entry 'interp_order' must be an integer of at least 3, got 2"),
+        (lambda m: dict(m, interp_order=4.5),
+         "entry 'interp_order' must be an integer of at least 3, got 4.5"),
     ], ids=["list", "radii", "delta-string", "no-window",
-            "interp-order-string"])
+            "interp-order-string", "window-zero", "delta-negative",
+            "delta-inf", "delta-nan", "interp-order-low",
+            "interp-order-fraction"])
     def test_malformed_state_file_is_exit_one(self, tmp_path, capsys,
                                               monkeypatch, linear_run,
                                               edit, message):
@@ -881,7 +897,10 @@ class TestVerifyVerb:
         (lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0] + ",abc"]
          + lines[6:],
          "could not convert string 'abc' to float64"),
-    ], ids=["row-count", "node-times", "text"])
+        # a header alone is an empty table, refused without a warning
+        (lambda lines: lines[:1],
+         "expected 241 nodes for this window, got 0"),
+    ], ids=["row-count", "node-times", "text", "header-only"])
     def test_malformed_grid_csv_is_exit_one(self, tmp_path, capsys,
                                             monkeypatch, linear_run, edit,
                                             message):
@@ -1019,3 +1038,45 @@ class TestEntryPoint:
     def test_usage_error(self):
         with pytest.raises(SystemExit):
             cli.main([])
+
+    def test_stored_gauss_rules_are_leggauss(self):
+        from hypershadow import flows, invariance
+
+        for n, nodes, weights in (
+                (3, invariance._GAUSS3_NODES, invariance._GAUSS3_WEIGHTS),
+                (6, flows._GAUSS6_NODES, flows._GAUSS6_WEIGHTS)):
+            x, w = np.polynomial.legendre.leggauss(n)
+            assert np.array_equal(nodes, x) and np.array_equal(weights, w)
+
+    def test_verbs_leave_numpy_polynomial_and_gzip_unloaded(self, tmp_path):
+        # each stays resident once imported and costs peak memory; a
+        # fresh interpreter shows whether a verb pulls it in, which
+        # pytest's own process, having imported both, cannot
+        lin = dict(scenario_dict(), out=str(tmp_path / "out"))
+        frame, config = FLOQUET
+        floquet = dict(scenario_dict(), frame=frame, config=config,
+                       eps=[0.01, 0.005, 0.0025], out=str(tmp_path / "sw"),
+                       perturbation={"kind": "ode-sin-forcing",
+                                     "parameters": {"a": 0.45, "omega": 1.0,
+                                                    "n": 2, "axis": 1}})
+        paths = {}
+        for name, scn in (("lin", lin), ("floquet", floquet)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(scn))
+        code = textwrap.dedent("""
+            import sys
+            from hypershadow import cli
+            lin, state, ver, floquet = sys.argv[1:]
+            print(cli.main(["run", lin, "--quiet"]),
+                  cli.main(["verify", lin, state, "--out", ver, "--quiet"]),
+                  cli.main(["sweep", floquet, "--quiet"]),
+                  "numpy.polynomial" in sys.modules, "gzip" in sys.modules)
+        """)
+        args = [str(paths["lin"]), lin["out"], str(tmp_path / "ver"),
+                str(paths["floquet"])]
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0", "0", "False", "False"]

@@ -246,9 +246,12 @@ class TestSolveDelay:
             ed.DelayField.solve(origin(), drifting(2.0, 1.2), 1.0,
                                 window=4.0, delta=0.1)
 
-    def test_slow_contraction_hits_iteration_cap(self):
-        # rate 0.999 passes the precondition but cannot reach 1e-13 in 200 steps
-        with pytest.raises(ed.DelaySolveError, match="200"):
+    def test_slow_contraction_hits_iteration_cap(self, monkeypatch):
+        # rate 0.999 passes the precondition; Newton lands on the root of
+        # this linear equation on iterate 1 and only sees it freeze on
+        # iterate 2, so a cap of 1 trips
+        monkeypatch.setattr(ed, "_MAX_ITERS", 1)
+        with pytest.raises(ed.DelaySolveError, match="after 1 iterations"):
             ed.DelayField.solve(origin(), drifting(5.0, 0.999), 1.0,
                                 window=2.0, delta=0.5)
 
@@ -296,11 +299,32 @@ class TestSolveDelay:
     @given(d=st.floats(1.5, 3.0), v=st.floats(-0.3, 0.3),
            eps=st.floats(0.01, 0.3))
     def test_uniform_family_property(self, d, v, eps):
-        g = ed.DelayField.solve(origin(), drifting(d, v), eps,
-                                window=2.0, delta=0.25).tau
-        truth = eps * (d + v * g.nodes) / (1.0 + eps * v)
-        assert np.abs(g.values[:, 0] - truth).max() < 1e-11
-        assert g.values.min() >= 0.0
+        fld = ed.DelayField.solve(origin(), drifting(d, v), eps,
+                                  window=2.0, delta=0.25)
+        for g, s in ((fld.tau, 1.0), (fld.sigma, -1.0)):
+            truth = eps * (d + v * g.nodes) / (1.0 + s * eps * v)
+            assert np.abs(g.values[:, 0] - truth).max() < 1e-11
+            assert g.values.min() >= 0.0
+
+    @pytest.mark.parametrize("v", [0.0, 0.3, -0.3])
+    def test_uniform_partner_freezes_by_iterate_two(self, v):
+        # F is linear in tau along a line, so Newton lands on the root on
+        # iterate 1 and iterate 2 moves it by rounding only
+        fld = ed.DelayField.solve(origin(), drifting(2.0, v), 0.05,
+                                  window=4.0, delta=0.1)
+        assert 1 <= fld.tau_iterations <= 2
+        assert 1 <= fld.sigma_iterations <= 2
+
+    def test_zero_gap_takes_the_plain_update_without_a_warning(self):
+        # a partner on top of the observer has no direction g/|g|: the
+        # slope falls back to 1 and the delay is 0 on iterate 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fld = ed.DelayField.solve(origin(), origin(), 0.05, window=2.0,
+                                      delta=0.5)
+        assert np.array_equal(fld.tau.values, np.zeros((9, 1)))
+        assert np.array_equal(fld.sigma.values, np.zeros((9, 1)))
+        assert fld.tau_iterations == fld.sigma_iterations == 1
 
 
 class TestDelayField:
@@ -322,13 +346,17 @@ class TestDelayField:
             ed.DelayField(g, g, 0.05, tau_defect=1e-9)
 
 
-def per_node_delays(qi, qj, eps, nodes, warm=True, tol=1e-13,
+def per_node_delays(qi, qj, eps, nodes, newton=True, warm=False, tol=1e-13,
                     max_iters=200):
-    """Scalar reference: the retarded fixed point solved one node at a time.
+    """Scalar reference: the retarded delay solved one node at a time.
 
-    With ``warm`` each node starts from its neighbour's value, as the
-    solver once did; otherwise from eps |q_i(t) - q_j(t)|. Returns the
-    values, the largest per-node iteration count and the worst defect.
+    With ``newton`` each update is the retarded-time Newton step
+    tau - (tau - eps|g|) / (1 - eps g/|g| . dq_j(t - tau)), written here
+    in scalar arithmetic; otherwise it is the plain fixed-point map
+    eps |g|, an independent check of the values. With ``warm`` each node
+    starts from its neighbour's value, otherwise from eps |q_i(t) -
+    q_j(t)|. Returns the values, the largest per-node iteration count
+    and the worst defect.
     """
     out = np.empty(nodes.size)
     worst_iters, worst_defect, tau = 0, 0.0, None
@@ -337,7 +365,13 @@ def per_node_delays(qi, qj, eps, nodes, warm=True, tol=1e-13,
         if tau is None or not warm:
             tau = eps * float(np.linalg.norm(qi_t - qj.pos(t)))
         for it in range(1, max_iters + 1):
-            nxt = eps * float(np.linalg.norm(qi_t - qj.pos(t - tau)))
+            gap = qi_t - qj.pos(t - tau)
+            dist = float(np.linalg.norm(gap))
+            nxt = eps * dist
+            if newton and dist > 0.0:
+                slope = 1.0 - eps * float(gap @ qj.vel(t - tau)) / dist
+                if math.isfinite(slope) and slope > 0.0:
+                    nxt = tau - (tau - eps * dist) / slope
             update = abs(nxt - tau)
             tau = nxt
             if update <= tol:
@@ -351,11 +385,11 @@ def per_node_delays(qi, qj, eps, nodes, warm=True, tol=1e-13,
     return out, worst_iters, worst_defect
 
 
-def per_node_field(qi, qj, eps, mode, nodes, warm=True):
+def per_node_field(qi, qj, eps, mode, nodes, **kw):
     if mode == "retarded":
-        return per_node_delays(qi, qj, eps, nodes, warm)
+        return per_node_delays(qi, qj, eps, nodes, **kw)
     vals, iters, defect = per_node_delays(qi.reflected(), qj.reflected(),
-                                          eps, -nodes[::-1], warm)
+                                          eps, -nodes[::-1], **kw)
     return vals[::-1], iters, defect
 
 
@@ -390,8 +424,13 @@ class TestNodeKernel:
         eps = 0.05
         fld = ed.DelayField.solve(qi, qj, eps, window=4.0, delta=0.1)
         g = fld.tau if mode == "retarded" else fld.sigma
-        want, _, _ = per_node_field(qi, qj, eps, mode, g.nodes)
+        want, iters, _ = per_node_field(qi, qj, eps, mode, g.nodes)
         assert np.abs(g.values[:, 0] - want).max() <= 1e-14
+        # the plain fixed point, warm started node to node, lands on the
+        # same root
+        plain, _, _ = per_node_field(qi, qj, eps, mode, g.nodes,
+                                     newton=False, warm=True)
+        assert np.abs(g.values[:, 0] - plain).max() <= 1e-14
 
         # a second solve reproduces the field bit for bit
         again = ed.DelayField.solve(qi, qj, eps, window=4.0, delta=0.1)
@@ -404,7 +443,6 @@ class TestNodeKernel:
         reported = fld.tau_defect if mode == "retarded" else fld.sigma_defect
         assert defect <= 1e-13 and reported <= 1e-13
         # every node starts cold, so the count is the cold loop's worst
-        _, iters, _ = per_node_field(qi, qj, eps, mode, g.nodes, warm=False)
         counted = (fld.tau_iterations if mode == "retarded"
                    else fld.sigma_iterations)
         assert counted == iters
@@ -437,9 +475,11 @@ class TestNodeKernel:
             assert np.abs(tau - fld.tau.values[10:-10, 0]).max() <= 1e-14
             assert np.abs(sig - fld.sigma.values[10:-10, 0]).max() <= 1e-14
 
-    def test_iteration_cap_names_the_first_moving_node(self):
+    def test_iteration_cap_names_the_first_moving_node(self, monkeypatch):
+        # every node is still moving after iterate 1
+        monkeypatch.setattr(ed, "_MAX_ITERS", 1)
         with pytest.raises(ed.DelaySolveError,
-                           match=r"t=-2 still moving after 200 iterations; "
+                           match=r"t=-2 still moving after 1 iterations; "
                                  r"last update \d"):
             ed.DelayField.solve(origin(), drifting(5.0, 0.999), 1.0,
                                 window=2.0, delta=0.5)
@@ -664,8 +704,8 @@ class TestAssembly:
         assert np.abs(out[:6] - seg.eval(0.0)[0, 6:]).max() == 0.0
 
     def test_batch_equals_single_center_calls(self):
-        # the delay fixed point runs elementwise; each element must stop
-        # on the same iterate as a one-center solve
+        # the delay solve runs elementwise; each element must stop on
+        # the same iterate as a one-center solve
         qa = ed.Trajectory.circular([0.0, 0.0, 0.0], 0.3, 0.8)
         qb = ed.Trajectory.uniform([2.0, 0.0, 0.0], [0.2, 0.1, 0.0])
         sys = ed.ChargeSystem([qa, qb], masses=[1.0, 2.0],
@@ -781,17 +821,27 @@ class TestAssembly:
         assert np.abs(out[3:]).max() == 0.0
 
 
-def per_equation_delay(seg, here, block, eps, sign):
+def per_equation_delay(seg, here, block, vblock, eps, sign, newton=True):
     """One light-cone equation solved alone over the segment's centers,
     elementwise from tau_0 = eps |q_i(t) - q_j(t)|: the per-equation loop
-    the stacked solve replaced. Returns the values and the largest
+    the stacked solve replaced. With ``newton`` each update is the
+    library's Newton step on the rows still moving, reading the partner
+    position from ``block`` and its velocity from ``vblock``; otherwise
+    it is the plain fixed-point map. Returns the values and the largest
     per-center iteration count."""
-    def step(rows, tau):
+    def cone(rows, tau):
         gap = here[rows] - seg.take(rows).eval(sign * tau)[:, block]
         return eps * np.sqrt(np.einsum("kd,kd->k", gap, gap))
 
+    def step(rows, tau):
+        if not newton:
+            return cone(rows, tau)
+        y = seg.take(rows).eval(sign * tau)
+        return ed._newton_step(eps, sign, tau, here[rows], y[:, block],
+                               y[:, vblock])
+
     rows = np.arange(len(seg))
-    tau = step(rows, 0.0)
+    tau = cone(rows, 0.0)
     for it in range(1, 201):
         nxt = step(rows, tau[rows])
         update = np.abs(nxt - tau[rows])
@@ -802,11 +852,11 @@ def per_equation_delay(seg, here, block, eps, sign):
     raise AssertionError("reference loop stuck")
 
 
-def per_equation_field(sys, mixing, ts, seg, eps):
+def per_equation_field(sys, mixing, ts, seg, eps, newton=True):
     """The assembled field with each (i, j, direction) equation solved by
-    its own fixed point and read by its own lookup, in the order the
-    spec adds them up. Returns the field and the largest iteration
-    count of any equation."""
+    its own loop and read by its own lookup, in the order the spec adds
+    them up. Returns the field and the largest iteration count of any
+    equation."""
     N, d = sys.N, sys.dim
     force = sys.pair_force
     y0 = seg.eval(0.0)
@@ -823,9 +873,9 @@ def per_equation_field(sys, mixing, ts, seg, eps):
             for sign, weight in ((-1.0, mixing), (1.0, 1.0 - mixing)):
                 if weight == 0.0:
                     continue
-                tau, it = per_equation_delay(seg, q[i],
-                                             slice(j * d, (j + 1) * d),
-                                             eps, sign)
+                tau, it = per_equation_delay(
+                    seg, q[i], slice(j * d, (j + 1) * d),
+                    slice((N + j) * d, (N + j + 1) * d), eps, sign, newton)
                 worst = max(worst, it)
                 y = seg.eval(sign * tau)
                 acc[:, i] += weight * force(
@@ -890,8 +940,13 @@ class TestStackedSolve:
                                                mixing=mixing)
         ts = np.linspace(-1.5, 1.5, 13)
         for seg in (stacked_segment(sys, ts), tabulated_segment(sys, ts)[1]):
+            got = spec(ts, seg, sys.epsilon)
             want, _ = per_equation_field(sys, mixing, ts, seg, sys.epsilon)
-            assert np.array_equal(spec(ts, seg, sys.epsilon), want)
+            assert np.array_equal(got, want)
+            # the plain fixed point finds the same delays
+            plain, _ = per_equation_field(sys, mixing, ts, seg, sys.epsilon,
+                                          newton=False)
+            assert np.abs(got - plain).max() <= 1e-14
 
         # one lookup for the present state, one per iterate after the
         # first, one for the partner states
@@ -920,6 +975,49 @@ class TestStackedSolve:
                      sys.epsilon)
             counts.append(len(calls))
         assert counts == [3, 3]
+
+    def test_uniform_partner_freezes_by_iterate_two(self, monkeypatch):
+        # both directions of a pair drifting apart along the line between
+        # them: the present state, two iterates and the partner states
+        sys = two_charge_system(v=(0.2, 0.0, 0.0))
+        spec = ed.assemble_charge_perturbation(sys, window=4.0, mixing=0.5)
+        ts = np.linspace(-1.5, 1.5, 13)
+        grid, _ = tabulated_segment(sys, ts)
+        calls = count_evals(monkeypatch, grid)
+        spec(ts, HistorySegment.from_grid(grid, ts, 1.0), sys.epsilon)
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("scale,solves", [(200.0, True), (1e8, False)])
+    def test_superluminal_velocity_block_solves_or_hits_the_cap(
+            self, scale, solves):
+        # the partner's positions drift away at 0.2, but its velocity
+        # block reads scale * 0.2 with eps * scale * 0.2 >= 2: the advance
+        # has a slope <= 0 and takes the plain update, the delay a slope
+        # far above the true one and slows down; neither may warn
+        sys = two_charge_system(v=(0.2, 0.0, 0.0))
+        spec = ed.assemble_charge_perturbation(sys, window=4.0, mixing=0.5)
+        state = stacked_state(sys)
+
+        def y(t):
+            out = state(t)
+            out[:, 9:12] *= scale
+            return out
+
+        ts = np.linspace(-1.5, 1.5, 13)
+        seg = HistorySegment(ts, 1.0, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not solves:
+                with pytest.raises(ed.DelaySolveError,
+                                   match=r"still moving after 200 "
+                                         r"iterations"):
+                    spec(ts, seg, sys.epsilon)
+                return
+            got = spec(ts, seg, sys.epsilon)
+        # the pair force reads no velocity, so the accelerations are
+        # those of the true state
+        want = spec(ts, stacked_segment(sys, ts), sys.epsilon)
+        assert np.abs(got[:, 6:] - want[:, 6:]).max() <= 1e-12
 
 
 class TestSoftenedCoulomb:
