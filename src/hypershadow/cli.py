@@ -22,20 +22,21 @@ from __future__ import annotations
 
 import argparse
 import math
-import numbers
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import PurePath
 
 import numpy as np
 
 from .flows import ScalarField
-from .funcspace import (BallRadii, json_text, load_grid_function,
-                        read_record, real_number, save_grid_function,
-                        write_lines)
+from .funcspace import (REQUIRED, BallRadii, Entry, check_entries, json_text,
+                        load_grid_function, read_record, real_number,
+                        save_grid_function, write_lines)
 from .hyperbolic import frame_from_descriptor
 from .invariance import (
+    CONFIG,
+    EPS,
     BallExitError,
     CorrectionState,
     DivergenceError,
@@ -75,33 +76,28 @@ class Scenario:
     eps: object
     out: str
     seed: int
-    bounds_interval: tuple = (-2.0, 2.0)
+    bounds_interval: tuple
 
     def resolve(self, eps=None, max_iters=None):
         """Build (frame, spec, cfg); raises on any descriptor problem."""
         fr = frame_from_descriptor(self.frame)
         spec = spec_from_descriptor(self.perturbation)
-        # the fields of OperatorConfig; eps comes from the scenario
-        settings = [f.name for f in fields(OperatorConfig)]
-        unknown = sorted(set(self.config) - set(settings))
-        if unknown:
-            raise ValueError(f"config key {unknown[0]!r} is not a setting; "
-                             f"config takes {', '.join(settings)}")
-        cfg_kw = dict(self.config)
-        if eps is None:
-            eps = self.eps
-        if not np.isscalar(eps):
+        cfg_kw = check_entries(self.config, CONFIG, "config")
+        eps = self.eps if eps is None else eps
+        if isinstance(eps, list):
             raise ValueError("this verb needs a single eps; use sweep "
                              "for lists")
-        cfg_kw["eps"] = real_number("eps", eps)
         if max_iters is not None:
             cfg_kw["max_iters"] = int(max_iters)
-        cfg = OperatorConfig(**cfg_kw)
+        cfg = OperatorConfig(eps=eps, **cfg_kw)
         # eta below the hyperbolicity rates and a usable core window,
         # checked before any compute happens
         resolve_geometry(cfg, fr, spec.h, 0.0)
         # one evaluation on the orbit: the perturbation must fit the model
         n = fr.model.n
+        if spec.params.get("n") not in (None, n):
+            raise ValueError(f"descriptor kind {spec.kind!r} parameter 'n' "
+                             f"must be the model dimension {n}")
         seg = HistorySegment(0.0, spec.h, fr.orbit_batch,
                              fr.orbit_deriv_batch)
         try:
@@ -115,34 +111,26 @@ class Scenario:
         return fr, spec, cfg
 
 
+# the entries of a scenario file, each a field of Scenario; eps is read
+# by the verb: a number for run and verify, a dyadic list for sweep
+SCENARIO = {
+    **dict.fromkeys(("frame", "perturbation", "config"), Entry("object")),
+    "eps": Entry("number or list", REQUIRED, EPS.range),
+    "out": Entry("string", None),
+    "bounds_interval": Entry("list", [-2.0, 2.0], (2,)),
+    "seed": Entry("integer", 0),
+}
+
+
 def load_scenario(path):
-    raw = read_record(path, dict.fromkeys(("frame", "perturbation",
-                                           "config"), "an object"))
-    if "eps" not in raw:
-        raise ValueError("scenario must set eps (a number or a list)")
-    out = raw.get("out")
-    if out is None:
-        out = str(PurePath(path).with_suffix("")) + "_out"
-    elif not (isinstance(out, str) and out):
-        raise ValueError(f"out must be a directory name, got {out!r}")
-    interval = raw.get("bounds_interval", [-2.0, 2.0])
-    if not (isinstance(interval, list) and len(interval) == 2):
-        raise ValueError(f"bounds_interval must be [a, b], got {interval!r}")
-    interval = tuple(real_number("bounds_interval", x) for x in interval)
+    raw = read_record(path, SCENARIO)
+    a, b = raw["bounds_interval"]
     # checked before any compute, so a bad interval never costs a run
-    if not (all(map(math.isfinite, interval)) and interval[0] < interval[1]):
+    if not a < b:
         raise ValueError(f"bounds_interval must be finite with a < b, got "
-                         f"[{interval[0]:g}, {interval[1]:g}]")
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    return Scenario(frame=dict(raw["frame"]),
-                    perturbation=dict(raw["perturbation"]),
-                    config=dict(raw["config"]),
-                    eps=raw["eps"],
-                    out=out,
-                    seed=int(seed),
-                    bounds_interval=interval)
+                         f"[{a:g}, {b:g}]")
+    out = raw["out"] or str(PurePath(path).with_suffix("")) + "_out"
+    return Scenario(**dict(raw, out=out, bounds_interval=(a, b)))
 
 
 # -- state persistence ------------------------------------------------------
@@ -150,6 +138,14 @@ def load_scenario(path):
 _STATE_FILES = ("xhat_t", "xhat_s", "xhat_u")
 _RADII = ("t_radii", "s_radii", "u_radii")
 _GEOMETRY = ("window", "delta", "interp_order")
+# the entries of state.json; seed records the run and is not read
+STATE = {
+    "window": Entry("number", REQUIRED, "positive"),
+    "delta": Entry("number", REQUIRED, "positive"),
+    "interp_order": Entry("integer", REQUIRED, 3),
+    **dict.fromkeys(_RADII, Entry("list", REQUIRED, (None,))),
+    "seed": Entry("integer", None),
+}
 
 
 def save_state(state, directory, seed=0):
@@ -173,24 +169,13 @@ def load_state(directory):
     """The state :func:`save_state` wrote to ``directory``; a malformed
     file raises a ValueError naming the file and the entry or node."""
     path = os.path.join(directory, "state.json")
-    meta = read_record(path, dict.fromkeys(_GEOMETRY, "a number")
-                       | dict.fromkeys(_RADII, "a list"))
+    meta = read_record(path, STATE, lambda key: f"{path}: entry {key!r}")
     geometry = [meta[key] for key in _GEOMETRY]
-    window, delta, order = geometry
-    for key, value, ok, rule in (
-            ("window", window, 0.0 < window < math.inf, "positive and finite"),
-            ("delta", delta, 0.0 < delta < math.inf, "positive and finite"),
-            ("interp_order", order, order >= 3 and (
-                isinstance(order, int) or order.is_integer()),
-             "an integer of at least 3")):
-        if not ok:
-            raise ValueError(f"{path}: entry {key!r} must be {rule}, "
-                             f"got {value!r}")
     grids, balls = [], []
     for name, key in zip(_STATE_FILES, _RADII):
         try:
             balls.append(BallRadii(tuple(meta[key])))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}: entry {key!r}: {exc}") from None
         grids.append(load_grid_function(
             os.path.join(directory, name + ".csv"), *geometry))
@@ -216,20 +201,13 @@ def _linear_oracle(fr, spec):
     Bounded solution of x' = -lam x + eps a sin(omega (t - lag)) on the
     stable slot. Returns None when the scenario is not of that shape.
     """
-    if fr.mode != "analytic" or fr.model.name != "lin-saddle":
+    p = spec.params
+    if (fr.mode != "analytic" or fr.model.name != "lin-saddle"
+            or fr.model.params.get("rotation") is not None
+            or spec.kind != "delayed-sin-forcing" or p["axis"] != 1):
         return None
-    if fr.model.params.get("rotation") is not None:
-        return None
-    if spec.kind != "delayed-sin-forcing":
-        return None
-    # a null parameter reads as an absent one, as the spec read it
-    p = {k: v for k, v in spec.params.items() if v is not None}
-    if int(p.get("axis", 1)) != 1:
-        return None
-    lam = float(fr.model.params["lambda_s"])
-    a = float(p["a"])
-    omega = float(p["omega"])
-    lag = float(p.get("lag", 1.0))
+    lam = fr.model.params["lambda_s"]
+    a, omega, lag = p["a"], p["omega"], p["lag"]
 
     def truth(rho, eps):
         ph = omega * (np.asarray(rho, dtype=float) - lag)
@@ -331,7 +309,7 @@ def cmd_run(scn, max_iters=None, quiet=False):
 
 
 def _dyadic_eps_list(eps):
-    if np.isscalar(eps):
+    if not isinstance(eps, list):
         raise ValueError("sweep needs a list of eps values")
     vals = [real_number("eps", e) for e in eps]
     if len(vals) < 3:

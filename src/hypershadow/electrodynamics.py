@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import NumericalError
-from .funcspace import GridFunction, lattice, pointwise, real_number
+from .funcspace import Entry, GridFunction, lattice, pointwise
 from .perturbations import PerturbationSpec
 
 __all__ = [
@@ -414,13 +414,7 @@ def _newton_step(eps, sign, tau, here, there, vel):
     return cone + (tau - cone) * (k / (1.0 + k))
 
 
-def _positive(name, value):
-    """``value`` as a float, or a ValueError naming ``name`` unless it is
-    positive and finite."""
-    value = real_number(name, value)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
+_POSITIVE = Entry("number", range="positive")
 
 
 @dataclass(frozen=True)
@@ -471,11 +465,9 @@ class DelayField:
         and ``eps`` must be nonnegative; these are checked before any
         compute.
         """
-        eps = float(eps)
-        if eps < 0.0:
-            raise ValueError("eps must be nonnegative")
-        window = _positive("window", window)
-        delta = _positive("delta", delta)
+        eps = Entry("number", range="nonnegative").check("eps", eps)
+        window = _POSITIVE.check("window", window)
+        delta = _POSITIVE.check("delta", delta)
         nodes = lattice(window, delta)
         try:
             grid = GridFunction(window, delta, np.zeros(nodes.size))

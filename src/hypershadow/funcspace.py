@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,8 @@ __all__ = [
     "save_grid_function",
     "load_grid_function",
     "read_record",
+    "Entry",
+    "check_entries",
     "pointwise",
     "real_number",
 ]
@@ -62,18 +65,16 @@ def pointwise(fn):
     return batched
 
 
-def real_number(name, value, finite=False):
-    """``value`` as a float, or a ValueError naming ``name``.
-
-    Rejects anything but a real number, booleans and numeric strings
-    included, and with ``finite`` also NaN and infinities.
-    """
+def real_number(name, value):
+    """``value`` as a float, NaN and infinities included; a ValueError
+    names ``name`` for anything but a real number, booleans and numeric
+    strings included, and for an integer too large for a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} is not numeric: {value!r}")
-    value = float(value)
-    if finite and not math.isfinite(value):
-        raise ValueError(f"{name} is not finite: {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def fd_weights(x, x0, k):
@@ -535,8 +536,7 @@ class WeightParam:
     eta: float
 
     def __post_init__(self):
-        if not (self.eta > 0.0 and np.isfinite(self.eta)):
-            raise ValueError("eta must be positive")
+        Entry("number", range="positive").check("eta", self.eta)
 
 
 @dataclass(frozen=True)
@@ -599,25 +599,97 @@ def save_grid_function(g, csv_path):
         row(*r) for r in np.column_stack([g.nodes, g.values]).tolist()])
 
 
-_KINDS = {dict: "an object", list: "a list", str: "a string", int: "a number",
-          float: "a number", bool: "a boolean", type(None): "null"}
+REQUIRED = "required"
 
 
-def read_record(path, entries):
-    """The JSON object in ``path``, holding each key of ``entries`` with
-    a value of the kind it names ("an object", "a list", "a string",
-    "a number"); otherwise a ValueError names the file and the entry."""
+class Entry(NamedTuple):
+    """One entry of an input: its ``kind`` ("number", "integer", "string",
+    "object", "list" of numbers, or "number or list", which the verb
+    reading it checks), its ``default`` (REQUIRED, None if it may be
+    absent, or a value) and its ``range``: "positive", "nonnegative" or
+    the least value of a number, the choices of a string, the shape of a
+    list (None for any length; a list without one is a number)."""
+
+    kind: str
+    default: object = REQUIRED
+    range: object = None
+
+    def check(self, label, value):
+        """``value`` as the program reads it (a float, an int, lists of
+        floats), or a ValueError that starts with ``label``."""
+        kind, rng = self.kind, self.range
+        if kind == "list" and rng:
+            if not (isinstance(value, (list, tuple, np.ndarray))
+                    and rng[0] in (None, len(value))):
+                dims = " x ".join(str(n or "n") for n in rng)
+                raise ValueError(f"{label} must be a list of {dims} numbers, "
+                                 f"got {value!r}")
+            return [Entry("list", None, rng[1:] or None).check(label, x)
+                    for x in value]
+        if kind == "object" and not isinstance(value, dict):
+            raise ValueError(f"{label} must be an object, got {value!r}")
+        if kind == "string" and not (isinstance(value, str) and value
+                                     and (rng is None or value in rng)):
+            want = "one of " + ", ".join(rng) if rng else "a non-empty string"
+            raise ValueError(f"{label} must be {want}, got {value!r}")
+        if kind in ("object", "string", "number or list"):
+            return value
+        if kind == "integer" and (isinstance(value, bool) or not (
+                isinstance(value, numbers.Integral)
+                or isinstance(value, float) and value.is_integer())):
+            raise ValueError(f"{label} must be an integer, got {value!r}")
+        x = real_number(label, value)
+        if rng is not None and not (math.isfinite(x) and (
+                x > 0.0 if rng == "positive"
+                else x >= (0.0 if rng == "nonnegative" else rng))):
+            words = rng if isinstance(rng, str) else f"at least {rng}"
+            finite = "" if kind == "integer" else " and finite"
+            raise ValueError(f"{label} must be {words}{finite}, got {value!r}")
+        if not math.isfinite(x):
+            raise ValueError(f"{label} is not finite: {value!r}")
+        return int(value) if kind == "integer" else x
+
+
+def check_entries(obj, table, section, label=str):
+    """The object ``obj`` read through ``table`` (name -> Entry), every
+    entry present, an absent or null one at its default. A ValueError
+    names ``section`` and an unknown or missing entry, or ``label(name)``
+    and a value of the wrong kind or out of range."""
+    unknown = [key for key in obj if key not in table]
+    if unknown:
+        raise ValueError(f"{section}: unknown entry {unknown[0]!r}; it "
+                         f"takes {', '.join(table) or 'none'}")
+    missing = [name for name, entry in table.items()
+               if entry.default is REQUIRED and obj.get(name) is None]
+    if missing:
+        raise ValueError(f"{section}: missing entry {missing[0]!r}")
+    return {name: entry.default if obj.get(name) is None
+            else entry.check(label(name), obj[name])
+            for name, entry in table.items()}
+
+
+def _unique_keys(pairs):
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"entry {key!r} appears twice")
+        seen.add(key)
+    return dict(pairs)
+
+
+def read_record(path, table, label=str):
+    """The JSON object in ``path`` read through ``table`` by
+    :func:`check_entries`; the file is the section, and no key repeats."""
     with open(path, encoding="utf-8") as fh:
-        rec = json.load(fh)
+        try:
+            rec = json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(rec, dict):
-        raise ValueError(f"{path}: holds {_KINDS[type(rec)]}, not an object")
-    for key, kind in entries.items():
-        if key not in rec:
-            raise ValueError(f"{path}: missing entry {key!r}")
-        if _KINDS[type(rec[key])] != kind:
-            raise ValueError(f"{path}: entry {key!r} must be {kind}, got "
-                             f"{_KINDS[type(rec[key])]}")
-    return rec
+        held = {list: "a list", str: "a string", bool: "a boolean",
+                type(None): "null"}.get(type(rec), "a number")
+        raise ValueError(f"{path}: holds {held}, not an object")
+    return check_entries(rec, table, path, label)
 
 
 def load_grid_function(csv_path, half_width, delta, interp_order):

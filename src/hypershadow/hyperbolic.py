@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .funcspace import GridFunction, real_number
+from .funcspace import REQUIRED, Entry, GridFunction, check_entries
 
 __all__ = [
     "OdeModel",
@@ -724,33 +724,28 @@ def _limit_cycle_model():
                     params={})
 
 
-def builtin_model(name, params=None):
-    """Construct a named model: lin-saddle, saddle-cubic, planar-limit-cycle.
+# the entries of each built-in model
+_SADDLE = {
+    "lambda_s": Entry("number", 1.0),
+    "lambda_u": Entry("number", 1.0),
+    "cubic": Entry("list", [0.0, 0.0], (2,)),
+    "rotation": Entry("list", None, (3, 3)),
+}
+MODELS = {"lin-saddle": _SADDLE, "saddle-cubic": _SADDLE,
+          "planar-limit-cycle": {}}
 
-    The saddles read lambda_s and lambda_u (default 1), optional cubic
-    [c2, c3] and optional rotation (orthogonal matrix as nested lists),
-    each entry a finite real; a ValueError names the first that is not.
-    """
-    params = dict(params or {})
-    if name in ("lin-saddle", "saddle-cubic"):
-        lam_s, lam_u = (real_number(key, params.get(key, 1.0), finite=True)
-                        for key in ("lambda_s", "lambda_u"))
-        cubic = [real_number("cubic", c, finite=True) for c in
-                 np.asarray(params.get("cubic", (0.0, 0.0)),
-                            dtype=object).ravel()]
-        if len(cubic) != 2:
-            raise ValueError(f"cubic must be [c2, c3], got {cubic!r}")
-        rot = params.get("rotation")
-        if rot is not None:
-            for x in np.asarray(rot, dtype=object).ravel():
-                real_number("rotation", x, finite=True)
-            if np.shape(rot) != (3, 3):
-                raise ValueError(f"rotation must be a 3 x 3 matrix, got "
-                                 f"shape {np.shape(rot)}")
-        return _saddle_model(lam_s, lam_u, cubic=cubic, rotation=rot)
+
+def builtin_model(name, params=None):
+    """Construct a named model: lin-saddle, saddle-cubic, planar-limit-cycle,
+    from the entries :data:`MODELS` declares for it (a saddle's rotation
+    is an orthogonal matrix as nested lists)."""
+    if name not in MODELS:
+        raise ValueError(f"unknown model {name!r}")
+    p = check_entries(params or {}, MODELS[name], f"model {name!r}")
     if name == "planar-limit-cycle":
         return _limit_cycle_model()
-    raise ValueError(f"unknown model {name!r}")
+    # a saddle's entries are the arguments of _saddle_model, in order
+    return _saddle_model(*p.values())
 
 
 # bounds of the step of the stored unit-circle orbit. Its degree-5
@@ -780,16 +775,13 @@ def unit_circle_orbit(delta=0.01):
 
 
 def analytic_frame(descriptor):
-    """Frame from a closed-form descriptor dict: model (lin-saddle or
-    saddle-cubic) and the parameters :func:`builtin_model` reads. The
+    """Frame from a closed-form descriptor: the entries of
+    ``FRAMES["analytic"]``, a saddle model and its parameters. The
     frame's invariants are verified on construction."""
-    name = descriptor.get("model", "lin-saddle")
-    if name not in ("lin-saddle", "saddle-cubic"):
-        raise ValueError(f"no analytic splitting for model {name!r}")
-    model = builtin_model(name, descriptor)
-    p = model.params
-    frame = AnalyticFrame(model, [p["lambda_s"]], [p["lambda_u"]],
-                          rotation=p.get("rotation"))
+    d = check_entries(descriptor, FRAMES["analytic"], "frame")
+    model = _saddle_model(*(d[key] for key in _SADDLE))
+    frame = AnalyticFrame(model, [d["lambda_s"]], [d["lambda_u"]],
+                          rotation=d["rotation"])
     report = verify_frame(frame)
     if not report.ok:
         raise ValueError(f"descriptor inconsistency: {report.failures}")
@@ -947,44 +939,40 @@ def verify_frame(fr):
         declared=q, failures=failures)
 
 
+# the entries of a scenario's frame, by mode: an analytic frame holds
+# its model's entries, a floquet frame the step of its stored orbit
+FRAMES = {
+    "analytic": {"mode": Entry("string", "analytic", ("analytic",)),
+                 "model": Entry("string", "lin-saddle",
+                                ("lin-saddle", "saddle-cubic")),
+                 **_SADDLE},
+    "floquet": {"mode": Entry("string", REQUIRED, ("floquet",)),
+                "model": Entry("string", "planar-limit-cycle",
+                               ("planar-limit-cycle",)),
+                "parameters": Entry("object", {})},
+}
+FLOQUET_PARAMETERS = {"delta": Entry("number", 0.01, _ORBIT_DELTA_MIN)}
+
+
 def frame_from_descriptor(desc):
-    """Build a frame from its JSON descriptor (mode analytic or floquet)."""
-    mode = desc.get("mode", "analytic")
-    params = desc.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ValueError(f"frame entry 'parameters' must be an object, "
-                         f"got {params!r}")
-    if mode == "analytic":
-        merged = {"model": desc.get("model", "lin-saddle")}
-        merged.update(params)
-        merged.update({k: v for k, v in desc.items()
-                       if k not in ("parameters", "mode", "quality", "dims")})
-        return analytic_frame(merged)
-    if mode == "floquet":
-        name = desc.get("model", "planar-limit-cycle")
-        if name != "planar-limit-cycle":
-            raise ValueError(f"no stored periodic orbit for model {name!r}")
-        delta = real_number("frame parameter 'delta'",
-                            params.get("delta", 0.01), finite=True)
-        if delta <= 0.0:
-            raise ValueError(f"frame parameter 'delta' must be positive, "
-                             f"got {delta!r}")
-        if delta < _ORBIT_DELTA_MIN:
-            raise ValueError(
-                f"frame parameter 'delta' must be at least "
-                f"{_ORBIT_DELTA_MIN:g}, at most "
-                f"{2.0 * math.pi / _ORBIT_DELTA_MIN:.0f} cells per period, "
-                f"got {delta!r}")
-        if delta > _ORBIT_DELTA_MAX:
-            raise ValueError(
-                f"frame parameter 'delta' must be at most pi/3 = "
-                f"{_ORBIT_DELTA_MAX:.6g}, three cells per half period for "
-                f"the orbit's degree-5 stencil, got {delta!r}")
-        orbit, period = unit_circle_orbit(delta)
-        try:
-            return floquet_frame(builtin_model(name), orbit, period)
-        except ValueError as exc:
-            # the stored orbit is exact, so its step is what failed
-            raise ValueError(f"frame parameter 'delta' = {delta!r} is too "
-                             f"coarse for the stored orbit: {exc}") from None
-    raise ValueError(f"unknown splitting mode {mode!r}")
+    """Build a frame from its JSON descriptor, read through
+    :data:`FRAMES` by its mode."""
+    mode = "analytic" if desc.get("mode") is None else desc["mode"]
+    if Entry("string", range=tuple(FRAMES)).check("mode", mode) == "analytic":
+        return analytic_frame(desc)
+    d = check_entries(desc, FRAMES["floquet"], "frame")
+    delta = check_entries(d["parameters"], FLOQUET_PARAMETERS,
+                          "frame parameters", "frame parameter {!r}".format
+                          )["delta"]
+    if delta > _ORBIT_DELTA_MAX:
+        raise ValueError(
+            f"frame parameter 'delta' must be at most pi/3 = "
+            f"{_ORBIT_DELTA_MAX:.6g}, three cells per half period for "
+            f"the orbit's degree-5 stencil, got {delta!r}")
+    orbit, period = unit_circle_orbit(delta)
+    try:
+        return floquet_frame(builtin_model(d["model"]), orbit, period)
+    except ValueError as exc:
+        # the stored orbit is exact, so its step is what failed
+        raise ValueError(f"frame parameter 'delta' = {delta!r} is too "
+                         f"coarse for the stored orbit: {exc}") from None

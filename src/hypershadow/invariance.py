@@ -23,7 +23,6 @@ infinite-line problem. All convergence metrics are measured there.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +30,9 @@ import numpy as np
 from .flows import (Flow, FlowGuardError, NumericalError, ScalarField,
                     composite_factor, flow_cells, inverse_flow_factor,
                     solve_flow)
-from .funcspace import (BallRadii, GridFunction, GridSampler, WeightParam,
-                        ball_membership, json_text, lattice, real_number,
-                        write_lines)
+from .funcspace import (REQUIRED, BallRadii, Entry, GridFunction,
+                        GridSampler, WeightParam, ball_membership,
+                        check_entries, json_text, lattice, write_lines)
 from .perturbations import HistorySegment
 
 
@@ -63,6 +62,18 @@ class BallExitError(RuntimeError):
 # configuration
 
 
+# the entries of a scenario's config section: the fields of
+# OperatorConfig but eps, which the scenario sets at its top level
+CONFIG = {
+    "eta": Entry("number", REQUIRED, "positive"),
+    "window": Entry("number", REQUIRED, "positive"),
+    "delta": Entry("number", 0.05, "positive"),
+    "max_iters": Entry("integer", 40, 1),
+    "tol_eta": Entry("number", 1e-9, "positive"),
+}
+EPS = Entry("number", REQUIRED, "nonnegative")
+
+
 @dataclass(frozen=True)
 class OperatorConfig:
     """Geometry and stopping rules of the correction operator.
@@ -72,38 +83,24 @@ class OperatorConfig:
     the bundle integrals are truncated at the t_int that ``tol_eta``
     implies (see :func:`resolve_geometry`) and summed by 3-point Gauss
     panels on half grid cells, so panels never straddle interpolation
-    joints.
+    joints. The fields read through :data:`CONFIG` and :data:`EPS`.
     """
 
     eta: WeightParam
     window: float
     eps: float
-    delta: float = 0.05
-    max_iters: int = 40
-    tol_eta: float = 1e-9
+    delta: float = CONFIG["delta"].default
+    max_iters: int = CONFIG["max_iters"].default
+    tol_eta: float = CONFIG["tol_eta"].default
 
     def __post_init__(self):
-        if not isinstance(self.eta, WeightParam):
-            object.__setattr__(self, "eta",
-                               WeightParam(real_number("eta", self.eta)))
-        for name in ("window", "delta", "eps", "tol_eta"):
-            real_number(name, getattr(self, name))
-        if not (self.window > 0.0 and np.isfinite(self.window)):
-            raise ValueError("window must be positive")
-        if not (self.delta > 0.0 and self.delta < self.window):
-            raise ValueError("delta must be positive and below the window")
-        if not (self.eps >= 0.0 and math.isfinite(self.eps)):
-            raise ValueError(f"eps must be nonnegative and finite, got "
-                             f"{self.eps!r}")
-        if (isinstance(self.max_iters, bool)
-                or not isinstance(self.max_iters, numbers.Integral)):
-            raise ValueError(f"max_iters must be an integer, got "
-                             f"{self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not (self.tol_eta > 0.0 and math.isfinite(self.tol_eta)):
-            raise ValueError(f"tol_eta must be positive and finite, got "
-                             f"{self.tol_eta!r}")
+        eta = self.eta.eta if isinstance(self.eta, WeightParam) else self.eta
+        values = check_entries(dict(vars(self), eta=eta),
+                               dict(CONFIG, eps=EPS), "config")
+        # frozen: the checked values go in past __setattr__
+        vars(self).update(values, eta=WeightParam(values["eta"]))
+        if not self.delta < self.window:
+            raise ValueError("delta must be below the window")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flows import NumericalError
-from .funcspace import GridFunction, real_number
+from .funcspace import REQUIRED, Entry, GridFunction, check_entries
+from .hyperbolic import MODELS, builtin_model
 
 __all__ = [
     "HistorySegment",
@@ -407,50 +408,51 @@ def _id_q(t, x):
     return x
 
 
-_REQUIRED = object()
+# the parameters of each kind; n must match the model's dimension
+_A, _H = Entry("number"), Entry("number", REQUIRED, "nonnegative")
+_AXIS, _N = Entry("integer", 1, "nonnegative"), Entry("integer", None, 1)
+_DELAY = {"h": _H, "c0": _A, "c1": _A,
+          "component": Entry("integer", 0, "nonnegative")}
+_C1 = {"traj_c1": Entry("number", 2.0, "nonnegative")}
+KINDS = {
+    "zero": {"n": _N},
+    "ode-sin-forcing": {"a": _A, "omega": _A, "shift": Entry("number", 0.0),
+                        "axis": _AXIS, "n": _N},
+    "delayed-sin-forcing": {"a": _A, "omega": _A, "lag": Entry("number", 1.0),
+                            "h": Entry("number", None, "nonnegative"),
+                            "axis": _AXIS, **_C1, "n": _N},
+    "multi-delay": {"pairs": Entry("list", REQUIRED, (None, 2)),
+                    "h": Entry("number", None, "nonnegative")},
+    "sdd-tanh": {**_DELAY, **_C1},
+    "neutral-linear": {**_DELAY,
+                       "deriv_bound": Entry("number", 2.0, "nonnegative")},
+    "nested-abs": {"h": _H, "inner_shift": Entry("number", -0.5),
+                   "component": _DELAY["component"], **_C1},
+    "small-delay": {"model": Entry("string", "lin-saddle", tuple(MODELS)),
+                    "model_params": Entry("object", {}),
+                    "tau": Entry("number", 1.0), "h": _H,
+                    "eps_max": Entry("number", None, "nonnegative")},
+}
+PERTURBATION = {"kind": Entry("string", REQUIRED, tuple(KINDS)),
+                "parameters": Entry("object", {})}
 
 
 def spec_from_descriptor(desc):
-    """Build a shipped perturbation from its JSON descriptor."""
-    kind = desc.get("kind")
-    p = desc.get("parameters", {})
-    if not isinstance(p, dict):
-        raise ValueError(f"perturbation entry 'parameters' must be an "
-                         f"object, got {p!r}")
-    p = dict(p)
-
-    def param(name, default=_REQUIRED, cast=float):
-        # a null value reads as an absent one
-        value = p.get(name)
-        if value is None:
-            if default is _REQUIRED:
-                raise ValueError(f"descriptor kind {kind!r} is missing "
-                                 f"parameter {name!r}")
-            return default
-        label = f"descriptor kind {kind!r} parameter {name!r}"
-        # every entry of a list parameter too
-        for entry in np.asarray(value, dtype=object).ravel():
-            real_number(label, entry, finite=True)
-        try:
-            out = cast(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"{label} is not numeric: {value!r}") from None
-        if cast is int and out != value:
-            raise ValueError(f"{label} is not an integer: {value!r}")
-        # the int parameters index coordinates, counted from 0
-        if cast is int and out < 0:
-            raise ValueError(f"{label} must not be negative: {value!r}")
-        return out
+    """Build a shipped perturbation from its JSON descriptor, read
+    through :data:`PERTURBATION` and the kind's :data:`KINDS` table."""
+    d = check_entries(desc, PERTURBATION, "perturbation",
+                      "perturbation entry {!r}".format)
+    kind = d["kind"]
+    p = check_entries(d["parameters"], KINDS[kind],
+                      f"descriptor kind {kind!r} parameters",
+                      f"descriptor kind {kind!r} parameter {{!r}}".format)
 
     # every kind reads its output dimension off the state it is given
     if kind == "zero":
         return ode_term(lambda t, x: np.zeros_like(x), kind="zero", params=p)
 
     if kind == "ode-sin-forcing":
-        a = param("a")
-        omega = param("omega")
-        shift = param("shift", 0.0)
-        axis = param("axis", 1, int)
+        a, omega, shift, axis = p["a"], p["omega"], p["shift"], p["axis"]
 
         def g(t, x):
             out = np.zeros_like(x)
@@ -461,52 +463,37 @@ def spec_from_descriptor(desc):
                         params=p)
 
     if kind == "multi-delay":
-        pairs = param("pairs",
-                      cast=lambda v: [(float(s), float(w)) for s, w in v])
-        return multi_delay_advance(pairs, h=param("h", None), kind=kind,
-                                   params=p)
+        return multi_delay_advance(p["pairs"], h=p["h"], kind=kind, params=p)
 
     if kind == "delayed-sin-forcing":
         # sine of the delayed first coordinate on one slot; on a saddle
         # orbit this reads a*sin(omega*(t - lag)) and admits a closed
         # form response, which makes it the standard oracle scenario
-        a = param("a")
-        omega = param("omega")
-        lag = param("lag", 1.0)
-        h = param("h", max(1.0, lag))
-        axis = param("axis", 1, int)
+        a, omega, lag, axis = p["a"], p["omega"], p["lag"], p["axis"]
+        h = max(1.0, lag) if p["h"] is None else p["h"]
 
         def Q(t, y):
             out = np.zeros_like(y)
             out[:, axis] = a * np.sin(omega * y[:, 0])
             return out
 
-        def r(t, y):
-            return -lag
-
         return state_dependent_delay(
-            Q, r, h, r_bound=lag, lip_q=abs(a * omega), lip_r=0.0,
-            traj_c1=param("traj_c1", 2.0), kind=kind, params=p)
+            Q, lambda t, y: -lag, h, r_bound=lag, lip_q=abs(a * omega),
+            lip_r=0.0, traj_c1=p["traj_c1"], kind=kind, params=p)
 
+    h, comp = p["h"], p.get("component")
     if kind == "sdd-tanh":
-        h = param("h")
-        c0 = param("c0")
-        c1 = param("c1")
-        comp = param("component", 0, int)
+        c0, c1 = p["c0"], p["c1"]
 
         def r(t, x):
             return -(c0 + c1 * np.tanh(x[:, comp]))
 
         return state_dependent_delay(
             _id_q, r, h, r_bound=abs(c0) + abs(c1), lip_q=1.0, lip_r=abs(c1),
-            traj_c1=param("traj_c1", 2.0), kind=kind, params=p)
+            traj_c1=p["traj_c1"], kind=kind, params=p)
 
     if kind == "neutral-linear":
-        h = param("h")
-        c0 = param("c0")
-        c1 = param("c1")
-        comp = param("component", 0, int)
-        v_bound = param("deriv_bound", 2.0)
+        c0, c1, v_bound = p["c0"], p["c1"], p["deriv_bound"]
 
         def r(t, y):
             return -(c0 + c1 * y[:, comp])
@@ -516,35 +503,21 @@ def spec_from_descriptor(desc):
             lip_r=abs(c1), traj_c1=v_bound, kind=kind, params=p)
 
     if kind == "nested-abs":
-        h = param("h")
-        inner = param("inner_shift", -0.5)
-        comp = param("component", 0, int)
+        inner = p["inner_shift"]
 
         def r(t, x):
             return np.maximum(-h, -np.abs(x[:, comp]))
 
-        def r1(x):
-            return inner
-
-        return nested_delay(_id_q, r, r1, h, r_bound=h, r1_bound=abs(inner),
+        return nested_delay(_id_q, r, lambda x: inner, h, r_bound=h,
+                            r1_bound=abs(inner),
                             lip_q=1.0, lip_r=1.0, lip_r1=0.0,
-                            traj_c1=param("traj_c1", 2.0), kind=kind,
-                            params=p)
+                            traj_c1=p["traj_c1"], kind=kind, params=p)
 
-    if kind == "small-delay":
-        from .hyperbolic import builtin_model
-        model_params = p.get("model_params") or {}
-        if not isinstance(model_params, dict):
-            raise ValueError(f"descriptor kind {kind!r} parameter "
-                             f"'model_params' must be an object, got "
-                             f"{model_params!r}")
-        model = builtin_model(p.get("model", "lin-saddle"), model_params)
-        tau = param("tau", 1.0)
-        h = param("h")
-        return small_delay_q(model, [lambda t, seg: tau], h,
-                             tau_bounds=[abs(tau)],
-                             eps_max=param("eps_max",
-                                           h / max(abs(tau), 1e-12)),
-                             kind=kind, params=p)
-
-    raise ValueError(f"unknown perturbation kind {kind!r}")
+    # small-delay
+    model = builtin_model(p["model"], p["model_params"])
+    tau = p["tau"]
+    eps_max = h / max(abs(tau), 1e-12) if p["eps_max"] is None \
+        else p["eps_max"]
+    return small_delay_q(model, [lambda t, seg: tau], h,
+                         tau_bounds=[abs(tau)], eps_max=eps_max, kind=kind,
+                         params=p)

@@ -64,6 +64,14 @@ def write_scenario(tmp_path, name="scn.json", **over):
     return str(path), scn
 
 
+def interval_refusal(interval):
+    """Why a bad bounds_interval is refused: a value that is not finite
+    is named as in any number entry, a finite one out of order as such."""
+    return ("bounds_interval must be finite with a < b"
+            if all(map(math.isfinite, interval))
+            else "bounds_interval is not finite")
+
+
 # the benchmark's periodic-orbit frame and its operator settings
 FLOQUET = ({"mode": "floquet", "model": "planar-limit-cycle"},
            {"eta": 0.25, "window": 12.0, "delta": 0.2, "tol_eta": 1e-6})
@@ -94,11 +102,12 @@ class TestScenarioLoading:
         with pytest.raises(ValueError, match="perturbation"):
             cli.load_scenario(str(p))
         # the sections must be objects, in a file that holds an object
-        for bad, what in (([{"frame": {}}], "holds a list, not an object"),
+        for bad, what in (([{"frame": {}}],
+                           f"{p}: holds a list, not an object"),
                           (dict(scenario_dict(), frame=[]),
-                           "entry 'frame' must be an object, got a list")):
+                           "frame must be an object, got []")):
             p.write_text(json.dumps(bad))
-            with pytest.raises(ValueError, match=re.escape(f"{p}: {what}")):
+            with pytest.raises(ValueError, match=re.escape(what)):
                 cli.load_scenario(str(p))
 
     def test_missing_eps_rejected(self, tmp_path):
@@ -129,8 +138,19 @@ class TestScenarioLoading:
                                                             interval):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(scenario_dict(bounds_interval=interval)))
-        with pytest.raises(ValueError, match="finite with a < b"):
+        with pytest.raises(ValueError, match=interval_refusal(interval)):
             cli.load_scenario(str(p))
+
+    def test_repeated_key_is_exit_one(self, tmp_path, capsys):
+        # the later value used to win silently
+        path = tmp_path / "scn.json"
+        text = json.dumps(scenario_dict(out=str(tmp_path / "out")))
+        path.write_text(text[:-1] + ', "eps": 0.02}')
+        assert cli.main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"hypershadow: cannot read scenario: {path}: entry 'eps' appears "
+            f"twice"]
+        assert os.listdir(tmp_path) == ["scn.json"]
 
     def test_unreadable_scenario_exits_one(self, tmp_path):
         p = tmp_path / "nonsense.json"
@@ -231,7 +251,8 @@ class TestRunVerb:
         assert cli.main(["run", path]) == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
-        assert f"config key {key!r} is not a setting" in err
+        assert f"config: unknown entry {key!r}; it takes eta, window, " \
+            "delta, max_iters, tol_eta" in err
         assert "Traceback" not in err
         assert not os.path.exists(scn["out"])
 
@@ -305,12 +326,13 @@ class TestRunVerb:
          "frame parameter 'delta' is not numeric: True"),
         ("run", {"frame": {"mode": "floquet", "model": "planar-limit-cycle",
                            "parameters": {"delta": -0.01}}},
-         "frame parameter 'delta' must be positive, got -0.01"),
+         "frame parameter 'delta' must be at least 0.0001 and finite, got "
+         "-0.01"),
         ("run", {"perturbation": {"kind": "ode-sin-forcing",
                                   "parameters": {"a": 0.1, "omega": 1.0,
                                                  "axis": 1.7}}},
-         "descriptor kind 'ode-sin-forcing' parameter 'axis' is not an "
-         "integer: 1.7"),
+         "descriptor kind 'ode-sin-forcing' parameter 'axis' must be an "
+         "integer, got 1.7"),
         # 2T/delta = 479.9999995 is no whole number of cells: resolve
         # says so before compute, as every grid of the run would
         ("run", {"config": {"eta": 0.25, "window": 24.0,
@@ -327,8 +349,8 @@ class TestRunVerb:
                              "model": "planar-limit-cycle",
                              "parameters": {"delta": 1e-6}},
                    "eps": [0.01, 0.005, 0.0025]},
-         "frame parameter 'delta' must be at least 0.0001, at most 62832 "
-         "cells per period, got 1e-06"),
+         "frame parameter 'delta' must be at least 0.0001 and finite, got "
+         "1e-06"),
     ])
     def test_bad_number_fails_before_compute(self, tmp_path, capsys,
                                              monkeypatch, verb, over,
@@ -346,10 +368,11 @@ class TestRunVerb:
     @pytest.mark.parametrize("over, reason", [
         ({"frame": {"mode": "analytic", "model": "lin-saddle",
                     "parameters": [1]}},
-         "frame entry 'parameters' must be an object, got [1]"),
+         "frame: unknown entry 'parameters'; it takes mode, model, "
+         "lambda_s, lambda_u, cubic, rotation"),
         ({"frame": {"mode": "floquet", "model": "planar-limit-cycle",
                     "parameters": [1]}},
-         "frame entry 'parameters' must be an object, got [1]"),
+         "parameters must be an object, got [1]"),
         ({"perturbation": {"kind": "delayed-sin-forcing",
                            "parameters": [1]}},
          "perturbation entry 'parameters' must be an object, got [1]"),
@@ -359,26 +382,60 @@ class TestRunVerb:
          "an object, got [1]"),
         ({"frame": {"mode": "analytic", "model": "lin-saddle",
                     "rotation": [[0, 1], [1, 0]]}},
-         "rotation must be a 3 x 3 matrix, got shape (2, 2)"),
+         "rotation must be a list of 3 x 3 numbers, got [[0, 1], [1, 0]]"),
         ({"bounds_interval": 5},
-         "cannot read scenario: bounds_interval must be [a, b], got 5"),
+         "cannot read scenario: bounds_interval must be a list of 2 "
+         "numbers, got 5"),
         ({"out": 5},
-         "cannot read scenario: out must be a directory name, got 5"),
+         "cannot read scenario: out must be a non-empty string, got 5"),
         ({"out": ""},
-         "cannot read scenario: out must be a directory name, got ''"),
+         "cannot read scenario: out must be a non-empty string, got ''"),
         ({"perturbation": {"kind": "delayed-sin-forcing",
                            "parameters": {"a": 1.0, "omega": 2.0,
                                           "axis": -1}}},
-         "descriptor kind 'delayed-sin-forcing' parameter 'axis' must not "
-         "be negative: -1"),
+         "descriptor kind 'delayed-sin-forcing' parameter 'axis' must be "
+         "nonnegative, got -1"),
         ({"perturbation": {"kind": "sdd-tanh",
                            "parameters": {"h": 1.0, "c0": 0.5, "c1": 0.2,
                                           "component": -1}}},
-         "descriptor kind 'sdd-tanh' parameter 'component' must not be "
-         "negative: -1"),
+         "descriptor kind 'sdd-tanh' parameter 'component' must be "
+         "nonnegative, got -1"),
+        # a misspelled entry, or one in a second home, is no longer read
+        # as absent or overridden by another value
+        ({"perturbation": {"kind": "sdd-tanh",
+                           "parameters": {"h": 1.0, "c0": 0.5, "c1": 0.2,
+                                          "trac_c1": 3.0}}},
+         "descriptor kind 'sdd-tanh' parameters: unknown entry 'trac_c1'; "
+         "it takes h, c0, c1, component, traj_c1"),
+        ({"frame": {"mode": "analytic", "model": "lin-saddle",
+                    "lamda_s": 2.0}},
+         "frame: unknown entry 'lamda_s'; it takes mode, model, lambda_s, "
+         "lambda_u, cubic, rotation"),
+        ({"frame": {"mode": "analytic", "model": "lin-saddle",
+                    "quality": {"C_U": 1.0}}},
+         "frame: unknown entry 'quality'; it takes mode, model, lambda_s, "
+         "lambda_u, cubic, rotation"),
+        ({"perturbation": {"kind": "delayed-sin-forcing",
+                           "paramters": {"a": 1.0, "omega": 2.0}}},
+         "perturbation: unknown entry 'paramters'; it takes kind, "
+         "parameters"),
+        ({"config": dict(scenario_dict()["config"], eps=0.5)},
+         "config: unknown entry 'eps'; it takes eta, window, delta, "
+         "max_iters, tol_eta"),
+        ({"bounds_intreval": [-1.0, 1.0]},
+         "cannot read scenario: {path}: unknown entry 'bounds_intreval'; it "
+         "takes frame, perturbation, config, eps, out, bounds_interval, "
+         "seed"),
+        ({"perturbation": {"kind": "delayed-sin-forcing",
+                           "parameters": {"a": 1.0, "omega": 2.0, "n": 2}}},
+         "descriptor kind 'delayed-sin-forcing' parameter 'n' must be the "
+         "model dimension 3"),
     ], ids=["frame-parameters", "floquet-parameters",
             "perturbation-parameters", "model-params", "rotation-shape",
-            "bounds-interval", "out", "out-empty", "axis", "component"])
+            "bounds-interval", "out", "out-empty", "axis", "component",
+            "misspelled-parameter", "misspelled-frame-entry",
+            "frame-quality", "misspelled-parameters", "config-eps",
+            "misspelled-top-level-entry", "output-dimension"])
     def test_entry_of_the_wrong_type_or_range_is_exit_one(
             self, tmp_path, capsys, monkeypatch, over, reason):
         # named in one line before the operator runs; nothing is written,
@@ -389,7 +446,8 @@ class TestRunVerb:
         path, _ = write_scenario(tmp_path, **over)
         assert cli.main(["run", path]) == 1
         err = capsys.readouterr().err
-        assert err.strip().splitlines() == [f"hypershadow: {reason}"]
+        assert err.strip().splitlines() == [
+            f"hypershadow: {reason.format(path=path)}"]
         assert os.listdir(tmp_path) == ["scn.json"]
 
     def test_floquet_step_too_coarse_for_the_orbit_names_the_step(
@@ -438,7 +496,7 @@ class TestRunVerb:
         assert cli.main(["run", path]) == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
-        assert "bounds_interval must be finite with a < b" in err
+        assert interval_refusal(interval) in err
         assert not os.path.exists(scn["out"])
 
     def test_unknown_perturbation_is_descriptor_failure(self, tmp_path):
@@ -805,7 +863,7 @@ class TestVerifyVerb:
         assert cli.main(["verify", path, linear_run["out"]]) == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
-        assert "bounds_interval must be finite with a < b" in err
+        assert interval_refusal(interval) in err
         assert not os.path.exists(scn["out"])
 
     def test_non_finite_time_change_is_exit_one(self, tmp_path, capsys,
@@ -846,13 +904,14 @@ class TestVerifyVerb:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda m: [m], "holds a list, not an object"),
-        (lambda m: dict(m, s_radii=[0.5, None]), "entry 's_radii': "),
+        (lambda m: dict(m, s_radii=[0.5, None]),
+         "entry 's_radii' is not numeric: None"),
         (lambda m: dict(m, delta="0.1"),
-         "entry 'delta' must be a number, got a string"),
+         "entry 'delta' is not numeric: '0.1'"),
         (lambda m: {k: v for k, v in m.items() if k != "window"},
          "missing entry 'window'"),
         (lambda m: dict(m, interp_order="5"),
-         "entry 'interp_order' must be a number, got a string"),
+         "entry 'interp_order' must be an integer, got '5'"),
         # out-of-range geometry is the record's fault, not a grid file's
         (lambda m: dict(m, window=0),
          "entry 'window' must be positive and finite, got 0"),
@@ -863,13 +922,15 @@ class TestVerifyVerb:
         (lambda m: dict(m, delta=math.nan),
          "entry 'delta' must be positive and finite, got nan"),
         (lambda m: dict(m, interp_order=2),
-         "entry 'interp_order' must be an integer of at least 3, got 2"),
+         "entry 'interp_order' must be at least 3, got 2"),
         (lambda m: dict(m, interp_order=4.5),
-         "entry 'interp_order' must be an integer of at least 3, got 4.5"),
+         "entry 'interp_order' must be an integer, got 4.5"),
+        (lambda m: dict(m, window=10 ** 400),
+         "entry 'window' is too large for a float"),
     ], ids=["list", "radii", "delta-string", "no-window",
             "interp-order-string", "window-zero", "delta-negative",
             "delta-inf", "delta-nan", "interp-order-low",
-            "interp-order-fraction"])
+            "interp-order-fraction", "window-too-large"])
     def test_malformed_state_file_is_exit_one(self, tmp_path, capsys,
                                               monkeypatch, linear_run,
                                               edit, message):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -147,8 +148,8 @@ class TestSaddleFrame:
         rotation = random_rotation(3)
         fr = saddle_frame(lam_s=1.2, lam_u=0.9, rotation=rotation)
         desc = {"mode": "analytic", "model": "lin-saddle",
-                "parameters": {"lambda_s": 1.2, "lambda_u": 0.9,
-                               "rotation": rotation.tolist()}}
+                "lambda_s": 1.2, "lambda_u": 0.9,
+                "rotation": rotation.tolist()}
         fr2 = frame_from_descriptor(desc)
         assert np.abs(fr2.proj_batch([0.7])[1][0]
                       - fr.proj_batch([0.7])[1][0]).max() <= 1e-12
@@ -423,7 +424,9 @@ class TestDescriptors:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
             builtin_model("does-not-exist")
-        with pytest.raises(ValueError, match="no analytic splitting"):
+        with pytest.raises(ValueError, match=re.escape(
+                "model must be one of lin-saddle, saddle-cubic, got "
+                "'planar-limit-cycle'")):
             analytic_frame({"model": "planar-limit-cycle"})
 
 

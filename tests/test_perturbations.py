@@ -706,7 +706,8 @@ class TestDescriptors:
             assert spec.kind == desc["kind"]
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown perturbation kind"):
+        with pytest.raises(ValueError, match="perturbation entry 'kind' "
+                                             "must be one of zero, "):
             spec_from_descriptor({"kind": "nope", "parameters": {}})
 
     @pytest.mark.parametrize("kind,params,says", [
@@ -722,9 +723,9 @@ class TestDescriptors:
          "parameter 'pairs' is not finite: inf"),
         # a null value reads as an absent one
         ("sdd-tanh", {"h": None, "c0": 0.5, "c1": 0.2},
-         "is missing parameter 'h'"),
+         "parameters: missing entry 'h'"),
         ("ode-sin-forcing", {"a": 1.0, "omega": 1.0, "axis": 1.7},
-         "parameter 'axis' is not an integer: 1.7"),
+         "parameter 'axis' must be an integer, got 1.7"),
     ])
     def test_bad_parameter_names_kind_and_parameter(self, kind, params,
                                                     says):
