@@ -11,7 +11,6 @@ the functional equation, not just to the numerical fixed point.
 
 import numpy as np
 
-from hypershadow.funcspace import WeightParam
 from hypershadow.hyperbolic import analytic_frame
 from hypershadow.invariance import (OperatorConfig, aposteriori_bounds,
                                     iterate)
@@ -34,7 +33,7 @@ def perturbation():
 def main():
     fr = analytic_frame({"model": "saddle-cubic", "lambda_s": 1.0,
                          "lambda_u": 1.0, "cubic": (0.4, -0.3)})
-    cfg = OperatorConfig(eta=WeightParam(0.25), window=24.0, eps=1e-2,
+    cfg = OperatorConfig(eta=0.25, window=24.0, eps=1e-2,
                          delta=0.1, tol_eta=1e-8)
     final, report = iterate(fr, perturbation(), cfg)
     print(f"converged={report.converged} iterations={report.iterations}")

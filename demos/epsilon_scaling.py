@@ -11,7 +11,6 @@ few parts in a thousand of 1.
 
 import numpy as np
 
-from hypershadow.funcspace import WeightParam
 from hypershadow.hyperbolic import (analytic_frame, builtin_model,
                                     floquet_frame, unit_circle_orbit)
 from hypershadow.invariance import OperatorConfig, iterate
@@ -33,7 +32,7 @@ def sdd_scenario():
     spec = state_dependent_delay(
         Q, lambda t, y: -0.8 + 0.15 * np.sin(y[:, 1]), h=1.0, r_bound=0.95,
         lip_q=0.8 * 1.4, lip_r=0.15, traj_c1=1.3)
-    cfg = lambda eps: OperatorConfig(eta=WeightParam(0.25), window=24.0,
+    cfg = lambda eps: OperatorConfig(eta=0.25, window=24.0,
                                      eps=eps, delta=0.1, tol_eta=1e-8)
     return fr, spec, cfg
 
@@ -49,7 +48,7 @@ def neutral_scenario():
     spec = neutral_delay(Q, lambda t, y: -0.6 + 0.15 * np.sin(y[:, 1]),
                          h=1.0, r_bound=0.75, lip_q=0.7, lip_r=0.15,
                          traj_c1=1.3)
-    cfg = lambda eps: OperatorConfig(eta=WeightParam(0.25), window=24.0,
+    cfg = lambda eps: OperatorConfig(eta=0.25, window=24.0,
                                      eps=eps, delta=0.1, tol_eta=1e-8)
     return fr, spec, cfg
 
@@ -61,7 +60,7 @@ def small_delay_scenario():
         {"kind": "small-delay",
          "parameters": {"model": "planar-limit-cycle", "tau": 1.0,
                         "h": 1.0}})
-    cfg = lambda eps: OperatorConfig(eta=WeightParam(0.25), window=12.0,
+    cfg = lambda eps: OperatorConfig(eta=0.25, window=12.0,
                                      eps=eps, delta=0.2, tol_eta=1e-6)
     return fr, spec, cfg
 

@@ -14,7 +14,6 @@ against that formula over the core window.
 
 import numpy as np
 
-from hypershadow.funcspace import WeightParam
 from hypershadow.hyperbolic import analytic_frame
 from hypershadow.invariance import OperatorConfig, iterate, residual_fde
 from hypershadow.perturbations import state_dependent_delay
@@ -40,7 +39,7 @@ def closed_form(rho):
 def main():
     fr = analytic_frame({"model": "lin-saddle",
                          "lambda_s": 1.0, "lambda_u": 1.0})
-    cfg = OperatorConfig(eta=WeightParam(0.25), window=24.0, eps=EPS,
+    cfg = OperatorConfig(eta=0.25, window=24.0, eps=EPS,
                          delta=0.05, tol_eta=1e-8)
     print(f"forcing a={A} omega={OMEGA} eps={EPS}")
     final, report = iterate(fr, forcing(A, OMEGA), cfg)

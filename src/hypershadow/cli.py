@@ -8,14 +8,14 @@ list of eps values and fits the first-order response slope; ``verify``
 re-certifies a stored state (see :func:`save_state`) by applying the
 operator once.
 
-Exit codes: 0 success, 1 scenario or descriptor failure, including a
-run that reaches past the bounds its descriptors declare and a saved
-state with a malformed file or a value that is not finite (nothing is
-written), 2 divergence, or a converged ``run`` or a ``verify`` whose
-contraction estimate kappa is at or above 1, 3 an iterate leaving its
-declared ball, 4 a numerical failure: a non-finite value entering the
-operator or a time-change flow failing its checks. A failed run or
-verify writes no output directory.
+Exit codes: 0 success, 1 a usage error or a scenario or descriptor
+failure, including a run that reaches past the bounds its descriptors
+declare and a saved state with a malformed file or a value that is not
+finite (nothing is written), 2 divergence, or a converged ``run`` or a
+``verify`` whose contraction estimate kappa is at or above 1, 3 an
+iterate leaving its declared ball, 4 a numerical failure: a non-finite
+value entering the operator or a time-change flow failing its checks. A
+failed run or verify writes no output directory.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class Scenario:
     seed: int
     bounds_interval: tuple
 
-    def resolve(self, eps=None, max_iters=None):
+    def resolve(self, eps=None):
         """Build (frame, spec, cfg); raises on any descriptor problem."""
         fr = frame_from_descriptor(self.frame)
         spec = spec_from_descriptor(self.perturbation)
@@ -87,8 +87,6 @@ class Scenario:
         if isinstance(eps, list):
             raise ValueError("this verb needs a single eps; use sweep "
                              "for lists")
-        if max_iters is not None:
-            cfg_kw["max_iters"] = int(max_iters)
         cfg = OperatorConfig(eps=eps, **cfg_kw)
         # eta below the hyperbolicity rates and a usable core window,
         # checked before any compute happens
@@ -298,9 +296,9 @@ def _run_one(scn, fr, spec, cfg, out, quiet, prefix="", run=None):
     return 0, state, report
 
 
-def cmd_run(scn, max_iters=None, quiet=False):
+def cmd_run(scn, quiet=False):
     try:
-        fr, spec, cfg = scn.resolve(max_iters=max_iters)
+        fr, spec, cfg = scn.resolve()
     except Exception as exc:
         _complain(str(exc))
         return 1
@@ -323,11 +321,11 @@ def _dyadic_eps_list(eps):
     return vals
 
 
-def cmd_sweep(scn, max_iters=None, quiet=False):
+def cmd_sweep(scn, quiet=False):
     try:
         eps_list = _dyadic_eps_list(scn.eps)
         # frame, spec and geometry do not depend on eps: resolve once
-        fr, spec, cfg = scn.resolve(eps=eps_list[0], max_iters=max_iters)
+        fr, spec, cfg = scn.resolve(eps=eps_list[0])
     except Exception as exc:
         _complain(str(exc))
         return 1
@@ -384,9 +382,9 @@ def cmd_sweep(scn, max_iters=None, quiet=False):
     return 0
 
 
-def cmd_verify(scn, state_dir, max_iters=None, quiet=False):
+def cmd_verify(scn, state_dir, quiet=False):
     try:
-        fr, spec, cfg = scn.resolve(max_iters=max_iters)
+        fr, spec, cfg = scn.resolve()
         state = load_state(state_dir)
         check_state_grid(state, fr, cfg)
     except Exception as exc:
@@ -433,8 +431,18 @@ def cmd_verify(scn, state_dir, max_iters=None, quiet=False):
 # -- entry point ------------------------------------------------------------
 
 
+def _usage_error(parser, message):
+    """argparse's error hook: ``main`` reports a usage error in one line
+    and exit 1; argparse's usage block and exit 2 read as a divergence."""
+    raise argparse.ArgumentError(None, message)
+
+
+class _Parser(argparse.ArgumentParser):
+    error = _usage_error
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypershadow",
         description="Construct and certify corrections of hyperbolic "
                     "orbits under functional perturbations.")
@@ -445,12 +453,13 @@ def main(argv=None):
         if verb == "verify":
             p.add_argument("state_dir", help="directory holding a saved state")
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--max-iters", type=int, default=None)
         p.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         scn = load_scenario(args.scenario)
+    except argparse.ArgumentError as exc:
+        _complain(str(exc))
+        return 1
     except Exception as exc:
         _complain(f"cannot read scenario: {exc}")
         return 1
@@ -458,11 +467,10 @@ def main(argv=None):
         scn = replace(scn, out=args.out)
 
     if args.verb == "run":
-        return cmd_run(scn, max_iters=args.max_iters, quiet=args.quiet)
+        return cmd_run(scn, quiet=args.quiet)
     if args.verb == "sweep":
-        return cmd_sweep(scn, max_iters=args.max_iters, quiet=args.quiet)
-    return cmd_verify(scn, args.state_dir, max_iters=args.max_iters,
-                      quiet=args.quiet)
+        return cmd_sweep(scn, quiet=args.quiet)
+    return cmd_verify(scn, args.state_dir, quiet=args.quiet)
 
 
 if __name__ == "__main__":

@@ -257,8 +257,7 @@ class ChargeSystem:
     """
 
     def __init__(self, trajectories, masses, charges, epsilon,
-                 xi1=0.5, xi2=0.1, pair_force=None, external=None,
-                 name="charges"):
+                 xi1=0.5, xi2=0.1, pair_force=None, external=None):
         self.trajectories = tuple(trajectories)
         if not self.trajectories:
             raise ValueError("need at least one particle")
@@ -283,7 +282,6 @@ class ChargeSystem:
             raise ValueError("xi2 must be positive")
         self.pair_force = pair_force if pair_force is not None else softened_coulomb()
         self.external = external
-        self.name = str(name)
 
     @property
     def N(self):
@@ -315,7 +313,7 @@ def charge_system_from_descriptor(desc):
         with open(desc) as fh:
             desc = json.load(fh)
     trajs = [trajectory_from_descriptor(d) for d in desc["trajectories"]]
-    fdesc = dict(desc.get("force", {"id": "softened-coulomb"}))
+    fdesc = dict(desc.get("force", {}))
     fid = fdesc.pop("id", "softened-coulomb")
     if fid == "softened-coulomb":
         force = softened_coulomb(**fdesc)
@@ -323,8 +321,7 @@ def charge_system_from_descriptor(desc):
         raise ValueError(f"unknown force model id {fid!r}")
     return ChargeSystem(trajs, desc["masses"], desc["charges"],
                         desc["epsilon"], xi1=desc.get("xi1", 0.5),
-                        xi2=desc.get("xi2", 0.1), pair_force=force,
-                        name=desc.get("name", "charges"))
+                        xi2=desc.get("xi2", 0.1), pair_force=force)
 
 
 # -- the delay solver ------------------------------------------------------
@@ -532,11 +529,11 @@ class ExpansionReport:
         return self.passed
 
 
-def expansion_order_sweep(qi, qj, eps_values, window=8.0, delta=0.1):
+def expansion_order_sweep(qi, qj, eps_values):
     """Dyadic eps sweep of the expansion gap with a log-log slope fit.
 
-    A slope at or above 2.7 certifies the cubic remainder in the
-    two-term delay expansion.
+    A slope at or above 2.7 on DelayField.solve's default grid
+    certifies the cubic remainder in the two-term delay expansion.
     """
     eps_values = tuple(float(e) for e in eps_values)
     if len(eps_values) < 2:
@@ -545,7 +542,7 @@ def expansion_order_sweep(qi, qj, eps_values, window=8.0, delta=0.1):
         raise ValueError("eps values must be positive")
     devs = []
     for eps in eps_values:
-        fld = DelayField.solve(qi, qj, eps, window=window, delta=delta)
+        fld = DelayField.solve(qi, qj, eps)
         devs.append(delay_expansion_check(fld, qi, qj, eps))
     if max(devs) <= 10.0 * _DEFECT_TOL:
         # gap at solver noise for every eps: the expansion is exact here
@@ -653,8 +650,7 @@ def _cone_states(seg, y0, eps, here, there, sign):
     return stack.eval(sign * tau).reshape(-1, k, y0.shape[1])
 
 
-def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
-                                 mixing=1.0, lip_x=None):
+def assemble_charge_perturbation(sys, h=1.0, window=8.0, mixing=1.0):
     """Wrap the delayed pair forces into a functional on y = (q, dq).
 
     The returned spec evaluates the full first-order field: the velocity
@@ -667,18 +663,23 @@ def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
     number of charges, plus the present-state read and one read of
     every partner state. eps = 0 collapses exactly to the
     instantaneous-force right-hand side, and a negative eps raises. The
-    force is called as ``force(ci, cj, qi, vi, qj, vj)`` with scalar
-    charges and (k, d) rows, the external field as ``external(ts, q, v)``
-    with base times (k,); both return (k, d). The mixing weight is
-    exposed because the equations accept any convex combination; no
-    particular value is endorsed here. The declared time Lipschitz
-    constant L1 is 0.
+    force, the system's ``pair_force``, is called as
+    ``force(ci, cj, qi, vi, qj, vj)`` with scalar charges and (k, d)
+    rows, the external field as ``external(ts, q, v)`` with base times
+    (k,); both return (k, d). The mixing weight is exposed because the
+    equations accept any convex combination; no particular value is
+    endorsed here. The declared Lipschitz constants are L1 = 0 and L2
+    from the force's ``lip_bound``.
 
-    Raises when the system fails its own margins on the window or when
-    the worst-case delay bound eps * sup distance / (1 - kappa) exceeds
-    the history radius ``h``.
+    Raises when the force declares no ``lip_bound``, when the system
+    fails its own margins on the window or when the worst-case delay
+    bound eps * sup distance / (1 - kappa) exceeds the history radius
+    ``h``.
     """
-    force = force if force is not None else sys.pair_force
+    force = sys.pair_force
+    lb = getattr(force, "lip_bound", None)
+    if lb is None:
+        raise ValueError("the pair force declares no lip_bound")
     mixing = float(mixing)
     if not (0.0 <= mixing <= 1.0):
         raise ValueError("mixing weight must lie in [0, 1]")
@@ -706,15 +707,10 @@ def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
             raise ValueError(
                 f"delay bound {bound:.3g} exceeds history radius {h:g}")
 
-    if lip_x is None:
-        lb = getattr(force, "lip_bound", None)
-        if lb is None:
-            raise ValueError("pass lip_x explicitly for a custom force model")
-        # velocity pass-through plus the worst force row over partners
-        rows = [sum(abs(sys.charges[i] * sys.charges[j])
-                    for j in range(N) if j != i) * lb / sys.masses[i]
-                for i in range(N)]
-        lip_x = 1.0 + max(rows)
+    # velocity pass-through plus the worst force row over partners
+    rows = [sum(abs(sys.charges[i] * sys.charges[j])
+                for j in range(N) if j != i) * lb / sys.masses[i]
+            for i in range(N)]
 
     masses = np.asarray(sys.masses)
     charges = np.asarray(sys.charges)
@@ -763,5 +759,5 @@ def assemble_charge_perturbation(sys, force=None, h=1.0, window=8.0,
     params = {"N": N, "dim": d, "epsilon": eps0, "mixing": mixing,
               "force": getattr(force, "force_id", "custom")}
     return PerturbationSpec(h=float(h), evaluate=evaluate,
-                            L1=0.0, L2=float(lip_x),
+                            L1=0.0, L2=float(1.0 + max(rows)),
                             kind="charge-system", params=params)

@@ -343,13 +343,12 @@ def composite_factor(eta, t0, t1, h):
     return math.exp(t1 * h) * math.expm1(eta * q * h) / (eta * q)
 
 
-def flow_difference_eta(X, Y, weight):
+def flow_difference_eta(X, Y, eta):
     """Weighted distance of the inverse flows against its a-priori bound.
 
     Returns (lhs, rhs) with lhs = ||phi_inv - psi_inv||_eta and
     rhs = ||X - Y||_eta times :func:`inverse_flow_factor`, t_0 the larger
-    of the two ball radii and eta = weight.eta (a WeightParam). Raises if
-    the bound fails beyond rounding.
+    of the two ball radii. Raises if the bound fails beyond rounding.
     """
     X.xhat._check_compatible(Y.xhat)
     t0 = max(X.t0, Y.t0)
@@ -358,24 +357,23 @@ def flow_difference_eta(X, Y, weight):
     R = min(flX.phi_inv.half_width, flY.phi_inv.half_width)
     gx = flX.phi_inv.restrict(R)
     gy = flY.phi_inv.restrict(R)
-    lhs = (gx - gy).norm_razumikhin(weight)
-    rhs = (X.xhat - Y.xhat).norm_razumikhin(weight) \
-        * inverse_flow_factor(weight.eta, t0)
+    lhs = (gx - gy).norm_razumikhin(eta)
+    rhs = (X.xhat - Y.xhat).norm_razumikhin(eta) \
+        * inverse_flow_factor(eta, t0)
     if lhs > rhs + 1e-12:
         raise RuntimeError(
             f"inverse-flow difference bound violated: {lhs:.3e} > {rhs:.3e}")
     return lhs, rhs
 
 
-def composite_difference_eta(X, Y, h, weight, rho_count=41, s_count=21):
+def composite_difference_eta(X, Y, h, eta, rho_count=41, s_count=21):
     """Weighted sup over rho of max_s |alpha(rho,s) - beta(rho,s)| and its bound.
 
     The bound is z ||X - Y||_eta with z the :func:`composite_factor`,
-    where t_0, t_1 come from the larger of the two balls and
-    eta = weight.eta (a WeightParam). Returns (lhs, rhs, z).
+    where t_0, t_1 come from the larger of the two balls. Returns
+    (lhs, rhs, z).
     """
     X.xhat._check_compatible(Y.xhat)
-    eta = weight.eta
     t0 = max(X.t0, Y.t0)
     t1 = max(X.ball.c[1], Y.ball.c[1])
     T = X.xhat.half_width
@@ -399,5 +397,5 @@ def composite_difference_eta(X, Y, h, weight, rho_count=41, s_count=21):
     gaps = np.abs(alpha(flX) - alpha(flY)).max(axis=1)
     lhs = float((gaps * np.exp(-eta * np.abs(rhos))).max())
     z = composite_factor(eta, t0, t1, h)
-    rhs = z * (X.xhat - Y.xhat).norm_razumikhin(weight)
+    rhs = z * (X.xhat - Y.xhat).norm_razumikhin(eta)
     return lhs, rhs, z

@@ -25,7 +25,6 @@ __all__ = [
     "GridSampler",
     "CellTable",
     "BallRadii",
-    "WeightParam",
     "BallReport",
     "ball_membership",
     "fd_weights",
@@ -346,8 +345,8 @@ class GridFunction:
         steps = np.linalg.norm(np.diff(g.values, axis=0), axis=1)
         return float(steps.max() / self.delta)
 
-    def norm_razumikhin(self, weight, core_half=None):
-        """sup over nodes of |g(rho)| exp(-eta |rho|), eta = weight.eta.
+    def norm_razumikhin(self, eta, core_half=None):
+        """sup over nodes of |g(rho)| exp(-eta |rho|), eta the weight rate.
 
         With ``core_half`` only the nodes with |rho| <= core_half count.
         They are picked from this grid's own nodes, not by ``restrict``,
@@ -358,7 +357,7 @@ class GridFunction:
             keep = np.abs(nodes) <= core_half + 1e-12
             nodes, vals = nodes[keep], vals[keep]
         mags = np.linalg.norm(vals, axis=1)
-        return float((mags * np.exp(-weight.eta * np.abs(nodes))).max())
+        return float((mags * np.exp(-eta * np.abs(nodes))).max())
 
     # -- arithmetic -------------------------------------------------------
 
@@ -527,16 +526,6 @@ class BallRadii:
     @property
     def ell(self):
         return len(self.c) - 2
-
-
-@dataclass(frozen=True)
-class WeightParam:
-    """Exponential weight rate eta > 0 of the weighted sup norm."""
-
-    eta: float
-
-    def __post_init__(self):
-        Entry("number", range="positive").check("eta", self.eta)
 
 
 @dataclass(frozen=True)

@@ -648,7 +648,7 @@ def _fit_rate(gaps, norms):
 
 # -- builtin models -----------------------------------------------------
 
-def _saddle_model(lam_s, lam_u, cubic=(0.0, 0.0), rotation=None):
+def _saddle_model(name, lambda_s, lambda_u, rotation, cubic=(0.0, 0.0)):
     c2, c3 = float(cubic[0]), float(cubic[1])
     Q = None if rotation is None else np.asarray(rotation, dtype=float)
 
@@ -656,14 +656,14 @@ def _saddle_model(lam_s, lam_u, cubic=(0.0, 0.0), rotation=None):
     def fb(x):
         out = np.empty(x.shape)
         out[:, 0] = 1.0
-        out[:, 1] = -lam_s * x[:, 1] + c2 * x[:, 1] ** 3
-        out[:, 2] = lam_u * x[:, 2] + c3 * x[:, 2] ** 3
+        out[:, 1] = -lambda_s * x[:, 1] + c2 * x[:, 1] ** 3
+        out[:, 2] = lambda_u * x[:, 2] + c3 * x[:, 2] ** 3
         return out
 
     def dfb(x):
         out = np.zeros((x.shape[0], 3, 3))
-        out[:, 1, 1] = -lam_s + 3.0 * c2 * x[:, 1] ** 2
-        out[:, 2, 2] = lam_u + 3.0 * c3 * x[:, 2] ** 2
+        out[:, 1, 1] = -lambda_s + 3.0 * c2 * x[:, 1] ** 2
+        out[:, 2, 2] = lambda_u + 3.0 * c3 * x[:, 2] ** 2
         return out
 
     def d2fb(x):
@@ -687,9 +687,8 @@ def _saddle_model(lam_s, lam_u, cubic=(0.0, 0.0), rotation=None):
         def d2f(ys):
             return np.einsum("ia,pabc,jb,kc->pijk", Q, d2fb(ys @ Q), Q, Q)
 
-    name = "saddle-cubic" if (c2 or c3) else "lin-saddle"
-    params = {"lambda_s": lam_s, "lambda_u": lam_u}
-    if c2 or c3:
+    params = {"lambda_s": lambda_s, "lambda_u": lambda_u}
+    if name == "saddle-cubic":
         params["cubic"] = [c2, c3]
     if Q is not None:
         params["rotation"] = Q.tolist()
@@ -724,14 +723,13 @@ def _limit_cycle_model():
                     params={})
 
 
-# the entries of each built-in model
-_SADDLE = {
-    "lambda_s": Entry("number", 1.0),
-    "lambda_u": Entry("number", 1.0),
-    "cubic": Entry("list", [0.0, 0.0], (2,)),
-    "rotation": Entry("list", None, (3, 3)),
-}
-MODELS = {"lin-saddle": _SADDLE, "saddle-cubic": _SADDLE,
+# the entries of each built-in model: the cubic saddle is the only one
+# with cubic coefficients, and it must declare them
+_RATES = {"lambda_s": Entry("number", 1.0), "lambda_u": Entry("number", 1.0)}
+_ROTATION = {"rotation": Entry("list", None, (3, 3))}
+MODELS = {"lin-saddle": {**_RATES, **_ROTATION},
+          "saddle-cubic": {**_RATES, "cubic": Entry("list", REQUIRED, (2,)),
+                           **_ROTATION},
           "planar-limit-cycle": {}}
 
 
@@ -744,8 +742,7 @@ def builtin_model(name, params=None):
     p = check_entries(params or {}, MODELS[name], f"model {name!r}")
     if name == "planar-limit-cycle":
         return _limit_cycle_model()
-    # a saddle's entries are the arguments of _saddle_model, in order
-    return _saddle_model(*p.values())
+    return _saddle_model(name, **p)
 
 
 # bounds of the step of the stored unit-circle orbit. Its degree-5
@@ -776,10 +773,14 @@ def unit_circle_orbit(delta=0.01):
 
 def analytic_frame(descriptor):
     """Frame from a closed-form descriptor: the entries of
-    ``FRAMES["analytic"]``, a saddle model and its parameters. The
-    frame's invariants are verified on construction."""
-    d = check_entries(descriptor, FRAMES["analytic"], "frame")
-    model = _saddle_model(*(d[key] for key in _SADDLE))
+    ``FRAMES["analytic"]`` and of the saddle its ``model`` names
+    (:data:`MODELS`). The frame's invariants are verified on construction."""
+    head = FRAMES["analytic"]
+    name = descriptor.get("model")
+    name = head["model"].default if name is None \
+        else head["model"].check("model", name)
+    d = check_entries(descriptor, {**head, **MODELS[name]}, "frame")
+    model = _saddle_model(name, **{key: d[key] for key in MODELS[name]})
     frame = AnalyticFrame(model, [d["lambda_s"]], [d["lambda_u"]],
                           rotation=d["rotation"])
     report = verify_frame(frame)
@@ -939,13 +940,12 @@ def verify_frame(fr):
         declared=q, failures=failures)
 
 
-# the entries of a scenario's frame, by mode: an analytic frame holds
-# its model's entries, a floquet frame the step of its stored orbit
+# the entries of a scenario's frame by mode, an analytic frame's beside
+# those of its model (MODELS); a floquet frame holds its orbit's step
 FRAMES = {
     "analytic": {"mode": Entry("string", "analytic", ("analytic",)),
                  "model": Entry("string", "lin-saddle",
-                                ("lin-saddle", "saddle-cubic")),
-                 **_SADDLE},
+                                ("lin-saddle", "saddle-cubic"))},
     "floquet": {"mode": Entry("string", REQUIRED, ("floquet",)),
                 "model": Entry("string", "planar-limit-cycle",
                                ("planar-limit-cycle",)),

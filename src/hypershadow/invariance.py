@@ -31,7 +31,7 @@ from .flows import (Flow, FlowGuardError, NumericalError, ScalarField,
                     composite_factor, flow_cells, inverse_flow_factor,
                     solve_flow)
 from .funcspace import (REQUIRED, BallRadii, Entry, GridFunction,
-                        GridSampler, WeightParam, ball_membership,
+                        GridSampler, ball_membership,
                         check_entries, json_text, lattice, write_lines)
 from .perturbations import HistorySegment
 
@@ -86,7 +86,7 @@ class OperatorConfig:
     joints. The fields read through :data:`CONFIG` and :data:`EPS`.
     """
 
-    eta: WeightParam
+    eta: float
     window: float
     eps: float
     delta: float = CONFIG["delta"].default
@@ -94,11 +94,9 @@ class OperatorConfig:
     tol_eta: float = CONFIG["tol_eta"].default
 
     def __post_init__(self):
-        eta = self.eta.eta if isinstance(self.eta, WeightParam) else self.eta
-        values = check_entries(dict(vars(self), eta=eta),
-                               dict(CONFIG, eps=EPS), "config")
+        values = check_entries(vars(self), dict(CONFIG, eps=EPS), "config")
         # frozen: the checked values go in past __setattr__
-        vars(self).update(values, eta=WeightParam(values["eta"]))
+        vars(self).update(values)
         if not self.delta < self.window:
             raise ValueError("delta must be below the window")
 
@@ -132,9 +130,9 @@ def resolve_geometry(cfg, fr, h, t0):
     """
     q = fr.quality
     lam_min = q.lam_min
-    if not (cfg.eta.eta < lam_min):
+    if not (cfg.eta < lam_min):
         raise ValueError(
-            f"weight rate {cfg.eta.eta} must stay below the hyperbolicity "
+            f"weight rate {cfg.eta} must stay below the hyperbolicity "
             f"rates (min rate {lam_min})")
     quad = cfg.delta / 2.0
     lattice(cfg.window, cfg.delta)
@@ -233,8 +231,7 @@ def check_state_grid(state, fr, cfg):
 
 
 def distance_components(a, b, eta, core_half=None):
-    """The five eta-norm pieces of the contraction metric, as a dict;
-    ``eta`` is the WeightParam of the norm."""
+    """The five eta-norm pieces of the contraction metric, as a dict."""
     pieces = {
         "E_c": b.X.xhat - a.X.xhat,
         "E_s": b.xs - a.xs,
@@ -698,7 +695,7 @@ def iterate(fr, spec, cfg, initial=None, _run=None):
         e_eta=e_eta,
         tail_s=final_defects["tail_s"],
         tail_u=final_defects["tail_u"],
-        eta=cfg.eta.eta,
+        eta=cfg.eta,
         eps=cfg.eps,
         core_half=run.geo.core_half,
         history=tuple(history),
@@ -784,7 +781,7 @@ def aposteriori_bounds(e_eta, state, cfg, interval, kappa_hat):
     if not (b > a):
         raise ValueError("interval must be nondegenerate")
     delta = max(abs(a), abs(b))
-    eta = cfg.eta.eta
+    eta = cfg.eta
     M = _INTERP_M
     amp = e_eta / (1.0 - kappa_hat)
     rows = []
@@ -874,7 +871,7 @@ def contraction_constants(fr, spec, cfg, radii, norms=None):
     f_c0, f_c1, f_c2, f_c3, varphi_sup = (
         float(norms[k]) for k in ("f_c0", "f_c1", "f_c2", "f_c3",
                                   "varphi_sup"))
-    eta = cfg.eta.eta
+    eta = cfg.eta
     eps = cfg.eps
     h, L1, L2 = spec.h, spec.L1, spec.L2
     t0, t1 = t_ball.c[0], t_ball.c[1]
@@ -1039,7 +1036,7 @@ def varphi_difference_probe(fr, spec, cfg, state_v, state_w):
         bases = vs if st.X.sup_deviation() == 0.0 else flow.phi_inv.eval1(vs)
         vals.append(_varphi_batch(fr, st, spec, flow, vs, bases, 0.0))
     mags = np.linalg.norm(vals[0] - vals[1], axis=1)
-    lhs = float((mags * np.exp(-eta.eta * np.abs(nodes[keep]))).max())
+    lhs = float((mags * np.exp(-eta * np.abs(nodes[keep]))).max())
     consts = contraction_constants(fr, spec, cfg, state_v.radii)
     dx = (state_v.xs - state_w.xs + (state_v.xu - state_w.xu)) \
         .norm_razumikhin(eta, core_half)

@@ -227,9 +227,20 @@ def neutral_delay(Q, r, h, r_bound=None, lip_q=1.0, lip_r=1.0, traj_c1=1.0,
                             kind=kind, params=dict(params or {}))
 
 
+# the 8-point Gauss-Legendre rule on [-1, 1], leggauss(8) bit for bit;
+# stored, so that building a small-delay spec loads no numpy.polynomial
+_GAUSS8_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+    0.7966664774136267, 0.9602898564975362])
+_GAUSS8_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+    0.22238103445337443, 0.10122853629037706])
+
+
 def small_delay_q(f_model, tau_fns, h, blocks=None, tau_bounds=None,
-                  eps_max=1.0, quad_order=8, kind="small-delay",
-                  params=None):
+                  eps_max=1.0, kind="small-delay", params=None):
     """The induced functional of small state-dependent delays.
 
     Encodes x'(t) = f(x(t - eps tau_1), ..., x(t - eps tau_L)) as the
@@ -241,8 +252,8 @@ def small_delay_q(f_model, tau_fns, h, blocks=None, tau_bounds=None,
     where the i-th argument group of f is the coordinate block
     blocks[i] read at the i-th delayed time, and D_i f are the matching
     Jacobian columns. With one delay and the full block this is the
-    classical one-delay rewrite. The sigma integral uses fixed-order
-    Gauss quadrature. Each ``tau(ts, segment) -> (k,)`` gets the k base
+    classical one-delay rewrite. The sigma integral uses the 8-point
+    Gauss rule. Each ``tau(ts, segment) -> (k,)`` gets the k base
     times and their k-center segment; a scalar applies to every row.
     The declared Lipschitz constants are L1 = L2 = 1.
     """
@@ -263,9 +274,8 @@ def small_delay_q(f_model, tau_fns, h, blocks=None, tau_bounds=None,
     worst = max(float(b) for b in tau_bounds)
     if eps_max * worst > h + 1e-12:
         raise ValueError("eps times the delay bound exceeds the history radius")
-    nodes, weights = np.polynomial.legendre.leggauss(int(quad_order))
-    sig = 0.5 * (nodes + 1.0)
-    wts = 0.5 * weights
+    sig = 0.5 * (_GAUSS8_NODES + 1.0)
+    wts = 0.5 * _GAUSS8_WEIGHTS
 
     def evaluate(ts, seg, eps):
         k = ts.size
@@ -466,11 +476,12 @@ def spec_from_descriptor(desc):
         return multi_delay_advance(p["pairs"], h=p["h"], kind=kind, params=p)
 
     if kind == "delayed-sin-forcing":
-        # sine of the delayed first coordinate on one slot; on a saddle
-        # orbit this reads a*sin(omega*(t - lag)) and admits a closed
-        # form response, which makes it the standard oracle scenario
+        # sine of the delayed (advanced, for a negative lag) first
+        # coordinate on one slot; on a saddle orbit this reads
+        # a*sin(omega*(t - lag)) and admits a closed form response,
+        # which makes it the standard oracle scenario
         a, omega, lag, axis = p["a"], p["omega"], p["lag"], p["axis"]
-        h = max(1.0, lag) if p["h"] is None else p["h"]
+        h = max(1.0, abs(lag)) if p["h"] is None else p["h"]
 
         def Q(t, y):
             out = np.zeros_like(y)
@@ -478,7 +489,7 @@ def spec_from_descriptor(desc):
             return out
 
         return state_dependent_delay(
-            Q, lambda t, y: -lag, h, r_bound=lag, lip_q=abs(a * omega),
+            Q, lambda t, y: -lag, h, r_bound=abs(lag), lip_q=abs(a * omega),
             lip_r=0.0, traj_c1=p["traj_c1"], kind=kind, params=p)
 
     h, comp = p["h"], p.get("component")

@@ -28,7 +28,7 @@ from hypershadow import flows
 from hypershadow.electrodynamics import (DelayField, Trajectory,
                                          expansion_order_sweep)
 from hypershadow.flows import ScalarField, solve_flow
-from hypershadow.funcspace import BallRadii, GridFunction, WeightParam
+from hypershadow.funcspace import BallRadii, GridFunction
 from hypershadow.hyperbolic import (analytic_frame, builtin_model,
                                     floquet_frame, unit_circle_orbit)
 from hypershadow.invariance import (CorrectionState, OperatorConfig,
@@ -66,13 +66,13 @@ def cycle_frame():
 
 
 def base_cfg(eps, delta=0.1, tol_eta=1e-8, window=24.0, **kw):
-    return OperatorConfig(eta=WeightParam(0.25), window=window, eps=eps,
+    return OperatorConfig(eta=0.25, window=window, eps=eps,
                           delta=delta, tol_eta=tol_eta, **kw)
 
 
 def cycle_cfg(eps):
     # lam_s = 2 on the cycle, so a 12-window still leaves a usable core
-    return OperatorConfig(eta=WeightParam(0.25), window=12.0, eps=eps,
+    return OperatorConfig(eta=0.25, window=12.0, eps=eps,
                           delta=0.2, tol_eta=1e-6)
 
 
@@ -284,19 +284,19 @@ def test_criterion_03_independent_residual():
 
 def test_criterion_04_contraction_lemmas():
     t_start = time.perf_counter()
-    w = WeightParam(0.5)
+    eta = 0.5
     slack = 1e-9
 
     violations = 0
     for seed in range(100):
         lhs, rhs = flows.flow_difference_eta(random_field(2 * seed),
-                                             random_field(2 * seed + 1), w)
+                                             random_field(2 * seed + 1), eta)
         violations += lhs > rhs + slack
     assert violations == 0
 
     for seed in range(100):
         lhs, rhs, z = flows.composite_difference_eta(
-            random_field(3 * seed + 11), random_field(3 * seed + 12), 1.0, w)
+            random_field(3 * seed + 11), random_field(3 * seed + 12), 1.0, eta)
         assert z > 1.0
         violations += lhs > rhs + slack
     assert violations == 0

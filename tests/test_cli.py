@@ -317,9 +317,9 @@ class TestRunVerb:
         ("sweep", {"eps": [0.04, True, 0.01]}, "eps is not numeric: True"),
         ("sweep", {"eps": [math.nan, 0.02, 0.01]},
          "sweep eps values must be positive and finite"),
-        ("run", {"perturbation": {"kind": "small-delay",
-                                  "parameters": {"h": 1.0, "model_params": {
-                                      "cubic": [math.nan, 0.0]}}}},
+        ("run", {"perturbation": {"kind": "small-delay", "parameters": {
+            "h": 1.0, "model": "saddle-cubic",
+            "model_params": {"cubic": [math.nan, 0.0]}}}},
          "cubic is not finite: nan"),
         ("run", {"frame": {"mode": "floquet", "model": "planar-limit-cycle",
                            "parameters": {"delta": True}}},
@@ -369,7 +369,7 @@ class TestRunVerb:
         ({"frame": {"mode": "analytic", "model": "lin-saddle",
                     "parameters": [1]}},
          "frame: unknown entry 'parameters'; it takes mode, model, "
-         "lambda_s, lambda_u, cubic, rotation"),
+         "lambda_s, lambda_u, rotation"),
         ({"frame": {"mode": "floquet", "model": "planar-limit-cycle",
                     "parameters": [1]}},
          "parameters must be an object, got [1]"),
@@ -410,11 +410,11 @@ class TestRunVerb:
         ({"frame": {"mode": "analytic", "model": "lin-saddle",
                     "lamda_s": 2.0}},
          "frame: unknown entry 'lamda_s'; it takes mode, model, lambda_s, "
-         "lambda_u, cubic, rotation"),
+         "lambda_u, rotation"),
         ({"frame": {"mode": "analytic", "model": "lin-saddle",
                     "quality": {"C_U": 1.0}}},
          "frame: unknown entry 'quality'; it takes mode, model, lambda_s, "
-         "lambda_u, cubic, rotation"),
+         "lambda_u, rotation"),
         ({"perturbation": {"kind": "delayed-sin-forcing",
                            "paramters": {"a": 1.0, "omega": 2.0}}},
          "perturbation: unknown entry 'paramters'; it takes kind, "
@@ -584,8 +584,9 @@ class TestRunVerb:
             assert not os.path.exists(scn["out"])
 
     def test_iteration_cap_is_exit_two(self, tmp_path):
-        path, scn = write_scenario(tmp_path)
-        assert cli.main(["run", path, "--max-iters", "1", "--quiet"]) == 2
+        path, scn = write_scenario(
+            tmp_path, config=dict(scenario_dict()["config"], max_iters=1))
+        assert cli.main(["run", path, "--quiet"]) == 2
         assert not os.path.exists(scn["out"])
 
     @pytest.mark.parametrize("verb", ["run", "sweep", "verify"])
@@ -694,8 +695,10 @@ class TestSweepVerb:
         assert cli.main(["sweep", path]) == 1
 
     def test_member_failure_propagates(self, tmp_path):
-        path, _ = write_scenario(tmp_path, eps=[4e-3, 2e-3, 1e-3])
-        assert cli.main(["sweep", path, "--max-iters", "1", "--quiet"]) == 2
+        path, _ = write_scenario(
+            tmp_path, eps=[4e-3, 2e-3, 1e-3],
+            config=dict(scenario_dict()["config"], max_iters=1))
+        assert cli.main(["sweep", path, "--quiet"]) == 2
 
     def test_first_failing_member_ends_the_sweep(self, tmp_path, capsys,
                                                  monkeypatch):
@@ -1069,10 +1072,11 @@ class TestFuzz:
             out = os.path.join(tmp, "out")
             path = os.path.join(tmp, "scn.json")
             with open(path, "w") as fh:
-                json.dump(dict(scn, out=out), fh)
+                json.dump(dict(scn, out=out,
+                               config=dict(scn["config"], max_iters=3)), fh)
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                code = cli.main(["run", path, "--max-iters", "3", "--quiet"])
+                code = cli.main(["run", path, "--quiet"])
             assert code in (0, 1, 2, 3, 4)
             if code != 0:
                 assert len(err.getvalue().splitlines()) == 1, err.getvalue()
@@ -1096,23 +1100,42 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert os.path.exists(os.path.join(scn["out"], "report.json"))
 
-    def test_usage_error(self):
-        with pytest.raises(SystemExit):
-            cli.main([])
+    def test_usage_error(self, capsys):
+        # exit 2 is a divergence: a usage error is an input failure, 1,
+        # with one line and no usage block
+        for argv, says in (
+                ([], "the following arguments are required: verb"),
+                (["run"], "the following arguments are required: scenario"),
+                (["run", "x.json", "--bogus"],
+                 "unrecognized arguments: --bogus"),
+                (["run", "x.json", "--max-iters", "3"],
+                 "unrecognized arguments: --max-iters 3")):
+            assert cli.main(argv) == 1, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.splitlines() == [f"hypershadow: {says}"]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "usage: hypershadow run" in capsys.readouterr().out
 
     def test_stored_gauss_rules_are_leggauss(self):
-        from hypershadow import flows, invariance
+        from hypershadow import flows, invariance, perturbations
 
         for n, nodes, weights in (
                 (3, invariance._GAUSS3_NODES, invariance._GAUSS3_WEIGHTS),
-                (6, flows._GAUSS6_NODES, flows._GAUSS6_WEIGHTS)):
+                (6, flows._GAUSS6_NODES, flows._GAUSS6_WEIGHTS),
+                (8, perturbations._GAUSS8_NODES,
+                 perturbations._GAUSS8_WEIGHTS)):
             x, w = np.polynomial.legendre.leggauss(n)
             assert np.array_equal(nodes, x) and np.array_equal(weights, w)
 
     def test_verbs_leave_numpy_polynomial_and_gzip_unloaded(self, tmp_path):
         # each stays resident once imported and costs peak memory; a
-        # fresh interpreter shows whether a verb pulls it in, which
-        # pytest's own process, having imported both, cannot
+        # fresh interpreter shows whether a verb, or building a
+        # small-delay spec, pulls it in, which pytest's own process,
+        # having imported both, cannot
         lin = dict(scenario_dict(), out=str(tmp_path / "out"))
         frame, config = FLOQUET
         floquet = dict(scenario_dict(), frame=frame, config=config,
@@ -1126,8 +1149,10 @@ class TestEntryPoint:
             paths[name].write_text(json.dumps(scn))
         code = textwrap.dedent("""
             import sys
-            from hypershadow import cli
+            from hypershadow import cli, perturbations
             lin, state, ver, floquet = sys.argv[1:]
+            perturbations.spec_from_descriptor(
+                {"kind": "small-delay", "parameters": {"h": 0.5}})
             print(cli.main(["run", lin, "--quiet"]),
                   cli.main(["verify", lin, state, "--out", ver, "--quiet"]),
                   cli.main(["sweep", floquet, "--quiet"]),

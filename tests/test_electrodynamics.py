@@ -600,31 +600,27 @@ class TestExpansion:
 
     def test_uniform_sweep_slope_three(self):
         rep = ed.expansion_order_sweep(origin(), drifting(2.0, 0.3),
-                                       [1e-2, 5e-3, 2.5e-3],
-                                       window=4.0, delta=0.1)
+                                       [1e-2, 5e-3, 2.5e-3])
         assert rep.passed
         assert abs(rep.slope - 3.0) < 0.1
 
     def test_circular_sweep_certifies_cubic(self):
         qi = ed.Trajectory.static([0.3, 0.2, 0.0])
         qj = ed.Trajectory.circular([0.0, 0.0, 0.0], 1.5, 0.7)
-        rep = ed.expansion_order_sweep(qi, qj, [1e-2, 5e-3, 2.5e-3],
-                                       window=4.0, delta=0.1)
+        rep = ed.expansion_order_sweep(qi, qj, [1e-2, 5e-3, 2.5e-3])
         assert rep.passed and rep.slope >= 2.7
         assert len(rep.deviations) == 3
 
     def test_exact_gap_reports_pass(self):
         rep = ed.expansion_order_sweep(origin(), drifting(2.0, 0.0),
-                                       [1e-2, 5e-3], window=2.0, delta=0.1)
+                                       [1e-2, 5e-3])
         assert rep.passed and rep.slope == np.inf
 
     def test_sweep_validation(self):
         with pytest.raises(ValueError, match="two"):
-            ed.expansion_order_sweep(origin(), drifting(), [1e-2],
-                                     window=2.0, delta=0.1)
+            ed.expansion_order_sweep(origin(), drifting(), [1e-2])
         with pytest.raises(ValueError, match="positive"):
-            ed.expansion_order_sweep(origin(), drifting(), [1e-2, 0.0],
-                                     window=2.0, delta=0.1)
+            ed.expansion_order_sweep(origin(), drifting(), [1e-2, 0.0])
 
 
 class TestNonsingularity:
@@ -766,17 +762,23 @@ class TestAssembly:
             ed.assemble_charge_perturbation(sys, window=4.0, h=0.05)
 
     def test_custom_force_needs_lipschitz(self):
-        sys = two_charge_system()
-
+        # the spec's force is the system's pair_force, and its Lipschitz
+        # budget is that force's lip_bound
         def flat(ci, cj, qi, vi, qj, vj):
             return np.zeros_like(qi)
 
-        with pytest.raises(ValueError, match="lip_x"):
-            ed.assemble_charge_perturbation(sys, force=flat, window=4.0)
-        spec = ed.assemble_charge_perturbation(sys, force=flat, window=4.0,
-                                               lip_x=0.5)
+        base = two_charge_system()
+        sys = ed.ChargeSystem(base.trajectories, base.masses, base.charges,
+                              base.epsilon, xi1=base.xi1, xi2=base.xi2,
+                              pair_force=flat)
+        with pytest.raises(ValueError, match="lip_bound"):
+            ed.assemble_charge_perturbation(sys, window=4.0)
+        flat.lip_bound = 0.5
+        spec = ed.assemble_charge_perturbation(sys, window=4.0)
         seg = stacked_segment(sys, 0.0)
         assert np.abs(spec(0.0, seg, sys.epsilon)[6:]).max() == 0.0
+        # velocity pass-through plus |c_1 c_2| / m_1 times the bound
+        assert spec.L2 == 1.5
 
     def test_negative_eps_rejected(self):
         # a negative eps would read the "retarded" partner in the future

@@ -8,7 +8,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from hypershadow import flows
-from hypershadow.funcspace import BallRadii, GridFunction, WeightParam
+from hypershadow.funcspace import BallRadii, GridFunction
 
 
 def sine_field(amp, freq, T=6.0, delta=0.05):
@@ -358,7 +358,7 @@ def test_composite_against_two_stage_oracle():
 
 def test_flow_difference_identical():
     X = sine_field(0.2, 0.7)
-    lhs, rhs = flows.flow_difference_eta(X, X, WeightParam(0.5))
+    lhs, rhs = flows.flow_difference_eta(X, X, 0.5)
     assert lhs == 0.0 and rhs == 0.0
 
 
@@ -366,27 +366,27 @@ def test_flow_difference_constants():
     # closed form: phi_inv differ by |t|(1 - 1/1.1), weighted max at 1/eta
     X = constant_field(1.0, T=6.0)
     Y = constant_field(1.1, T=6.0)
-    lhs, rhs = flows.flow_difference_eta(X, Y, WeightParam(1.0))
+    lhs, rhs = flows.flow_difference_eta(X, Y, 1.0)
     assert rhs == pytest.approx(0.1 / (1.0 - 0.1) ** 2, rel=1e-12)
     assert lhs <= rhs
     assert lhs == pytest.approx((1.0 - 1.0 / 1.1) / math.e, abs=1e-3)
 
 
 def test_flow_difference_random_pairs():
-    w = WeightParam(0.4)
+    eta = 0.4
     for seed in range(10):
         X = random_field(2 * seed)
         Y = random_field(2 * seed + 1)
-        lhs, rhs = flows.flow_difference_eta(X, Y, w)
+        lhs, rhs = flows.flow_difference_eta(X, Y, eta)
         assert lhs <= rhs + 1e-12
 
 
 def test_composite_difference_random_pairs():
-    w = WeightParam(0.4)
+    eta = 0.4
     for seed in range(6):
         X = random_field(3 * seed + 11)
         Y = random_field(3 * seed + 12)
-        lhs, rhs, z = flows.composite_difference_eta(X, Y, 1.0, w,
+        lhs, rhs, z = flows.composite_difference_eta(X, Y, 1.0, eta,
                                                      rho_count=21, s_count=11)
         assert z > 0.0
         assert lhs <= rhs + 1e-12

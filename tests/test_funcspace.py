@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypershadow import funcspace as fs
+from hypershadow.invariance import OperatorConfig
 
 
 def grid(fn, T, delta, order=5):
@@ -120,19 +121,19 @@ def test_lipschitz_sine():
 
 def test_razumikhin_weight_dominates_growth():
     g = grid(lambda t: np.exp(0.5 * np.abs(t)), 10.0, 0.01)
-    assert g.norm_razumikhin(fs.WeightParam(1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert g.norm_razumikhin(1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_razumikhin_constant():
     g = grid(lambda t: 2.5 + 0.0 * t, 3.0, 0.1)
-    assert g.norm_razumikhin(fs.WeightParam(0.7)) == pytest.approx(2.5, abs=1e-12)
+    assert g.norm_razumikhin(0.7) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_razumikhin_ramp_attains_inverse_e():
     # oracle: max of rho * exp(-rho) over rho >= 0 is 1/e at rho = 1;
     # the ramp max(rho, 0) has the same weighted sup on a symmetric window
     g = grid(lambda t: np.maximum(t, 0.0), 10.0, 0.01)
-    assert g.norm_razumikhin(fs.WeightParam(1.0)) == pytest.approx(
+    assert g.norm_razumikhin(1.0) == pytest.approx(
         1.0 / math.e, abs=1e-6)
 
 
@@ -187,10 +188,11 @@ def test_ball_radii_validation():
 
 
 def test_weight_param_validation():
-    with pytest.raises(ValueError):
-        fs.WeightParam(0.0)
-    with pytest.raises(ValueError):
-        fs.WeightParam(-1.0)
+    # the weight rate of the norms is the positive number that
+    # invariance.CONFIG declares
+    for eta in (0.0, -1.0):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            OperatorConfig(eta=eta, window=8.0, eps=0.0)
 
 
 # -- invariants and properties ----------------------------------------
@@ -214,7 +216,7 @@ def test_polynomial_exactness(coeffs, t):
 def test_razumikhin_below_c0(eta):
     rng = np.random.default_rng(int(eta * 1e6) % 2 ** 31)
     g = fs.GridFunction(2.0, 0.1, rng.normal(size=(41, 3)))
-    assert g.norm_razumikhin(fs.WeightParam(eta)) <= g.norm_ck(0) + 1e-15
+    assert g.norm_razumikhin(eta) <= g.norm_ck(0) + 1e-15
 
 
 @settings(max_examples=20, deadline=None)

@@ -26,8 +26,9 @@ from hypershadow.hyperbolic import (
 
 
 def saddle_frame(lam_s=1.0, lam_u=1.0, rotation=None, cubic=(0.0, 0.0)):
-    desc = {"model": "saddle-cubic" if any(cubic) else "lin-saddle",
-            "lambda_s": lam_s, "lambda_u": lam_u, "cubic": list(cubic)}
+    desc = {"model": "lin-saddle", "lambda_s": lam_s, "lambda_u": lam_u}
+    if any(cubic):
+        desc.update(model="saddle-cubic", cubic=list(cubic))
     if rotation is not None:
         desc["rotation"] = np.asarray(rotation).tolist()
     return analytic_frame(desc)

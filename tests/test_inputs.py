@@ -124,6 +124,44 @@ class TestFuzz:
             _holds_the_contract(code, err, tmp, ["scn.json"])
 
 
+@pytest.mark.parametrize("frame, says", [
+    ({"model": "lin-saddle", "cubic": [0.3, 0.2]},
+     "frame: unknown entry 'cubic'; it takes mode, model, lambda_s, "
+     "lambda_u, rotation"),
+    # an absent model is lin-saddle, not the saddle its entries suggest
+    ({"cubic": [0.3, 0.2]},
+     "frame: unknown entry 'cubic'; it takes mode, model, lambda_s, "
+     "lambda_u, rotation"),
+    ({"model": "saddle-cubic"}, "frame: missing entry 'cubic'"),
+    ({"model": "saddle-cubic", "cubic": None},
+     "frame: missing entry 'cubic'"),
+])
+def test_a_frame_model_decides_its_entries(frame, says):
+    scn = dict(SHIPPED["sdd-cubic"],
+               frame=dict(frame, mode="analytic", lambda_s=1.0,
+                          lambda_u=1.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        scn["out"] = os.path.join(tmp, "out")
+        with open(os.path.join(tmp, "scn.json"), "w") as fh:
+            json.dump(scn, fh)
+        code, err = _run(["run", "scn.json", "--quiet"], tmp)
+        assert (code, err) == (1, [f"hypershadow: {says}"])
+        assert os.listdir(tmp) == ["scn.json"]
+
+
+def test_a_frame_model_names_the_saddle_it_builds():
+    cubic = hyperbolic.frame_from_descriptor(SHIPPED["sdd-cubic"]["frame"])
+    assert cubic.model.name == "saddle-cubic"
+    assert cubic.model.params["cubic"] == [0.3, 0.2]
+    # zero coefficients are still the cubic saddle the frame names
+    flat = hyperbolic.frame_from_descriptor({"model": "saddle-cubic",
+                                             "cubic": [0.0, 0.0]})
+    assert flat.model.name == "saddle-cubic"
+    assert flat.model.params["cubic"] == [0.0, 0.0]
+    lin = hyperbolic.frame_from_descriptor(SHIPPED["lin-oracle"]["frame"])
+    assert lin.model.name == "lin-saddle" and "cubic" not in lin.model.params
+
+
 @pytest.fixture(scope="module")
 def saved_state():
     """A state saved by a run of the tour's scenario."""
@@ -193,7 +231,10 @@ class TestVerifyFuzz:
 TABLES = {
     "the scenario file": cli.SCENARIO,
     "`config`": invariance.CONFIG,
-    "an analytic `frame`": hyperbolic.FRAMES["analytic"],
+    "an analytic `frame`, beside those of its `model`":
+        hyperbolic.FRAMES["analytic"],
+    **{f"the `{model}` model": hyperbolic.MODELS[model]
+       for model in hyperbolic.FRAMES["analytic"]["model"].range},
     "a floquet `frame`": hyperbolic.FRAMES["floquet"],
     "a floquet frame's `parameters`": hyperbolic.FLOQUET_PARAMETERS,
     "`perturbation`": perturbations.PERTURBATION,
@@ -230,8 +271,9 @@ def test_readme_lists_the_declared_entries():
     for caption, table in TABLES.items():
         assert shown[caption] == [_row(name, entry)
                                   for name, entry in table.items()], caption
-    # a saddle model's entries are those an analytic frame holds
-    for model in ("lin-saddle", "saddle-cubic"):
-        assert hyperbolic.MODELS[model].items() \
-            <= hyperbolic.FRAMES["analytic"].items()
+    # an analytic frame holds its model's entries beside its own, and
+    # the floquet model has none
+    for model in hyperbolic.FRAMES["analytic"]["model"].range:
+        assert not hyperbolic.MODELS[model].keys() \
+            & hyperbolic.FRAMES["analytic"].keys()
     assert hyperbolic.MODELS["planar-limit-cycle"] == {}

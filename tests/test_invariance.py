@@ -21,8 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypershadow import funcspace, invariance
 from hypershadow.flows import ScalarField, solve_flow
-from hypershadow.funcspace import (BallRadii, GridFunction, GridSampler,
-                                   WeightParam)
+from hypershadow.funcspace import BallRadii, GridFunction, GridSampler
 from hypershadow.hyperbolic import (
     AnalyticFrame,
     analytic_frame,
@@ -78,7 +77,7 @@ def cubic_frame():
 
 
 def base_cfg(eps, delta=0.1, tol_eta=1e-8, **kw):
-    return OperatorConfig(eta=WeightParam(0.25), window=24.0, eps=eps,
+    return OperatorConfig(eta=0.25, window=24.0, eps=eps,
                           delta=delta, tol_eta=tol_eta, **kw)
 
 
@@ -252,13 +251,13 @@ def random_pair(fr, cfg, seed, amp=0.01):
 class TestConfigAndGeometry:
     def test_weight_rate_must_stay_below_hyperbolicity(self):
         fr = lin_frame()
-        cfg = OperatorConfig(eta=WeightParam(1.0), window=24.0, eps=0.0)
+        cfg = OperatorConfig(eta=1.0, window=24.0, eps=0.0)
         with pytest.raises(ValueError, match="must stay below"):
             resolve_geometry(cfg, fr, 0.0, 0.0)
 
     def test_window_must_hold_whole_cells(self):
         fr = lin_frame()
-        cfg = OperatorConfig(eta=WeightParam(0.25), window=24.03, eps=0.0,
+        cfg = OperatorConfig(eta=0.25, window=24.03, eps=0.0,
                              delta=0.1)
         with pytest.raises(ValueError, match="integer number of grid cells"):
             resolve_geometry(cfg, fr, 0.0, 0.0)
@@ -280,7 +279,7 @@ class TestConfigAndGeometry:
             return True
 
         def config(window):
-            return OperatorConfig(eta=WeightParam(0.25), window=window,
+            return OperatorConfig(eta=0.25, window=window,
                                   eps=0.0, delta=delta, tol_eta=1e-2)
 
         fr = lin_frame()
@@ -307,7 +306,7 @@ class TestConfigAndGeometry:
 
     def test_margins_can_eat_the_core(self):
         fr = lin_frame()
-        cfg = OperatorConfig(eta=WeightParam(0.25), window=22.0, eps=0.0,
+        cfg = OperatorConfig(eta=0.25, window=22.0, eps=0.0,
                              delta=0.1, tol_eta=1e-8)
         with pytest.raises(ValueError, match="leaves no core"):
             resolve_geometry(cfg, fr, 1.0, 0.2)
@@ -326,7 +325,7 @@ class TestConfigAndGeometry:
     def test_present_state_spec_keeps_the_whole_core(self):
         # h = 0 adds no history margin: window 24 minus t_int 20.8 leaves
         # 3.2, a whole number of cells of 0.2
-        cfg = OperatorConfig(eta=WeightParam(0.25), window=24.0, eps=0.0,
+        cfg = OperatorConfig(eta=0.25, window=24.0, eps=0.0,
                              delta=0.2, tol_eta=1e-8)
         geo = resolve_geometry(cfg, lin_frame(), ZERO.h, 0.2)
         assert ZERO.h == 0.0
@@ -336,15 +335,19 @@ class TestConfigAndGeometry:
 
     def test_config_rejects_bad_fields(self):
         with pytest.raises(ValueError, match="eps must be nonnegative"):
-            OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=-1.0)
+            OperatorConfig(eta=0.25, window=8.0, eps=-1.0)
         with pytest.raises(ValueError, match="tol_eta"):
-            OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=0.0,
+            OperatorConfig(eta=0.25, window=8.0, eps=0.0,
                            tol_eta=0.0)
 
     def test_config_coerces_plain_eta(self):
-        cfg = OperatorConfig(eta=0.25, window=8.0, eps=0.0)
-        assert isinstance(cfg.eta, WeightParam)
-        assert cfg.eta.eta == 0.25
+        # eta is the positive number CONFIG declares, read as a float;
+        # an object that carries it is not a number
+        cfg = OperatorConfig(eta=1, window=8.0, eps=0.0)
+        assert type(cfg.eta) is float and cfg.eta == 1.0
+        with pytest.raises(ValueError, match="eta is not numeric"):
+            OperatorConfig(eta=types.SimpleNamespace(eta=0.25), window=8.0,
+                           eps=0.0)
 
 
 class TestStateBasics:
@@ -896,7 +899,7 @@ def test_floquet_bases_are_built_once_per_lattice(max_iters, monkeypatch):
     spec = spec_from_descriptor({"kind": "ode-sin-forcing", "parameters":
                                  {"a": 0.45, "omega": 1.0, "n": 2,
                                   "axis": 1}})
-    cfg = OperatorConfig(eta=WeightParam(0.25), window=12.0, eps=0.01,
+    cfg = OperatorConfig(eta=0.25, window=12.0, eps=0.01,
                          delta=0.2, tol_eta=1e-6, max_iters=max_iters)
     calls = []
     basis = fr._basis
@@ -923,7 +926,7 @@ def _floquet_scenario():
     spec = spec_from_descriptor({"kind": "ode-sin-forcing",
                                  "parameters": {"a": 0.45, "omega": 1.0,
                                                 "n": 2, "axis": 1}})
-    cfg = OperatorConfig(eta=WeightParam(0.25), window=12.0, eps=0.01,
+    cfg = OperatorConfig(eta=0.25, window=12.0, eps=0.01,
                          delta=0.2, tol_eta=1e-6)
     return fr, spec, cfg
 
@@ -1188,7 +1191,7 @@ class TestAposteriori:
         u_ball=BallRadii((0.5, 2.0, 10.0, 50.0)))
 
     def test_worked_example_level_zero(self):
-        cfg = OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=0.0)
+        cfg = OperatorConfig(eta=0.25, window=8.0, eps=0.0)
         rows = aposteriori_bounds(1e-4, self.STATE, cfg, (-2.0, 2.0), 0.5)
         x0 = next(r for r in rows if r["component"] == "X" and r["j"] == 0)
         assert x0["exponent"] == 1.0
@@ -1197,7 +1200,7 @@ class TestAposteriori:
         assert x0["semi_bound"] == pytest.approx(2e-4, rel=1e-12)
 
     def test_exponent_table_for_ell_one(self):
-        cfg = OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=0.0)
+        cfg = OperatorConfig(eta=0.25, window=8.0, eps=0.0)
         rows = aposteriori_bounds(1e-4, self.STATE, cfg, (-1.0, 1.0), 0.2)
         table = {(r["component"], r["j"]): r["exponent"] for r in rows}
         assert table[("X", 0)] == 1.0
@@ -1208,19 +1211,19 @@ class TestAposteriori:
         assert table[("xu", 2)] == pytest.approx(1.0 / 3.0)
 
     def test_zero_defect_gives_zero_bounds(self):
-        cfg = OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=0.0)
+        cfg = OperatorConfig(eta=0.25, window=8.0, eps=0.0)
         for row in aposteriori_bounds(0.0, self.STATE, cfg, (-2.0, 2.0),
                                       0.5):
             assert row["bound"] == 0.0
             assert row["semi_bound"] == 0.0
 
     def test_semi_line_bounds_only_for_small_amplified_defect(self):
-        cfg = OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=0.0)
+        cfg = OperatorConfig(eta=0.25, window=8.0, eps=0.0)
         rows = aposteriori_bounds(10.0, self.STATE, cfg, (-2.0, 2.0), 0.5)
         assert all(r["semi_bound"] is None for r in rows)
 
     def test_kappa_at_or_above_one_rejected(self):
-        cfg = OperatorConfig(eta=WeightParam(0.25), window=8.0, eps=0.0)
+        cfg = OperatorConfig(eta=0.25, window=8.0, eps=0.0)
         with pytest.raises(ValueError, match="below 1"):
             aposteriori_bounds(1e-4, self.STATE, cfg, (-2.0, 2.0), 1.0)
 
@@ -1395,7 +1398,7 @@ class TestContraction:
 
     def test_weight_rate_precondition_is_enforced(self):
         fr = lin_frame()
-        cfg = OperatorConfig(eta=WeightParam(1.5), window=24.0, eps=0.0,
+        cfg = OperatorConfig(eta=1.5, window=24.0, eps=0.0,
                              delta=0.1)
         v, w = random_pair(fr, base_cfg(eps=0.0), seed=1)
         with pytest.raises(ValueError, match="must stay below"):

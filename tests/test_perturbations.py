@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from hypershadow import perturbations
 from hypershadow.flows import NumericalError
 from hypershadow.funcspace import GridFunction, pointwise
-from hypershadow.hyperbolic import OdeModel
+from hypershadow.hyperbolic import OdeModel, analytic_frame
 from hypershadow.perturbations import (
     HistorySegment,
     PerturbationSpec,
@@ -455,12 +456,16 @@ class TestSmallDelay:
             got = spec(0.0, seg, eps)
             assert np.abs(got - quotient).max() <= 1e-10
 
-    def test_quadrature_doubling_is_stable(self):
+    def test_quadrature_doubling_is_stable(self, monkeypatch):
+        # the stored 8-point rule against leggauss(16) swapped in
         A = np.array([[0.3, -0.2], [0.1, 0.5]])
         model = self.linear_model(A)
         kw = dict(h=0.5, tau_bounds=[1.0], eps_max=0.3)
-        lo = small_delay_q(model, [lambda t, seg: 1.0], quad_order=8, **kw)
-        hi = small_delay_q(model, [lambda t, seg: 1.0], quad_order=16, **kw)
+        lo = small_delay_q(model, [lambda t, seg: 1.0], **kw)
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        monkeypatch.setattr(perturbations, "_GAUSS8_NODES", nodes)
+        monkeypatch.setattr(perturbations, "_GAUSS8_WEIGHTS", weights)
+        hi = small_delay_q(model, [lambda t, seg: 1.0], **kw)
         seg = seg_from_fn(lambda s: np.array([math.exp(2 * s), math.sin(s)]),
                           lambda s: np.array([2 * math.exp(2 * s),
                                               math.cos(s)]), h=0.5)
@@ -704,6 +709,29 @@ class TestDescriptors:
             b = again(0.4, seg, 0.01)
             assert np.abs(a - b).max() <= 1e-14
             assert spec.kind == desc["kind"]
+
+    def test_negative_lag_reads_the_advanced_state(self):
+        # the default radius and the declared bound are |lag|, so the
+        # lin-saddle orbit probe a run makes reads inside the radius
+        def build(lag):
+            return spec_from_descriptor({"kind": "delayed-sin-forcing",
+                                         "parameters": {"a": 1.0,
+                                                        "omega": 2.0,
+                                                        "lag": lag}})
+
+        spec = build(-5.0)
+        assert spec.h == 5
+        fr = analytic_frame({"model": "lin-saddle"})
+        seg = HistorySegment(0.0, spec.h, fr.orbit_batch,
+                             fr.orbit_deriv_batch)
+        assert spec(0.0, seg, 0.01) == pytest.approx(
+            [0.0, math.sin(10.0), 0.0], abs=1e-15)
+        # lag 1 and -1 build the spec they built before
+        for lag in (1.0, -1.0):
+            spec = build(lag)
+            assert (spec.h, spec.L1, spec.L2) == (1.0, 2.0, 2.0)
+            assert spec(0.0, seg, 0.01) == pytest.approx(
+                [0.0, math.sin(-2.0 * lag), 0.0], abs=1e-15)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="perturbation entry 'kind' "

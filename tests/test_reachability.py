@@ -26,6 +26,16 @@ is never read.
 A definition that no root reaches runs only under tests. Each one still
 in ``src/`` is listed in ALLOWED with the ROADMAP item that will make a
 run read it or delete it; the list is meant to shrink to nothing.
+
+Parameters get the same walk. A defaulted parameter of a top-level
+function or of a method of a top-level class counts as set when some
+call in ``src/``, ``bench/*.py`` or ``demos/*.py`` names a definition
+of that name (``__init__`` through its class name) and passes the
+parameter by keyword, passes more positional arguments than its
+position (``self`` and ``cls`` not counted), or unpacks ``*`` or
+``**``. Matching by name can only over-count, as above. A parameter no
+call sets is one only tests set; each is listed in ALLOWED_PARAMETERS
+as ``name(parameter)`` with its ROADMAP item.
 """
 
 import ast
@@ -71,6 +81,29 @@ ALLOWED = {
 }
 
 
+# defaulted parameters only tests set, each tagged with the ROADMAP item
+# that makes a run set it or deletes it
+ALLOWED_PARAMETERS = {
+    # item 1: the certificate's Z re-evaluates the constants on new
+    # radii and sizes the balls a run starts in; the lemma probe's
+    # grid goes with the probe
+    "contraction_constants(norms)": 1,
+    "composite_difference_eta(rho_count)": 1,
+    "composite_difference_eta(s_count)": 1,
+    "initial_state(t_radii)": 1,
+    "initial_state(s_radii)": 1,
+    "initial_state(u_radii)": 1,
+    # item 6: a charge-system scenario mixes delayed and advanced
+    # forces and holds its charges in an external field
+    "assemble_charge_perturbation(mixing)": 6,
+    "ChargeSystem(external)": 6,
+    # item 7: a multi-delay small-delay scenario names its blocks
+    "small_delay_q(blocks)": 7,
+    # item 10: a sweep member starts from the member before it
+    "iterate(initial)": 10,
+}
+
+
 def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -79,10 +112,13 @@ def _src_trees():
     return [(path.name, _parse(path)) for path in sorted(SRC.glob("*.py"))]
 
 
+def _scripts():
+    return [*sorted((ROOT / "bench").glob("*.py")),
+            *sorted((ROOT / "demos").glob("*.py"))]
+
+
 def _root_trees():
-    roots = [SRC / "cli.py", *sorted((ROOT / "bench").glob("*.py")),
-             *sorted((ROOT / "demos").glob("*.py"))]
-    return [_parse(path) for path in roots]
+    return [_parse(path) for path in (SRC / "cli.py", *_scripts())]
 
 
 # the kinds of definition a read reaches
@@ -252,6 +288,77 @@ def unreached(src=None, roots=None):
     return out
 
 
+def _defaulted(src):
+    """(called name, key, parameter, position) of every defaulted
+    parameter of a top-level function or a method of a top-level class
+    in the (module name, tree) pairs ``src``. ``__init__`` is called by
+    its class name and the other dunders are skipped; the key is
+    ``name(parameter)`` with the class name for ``__init__`` and
+    ``Class.method`` otherwise; a method's position does not count its
+    ``self`` or ``cls``, and a keyword-only parameter has none."""
+    defs = []
+    for _, tree in src:
+        for node in tree.body:
+            if isinstance(node, _FUNCTIONS):
+                defs.append((node.name, node.name, node, 0))
+            elif isinstance(node, ast.ClassDef):
+                for part in node.body:
+                    if not isinstance(part, _FUNCTIONS):
+                        continue
+                    if part.name == "__init__":
+                        called = key = node.name
+                    elif _is_dunder(part.name):
+                        continue
+                    else:
+                        called, key = part.name, f"{node.name}.{part.name}"
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in part.decorator_list)
+                    defs.append((called, key, part, 0 if static else 1))
+    out = []
+    for called, key, node, skip in defs:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            out.append((called, f"{key}({arg.arg})", arg.arg, i - skip))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                out.append((called, f"{key}({arg.arg})", arg.arg, None))
+    return out
+
+
+def _calls(trees):
+    """{called name: [(positional count, keyword names, unpacks)]} of
+    every call in ``trees`` whose callee is a name or an attribute."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(name, []).append((
+                len(node.args), {k.arg for k in node.keywords},
+                starred or any(k.arg is None for k in node.keywords)))
+    return calls
+
+
+def unset_parameters(src=None, trees=None):
+    """Keys ``name(parameter)`` of the defaulted parameters in ``src``
+    (module name, tree) pairs that no call in ``trees`` sets; by default
+    the package's modules and the files named in the module
+    docstring."""
+    src = _src_trees() if src is None else src
+    if trees is None:
+        trees = [tree for _, tree in src] + [_parse(p) for p in _scripts()]
+    calls = _calls(trees)
+    return {key for called, key, name, pos in _defaulted(src)
+            if not any(unpacks or name in keywords
+                       or (pos is not None and count > pos)
+                       for count, keywords, unpacks
+                       in calls.get(called, ()))}
+
+
 def test_only_allowlisted_definitions_are_test_only():
     extra = {name: where for name, where in unreached().items()
              if name not in ALLOWED}
@@ -362,3 +469,52 @@ def test_a_method_read_resolves_to_its_class_family():
     assert reached("self.go()") == set()
     assert reached("patch(m, 'step')") == {"Base.step", "Child.step",
                                             "Other.step"}
+
+
+def test_only_allowlisted_parameters_are_set_only_by_tests():
+    extra = unset_parameters() - set(ALLOWED_PARAMETERS)
+    assert not extra, (
+        "defaulted parameters only tests set; set them from a verb, a "
+        f"bench workload or a demo, or make them constants: {sorted(extra)}")
+
+
+def test_parameter_allowlist_names_only_unset_parameters():
+    # a parameter a run adopts, or one that goes, leaves the list
+    stale = set(ALLOWED_PARAMETERS) - unset_parameters()
+    assert not stale, f"allowlisted but set or gone: {sorted(stale)}"
+
+
+def test_a_parameter_is_set_by_keyword_position_or_unpacking():
+    m = textwrap.dedent("""
+        def f(a, b=1, c=2, *, d=3):
+            return a
+
+        class K:
+            def __init__(self, x=0):
+                self.x = x
+
+            def go(self, y=1, z=2):
+                return y
+
+            @staticmethod
+            def still(w=0):
+                return w
+
+            def __call__(self, v=0):
+                return v
+        """)
+    src = [("m.py", ast.parse(m))]
+
+    def unset(root):
+        return unset_parameters(src, [ast.parse(root)])
+
+    everything = {"f(b)", "f(c)", "f(d)", "K(x)", "K.go(y)", "K.go(z)",
+                  "K.still(w)"}
+    assert unset("f(1)") == everything
+    assert unset("f(1, 2)") == everything - {"f(b)"}
+    assert unset("m.f(1, d=4)") == everything - {"f(d)"}
+    assert unset("f(*xs)") == everything - {"f(b)", "f(c)", "f(d)"}
+    assert unset("f(1, **kw)") == everything - {"f(b)", "f(c)", "f(d)"}
+    assert unset("K(5)") == everything - {"K(x)"}
+    assert unset("k.go(5)") == everything - {"K.go(y)"}
+    assert unset("K.still(5)") == everything - {"K.still(w)"}
