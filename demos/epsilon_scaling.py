@@ -11,8 +11,8 @@ few parts in a thousand of 1.
 
 import numpy as np
 
-from hypershadow.hyperbolic import (analytic_frame, builtin_model,
-                                    floquet_frame, unit_circle_orbit)
+from hypershadow.hyperbolic import (FloquetFrame, analytic_frame,
+                                    builtin_model, unit_circle_orbit)
 from hypershadow.invariance import OperatorConfig, iterate
 from hypershadow.perturbations import (neutral_delay, spec_from_descriptor,
                                        state_dependent_delay)
@@ -55,7 +55,7 @@ def neutral_scenario():
 
 def small_delay_scenario():
     orbit, period = unit_circle_orbit(delta=0.02)
-    fr = floquet_frame(builtin_model("planar-limit-cycle"), orbit, period)
+    fr = FloquetFrame(builtin_model("planar-limit-cycle"), orbit, period)
     spec = spec_from_descriptor(
         {"kind": "small-delay",
          "parameters": {"model": "planar-limit-cycle", "tau": 1.0,

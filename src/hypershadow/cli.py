@@ -88,6 +88,12 @@ class Scenario:
             raise ValueError("this verb needs a single eps; use sweep "
                              "for lists")
         cfg = OperatorConfig(eps=eps, **cfg_kw)
+        # the bounds table scales by e^{eta max(|a|, |b|)}
+        reach = max(map(abs, self.bounds_interval))
+        if not reach * cfg.eta <= math.log(sys.float_info.max):
+            raise ValueError(f"bounds_interval reaches {reach:g}, too far "
+                             f"for eta {cfg.eta:g}: e^(eta * {reach:g}) is "
+                             f"not a finite float")
         # eta below the hyperbolicity rates and a usable core window,
         # checked before any compute happens
         resolve_geometry(cfg, fr, spec.h, 0.0)

@@ -33,14 +33,14 @@ and return (k, d) accelerations in one call.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .flows import NumericalError
-from .funcspace import Entry, GridFunction, lattice, pointwise
+from .funcspace import (REQUIRED, Entry, GridFunction, check_entries,
+                        lattice, pointwise, read_record)
 from .perturbations import PerturbationSpec
 
 __all__ = [
@@ -203,15 +203,24 @@ class Trajectory:
 
 
 def trajectory_from_descriptor(desc):
-    kind = desc.get("kind")
+    """The trajectory a descriptor names: its ``kind`` and the arguments
+    of that kind's builder, read through the tables below."""
+    point = Entry("list", REQUIRED, (None,))
+    tables = {"static": {"point": point},
+              "uniform": {"point": point, "velocity": point},
+              "circular": {"center": point, "radius": Entry("number"),
+                           "omega": Entry("number"),
+                           "phase": Entry("number", 0.0)}}
+    kind = Entry("string", range=tuple(tables)).check("trajectory kind",
+                                                      desc.get("kind"))
+    d = check_entries(desc, {"kind": Entry("string"), **tables[kind]},
+                      f"{kind} trajectory")
     if kind == "static":
-        return Trajectory.static(desc["point"])
+        return Trajectory.static(d["point"])
     if kind == "uniform":
-        return Trajectory.uniform(desc["point"], desc["velocity"])
-    if kind == "circular":
-        return Trajectory.circular(desc["center"], desc["radius"],
-                                   desc["omega"], desc.get("phase", 0.0))
-    raise ValueError(f"unknown trajectory kind {kind!r}")
+        return Trajectory.uniform(d["point"], d["velocity"])
+    return Trajectory.circular(d["center"], d["radius"], d["omega"],
+                               d["phase"])
 
 
 # -- charge systems --------------------------------------------------------
@@ -309,19 +318,30 @@ class ChargeSystem:
 
 
 def charge_system_from_descriptor(desc):
-    if isinstance(desc, str):
-        with open(desc) as fh:
-            desc = json.load(fh)
-    trajs = [trajectory_from_descriptor(d) for d in desc["trajectories"]]
-    fdesc = dict(desc.get("force", {}))
-    fid = fdesc.pop("id", "softened-coulomb")
-    if fid == "softened-coulomb":
-        force = softened_coulomb(**fdesc)
-    else:
-        raise ValueError(f"unknown force model id {fid!r}")
-    return ChargeSystem(trajs, desc["masses"], desc["charges"],
-                        desc["epsilon"], xi1=desc.get("xi1", 0.5),
-                        xi2=desc.get("xi2", 0.1), pair_force=force)
+    """The system a descriptor (or the JSON file at the path ``desc``)
+    describes, read through the tables below; N and dim, which
+    :meth:`ChargeSystem.descriptor` records, must match the trajectories."""
+    many = Entry("list", REQUIRED, (None,))
+    table = {"N": Entry("integer", None, 1), "dim": Entry("integer", None, 1),
+             "masses": many, "charges": many, "epsilon": Entry("number"),
+             "xi1": Entry("number", 0.5), "xi2": Entry("number", 0.1),
+             "trajectories": Entry("list of objects"),
+             "force": Entry("object", {})}
+    d = read_record(desc, table) if isinstance(desc, str) \
+        else check_entries(desc, table, "charge system")
+    force = check_entries(d["force"], {
+        "id": Entry("string", "softened-coulomb", ("softened-coulomb",)),
+        "softening": Entry("number", 0.1), "coupling": Entry("number", 1.0),
+    }, "force", "force model {}".format)
+    system = ChargeSystem(
+        [trajectory_from_descriptor(t) for t in d["trajectories"]],
+        d["masses"], d["charges"], d["epsilon"], d["xi1"], d["xi2"],
+        softened_coulomb(force["softening"], force["coupling"]))
+    for key in ("N", "dim"):
+        if d[key] not in (None, getattr(system, key)):
+            raise ValueError(f"charge system: entry {key!r} is {d[key]}, "
+                             f"the trajectories give {getattr(system, key)}")
+    return system
 
 
 # -- the delay solver ------------------------------------------------------
@@ -540,18 +560,13 @@ def expansion_order_sweep(qi, qj, eps_values):
         raise ValueError("need at least two eps values for a slope")
     if min(eps_values) <= 0.0:
         raise ValueError("eps values must be positive")
-    devs = []
-    for eps in eps_values:
-        fld = DelayField.solve(qi, qj, eps)
-        devs.append(delay_expansion_check(fld, qi, qj, eps))
+    devs = tuple(delay_expansion_check(DelayField.solve(qi, qj, eps), qi, qj,
+                                       eps) for eps in eps_values)
     if max(devs) <= 10.0 * _DEFECT_TOL:
         # gap at solver noise for every eps: the expansion is exact here
-        return ExpansionReport(eps_values, tuple(devs), math.inf, passed=True)
-    x = np.log(np.asarray(eps_values))
-    y = np.log(np.asarray(devs))
-    slope = float(np.polyfit(x, y, 1)[0])
-    return ExpansionReport(eps_values, tuple(devs), slope,
-                           passed=slope >= 2.7)
+        return ExpansionReport(eps_values, devs, math.inf, passed=True)
+    slope = float(np.polyfit(np.log(eps_values), np.log(devs), 1)[0])
+    return ExpansionReport(eps_values, devs, slope, passed=slope >= 2.7)
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,6 @@ __all__ = [
     "flow_cells",
     "inverse_flow_factor",
     "composite_factor",
-    "flow_difference_eta",
-    "composite_difference_eta",
 ]
 
 
@@ -342,60 +340,3 @@ def composite_factor(eta, t0, t1, h):
     q = 1.0 + t0
     return math.exp(t1 * h) * math.expm1(eta * q * h) / (eta * q)
 
-
-def flow_difference_eta(X, Y, eta):
-    """Weighted distance of the inverse flows against its a-priori bound.
-
-    Returns (lhs, rhs) with lhs = ||phi_inv - psi_inv||_eta and
-    rhs = ||X - Y||_eta times :func:`inverse_flow_factor`, t_0 the larger
-    of the two ball radii. Raises if the bound fails beyond rounding.
-    """
-    X.xhat._check_compatible(Y.xhat)
-    t0 = max(X.t0, Y.t0)
-    flX = solve_flow(X, X.xhat.half_width)
-    flY = solve_flow(Y, Y.xhat.half_width)
-    R = min(flX.phi_inv.half_width, flY.phi_inv.half_width)
-    gx = flX.phi_inv.restrict(R)
-    gy = flY.phi_inv.restrict(R)
-    lhs = (gx - gy).norm_razumikhin(eta)
-    rhs = (X.xhat - Y.xhat).norm_razumikhin(eta) \
-        * inverse_flow_factor(eta, t0)
-    if lhs > rhs + 1e-12:
-        raise RuntimeError(
-            f"inverse-flow difference bound violated: {lhs:.3e} > {rhs:.3e}")
-    return lhs, rhs
-
-
-def composite_difference_eta(X, Y, h, eta, rho_count=41, s_count=21):
-    """Weighted sup over rho of max_s |alpha(rho,s) - beta(rho,s)| and its bound.
-
-    The bound is z ||X - Y||_eta with z the :func:`composite_factor`,
-    where t_0, t_1 come from the larger of the two balls. Returns
-    (lhs, rhs, z).
-    """
-    X.xhat._check_compatible(Y.xhat)
-    t0 = max(X.t0, Y.t0)
-    t1 = max(X.ball.c[1], Y.ball.c[1])
-    T = X.xhat.half_width
-    h = float(h)
-    # keep every composite evaluation inside the sampled field window,
-    # where the declared ball radii genuinely hold
-    R_t = T / (1.0 + t0)
-    R_rho = (1.0 - t0) * (R_t - h) - X.xhat.delta
-    if R_rho <= 0.0:
-        raise ValueError("field window too small for this history radius")
-    flX = solve_flow(X, R_t)
-    flY = solve_flow(Y, R_t)
-    rhos = np.linspace(-R_rho, R_rho, rho_count)
-    ss = np.linspace(-h, h, s_count)
-
-    def alpha(fl):
-        # phi(phi_inv(rho) + s) at every (rho, s) pair, rows by rho
-        times = fl.phi_inv.eval1(rhos)[:, None] + ss[None, :]
-        return fl.phi.eval1(times.ravel()).reshape(times.shape)
-
-    gaps = np.abs(alpha(flX) - alpha(flY)).max(axis=1)
-    lhs = float((gaps * np.exp(-eta * np.abs(rhos))).max())
-    z = composite_factor(eta, t0, t1, h)
-    rhs = z * (X.xhat - Y.xhat).norm_razumikhin(eta)
-    return lhs, rhs, z

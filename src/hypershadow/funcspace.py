@@ -593,11 +593,12 @@ REQUIRED = "required"
 
 class Entry(NamedTuple):
     """One entry of an input: its ``kind`` ("number", "integer", "string",
-    "object", "list" of numbers, or "number or list", which the verb
-    reading it checks), its ``default`` (REQUIRED, None if it may be
-    absent, or a value) and its ``range``: "positive", "nonnegative" or
-    the least value of a number, the choices of a string, the shape of a
-    list (None for any length; a list without one is a number)."""
+    "object", "list" of numbers, "list of objects" or "number or list",
+    which the verb reading it checks), its ``default`` (REQUIRED, None if
+    it may be absent, or a value) and its ``range``: "positive",
+    "nonnegative" or the least value of a number, the choices of a
+    string, the shape of a list (None for any length; a list without one
+    is a number)."""
 
     kind: str
     default: object = REQUIRED
@@ -621,7 +622,12 @@ class Entry(NamedTuple):
                                      and (rng is None or value in rng)):
             want = "one of " + ", ".join(rng) if rng else "a non-empty string"
             raise ValueError(f"{label} must be {want}, got {value!r}")
-        if kind in ("object", "string", "number or list"):
+        if kind == "list of objects" and not (
+                isinstance(value, list)
+                and all(isinstance(x, dict) for x in value)):
+            raise ValueError(f"{label} must be a list of objects, got "
+                             f"{value!r}")
+        if kind in ("object", "list of objects", "string", "number or list"):
             return value
         if kind == "integer" and (isinstance(value, bool) or not (
                 isinstance(value, numbers.Integral)

@@ -33,7 +33,6 @@ __all__ = [
     "FrameTable",
     "FrameReport",
     "analytic_frame",
-    "floquet_frame",
     "verify_frame",
     "builtin_model",
     "unit_circle_orbit",
@@ -617,10 +616,12 @@ class FloquetFrame(_FrameBase):
         C_s = C_u = 1.0
         if self.dims[1]:
             lam_s, C_s = _fit_rate(g, np.linalg.norm(
-                self.prop_s_batch(later, earlier), 2, axis=(1, 2)))
+                self.prop_s_batch(later, earlier), 2, axis=(1, 2)),
+                "lambda_s")
         if self.dims[2]:
             lam_u, C_u = _fit_rate(g, np.linalg.norm(
-                self.prop_u_batch(earlier, later), 2, axis=(1, 2)))
+                self.prop_u_batch(earlier, later), 2, axis=(1, 2)),
+                "lambda_u")
         Pc, Ps, Pu = self.proj_batch(grid)
         # sampled maxima get headroom so the declared constants majorize
         # the modulation between sample points
@@ -636,14 +637,24 @@ def _rate_pairs(bases, gaps):
     return np.repeat(bases, len(gaps)), np.tile(gaps, len(bases))
 
 
-def _fit_rate(gaps, norms):
-    """Log-linear fit of the propagator norms |U| against their gaps.
-
-    Returns the fitted decay rate and max(1, sup |U| e^{rate gap}).
-    """
-    pos = norms > 0.0
-    lam = -float(np.polyfit(gaps[pos], np.log(norms[pos]), 1)[0])
-    return lam, max(1.0, float((norms * np.exp(lam * gaps)).max()))
+def _fit_rate(gaps, norms, name):
+    """Log-linear fit of the propagator norms |U| that are positive normal
+    floats against their gaps: the fitted decay rate and max(1,
+    sup |U| e^{rate gap}), formed so that e^{rate gap} stays finite. A
+    ValueError names a rate normal at fewer than two of the gaps."""
+    ok = norms >= np.finfo(float).tiny
+    g, n = gaps[ok], norms[ok]
+    resolved = len(set(g.tolist()))  # np.unique would load numpy.ma
+    if resolved < 2:
+        raise ValueError(
+            f"frame rate {name} is too fast for the refit: its propagator "
+            f"norms are normal floats at {resolved} of the sampled gaps "
+            f"{gaps.min():g} to {gaps.max():g}, and a fit needs 2")
+    lam = -float(np.polyfit(g, np.log(n), 1)[0])
+    # e^-top is 1 unless e^{rate gap} alone would overflow
+    top = max(0.0, lam * float(g.max()) - 700.0)
+    return lam, max(1.0, float((n * np.exp(lam * g - top)).max())
+                    * math.exp(top))
 
 
 # -- builtin models -----------------------------------------------------
@@ -789,11 +800,6 @@ def analytic_frame(descriptor):
     return frame
 
 
-def floquet_frame(model, periodic_orbit, period):
-    """Frame from the monodromy of a periodic orbit; see FloquetFrame."""
-    return FloquetFrame(model, periodic_orbit, period)
-
-
 # -- verification --------------------------------------------------------
 
 @dataclass
@@ -868,15 +874,23 @@ def verify_frame(fr):
         props["s"] = fr.prop_s_batch(later, earlier)
     if n_u:
         props["u"] = fr.prop_u_batch(earlier, later)
+    # the projectors, then U1 and the refit pairs of each bundle
+    norms = np.linalg.norm(np.concatenate(
+        projs + tuple(Us[:m + r] for Us in props.values())), 2, axis=(1, 2))
+    bundle_norms = norms[3 * k:].reshape(len(props), m + r)
+    # a rate the refit cannot resolve, or U overflows on, is refused first
+    lam_hat = {"s": math.inf, "u": math.inf}
+    for i, sigma in enumerate(props):
+        name = f"lambda_{sigma} {getattr(q, 'lam_' + sigma):g}"
+        lam_hat[sigma], _ = _fit_rate(fit_g, bundle_norms[i, m:], name)
+        if sigma == "u" and not 1.3 * q.lam_u < np.log(np.finfo(float).max):
+            raise ValueError(f"frame rate {name} is too fast for the "
+                             f"transport check: e^(1.3 lambda_u) overflows")
     U = fr.prop_full_batch(base + 1.3, base)
     f_all = fr.orbit_deriv_batch(np.concatenate([sample_grid, base,
                                                  base + 1.3]))
     fvec, f_base, f_moved = (f_all[:k], f_all[k:k + base.size],
                              f_all[k + base.size:])
-    # the projectors, then U1 and the refit pairs of each bundle
-    norms = np.linalg.norm(np.concatenate(
-        projs + tuple(Us[:m + r] for Us in props.values())), 2, axis=(1, 2))
-    bundle_norms = norms[3 * k:].reshape(len(props), m + r)
 
     Pc, Ps, Pu = projs
     completeness = float(np.abs(Pc + Ps + Pu - eye).max())
@@ -895,7 +909,6 @@ def verify_frame(fr):
 
     bundle_invariance = cocycle = 0.0
     expo_slack = -math.inf
-    lam_hat = {"s": math.inf, "u": math.inf}
     for i, (sigma, Us) in enumerate(props.items()):
         U1, U2, U12 = Us[:m], Us[m + r:2 * m + r], Us[2 * m + r:]
         at_t, at_tg, at_t2g = proj_all["csu".index(sigma)][k:].reshape(
@@ -904,13 +917,12 @@ def verify_frame(fr):
             chained, Pv, Pr, lam = U2 @ U1, at_t, at_tg, q.lam_s
         else:
             chained, Pv, Pr, lam = U1 @ U2, at_t2g, at_t, q.lam_u
-        norm_U1, norm_fit = bundle_norms[i, :m], bundle_norms[i, m:]
+        norm_U1 = bundle_norms[i, :m]
         cocycle = max(cocycle, float(np.abs(chained - U12).max()))
         decay = np.exp(-lam * g) if math.isfinite(lam) else np.zeros_like(g)
         expo_slack = max(expo_slack, float((norm_U1 - q.C_U * decay).max()))
         bundle_invariance = max(bundle_invariance, float(
             np.abs((eye - Pr) @ U1 @ Pv).max()))
-        lam_hat[sigma], _ = _fit_rate(fit_g, norm_fit)
     moved = np.einsum("kij,kj->ki", U, f_base)
     center_transport = float(np.linalg.norm(moved - f_moved, axis=1).max())
     proj_slack = float(norms[:3 * k].max()) - q.C_Pi
@@ -971,7 +983,7 @@ def frame_from_descriptor(desc):
             f"the orbit's degree-5 stencil, got {delta!r}")
     orbit, period = unit_circle_orbit(delta)
     try:
-        return floquet_frame(builtin_model(d["model"]), orbit, period)
+        return FloquetFrame(builtin_model(d["model"]), orbit, period)
     except ValueError as exc:
         # the stored orbit is exact, so its step is what failed
         raise ValueError(f"frame parameter 'delta' = {delta!r} is too "

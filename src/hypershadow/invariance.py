@@ -575,13 +575,10 @@ def write_residual_csv(report, path):
 
 def _ball_snapshot(state, core_half):
     """Per-component ball reports restricted to the core window."""
-    out = {}
-    checks = (("t", state.X.xhat, state.t_ball),
-              ("s", state.xs, state.s_ball),
-              ("u", state.xu, state.u_ball))
-    for name, g, radii in checks:
-        out[name] = ball_membership(g.restrict(core_half), radii)
-    return out
+    return {name: ball_membership(g.restrict(core_half), radii)
+            for name, g, radii in (("t", state.X.xhat, state.t_ball),
+                                   ("s", state.xs, state.s_ball),
+                                   ("u", state.xu, state.u_ball))}
 
 
 def _guarded_step(fr, state, spec, cfg, run, it):
@@ -955,7 +952,7 @@ def contraction_constants(fr, spec, cfg, radii, norms=None):
 
 
 # ---------------------------------------------------------------------------
-# probes of the a-priori constants
+# the measured contraction against the predicted one
 
 
 @dataclass(frozen=True)
@@ -990,59 +987,3 @@ def contraction_probe(fr, spec, cfg, state_v, state_w):
                             measured=measured, predicted=consts["kappa"],
                             constants=consts, ok=ok)
 
-
-def b_difference_probe(fr, spec, cfg, state_v, state_w):
-    """Pointwise quadratic-term difference against its declared bound.
-
-    Returns (lhs, rhs): the weighted sup of B[v] - B[w] over the nodes
-    and c_B |xhat_v - xhat_w|_eta + d_B |X_v - X_w|_eta, with c_B and
-    d_B from :func:`contraction_constants` on the states' balls, which
-    must agree. The bound holds node by node, so the whole window is
-    checked, not only the run's core.
-    """
-    if state_v.t_ball.c != state_w.t_ball.c:
-        raise ValueError("probe states must share the declared balls")
-    eta = cfg.eta
-    nodes = fr.table(state_v.xs.nodes)
-    at = GridSampler(state_v.xs, nodes.times)
-    Bv, _ = _quadratic_batch(fr, state_v, nodes, at)
-    Bw, _ = _quadratic_batch(fr, state_w, nodes, at)
-    lhs = state_v.xs.with_values(Bv - Bw).norm_razumikhin(eta)
-    consts = contraction_constants(fr, spec, cfg, state_v.radii)
-    dx = (state_v.xs - state_w.xs + (state_v.xu - state_w.xu)) \
-        .norm_razumikhin(eta)
-    dX = (state_v.X.xhat - state_w.X.xhat).norm_razumikhin(eta)
-    return lhs, consts["c_B"] * dx + consts["d_B"] * dX
-
-
-def varphi_difference_probe(fr, spec, cfg, state_v, state_w):
-    """Reparametrized-perturbation difference against its bound.
-
-    lhs is the weighted sup over the run's core nodes of
-    varphi[v] - varphi[w], each read through its own flow on the run's
-    flow window and the spec evaluated at eps = 0; rhs assembles c_phi,
-    d_phi, e_phi of :func:`contraction_constants` on the balls of
-    ``state_v`` with the matching weighted distances on the core.
-    """
-    run = _Run(fr, spec, cfg, state_v.X.t0)
-    core_half = run.geo.core_half
-    eta = cfg.eta
-    nodes = state_v.xs.nodes
-    keep = np.abs(nodes) <= core_half + 1e-12
-    vals = []
-    for st in (state_v, state_w):
-        flow = _state_flow(st, run.geo.flow_half)
-        vs = nodes[keep]
-        bases = vs if st.X.sup_deviation() == 0.0 else flow.phi_inv.eval1(vs)
-        vals.append(_varphi_batch(fr, st, spec, flow, vs, bases, 0.0))
-    mags = np.linalg.norm(vals[0] - vals[1], axis=1)
-    lhs = float((mags * np.exp(-eta * np.abs(nodes[keep]))).max())
-    consts = contraction_constants(fr, spec, cfg, state_v.radii)
-    dx = (state_v.xs - state_w.xs + (state_v.xu - state_w.xu)) \
-        .norm_razumikhin(eta, core_half)
-    dX = (state_v.X.xhat - state_w.X.xhat).norm_razumikhin(eta, core_half)
-    ddx = ((state_v.xs - state_w.xs).derivative(1)
-           + (state_v.xu - state_w.xu).derivative(1)) \
-        .norm_razumikhin(eta, core_half)
-    rhs = consts["c_phi"] * dx + consts["d_phi"] * dX + consts["e_phi"] * ddx
-    return lhs, rhs

@@ -12,14 +12,11 @@ written for one row with :func:`~hypershadow.funcspace.pointwise`.
 Builders cover forcing terms that only read theta(0), state-dependent
 and nested delays, neutral terms that read theta'(0), weighted
 multi-delay sums, and the induced functional of a small
-state-dependent delay. Declared Lipschitz constants ride
-along and can be cross-checked empirically with lipschitz_probe; the
-probe is a sampling lower bound, not a certificate.
+state-dependent delay. Declared Lipschitz constants ride along.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +28,6 @@ from .hyperbolic import MODELS, builtin_model
 __all__ = [
     "HistorySegment",
     "PerturbationSpec",
-    "ProbeReport",
     "ode_term",
     "state_dependent_delay",
     "nested_delay",
@@ -39,8 +35,6 @@ __all__ = [
     "small_delay_q",
     "multi_delay_advance",
     "apply_P",
-    "lipschitz_probe",
-    "segment_distance_c1",
     "functional_output_grid",
     "spec_from_descriptor",
 ]
@@ -96,10 +90,6 @@ class HistorySegment:
         if self._deriv is None:
             raise ValueError("segment does not expose a derivative")
         return np.asarray(self._deriv(self._times(s)), dtype=float)
-
-    @property
-    def has_derivative(self):
-        return self._deriv is not None
 
     def take(self, rows):
         """The segments of the selected centers (index array or slice)."""
@@ -343,62 +333,6 @@ def apply_P(spec, u, eps, t):
     else:
         seg = HistorySegment(t, spec.h, u)
     return spec(t, seg, eps)
-
-
-def segment_distance_c1(seg_a, seg_b):
-    """Per center: max over levels 0,1 of the sup distance sampled at 33
-    offsets, shape (k,)."""
-    h = min(seg_a.h, seg_b.h)
-    both = seg_a.has_derivative and seg_b.has_derivative
-    dist = 0.0
-    for s in np.linspace(-h, h, 33):
-        dist = np.maximum(dist, np.linalg.norm(
-            seg_a.eval(s) - seg_b.eval(s), axis=1))
-        if both:
-            dist = np.maximum(dist, np.linalg.norm(
-                seg_a.deriv(s) - seg_b.deriv(s), axis=1))
-    return dist
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Empirical Lipschitz estimates and whether the declared pair dominates."""
-
-    L1_hat: float
-    L2_hat: float
-    dominated: bool
-    worst_excess: float
-
-
-def lipschitz_probe(spec, sample_pairs):
-    """Empirical check of the declared (L1, L2) on sampled segment pairs.
-
-    Each sample is ((t, seg_a), (s, seg_b)): two segment batches with
-    centers t and s (scalars or equal-length arrays), compared row by
-    row with the spec at eps = 0. Pure time shifts feed the L1 estimate,
-    equal-time pairs feed L2, and every row must satisfy the combined
-    declared bound up to 1e-9 slack.
-    """
-    L1_hat = 0.0
-    L2_hat = 0.0
-    worst = -math.inf
-    for (t, seg_a), (s, seg_b) in sample_pairs:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        lhs = np.linalg.norm(spec(s, seg_b, 0.0) - spec(t, seg_a, 0.0),
-                             axis=1)
-        dt = np.abs(s - t)
-        dist = segment_distance_c1(seg_a, seg_b)
-        shift = (dist <= 1e-12) & (dt > 0.0)
-        if shift.any():
-            L1_hat = max(L1_hat, float((lhs[shift] / dt[shift]).max()))
-        same = (dt <= 1e-12) & (dist > 0.0)
-        if same.any():
-            L2_hat = max(L2_hat, float((lhs[same] / dist[same]).max()))
-        worst = max(worst, float(
-            (lhs - (spec.L1 * dt + spec.L2 * dist)).max()))
-    return ProbeReport(L1_hat=L1_hat, L2_hat=L2_hat,
-                       dominated=worst <= 1e-9, worst_excess=worst)
 
 
 def functional_output_grid(spec, traj, eps, half_width, delta):

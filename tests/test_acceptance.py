@@ -24,22 +24,21 @@ import time
 
 import numpy as np
 
-from hypershadow import flows
 from hypershadow.electrodynamics import (DelayField, Trajectory,
                                          expansion_order_sweep)
 from hypershadow.flows import ScalarField, solve_flow
 from hypershadow.funcspace import BallRadii, GridFunction
-from hypershadow.hyperbolic import (analytic_frame, builtin_model,
-                                    floquet_frame, unit_circle_orbit)
+from hypershadow.hyperbolic import (FloquetFrame, analytic_frame,
+                                    builtin_model, unit_circle_orbit)
 from hypershadow.invariance import (CorrectionState, OperatorConfig,
-                                    aposteriori_bounds, b_difference_probe,
+                                    aposteriori_bounds,
                                     contraction_constants, gamma_step,
-                                    initial_state, iterate, residual_fde,
-                                    varphi_difference_probe)
+                                    initial_state, iterate, residual_fde)
 from hypershadow.perturbations import (HistorySegment, small_delay_q,
                                        neutral_delay, spec_from_descriptor,
                                        state_dependent_delay)
-from test_flows import distortion_slacks
+from test_flows import composite_gap, distortion_slacks, inverse_flow_gap
+from test_invariance import quadratic_gap, varphi_gap
 
 # the shipped "no perturbation" kind
 ZERO = spec_from_descriptor({"kind": "zero"})
@@ -62,7 +61,7 @@ def cubic_frame():
 @functools.lru_cache(maxsize=None)
 def cycle_frame():
     orbit, period = unit_circle_orbit(delta=0.02)
-    return floquet_frame(builtin_model("planar-limit-cycle"), orbit, period)
+    return FloquetFrame(builtin_model("planar-limit-cycle"), orbit, period)
 
 
 def base_cfg(eps, delta=0.1, tol_eta=1e-8, window=24.0, **kw):
@@ -287,15 +286,16 @@ def test_criterion_04_contraction_lemmas():
     eta = 0.5
     slack = 1e-9
 
+    # the inverse flows, within rounding of their bound
     violations = 0
     for seed in range(100):
-        lhs, rhs = flows.flow_difference_eta(random_field(2 * seed),
-                                             random_field(2 * seed + 1), eta)
-        violations += lhs > rhs + slack
+        lhs, rhs = inverse_flow_gap(random_field(2 * seed),
+                                    random_field(2 * seed + 1), eta)
+        violations += lhs > rhs + 1e-12
     assert violations == 0
 
     for seed in range(100):
-        lhs, rhs, z = flows.composite_difference_eta(
+        lhs, rhs, z = composite_gap(
             random_field(3 * seed + 11), random_field(3 * seed + 12), 1.0, eta)
         assert z > 1.0
         violations += lhs > rhs + slack
@@ -305,7 +305,7 @@ def test_criterion_04_contraction_lemmas():
     cfg = base_cfg(eps=0.0, delta=0.2)
     for seed in range(100):
         v, wst = random_pair(fr, cfg, seed=seed)
-        lhs, rhs = b_difference_probe(fr, ZERO, cfg, v, wst)
+        lhs, rhs = quadratic_gap(fr, cfg, v, wst)
         violations += lhs > rhs + slack
     assert violations == 0
 
@@ -314,7 +314,7 @@ def test_criterion_04_contraction_lemmas():
         lambda t, y: -0.5, h=1.0, lip_q=0.2, lip_r=0.0, traj_c1=1.3)
     for seed in range(100):
         v, wst = random_pair(fr, cfg, seed=1000 + seed)
-        lhs, rhs = varphi_difference_probe(fr, spec, cfg, v, wst)
+        lhs, rhs = varphi_gap(fr, spec, cfg, v, wst)
         violations += lhs > rhs + slack
     assert violations == 0
 

@@ -66,10 +66,20 @@ def write_scenario(tmp_path, name="scn.json", **over):
 
 def interval_refusal(interval):
     """Why a bad bounds_interval is refused: a value that is not finite
-    is named as in any number entry, a finite one out of order as such."""
-    return ("bounds_interval must be finite with a < b"
-            if all(map(math.isfinite, interval))
-            else "bounds_interval is not finite")
+    is named as in any number entry, a finite one out of order as such,
+    and one so wide that e^(eta max(|a|, |b|)) overflows at the
+    scenario's eta 0.25 by its reach."""
+    if not all(map(math.isfinite, interval)):
+        return "bounds_interval is not finite"
+    if interval[0] < interval[1]:
+        return (f"bounds_interval reaches {max(map(abs, interval)):g}, too "
+                f"far for eta 0.25")
+    return "bounds_interval must be finite with a < b"
+
+
+# refused before compute: out of order, not finite, or too wide for eta
+BAD_INTERVALS = [[2.0, -2.0], [0.0, math.nan], [0.0, math.inf],
+                 [-3000.0, 3000.0]]
 
 
 # the benchmark's periodic-orbit frame and its operator settings
@@ -486,8 +496,32 @@ class TestRunVerb:
         assert "non-finite value: history lookup offset nan at t=" in err
         assert not os.path.exists(scn["out"])
 
-    @pytest.mark.parametrize("interval", [[2.0, -2.0], [0.0, math.nan],
-                                          [0.0, math.inf]])
+    @pytest.mark.parametrize("rates, says", [
+        ((150.0, 1.0), None), ((1.0, 150.0), None),
+        ((700.0, 1.0), "lambda_s 700"), ((1000.0, 1.0), "lambda_s 1000"),
+        ((1400.0, 1.0), "lambda_s 1400"), ((1600.0, 1.0), "lambda_s 1600"),
+        ((1.0, 600.0), "lambda_u 600"), ((1.0, 2000.0), "lambda_u 2000")])
+    def test_fast_rates_certify_or_are_refused_by_name(self, tmp_path, capsys,
+                                                       rates, says):
+        # the frame refit reads only normal propagator norms, so a rate
+        # its sampled gaps resolve certifies, and one they cannot exits 1
+        # naming it; no numpy warning gets out either way
+        frame = dict(scenario_dict()["frame"], lambda_s=rates[0],
+                     lambda_u=rates[1])
+        path, scn = write_scenario(tmp_path, frame=frame)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["run", path, "--quiet"])
+        assert caught == []
+        err = capsys.readouterr().err.strip().splitlines()
+        if says is None:
+            assert (code, err) == (0, [])
+        else:
+            assert code == 1 and len(err) == 1, err
+            assert f"frame rate {says} is too fast" in err[0]
+            assert not os.path.exists(scn["out"])
+
+    @pytest.mark.parametrize("interval", BAD_INTERVALS)
     def test_bad_bounds_interval_fails_before_compute(self, tmp_path, capsys,
                                                       monkeypatch, interval):
         monkeypatch.setattr(cli, "iterate",
@@ -673,6 +707,19 @@ class TestSweepVerb:
             member = os.path.join(scn["out"], f"eps_{e:g}")
             assert os.path.exists(os.path.join(member, "report.json"))
 
+    @pytest.mark.parametrize("interval", BAD_INTERVALS)
+    def test_bad_bounds_interval_fails_before_compute(self, tmp_path, capsys,
+                                                      monkeypatch, interval):
+        monkeypatch.setattr(cli, "iterate",
+                            lambda *a, **k: pytest.fail("iterated"))
+        path, scn = write_scenario(tmp_path, eps=[4e-3, 2e-3, 1e-3],
+                                   bounds_interval=interval)
+        assert cli.main(["sweep", path]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert interval_refusal(interval) in err
+        assert not os.path.exists(scn["out"])
+
     def test_two_values_rejected(self, tmp_path):
         path, scn = write_scenario(tmp_path, eps=[4e-3, 2e-3])
         assert cli.main(["sweep", path]) == 1
@@ -854,8 +901,7 @@ class TestVerifyVerb:
         assert len(err.strip().splitlines()) == 1 and says in err
         assert not os.path.exists(scn["out"])
 
-    @pytest.mark.parametrize("interval", [[2.0, -2.0], [0.0, math.nan],
-                                          [0.0, math.inf]])
+    @pytest.mark.parametrize("interval", BAD_INTERVALS)
     def test_bad_bounds_interval_fails_before_compute(self, tmp_path, capsys,
                                                       monkeypatch, linear_run,
                                                       interval):

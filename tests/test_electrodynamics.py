@@ -13,6 +13,7 @@ so tau = eps * R with a vanishing radial velocity term.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -199,6 +200,42 @@ class TestChargeSystem:
         with pytest.raises(ValueError, match="force model id"):
             ed.charge_system_from_descriptor(desc)
 
+
+    @pytest.mark.parametrize("spoil, says", [
+        (lambda d: d.update(xi_1=0.9),
+         "charge system: unknown entry 'xi_1'; it takes N, dim, masses, "
+         "charges, epsilon, xi1, xi2, trajectories, force"),
+        (lambda d: d.update(name="pair"), "unknown entry 'name'"),
+        (lambda d: d["force"].update(soft=0.2),
+         "force: unknown entry 'soft'; it takes id, softening, coupling"),
+        (lambda d: d["trajectories"][1].update(speed=1.0),
+         "uniform trajectory: unknown entry 'speed'; it takes kind, point, "
+         "velocity"),
+        (lambda d: d["trajectories"][0].update(reflected=True),
+         "unknown entry 'reflected'"),
+        (lambda d: d["trajectories"][0].pop("point"),
+         "static trajectory: missing entry 'point'"),
+        (lambda d: d.update(trajectories={"kind": "static"}),
+         "trajectories must be a list of objects"),
+        (lambda d: d.update(N=3), "entry 'N' is 3, the trajectories give 2"),
+        (lambda d: d.update(dim=2),
+         "entry 'dim' is 2, the trajectories give 3"),
+        (lambda d: d.update(epsilon="fast"), "epsilon is not numeric"),
+    ])
+    def test_descriptor_entries_are_declared(self, spoil, says):
+        # every key is read through a table: a misspelled or extra key
+        # is refused by name instead of leaving its entry at the default
+        desc = two_charge_system().descriptor()
+        spoil(desc)
+        with pytest.raises(ValueError, match=re.escape(says)):
+            ed.charge_system_from_descriptor(desc)
+
+    def test_trajectory_descriptor_entries_are_declared(self):
+        desc = ed.Trajectory.circular([1, 0, 0], 0.4, 1.2).descriptor()
+        with pytest.raises(ValueError, match="unknown entry 'radius_'"):
+            ed.trajectory_from_descriptor(dict(desc, radius_=0.5))
+        del desc["phase"]
+        assert ed.trajectory_from_descriptor(desc).params["phase"] == 0.0
 
 class TestSolveDelay:
     def test_static_pair_exact(self):
@@ -810,7 +847,8 @@ class TestAssembly:
         # the spec never reads a segment derivative: it evaluates on a
         # segment built without one
         seg = stacked_segment(sys, 0.0)
-        assert not seg.has_derivative
+        with pytest.raises(ValueError, match="does not expose a derivative"):
+            seg.deriv(0.0)
         assert np.isfinite(spec(0.0, seg, sys.epsilon)).all()
 
     def test_single_particle_is_pure_external(self):

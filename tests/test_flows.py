@@ -356,9 +356,49 @@ def test_composite_against_two_stage_oracle():
 
 # -- difference bounds ---------------------------------------------------
 
+def inverse_flow_gap(X, Y, eta):
+    """(||phi_inv - psi_inv||_eta, its a-priori bound): the inverse flows
+    solve_flow builds, compared on their common window, against
+    ||X - Y||_eta times inverse_flow_factor at the larger radius t_0."""
+    flX = flows.solve_flow(X, X.xhat.half_width)
+    flY = flows.solve_flow(Y, Y.xhat.half_width)
+    R = min(flX.phi_inv.half_width, flY.phi_inv.half_width)
+    lhs = (flX.phi_inv.restrict(R) - flY.phi_inv.restrict(R)) \
+        .norm_razumikhin(eta)
+    rhs = (X.xhat - Y.xhat).norm_razumikhin(eta) \
+        * flows.inverse_flow_factor(eta, max(X.t0, Y.t0))
+    return lhs, rhs
+
+
+def composite_gap(X, Y, h, eta, rho_count=41, s_count=21):
+    """(weighted sup over rho of max_s |alpha(rho, s) - beta(rho, s)|,
+    its bound z ||X - Y||_eta, z): the history maps of the two flows on a
+    rho x s grid, z the composite_factor of the larger balls. Every
+    composite stays inside the sampled field window, where the declared
+    radii hold."""
+    t0 = max(X.t0, Y.t0)
+    t1 = max(X.ball.c[1], Y.ball.c[1])
+    R_t = X.xhat.half_width / (1.0 + t0)
+    R_rho = (1.0 - t0) * (R_t - h) - X.xhat.delta
+    assert R_rho > 0.0, "field window too small for this history radius"
+    rhos = np.linspace(-R_rho, R_rho, rho_count)
+    ss = np.linspace(-h, h, s_count)
+
+    def alpha(field):
+        # phi(phi_inv(rho) + s) at every (rho, s) pair, rows by rho
+        fl = flows.solve_flow(field, R_t)
+        times = fl.phi_inv.eval1(rhos)[:, None] + ss[None, :]
+        return fl.phi.eval1(times.ravel()).reshape(times.shape)
+
+    gaps = np.abs(alpha(X) - alpha(Y)).max(axis=1)
+    lhs = float((gaps * np.exp(-eta * np.abs(rhos))).max())
+    z = flows.composite_factor(eta, t0, t1, h)
+    return lhs, z * (X.xhat - Y.xhat).norm_razumikhin(eta), z
+
+
 def test_flow_difference_identical():
     X = sine_field(0.2, 0.7)
-    lhs, rhs = flows.flow_difference_eta(X, X, 0.5)
+    lhs, rhs = inverse_flow_gap(X, X, 0.5)
     assert lhs == 0.0 and rhs == 0.0
 
 
@@ -366,7 +406,7 @@ def test_flow_difference_constants():
     # closed form: phi_inv differ by |t|(1 - 1/1.1), weighted max at 1/eta
     X = constant_field(1.0, T=6.0)
     Y = constant_field(1.1, T=6.0)
-    lhs, rhs = flows.flow_difference_eta(X, Y, 1.0)
+    lhs, rhs = inverse_flow_gap(X, Y, 1.0)
     assert rhs == pytest.approx(0.1 / (1.0 - 0.1) ** 2, rel=1e-12)
     assert lhs <= rhs
     assert lhs == pytest.approx((1.0 - 1.0 / 1.1) / math.e, abs=1e-3)
@@ -377,7 +417,7 @@ def test_flow_difference_random_pairs():
     for seed in range(10):
         X = random_field(2 * seed)
         Y = random_field(2 * seed + 1)
-        lhs, rhs = flows.flow_difference_eta(X, Y, eta)
+        lhs, rhs = inverse_flow_gap(X, Y, eta)
         assert lhs <= rhs + 1e-12
 
 
@@ -386,7 +426,6 @@ def test_composite_difference_random_pairs():
     for seed in range(6):
         X = random_field(3 * seed + 11)
         Y = random_field(3 * seed + 12)
-        lhs, rhs, z = flows.composite_difference_eta(X, Y, 1.0, eta,
-                                                     rho_count=21, s_count=11)
+        lhs, rhs, z = composite_gap(X, Y, 1.0, eta, rho_count=21, s_count=11)
         assert z > 0.0
         assert lhs <= rhs + 1e-12

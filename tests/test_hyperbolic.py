@@ -18,7 +18,6 @@ from hypershadow.hyperbolic import (
     QualityMeasures,
     analytic_frame,
     builtin_model,
-    floquet_frame,
     frame_from_descriptor,
     unit_circle_orbit,
     verify_frame,
@@ -91,7 +90,7 @@ def bundle_residual(fr, sigma, xi0):
 @pytest.fixture(scope="module")
 def cycle_frame():
     orbit, period = unit_circle_orbit(delta=0.01)
-    return floquet_frame(builtin_model("planar-limit-cycle"), orbit, period)
+    return FloquetFrame(builtin_model("planar-limit-cycle"), orbit, period)
 
 
 class TestSaddleFrame:
@@ -218,8 +217,8 @@ class TestFloquetFrame:
 
     def test_multiplier_stable_under_refinement(self, cycle_frame):
         orbit, period = unit_circle_orbit(delta=0.005)
-        fine = floquet_frame(builtin_model("planar-limit-cycle"), orbit,
-                             period)
+        fine = FloquetFrame(builtin_model("planar-limit-cycle"), orbit,
+                            period)
         a = min(abs(m) for m in cycle_frame.multipliers)
         b = min(abs(m) for m in fine.multipliers)
         assert abs(a - b) / abs(a) <= 1e-3
@@ -273,7 +272,7 @@ class TestFloquetFrame:
         vals = np.column_stack([ts, np.zeros_like(ts), np.zeros_like(ts)])
         line = GridFunction(T, delta, vals, interp_order=5)
         with pytest.raises(ValueError, match="does not close"):
-            floquet_frame(model, line, 2 * T)
+            FloquetFrame(model, line, 2 * T)
 
     def test_rejects_unit_multiplier_multiplicity(self):
         def f(x):
@@ -286,7 +285,7 @@ class TestFloquetFrame:
                          b=1.0)
         orbit, period = unit_circle_orbit(delta=0.01)
         with pytest.raises(ValueError, match="exactly one multiplier"):
-            floquet_frame(model, orbit, period)
+            FloquetFrame(model, orbit, period)
 
     def test_rejects_nonhyperbolic_multipliers(self):
         cyc = builtin_model("planar-limit-cycle")
@@ -317,14 +316,14 @@ class TestFloquetFrame:
                                 np.zeros_like(ts), np.zeros_like(ts)])
         orbit = GridFunction(P / 2.0, eff, vals, interp_order=5)
         with pytest.raises(ValueError, match="non-hyperbolic"):
-            floquet_frame(model, orbit, P)
+            FloquetFrame(model, orbit, P)
 
     def test_rejects_short_window(self):
         model = builtin_model("planar-limit-cycle")
         orbit, period = unit_circle_orbit(delta=0.01)
         short = orbit.restrict(orbit.half_width / 2)
         with pytest.raises(ValueError, match="cover one period"):
-            floquet_frame(model, short, period)
+            FloquetFrame(model, short, period)
 
 
 class TestBundleCharacterization:
@@ -881,7 +880,7 @@ class TestMonodromyScan:
     @pytest.mark.parametrize("delta", [0.005, 0.01, 0.03])
     def test_matches_the_sequential_loop(self, delta):
         orbit, period = unit_circle_orbit(delta=delta)
-        fr = floquet_frame(builtin_model("planar-limit-cycle"), orbit, period)
+        fr = FloquetFrame(builtin_model("planar-limit-cycle"), orbit, period)
         want = loop_monodromy(fr)
         assert np.abs(fr._psi.values - want).max() <= 1e-12
         mus = np.linalg.eigvals(want[-1].reshape(2, 2))

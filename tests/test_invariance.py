@@ -41,7 +41,6 @@ from hypershadow.invariance import (
     _taylor_split,
     _varphi_batch,
     aposteriori_bounds,
-    b_difference_probe,
     contraction_constants,
     contraction_probe,
     distance_components,
@@ -51,7 +50,6 @@ from hypershadow.invariance import (
     orbit_field_norms,
     resolve_geometry,
     residual_fde,
-    varphi_difference_probe,
     write_residual_csv,
 )
 from hypershadow.perturbations import (
@@ -521,6 +519,46 @@ def varphi(fr, st, spec, flow, vs, eps):
     vs = np.asarray(vs, dtype=float)
     bases = vs if st.X.sup_deviation() == 0.0 else flow.phi_inv.eval1(vs)
     return _varphi_batch(fr, st, spec, flow, vs, bases, eps)
+
+
+def quadratic_gap(fr, cfg, v, w):
+    """(|B[v] - B[w]|_eta over the whole window, c_B |xhat_v - xhat_w|_eta
+    + d_B |X_v - X_w|_eta): the quadratic term the operator forms
+    against its lemma bound, c_B and d_B from contraction_constants on
+    the balls of v, which w shares. The bound holds node by node, so
+    every node counts, not only the run's core."""
+    assert v.radii == w.radii
+    eta = cfg.eta
+    Bv, _ = quadratic(fr, v, v.xs.nodes)
+    Bw, _ = quadratic(fr, w, w.xs.nodes)
+    lhs = v.xs.with_values(Bv - Bw).norm_razumikhin(eta)
+    consts = contraction_constants(fr, ZERO, cfg, v.radii)
+    dx = (v.xs - w.xs + (v.xu - w.xu)).norm_razumikhin(eta)
+    dX = (v.X.xhat - w.X.xhat).norm_razumikhin(eta)
+    return lhs, consts["c_B"] * dx + consts["d_B"] * dX
+
+
+def varphi_gap(fr, spec, cfg, v, w):
+    """(|varphi[v] - varphi[w]|_eta over the run's core nodes, its lemma
+    bound): each state's perturbation term read through its own flow on
+    the run's flow window at eps = 0, against c_phi, d_phi and e_phi of
+    contraction_constants on the balls of v times the matching weighted
+    distances on the core."""
+    geo = resolve_geometry(cfg, fr, spec.h, v.X.t0)
+    core, eta = geo.core_half, cfg.eta
+    nodes = v.xs.nodes
+    vs = nodes[np.abs(nodes) <= core + 1e-12]
+    va, wa = (varphi(fr, st, spec, _state_flow(st, geo.flow_half), vs, 0.0)
+              for st in (v, w))
+    lhs = float((np.linalg.norm(va - wa, axis=1)
+                 * np.exp(-eta * np.abs(vs))).max())
+    consts = contraction_constants(fr, spec, cfg, v.radii)
+    dx = (v.xs - w.xs + (v.xu - w.xu)).norm_razumikhin(eta, core)
+    dX = (v.X.xhat - w.X.xhat).norm_razumikhin(eta, core)
+    ddx = ((v.xs - w.xs).derivative(1)
+           + (v.xu - w.xu).derivative(1)).norm_razumikhin(eta, core)
+    return lhs, (consts["c_phi"] * dx + consts["d_phi"] * dX
+                 + consts["e_phi"] * ddx)
 
 
 def quadratic_at(fr, st, rho):
@@ -1409,16 +1447,8 @@ class TestContraction:
         cfg = base_cfg(eps=0.0)
         for seed in (11, 12, 13):
             v, w = random_pair(fr, cfg, seed=seed)
-            lhs, rhs = b_difference_probe(fr, ZERO, cfg, v, w)
+            lhs, rhs = quadratic_gap(fr, cfg, v, w)
             assert lhs <= rhs + 1e-12
-
-    def test_quadratic_probe_requires_shared_balls(self):
-        fr = lin_frame()
-        cfg = base_cfg(eps=0.0)
-        v, _ = random_pair(fr, cfg, seed=2)
-        other = initial_state(fr, cfg)
-        with pytest.raises(ValueError, match="share the declared balls"):
-            b_difference_probe(fr, ZERO, cfg, v, other)
 
     def test_perturbation_difference_probe_is_bounded(self):
         fr = lin_frame()
@@ -1428,7 +1458,7 @@ class TestContraction:
             lambda t, y: -0.5, h=1.0, lip_q=0.2, lip_r=0.0, traj_c1=1.3)
         for seed in (21, 22):
             v, w = random_pair(fr, cfg, seed=seed)
-            lhs, rhs = varphi_difference_probe(fr, spec, cfg, v, w)
+            lhs, rhs = varphi_gap(fr, spec, cfg, v, w)
             assert lhs <= rhs + 1e-12
 
     def test_predicted_constants_expose_their_parts(self):
@@ -1479,9 +1509,6 @@ class TestContraction:
             reaches.append(half_width)
             return flow_of(state, half_width)
 
-        monkeypatch.setattr(invariance, "_state_flow", spy)
-        varphi_difference_probe(fr, spec, cfg, v, w)
-        assert reaches == [geo.flow_half, geo.flow_half]
         cores = []
         norm = GridFunction.norm_razumikhin
 
@@ -1489,9 +1516,10 @@ class TestContraction:
             cores.append(core_half)
             return norm(self, weight, core_half)
 
+        monkeypatch.setattr(invariance, "_state_flow", spy)
         monkeypatch.setattr(GridFunction, "norm_razumikhin", spy_norm)
-        varphi_difference_probe(fr, spec, cfg, v, w)
         contraction_probe(fr, spec, cfg, v, w)
+        assert reaches == [geo.flow_half, geo.flow_half]
         assert set(cores) == {geo.core_half}
 
 
