@@ -57,9 +57,8 @@ def small_delay_scenario():
     orbit, period = unit_circle_orbit(delta=0.02)
     fr = FloquetFrame(builtin_model("planar-limit-cycle"), orbit, period)
     spec = spec_from_descriptor(
-        {"kind": "small-delay",
-         "parameters": {"model": "planar-limit-cycle", "tau": 1.0,
-                        "h": 1.0}})
+        {"kind": "small-delay", "parameters": {"tau": 1.0, "h": 1.0}},
+        fr.model)
     cfg = lambda eps: OperatorConfig(eta=0.25, window=12.0,
                                      eps=eps, delta=0.2, tol_eta=1e-6)
     return fr, spec, cfg

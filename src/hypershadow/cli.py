@@ -36,6 +36,7 @@ from .funcspace import (REQUIRED, BallRadii, Entry, check_entries, json_text,
 from .hyperbolic import frame_from_descriptor
 from .invariance import (
     CONFIG,
+    DEFAULT_T_RADII,
     EPS,
     BallExitError,
     CorrectionState,
@@ -46,7 +47,6 @@ from .invariance import (
     aposteriori_bounds,
     check_state_grid,
     gamma_step,
-    initial_state,
     iterate,
     resolve_geometry,
     write_residual_csv,
@@ -81,7 +81,7 @@ class Scenario:
     def resolve(self, eps=None):
         """Build (frame, spec, cfg); raises on any descriptor problem."""
         fr = frame_from_descriptor(self.frame)
-        spec = spec_from_descriptor(self.perturbation)
+        spec = spec_from_descriptor(self.perturbation, fr.model)
         cfg_kw = check_entries(self.config, CONFIG, "config")
         eps = self.eps if eps is None else eps
         if isinstance(eps, list):
@@ -94,14 +94,12 @@ class Scenario:
             raise ValueError(f"bounds_interval reaches {reach:g}, too far "
                              f"for eta {cfg.eta:g}: e^(eta * {reach:g}) is "
                              f"not a finite float")
-        # eta below the hyperbolicity rates and a usable core window,
-        # checked before any compute happens
-        resolve_geometry(cfg, fr, spec.h, 0.0)
+        # eta below the hyperbolicity rates and a usable core window at
+        # the time-change radius every run starts from, checked before
+        # any compute happens
+        resolve_geometry(cfg, fr, spec.h, DEFAULT_T_RADII[0])
         # one evaluation on the orbit: the perturbation must fit the model
         n = fr.model.n
-        if spec.params.get("n") not in (None, n):
-            raise ValueError(f"descriptor kind {spec.kind!r} parameter 'n' "
-                             f"must be the model dimension {n}")
         seg = HistorySegment(0.0, spec.h, fr.orbit_batch,
                              fr.orbit_deriv_batch)
         try:
@@ -336,13 +334,10 @@ def cmd_sweep(scn, quiet=False):
         _complain(str(exc))
         return 1
     prefix = "sweep member eps={:g} failed: "
-    try:
-        # the run layout (geometry, lattices, samplers, frame tables)
-        # does not depend on eps either: one for every member, dropped
-        # when the sweep returns
-        run = _Run(fr, spec, cfg, initial_state(fr, cfg).X.t0)
-    except ValueError as exc:
-        return _fail(exc, "run", prefix.format(eps_list[0]))
+    # the run layout (geometry, lattices, samplers, frame tables) does
+    # not depend on eps either: one for every member, dropped when the
+    # sweep returns
+    run = _Run(fr, spec, cfg, DEFAULT_T_RADII[0])
     xhat_norms = []
     x_norms = []
     for eps in eps_list:

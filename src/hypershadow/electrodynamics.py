@@ -278,17 +278,19 @@ class ChargeSystem:
         self.charges = tuple(float(c) for c in charges)
         if len(self.masses) != self.N or len(self.charges) != self.N:
             raise ValueError("masses and charges must match the particle count")
-        if any(m <= 0.0 for m in self.masses):
-            raise ValueError("masses must be positive")
+        if not all(0.0 < m < math.inf for m in self.masses):
+            raise ValueError("masses must be positive and finite")
+        if not all(map(math.isfinite, self.charges)):
+            raise ValueError("charges must be finite")
         self.epsilon = float(epsilon)
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be nonnegative and finite")
         self.xi1 = float(xi1)
         if not (0.0 < self.xi1 < 1.0):
             raise ValueError("xi1 must lie in (0, 1)")
         self.xi2 = float(xi2)
-        if self.xi2 <= 0.0:
-            raise ValueError("xi2 must be positive")
+        if not 0.0 < self.xi2 < math.inf:
+            raise ValueError("xi2 must be positive and finite")
         self.pair_force = pair_force if pair_force is not None else softened_coulomb()
         self.external = external
 

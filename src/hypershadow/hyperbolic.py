@@ -756,23 +756,7 @@ def builtin_model(name, params=None):
     return _saddle_model(name, **p)
 
 
-# bounds of the step of the stored unit-circle orbit. Its degree-5
-# stencil needs six nodes: delta <= pi/3 keeps at least three cells per
-# half period, seven nodes per period. The orbit and the RK4 monodromy
-# hold rows per cell (Df at two per RK4 step), 2 pi/delta cells per
-# period, so a floor bounds their size: at delta = 1e-4 that is 62 832
-# cells, against 628 at the default 0.01. Refining further buys no
-# accuracy: the centre multiplier's distance from 1 is 9e-14 at 0.01,
-# 2e-16 at 1e-3, and grows again below that as rounding accumulates
-# along the longer prefix products (4e-14 at 1e-4). Within the bounds,
-# a step coarser than pi/18.5 (about 0.17; fewer than 19 cells per half
-# period) passes the stencil but moves the centre multiplier more than
-# 1e-6 from 1 (1.2e-6 at 0.17, 7e-4 at 0.5), and the build fails naming
-# the step.
-_ORBIT_DELTA_MIN = 1e-4
-_ORBIT_DELTA_MAX = math.pi / 3.0
-
-
+# the stored step 0.01 puts the monodromy's centre multiplier 9e-14 from 1
 def unit_circle_orbit(delta=0.01):
     """The unit-circle orbit of the planar limit cycle over one period."""
     P = 2.0 * math.pi
@@ -791,7 +775,7 @@ def analytic_frame(descriptor):
     name = head["model"].default if name is None \
         else head["model"].check("model", name)
     d = check_entries(descriptor, {**head, **MODELS[name]}, "frame")
-    model = _saddle_model(name, **{key: d[key] for key in MODELS[name]})
+    model = builtin_model(name, {key: d[key] for key in MODELS[name]})
     frame = AnalyticFrame(model, [d["lambda_s"]], [d["lambda_u"]],
                           rotation=d["rotation"])
     report = verify_frame(frame)
@@ -904,7 +888,7 @@ def verify_frame(fr):
                        ("idempotence", idempotence),
                        ("annihilation", annihilation),
                        ("center alignment", center_align)):
-        if val > tol_algebra:
+        if not val <= tol_algebra:
             failures.append(f"{label} {val:.2e}")
 
     bundle_invariance = cocycle = 0.0
@@ -932,13 +916,13 @@ def verify_frame(fr):
             ("projection bound exceeded by", proj_slack, 1e-9),
             ("bundle invariance", bundle_invariance, _TOL_BUNDLE),
             ("center transport", center_transport, _TOL_BUNDLE)):
-        if val > tol:
+        if not val <= tol:
             failures.append(f"{label} {val:.2e}")
 
     for sigma in ("s", "u"):
         declared = q.lam_s if sigma == "s" else q.lam_u
         if fr.mode == "analytic" and math.isfinite(declared):
-            if abs(lam_hat[sigma] - declared) > 0.02 * declared:
+            if not abs(lam_hat[sigma] - declared) <= 0.02 * declared:
                 failures.append(
                     f"lambda_{sigma} refit {lam_hat[sigma]:.4f} vs {declared}")
 
@@ -953,17 +937,15 @@ def verify_frame(fr):
 
 
 # the entries of a scenario's frame by mode, an analytic frame's beside
-# those of its model (MODELS); a floquet frame holds its orbit's step
+# those of its model (MODELS)
 FRAMES = {
     "analytic": {"mode": Entry("string", "analytic", ("analytic",)),
                  "model": Entry("string", "lin-saddle",
                                 ("lin-saddle", "saddle-cubic"))},
     "floquet": {"mode": Entry("string", REQUIRED, ("floquet",)),
                 "model": Entry("string", "planar-limit-cycle",
-                               ("planar-limit-cycle",)),
-                "parameters": Entry("object", {})},
+                               ("planar-limit-cycle",))},
 }
-FLOQUET_PARAMETERS = {"delta": Entry("number", 0.01, _ORBIT_DELTA_MIN)}
 
 
 def frame_from_descriptor(desc):
@@ -973,18 +955,4 @@ def frame_from_descriptor(desc):
     if Entry("string", range=tuple(FRAMES)).check("mode", mode) == "analytic":
         return analytic_frame(desc)
     d = check_entries(desc, FRAMES["floquet"], "frame")
-    delta = check_entries(d["parameters"], FLOQUET_PARAMETERS,
-                          "frame parameters", "frame parameter {!r}".format
-                          )["delta"]
-    if delta > _ORBIT_DELTA_MAX:
-        raise ValueError(
-            f"frame parameter 'delta' must be at most pi/3 = "
-            f"{_ORBIT_DELTA_MAX:.6g}, three cells per half period for "
-            f"the orbit's degree-5 stencil, got {delta!r}")
-    orbit, period = unit_circle_orbit(delta)
-    try:
-        return FloquetFrame(builtin_model(d["model"]), orbit, period)
-    except ValueError as exc:
-        # the stored orbit is exact, so its step is what failed
-        raise ValueError(f"frame parameter 'delta' = {delta!r} is too "
-                         f"coarse for the stored orbit: {exc}") from None
+    return FloquetFrame(builtin_model(d["model"]), *unit_circle_orbit())

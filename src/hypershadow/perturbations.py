@@ -23,7 +23,6 @@ import numpy as np
 
 from .flows import NumericalError
 from .funcspace import REQUIRED, Entry, GridFunction, check_entries
-from .hyperbolic import MODELS, builtin_model
 
 __all__ = [
     "HistorySegment",
@@ -372,24 +371,26 @@ KINDS = {
                        "deriv_bound": Entry("number", 2.0, "nonnegative")},
     "nested-abs": {"h": _H, "inner_shift": Entry("number", -0.5),
                    "component": _DELAY["component"], **_C1},
-    "small-delay": {"model": Entry("string", "lin-saddle", tuple(MODELS)),
-                    "model_params": Entry("object", {}),
-                    "tau": Entry("number", 1.0), "h": _H,
+    "small-delay": {"tau": Entry("number", 1.0), "h": _H,
                     "eps_max": Entry("number", None, "nonnegative")},
 }
 PERTURBATION = {"kind": Entry("string", REQUIRED, tuple(KINDS)),
                 "parameters": Entry("object", {})}
 
 
-def spec_from_descriptor(desc):
-    """Build a shipped perturbation from its JSON descriptor, read
-    through :data:`PERTURBATION` and the kind's :data:`KINDS` table."""
+def spec_from_descriptor(desc, model):
+    """Build a shipped perturbation of the frame's ``model`` from its
+    JSON descriptor, read through :data:`PERTURBATION` and the kind's
+    :data:`KINDS` table. ``small-delay`` perturbs ``model``'s own field."""
     d = check_entries(desc, PERTURBATION, "perturbation",
                       "perturbation entry {!r}".format)
     kind = d["kind"]
-    p = check_entries(d["parameters"], KINDS[kind],
-                      f"descriptor kind {kind!r} parameters",
-                      f"descriptor kind {kind!r} parameter {{!r}}".format)
+    label = f"descriptor kind {kind!r} parameter"
+    p = check_entries(d["parameters"], KINDS[kind], label + "s",
+                      (label + " {!r}").format)
+    if p.get("n") not in (None, model.n):
+        raise ValueError(f"{label} 'n' must be the model dimension "
+                         f"{model.n}")
 
     # every kind reads its output dimension off the state it is given
     if kind == "zero":
@@ -459,7 +460,6 @@ def spec_from_descriptor(desc):
                             traj_c1=p["traj_c1"], kind=kind, params=p)
 
     # small-delay
-    model = builtin_model(p["model"], p["model_params"])
     tau = p["tau"]
     eps_max = h / max(abs(tau), 1e-12) if p["eps_max"] is None \
         else p["eps_max"]

@@ -40,8 +40,9 @@ from hypershadow.perturbations import (HistorySegment, small_delay_q,
 from test_flows import composite_gap, distortion_slacks, inverse_flow_gap
 from test_invariance import quadratic_gap, varphi_gap
 
-# the shipped "no perturbation" kind
-ZERO = spec_from_descriptor({"kind": "zero"})
+# the shipped "no perturbation" kind; it reads its dimension off the
+# state, so it fits every frame
+ZERO = spec_from_descriptor({"kind": "zero"}, builtin_model("lin-saddle"))
 EPS_SWEEP = (4e-3, 2e-3, 1e-3)
 PROBE = np.linspace(-2.0, 2.0, 81)
 
@@ -129,9 +130,8 @@ def neutral_spec():
 
 def small_delay_spec():
     return spec_from_descriptor(
-        {"kind": "small-delay",
-         "parameters": {"model": "planar-limit-cycle", "tau": 1.0,
-                        "h": 1.0}})
+        {"kind": "small-delay", "parameters": {"tau": 1.0, "h": 1.0}},
+        cycle_frame().model)
 
 
 # -- cached converged runs -------------------------------------------------

@@ -327,17 +327,20 @@ class TestRunVerb:
         ("sweep", {"eps": [0.04, True, 0.01]}, "eps is not numeric: True"),
         ("sweep", {"eps": [math.nan, 0.02, 0.01]},
          "sweep eps values must be positive and finite"),
-        ("run", {"perturbation": {"kind": "small-delay", "parameters": {
-            "h": 1.0, "model": "saddle-cubic",
-            "model_params": {"cubic": [math.nan, 0.0]}}}},
-         "cubic is not finite: nan"),
-        ("run", {"frame": {"mode": "floquet", "model": "planar-limit-cycle",
-                           "parameters": {"delta": True}}},
-         "frame parameter 'delta' is not numeric: True"),
-        ("run", {"frame": {"mode": "floquet", "model": "planar-limit-cycle",
-                           "parameters": {"delta": -0.01}}},
-         "frame parameter 'delta' must be at least 0.0001 and finite, got "
-         "-0.01"),
+        ("run", {"perturbation": {"kind": "small-delay",
+                                  "parameters": {"h": 1.0,
+                                                 "tau": math.nan}}},
+         "descriptor kind 'small-delay' parameter 'tau' is not finite: nan"),
+        ("run", {"perturbation": {"kind": "small-delay",
+                                  "parameters": {"h": 1.0, "eps_max": -1}}},
+         "descriptor kind 'small-delay' parameter 'eps_max' must be "
+         "nonnegative and finite, got -1"),
+        ("sweep", {"frame": FLOQUET[0], "config": FLOQUET[1],
+                   "perturbation": {"kind": "small-delay",
+                                    "parameters": {"h": math.inf}},
+                   "eps": [0.01, 0.005, 0.0025]},
+         "descriptor kind 'small-delay' parameter 'h' must be nonnegative "
+         "and finite, got inf"),
         ("run", {"perturbation": {"kind": "ode-sin-forcing",
                                   "parameters": {"a": 0.1, "omega": 1.0,
                                                  "axis": 1.7}}},
@@ -349,18 +352,6 @@ class TestRunVerb:
                             "delta": 0.1000000001041667, "tol_eta": 1e-8}},
          "window must hold an integer number of grid cells: "
          "2 * 24.0 / 0.1000000001041667 = 479.9999995"),
-        # too coarse for the orbit's degree-5 stencil, and so fine that
-        # the orbit and the monodromy would hold millions of cells
-        ("run", {"frame": {"mode": "floquet", "model": "planar-limit-cycle",
-                           "parameters": {"delta": 10}}},
-         "frame parameter 'delta' must be at most pi/3 = 1.0472, three "
-         "cells per half period for the orbit's degree-5 stencil, got 10.0"),
-        ("sweep", {"frame": {"mode": "floquet",
-                             "model": "planar-limit-cycle",
-                             "parameters": {"delta": 1e-6}},
-                   "eps": [0.01, 0.005, 0.0025]},
-         "frame parameter 'delta' must be at least 0.0001 and finite, got "
-         "1e-06"),
     ])
     def test_bad_number_fails_before_compute(self, tmp_path, capsys,
                                              monkeypatch, verb, over,
@@ -380,16 +371,22 @@ class TestRunVerb:
                     "parameters": [1]}},
          "frame: unknown entry 'parameters'; it takes mode, model, "
          "lambda_s, lambda_u, rotation"),
+        # the floquet orbit's step is the code's, and small-delay
+        # perturbs the frame's model: neither has a second home
         ({"frame": {"mode": "floquet", "model": "planar-limit-cycle",
-                    "parameters": [1]}},
-         "parameters must be an object, got [1]"),
+                    "parameters": {"delta": 0.01}}},
+         "frame: unknown entry 'parameters'; it takes mode, model"),
         ({"perturbation": {"kind": "delayed-sin-forcing",
                            "parameters": [1]}},
          "perturbation entry 'parameters' must be an object, got [1]"),
         ({"perturbation": {"kind": "small-delay",
-                           "parameters": {"h": 1.0, "model_params": [1]}}},
-         "descriptor kind 'small-delay' parameter 'model_params' must be "
-         "an object, got [1]"),
+                           "parameters": {"h": 1.0, "model_params": {}}}},
+         "descriptor kind 'small-delay' parameters: unknown entry "
+         "'model_params'; it takes tau, h, eps_max"),
+        ({"perturbation": {"kind": "small-delay",
+                           "parameters": {"h": 1.0, "model": "lin-saddle"}}},
+         "descriptor kind 'small-delay' parameters: unknown entry 'model'; "
+         "it takes tau, h, eps_max"),
         ({"frame": {"mode": "analytic", "model": "lin-saddle",
                     "rotation": [[0, 1], [1, 0]]}},
          "rotation must be a list of 3 x 3 numbers, got [[0, 1], [1, 0]]"),
@@ -441,7 +438,8 @@ class TestRunVerb:
          "descriptor kind 'delayed-sin-forcing' parameter 'n' must be the "
          "model dimension 3"),
     ], ids=["frame-parameters", "floquet-parameters",
-            "perturbation-parameters", "model-params", "rotation-shape",
+            "perturbation-parameters", "model-params", "small-delay-model",
+            "rotation-shape",
             "bounds-interval", "out", "out-empty", "axis", "component",
             "misspelled-parameter", "misspelled-frame-entry",
             "frame-quality", "misspelled-parameters", "config-eps",
@@ -460,23 +458,58 @@ class TestRunVerb:
             f"hypershadow: {reason.format(path=path)}"]
         assert os.listdir(tmp_path) == ["scn.json"]
 
-    def test_floquet_step_too_coarse_for_the_orbit_names_the_step(
-            self, tmp_path, capsys, monkeypatch):
-        # inside the stencil bound, but the centre multiplier of a
-        # monodromy built on 0.2 steps sits 2.4e-6 from 1
-        monkeypatch.setattr(cli, "iterate",
-                            lambda *a: pytest.fail("iterated"))
-        frame = {"mode": "floquet", "model": "planar-limit-cycle",
-                 "parameters": {"delta": 0.2}}
-        path, scn = write_scenario(tmp_path, frame=frame, config=FLOQUET[1])
-        assert cli.main(["run", path]) == 1
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    @pytest.mark.parametrize("window", [22.0, 22.1, 22.2, 22.3])
+    def test_resolve_lays_out_the_windows_the_run_uses(
+            self, tmp_path, capsys, verb, window):
+        # resolve lays out the windows at the time-change radius every
+        # run starts from, so a window whose core the run's history
+        # margin would eat is refused in the plain line, before compute
+        config = dict(scenario_dict()["config"], window=window, delta=0.1)
+        eps = 0.01 if verb == "run" else [0.01, 0.005, 0.0025]
+        path, scn = write_scenario(tmp_path, config=config, eps=eps)
+        code = cli.main([verb, path, "--quiet"])
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert err[0].startswith(
-            "hypershadow: frame parameter 'delta' = 0.2 is too coarse for "
-            "the stored orbit: monodromy must have exactly one multiplier "
-            "at 1, found 0 within 1e-6 (nearest |mu - 1| = ")
+        if window == 22.3:
+            assert (code, err) == (0, [])
+            return
+        assert code == 1
+        assert err == ["hypershadow: correction window leaves no core once "
+                       "the truncation and history margins are removed; "
+                       "enlarge window or loosen tol_eta"]
         assert not os.path.exists(scn["out"])
+
+    def test_small_delay_perturbs_the_field_of_the_frame(self, tmp_path):
+        # the Jacobian of a saddle annihilates its orbit's direction, so
+        # the correction of the rotated saddle's own field vanishes on the
+        # orbit and the first iterate is the fixed point; the unrotated
+        # saddle's field would move the state by 4.5e-3
+        c, s = math.cos(0.7), math.sin(0.7)
+        frame = {"mode": "analytic", "model": "lin-saddle",
+                 "rotation": [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]}
+        path, scn = write_scenario(
+            tmp_path, frame=frame,
+            perturbation={"kind": "small-delay",
+                          "parameters": {"tau": 0.5, "h": 1.0}},
+            config=dict(scenario_dict()["config"], delta=0.1))
+        assert cli.main(["run", path, "--quiet"]) == 0
+        with open(os.path.join(scn["out"], "report.json")) as fh:
+            report = json.load(fh)
+        assert report["iterations"] == 1
+        assert report["distances"][0] <= 1e-15
+
+    def test_small_delay_on_the_floquet_frame_certifies(self, tmp_path):
+        # with no model entry the field is the planar cycle's, whose
+        # dimension is 2
+        frame, config = FLOQUET
+        path, scn = write_scenario(
+            tmp_path, frame=frame, config=config, eps=0.004,
+            perturbation={"kind": "small-delay",
+                          "parameters": {"tau": 1.0, "h": 1.0}})
+        assert cli.main(["run", path, "--quiet"]) == 0
+        with open(os.path.join(scn["out"], "report.json")) as fh:
+            report = json.load(fh)
+        assert report["converged"] and report["e_eta"] <= 1e-6
 
     def test_non_finite_delay_is_exit_four(self, tmp_path, capsys,
                                            monkeypatch):
@@ -485,7 +518,8 @@ class TestRunVerb:
         spec = state_dependent_delay(
             lambda t, y: 0.1 * y,
             lambda t, x: np.where(t > 3.0, math.nan, -0.5), h=1.0)
-        monkeypatch.setattr(cli, "spec_from_descriptor", lambda desc: spec)
+        monkeypatch.setattr(cli, "spec_from_descriptor",
+                            lambda desc, model: spec)
         path, scn = write_scenario(tmp_path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -563,7 +597,7 @@ class TestRunVerb:
             return out
 
         monkeypatch.setattr(cli, "spec_from_descriptor",
-                            lambda desc: ode_term(g))
+                            lambda desc, model: ode_term(g))
         path, scn = write_scenario(tmp_path)
         assert cli.main(["run", path]) == 4
         err = capsys.readouterr().err
@@ -1195,10 +1229,11 @@ class TestEntryPoint:
             paths[name].write_text(json.dumps(scn))
         code = textwrap.dedent("""
             import sys
-            from hypershadow import cli, perturbations
+            from hypershadow import cli, hyperbolic, perturbations
             lin, state, ver, floquet = sys.argv[1:]
             perturbations.spec_from_descriptor(
-                {"kind": "small-delay", "parameters": {"h": 0.5}})
+                {"kind": "small-delay", "parameters": {"h": 0.5}},
+                hyperbolic.builtin_model("lin-saddle"))
             print(cli.main(["run", lin, "--quiet"]),
                   cli.main(["verify", lin, state, "--out", ver, "--quiet"]),
                   cli.main(["sweep", floquet, "--quiet"]),

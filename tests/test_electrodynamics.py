@@ -162,6 +162,22 @@ class TestChargeSystem:
         with pytest.raises(ValueError, match="positive"):
             ed.ChargeSystem([qa, qb], [1.0, 0.0], [1, -1], 0.05)
 
+    @pytest.mark.parametrize("masses, charges, epsilon, xi2, name", [
+        ([1.0, math.nan], [1, -1], 0.05, 0.1, "masses"),
+        ([1.0, math.inf], [1, -1], 0.05, 0.1, "masses"),
+        ([1, 1], [math.nan, -1], 0.05, 0.1, "charges"),
+        ([1, 1], [1, -math.inf], 0.05, 0.1, "charges"),
+        ([1, 1], [1, -1], math.nan, 0.1, "epsilon"),
+        ([1, 1], [1, -1], math.inf, 0.1, "epsilon"),
+        ([1, 1], [1, -1], 0.05, math.nan, "xi2"),
+        ([1, 1], [1, -1], 0.05, math.inf, "xi2"),
+    ])
+    def test_non_finite_number_is_refused_by_name(self, masses, charges,
+                                                  epsilon, xi2, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be .*finite$"):
+            ed.ChargeSystem([origin(), drifting()], masses, charges,
+                            epsilon, xi2=xi2)
+
     def test_dimension_mismatch(self):
         qa = ed.Trajectory.static([0.0, 0.0])
         qb = origin()

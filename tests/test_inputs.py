@@ -236,7 +236,6 @@ TABLES = {
     **{f"the `{model}` model": hyperbolic.MODELS[model]
        for model in hyperbolic.FRAMES["analytic"]["model"].range},
     "a floquet `frame`": hyperbolic.FRAMES["floquet"],
-    "a floquet frame's `parameters`": hyperbolic.FLOQUET_PARAMETERS,
     "`perturbation`": perturbations.PERTURBATION,
     **{f"the `parameters` of kind `{kind}`": table
        for kind, table in perturbations.KINDS.items()},

@@ -59,8 +59,9 @@ from hypershadow.perturbations import (
     state_dependent_delay,
 )
 
-# the shipped "no perturbation" kind
-ZERO = spec_from_descriptor({"kind": "zero"})
+# the shipped "no perturbation" kind; it reads its dimension off the
+# state, so it fits every frame
+ZERO = spec_from_descriptor({"kind": "zero"}, builtin_model("lin-saddle"))
 
 
 def lin_frame(lam_s=1.0, lam_u=1.0):
@@ -905,7 +906,7 @@ def test_static_lattices_are_sampled_once_per_run(monkeypatch):
     fr = analytic_frame({"model": "saddle-cubic", "lambda_s": 1.0,
                          "lambda_u": 1.0, "cubic": (0.3, 0.2)})
     spec = spec_from_descriptor({"kind": "sdd-tanh", "parameters":
-                                 {"h": 1.0, "c0": 0.5, "c1": 0.2}})
+                                 {"h": 1.0, "c0": 0.5, "c1": 0.2}}, fr.model)
     cfg = base_cfg(eps=0.02)
     builds = []
     build = funcspace.GridSampler.__init__
@@ -936,7 +937,7 @@ def test_floquet_bases_are_built_once_per_lattice(max_iters, monkeypatch):
                                 "model": "planar-limit-cycle"})
     spec = spec_from_descriptor({"kind": "ode-sin-forcing", "parameters":
                                  {"a": 0.45, "omega": 1.0, "n": 2,
-                                  "axis": 1}})
+                                  "axis": 1}}, fr.model)
     cfg = OperatorConfig(eta=0.25, window=12.0, eps=0.01,
                          delta=0.2, tol_eta=1e-6, max_iters=max_iters)
     calls = []
@@ -953,7 +954,7 @@ def _sdd_cubic():
     fr = analytic_frame({"model": "saddle-cubic", "lambda_s": 1.0,
                          "lambda_u": 1.0, "cubic": (0.3, 0.2)})
     spec = spec_from_descriptor({"kind": "sdd-tanh", "parameters":
-                                 {"h": 1.0, "c0": 0.5, "c1": 0.2}})
+                                 {"h": 1.0, "c0": 0.5, "c1": 0.2}}, fr.model)
     return fr, spec, base_cfg(eps=0.02)
 
 
@@ -963,7 +964,7 @@ def _floquet_scenario():
                                 "model": "planar-limit-cycle"})
     spec = spec_from_descriptor({"kind": "ode-sin-forcing",
                                  "parameters": {"a": 0.45, "omega": 1.0,
-                                                "n": 2, "axis": 1}})
+                                                "n": 2, "axis": 1}}, fr.model)
     cfg = OperatorConfig(eta=0.25, window=12.0, eps=0.01,
                          delta=0.2, tol_eta=1e-6)
     return fr, spec, cfg
@@ -1069,14 +1070,15 @@ def test_segment_derivative_is_built_only_when_read(monkeypatch, x_dev):
     monkeypatch.setattr(GridFunction, "derivative", lambda self, k=1:
                         calls.append(k) or deriv(self, k))
     sdd = spec_from_descriptor({"kind": "sdd-tanh", "parameters":
-                                {"h": 1.0, "c0": 0.5, "c1": 0.2}})
+                                {"h": 1.0, "c0": 0.5, "c1": 0.2}}, fr.model)
     varphi(fr, st, sdd, flow, vs, 1e-2)
     assert calls == []
 
     # a neutral delay reads theta'(0); its values are those of a segment
     # whose derivative was built up front
     neutral = spec_from_descriptor({"kind": "neutral-linear", "parameters":
-                                    {"h": 1.0, "c0": 0.3, "c1": 0.3}})
+                                    {"h": 1.0, "c0": 0.3, "c1": 0.3}},
+                                   fr.model)
     got = varphi(fr, st, neutral, flow, vs, 1e-2)
     assert calls
     xh = st.xs + st.xu
@@ -1112,7 +1114,8 @@ def test_history_lookups_build_no_sampler_on_phi(monkeypatch):
                         lambda self, g, t: builds.append(g.geometry)
                         or build(self, g, t))
     neutral = spec_from_descriptor({"kind": "neutral-linear", "parameters":
-                                    {"h": 1.0, "c0": 0.3, "c1": 0.3}})
+                                    {"h": 1.0, "c0": 0.3, "c1": 0.3}},
+                                   fr.model)
     varphi(fr, st, neutral, flow, np.linspace(-3.0, 3.0, 13), 1e-2)
     assert st.xs.geometry in builds
     assert flow.phi.geometry not in builds
@@ -1149,7 +1152,7 @@ def test_bit_for_bit_fixed_point_is_not_applied_again(monkeypatch):
     fr = lin_frame()
     spec = spec_from_descriptor({"kind": "delayed-sin-forcing", "parameters":
                                  {"a": 1.0, "omega": 2.0, "h": 1.0,
-                                  "lag": 1.0}})
+                                  "lag": 1.0}}, fr.model)
     cfg = base_cfg(eps=1e-2)
     calls, step = _counted_steps(monkeypatch)
     state, report = iterate(fr, spec, cfg)
@@ -1165,7 +1168,7 @@ def test_moving_fixed_point_is_applied_once_more(monkeypatch):
     fr = analytic_frame({"model": "saddle-cubic", "lambda_s": 1.0,
                          "lambda_u": 1.0, "cubic": (0.3, 0.2)})
     spec = spec_from_descriptor({"kind": "sdd-tanh", "parameters":
-                                 {"h": 1.0, "c0": 0.5, "c1": 0.2}})
+                                 {"h": 1.0, "c0": 0.5, "c1": 0.2}}, fr.model)
     cfg = base_cfg(eps=0.02)
     calls, step = _counted_steps(monkeypatch)
     state, report = iterate(fr, spec, cfg)

@@ -8,7 +8,7 @@ import pytest
 from hypershadow import perturbations
 from hypershadow.flows import NumericalError
 from hypershadow.funcspace import GridFunction, pointwise
-from hypershadow.hyperbolic import OdeModel, analytic_frame
+from hypershadow.hyperbolic import OdeModel, analytic_frame, builtin_model
 from hypershadow.perturbations import (
     HistorySegment,
     PerturbationSpec,
@@ -22,6 +22,11 @@ from hypershadow.perturbations import (
     spec_from_descriptor,
     state_dependent_delay,
 )
+
+
+# the frame fields the descriptors perturb; small-delay reads its field
+SADDLE = builtin_model("lin-saddle")
+CUBIC = builtin_model("saddle-cubic", {"cubic": [0.3, 0.2]})
 
 
 def seg_from_fn(fn, dfn, t=0.0, h=2.0):
@@ -43,8 +48,9 @@ def sine_traj(half_width=6.0, delta=0.01, amp=1.0, m=3):
     return GridFunction.sample(fn, half_width, delta, interp_order=5)
 
 
-def pointwise_kind(desc):
-    """A shipped kind rebuilt from its one-row formula through pointwise.
+def pointwise_kind(desc, model):
+    """A shipped kind of ``model`` rebuilt from its one-row formula
+    through pointwise.
 
     These are the formulas the descriptor kinds used before they were
     vectorized, kept as the reference for the batched versions.
@@ -85,8 +91,6 @@ def pointwise_kind(desc):
             pointwise(ident), pointwise(lambda t, x: max(-h, -abs(x[0]))),
             pointwise(lambda x: p["inner_shift"]), h)
     if kind == "small-delay":
-        from hypershadow.hyperbolic import builtin_model
-        model = builtin_model(p["model"], p["model_params"])
         return small_delay_q(model, [pointwise(lambda t, seg: p["tau"])],
                              p["h"], tau_bounds=[p["tau"]],
                              eps_max=p["eps_max"])
@@ -195,9 +199,7 @@ class TestBatching:
          "parameters": {"h": 1.0, "c0": 0.3, "c1": 0.1}},
         {"kind": "nested-abs", "parameters": {"h": 1.0, "inner_shift": -0.5}},
         {"kind": "small-delay",
-         "parameters": {"model": "saddle-cubic",
-                        "model_params": {"cubic": [0.3, 0.2]},
-                        "tau": 0.8, "h": 0.2, "eps_max": 0.2}},
+         "parameters": {"tau": 0.8, "h": 0.2, "eps_max": 0.2}},
     ]
 
     @staticmethod
@@ -237,7 +239,7 @@ class TestBatching:
     def test_batch_equals_single_center_calls(self):
         ts = np.linspace(-1.5, 2.0, 9)
         for desc in self.KINDS:
-            spec = spec_from_descriptor(desc)
+            spec = spec_from_descriptor(desc, CUBIC)
             seg = seg_from_fn(self.wiggle, self.dwiggle, t=ts)
             batch = spec(ts, seg, 0.05)
             assert batch.shape == (ts.size, 3)
@@ -251,8 +253,8 @@ class TestBatching:
     def test_vectorized_kind_matches_its_pointwise_formula(self, desc):
         ts = np.linspace(-1.5, 2.0, 9)
         seg = seg_from_fn(self.wiggle, self.dwiggle, t=ts)
-        got = spec_from_descriptor(desc)(ts, seg, 0.05)
-        want = pointwise_kind(desc)(ts, seg, 0.05)
+        got = spec_from_descriptor(desc, CUBIC)(ts, seg, 0.05)
+        want = pointwise_kind(desc, CUBIC)(ts, seg, 0.05)
         if desc["kind"] == "sdd-tanh":
             # np.tanh and math.tanh may differ in the last place, which
             # moves the lookup time by that much
@@ -262,7 +264,7 @@ class TestBatching:
             assert np.array_equal(got, want)
 
     def test_grid_tabulation_matches_pointwise_application(self):
-        spec = spec_from_descriptor(self.KINDS[4])
+        spec = spec_from_descriptor(self.KINDS[4], SADDLE)
         traj = sine_traj(half_width=8.0, amp=0.8)
         out = functional_output_grid(spec, traj, 0.0, 2.0, 0.25)
         for t, row in zip(out.nodes, out.values):
@@ -293,7 +295,7 @@ class TestOdeTerm:
                       "parameters": {"a": 1.0, "omega": 1.0}},
                      {"kind": "multi-delay",
                       "parameters": {"pairs": [[0.0, 2.0]]}}):
-            spec = spec_from_descriptor(desc)
+            spec = spec_from_descriptor(desc, SADDLE)
             assert spec.h == 0.0
             assert spec(1.5, orbit_segment(1.5, h=0.0), 0.1).shape == (3,)
 
@@ -685,7 +687,7 @@ class TestInvariants:
         # most polynomially with the trajectory's own norms
         desc = {"kind": "sdd-tanh",
                 "parameters": {"h": 1.0, "c0": 0.5, "c1": 0.3}}
-        spec = spec_from_descriptor(desc)
+        spec = spec_from_descriptor(desc, SADDLE)
         for amp in (0.5, 1.0, 2.0):
             traj = sine_traj(half_width=8.0, amp=amp)
             out = functional_output_grid(spec, traj, 0.0, 4.0, 0.02)
@@ -718,18 +720,17 @@ class TestDescriptors:
             {"kind": "nested-abs",
              "parameters": {"h": 1.0, "inner_shift": -0.5}},
             {"kind": "small-delay",
-             "parameters": {"model": "lin-saddle", "tau": 0.8, "h": 0.2,
-                            "eps_max": 0.2}},
+             "parameters": {"tau": 0.8, "h": 0.2, "eps_max": 0.2}},
         ]
         seg = seg_from_fn(
             lambda s: np.array([0.3 * math.sin(s) + 0.2, 0.1 * s, 0.05]),
             lambda s: np.array([0.3 * math.cos(s), 0.1, 0.0]),
             t=0.4, h=2.0)
         for desc in descs:
-            spec = spec_from_descriptor(desc)
+            spec = spec_from_descriptor(desc, SADDLE)
             # the kind and parameters the spec records rebuild it
             again = spec_from_descriptor({"kind": spec.kind,
-                                          "parameters": spec.params})
+                                          "parameters": spec.params}, SADDLE)
             a = spec(0.4, seg, 0.01)
             b = again(0.4, seg, 0.01)
             assert np.abs(a - b).max() <= 1e-14
@@ -742,7 +743,7 @@ class TestDescriptors:
             return spec_from_descriptor({"kind": "delayed-sin-forcing",
                                          "parameters": {"a": 1.0,
                                                         "omega": 2.0,
-                                                        "lag": lag}})
+                                                        "lag": lag}}, SADDLE)
 
         spec = build(-5.0)
         assert spec.h == 5
@@ -761,7 +762,7 @@ class TestDescriptors:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="perturbation entry 'kind' "
                                              "must be one of zero, "):
-            spec_from_descriptor({"kind": "nope", "parameters": {}})
+            spec_from_descriptor({"kind": "nope", "parameters": {}}, SADDLE)
 
     @pytest.mark.parametrize("kind,params,says", [
         ("ode-sin-forcing", {"a": "oops", "omega": 1.0},
@@ -779,16 +780,20 @@ class TestDescriptors:
          "parameters: missing entry 'h'"),
         ("ode-sin-forcing", {"a": 1.0, "omega": 1.0, "axis": 1.7},
          "parameter 'axis' must be an integer, got 1.7"),
+        # the output dimension is the frame model's
+        ("zero", {"n": 2}, "parameter 'n' must be the model dimension 3"),
     ])
     def test_bad_parameter_names_kind_and_parameter(self, kind, params,
                                                     says):
         with pytest.raises(ValueError) as info:
-            spec_from_descriptor({"kind": kind, "parameters": params})
+            spec_from_descriptor({"kind": kind, "parameters": params},
+                                 SADDLE)
         assert str(info.value).startswith(f"descriptor kind {kind!r} ")
         assert says in str(info.value)
 
     def test_integral_float_index_is_accepted(self):
         spec = spec_from_descriptor({"kind": "ode-sin-forcing", "parameters":
-                                     {"a": 1.0, "omega": 1.0, "axis": 2.0}})
+                                     {"a": 1.0, "omega": 1.0, "axis": 2.0}},
+                                    SADDLE)
         out = spec(np.array([0.5]), orbit_segment(0.5), 0.0)
         assert out[0] == pytest.approx([0.0, 0.0, math.sin(0.5)], abs=1e-15)

@@ -36,6 +36,11 @@ position (``self`` and ``cls`` not counted), or unpacks ``*`` or
 ``**``. Matching by name can only over-count, as above. A parameter no
 call sets is one only tests set; each is listed in ALLOWED_PARAMETERS
 as ``name(parameter)`` with its ROADMAP item.
+
+The same trees pin the package's layering: each module imports from
+the package only the modules LAYERS lists for it, so the operator
+layers never read frame code and frames and perturbations meet only in
+``cli``.
 """
 
 import ast
@@ -91,6 +96,19 @@ ALLOWED_PARAMETERS = {
     # item 10: a sweep member starts from the member before it
     "iterate(initial)": 10,
 }
+
+
+# the package modules each module may import; ``cli``, the front end,
+# may import any, ``__main__`` runs it, and ``__init__`` exports them all
+LAYERS = {
+    "funcspace": set(),
+    "flows": {"funcspace"},
+    "hyperbolic": {"funcspace"},
+    "perturbations": {"funcspace", "flows"},
+    "invariance": {"funcspace", "flows", "perturbations"},
+    "electrodynamics": {"funcspace", "flows", "perturbations"},
+}
+_FRONT = {"cli", "__main__", "__init__"}
 
 
 def _parse(path):
@@ -346,6 +364,58 @@ def unset_parameters(src=None, trees=None):
                        or (pos is not None and count > pos)
                        for count, keywords, unpacks
                        in calls.get(called, ()))}
+
+
+def package_imports(src=None):
+    """{module: the package modules it imports} of the (module name,
+    tree) pairs ``src``, by default the package's, read off every
+    import statement, those inside definitions too."""
+    out = {}
+    for name, tree in _src_trees() if src is None else src:
+        found = out[name.removesuffix(".py")] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found |= {a.name.split(".")[1] for a in node.names
+                          if a.name.startswith("hypershadow.")}
+                continue
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "hypershadow":
+                    continue
+                module = module.partition(".")[2]
+            found |= ({module.partition(".")[0]} if module
+                      else {a.name for a in node.names})
+    return out
+
+
+def test_layers_import_only_the_layers_below():
+    imports = package_imports()
+    assert set(imports) == set(LAYERS) | _FRONT
+    wrong = {name: sorted(imports[name] - allowed)
+             for name, allowed in LAYERS.items() if imports[name] - allowed}
+    assert not wrong, f"imports across the layering: {wrong}"
+    # frames and the operator layers meet only in the front end
+    assert [name for name, used in sorted(imports.items())
+            if "hyperbolic" in used and name != "__init__"] == ["cli"]
+
+
+def test_import_walk_reads_every_form_of_import():
+    m = textwrap.dedent("""
+        import numpy
+        import hypershadow.flows
+        from . import funcspace
+        from .hyperbolic import OdeModel
+        from hypershadow import cli
+        from hypershadow.invariance import iterate
+
+        def late():
+            from .perturbations import HistorySegment
+        """)
+    assert package_imports([("m.py", ast.parse(m))]) == {"m": {
+        "flows", "funcspace", "hyperbolic", "cli", "invariance",
+        "perturbations"}}
 
 
 def test_only_allowlisted_definitions_are_test_only():
