@@ -334,7 +334,7 @@ def cmd_sweep(scn, quiet=False):
         _complain(str(exc))
         return 1
     prefix = "sweep member eps={:g} failed: "
-    # the run layout (geometry, lattices, samplers, frame tables) does
+    # the run layout (geometry, lattices, readers, frame tables) does
     # not depend on eps either: one for every member, dropped when the
     # sweep returns
     run = _Run(fr, spec, cfg, DEFAULT_T_RADII[0])

@@ -23,6 +23,8 @@ import numpy as np
 __all__ = [
     "GridFunction",
     "GridSampler",
+    "Layout",
+    "StencilRead",
     "CellTable",
     "BallRadii",
     "BallReport",
@@ -151,6 +153,35 @@ def _binomial_weights(p):
                              for k in range(p + 1)]))
 
 
+def _barycentric(p, diff):
+    # normalised barycentric weights at the distances diff (last axis)
+    # from p + 1 equally spaced nodes; a point on a node, or a subnormal
+    # distance from one (which overflows to inf), reads the sample
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = _binomial_weights(p) / diff
+    bad = ~np.isfinite(w)
+    if bad.any():
+        w = np.where(bad.any(axis=-1, keepdims=True), bad, w)
+    # one row sum: adding the columns one by one changes bits at order 7
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+@functools.lru_cache(maxsize=32)
+def _shift_tables(p, fracs):
+    # table s, row r: the point s + fracs[r] on stencil nodes 0..p
+    return _frozen(_barycentric(p, (np.arange(p + 1.0)[:, None] + fracs)
+                                [:, :, None] - np.arange(p + 1.0)))
+
+
+@functools.lru_cache(maxsize=32)
+def _difference_read(geometry, k):
+    # row q of the Fornberg table weighs a stencil at its node q
+    _, delta, n, p = geometry
+    return StencilRead(geometry, Layout(delta / 2.0, 1 - n, 2, n),
+                       tables=_stencil_table(p, k, delta)[:, None],
+                       centre=p // 2)
+
+
 class GridFunction:
     """Uniform samples of a function [-T, T] -> R^m, zero beyond [-T, T].
 
@@ -277,23 +308,19 @@ class GridFunction:
         return self.eval(t)
 
     def _extend(self, inner, inside, edges):
-        # the reads at queries located by _locate: inner, (j, m) or (j,)
-        # when m = 1, inside the window, and at distance u past an end
-        # the end value tapered linearly to 0 over one cell
+        # the reads at queries located by _locate (or slices of them):
+        # inner, (j, m) or (j,) when m = 1, inside the window, and at
+        # distance u past an end the end value tapered to 0 over a cell
         if inside is None:
             return inner
-        out = np.empty(inside.shape + inner.shape[1:])
+        size = len(inner) + sum(len(u) for _, u, _ in edges)
+        out = np.empty((size,) + inner.shape[1:])
         out[inside] = inner
         for mask, u, side in edges:
             end = self.values[0 if side < 0 else -1].reshape(inner.shape[1:])
             out[mask] = np.multiply.outer(
                 np.clip(1.0 - u / self.delta, 0.0, 1.0), end)
         return out
-
-    def stencil_weights(self, k):
-        """Row q: Fornberg weights of D^k at node q of a stencil, shared
-        read-only by every grid of this order and step."""
-        return _stencil_table(self.interp_order, k, self.delta)
 
     # -- derivatives and norms -------------------------------------------
 
@@ -312,12 +339,7 @@ class GridFunction:
         cached = self._dcache.get(k)
         if cached is not None:
             return cached
-        p = self.interp_order
-        i = np.arange(self.n)
-        start = np.clip(i - p // 2, 0, self.n - 1 - p)
-        cols = start[:, None] + np.arange(p + 1)[None, :]
-        dv = np.einsum("np,npm->nm", self.stencil_weights(k)[i - start],
-                       np.take(self.values, cols, axis=0))
+        dv = _difference_read(self.geometry, k).apply(self)
         out = self._dcache[k] = self.with_values(dv)
         return out
 
@@ -433,21 +455,7 @@ class GridSampler:
         self.inside, t, cell, self.edges = _locate(g, t)
         start = _stencil_start(cell, p, g.n)
         self.cols = start[:, None] + np.arange(p + 1)[None, :]
-        diff = t[:, None] - g.nodes[self.cols]
-        # barycentric form; uniform spacing makes the weights binomial.
-        # A query landing on a node takes the sample directly, keeping
-        # node evaluation exact; one a subnormal distance from a node
-        # overflows to inf here and is then treated as landing on it
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = _binomial_weights(p) / diff
-        bad = ~np.isfinite(w)
-        if bad.any():
-            rows = bad.any(axis=1)
-            w[rows] = np.where(bad[rows], 1.0, 0.0)
-        # the row sum's order is part of the bits: adding the columns
-        # one at a time changes them at order 7
-        w /= w.sum(axis=1)[:, None]
-        self.weights = w
+        self.weights = _barycentric(p, t[:, None] - g.nodes[self.cols])
 
     def apply(self, g):
         """Values of ``g`` at the sampled times, shape (size, m)."""
@@ -456,6 +464,86 @@ class GridSampler:
         inner = np.einsum("kp,kpm->km", self.weights,
                           np.take(g.values, self.cols, axis=0))
         return g._extend(inner, self.inside, self.edges)
+
+
+class Layout(NamedTuple):
+    """The points (first + i step + offsets[k]) unit, i < count, i-major:
+    a lattice of integers ``first``, ``step`` and ``count``, ``offsets``
+    ascending in [0, 1), whose cells and fractions on a grid of whole
+    units are known without rounding a time."""
+
+    unit: float
+    first: int
+    step: int
+    count: int
+    offsets: tuple = (0.0,)
+
+
+class StencilRead:
+    """The points ``rows`` (a slice) of a :class:`Layout` read from any
+    grid of one geometry, on which it is a uniform cell pattern: cells
+    ``stride`` apart, each with R points at fixed fractions.
+    ``tables[s]`` (R, p + 1), by default barycentric, weighs a stencil
+    starting s nodes before its cell c, at c - ``centre`` shifted inward
+    at the window ends. ``apply(g)`` is one matrix product of the
+    interior table over p + 1 shifted slices of g's samples, one of the
+    boundary rows at each end and ``g._extend`` past the window.
+    """
+
+    __slots__ = ("geometry", "table", "slices", "ends", "cut", "inside",
+                 "edges")
+
+    def __init__(self, geometry, layout, rows=slice(None), tables=None,
+                 centre=None):
+        T, delta, n, p = self.geometry = geometry
+        unit, first, step, count, offsets = layout
+        H, S = round(T / unit), round(delta / unit)
+        if (max(abs(T / unit - H), abs(delta / unit - S)) > 1e-6 or S < 1
+                or step % S and S % step):
+            raise ValueError(f"{layout} is no cell pattern on {geometry}")
+        # base i is H + first + i step units past the grid's first node,
+        # and point i of the pattern in cell first + i // R stride
+        pos, K = H + first, len(offsets)
+        fracs = tuple((pos % min(S, step) + j + o) / S
+                      for j in range(0, S, step) for o in offsets)
+        tables = _shift_tables(p, fracs) if tables is None else tables
+        centre = (p - 1) // 2 if centre is None else centre
+        start, stop, _ = rows.indices(count * K)
+        first, stride, R = pos // S, max(step // S, 1), len(fracs)
+        lead = (pos % S) // step * K + start
+        i = lead + np.arange(stop - start)
+        u = first + i // R * stride + np.asarray(fracs)[i % R]
+        # cells to the last read; by shift: boundary, a..b - 1, boundary
+        cells = first + stride * np.arange(-(-(lead + i.size) // R))
+        shift = np.clip(cells - np.clip(cells - centre, 0, n - 1 - p), 0, p)
+        a, b = np.searchsorted(shift, [centre, centre + 1])
+        self.table = tables[centre]
+        c0, c1 = (cells[a], cells[b - 1] + 1) if b > a else (centre, centre)
+        self.slices = [slice(c0 - centre + j, c1 - centre + j, stride)
+                       for j in range(p + 1)]
+        self.ends = (tables[shift[:a]].reshape(-1, p + 1),
+                     tables[shift[b:]].reshape(-1, p + 1))
+        # the points in the window, lo..hi - 1, and the taper past it
+        lo = int(np.searchsorted(u, 0.0))
+        hi = int(np.searchsorted(u, n - 1.0, side="right"))
+        self.cut = slice(lead + lo, lead + hi)
+        self.inside = slice(lo, hi) if hi - lo < u.size else None
+        self.edges = [(mask, dist * delta, side) for mask, dist, side in (
+            (slice(0, lo), -u[:lo], -1),
+            (slice(hi, u.size), u[hi:] - (n - 1), +1)) if dist.size]
+
+    def apply(self, g):
+        """Values of ``g`` at the points, shape (count, m)."""
+        if g.geometry != self.geometry:
+            raise ValueError(f"reader of {self.geometry} read {g.geometry}")
+        v, (R, width), m = g.values, self.table.shape, g.values.shape[1]
+        mid = self.table @ np.concatenate([v[s] for s in self.slices]
+                                          ).reshape(width, -1)
+        # the interior's (R, cells m) in the points' order, (cells R, m)
+        block = np.concatenate([
+            self.ends[0] @ v[:width], mid.reshape(R, -1, m).swapaxes(0, 1)
+            .reshape(-1, m), self.ends[1] @ v[len(v) - width:]])
+        return g._extend(block[self.cut], self.inside, self.edges)
 
 
 class CellTable:

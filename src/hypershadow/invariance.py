@@ -31,7 +31,7 @@ from .flows import (Flow, FlowGuardError, NumericalError, ScalarField,
                     composite_factor, flow_cells, inverse_flow_factor,
                     solve_flow)
 from .funcspace import (REQUIRED, BallRadii, Entry, GridFunction,
-                        GridSampler, ball_membership,
+                        GridSampler, Layout, StencilRead, ball_membership,
                         check_entries, json_text, lattice, write_lines)
 from .perturbations import HistorySegment
 
@@ -105,6 +105,8 @@ class OperatorConfig:
 class _Geometry:
     """Resolved window layout shared by every operator evaluation."""
 
+    cells: int    # grid cells in the window
+    steps: int    # quadrature steps in t_int
     t_int: float
     quad: float
     margin: float
@@ -135,9 +137,10 @@ def resolve_geometry(cfg, fr, h, t0):
             f"weight rate {cfg.eta} must stay below the hyperbolicity "
             f"rates (min rate {lam_min})")
     quad = cfg.delta / 2.0
-    lattice(cfg.window, cfg.delta)
+    cells = lattice(cfg.window, cfg.delta).size - 1
     raw = math.log(10.0 * _INTEGRAND_BOUND / cfg.tol_eta) / lam_min
-    t_int = math.ceil(raw / quad - 1e-9) * quad
+    steps = math.ceil(raw / quad - 1e-9)
+    t_int = steps * quad
     # the rounding slack above may land a hair short of the rule
     if math.exp(-lam_min * t_int) * _INTEGRAND_BOUND >= cfg.tol_eta / 10.0:
         raise ValueError(
@@ -145,9 +148,9 @@ def resolve_geometry(cfg, fr, h, t0):
             f"rounds short of the tail rule: exp(-{lam_min:g} * {t_int:g}) "
             f"* {_INTEGRAND_BOUND:g} >= {cfg.tol_eta:g} / 10")
     margin = t_int + (1.0 + t0) * h
-    core_half = cfg.window - margin
-    # metrics need at least a handful of core nodes
-    core_half = math.floor(core_half / cfg.delta + 1e-9) * cfg.delta
+    # the core ends on state nodes; metrics need a handful of them
+    core_half = (cells - 2 * math.ceil(margin / cfg.delta - 1e-9)) \
+        * cfg.delta / 2.0
     if core_half < 3.0 * cfg.delta:
         raise ValueError(
             "correction window leaves no core once the truncation and "
@@ -159,8 +162,9 @@ def resolve_geometry(cfg, fr, h, t0):
         raise ValueError(f"half-cell grid of the window widened by t_int = "
                          f"{t_int:g}: {exc}") from None
     flow_half = (cfg.window + t_int) / max(1.0 - t0, 1e-9) + h + 1.0
-    return _Geometry(t_int=t_int, quad=quad, margin=margin,
-                     core_half=core_half, flow_half=flow_half, hi=hi)
+    return _Geometry(cells=cells, steps=steps, t_int=t_int, quad=quad,
+                     margin=margin, core_half=core_half, flow_half=flow_half,
+                     hi=hi)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +278,10 @@ def _quadratic_batch(fr, state, vs, at):
     """(B, X) at the FrameTable vs: the quadratic term
     B = (1 - X) Df(x0) xhat + T[x0, xhat], shape (k, n), and the time
     change X there, shape (k,). Df(x0) xhat is formed once for both
-    parts; ``at`` is a sampler of vs on the state's grids."""
-    xh = at.apply(state.xs + state.xu)
-    Xv = 1.0 + at.apply(state.X.xhat)[:, 0]
+    parts; ``at`` reads vs on the state's grids, both in one read."""
+    both = at.apply(state.xs.with_values(np.hstack(
+        [state.xs.values + state.xu.values, state.X.xhat.values])))
+    xh, Xv = both[:, :-1], 1.0 + both[:, -1]
     lin, rem = _taylor_split(fr, vs, xh)
     return (1.0 - Xv)[:, None] * lin + rem, Xv
 
@@ -359,6 +364,7 @@ def _varphi_batch(fr, state, spec, flow, vs, bases, eps):
 _GAUSS3_NODES = np.array([-0.7745966692414834, 0.0, 0.7745966692414834])
 _GAUSS3_WEIGHTS = np.array([0.5555555555555557, 0.8888888888888888,
                             0.5555555555555557])
+_GAUSS3_OFFSETS = tuple((0.5 * (_GAUSS3_NODES + 1.0)).tolist())
 
 
 def _gauss_panels(starts, step):
@@ -376,36 +382,37 @@ class _Lattice:
     the orbit, the field and its derivative along it, the adapted bases,
     the projectors and the bundle-sum plans behind every projection and
     bundle sum are evaluated once per run, not once per step.
-    ``read(g)`` is the sampler of the times on g's geometry and
-    ``support(g)`` the cut of the points a state grid of g's geometry
-    reaches; each is built once per geometry.
+    ``layout`` holds them in quadrature steps. ``read(g)`` reads them on
+    g's geometry and ``support(g)`` the cut of them a state grid of g's
+    geometry reaches; each is built once per geometry.
     """
 
-    def __init__(self, fr, times):
+    def __init__(self, fr, times, layout):
         self.times = times
+        self.layout = layout
         self.table = fr.table(times)
         self._readers = {}
         self._supports = {}
 
     def read(self, g):
         if g.geometry not in self._readers:
-            self._readers[g.geometry] = GridSampler(g, self.times)
+            self._readers[g.geometry] = StencilRead(g.geometry, self.layout)
         return self._readers[g.geometry]
 
     def support(self, g):
-        """(rows, table, sampler) of the points with |t| < T + delta, T
+        """(rows, table, reader) of the points with |t| < T + delta, T
         and delta g's: the points where a state grid of g's geometry can
         be nonzero, since it extends by zero and so vanishes from one
         cell past its window. For the node lattice that is all of its
         rows. The rows are a slice, and the table cut out of ``table``
-        holds views of its values. The sampler reads g's geometry at the
-        rows' times."""
+        holds views of its values. The reader reads g's geometry at the
+        rows' points."""
         if g.geometry not in self._supports:
             reach = g.half_width + g.delta
             rows = slice(np.searchsorted(self.times, -reach, side="right"),
                          np.searchsorted(self.times, reach, side="left"))
-            sub = self.table.take(rows)
-            self._supports[g.geometry] = rows, sub, GridSampler(g, sub.times)
+            reader = StencilRead(g.geometry, self.layout, rows)
+            self._supports[g.geometry] = rows, self.table.take(rows), reader
         return self._supports[g.geometry]
 
 
@@ -420,11 +427,16 @@ class _Run:
 
     def __init__(self, fr, spec, cfg, t0):
         self.geo = geo = resolve_geometry(cfg, fr, spec.h, t0)
-        self.nodes = _Lattice(fr, lattice(cfg.window, cfg.delta))
+        # the half-cell lattice ends at +-(cells + steps) quadrature steps
+        ends = geo.cells + geo.steps
+        self.nodes = _Lattice(fr, lattice(cfg.window, cfg.delta),
+                              Layout(geo.quad, -geo.cells, 2, geo.cells + 1))
         half_cells = lattice(geo.hi, geo.quad)
-        self.half_cells = _Lattice(fr, half_cells)
+        self.half_cells = _Lattice(fr, half_cells,
+                                   Layout(geo.quad, -ends, 1, 2 * ends + 1))
         points, self.weights = _gauss_panels(half_cells[:-1], geo.quad)
-        self.gauss = _Lattice(fr, points)
+        self.gauss = _Lattice(fr, points, Layout(geo.quad, -ends, 1, 2 * ends,
+                                                 _GAUSS3_OFFSETS))
 
 
 def _step_load(fr, state, spec, cfg, run):
@@ -433,10 +445,10 @@ def _step_load(fr, state, spec, cfg, run):
 
     The flow of the state's time change is solved here, and varphi
     tabulated once on the half-cell lattice, at the base times its
-    sampler of phi^{-1} reads: Gauss points read it by interpolation,
-    and state nodes fall on the lattice, so they read the tabulated
-    values exactly. X - 1, xhat_s and xhat_u extend by zero, so xhat = 0
-    and X = 1 beyond one cell past the window, and B = 0 there: the
+    reader of phi^{-1} reads: Gauss points read it by interpolation,
+    and state nodes, every other node of it, read the tabulated values
+    exactly. X - 1, xhat_s and xhat_u extend by zero, so xhat = 0 and
+    X = 1 beyond one cell past the window, and B = 0 there: the
     quadratic term is evaluated on the lattice's support only
     (:meth:`_Lattice.support`) and is 0, with X = 1, elsewhere.
     """

@@ -727,6 +727,34 @@ class TestRunVerb:
         assert len(swept[0]) == 2 + 3 * 8 and swept[0] == swept[1]
 
 
+# the bench's sdd-cubic scenario: its delay moves X at every step
+SDD_CUBIC = {"frame": {"mode": "analytic", "model": "saddle-cubic",
+                       "lambda_s": 1.0, "lambda_u": 1.0, "cubic": [0.3, 0.2]},
+             "perturbation": {"kind": "sdd-tanh",
+                              "parameters": {"h": 1.0, "c0": 0.5,
+                                             "c1": 0.2}}}
+
+
+@pytest.mark.parametrize("window", [24.05, 23.95])
+def test_a_window_of_odd_half_cells_certifies(tmp_path, window):
+    # a window whose ends are odd multiples of delta / 2 holds whole
+    # cells, so its core must end on its nodes, not on multiples of delta
+    config = {"eta": 0.25, "window": window, "delta": 0.1, "tol_eta": 1e-8}
+    path, scn = write_scenario(tmp_path, config=config, eps=0.02,
+                               **SDD_CUBIC)
+    assert cli.main(["run", path, "--quiet"]) == 0
+    report = read_json(scn["out"], "report.json")
+    assert report["converged"]
+    cells = (window - report["core_half"]) / 0.1
+    assert abs(cells - round(cells)) < 1e-9
+    assert cli.main(["verify", path, scn["out"], "--out",
+                     str(tmp_path / "verify"), "--quiet"]) == 0
+    spath, sscn = write_scenario(tmp_path, name="sweep.json",
+                                 out=str(tmp_path / "sweep"), config=config,
+                                 eps=[0.02, 0.01, 0.005], **SDD_CUBIC)
+    assert cli.main(["sweep", spath, "--quiet"]) == 0
+
+
 class TestSweepVerb:
     def test_linear_sweep_slope(self, tmp_path):
         path, scn = write_scenario(tmp_path, eps=[4e-3, 2e-3, 1e-3])

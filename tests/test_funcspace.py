@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypershadow import funcspace as fs
-from hypershadow.invariance import OperatorConfig
+from hypershadow.invariance import (_GAUSS3_OFFSETS, OperatorConfig,
+                                     _gauss_panels)
 
 
 def grid(fn, T, delta, order=5):
@@ -372,17 +373,109 @@ def test_sampler_rejects_other_geometry():
     assert np.abs(ones - 1.0).max() <= 1e-14
 
 
+# -- stencil reads of run lattices ---------------------------------------
+
+def _run_lattices(N, M, delta):
+    """(name, layout, times) of the lattices a run lays out for a window
+    of N half-cells and t_int of M quadrature steps, times as the run
+    computes them: the nodes, the half-cells of the widened window and
+    the Gauss panels on them."""
+    quad, ends = delta / 2.0, N + M
+    half_cells = fs.lattice(ends * quad, quad)
+    gauss, _ = _gauss_panels(half_cells[:-1], quad)
+    return (("nodes", fs.Layout(quad, -N, 2, N + 1),
+             fs.lattice(N * quad, delta)),
+            ("half-cells", fs.Layout(quad, -ends, 1, 2 * ends + 1),
+             half_cells),
+            ("gauss", fs.Layout(quad, -ends, 1, 2 * ends, _GAUSS3_OFFSETS),
+             gauss))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([0.05, 0.1, 0.2, 0.25]), st.sampled_from([3, 5, 7]),
+       st.integers(1, 4), st.integers(16, 70), st.integers(0, 24),
+       st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
+def test_stencil_read_matches_the_sampler(delta, order, m, N, M, extra,
+                                          seed):
+    # the grids a run reads its lattices on: the state's (a window of N
+    # half-cells), the perturbation table's (the window widened by M
+    # half-cells, at half the step) and a flow inverse's (whole cells
+    # past the widened window); each lattice is read whole, and on the
+    # state also cut to the points the state reaches
+    rng = np.random.default_rng(seed)
+    quad = delta / 2.0
+    grids = [(N * quad, delta), ((N + M) * quad, quad),
+             ((-(-(N + M) // 2) + extra) * delta, delta)]
+    coef = rng.uniform(-1.0, 1.0, size=(order + 1, m))
+    for T, step in grids:
+        g = fs.GridFunction(T, step, rng.normal(size=(fs.lattice(T, step).size,
+                                                      m)), interp_order=order)
+        # a polynomial of degree order in t / T
+        poly = g.with_values(np.polynomial.polynomial.polyval(
+            g.nodes / T, coef).T)
+        for name, layout, times in _run_lattices(N, M, delta):
+            cuts = [slice(None)]
+            if (T, step) == grids[0]:
+                reach = T + step
+                cuts.append(slice(
+                    np.searchsorted(times, -reach, side="right"),
+                    np.searchsorted(times, reach, side="left")))
+            for rows in cuts:
+                read, t = fs.StencilRead(g.geometry, layout, rows), times[rows]
+                got, want = read.apply(g), fs.GridSampler(g, t).apply(g)
+                scale = np.abs(g.values).max()
+                assert got.shape == want.shape == (t.size, m), name
+                assert np.abs(got - want).max() <= 1e-12 * scale, name
+                # a time the sampler finds on a node reads the sample
+                on = np.isin(t, g.nodes)
+                assert np.array_equal(got[on], want[on]), name
+                # so does every point the layout puts on a node
+                units = (layout.first + np.arange(layout.count)[:, None]
+                         * layout.step + np.array(layout.offsets)).ravel()
+                pos = (units[rows] * quad + T) / step
+                node = np.isclose(pos, np.round(pos), rtol=0.0, atol=1e-9) \
+                    & (pos > -0.5) & (pos < g.n - 0.5)
+                idx = np.round(pos[node]).astype(int)
+                assert np.array_equal(got[node], g.values[idx]), name
+                # degree-order polynomials are reproduced in the window
+                inside = np.abs(t) <= T
+                exact = np.polynomial.polynomial.polyval(
+                    units[rows][inside] * quad / T, coef).T
+                assert np.abs(read.apply(poly)[inside] - exact).max() \
+                    <= 1e-12 * max(1.0, np.abs(exact).max()), name
+
+
+def test_stencil_read_rejects_other_geometry():
+    g = fs.GridFunction(1.0, 0.05, np.zeros(41))
+    read = fs.StencilRead(g.geometry, fs.Layout(0.025, -40, 2, 41))
+    others = (fs.GridFunction(1.0, 0.05, np.zeros(41), interp_order=7),
+              fs.GridFunction(2.0, 0.05, np.zeros(81)),
+              fs.GridFunction(1.0, 0.1, np.zeros(21)))
+    for other in others:
+        with pytest.raises(ValueError) as err:
+            read.apply(other)
+        assert str(g.geometry) in str(err.value)
+        assert str(other.geometry) in str(err.value)
+    assert np.array_equal(read.apply(g.with_values(np.arange(41.0))),
+                          np.arange(41.0)[:, None])
+    # a grid whose step is no whole number of the layout's units
+    with pytest.raises(ValueError, match="no cell pattern"):
+        fs.StencilRead(g.geometry, fs.Layout(0.03, -30, 2, 31))
+
+
 @pytest.mark.parametrize("order", [3, 5, 7])
 def test_stencil_weights_match_fd_weights_bitwise(order):
     delta = 0.05
     g = fs.GridFunction(1.0, delta, np.zeros(41), interp_order=order)
     offsets = np.arange(order + 1, dtype=float) * delta
     for k in range(1, order):
-        table = g.stencil_weights(k)
+        table = fs._stencil_table(order, k, delta)
         assert table.shape == (order + 1, order + 1)
         for q in range(order + 1):
             want = fs.fd_weights(offsets, q * delta, k)
             assert np.array_equal(table[q], want)
-        # tabulated once, shared with every grid derived from g
-        assert g.derivative(1).stencil_weights(k) is table
-        assert (g + g).restrict(0.5).stencil_weights(k) is table
+        # tabulated once, shared with every grid derived from g: the
+        # difference reads of their geometries weigh by the one table
+        for h in (g, g.derivative(1), (g + g).restrict(0.5)):
+            read = fs._difference_read(h.geometry, k)
+            assert read.table.base is table

@@ -898,8 +898,9 @@ class TestIterateNonlinear:
 
 def test_static_lattices_are_sampled_once_per_run(monkeypatch):
     # the sdd-tanh delay on the cubic saddle moves X, so every step
-    # solves a flow and reads every lattice; their stencils must be
-    # built once per run, not once per step
+    # solves a flow and reads every lattice; each lattice reads a grid
+    # geometry through one stencil reader, built once per run, not once
+    # per step, and no sampler is built on its points
     from hypershadow import funcspace
     from hypershadow.invariance import _Run
 
@@ -908,22 +909,41 @@ def test_static_lattices_are_sampled_once_per_run(monkeypatch):
     spec = spec_from_descriptor({"kind": "sdd-tanh", "parameters":
                                  {"h": 1.0, "c0": 0.5, "c1": 0.2}}, fr.model)
     cfg = base_cfg(eps=0.02)
-    builds = []
+    builds, readers = [], []
     build = funcspace.GridSampler.__init__
+    stencil_read = funcspace.StencilRead.__init__
 
     def counting(self, g, t):
         builds.append((g.geometry, np.array(t, dtype=float)))
         build(self, g, t)
 
+    def reading(self, geometry, layout, *args, **kwargs):
+        readers.append((layout, geometry))
+        stencil_read(self, geometry, layout, *args, **kwargs)
+
     monkeypatch.setattr(funcspace.GridSampler, "__init__", counting)
-    state, report = iterate(fr, spec, cfg)
+    monkeypatch.setattr(funcspace.StencilRead, "__init__", reading)
+    initial = initial_state(fr, cfg)
+    run = _Run(fr, spec, cfg, initial.X.t0)
+    state, report = iterate(fr, spec, cfg, initial, _run=run)
     assert report.converged and report.iterations >= 4
     assert state.X.sup_deviation() > 1e-3
-    run = _Run(fr, spec, cfg, state.X.t0)
-    for points in (run.nodes.times, run.gauss.times, run.half_cells.times):
-        geoms = [g for g, t in builds
-                 if t.shape == points.shape and np.array_equal(t, points)]
+    # the state, the perturbation table and the flow inverse are read;
+    # the other readers are the derivatives' difference stencils
+    lattices = (run.nodes, run.gauss, run.half_cells)
+    built = [(layout, g) for layout, g in readers
+             if any(layout is lat.layout for lat in lattices)]
+    assert len(built) == 5 and len({g for _, g in built}) == 3
+    for lat in lattices:
+        geoms = [g for layout, g in built if layout is lat.layout]
         assert geoms and len(geoms) == len(set(geoms))
+        # no geometry the lattice reads is sampled at its points or at
+        # its cut on the state; the history segments' read of the state
+        # at the half-cell times while X = 1 is a segment read, whose
+        # points move with X
+        for points in (lat.times, lat.support(state.xs)[1].times):
+            assert not any(g in geoms and t.shape == points.shape
+                           and np.array_equal(t, points) for g, t in builds)
     # nor is any other query sampled twice on one geometry
     seen = {(g, t.tobytes()) for g, t in builds}
     assert len(seen) == len(builds)
@@ -1040,17 +1060,19 @@ def test_quadratic_term_is_evaluated_on_the_state_support(frame,
         # the node lattice lies within the state's reach: all its rows
         rows, _, _ = run.nodes.support(st.xs)
         assert (rows.start, rows.stop) == (0, st.xs.n)
-        return load(run.nodes), load(run.gauss), run.gauss.table
+        return load(run.nodes), load(run.gauss), run
 
-    (g_n, X_n), (g_g, X_g), gauss = loads(state)
+    (g_n, X_n), (g_g, X_g), run = loads(state)
+    gauss = run.gauss.table
     T, delta = state.xs.half_width, state.xs.delta
     inside = int((np.abs(gauss.times) < T + delta).sum())
     assert sizes == [state.xs.n, inside] and inside < gauss.times.size
     if frame == "sdd-cubic":
         assert (state.xs.n, inside, gauss.times.size) == (481, 2892, 5370)
-    for (g, X), vs in (((g_n, X_n), state.xs.nodes),
-                       ((g_g, X_g), gauss.times)):
-        B, Xv = quadratic(fr, state, vs)
+    assert np.array_equal(run.nodes.times, state.xs.nodes)
+    for (g, X), lat in (((g_n, X_n), run.nodes), ((g_g, X_g), run.gauss)):
+        # the reference reads the whole lattice through the same reader
+        B, Xv = quadratic_batch(fr, state, lat.table, lat.read(state.xs))
         assert np.array_equal(g, B) and np.array_equal(X, Xv)
 
 

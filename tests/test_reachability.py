@@ -33,7 +33,11 @@ call in ``src/``, ``bench/*.py`` or ``demos/*.py`` names a definition
 of that name (``__init__`` through its class name) and passes the
 parameter by keyword, passes more positional arguments than its
 position (``self`` and ``cls`` not counted), or unpacks ``*`` or
-``**``. Matching by name can only over-count, as above. A parameter no
+``**``. A ``**`` whose keys the walk reads statically sets only those
+keys: a dict display, ``dict(x, k=...)``, or the result of
+``check_entries`` or ``read_record`` over a module-level table or a
+subscript of a dict of tables, directly or through a name bound only
+to these. Matching by name can only over-count, as above. A parameter no
 call sets is one only tests set; each is listed in ALLOWED_PARAMETERS
 as ``name(parameter)`` with its ROADMAP item.
 
@@ -334,19 +338,147 @@ def _defaulted(src):
     return out
 
 
+def _bindings(node):
+    """{name: [values]} of the names the function or lambda ``node``
+    binds by a plain ``name = value``; a name bound another way too (a
+    parameter, a loop or ``with`` target, unpacking, an augmented
+    assignment) maps to None."""
+    args = node.args
+    out = {arg.arg: None for arg in (*args.posonlyargs, *args.args,
+                                     *args.kwonlyargs, args.vararg,
+                                     args.kwarg) if arg is not None}
+    plain = {id(sub.targets[0]): sub.value for sub in ast.walk(node)
+             if isinstance(sub, ast.Assign) and len(sub.targets) == 1
+             and isinstance(sub.targets[0], ast.Name)}
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+            if id(sub) in plain and out.get(sub.id, []) is not None:
+                out.setdefault(sub.id, []).append(plain[id(sub)])
+            else:
+                out[sub.id] = None
+    return out
+
+
+def _tables(trees):
+    """{name: [values]} of the module-level ``name = value`` lines."""
+    out = {}
+    for tree in trees:
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                out.setdefault(node.targets[0].id, []).append(node.value)
+    return out
+
+
+def _bound(node, scope, tables, seen=frozenset()):
+    """[(value, its scope, names followed)] of ``node``: itself, or for
+    a name what it is bound to in ``scope`` or else at module level
+    (``tables``), by plain assignments only; None when it is bound
+    otherwise, not found or followed already."""
+    if not isinstance(node, ast.Name):
+        return [(node, scope, seen)]
+    local = node.id in scope
+    values = scope[node.id] if local else tables.get(node.id)
+    if not values or node.id in seen:
+        return None
+    out = []
+    for value in values:
+        more = _bound(value, scope if local else {}, tables,
+                      seen | {node.id})
+        if more is None:
+            return None
+        out += more
+    return out
+
+
+def _keys(node, scope, tables, seen=frozenset()):
+    """The keys of the mapping ``node`` when the walk can read them
+    statically, else None: a dict display, ``dict(x, k=...)``,
+    ``dict.fromkeys`` of literal keys, the result of ``check_entries``
+    or ``read_record`` over a table it can read, a subscript of a dict
+    of tables (the union of their keys), or a name bound only to
+    these."""
+    if isinstance(node, ast.Name):
+        bound = _bound(node, scope, tables, seen)
+        return None if bound is None else _union_bound(bound, tables)
+    if isinstance(node, ast.Dict):
+        if not all(k is None or isinstance(k, ast.Constant)
+                   and isinstance(k.value, str) for k in node.keys):
+            return None
+        spread = _union_bound([(v, scope, seen) for k, v in zip(
+            node.keys, node.values) if k is None], tables)
+        return None if spread is None else spread | {
+            k.value for k in node.keys if k is not None}
+    if isinstance(node, ast.Subscript):
+        holders = _bound(node.value, scope, tables, seen)
+        if holders is None or not all(isinstance(v, ast.Dict)
+                                      and None not in v.keys
+                                      for v, _, _ in holders):
+            return None
+        return _union_bound([(table, sc, sn) for v, sc, sn in holders
+                             for table in v.values], tables)
+    if not isinstance(node, ast.Call):
+        return None
+    func, args, kws = node.func, node.args, node.keywords
+    name = getattr(func, "id", getattr(func, "attr", None))
+    if isinstance(func, ast.Name) and name == "dict" and len(args) <= 1:
+        spread = _union_bound([(v, scope, seen) for v in (
+            *args, *(k.value for k in kws if k.arg is None))], tables)
+        return None if spread is None else spread | {
+            k.arg for k in kws if k.arg is not None}
+    if (name == "fromkeys" and getattr(func.value, "id", None) == "dict"
+            and args and isinstance(args[0], (ast.Tuple, ast.List))
+            and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                    for e in args[0].elts)):
+        return {e.value for e in args[0].elts}
+    if name in ("check_entries", "read_record"):
+        table = args[1] if len(args) > 1 else next(
+            (k.value for k in kws if k.arg == "table"), None)
+        return None if table is None else _keys(table, scope, tables, seen)
+    return None
+
+
+def _union_bound(bound, tables):
+    """The union of the keys of the (value, scope, names followed) in
+    ``bound``, or None if one is unreadable."""
+    keys = set()
+    for value, scope, seen in bound:
+        more = _keys(value, scope, tables, seen)
+        if more is None:
+            return None
+        keys |= more
+    return keys
+
+
 def _calls(trees):
     """{called name: [(positional count, keyword names, unpacks)]} of
-    every call in ``trees`` whose callee is a name or an attribute."""
+    every call in ``trees`` whose callee is a name or an attribute. A
+    ``**`` whose keys :func:`_keys` reads passes those keys as keywords;
+    any other ``*`` or ``**`` unpacks."""
+    tables = _tables(trees)
     calls = {}
-    for tree in trees:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
+
+    def visit(node, scope):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (*_FUNCTIONS, ast.Lambda)):
+                visit(sub, {**scope, **_bindings(sub)})
                 continue
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            starred = any(isinstance(a, ast.Starred) for a in node.args)
-            calls.setdefault(name, []).append((
-                len(node.args), {k.arg for k in node.keywords},
-                starred or any(k.arg is None for k in node.keywords)))
+            if isinstance(sub, ast.Call):
+                name = getattr(sub.func, "id",
+                               getattr(sub.func, "attr", None))
+                keywords = {k.arg for k in sub.keywords if k.arg is not None}
+                unpacks = any(isinstance(a, ast.Starred) for a in sub.args)
+                for k in sub.keywords:
+                    keys = None if k.arg else _keys(k.value, scope, tables)
+                    if k.arg is None and keys is None:
+                        unpacks = True
+                    keywords |= keys or set()
+                calls.setdefault(name, []).append(
+                    (len(sub.args), keywords, unpacks))
+            visit(sub, scope)
+
+    for tree in trees:
+        visit(tree, {})
     return calls
 
 
@@ -603,3 +735,66 @@ def test_a_parameter_is_set_by_keyword_position_or_unpacking():
     assert unset("K(5)") == everything - {"K(x)"}
     assert unset("k.go(5)") == everything - {"K.go(y)"}
     assert unset("K.still(5)") == everything - {"K.still(w)"}
+
+
+def test_a_double_star_sets_the_keys_the_walk_reads():
+    m = textwrap.dedent("""
+        def f(a, b=1, c=2, *, d=3):
+            return a
+
+        TABLE = {"b": Entry("number"), **dict.fromkeys(("c",), Entry("x"))}
+        TABLES = {"one": {"b": Entry("number")}, "two": {"d": Entry("x")}}
+        """)
+    src = [("m.py", ast.parse(m))]
+
+    def unset(root):
+        return unset_parameters(src, [src[0][1],
+                                      ast.parse(textwrap.dedent(root))])
+
+    everything = {"f(b)", "f(c)", "f(d)"}
+    # a dict display, spreads included
+    assert unset('f(1, **{"b": 2})') == everything - {"f(b)"}
+    assert unset('f(1, **{"b": 2, **{"d": 4}})') == {"f(c)"}
+    # dict(x, k=...)
+    assert unset('f(1, **dict({"c": 3}, d=4))') == {"f(b)"}
+    # the result of check_entries or read_record over a module-level
+    # table, read directly or through a name
+    assert unset("""
+        def go(obj):
+            kw = check_entries(obj, TABLE, "section")
+            return f(1, **kw)
+        """) == {"f(d)"}
+    assert unset("""
+        def go(path):
+            raw = read_record(path, table=TABLE)
+            return f(1, **dict(raw, d=4))
+        """) == set()
+    # over a subscript of a dict of tables: the union of their keys
+    assert unset("""
+        def go(obj, name):
+            return f(1, **check_entries(obj, TABLES[name], name))
+        """) == {"f(c)"}
+    # any other ** sets every parameter, as before: a parameter, a
+    # name bound otherwise too, a loop target, a table a parameter
+    # shadows, a name read in its own binding, an unknown callee
+    for root in ("""
+            def go(kw):
+                return f(1, **kw)
+            """, """
+            def go(kw):
+                p = {"b": 2}
+                p = dict(kw)
+                return f(1, **p)
+            """, """
+            def go(ps):
+                for p in ps:
+                    f(1, **p)
+            """, """
+            def go(obj, TABLE):
+                return f(1, **check_entries(obj, TABLE, "section"))
+            """, """
+            def go():
+                x = dict(x, b=2)
+                return f(1, **x)
+            """, "f(1, **load(TABLE))"):
+        assert unset(root) == set(), root
