@@ -284,7 +284,12 @@ class _FrameBase:
 
 
 def _apply(mats, vecs):
-    """mats[k] @ vecs[k] for each k, a stack of one matrix broadcasting."""
+    """mats[k] @ vecs[k] for each k, a stack of one matrix broadcasting.
+
+    One matrix for every row, the basis of a frame that does not move,
+    is one matrix product."""
+    if len(mats) == 1 and mats.ndim == 3 and vecs.ndim == 2:
+        return vecs @ mats[0].T
     return np.einsum("...ij,...j->...i", mats, vecs)
 
 
@@ -667,8 +672,10 @@ def _saddle_model(name, lambda_s, lambda_u, rotation, cubic=(0.0, 0.0)):
     def fb(x):
         out = np.empty(x.shape)
         out[:, 0] = 1.0
-        out[:, 1] = -lambda_s * x[:, 1] + c2 * x[:, 1] ** 3
-        out[:, 2] = lambda_u * x[:, 2] + c3 * x[:, 2] ** 3
+        # cubes as products: ``** 3`` goes to libm's pow
+        y, z = x[:, 1], x[:, 2]
+        out[:, 1] = -lambda_s * y + c2 * (y * y * y)
+        out[:, 2] = lambda_u * z + c3 * (z * z * z)
         return out
 
     def dfb(x):

@@ -267,7 +267,8 @@ def _taylor_split(fr, tab, xhat):
     # (Df(x0) xhat, f(x0 + xhat) - f(x0) - Df(x0) xhat) at the
     # FrameTable's times, inside the model's valid neighborhood
     radius = getattr(fr.model, "valid_radius", math.inf)
-    if float(np.linalg.norm(xhat, axis=1).max()) > radius:
+    if radius < math.inf and float(np.linalg.norm(xhat, axis=1).max()) \
+            > radius:
         raise ValueError(
             "correction leaves the model's valid neighborhood of the orbit")
     lin = np.einsum("kij,kj->ki", tab.df0, xhat)
@@ -327,14 +328,17 @@ def _trajectory(fr, state, flow=None):
     return theta, dtheta
 
 
-def _varphi_batch(fr, state, spec, flow, vs, bases, eps):
+def _varphi_batch(fr, state, spec, flow, vs, bases, present, eps):
     """varphi(rho) = p(phi^{-1}(rho), ((x0 + xhat) o phi)_{phi^{-1}(rho)}).
 
     One spec call for all k times vs, returning (k, n); ``bases`` are
     their base times phi^{-1}(vs), or vs itself when X = 1. The segments
     read (x0 + xhat)(phi(t + s)); their derivative is the chain rule
     value (x0 + xhat)'(alpha) X(alpha), built only when the spec reads
-    it. An exactly-identity time change skips the flow lookups. This is
+    it. At offset 0 a segment reads (x0 + xhat)(vs), since
+    phi(phi^{-1}(rho)) = rho under every time change: ``present()``
+    returns those (k, n) values and runs only when the spec reads them.
+    An exactly-identity time change skips the flow lookups. This is
     where perturbation values enter the operator, so a non-finite value
     raises NumericalError here.
     """
@@ -343,7 +347,8 @@ def _varphi_batch(fr, state, spec, flow, vs, bases, eps):
         raise ValueError(
             "integrand evaluation leaves the inflated flow window")
     seg = HistorySegment(bases, spec.h,
-                         *_trajectory(fr, state, None if ident else flow))
+                         *_trajectory(fr, state, None if ident else flow),
+                         present=present)
     out = spec(bases, seg, eps)
     bad = ~np.isfinite(out).all(axis=1)
     if bad.any():
@@ -447,9 +452,10 @@ def _step_load(fr, state, spec, cfg, run):
     tabulated once on the half-cell lattice, at the base times its
     reader of phi^{-1} reads: Gauss points read it by interpolation,
     and state nodes, every other node of it, read the tabulated values
-    exactly. X - 1, xhat_s and xhat_u extend by zero, so xhat = 0 and
-    X = 1 beyond one cell past the window, and B = 0 there: the
-    quadratic term is evaluated on the lattice's support only
+    exactly. The segments' present state is the lattice's orbit plus
+    its read of xhat. X - 1, xhat_s and xhat_u extend by zero, so
+    xhat = 0 and X = 1 beyond one cell past the window, and B = 0 there:
+    the quadratic term is evaluated on the lattice's support only
     (:meth:`_Lattice.support`) and is 0, with X = 1, elsewhere.
     """
     flow = _state_flow(state, run.geo.flow_half)
@@ -458,9 +464,15 @@ def _step_load(fr, state, spec, cfg, run):
         lat = run.half_cells
         bases = lat.times if state.X.sup_deviation() == 0.0 else \
             lat.read(flow.phi_inv).apply(flow.phi_inv)[:, 0]
+
+        def present():
+            xh = state.xs + state.xu
+            return lat.table.x0 + lat.read(xh).apply(xh)
+
         vphi = GridFunction(
             run.geo.hi, run.geo.quad,
-            _varphi_batch(fr, state, spec, flow, lat.times, bases, cfg.eps),
+            _varphi_batch(fr, state, spec, flow, lat.times, bases, present,
+                          cfg.eps),
             interp_order=7)
 
     def load(lat):

@@ -51,17 +51,25 @@ class HistorySegment:
     return (k, n). Lookups outside the radius raise; delays never get
     clamped. The derivative evaluator is optional so that purely
     retarded specs can consume segments built without one.
+
+    ``present``, when given, is a zero-argument callable returning the
+    (k, n) values at the centres themselves, read where they are known
+    without ``eval_fn``. It runs on the first read at a scalar offset of
+    exactly 0 and its result is kept; every such read gets a copy. Any
+    other offset reads through ``eval_fn``.
     """
 
-    __slots__ = ("t", "h", "_eval", "_deriv")
+    __slots__ = ("t", "h", "_eval", "_deriv", "_present", "_now")
 
-    def __init__(self, t, h, eval_fn, deriv_fn=None):
+    def __init__(self, t, h, eval_fn, deriv_fn=None, present=None):
         if not (h >= 0.0):
             raise ValueError("history radius must be nonnegative")
         self.t = np.atleast_1d(np.asarray(t, dtype=float))
         self.h = float(h)
         self._eval = eval_fn
         self._deriv = deriv_fn
+        self._present = present
+        self._now = None
 
     def __len__(self):
         return self.t.size
@@ -81,9 +89,16 @@ class HistorySegment:
         return self.t + s
 
     def eval(self, s):
+        if self._present is not None and np.ndim(s) == 0 and s == 0.0:
+            return self._values_now().copy()
         return np.asarray(self._eval(self._times(s)), dtype=float)
 
     __call__ = eval
+
+    def _values_now(self):
+        if self._now is None:
+            self._now = np.asarray(self._present(), dtype=float)
+        return self._now
 
     def deriv(self, s):
         if self._deriv is None:
@@ -92,7 +107,10 @@ class HistorySegment:
 
     def take(self, rows):
         """The segments of the selected centers (index array or slice)."""
-        return HistorySegment(self.t[rows], self.h, self._eval, self._deriv)
+        present = None if self._present is None else \
+            (lambda: self._values_now()[rows])
+        return HistorySegment(self.t[rows], self.h, self._eval, self._deriv,
+                              present)
 
     @classmethod
     def from_grid(cls, traj, t, h):

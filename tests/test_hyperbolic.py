@@ -1018,6 +1018,41 @@ class TestBundlePlans:
             del fr._projector
 
 
+class TestApply:
+    """A basis that does not move is one matrix product, as einsum."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 3), (2, 3), (3, 1),
+                                       (3, 2)])
+    def test_one_matrix_matches_einsum(self, shape):
+        from hypershadow.hyperbolic import _apply
+
+        rng = np.random.default_rng(5)
+        mats = rng.standard_normal((1,) + shape)
+        vecs = rng.standard_normal((400, shape[1]))
+        want = np.einsum("...ij,...j->...i", mats, vecs)
+        got = _apply(mats, vecs)
+        assert got.shape == want.shape == (400, shape[0])
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", ["lin-saddle", "rotated-saddle"])
+    def test_frame_bases_and_bundle_slices_match_einsum(self, kind):
+        from hypershadow.hyperbolic import _apply
+
+        fr = frame_of(kind, None)
+        tab = fr.table(np.linspace(-4.0, 4.0, 81))
+        vecs = np.random.default_rng(6).standard_normal((81, fr.model.n))
+        mats = [tab.A, tab.Ainv] + [tab.projector(s) for s in "csu"]
+        for sigma in "su":
+            sl = fr._slot(sigma)
+            mats += [tab.A[:, :, sl], tab.Ainv[:, sl, :]]
+        for mat in mats:
+            assert mat.shape[0] == 1
+            x = vecs[:, :mat.shape[2]]
+            want = np.einsum("...ij,...j->...i", mat, x)
+            got = _apply(mat, x)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 class TestConvolvePrecondition:
     @pytest.mark.parametrize("kind", ["rotated-saddle", "cycle"])
     def test_unsorted_input_raises(self, kind, cycle_frame):

@@ -516,10 +516,15 @@ def quadratic(fr, st, vs):
 
 def varphi(fr, st, spec, flow, vs, eps):
     """_varphi_batch at the times vs, at the base times phi^{-1}(vs), or
-    vs when X = 1, read here."""
+    vs when X = 1, and with the present state (x0 + xhat)(vs), read
+    here."""
     vs = np.asarray(vs, dtype=float)
     bases = vs if st.X.sup_deviation() == 0.0 else flow.phi_inv.eval1(vs)
-    return _varphi_batch(fr, st, spec, flow, vs, bases, eps)
+
+    def present():
+        return fr.orbit_batch(vs) + GridSampler(st.xs, vs).apply(st.xs + st.xu)
+
+    return _varphi_batch(fr, st, spec, flow, vs, bases, present, eps)
 
 
 def quadratic_gap(fr, cfg, v, w):
@@ -901,6 +906,8 @@ def test_static_lattices_are_sampled_once_per_run(monkeypatch):
     # solves a flow and reads every lattice; each lattice reads a grid
     # geometry through one stencil reader, built once per run, not once
     # per step, and no sampler is built on its points
+    import sys
+
     from hypershadow import funcspace
     from hypershadow.invariance import _Run
 
@@ -909,43 +916,73 @@ def test_static_lattices_are_sampled_once_per_run(monkeypatch):
     spec = spec_from_descriptor({"kind": "sdd-tanh", "parameters":
                                  {"h": 1.0, "c0": 0.5, "c1": 0.2}}, fr.model)
     cfg = base_cfg(eps=0.02)
-    builds, readers = [], []
+    builds, readers, steps = [], [], []
     build = funcspace.GridSampler.__init__
     stencil_read = funcspace.StencilRead.__init__
+    step = invariance.gamma_step
 
     def counting(self, g, t):
-        builds.append((g.geometry, np.array(t, dtype=float)))
+        # the functions on the stack name the read that builds it
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        builds.append((g.geometry, np.array(t, dtype=float), names,
+                       len(steps)))
         build(self, g, t)
 
     def reading(self, geometry, layout, *args, **kwargs):
         readers.append((layout, geometry))
         stencil_read(self, geometry, layout, *args, **kwargs)
 
+    def stepping(*args, **kwargs):
+        steps.append(None)
+        return step(*args, **kwargs)
+
     monkeypatch.setattr(funcspace.GridSampler, "__init__", counting)
     monkeypatch.setattr(funcspace.StencilRead, "__init__", reading)
+    monkeypatch.setattr(invariance, "gamma_step", stepping)
     initial = initial_state(fr, cfg)
     run = _Run(fr, spec, cfg, initial.X.t0)
     state, report = iterate(fr, spec, cfg, initial, _run=run)
     assert report.converged and report.iterations >= 4
     assert state.X.sup_deviation() > 1e-3
     # the state, the perturbation table and the flow inverse are read;
-    # the other readers are the derivatives' difference stencils
+    # the other readers are the derivatives' difference stencils. The
+    # half-cell lattice reads the state too: the segments' present state
     lattices = (run.nodes, run.gauss, run.half_cells)
     built = [(layout, g) for layout, g in readers
              if any(layout is lat.layout for lat in lattices)]
-    assert len(built) == 5 and len({g for _, g in built}) == 3
+    assert len(built) == 6 and len({g for _, g in built}) == 3
+    assert (run.half_cells.layout, state.xs.geometry) in built
     for lat in lattices:
         geoms = [g for layout, g in built if layout is lat.layout]
         assert geoms and len(geoms) == len(set(geoms))
         # no geometry the lattice reads is sampled at its points or at
-        # its cut on the state; the history segments' read of the state
-        # at the half-cell times while X = 1 is a segment read, whose
-        # points move with X
+        # its cut on the state
         for points in (lat.times, lat.support(state.xs)[1].times):
             assert not any(g in geoms and t.shape == points.shape
-                           and np.array_equal(t, points) for g, t in builds)
+                           and np.array_equal(t, points)
+                           for g, t, _, _ in builds)
+    # no sampler at all is built at the half-cell times, where the
+    # segments read the present state under every time change
+    half = run.half_cells.times
+    assert not any(t.shape == half.shape and np.array_equal(t, half)
+                   for _, t, _, _ in builds)
+    # a step builds two samplers: the delayed read of the state, whose
+    # points move with the state, and the flow guard's read of phi^{-1}
+    assert len(steps) == report.iterations + 1
+    for i in range(1, len(steps) + 1):
+        mine = [(g, names) for g, _, names, at in builds if at == i]
+        assert len(mine) == 2
+        (g_delay, delay), (g_guard, guard) = sorted(
+            mine, key=lambda b: "roundtrip_defect" in b[1])
+        assert {"theta", "_varphi_batch"} <= delay
+        assert g_delay == state.xs.geometry
+        assert {"eval1", "roundtrip_defect"} <= guard
+        assert g_guard != state.xs.geometry
     # nor is any other query sampled twice on one geometry
-    seen = {(g, t.tobytes()) for g, t in builds}
+    seen = {(g, t.tobytes()) for g, t, _, _ in builds}
     assert len(seen) == len(builds)
 
 
@@ -976,6 +1013,77 @@ def _sdd_cubic():
     spec = spec_from_descriptor({"kind": "sdd-tanh", "parameters":
                                  {"h": 1.0, "c0": 0.5, "c1": 0.2}}, fr.model)
     return fr, spec, base_cfg(eps=0.02)
+
+
+def _present_read(fr, state, spec, cfg, run, monkeypatch):
+    """(present values, flow, base times) of the segments of one step's
+    perturbation table, as _step_load hands them to _varphi_batch."""
+    got = {}
+    varphi_batch = invariance._varphi_batch
+
+    def grab(fr, st, spec, flow, vs, bases, present, eps):
+        got.update(flow=flow, bases=bases, values=present())
+        return varphi_batch(fr, st, spec, flow, vs, bases, present, eps)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(invariance, "_varphi_batch", grab)
+        _step_load(fr, state, spec, cfg, run)
+    return got["values"], got["flow"], got["bases"]
+
+
+def test_the_present_state_is_read_off_the_half_cell_lattice(monkeypatch):
+    # phi(phi^{-1}(rho)) = rho, so the segments' read at offset 0 is
+    # (x0 + xhat)(rho) on the lattice; the trajectory read at the base
+    # times phi^{-1}(rho) agrees up to the flow's round trip
+    from hypershadow.invariance import _trajectory
+
+    fr, spec, cfg = _sdd_cubic()
+    state, report = iterate(fr, spec, cfg)
+    assert report.converged and state.X.sup_deviation() > 1e-3
+    # the sdd-tanh delay moves X alone; give xhat smooth bundle columns
+    t = state.xs.nodes
+    cols = np.zeros((t.size, 3))
+    cols[:, 1] = 0.05 * np.sin(0.3 * t) * np.exp(-(t / 10.0) ** 2)
+    cols[:, 2] = 0.03 * np.cos(0.2 * t) * np.exp(-(t / 8.0) ** 2)
+    xs, xu = cols * [0.0, 1.0, 0.0], cols * [0.0, 0.0, 1.0]
+    state = dataclasses.replace(state, xs=state.xs.with_values(xs),
+                                xu=state.xu.with_values(xu))
+    run = _Run(fr, spec, cfg, state.X.t0)
+    lat = run.half_cells
+    now, flow, bases = _present_read(fr, state, spec, cfg, run, monkeypatch)
+    xh = state.xs + state.xu
+    sampled = lat.times
+    want = fr.orbit_batch(sampled) + GridSampler(state.xs, sampled).apply(xh)
+    assert np.abs(now - want).max() <= 1e-12 * np.abs(want).max()
+    # the round trip is certified where a stencil of phi stays clear of
+    # the field window's edge (Flow.roundtrip_defect)
+    reach = (flow.phi.interp_order + 1) * flow.phi.delta
+    inside = np.abs(lat.times) <= (state.X.xhat.half_width
+                                   - (1.0 + state.X.t0) * reach)
+    old = _trajectory(fr, state, flow)[0](bases)
+    xh1 = state.xs.derivative(1) + state.xu.derivative(1)
+    speed = float(np.linalg.norm(
+        lat.table.f0 + GridSampler(state.xs, sampled).apply(xh1),
+        axis=1).max())
+    gap = np.linalg.norm(now - old, axis=1)[inside]
+    assert gap.max() <= flow.roundtrip_defect() * speed + 1e-12
+
+    # at X = 1 the base times are the lattice; at the state nodes the
+    # lattice read is the orbit plus the state's node values bit for
+    # bit, and the sampler's read at the lattice's times is within an
+    # ulp of them
+    ident = dataclasses.replace(
+        state, X=ScalarField.identity(cfg.window, cfg.delta,
+                                      ball=state.t_ball))
+    now, _, bases = _present_read(fr, ident, spec, cfg, run, monkeypatch)
+    assert np.array_equal(bases, lat.times)
+    rows = np.searchsorted(lat.times, state.xs.nodes - 1e-9)
+    assert np.allclose(lat.times[rows], state.xs.nodes, rtol=0.0,
+                       atol=1e-12)
+    assert np.array_equal(now[rows], lat.table.x0[rows] + xh.values)
+    old = _trajectory(fr, ident, None)[0](lat.times)
+    assert np.abs(now - old).max() <= 1e-15 * np.abs(old).max()
+    assert np.abs(xh.values).max() > 1e-2
 
 
 def _floquet_scenario():

@@ -146,6 +146,46 @@ class TestSegments:
         assert np.array_equal(seg.deriv(0.2), want)
         assert builds == [1]
 
+    def test_present_values_are_read_once_and_handed_out_as_copies(self):
+        ts = np.array([-1.0, 0.5, 2.0])
+        reads, now = [], []
+
+        def eval_fn(a):
+            reads.append(a.copy())
+            return np.column_stack([a, 2.0 * a])
+
+        def present():
+            now.append(None)
+            return np.column_stack([ts, 2.0 * ts]) + 0.25
+
+        seg = HistorySegment(ts, 1.0, eval_fn, present=present)
+        first = seg.eval(0.0)
+        assert np.array_equal(first, np.column_stack([ts, 2.0 * ts]) + 0.25)
+        first[:] = np.nan
+        assert np.array_equal(seg(0.0), np.column_stack([ts, 2.0 * ts])
+                              + 0.25)
+        assert len(now) == 1 and reads == []
+        # a cut keeps its rows of the values read once
+        rows = np.array([2, 0])
+        assert np.array_equal(seg.take(rows).eval(0.0),
+                              np.column_stack([ts, 2.0 * ts])[rows] + 0.25)
+        assert np.array_equal(seg.take(slice(1, None)).eval(0.0),
+                              np.column_stack([ts, 2.0 * ts])[1:] + 0.25)
+        assert len(now) == 1 and reads == []
+        # any other offset, and an array of zeros, reads eval_fn
+        assert np.array_equal(seg.eval(0.5)[:, 0], ts + 0.5)
+        assert np.array_equal(seg.eval(np.zeros(3))[:, 0], ts)
+        assert len(reads) == 2 and len(now) == 1
+
+    def test_present_values_are_not_read_unless_asked(self):
+        def present():
+            raise AssertionError("present state read")
+
+        seg = HistorySegment(np.array([0.0, 1.0]), 1.0,
+                             lambda a: a[:, None], present=present)
+        assert np.array_equal(seg.eval(-0.5)[:, 0], [-0.5, 0.5])
+        assert np.array_equal(seg.take([1]).eval(0.25)[:, 0], [1.25])
+
     def test_lookup_outside_radius_raises(self):
         seg = orbit_segment(0.0, h=1.0)
         with pytest.raises(ValueError, match="outside radius"):
