@@ -25,6 +25,7 @@ __all__ = [
     "GridSampler",
     "Layout",
     "StencilRead",
+    "stencil_read",
     "CellTable",
     "BallRadii",
     "BallReport",
@@ -171,15 +172,6 @@ def _shift_tables(p, fracs):
     # table s, row r: the point s + fracs[r] on stencil nodes 0..p
     return _frozen(_barycentric(p, (np.arange(p + 1.0)[:, None] + fracs)
                                 [:, :, None] - np.arange(p + 1.0)))
-
-
-@functools.lru_cache(maxsize=32)
-def _difference_read(geometry, k):
-    # row q of the Fornberg table weighs a stencil at its node q
-    _, delta, n, p = geometry
-    return StencilRead(geometry, Layout(delta / 2.0, 1 - n, 2, n),
-                       tables=_stencil_table(p, k, delta)[:, None],
-                       centre=p // 2)
 
 
 class GridFunction:
@@ -339,7 +331,8 @@ class GridFunction:
         cached = self._dcache.get(k)
         if cached is not None:
             return cached
-        dv = _difference_read(self.geometry, k).apply(self)
+        dv = stencil_read(self.geometry, Layout(self.delta / 2.0, 1 - self.n,
+                                                2, self.n), k=k).apply(self)
         out = self._dcache[k] = self.with_values(dv)
         return out
 
@@ -479,22 +472,30 @@ class Layout(NamedTuple):
     offsets: tuple = (0.0,)
 
 
+@functools.lru_cache(maxsize=64)
+def stencil_read(geometry, layout, rows=None, k=0):
+    """The :class:`StencilRead` of the rows ``(start, stop)`` (None: all)
+    of ``layout``, built once and kept past the run that asked for it."""
+    rows = slice(None) if rows is None else slice(*rows)
+    return StencilRead(geometry, layout, rows, k)
+
+
 class StencilRead:
     """The points ``rows`` (a slice) of a :class:`Layout` read from any
     grid of one geometry, on which it is a uniform cell pattern: cells
-    ``stride`` apart, each with R points at fixed fractions.
-    ``tables[s]`` (R, p + 1), by default barycentric, weighs a stencil
-    starting s nodes before its cell c, at c - ``centre`` shifted inward
-    at the window ends. ``apply(g)`` is one matrix product of the
-    interior table over p + 1 shifted slices of g's samples, one of the
-    boundary rows at each end and ``g._extend`` past the window.
+    ``stride`` apart, each with R points at fixed fractions. Table s
+    (R, p + 1) weighs a stencil starting s nodes before its cell c,
+    shifted inward at the window ends: barycentric, or for a derivative
+    order k > 0, whose points must be nodes, Fornberg's D^k row s.
+    ``apply(g)`` is one matrix product of the interior table over p + 1
+    shifted slices of g's samples, one of the boundary rows at each end
+    and ``g._extend`` past the window.
     """
 
     __slots__ = ("geometry", "table", "slices", "ends", "cut", "inside",
                  "edges")
 
-    def __init__(self, geometry, layout, rows=slice(None), tables=None,
-                 centre=None):
+    def __init__(self, geometry, layout, rows=slice(None), k=0):
         T, delta, n, p = self.geometry = geometry
         unit, first, step, count, offsets = layout
         H, S = round(T / unit), round(delta / unit)
@@ -506,8 +507,8 @@ class StencilRead:
         pos, K = H + first, len(offsets)
         fracs = tuple((pos % min(S, step) + j + o) / S
                       for j in range(0, S, step) for o in offsets)
-        tables = _shift_tables(p, fracs) if tables is None else tables
-        centre = (p - 1) // 2 if centre is None else centre
+        tables, centre = ((_stencil_table(p, k, delta)[:, None], p // 2) if k
+                          else (_shift_tables(p, fracs), (p - 1) // 2))
         start, stop, _ = rows.indices(count * K)
         first, stride, R = pos // S, max(step // S, 1), len(fracs)
         lead = (pos % S) // step * K + start

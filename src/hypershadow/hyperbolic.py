@@ -232,16 +232,9 @@ class _FrameBase:
 
     # -- propagators ------------------------------------------------------
 
-    def prop_s_batch(self, rhos, vs):
-        return self._propagate(rhos, vs, "s")
-
-    def prop_u_batch(self, rhos, vs):
-        return self._propagate(rhos, vs, "u")
-
-    def prop_full_batch(self, rhos, vs):
-        return self._propagate(rhos, vs, "csu")
-
-    def _propagate(self, rhos, vs, sigmas):
+    def propagate(self, rhos, vs, sigmas):
+        """(n, n) propagators from each v to its rho on the bundles in
+        ``sigmas``: "s", "u", or "csu" for the full linearized flow."""
         # tables of one size keep their bases; raw times broadcast to pairs
         to, frm = _pairs(rhos, vs)
         n = self.model.n
@@ -447,47 +440,19 @@ class AnalyticFrame(_FrameBase):
         return d[:, :, None] * np.eye(rates.size)
 
 
-def _realify(eigvals, eigvecs, selector):
-    """Real basis and real block matrix for the selected eigenvalues."""
-    n = eigvecs.shape[0]
-    cols = []
-    blocks = []
-    used = set()
-    for i, mu in enumerate(eigvals):
-        if i in used or not selector(mu):
-            continue
-        v = eigvecs[:, i]
-        if abs(mu.imag) < 1e-12:
-            w = v.real if np.abs(v.real).max() >= np.abs(v.imag).max() else v.imag
-            cols.append(w / np.linalg.norm(w))
-            blocks.append(np.array([[mu.real]]))
-            used.add(i)
-        else:
-            # complex pair: real and imaginary parts span a 2-plane
-            j = None
-            for i2 in range(i + 1, n):
-                if i2 not in used and abs(eigvals[i2] - np.conj(mu)) < 1e-8:
-                    j = i2
-                    break
-            p, q = v.real, v.imag
-            sc = max(np.linalg.norm(p), np.linalg.norm(q))
-            cols.extend([p / sc, q / sc])
-            a, b_ = mu.real, mu.imag
-            blocks.append(np.array([[a, b_], [-b_, a]]))
-            used.add(i)
-            if j is not None:
-                used.add(j)
-    if not cols:
-        return np.zeros((n, 0)), np.zeros((0, 0))
-    V = np.column_stack(cols)
-    dim = V.shape[1]
-    S = np.zeros((dim, dim))
-    at = 0
-    for blk in blocks:
-        d = blk.shape[0]
-        S[at:at + d, at:at + d] = blk
-        at += d
-    return V, S
+def _invariant_subspace(M, vecs, keep, name):
+    """An orthonormal basis V of the span of the eigenvectors
+    ``vecs[:, keep]`` of M, and S = V^T M V. Their real and imaginary parts
+    span it for real, complex and nearly real multipliers alike, so V is
+    the leading ``keep.sum()`` left singular vectors of their stack. A
+    stack of lower rank means M is defective: a ValueError names ``name``."""
+    k = int(keep.sum())
+    U, sv, _ = np.linalg.svd(np.hstack([vecs[:, keep].real,
+                                        vecs[:, keep].imag]))
+    if k and not sv[k - 1] >= 1e-8 * sv[0]:
+        raise ValueError(f"monodromy is defective on its {name} bundle: "
+                         f"singular value ratio {sv[k - 1] / sv[0]:.1e}")
+    return U[:, :k], U[:, :k].T @ M @ U[:, :k]
 
 
 class FloquetFrame(_FrameBase):
@@ -498,9 +463,9 @@ class FloquetFrame(_FrameBase):
     substep is one transition matrix M_i, and all of them are built in a
     few batched products from Df at the substep's start, middle and end;
     Psi at every node is then the prefix product M_{j-1} ... M_0 of a
-    doubling scan. The monodromy spectrum supplies the stable and
-    unstable eigenspaces V_s, V_u (complex pairs realified) and the
-    block maps S_s, S_u they restrict it to. The adapted basis at t is
+    doubling scan. The monodromy spectrum supplies orthonormal bases
+    V_s, V_u of the stable and unstable bundles (:func:`_invariant_subspace`)
+    and the maps S_s, S_u it restricts to on them. The adapted basis at t is
     [f(x0(t)) | Psi(t) V_s | Psi(t) V_u], with Psi read at t wrapped into
     the base period, so projections are exact by construction up to
     interpolation noise. Crossing k periods carries bundle coordinates
@@ -558,16 +523,12 @@ class FloquetFrame(_FrameBase):
         if np.any((~close_one) & (off < 1e-3)):
             raise ValueError("monodromy has non-hyperbolic multipliers")
         self.multipliers = mus
-        # the off-circle margin was validated above, so these selectors
-        # cannot swallow the center multiplier
-        V_s, S_s = _realify(mus, vecs, lambda mu: abs(mu) < 1.0 - 1e-3)
-        V_u, S_u = _realify(mus, vecs, lambda mu: abs(mu) > 1.0 + 1e-3)
-        self.V_s, self.S_s = V_s, S_s
-        self.V_u, self.S_u = V_u, S_u
-        n_s, n_u = V_s.shape[1], V_u.shape[1]
-        if 1 + n_s + n_u != n:
-            raise ValueError("splitting dimensions do not fill the space")
-        self.dims = (1, n_s, n_u)
+        # after the checks above, center, stable and unstable partition mus
+        self.V_s, self.S_s = _invariant_subspace(
+            self.monodromy, vecs, ~close_one & (abs(mus) < 1.0), "stable")
+        self.V_u, self.S_u = _invariant_subspace(
+            self.monodromy, vecs, ~close_one & (abs(mus) > 1.0), "unstable")
+        self.dims = (1, self.V_s.shape[1], self.V_u.shape[1])
         self._powers = {}
         self.quality = self._estimate_quality()
 
@@ -621,11 +582,11 @@ class FloquetFrame(_FrameBase):
         C_s = C_u = 1.0
         if self.dims[1]:
             lam_s, C_s = _fit_rate(g, np.linalg.norm(
-                self.prop_s_batch(later, earlier), 2, axis=(1, 2)),
+                self.propagate(later, earlier, "s"), 2, axis=(1, 2)),
                 "lambda_s")
         if self.dims[2]:
             lam_u, C_u = _fit_rate(g, np.linalg.norm(
-                self.prop_u_batch(earlier, later), 2, axis=(1, 2)),
+                self.propagate(earlier, later, "u"), 2, axis=(1, 2)),
                 "lambda_u")
         Pc, Ps, Pu = self.proj_batch(grid)
         # sampled maxima get headroom so the declared constants majorize
@@ -828,11 +789,11 @@ def verify_frame(fr):
     propagators, transport of the orbit direction, and a log-linear
     refit of the decay rates (2% agreement required on analytic frames).
     The checks read 41 sample times over [-10, 10] (one period either
-    side on Floquet frames) and (base, gap) pairs on nine of them. Each
-    frame primitive is called once, through the frame's public methods,
-    over the union of the times its checks read: one projection batch,
-    one propagator batch per nonempty bundle holding the three cocycle
-    legs and the refit pairs, one full propagator batch and one orbit
+    side on Floquet frames) and (base, gap) pairs on nine of them. The
+    frame is read through its public methods, each batch over the union
+    of the times its checks read: one projection batch, one
+    ``propagate`` batch per nonempty bundle holding the three cocycle
+    legs and the refit pairs, one full ``propagate`` batch and one orbit
     derivative batch. One stack of spectral norms serves the projection
     bound, the propagator bound and the refits; each check reads its
     rows.
@@ -862,9 +823,9 @@ def verify_frame(fr):
     earlier = np.concatenate([t, fit_t, t + g, t])
     props = {}
     if n_s:
-        props["s"] = fr.prop_s_batch(later, earlier)
+        props["s"] = fr.propagate(later, earlier, "s")
     if n_u:
-        props["u"] = fr.prop_u_batch(earlier, later)
+        props["u"] = fr.propagate(earlier, later, "u")
     # the projectors, then U1 and the refit pairs of each bundle
     norms = np.linalg.norm(np.concatenate(
         projs + tuple(Us[:m + r] for Us in props.values())), 2, axis=(1, 2))
@@ -877,7 +838,7 @@ def verify_frame(fr):
         if sigma == "u" and not 1.3 * q.lam_u < np.log(np.finfo(float).max):
             raise ValueError(f"frame rate {name} is too fast for the "
                              f"transport check: e^(1.3 lambda_u) overflows")
-    U = fr.prop_full_batch(base + 1.3, base)
+    U = fr.propagate(base + 1.3, base, "csu")
     f_all = fr.orbit_deriv_batch(np.concatenate([sample_grid, base,
                                                  base + 1.3]))
     fvec, f_base, f_moved = (f_all[:k], f_all[k:k + base.size],

@@ -31,8 +31,8 @@ from .flows import (Flow, FlowGuardError, NumericalError, ScalarField,
                     composite_factor, flow_cells, inverse_flow_factor,
                     solve_flow)
 from .funcspace import (REQUIRED, BallRadii, Entry, GridFunction,
-                        GridSampler, Layout, StencilRead, ball_membership,
-                        check_entries, json_text, lattice, write_lines)
+                        GridSampler, Layout, ball_membership, check_entries,
+                        json_text, lattice, stencil_read, write_lines)
 from .perturbations import HistorySegment
 
 
@@ -389,20 +389,19 @@ class _Lattice:
     bundle sum are evaluated once per run, not once per step.
     ``layout`` holds them in quadrature steps. ``read(g)`` reads them on
     g's geometry and ``support(g)`` the cut of them a state grid of g's
-    geometry reaches; each is built once per geometry.
+    geometry reaches. The readers are :func:`stencil_read`'s, built once
+    per (geometry, layout, cut) and shared with later runs; the cut's
+    table is built once per geometry.
     """
 
     def __init__(self, fr, times, layout):
         self.times = times
         self.layout = layout
         self.table = fr.table(times)
-        self._readers = {}
         self._supports = {}
 
     def read(self, g):
-        if g.geometry not in self._readers:
-            self._readers[g.geometry] = StencilRead(g.geometry, self.layout)
-        return self._readers[g.geometry]
+        return stencil_read(g.geometry, self.layout)
 
     def support(self, g):
         """(rows, table, reader) of the points with |t| < T + delta, T
@@ -414,11 +413,11 @@ class _Lattice:
         rows' points."""
         if g.geometry not in self._supports:
             reach = g.half_width + g.delta
-            rows = slice(np.searchsorted(self.times, -reach, side="right"),
-                         np.searchsorted(self.times, reach, side="left"))
-            reader = StencilRead(g.geometry, self.layout, rows)
-            self._supports[g.geometry] = rows, self.table.take(rows), reader
-        return self._supports[g.geometry]
+            rows = (int(np.searchsorted(self.times, -reach, side="right")),
+                    int(np.searchsorted(self.times, reach, side="left")))
+            self._supports[g.geometry] = rows, self.table.take(slice(*rows))
+        rows, sub = self._supports[g.geometry]
+        return slice(*rows), sub, stencil_read(g.geometry, self.layout, rows)
 
 
 class _Run:

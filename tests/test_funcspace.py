@@ -477,5 +477,6 @@ def test_stencil_weights_match_fd_weights_bitwise(order):
         # tabulated once, shared with every grid derived from g: the
         # difference reads of their geometries weigh by the one table
         for h in (g, g.derivative(1), (g + g).restrict(0.5)):
-            read = fs._difference_read(h.geometry, k)
+            nodes = fs.Layout(h.delta / 2.0, 1 - h.n, 2, h.n)
+            read = fs.stencil_read(h.geometry, nodes, k=k)
             assert read.table.base is table

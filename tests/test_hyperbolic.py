@@ -77,14 +77,44 @@ def bundle_residual(fr, sigma, xi0):
     inside = fr.proj_apply(sigma, [0.0], xi0[None])[0]
     if np.linalg.norm(xi0 - inside) > 1e-8 * max(1.0, np.linalg.norm(xi0)):
         raise ValueError("xi0 must lie in the declared subspace")
-    prop = fr.prop_s_batch if sigma == "s" else fr.prop_u_batch
-    xi = GridFunction.sample(lambda ts: prop(ts, 0.0) @ xi0, 2.0, 0.01,
-                             interp_order=5)
+    xi = GridFunction.sample(lambda ts: fr.propagate(ts, 0.0, sigma) @ xi0,
+                             2.0, 0.01, interp_order=5)
     tab = fr.table(xi.nodes)
     resid = xi.derivative(1).values - np.einsum("kij,kj->ki", tab.df0,
                                                 xi.values)
     out = resid - fr.proj_apply(sigma, tab, resid)
     return float(np.linalg.norm(out[3:-3], axis=1).max())
+
+
+def cycle_times_focus(omega, damping):
+    """(model, orbit, period) of the planar cycle times a focus
+    u' = -damping u - omega v, v' = omega u - damping v, whose orbit is
+    the unit circle at u = v = 0, gridded with 628 cells per period."""
+    cyc = builtin_model("planar-limit-cycle")
+    J = np.array([[-damping, -omega], [omega, -damping]])
+
+    def f(x):
+        return np.column_stack([cyc.f(x[:, :2]), x[:, 2:] @ J.T])
+
+    def df(x):
+        out = np.zeros((len(x), 4, 4))
+        out[:, :2, :2] = cyc.df(x[:, :2])
+        out[:, 2:, 2:] = J
+        return out
+
+    def d2f(x):
+        out = np.zeros((len(x), 4, 4, 4))
+        out[:, :2, :2, :2] = cyc.d2f(x[:, :2])
+        return out
+
+    P = 2.0 * math.pi
+    K = 314
+    eff = (P / 2.0) / K
+    ts = -P / 2.0 + eff * np.arange(2 * K + 1)
+    vals = np.column_stack([np.cos(ts), np.sin(ts),
+                            np.zeros_like(ts), np.zeros_like(ts)])
+    return (OdeModel(4, f, df, d2f, b=1.0),
+            GridFunction(P / 2.0, eff, vals, interp_order=5), P)
 
 
 @pytest.fixture(scope="module")
@@ -101,10 +131,10 @@ class TestSaddleFrame:
 
     def test_propagator_values(self):
         fr = saddle_frame(lam_s=1.0, lam_u=0.5)
-        U = fr.prop_s_batch([2.0], [0.0])[0]
+        U = fr.propagate([2.0], [0.0], "s")[0]
         assert U[1, 1] == pytest.approx(math.exp(-2.0), abs=1e-12)
         assert abs(U).max() == pytest.approx(math.exp(-2.0), abs=1e-12)
-        V = fr.prop_u_batch([0.0], [3.0])[0]
+        V = fr.propagate([0.0], [3.0], "u")[0]
         assert V[2, 2] == pytest.approx(math.exp(-1.5), abs=1e-12)
 
     def test_projection_algebra_exact(self):
@@ -132,8 +162,8 @@ class TestSaddleFrame:
         Pc0, Ps0, Pu0 = (P[0] for P in base.proj_batch([1.3]))
         assert np.abs(Pc - Q @ Pc0 @ Q.T).max() <= 1e-12
         assert np.abs(Ps - Q @ Ps0 @ Q.T).max() <= 1e-12
-        assert np.abs(fr.prop_s_batch([2.0], [0.5])[0]
-                      - Q @ base.prop_s_batch([2.0], [0.5])[0] @ Q.T
+        assert np.abs(fr.propagate([2.0], [0.5], "s")[0]
+                      - Q @ base.propagate([2.0], [0.5], "s")[0] @ Q.T
                       ).max() <= 1e-12
         assert verify_frame(fr).ok
 
@@ -171,8 +201,9 @@ class TestSaddleFrame:
         fr = saddle_frame()
 
         class Inflated(AnalyticFrame):
-            def prop_s_batch(self, rhos, vs):
-                return 1.1 * super().prop_s_batch(rhos, vs)
+            def propagate(self, rhos, vs, sigmas):
+                scale = 1.1 if sigmas == "s" else 1.0
+                return scale * super().propagate(rhos, vs, sigmas)
 
         bad = Inflated(fr.model, [1.0], [1.0])
         rep = verify_frame(bad)
@@ -184,8 +215,9 @@ class TestSaddleFrame:
         fr = saddle_frame()
 
         class Poisoned(AnalyticFrame):
-            def prop_full_batch(self, rhos, vs):
-                return np.nan * super().prop_full_batch(rhos, vs)
+            def propagate(self, rhos, vs, sigmas):
+                scale = np.nan if sigmas == "csu" else 1.0
+                return scale * super().propagate(rhos, vs, sigmas)
 
         rep = verify_frame(Poisoned(fr.model, [1.0], [1.0]))
         assert math.isnan(rep.center_transport)
@@ -266,7 +298,7 @@ class TestFloquetFrame:
 
     def test_center_transport(self, cycle_frame):
         for t in (0.0, 1.1, -2.7):
-            U = cycle_frame.prop_full_batch([t + 2.0], [t])[0]
+            U = cycle_frame.propagate([t + 2.0], [t], "csu")[0]
             want = cycle_frame.orbit_deriv_batch([t + 2.0])[0]
             got = U @ cycle_frame.orbit_deriv_batch([t])[0]
             assert np.abs(got - want).max() <= 1e-6
@@ -300,35 +332,42 @@ class TestFloquetFrame:
             FloquetFrame(model, orbit, period)
 
     def test_rejects_nonhyperbolic_multipliers(self):
-        cyc = builtin_model("planar-limit-cycle")
-        omega = 0.5
-
-        def f(x):
-            return np.column_stack([cyc.f(x[:, :2]),
-                                    -omega * x[:, 3], omega * x[:, 2]])
-
-        def df(x):
-            out = np.zeros((len(x), 4, 4))
-            out[:, :2, :2] = cyc.df(x[:, :2])
-            out[:, 2, 3] = -omega
-            out[:, 3, 2] = omega
-            return out
-
-        def d2f(x):
-            out = np.zeros((len(x), 4, 4, 4))
-            out[:, :2, :2, :2] = cyc.d2f(x[:, :2])
-            return out
-
-        model = OdeModel(4, f, df, d2f, b=1.0)
-        P = 2.0 * math.pi
-        K = 314
-        eff = (P / 2.0) / K
-        ts = -P / 2.0 + eff * np.arange(2 * K + 1)
-        vals = np.column_stack([np.cos(ts), np.sin(ts),
-                                np.zeros_like(ts), np.zeros_like(ts)])
-        orbit = GridFunction(P / 2.0, eff, vals, interp_order=5)
+        # an undamped focus puts a multiplier pair on the unit circle
         with pytest.raises(ValueError, match="non-hyperbolic"):
-            FloquetFrame(model, orbit, P)
+            FloquetFrame(*cycle_times_focus(0.5, 0.0))
+
+    @pytest.mark.parametrize("omega", [0.5, 0.7, 1.0])
+    def test_a_damped_focus_joins_the_stable_bundle(self, omega):
+        # at omega 0.5 and 1.0 the focus turns a whole number of
+        # half-turns per period, so its conjugate multiplier pair comes
+        # out nearly real; the bundle still has the focus plane and the
+        # radial direction, and its slowest rate is the damping
+        fr = FloquetFrame(*cycle_times_focus(omega, 0.3))
+        assert fr.dims == (1, 3, 0)
+        assert verify_frame(fr).ok
+        V, S = fr.V_s, fr.S_s
+        assert np.abs(fr.monodromy @ V - V @ S).max() <= 1e-12
+        assert np.abs(V.T @ V - np.eye(3)).max() <= 1e-12
+        assert abs(fr.quality.lam_s - 0.3) <= 1e-6
+
+    def test_cycle_stable_basis_is_the_normalised_eigenvector(
+            self, cycle_frame):
+        mus, vecs = np.linalg.eig(cycle_frame.monodromy)
+        i = np.argmin(np.abs(mus))
+        v = vecs[:, i].real / np.linalg.norm(vecs[:, i].real)
+        got = cycle_frame.V_s[:, 0]
+        assert min(np.abs(got - v).max(), np.abs(got + v).max()) <= 1e-15
+        assert cycle_frame.S_s[0, 0] == pytest.approx(mus[i].real,
+                                                      rel=1e-12)
+
+    def test_a_defective_monodromy_is_refused(self):
+        # a Jordan block has one eigenvector for its double multiplier
+        from hypershadow.hyperbolic import _invariant_subspace
+        M = np.array([[0.5, 1.0], [0.0, 0.5]])
+        mus, vecs = np.linalg.eig(M)
+        with pytest.raises(ValueError,
+                           match="defective on its stable bundle"):
+            _invariant_subspace(M, vecs, np.abs(mus) < 1.0, "stable")
 
     def test_rejects_short_window(self):
         model = builtin_model("planar-limit-cycle")
@@ -365,9 +404,9 @@ class TestConvolve:
         for k, rho in enumerate(rhos):
             for i, v in enumerate(vs):
                 if sigma == "s" and v <= rho:
-                    out[k] += fr.prop_s_batch([rho], [v])[0] @ ws[i]
+                    out[k] += fr.propagate([rho], [v], "s")[0] @ ws[i]
                 elif sigma == "u" and v >= rho:
-                    out[k] += fr.prop_u_batch([rho], [v])[0] @ ws[i]
+                    out[k] += fr.propagate([rho], [v], "u")[0] @ ws[i]
         return out
 
     @pytest.mark.parametrize("kind", ["analytic", "floquet"])
@@ -412,8 +451,7 @@ class TestDescriptors:
             analytic_frame({"model": "planar-limit-cycle"})
 
 
-FRAME_PRIMITIVES = ("proj_batch", "prop_s_batch", "prop_u_batch",
-                    "prop_full_batch", "orbit_deriv_batch")
+FRAME_PRIMITIVES = ("proj_batch", "propagate", "orbit_deriv_batch")
 
 
 def counting(cls):
@@ -441,7 +479,9 @@ class TestOneBatchPerPrimitive:
         fr = counting(AnalyticFrame)(model, [1.0], [1.0], rotation=rotation)
         fr.calls = {}
         assert verify_frame(fr).ok
-        assert fr.calls == dict.fromkeys(FRAME_PRIMITIVES, 1)
+        # one propagator batch per bundle and one of the full flow
+        assert fr.calls == {"proj_batch": 1, "propagate": 3,
+                            "orbit_deriv_batch": 1}
 
     def test_cycle_verification_and_quality(self):
         orbit, period = unit_circle_orbit(delta=0.01)
@@ -458,8 +498,8 @@ class TestOneBatchPerPrimitive:
         fr.calls = {}
         assert verify_frame(fr).ok
         # no unstable bundle, so no unstable propagator batch
-        assert fr.calls == {"proj_batch": 1, "prop_s_batch": 1,
-                            "prop_full_batch": 1, "orbit_deriv_batch": 1}
+        assert fr.calls == {"proj_batch": 1, "propagate": 2,
+                            "orbit_deriv_batch": 1}
 
 
 # -- oracles: the per-point loops the batched frame code replaced ----------
@@ -557,8 +597,8 @@ def loop_fit(fr, sigma, bases, gaps):
         return None, 1.0
 
     def norm_at(t, g):
-        U = (fr.prop_s_batch([t + g], [t])[0] if sigma == "s"
-             else fr.prop_u_batch([t], [t + g])[0])
+        U = (fr.propagate([t + g], [t], "s")[0] if sigma == "s"
+             else fr.propagate([t], [t + g], "u")[0])
         return np.linalg.norm(U, 2)
 
     xs, ys = [], []
@@ -630,16 +670,16 @@ def loop_verify_frame(fr):
                 if (n_s if sigma == "s" else n_u) == 0:
                     continue
                 if sigma == "s":
-                    U1 = fr.prop_s_batch([t + g], [t])[0]
-                    U2 = fr.prop_s_batch([t + 2 * g], [t + g])[0]
-                    U12 = fr.prop_s_batch([t + 2 * g], [t])[0]
+                    U1 = fr.propagate([t + g], [t], "s")[0]
+                    U2 = fr.propagate([t + 2 * g], [t + g], "s")[0]
+                    U12 = fr.propagate([t + 2 * g], [t], "s")[0]
                     Pv, Pr, lam = (fr.proj_batch([t])[1][0],
                                    fr.proj_batch([t + g])[1][0], q.lam_s)
                     chained = U2 @ U1
                 else:
-                    U1 = fr.prop_u_batch([t], [t + g])[0]
-                    U2 = fr.prop_u_batch([t + g], [t + 2 * g])[0]
-                    U12 = fr.prop_u_batch([t], [t + 2 * g])[0]
+                    U1 = fr.propagate([t], [t + g], "u")[0]
+                    U2 = fr.propagate([t + g], [t + 2 * g], "u")[0]
+                    U12 = fr.propagate([t], [t + 2 * g], "u")[0]
                     Pv, Pr, lam = (fr.proj_batch([t + 2 * g])[2][0],
                                    fr.proj_batch([t])[2][0], q.lam_u)
                     chained = U1 @ U2
@@ -649,7 +689,7 @@ def loop_verify_frame(fr):
                                  np.linalg.norm(U1, 2) - q.C_U * decay)
                 bundle_invariance = max(bundle_invariance, np.abs(
                     (eye - Pr) @ U1 @ Pv).max())
-        U = fr.prop_full_batch([t + 1.3], [t])[0]
+        U = fr.propagate([t + 1.3], [t], "csu")[0]
         center_transport = max(center_transport, float(np.linalg.norm(
             U @ fr.orbit_deriv_batch([t])[0]
             - fr.orbit_deriv_batch([t + 1.3])[0])))
@@ -674,8 +714,8 @@ def loop_verify_frame(fr):
         xs, ys = [], []
         for t in base:
             for g in np.linspace(0.5, 5.0, 8):
-                U = (fr.prop_s_batch([t + g], [t])[0] if sigma == "s"
-                     else fr.prop_u_batch([t], [t + g])[0])
+                U = (fr.propagate([t + g], [t], "s")[0] if sigma == "s"
+                     else fr.propagate([t], [t + g], "u")[0])
                 nm = np.linalg.norm(U, 2)
                 if nm > 0:
                     xs.append(g)
@@ -782,12 +822,12 @@ class TestBatchedMatchesLoops:
         rng = np.random.default_rng(4)
         rhos = rng.uniform(-8.0, 8.0, size=25)
         vs = rng.uniform(-8.0, 8.0, size=25)
-        for name in ("prop_s", "prop_u", "prop_full"):
-            prop = getattr(fr, name + "_batch")
-            batch = prop(rhos, vs)
+        for sigmas in ("s", "u", "csu"):
+            batch = fr.propagate(rhos, vs, sigmas)
             for k in range(rhos.size):
-                assert np.array_equal(batch[k],
-                                      prop([rhos[k]], [vs[k]])[0]), name
+                assert np.array_equal(
+                    batch[k], fr.propagate([rhos[k]], [vs[k]], sigmas)[0]), \
+                    sigmas
 
     def test_floquet_full_propagator_matches_the_monodromy_formula(self,
                                                                   cycle_frame):
@@ -795,7 +835,7 @@ class TestBatchedMatchesLoops:
         rng = np.random.default_rng(6)
         rhos = rng.uniform(-3.0 * P, 3.0 * P, size=40)
         vs = rng.uniform(-3.0 * P, 3.0 * P, size=40)
-        got = cycle_frame.prop_full_batch(rhos, vs)
+        got = cycle_frame.propagate(rhos, vs, "csu")
         want = psi_prop_floquet(cycle_frame, rhos, vs)
         for k in range(rhos.size):
             assert rel_err(got[k], want[k]) <= 1e-9
@@ -824,12 +864,12 @@ class TestBatchedMatchesLoops:
     def test_analytic_propagators_match_the_slot_formula(self):
         fr = frame_of("rotated-saddle", None)
         for rho, v in ((2.0, 0.5), (-1.3, 4.1), (0.0, 0.0)):
-            for name, flags in (("prop_s", (True, False, 0.0)),
-                                ("prop_u", (False, True, 0.0)),
-                                ("prop_full", (True, True, 1.0))):
+            for sigmas, flags in (("s", (True, False, 0.0)),
+                                  ("u", (False, True, 0.0)),
+                                  ("csu", (True, True, 1.0))):
                 want = scalar_prop_analytic(fr, rho, v, *flags)
-                got = getattr(fr, name + "_batch")([rho], [v])[0]
-                assert np.abs(got - want).max() <= 1e-15, name
+                got = fr.propagate([rho], [v], sigmas)[0]
+                assert np.abs(got - want).max() <= 1e-15, sigmas
 
 
 def loop_monodromy(fr):

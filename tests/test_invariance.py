@@ -904,8 +904,9 @@ class TestIterateNonlinear:
 def test_static_lattices_are_sampled_once_per_run(monkeypatch):
     # the sdd-tanh delay on the cubic saddle moves X, so every step
     # solves a flow and reads every lattice; each lattice reads a grid
-    # geometry through one stencil reader, built once per run, not once
-    # per step, and no sampler is built on its points
+    # geometry through one stencil reader, built on first use and kept
+    # past the run, not once per step, and no sampler is built on its
+    # points
     import sys
 
     from hypershadow import funcspace
@@ -942,6 +943,7 @@ def test_static_lattices_are_sampled_once_per_run(monkeypatch):
     monkeypatch.setattr(funcspace.GridSampler, "__init__", counting)
     monkeypatch.setattr(funcspace.StencilRead, "__init__", reading)
     monkeypatch.setattr(invariance, "gamma_step", stepping)
+    funcspace.stencil_read.cache_clear()
     initial = initial_state(fr, cfg)
     run = _Run(fr, spec, cfg, initial.X.t0)
     state, report = iterate(fr, spec, cfg, initial, _run=run)
@@ -984,6 +986,12 @@ def test_static_lattices_are_sampled_once_per_run(monkeypatch):
     # nor is any other query sampled twice on one geometry
     seen = {(g, t.tobytes()) for g, t, _, _ in builds}
     assert len(seen) == len(builds)
+    # a second run of the scenario reuses every reader of the first
+    readers.clear()
+    again, _ = iterate(fr, spec, cfg, initial,
+                       _run=_Run(fr, spec, cfg, initial.X.t0))
+    assert readers == []
+    assert np.array_equal(again.xs.values, state.xs.values)
 
 
 @pytest.mark.parametrize("max_iters", [2, 5])
