@@ -6,10 +6,15 @@ phi' = X(phi) with phi(0) = 0, is a strictly increasing bijection.
 solve_flow builds the inverse first, from the exact identity
 phi_inv(t) = int_0^t dsigma / X(sigma) summed per cell by Gauss
 quadrature, and then gets phi at every grid node by Newton sweeps on
-phi_inv(phi(t)) = t, all of it vectorized. The sweeps start from cubic
-(4-point Lagrange) interpolation of the inverse table, and a node
-takes no further sweep once its measured residual is at or below
-1e-13, so each sweep re-reads only the nodes still above that floor.
+phi_inv(phi(t)) = t, all of it vectorized. X - 1 is 0 from one cell
+past the field's window on, so both maps are translations beyond the
+support |sigma| <= S, S that reach in whole cells: the quadrature and
+the sweeps run only where X moves, and the rest of each table is its
+value at the support's end plus the distance past it. The sweeps
+start from cubic (4-point Lagrange) interpolation of the inverse
+table, and a node takes no further sweep once its measured residual
+is at or below 1e-13, so each sweep re-reads only the nodes still
+above that floor.
 Every read of X, at the quadrature points and at the points that move
 every sweep, goes through the field's cell table
 (:class:`~hypershadow.funcspace.CellTable`, built once per field from
@@ -233,13 +238,13 @@ def _quadrature_inverse(field, table, y):
     j = np.floor((y - table.nodes[0]) / table.delta).astype(np.int64)
     np.maximum(j, 0, out=j)
     np.minimum(j, table.n - 2, out=j)
-    left = table.nodes[j]
+    left = table.nodes.take(j)
     half = 0.5 * (y - left)
     gx, gw = _GAUSS6_NODES, _GAUSS6_WEIGHTS
     pts = left[:, None] + half[:, None] * (gx[None, :] + 1.0)
     X = field.fast_value(np.concatenate([pts.ravel(), y]))
     inv = 1.0 / X[:pts.size].reshape(pts.shape)
-    return table.values[j, 0] + half * (inv @ gw), X[pts.size:]
+    return table.values[:, 0].take(j) + half * (inv @ gw), X[pts.size:]
 
 
 def _cubic_start(t, xs, ys):
@@ -273,21 +278,26 @@ def solve_flow(field, window):
         number of grid cells so 0 stays a node. Both maps interpolate
         with degree 7.
 
-    The inverse comes first: phi_inv(t) is the integral of 1/X, summed
-    per cell with a 6-point Gauss rule on a window inflated by (1 + t_0)
-    so it covers the image of phi; X is read at every Gauss point in one
-    lookup of the field's cell table. phi at every node t_i then solves
-    Phi(phi) = t_i, with Phi the quadrature inverse (table plus partial
-    cell, see ``_quadrature_inverse``), by vectorized Newton sweeps
-    phi <- phi - (Phi(phi) - t) X(phi), started from cubic (4-point
-    Lagrange) interpolation of the inverse table's (value, node) pairs.
-    Each sweep reads X once, from the same table, and only at the nodes
-    whose last measured residual is above 1e-13: a node stops, with no
-    further update, at its first measured residual at or below that
-    floor, so every node of phi ends with a measured residual <= 1e-13.
-    Since Phi' = 1/X exactly, the sweeps converge quadratically. Where X
-    is 1 (beyond the field window) the cubic start is already exact, so
-    those nodes stop after one sweep.
+    The inverse comes first: phi_inv(t) is the integral of 1/X on a
+    window inflated by (1 + t_0) so it covers the image of phi. X - 1
+    is 0 past the support |t| <= S = Ks delta, Ks the whole cells that
+    reach one cell past the field's window (at most the inverse
+    window's), so only the 2 Ks support cells are summed, with a 6-point
+    Gauss rule and X read at every Gauss point in one lookup of the
+    field's cell table; past +-S the table goes on as its value there
+    plus the distance past it. phi at the nodes t_i that it maps into
+    the support, phi_inv(-S) < t_i < phi_inv(S), a contiguous run, then
+    solves Phi(phi) = t_i, with Phi the quadrature inverse (table plus
+    partial cell, see ``_quadrature_inverse``), by vectorized Newton
+    sweeps phi <- phi - (Phi(phi) - t) X(phi), started from cubic
+    (4-point Lagrange) interpolation of the inverse table's (value,
+    node) pairs; every other node is translated, phi(t_i) =
+    +-S + (t_i - phi_inv(+-S)). Each sweep reads X once, from the same
+    table, and only at the nodes whose last measured residual is above
+    1e-13: a node stops, with no further update, at its first measured
+    residual at or below that floor, so every node of phi ends with a
+    measured residual <= 1e-13. Since Phi' = 1/X exactly, the sweeps
+    converge quadratically.
     """
     if float(np.abs(field.xhat.values).max()) >= 1.0:
         raise ValueError("sup|X - 1| must be < 1")
@@ -298,21 +308,38 @@ def solve_flow(field, window):
 
     K_inv = flow_cells((1.0 + field.t0) * R_phi, delta)
     R_inv = K_inv * delta
+    # X - 1 is 0 from one cell past the field's window on: the support
+    # is the inverse table's middle 2 Ks cells, |rho| <= S = Ks delta
+    Ks = min(flow_cells(field.xhat.half_width + delta, delta), K_inv)
     gx, gw = _GAUSS6_NODES, _GAUSS6_WEIGHTS
-    cell_lo = lattice(R_inv, delta)[:-1]
-    # quadrature points of every cell at once, then 1/X there
+    cell_lo = lattice(R_inv, delta)[K_inv - Ks:K_inv + Ks]
+    # quadrature points of every support cell at once, then 1/X there
     pts = cell_lo[:, None] + (0.5 * delta) * (gx[None, :] + 1.0)
     integrand = 1.0 / field.fast_value(pts.ravel())
     cells = (integrand.reshape(pts.shape) @ gw) * (0.5 * delta)
     inv_vals = np.empty(2 * K_inv + 1)
     inv_vals[K_inv] = 0.0
-    inv_vals[K_inv + 1:] = np.cumsum(cells[K_inv:])
-    inv_vals[:K_inv] = -np.cumsum(cells[:K_inv][::-1])[::-1]
+    inv_vals[K_inv + 1:K_inv + Ks + 1] = np.cumsum(cells[Ks:])
+    inv_vals[K_inv - Ks:K_inv] = -np.cumsum(cells[:Ks][::-1])[::-1]
+    # past the support 1/X = 1: the table goes on by whole cells
+    beyond = np.arange(1, K_inv - Ks + 1) * delta
+    inv_vals[K_inv + Ks + 1:] = inv_vals[K_inv + Ks] + beyond
+    inv_vals[:K_inv - Ks] = (inv_vals[K_inv - Ks] - beyond)[::-1]
     phi_inv = GridFunction(R_inv, delta, inv_vals, interp_order=_FLOW_ORDER)
 
+    # phi maps the nodes between the support ends' images
+    # phi_inv(-S) < t < phi_inv(S) into the support, by Newton, and
+    # translates every other node: phi(t) = +-S + (t - phi_inv(+-S))
     t = lattice(R_phi, delta)
-    y = _cubic_start(t, inv_vals, phi_inv.nodes)
-    live = np.arange(t.size)
+    ends = phi_inv.nodes[[K_inv - Ks, K_inv + Ks]]
+    images = inv_vals[[K_inv - Ks, K_inv + Ks]]
+    a = int(np.searchsorted(t, images[0], side="right"))
+    b = int(np.searchsorted(t, images[1], side="left"))
+    y = np.empty(t.size)
+    y[:a] = ends[0] + (t[:a] - images[0])
+    y[b:] = ends[1] + (t[b:] - images[1])
+    y[a:b] = _cubic_start(t[a:b], inv_vals, phi_inv.nodes)
+    live = np.arange(a, b)
     for _ in range(_NEWTON_MAX_SWEEPS):
         Phi, X = _quadrature_inverse(field, phi_inv, y[live])
         r = Phi - t[live]

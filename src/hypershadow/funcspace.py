@@ -300,18 +300,19 @@ class GridFunction:
         return self.eval(t)
 
     def _extend(self, inner, inside, edges):
-        # the reads at queries located by _locate (or slices of them):
-        # inner, (j, m) or (j,) when m = 1, inside the window, and at
-        # distance u past an end the end value tapered to 0 over a cell
+        # the reads at queries located by _locate or a StencilRead, each
+        # group placed by a mask or a slice: inner, (j, m) or (j,) when
+        # m = 1, inside the window, and at distance u > 0 past an end the
+        # end value tapered to 0 over a cell
         if inside is None:
             return inner
         size = len(inner) + sum(len(u) for _, u, _ in edges)
         out = np.empty((size,) + inner.shape[1:])
         out[inside] = inner
-        for mask, u, side in edges:
+        for where, u, side in edges:
             end = self.values[0 if side < 0 else -1].reshape(inner.shape[1:])
-            out[mask] = np.multiply.outer(
-                np.clip(1.0 - u / self.delta, 0.0, 1.0), end)
+            out[where] = np.multiply.outer(
+                np.maximum(1.0 - u / self.delta, 0.0), end)
         return out
 
     # -- derivatives and norms -------------------------------------------
@@ -412,18 +413,26 @@ def _stencil_start(cell, p, n):
 
 def _locate(g, t):
     """(inside, x, cell, edges) of the times ``t`` (a scalar or a 1-D
-    array) on g's geometry: the mask of the queries in the window (None
-    if all are), those queries x and their cells, and per end with
-    queries past it (mask, distance past the end, side -1 or +1). Both
-    engines locate their queries here and read through ``g._extend``.
+    array) on g's geometry: where the queries in the window sit (None if
+    all are), those queries x and their cells, and per end with queries
+    past it (where they sit, distance past the end, side -1 or +1). The
+    queries past each end sit at that end of ``t`` when ``t`` is sorted;
+    then every "where" is a slice and the reads are slice copies, else
+    each is a mask. Both engines locate their queries here and read
+    through ``g._extend``.
     """
     T = g.half_width
     t = np.atleast_1d(np.asarray(t, dtype=float))
     left, right = t < -T, t > T
-    edges = [(mask, u, side) for mask, u, side in (
-        (left, -(t[left] + T), -1), (right, t[right] - T, +1)) if u.size]
-    inside = ~(left | right) if edges else None
-    if edges:
+    lo, hi = np.count_nonzero(left), t.size - np.count_nonzero(right)
+    inside, edges = None, []
+    if lo or hi < t.size:
+        if left[:lo].all() and right[hi:].all():
+            inside, left, right = slice(lo, hi), slice(0, lo), slice(hi, None)
+        else:
+            inside = ~(left | right)
+        edges = [(where, u, side) for where, u, side in (
+            (left, -(t[left] + T), -1), (right, t[right] - T, +1)) if u.size]
         t = t[inside]
     cell = np.floor((t + T) / g.delta).astype(np.int64)
     np.maximum(cell, 0, out=cell)
@@ -435,9 +444,10 @@ class GridSampler:
     """Interpolation of the 1-D query array ``t`` on the geometry of ``g``.
 
     Holds stencil columns and normalised barycentric weights of the
-    queries inside the window, masks and distances of those beyond it.
-    ``apply(g)`` evaluates any GridFunction of that geometry there,
-    bitwise equal to ``g.eval(t)``. It lives as long as its builder.
+    queries inside the window, and the places (masks or slices) and
+    distances of those beyond it. ``apply(g)`` evaluates any
+    GridFunction of that geometry there, bitwise equal to
+    ``g.eval(t)``. It lives as long as its builder.
     """
 
     __slots__ = ("geometry", "cols", "weights", "inside", "edges")
@@ -548,14 +558,15 @@ class StencilRead:
 
 
 class CellTable:
-    """The local interpolants of a scalar GridFunction, one row per cell.
+    """The local interpolants of a scalar GridFunction, one column per cell.
 
-    Row c holds the Newton coefficients Delta^k f / k!, k = 0..p, of the
-    stencil :class:`GridSampler` uses for cell c, on the unit-spaced
-    stencil nodes. ``table(t)`` evaluates at a time or a 1-D array of
-    times with one floor for the cell, one gather of its row and p
-    nested multiply-adds in w = (t - stencil start) / delta; it locates
-    and tapers as a sampler does, so beyond the window it is ``g.eval1``
+    Column c holds the Newton coefficients Delta^k f / k!, k = 0..p, of
+    the stencil :class:`GridSampler` uses for cell c, on the unit-spaced
+    stencil nodes, one contiguous row per order k, shape (p + 1, n - 1).
+    ``table(t)`` evaluates at a time or a 1-D array of times with one
+    floor for the cell, one gather per order from its row and p nested
+    multiply-adds in w = (t - stencil start) / delta; it locates and
+    tapers as a sampler does, so beyond the window it is ``g.eval1``
     bit for bit. It agrees with ``g.eval1`` to rounding and needs no
     set-up per query array, so it serves points that move every call.
     """
@@ -568,11 +579,11 @@ class CellTable:
         p, n = g.interp_order, g.n
         start = _stencil_start(np.arange(n - 1), p, n)
         diff = g.values[:, 0]
-        coef = np.empty((n - 1, p + 1))
-        coef[:, 0] = diff[start]
+        coef = np.empty((p + 1, n - 1))
+        coef[0] = diff[start]
         for k in range(1, p + 1):
             diff = np.diff(diff)
-            coef[:, k] = diff[start] / math.factorial(k)
+            coef[k] = diff[start] / math.factorial(k)
         self.grid = g
         self.coef = coef
         self.left = g.nodes[start]
@@ -580,15 +591,15 @@ class CellTable:
     def __call__(self, t):
         g = self.grid
         p = g.interp_order
-        # the interpolant is evaluated only where it is read: a flow's
-        # quadrature points lie mostly beyond its field's window
+        # the interpolant is evaluated only inside the window; queries
+        # past it take the taper alone
         inside, x, cell, edges = _locate(g, t)
-        c = self.coef[cell]
-        w = (x - self.left[cell]) / g.delta
-        val = c[:, p].copy()
+        coef = self.coef
+        w = (x - self.left.take(cell)) / g.delta
+        val = coef[p].take(cell)
         for k in range(p - 1, -1, -1):
             val *= w - k
-            val += c[:, k]
+            val += coef[k].take(cell)
         val = g._extend(val, inside, edges)
         return float(val[0]) if np.ndim(t) == 0 else val
 

@@ -324,8 +324,8 @@ class _BundlePlan:
     collected v), the carry of each v to its node, the doubling factors
     of the decay scan (:func:`_doubling`) and the basis slices
     of the bundle. Calling it with the weights makes one projection, one
-    ``np.add.at``, one vector update per doubling pass and one basis
-    product: no carry and no matrix-matrix product.
+    ``np.bincount`` per bundle column, one vector update per doubling
+    pass and one basis product: no carry and no matrix-matrix product.
     """
 
     def __init__(self, frame, sigma, rhos, vs):
@@ -352,8 +352,11 @@ class _BundlePlan:
         if self.empty:
             return np.zeros((self.size, self.n))
         coords = _apply(self.Ainv, np.asarray(wvs, dtype=float))[self.keep]
-        load = np.zeros((self.size, self.carries.shape[1]))
-        np.add.at(load, self.owner, _apply(self.carries, coords))
+        carried = _apply(self.carries, coords)
+        # one bincount per bundle column sums in np.add.at's order
+        load = np.column_stack([
+            np.bincount(self.owner, weights=col, minlength=self.size)
+            for col in carried.T])
         return _apply(self.A, _decay_scan(self.factors, load)[self.order])
 
 

@@ -1,5 +1,6 @@
 """Reparametrization flows: integration, inversion, distortion, composites."""
 
+import itertools
 import math
 
 import numpy as np
@@ -179,12 +180,21 @@ def test_solve_flow_work_counts(monkeypatch):
         assert builds.count(field.xhat.geometry) == 0, seed
 
 
+def support_cells(field, fl):
+    # Ks: the whole cells from 0 to one cell past the field's window,
+    # beyond which X = 1, capped at the inverse table's half
+    d = field.xhat.delta
+    return min(flows.flow_cells(field.xhat.half_width + d, d),
+               (fl.phi_inv.n - 1) // 2)
+
+
 def test_newton_sweeps_only_the_nodes_above_the_floor(monkeypatch):
     # a node stops at its first measured residual at or below 1e-13, and
-    # the cubic start is exact where X = 1, so the sweeps read the field
-    # at about 1.5 (at most 2.1) sweeps' worth of points, 7 per node,
-    # after the one lookup of the cell quadrature's 6 points per cell;
-    # the residual of every node, window edges included, is at the floor
+    # only nodes that phi maps into the support of X - 1 are swept, so
+    # the sweeps read the field at fewer than 2.1 sweeps' worth of
+    # points, 7 per node, after the one lookup of the cell quadrature's
+    # 6 points per support cell; the residual of every node, window
+    # edges included, is at the floor
     points = []
     fast_value = flows.ScalarField.fast_value
 
@@ -197,11 +207,37 @@ def test_newton_sweeps_only_the_nodes_above_the_floor(monkeypatch):
         field = random_field(seed)
         points.clear()
         fl = flows.solve_flow(field, 6.0)
-        assert points[0] == 6 * (fl.phi_inv.n - 1), seed
+        assert points[0] == 6 * 2 * support_cells(field, fl), seed
         assert sum(points[1:]) <= 2.1 * 7 * fl.phi.n, (seed, sum(points))
         Phi, _ = flows._quadrature_inverse(field, fl.phi_inv,
                                            fl.phi.values[:, 0])
         assert np.abs(Phi - fl.phi.nodes).max() <= 1e-13, seed
+
+
+def test_a_wide_window_translates_past_the_support():
+    # operator runs solve on a window about 2.4 times the field's: past
+    # the support X = 1 exactly, so there phi and phi_inv are
+    # translations (to rounding of the window's nodes), and every node,
+    # the translated tails included, inverts the quadrature inverse. A
+    # field window of an odd number of half cells ends its taper half a
+    # cell off the flow's nodes, so the support takes the next whole cell.
+    for seed, T in itertools.product(range(100), (6.0, 5.975)):
+        field = random_field(seed, T=T)
+        fl = flows.solve_flow(field, 15.0)
+        inv, t = fl.phi_inv, fl.phi.nodes
+        S = inv.nodes[(inv.n - 1) // 2 + support_cells(field, fl)]
+        y = fl.phi.values[:, 0]
+        # the points of the support side: rho for phi_inv, phi(t) for phi
+        for nodes, vals, at in ((inv.nodes, inv.values[:, 0], inv.nodes),
+                                (t, y, y)):
+            for tail in (at >= S, at <= -S):
+                assert tail.sum() > 10, seed
+                shift = vals[tail] - nodes[tail]
+                assert np.ptp(shift) <= 1e-15 * inv.half_width, seed
+        assert (field.fast_value(y[np.abs(y) >= S]) == 1.0).all(), seed
+        Phi, _ = flows._quadrature_inverse(field, inv, y)
+        assert np.abs(Phi - t).max() <= 1e-13, seed
+        assert fl.roundtrip_defect() <= 1e-9, seed
 
 
 def test_fast_phi_agrees_with_the_sampler():
@@ -250,14 +286,17 @@ def test_phi_against_solve_ivp():
     # adaptive Runge-Kutta run. phi_ref(t_i) - phi(t_i) equals
     # X(phi(t_i)) (t_i - t_ref(phi(t_i))) up to second order, and the
     # reference itself is good to about 1e-10 because X is only
-    # piecewise smooth between grid nodes.
+    # piecewise smooth between grid nodes. The wide window, as operator
+    # runs use, reaches far past the field's, where phi is a translation.
     fields = [random_field(seed) for seed in range(100)]
-    fls = [flows.solve_flow(f, 6.0) for f in fields]
-    ys = np.array([fl.phi.values[:, 0] for fl in fls])
-    t_ref = _inverse_by_solve_ivp(fields, ys)
-    X = np.array([f.fast_value(y) for f, y in zip(fields, ys)])
-    err = X * np.abs(t_ref - fls[0].phi.nodes[None, :])
-    assert err.max() <= 3e-10, np.unravel_index(err.argmax(), err.shape)
+    for window in (6.0, 15.0):
+        fls = [flows.solve_flow(f, window) for f in fields]
+        ys = np.array([fl.phi.values[:, 0] for fl in fls])
+        t_ref = _inverse_by_solve_ivp(fields, ys)
+        X = np.array([f.fast_value(y) for f, y in zip(fields, ys)])
+        err = X * np.abs(t_ref - fls[0].phi.nodes[None, :])
+        assert err.max() <= 3e-10, (window, np.unravel_index(err.argmax(),
+                                                             err.shape))
 
 
 def test_flow_guard_failure_is_typed():

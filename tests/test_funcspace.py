@@ -373,6 +373,54 @@ def test_sampler_rejects_other_geometry():
     assert np.abs(ones - 1.0).max() <= 1e-14
 
 
+# query sets by where they fall on a window [-1, 1]: all inside, all
+# past one end or the other, past one end only, past both
+_QUERY_CASES = {
+    "inside": [(-1.0, 1.0, 60)],
+    "outside": [(-1.2, -1.0001, 20), (1.0001, 1.2, 20)],
+    "left": [(-1.2, -1.0001, 20), (-1.0, 1.0, 40)],
+    "right": [(-1.0, 1.0, 40), (1.0001, 1.2, 20)],
+    "both": [(-1.2, -1.0001, 20), (-1.0, 1.0, 40), (1.0001, 1.2, 20)],
+}
+
+
+@pytest.mark.parametrize("case", [*_QUERY_CASES, "scalar"])
+def test_sorted_queries_read_by_slices_as_by_masks(case):
+    # sorted queries past each end sit at that end, so _locate places
+    # them by slices; a permutation of them is placed by masks, and each
+    # engine reads the same values through either, bit for bit
+    rng = np.random.default_rng(11)
+    g = fs.GridFunction(1.0, 0.05, rng.normal(size=41), interp_order=7)
+    wide = g.with_values(rng.normal(size=(41, 3)))
+    table = fs.CellTable(g)
+    if case == "scalar":
+        # one query reads as it does at row 1 of a batch placed by masks
+        for x in (-1.03, 0.31, 1.03):
+            assert all(isinstance(w, slice) for w, _, _ in fs._locate(g, x)[3])
+            batch = np.array([0.5, x, -1.07, 1.07])
+            assert isinstance(fs._locate(g, batch)[0], np.ndarray)
+            assert table(x) == table(batch)[1]
+            assert np.array_equal(wide.eval(x), wide.eval(batch)[1])
+        return
+    t = np.sort(np.concatenate([rng.uniform(a, b, k)
+                                for a, b, k in _QUERY_CASES[case]]))
+    perm = rng.permutation(t.size)
+    inside, _, _, edges = fs._locate(g, t)
+    assert (inside is None) == (case == "inside")
+    assert len(edges) == {"inside": 0, "left": 1, "right": 1}.get(case, 2)
+    assert all(isinstance(w, slice) for w in [inside, *(e[0] for e in edges)]
+               if w is not None)
+    if case != "inside":
+        assert isinstance(fs._locate(g, t[perm])[0], np.ndarray)
+    sampler, shuffled = fs.GridSampler(g, t), fs.GridSampler(g, t[perm])
+    for got, mixed in ((table(t), table(t[perm])),
+                       (sampler.apply(g), shuffled.apply(g)),
+                       (sampler.apply(wide), shuffled.apply(wide))):
+        back = np.empty_like(mixed)
+        back[perm] = mixed
+        assert np.array_equal(got, back)
+
+
 # -- stencil reads of run lattices ---------------------------------------
 
 def _run_lattices(N, M, delta):
