@@ -279,25 +279,26 @@ def solve_flow(field, window):
         with degree 7.
 
     The inverse comes first: phi_inv(t) is the integral of 1/X on a
-    window inflated by (1 + t_0) so it covers the image of phi. X - 1
-    is 0 past the support |t| <= S = Ks delta, Ks the whole cells that
-    reach one cell past the field's window (at most the inverse
-    window's), so only the 2 Ks support cells are summed, with a 6-point
-    Gauss rule and X read at every Gauss point in one lookup of the
-    field's cell table; past +-S the table goes on as its value there
-    plus the distance past it. phi at the nodes t_i that it maps into
-    the support, phi_inv(-S) < t_i < phi_inv(S), a contiguous run, then
-    solves Phi(phi) = t_i, with Phi the quadrature inverse (table plus
-    partial cell, see ``_quadrature_inverse``), by vectorized Newton
-    sweeps phi <- phi - (Phi(phi) - t) X(phi), started from cubic
-    (4-point Lagrange) interpolation of the inverse table's (value,
-    node) pairs; every other node is translated, phi(t_i) =
-    +-S + (t_i - phi_inv(+-S)). Each sweep reads X once, from the same
-    table, and only at the nodes whose last measured residual is above
-    1e-13: a node stops, with no further update, at its first measured
-    residual at or below that floor, so every node of phi ends with a
-    measured residual <= 1e-13. Since Phi' = 1/X exactly, the sweeps
-    converge quadratically.
+    window inflated by (1 + t_0) so it covers the image of phi. X - 1 is
+    0 past the support |t| <= S = Ks delta, Ks the whole cells that
+    reach one cell past the field's window, so only the 2 Ks support
+    cells are summed (all of them if the support overflows the inverse
+    window), with a 6-point Gauss rule and X read at every Gauss point
+    in one lookup of the field's cell table; past +-S the table goes on
+    as its value there plus the distance past it. phi at the nodes t_i
+    that it maps into the support, phi_inv(-S) < t_i < phi_inv(S), a
+    contiguous run, then solves Phi(phi) = t_i, with Phi the quadrature
+    inverse (table plus partial cell, see ``_quadrature_inverse``), by
+    vectorized Newton sweeps phi <- phi - (Phi(phi) - t) X(phi), started
+    from cubic (4-point Lagrange) interpolation of the inverse table's
+    (value, node) pairs; every other node is translated,
+    phi(t_i) = +-S + (t_i - phi_inv(+-S)), unless the support overflows
+    the inverse window: then every node is swept. Each sweep reads X
+    once, from the same table, and only at the nodes whose last measured
+    residual is above 1e-13: a node stops, with no further update, at
+    its first measured residual at or below that floor, so every node of
+    phi ends with a measured residual <= 1e-13. Since Phi' = 1/X
+    exactly, the sweeps converge quadratically.
     """
     if float(np.abs(field.xhat.values).max()) >= 1.0:
         raise ValueError("sup|X - 1| must be < 1")
@@ -309,8 +310,11 @@ def solve_flow(field, window):
     K_inv = flow_cells((1.0 + field.t0) * R_phi, delta)
     R_inv = K_inv * delta
     # X - 1 is 0 from one cell past the field's window on: the support
-    # is the inverse table's middle 2 Ks cells, |rho| <= S = Ks delta
-    Ks = min(flow_cells(field.xhat.half_width + delta, delta), K_inv)
+    # is the inverse table's middle 2 Ks cells, |rho| <= S = Ks delta,
+    # or the whole table when the support overflows it
+    Ks = flow_cells(field.xhat.half_width + delta, delta)
+    overflow = Ks > K_inv
+    Ks = min(Ks, K_inv)
     gx, gw = _GAUSS6_NODES, _GAUSS6_WEIGHTS
     cell_lo = lattice(R_inv, delta)[K_inv - Ks:K_inv + Ks]
     # quadrature points of every support cell at once, then 1/X there
@@ -321,7 +325,8 @@ def solve_flow(field, window):
     inv_vals[K_inv] = 0.0
     inv_vals[K_inv + 1:K_inv + Ks + 1] = np.cumsum(cells[Ks:])
     inv_vals[K_inv - Ks:K_inv] = -np.cumsum(cells[:Ks][::-1])[::-1]
-    # past the support 1/X = 1: the table goes on by whole cells
+    # past the support 1/X = 1: the table goes on by whole cells (none
+    # when the support fills it)
     beyond = np.arange(1, K_inv - Ks + 1) * delta
     inv_vals[K_inv + Ks + 1:] = inv_vals[K_inv + Ks] + beyond
     inv_vals[:K_inv - Ks] = (inv_vals[K_inv - Ks] - beyond)[::-1]
@@ -329,12 +334,16 @@ def solve_flow(field, window):
 
     # phi maps the nodes between the support ends' images
     # phi_inv(-S) < t < phi_inv(S) into the support, by Newton, and
-    # translates every other node: phi(t) = +-S + (t - phi_inv(+-S))
+    # translates every other node: phi(t) = +-S + (t - phi_inv(+-S)).
+    # When the support overflows the table, X need not be 1 past it, so
+    # every node is swept, the end cells stretched to reach it
     t = lattice(R_phi, delta)
     ends = phi_inv.nodes[[K_inv - Ks, K_inv + Ks]]
     images = inv_vals[[K_inv - Ks, K_inv + Ks]]
     a = int(np.searchsorted(t, images[0], side="right"))
     b = int(np.searchsorted(t, images[1], side="left"))
+    if overflow:
+        a, b = 0, t.size
     y = np.empty(t.size)
     y[:a] = ends[0] + (t[:a] - images[0])
     y[b:] = ends[1] + (t[b:] - images[1])

@@ -300,18 +300,17 @@ class GridFunction:
         return self.eval(t)
 
     def _extend(self, inner, inside, edges):
-        # the reads at queries located by _locate or a StencilRead, each
-        # group placed by a mask or a slice: inner, (j, m) or (j,) when
-        # m = 1, inside the window, and at distance u > 0 past an end the
-        # end value tapered to 0 over a cell
+        # the reads at queries located by _locate (or slices of them):
+        # inner, (j, m) or (j,) when m = 1, inside the window, and at
+        # distance u > 0 past an end the end value tapered to 0 over a cell
         if inside is None:
             return inner
         size = len(inner) + sum(len(u) for _, u, _ in edges)
         out = np.empty((size,) + inner.shape[1:])
         out[inside] = inner
-        for where, u, side in edges:
+        for mask, u, side in edges:
             end = self.values[0 if side < 0 else -1].reshape(inner.shape[1:])
-            out[where] = np.multiply.outer(
+            out[mask] = np.multiply.outer(
                 np.maximum(1.0 - u / self.delta, 0.0), end)
         return out
 
@@ -413,26 +412,18 @@ def _stencil_start(cell, p, n):
 
 def _locate(g, t):
     """(inside, x, cell, edges) of the times ``t`` (a scalar or a 1-D
-    array) on g's geometry: where the queries in the window sit (None if
-    all are), those queries x and their cells, and per end with queries
-    past it (where they sit, distance past the end, side -1 or +1). The
-    queries past each end sit at that end of ``t`` when ``t`` is sorted;
-    then every "where" is a slice and the reads are slice copies, else
-    each is a mask. Both engines locate their queries here and read
-    through ``g._extend``.
+    array) on g's geometry: the mask of the queries in the window (None
+    if all are), those queries x and their cells, and per end with
+    queries past it (mask, distance past the end, side -1 or +1). Both
+    engines locate their queries here and read through ``g._extend``.
     """
     T = g.half_width
     t = np.atleast_1d(np.asarray(t, dtype=float))
     left, right = t < -T, t > T
-    lo, hi = np.count_nonzero(left), t.size - np.count_nonzero(right)
-    inside, edges = None, []
-    if lo or hi < t.size:
-        if left[:lo].all() and right[hi:].all():
-            inside, left, right = slice(lo, hi), slice(0, lo), slice(hi, None)
-        else:
-            inside = ~(left | right)
-        edges = [(where, u, side) for where, u, side in (
-            (left, -(t[left] + T), -1), (right, t[right] - T, +1)) if u.size]
+    edges = [(mask, u, side) for mask, u, side in (
+        (left, -(t[left] + T), -1), (right, t[right] - T, +1)) if u.size]
+    inside = ~(left | right) if edges else None
+    if edges:
         t = t[inside]
     cell = np.floor((t + T) / g.delta).astype(np.int64)
     np.maximum(cell, 0, out=cell)
@@ -444,10 +435,9 @@ class GridSampler:
     """Interpolation of the 1-D query array ``t`` on the geometry of ``g``.
 
     Holds stencil columns and normalised barycentric weights of the
-    queries inside the window, and the places (masks or slices) and
-    distances of those beyond it. ``apply(g)`` evaluates any
-    GridFunction of that geometry there, bitwise equal to
-    ``g.eval(t)``. It lives as long as its builder.
+    queries inside the window, masks and distances of those beyond it.
+    ``apply(g)`` evaluates any GridFunction of that geometry there,
+    bitwise equal to ``g.eval(t)``. It lives as long as its builder.
     """
 
     __slots__ = ("geometry", "cols", "weights", "inside", "edges")

@@ -240,6 +240,31 @@ def test_a_wide_window_translates_past_the_support():
         assert fl.roundtrip_defect() <= 1e-9, seed
 
 
+@pytest.mark.parametrize("c", [0.3, -0.3, 0.6])
+def test_a_support_past_the_inverse_window_sweeps_every_node(monkeypatch, c):
+    # a ball radius t_0 = 0 below sup|xhat| = |c| sizes the inverse table
+    # at the flow window, short of the support's one cell past the
+    # field's window: X need not be 1 past the table, so no node is
+    # translated and every node inverts the quadrature inverse, whose
+    # end cells stretch to reach it
+    points = []
+    fast_value = flows.ScalarField.fast_value
+
+    def counting_lookup(self, t):
+        points.append(np.size(t))
+        return fast_value(self, t)
+
+    monkeypatch.setattr(flows.ScalarField, "fast_value", counting_lookup)
+    field = flows.ScalarField(GridFunction.sample(
+        lambda t: c + 0.0 * t, 6.0, 0.05), BallRadii((0.0, 0.0)))
+    fl = flows.solve_flow(field, 6.0)
+    assert fl.phi_inv.half_width < field.xhat.half_width + 0.05
+    assert points[:2] == [6 * (fl.phi_inv.n - 1), 7 * fl.phi.n]
+    Phi, _ = flows._quadrature_inverse(field, fl.phi_inv,
+                                       fl.phi.values[:, 0])
+    assert np.abs(Phi - fl.phi.nodes).max() <= 1e-13
+
+
 def test_fast_phi_agrees_with_the_sampler():
     # the flow's cell table of phi reads what phi.eval1 reads, inside
     # the window and beyond it, where phi tapers to zero like every grid

@@ -385,20 +385,17 @@ _QUERY_CASES = {
 
 
 @pytest.mark.parametrize("case", [*_QUERY_CASES, "scalar"])
-def test_sorted_queries_read_by_slices_as_by_masks(case):
-    # sorted queries past each end sit at that end, so _locate places
-    # them by slices; a permutation of them is placed by masks, and each
-    # engine reads the same values through either, bit for bit
+def test_permuted_queries_read_as_sorted_ones(case):
+    # each engine reads a query the same, bit for bit, wherever it sits
+    # in the array: a permutation of sorted queries reads the same values
     rng = np.random.default_rng(11)
     g = fs.GridFunction(1.0, 0.05, rng.normal(size=41), interp_order=7)
     wide = g.with_values(rng.normal(size=(41, 3)))
     table = fs.CellTable(g)
     if case == "scalar":
-        # one query reads as it does at row 1 of a batch placed by masks
+        # one query reads as it does at row 1 of a batch
         for x in (-1.03, 0.31, 1.03):
-            assert all(isinstance(w, slice) for w, _, _ in fs._locate(g, x)[3])
             batch = np.array([0.5, x, -1.07, 1.07])
-            assert isinstance(fs._locate(g, batch)[0], np.ndarray)
             assert table(x) == table(batch)[1]
             assert np.array_equal(wide.eval(x), wide.eval(batch)[1])
         return
@@ -408,10 +405,6 @@ def test_sorted_queries_read_by_slices_as_by_masks(case):
     inside, _, _, edges = fs._locate(g, t)
     assert (inside is None) == (case == "inside")
     assert len(edges) == {"inside": 0, "left": 1, "right": 1}.get(case, 2)
-    assert all(isinstance(w, slice) for w in [inside, *(e[0] for e in edges)]
-               if w is not None)
-    if case != "inside":
-        assert isinstance(fs._locate(g, t[perm])[0], np.ndarray)
     sampler, shuffled = fs.GridSampler(g, t), fs.GridSampler(g, t[perm])
     for got, mixed in ((table(t), table(t[perm])),
                        (sampler.apply(g), shuffled.apply(g)),
