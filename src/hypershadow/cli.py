@@ -5,17 +5,19 @@ one eps (or a dyadic list for sweeps), an output directory and a seed.
 Verbs: ``run`` drives the fixed point and writes the converged state
 with its convergence, residual and error-bound tables; ``sweep`` runs a
 list of eps values and fits the first-order response slope; ``verify``
-re-certifies a stored state (see :func:`save_state`) by applying the
-operator once.
+re-certifies a stored state (see :func:`save_state`). All three take
+e_eta, the contraction estimate kappa and the bounds rows from
+``invariance.certify``, which reads kappa off the run's path, and for
+``verify`` off one more application (ROADMAP item 1 unifies the two).
 
 Exit codes: 0 success, 1 a usage error or a scenario or descriptor
 failure, including a run that reaches past the bounds its descriptors
 declare and a saved state with a malformed file or a value that is not
-finite (nothing is written), 2 divergence, or a converged ``run`` or a
-``verify`` whose contraction estimate kappa is at or above 1, 3 an
-iterate leaving its declared ball, 4 a numerical failure: a non-finite
-value entering the operator or a time-change flow failing its checks. A
-failed run or verify writes no output directory.
+finite (nothing is written), 2 divergence, no convergence within
+``max_iters`` applications, or a contraction estimate kappa at or
+above 1, 3 an iterate leaving its declared ball, 4 a numerical failure:
+a non-finite value entering the operator or a time-change flow failing
+its checks. A failed run or verify writes no output directory.
 """
 
 from __future__ import annotations
@@ -41,16 +43,18 @@ from .invariance import (
     BallExitError,
     CorrectionState,
     DivergenceError,
+    NotCertifiableError,
     NumericalError,
     OperatorConfig,
     _Run,
-    aposteriori_bounds,
+    certify,
     check_state_grid,
-    gamma_step,
     iterate,
     resolve_geometry,
     write_residual_csv,
 )
+# looked up here by the benchmark's tracer (bench/tracing.py)
+from .invariance import aposteriori_bounds, gamma_step  # noqa: F401
 from .perturbations import HistorySegment, spec_from_descriptor
 
 __all__ = [
@@ -250,6 +254,7 @@ def _complain(msg):
 _FAILURES = (
     (BallExitError, 3, "infeasible radii: {exc}"),
     (DivergenceError, 2, "diverged: {exc}"),
+    (NotCertifiableError, 2, "not certifiable: {exc}"),
     (NumericalError, 4, "{exc.reason}: {exc}"),
     (ValueError, 1,
      "the scenario's declared bounds do not cover the {subject}: {exc}"),
@@ -265,37 +270,30 @@ def _fail(exc, subject, prefix=""):
     return code
 
 
-def _not_certifiable(kappa):
-    """The one line of a contraction estimate at or above 1 (exit 2)."""
-    return f"not certifiable: measured contraction ratio {kappa:.3f} >= 1"
-
-
 def _run_one(scn, fr, spec, cfg, out, quiet, prefix="", run=None):
-    """Iterate and write the run artifacts; returns (code, state, report).
-    A failure prints one line led by ``prefix`` and writes nothing.
-    ``run`` is a run layout shared with other members of a sweep."""
+    """Iterate, certify and write the run artifacts; returns (code,
+    state, report). A failure prints one line led by ``prefix`` and
+    writes nothing. ``run`` is a run layout shared with other members
+    of a sweep."""
     try:
+        run = run or _Run(fr, spec, cfg, DEFAULT_T_RADII[0])
         state, report = iterate(fr, spec, cfg, _run=run)
+        if not report.converged:
+            _complain(prefix + f"no convergence within {cfg.max_iters} "
+                      f"iterations (last distance {report.distances[-1]:.3e})")
+            return 2, None, None
+        cert = certify(fr, spec, cfg, state, scn.bounds_interval, run,
+                       report)
     except _OPERATOR_FAILURES as exc:
         return _fail(exc, "run", prefix), None, None
-    if not report.converged:
-        _complain(prefix + f"no convergence within {cfg.max_iters} "
-                  f"iterations (last distance {report.distances[-1]:.3e})")
-        return 2, None, None
-    if report.kappa_hat >= 1.0:
-        _complain(prefix + _not_certifiable(report.kappa_hat))
-        return 2, None, None
-    rows = aposteriori_bounds(report.e_eta, state, cfg,
-                              scn.bounds_interval, report.kappa_hat)
-    report.bounds = tuple(rows)
     save_state(state, out, seed=scn.seed)
-    report.to_json(os.path.join(out, "report.json"))
+    report.to_json(os.path.join(out, "report.json"), cert)
     write_residual_csv(report, os.path.join(out, "residuals.csv"))
-    write_bounds_csv(rows, os.path.join(out, "bounds.csv"))
+    write_bounds_csv(cert["bounds"], os.path.join(out, "bounds.csv"))
     oracle = _write_oracle_csv(fr, spec, state, report, cfg, out)
     _say(quiet, f"converged in {report.iterations} iterations: "
                 f"d_eta={report.distances[-1]:.3e} "
-                f"kappa_hat={report.kappa_hat:.3f} -> {out}"
+                f"kappa_hat={cert['kappa_hat']:.3f} -> {out}"
                 + (" (+oracle)" if oracle else ""))
     return 0, state, report
 
@@ -392,40 +390,24 @@ def cmd_verify(scn, state_dir, quiet=False):
         _complain(str(exc))
         return 1
     try:
-        # both applications share one run layout
-        run = _Run(fr, spec, cfg, state.X.t0)
-        step1, d1 = gamma_step(fr, state, spec, cfg, run)
-        e_eta = d1["d_eta"] + d1["tail_s"] + d1["tail_u"]
-        if d1["d_eta"] <= cfg.tol_eta:
-            kappa = 0.0
-        else:
-            # one more application measures the local contraction ratio
-            _, d2 = gamma_step(fr, step1, spec, cfg, run)
-            kappa = d2["d_eta"] / d1["d_eta"]
+        cert = certify(fr, spec, cfg, state, scn.bounds_interval)
     except _OPERATOR_FAILURES as exc:
         return _fail(exc, "state")
-    if kappa >= 1.0:
-        _complain(_not_certifiable(kappa))
-        return 2
-    rows = aposteriori_bounds(e_eta, state, cfg, scn.bounds_interval, kappa)
     out = scn.out
     os.makedirs(out, exist_ok=True)
-    write_bounds_csv(rows, os.path.join(out, "bounds.csv"))
-    record = {
-        "e_eta": e_eta,
-        "kappa_hat": kappa,
-        "d_eta": d1["d_eta"],
-        "tail_s": d1["tail_s"],
-        "tail_u": d1["tail_u"],
-        "components": {k: d1[k] for k in ("E_c", "E_s", "E_u",
-                                          "DE_s", "DE_u")},
+    write_bounds_csv(cert["bounds"], os.path.join(out, "bounds.csv"))
+    defects = cert["defects"]
+    record = {k: cert[k] for k in ("e_eta", "kappa_hat", "tail_s", "tail_u")}
+    record.update(
+        d_eta=defects["d_eta"],
+        components={k: defects[k] for k in ("E_c", "E_s", "E_u", "DE_s",
+                                            "DE_u")},
         # relative to the output, so the record does not depend on
         # where the two directories live
-        "state_dir": os.path.relpath(state_dir, out),
-        "seed": scn.seed,
-    }
+        state_dir=os.path.relpath(state_dir, out), seed=scn.seed)
     write_lines(os.path.join(out, "verify.json"), [json_text(record)])
-    _say(quiet, f"E_eta={e_eta:.3e} kappa_hat={kappa:.3f} -> {out}")
+    _say(quiet, f"E_eta={record['e_eta']:.3e} "
+                f"kappa_hat={record['kappa_hat']:.3f} -> {out}")
     return 0
 
 

@@ -40,6 +40,11 @@ class DivergenceError(RuntimeError):
     """Raised when consecutive-distance ratios stay at or above 1."""
 
 
+class NotCertifiableError(RuntimeError):
+    """Raised by :func:`certify` when the contraction estimate is not
+    below 1, so no a-posteriori bound follows."""
+
+
 class BallExitError(RuntimeError):
     """Raised when an iterate leaves its declared ball.
 
@@ -552,23 +557,19 @@ def gamma_step(fr, state, spec, cfg, _run=None):
 
 @dataclass
 class IterationReport:
-    """Convergence record of one fixed-point run.
+    """Path of one fixed-point run, as :func:`iterate` walked it.
 
     ``history`` holds one row per iteration:
-    (iter, d_eta, kappa_running, E_c, E_s, E_u). ``defects`` are the
-    measured fixed-point defects of the returned state and ``e_eta``
-    their sum plus the truncation tails.
+    (iter, d_eta, kappa_running, E_c, E_s, E_u). ``defects`` are those
+    of the returned state when the last iteration measured them, having
+    reproduced its input bit for bit, and None when :func:`certify` has
+    to measure them.
     """
 
     distances: tuple
     ratios: tuple
-    kappa_hat: float
     converged: bool
     iterations: int
-    defects: dict
-    e_eta: float
-    tail_s: float
-    tail_u: float
     eta: float
     eps: float
     core_half: float
@@ -577,14 +578,14 @@ class IterationReport:
     t_radii: tuple
     s_radii: tuple
     u_radii: tuple
-    bounds: tuple = ()
+    defects: dict
 
-    def to_json(self, path):
-        """Write the record to ``path`` as strict JSON; returns ``path``.
-
-        The fields are serialized as they stand, tuples as JSON lists:
-        ``dataclasses.asdict`` would deep-copy every value first."""
-        return write_lines(path, [json_text(vars(self))])
+    def to_json(self, path, certificate):
+        """Write this path with the entries, defects included, of
+        ``certificate`` (:func:`certify`) to ``path`` as strict JSON;
+        returns ``path``. The fields are serialized as they stand, tuples
+        as JSON lists: ``dataclasses.asdict`` would deep-copy them all."""
+        return write_lines(path, [json_text(dict(vars(self), **certificate))])
 
 
 def write_residual_csv(report, path):
@@ -614,41 +615,29 @@ def _guarded_step(fr, state, spec, cfg, run, it):
     try:
         return gamma_step(fr, state, spec, cfg, run)
     except FlowGuardError as exc:
+        if it is None:
+            raise
         raise FlowGuardError(
             f"iteration {it}: {exc}; sup|X - 1| = "
             f"{state.X.sup_deviation():.3g} on the full window "
             f"against t0 = {state.X.t0:g}") from exc
 
 
-def _reproduces(a, b):
-    """True when state b holds the grids of state a bit for bit.
-
-    Balls need no comparison: :func:`gamma_step` carries them over.
-    """
-    return all(np.array_equal(g.values, h.values)
-               for g, h in ((a.X.xhat, b.X.xhat), (a.xs, b.xs),
-                            (a.xu, b.xu)))
-
-
 def iterate(fr, spec, cfg, initial=None, _run=None):
     """Drive the operator to its fixed point from ``initial``.
 
     Stops when the weighted distance between consecutive iterates falls
-    below tol_eta; raises DivergenceError when the ratio of consecutive
-    distances stays at or above 1 for five iterations, BallExitError
-    when an iterate leaves its declared ball on the core window or its
-    time change reaches sup|X - 1| >= 1 anywhere, and
-    FlowGuardError, naming the iteration, when the flow of an iterate's
-    time change fails its checks. The defects of the returned state are
-    measured by one extra operator application, so the report's e_eta
-    genuinely belongs to it. When the last iteration reproduced its
-    input bit for bit, that extra application would repeat it exactly,
-    so its defects are taken instead. ``kappa_hat`` is the largest ratio
-    of consecutive distances; a run that stops after one iteration takes
-    it from the defects of the returned state, so a resumed run measures
-    it too. ``_run`` carries a run layout built for the same frame,
-    spec, time-change radius and config up to eps (a sweep shares one
-    across its members); a lone run builds its own.
+    below tol_eta, or unconverged after ``max_iters`` applications;
+    raises DivergenceError when the ratio of consecutive distances stays
+    at or above 1 for five iterations, BallExitError when an iterate
+    leaves its declared ball on the core window or its time change
+    reaches sup|X - 1| >= 1 anywhere, and FlowGuardError, naming the
+    iteration, when the flow of an iterate's time change fails its
+    checks. Returns the last iterate and its path
+    (:class:`IterationReport`); :func:`certify` measures the returned
+    state. ``_run`` carries a run layout built for the same frame, spec,
+    time-change radius and config up to eps (a sweep shares one across
+    its members); a lone run builds its own.
     """
     state = initial if initial is not None else initial_state(fr, cfg)
     run = _run or _Run(fr, spec, cfg, state.X.t0)
@@ -690,31 +679,15 @@ def iterate(fr, spec, cfg, initial=None, _run=None):
         if d <= cfg.tol_eta:
             converged = True
             break
-    # defect of the state actually returned; a last step that
-    # reproduced its input has measured it already
-    if _reproduces(last_input, state):
-        final_defects = defects
-    else:
-        _, final_defects = _guarded_step(fr, state, spec, cfg, run,
-                                         len(distances) + 1)
-    e_eta = (final_defects["d_eta"] + final_defects["tail_s"]
-             + final_defects["tail_u"])
-    if ratios or distances[0] <= 1e-300:
-        kappa_hat = max(ratios, default=0.0)
-    else:
-        # one iteration left no ratio; the returned state's defects
-        # measure it
-        kappa_hat = final_defects["d_eta"] / distances[0]
+    # balls need no comparison: gamma_step carries them over
+    reproduced = all(np.array_equal(a.values, b.values) for a, b in zip(
+        (last_input.X.xhat, last_input.xs, last_input.xu),
+        (state.X.xhat, state.xs, state.xu)))
     report = IterationReport(
         distances=tuple(distances),
         ratios=tuple(ratios),
-        kappa_hat=kappa_hat,
         converged=converged,
         iterations=len(distances),
-        defects=final_defects,
-        e_eta=e_eta,
-        tail_s=final_defects["tail_s"],
-        tail_u=final_defects["tail_u"],
         eta=cfg.eta,
         eps=cfg.eps,
         core_half=run.geo.core_half,
@@ -723,6 +696,7 @@ def iterate(fr, spec, cfg, initial=None, _run=None):
         t_radii=state.t_ball.c,
         s_radii=state.s_ball.c,
         u_radii=state.u_ball.c,
+        defects=defects if reproduced else None,
     )
     return state, report
 
@@ -826,6 +800,49 @@ def aposteriori_bounds(e_eta, state, cfg, interval, kappa_hat):
                 row["semi_bound"] = semi_cs[j] * amp ** (1.0 / (j + 1))
             rows.append(row)
     return rows
+
+
+def certify(fr, spec, cfg, state, interval, run=None, path=None):
+    """The certificate of ``state``, a dict: its fixed-point ``defects``
+    (:func:`gamma_step`'s), ``e_eta`` their ``d_eta`` plus the tails
+    ``tail_s`` and ``tail_u``, the contraction estimate ``kappa_hat``
+    (:func:`_kappa`) and ``bounds``, the rows of :func:`aposteriori_bounds`
+    on ``interval``. The defects are those of one more application of
+    the operator unless ``path``, :func:`iterate`'s report of the run
+    that returned ``state``, holds them. Raises NotCertifiableError when
+    kappa is not below 1. ``run`` is the run's layout; a lone state
+    builds its own."""
+    image, defects = state, getattr(path, "defects", None)
+    if defects is None:
+        run = run or _Run(fr, spec, cfg, state.X.t0)
+        # a flow failing its guards names the application after the path
+        image, defects = _guarded_step(fr, state, spec, cfg, run,
+                                       path and path.iterations + 1)
+    kappa = _kappa(fr, spec, cfg, run, path, image, defects["d_eta"])
+    if not kappa < 1.0:
+        raise NotCertifiableError(
+            f"measured contraction ratio {kappa:.3f} >= 1")
+    e_eta = defects["d_eta"] + defects["tail_s"] + defects["tail_u"]
+    return {"defects": defects, "e_eta": e_eta, "tail_s": defects["tail_s"],
+            "tail_u": defects["tail_u"], "kappa_hat": kappa,
+            "bounds": tuple(aposteriori_bounds(e_eta, state, cfg, interval,
+                                               kappa))}
+
+
+def _kappa(fr, spec, cfg, run, path, image, d):
+    """The contraction estimate of a state at distance d from its image
+    ``image``. Along a ``path``: its largest ratio of consecutive
+    distances or, with none, d over its first distance (0.0 when that is
+    0). A lone state: 0.0 when d is at most tol_eta, else the distance
+    one more application moves ``image`` over d. ROADMAP item 1 replaces
+    both rules by a proven bound."""
+    if path is None:
+        if d <= cfg.tol_eta:
+            return 0.0
+        return gamma_step(fr, image, spec, cfg, run)[1]["d_eta"] / d
+    if path.ratios or path.distances[0] <= 1e-300:
+        return max(path.ratios, default=0.0)
+    return d / path.distances[0]
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ from hypershadow.flows import ScalarField, solve_flow
 from hypershadow.funcspace import BallRadii, GridFunction
 from hypershadow.hyperbolic import (FloquetFrame, analytic_frame,
                                     builtin_model, unit_circle_orbit)
-from hypershadow.invariance import (CorrectionState, OperatorConfig,
-                                    aposteriori_bounds,
+from hypershadow.invariance import (CorrectionState, OperatorConfig, certify,
                                     contraction_constants, gamma_step,
                                     initial_state, iterate, residual_fde)
 from hypershadow.perturbations import (HistorySegment, small_delay_q,
@@ -443,8 +442,8 @@ def test_criterion_09_aposteriori_sandwich():
         for omega in (1.0, 2.0):
             fr, cfg, final, report = sandwich_run(a, omega)
             assert report.converged, (a, omega)
-            rows = aposteriori_bounds(report.e_eta, final, cfg, (-2.0, 2.0),
-                                      report.kappa_hat)
+            rows = certify(fr, sine_delay_spec(a, omega), cfg, final,
+                           (-2.0, 2.0), path=report)["bounds"]
             table = {(r["component"], r["j"]): r["bound"] for r in rows}
             # the metric lives at the nodes; between them the grid
             # representation adds its own budgeted interpolation term

@@ -8,7 +8,6 @@ quick while still exercising every artifact writer.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -26,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypershadow import cli
+from hypershadow import cli, invariance
 from hypershadow.hyperbolic import frame_from_descriptor
 from hypershadow.invariance import OperatorConfig, CorrectionState, initial_state
 from hypershadow.perturbations import ode_term, state_dependent_delay
@@ -86,6 +85,12 @@ BAD_INTERVALS = [[2.0, -2.0], [0.0, math.nan], [0.0, math.inf],
 FLOQUET = ({"mode": "floquet", "model": "planar-limit-cycle"},
            {"eta": 0.25, "window": 12.0, "delta": 0.2, "tol_eta": 1e-6})
 SDD_TANH = {"kind": "sdd-tanh", "parameters": {"h": 1.0, "c0": 0.5, "c1": 0.2}}
+# the bench's sdd-cubic scenario: its delay moves X at every step
+SDD_CUBIC = {"frame": {"mode": "analytic", "model": "saddle-cubic",
+                       "lambda_s": 1.0, "lambda_u": 1.0, "cubic": [0.3, 0.2]},
+             "perturbation": SDD_TANH}
+SDD_CUBIC_CONFIG = {"eta": 0.25, "window": 24.0, "delta": 0.1,
+                    "tol_eta": 1e-8}
 NEUTRAL = {"kind": "neutral-linear",
            "parameters": {"h": 1.0, "c0": 0.5, "c1": 0.5,
                           "deriv_bound": 1.0}}
@@ -657,26 +662,26 @@ class TestRunVerb:
         assert cli.main(["run", path, "--quiet"]) == 2
         assert not os.path.exists(scn["out"])
 
+    def test_capped_run_is_not_applied_again(self, tmp_path, capsys):
+        # at eps 0.03 one more application after the first would leave
+        # the inflated flow window; a run cut at the cap makes none
+        path, scn = write_scenario(
+            tmp_path, eps=0.03, config=dict(SDD_CUBIC_CONFIG, max_iters=1),
+            **SDD_CUBIC)
+        assert cli.main(["run", path, "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "hypershadow: no convergence within 1 iterations")
+        assert not os.path.exists(scn["out"])
+
     @pytest.mark.parametrize("verb", ["run", "sweep", "verify"])
     def test_contraction_at_one_is_exit_two(self, tmp_path, capsys,
                                             monkeypatch, linear_run, verb):
         # a converged run, a sweep member or a verify whose contraction
         # estimate reaches 1 says so in the same one line and writes
-        # nothing
-        iterate, gamma_step = cli.iterate, cli.gamma_step
-
-        def at_one(*a, **kw):
-            state, report = iterate(*a, **kw)
-            assert report.converged
-            return state, dataclasses.replace(report, kappa_hat=1.0)
-
-        def same_distance(*a):
-            # every application moves the state by the same distance
-            new, defects = gamma_step(*a)
-            return new, dict(defects, d_eta=1.0)
-
-        monkeypatch.setattr(cli, "iterate", at_one)
-        monkeypatch.setattr(cli, "gamma_step", same_distance)
+        # nothing; all three estimate it in certify
+        monkeypatch.setattr(invariance, "_kappa", lambda *a: 1.0)
         eps = [4e-3, 2e-3, 1e-3] if verb == "sweep" else 0.01
         path, scn = write_scenario(tmp_path, eps=eps)
         argv = [verb, path, "--quiet"]
@@ -727,14 +732,6 @@ class TestRunVerb:
         assert len(swept[0]) == 2 + 3 * 8 and swept[0] == swept[1]
 
 
-# the bench's sdd-cubic scenario: its delay moves X at every step
-SDD_CUBIC = {"frame": {"mode": "analytic", "model": "saddle-cubic",
-                       "lambda_s": 1.0, "lambda_u": 1.0, "cubic": [0.3, 0.2]},
-             "perturbation": {"kind": "sdd-tanh",
-                              "parameters": {"h": 1.0, "c0": 0.5,
-                                             "c1": 0.2}}}
-
-
 @pytest.mark.parametrize("window", [24.05, 23.95])
 def test_a_window_of_odd_half_cells_certifies(tmp_path, window):
     # a window whose ends are odd multiples of delta / 2 holds whole
@@ -753,6 +750,30 @@ def test_a_window_of_odd_half_cells_certifies(tmp_path, window):
                                  out=str(tmp_path / "sweep"), config=config,
                                  eps=[0.02, 0.01, 0.005], **SDD_CUBIC)
     assert cli.main(["sweep", spath, "--quiet"]) == 0
+
+
+def test_verify_of_a_run_reads_its_defects(tmp_path):
+    # verify's one application of a state run wrote reproduces the run's
+    # certificate application bit for bit; only kappa differs, by rule:
+    # the path's largest ratio for run, 0.0 for verify, whose state's
+    # defect is at most tol_eta (ROADMAP item 1 makes them agree)
+    path, scn = write_scenario(tmp_path, eps=0.02, config=SDD_CUBIC_CONFIG,
+                               **SDD_CUBIC)
+    assert cli.main(["run", path, "--quiet"]) == 0
+    ver_dir = tmp_path / "verify"
+    assert cli.main(["verify", path, scn["out"], "--out", str(ver_dir),
+                     "--quiet"]) == 0
+    rep = read_json(scn["out"], "report.json")
+    ver = read_json(ver_dir, "verify.json")
+    for key in ("e_eta", "tail_s", "tail_u"):
+        assert ver[key] == rep[key], key
+    assert ver["d_eta"] == rep["defects"]["d_eta"]
+    for key in ("E_c", "E_s", "E_u", "DE_s", "DE_u"):
+        assert ver["components"][key] == rep["defects"][key], key
+    assert len(rep["ratios"]) >= 1
+    assert rep["kappa_hat"] == max(rep["ratios"]) > 0.0
+    assert ver["d_eta"] <= SDD_CUBIC_CONFIG["tol_eta"]
+    assert ver["kappa_hat"] == 0.0
 
 
 class TestSweepVerb:
@@ -967,7 +988,7 @@ class TestVerifyVerb:
     def test_bad_bounds_interval_fails_before_compute(self, tmp_path, capsys,
                                                       monkeypatch, linear_run,
                                                       interval):
-        monkeypatch.setattr(cli, "gamma_step",
+        monkeypatch.setattr(invariance, "gamma_step",
                             lambda *a: pytest.fail("stepped"))
         path, scn = write_scenario(tmp_path, name="ver.json",
                                    bounds_interval=interval)
@@ -1046,7 +1067,7 @@ class TestVerifyVerb:
                                               monkeypatch, linear_run,
                                               edit, message):
         # the one line names the file and the entry, not a bare key
-        monkeypatch.setattr(cli, "gamma_step",
+        monkeypatch.setattr(invariance, "gamma_step",
                             lambda *a: pytest.fail("stepped"))
         bad_dir = tmp_path / "bad_state"
         shutil.copytree(linear_run["out"], bad_dir)
@@ -1078,7 +1099,7 @@ class TestVerifyVerb:
                                             message):
         # state.json holds the geometry; a CSV that does not fit it, or
         # does not hold numbers, is named in the one line
-        monkeypatch.setattr(cli, "gamma_step",
+        monkeypatch.setattr(invariance, "gamma_step",
                             lambda *a: pytest.fail("stepped"))
         bad_dir = tmp_path / "bad_state"
         shutil.copytree(linear_run["out"], bad_dir)

@@ -41,6 +41,7 @@ from hypershadow.invariance import (
     _taylor_split,
     _varphi_batch,
     aposteriori_bounds,
+    certify,
     contraction_constants,
     contraction_probe,
     distance_components,
@@ -179,6 +180,13 @@ def nonlinear_run():
     cfg = base_cfg(eps=1e-2)
     final, report = iterate(fr, spec, cfg)
     return fr, spec, cfg, final, report
+
+
+@functools.lru_cache(maxsize=None)
+def certificate(run):
+    """certify's record, on [-2, 2], of the state a cached run returned."""
+    fr, spec, cfg, final, report = run()
+    return certify(fr, spec, cfg, final, (-2.0, 2.0), path=report)
 
 
 @functools.lru_cache(maxsize=None)
@@ -764,7 +772,8 @@ class TestIterateLinear:
         assert final.X.sup_deviation() <= 1e-12
         assert np.abs(final.xs.values).max() <= 1e-12
         assert np.abs(final.xu.values).max() <= 1e-12
-        assert report.e_eta == 0.0
+        assert certify(fr, ZERO, cfg, final, (-2.0, 2.0),
+                       path=report)["e_eta"] == 0.0
 
     def test_fixed_point_matches_oracle_in_c0_and_c1(self):
         fr, spec, cfg, final, report = linear_run()
@@ -786,7 +795,8 @@ class TestIterateLinear:
     def test_fixed_point_defects_stay_within_twice_tol(self):
         fr, spec, cfg, final, report = linear_run()
         for key in ("E_c", "E_s", "E_u", "DE_s", "DE_u"):
-            assert report.defects[key] <= 2.0 * cfg.tol_eta
+            assert (certificate(linear_run)["defects"][key]
+                    <= 2.0 * cfg.tol_eta)
 
     def test_normalization_is_machine_true(self):
         fr, spec, cfg, final, report = linear_run()
@@ -840,7 +850,7 @@ class TestIterateNonlinear:
     def test_converges_with_contraction_below_one(self):
         fr, spec, cfg, final, report = nonlinear_run()
         assert report.converged
-        assert report.kappa_hat < 1.0
+        assert certificate(nonlinear_run)["kappa_hat"] < 1.0
         assert report.iterations >= 2
 
     def test_distances_non_increasing_after_second_iteration(self):
@@ -851,7 +861,8 @@ class TestIterateNonlinear:
     def test_fixed_point_defects_stay_within_twice_tol(self):
         fr, spec, cfg, final, report = nonlinear_run()
         for key in ("E_c", "E_s", "E_u", "DE_s", "DE_u"):
-            assert report.defects[key] <= 2.0 * cfg.tol_eta
+            assert (certificate(nonlinear_run)["defects"][key]
+                    <= 2.0 * cfg.tol_eta)
 
     def test_normalization_preserved_with_live_time_change(self):
         fr, spec, cfg, final, report = nonlinear_run()
@@ -872,14 +883,16 @@ class TestIterateNonlinear:
 
     def test_resumed_run_measures_kappa(self):
         # resuming from the fixed point converges in one iteration; the
-        # extra application of the operator measures kappa, not 0
+        # certificate's application of the operator measures kappa, not 0
         fr, spec, cfg, final, report = nonlinear_run()
-        _, resumed = iterate(fr, spec, cfg, initial=final)
+        again, resumed = iterate(fr, spec, cfg, initial=final)
         assert resumed.converged and resumed.iterations == 1
         assert resumed.ratios == ()
-        assert resumed.kappa_hat == (resumed.defects["d_eta"]
+        cert = certify(fr, spec, cfg, again, (-2.0, 2.0), path=resumed)
+        assert cert["kappa_hat"] == (cert["defects"]["d_eta"]
                                      / resumed.distances[0])
-        assert resumed.kappa_hat == pytest.approx(report.kappa_hat, rel=0.5)
+        assert cert["kappa_hat"] == pytest.approx(
+            certificate(nonlinear_run)["kappa_hat"], rel=0.5)
 
     def test_every_iterate_stayed_in_its_ball(self):
         fr, spec, cfg, final, report = nonlinear_run()
@@ -947,6 +960,7 @@ def test_static_lattices_are_sampled_once_per_run(monkeypatch):
     initial = initial_state(fr, cfg)
     run = _Run(fr, spec, cfg, initial.X.t0)
     state, report = iterate(fr, spec, cfg, initial, _run=run)
+    certify(fr, spec, cfg, state, (-2.0, 2.0), run, report)
     assert report.converged and report.iterations >= 4
     assert state.X.sup_deviation() > 1e-3
     # the state, the perturbation table and the flow inverse are read;
@@ -1294,25 +1308,43 @@ def test_bit_for_bit_fixed_point_is_not_applied_again(monkeypatch):
     cfg = base_cfg(eps=1e-2)
     calls, step = _counted_steps(monkeypatch)
     state, report = iterate(fr, spec, cfg)
+    cert = certify(fr, spec, cfg, state, (-2.0, 2.0), path=report)
     assert report.converged and report.distances[-1] == 0.0
     assert len(calls) == report.iterations
     _, defects = step(fr, state, spec, cfg)
-    assert defects == report.defects
-    assert report.e_eta == (defects["d_eta"] + defects["tail_s"]
-                            + defects["tail_u"])
+    assert defects == cert["defects"]
+    assert cert["e_eta"] == (defects["d_eta"] + defects["tail_s"]
+                             + defects["tail_u"])
 
 
-def test_moving_fixed_point_is_applied_once_more(monkeypatch):
+def _moving_scenario(**kw):
+    # sdd-tanh on the cubic saddle moves X on every iteration
     fr = analytic_frame({"model": "saddle-cubic", "lambda_s": 1.0,
                          "lambda_u": 1.0, "cubic": (0.3, 0.2)})
     spec = spec_from_descriptor({"kind": "sdd-tanh", "parameters":
                                  {"h": 1.0, "c0": 0.5, "c1": 0.2}}, fr.model)
-    cfg = base_cfg(eps=0.02)
+    return fr, spec, base_cfg(eps=0.02, **kw)
+
+
+def test_moving_fixed_point_is_applied_once_more(monkeypatch):
+    fr, spec, cfg = _moving_scenario()
     calls, step = _counted_steps(monkeypatch)
     state, report = iterate(fr, spec, cfg)
+    cert = certify(fr, spec, cfg, state, (-2.0, 2.0), path=report)
     assert report.converged and report.distances[-1] > 0.0
     assert len(calls) == report.iterations + 1
-    assert step(fr, state, spec, cfg)[1] == report.defects
+    assert step(fr, state, spec, cfg)[1] == cert["defects"]
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3])
+def test_unconverged_run_stops_at_the_cap(monkeypatch, max_iters):
+    # a run the cap cuts short applies the operator max_iters times and
+    # measures nothing more: only a converged state is certified
+    fr, spec, cfg = _moving_scenario(max_iters=max_iters)
+    calls, _ = _counted_steps(monkeypatch)
+    _, report = iterate(fr, spec, cfg)
+    assert not report.converged and report.iterations == max_iters
+    assert len(calls) == max_iters
 
 
 def _loglog_fit(x, y):
@@ -1408,8 +1440,7 @@ class TestAposteriori:
 
     def test_bounds_sandwich_the_true_error_on_the_oracle(self):
         fr, spec, cfg, final, report = linear_run()
-        rows = aposteriori_bounds(report.e_eta, final, cfg, (-2.0, 2.0),
-                                  report.kappa_hat)
+        rows = certificate(linear_run)["bounds"]
         # measure where the metric lives: at the nodes (between nodes the
         # representation adds its own interpolation term, budgeted by M)
         nodes = final.xs.nodes
@@ -1668,26 +1699,26 @@ class TestReports:
     def test_json_round_trip(self, tmp_path):
         fr, spec, cfg, final, report = linear_run()
         path = tmp_path / "report.json"
-        report.to_json(path)
+        report.to_json(path, certificate(linear_run))
         data = json.loads(path.read_text())
         assert data["converged"] is True
         assert data["iterations"] == report.iterations
         assert data["eta"] == 0.25
-        assert data["kappa_hat"] == report.kappa_hat
+        assert data["kappa_hat"] == certificate(linear_run)["kappa_hat"]
         assert len(data["history"]) == report.iterations
         assert len(data["ball_history"]) == report.iterations
 
     def test_non_finite_report_writes_no_file(self, tmp_path):
         # the strict JSON text is built before the file is opened
-        report = dataclasses.replace(linear_run()[4], e_eta=math.nan)
+        cert = dict(certificate(linear_run), e_eta=math.nan)
         path = tmp_path / "report.json"
         with pytest.raises(ValueError, match="not JSON compliant"):
-            report.to_json(path)
+            linear_run()[4].to_json(path, cert)
         assert not path.exists()
 
     def test_kappa_hat_is_the_worst_ratio(self):
         fr, spec, cfg, final, report = nonlinear_run()
-        assert report.kappa_hat == max(report.ratios)
+        assert certificate(nonlinear_run)["kappa_hat"] == max(report.ratios)
         assert len(report.ratios) == report.iterations - 1
 
     def test_residual_csv_layout(self, tmp_path):
