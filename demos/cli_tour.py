@@ -29,9 +29,14 @@ def scenario(out):
 
 
 def show(path, keys):
-    data = json.load(open(path))
+    # a dotted key reads a nested entry, e.g. defects.d_eta
+    with open(path) as fh:
+        data = json.load(fh)
     for k in keys:
-        print(f"    {k} = {data[k]}")
+        value = data
+        for part in k.split("."):
+            value = value[part]
+        print(f"    {k} = {value}")
 
 
 def main():
@@ -67,7 +72,7 @@ def main():
     code = cli(["verify", verify_scn, run_out])
     print(f"  exit code {code}")
     show(os.path.join(verify_out, "verify.json"),
-         ("e_eta", "kappa_hat", "d_eta"))
+         ("e_eta", "kappa_hat", "defects.d_eta", "core_half"))
 
     print(f"\nartifacts kept under {root}")
 

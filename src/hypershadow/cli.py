@@ -5,19 +5,21 @@ one eps (or a dyadic list for sweeps), an output directory and a seed.
 Verbs: ``run`` drives the fixed point and writes the converged state
 with its convergence, residual and error-bound tables; ``sweep`` runs a
 list of eps values and fits the first-order response slope; ``verify``
-re-certifies a stored state (see :func:`save_state`). All three take
-e_eta, the contraction estimate kappa and the bounds rows from
-``invariance.certify``, which reads kappa off the run's path, and for
+re-certifies a stored state (see :func:`save_state`) and writes the
+certificate record of ``invariance.certify`` as ``verify.json``. All
+three take e_eta, the contraction estimate kappa and the bounds rows
+from ``certify``, which reads kappa off the run's path, and for
 ``verify`` off one more application (ROADMAP item 1 unifies the two).
 
 Exit codes: 0 success, 1 a usage error or a scenario or descriptor
 failure, including a run that reaches past the bounds its descriptors
-declare and a saved state with a malformed file or a value that is not
-finite (nothing is written), 2 divergence, no convergence within
-``max_iters`` applications, or a contraction estimate kappa at or
-above 1, 3 an iterate leaving its declared ball, 4 a numerical failure:
-a non-finite value entering the operator or a time-change flow failing
-its checks. A failed run or verify writes no output directory.
+declare, a bounds interval past the core, and a saved state with a
+malformed file or a value that is not finite (nothing is written), 2
+divergence, no convergence within ``max_iters`` applications, or a
+contraction estimate kappa at or above 1, 3 an iterate leaving its
+declared ball, 4 a numerical failure: a non-finite value entering the
+operator or a time-change flow failing its checks. A failed run or
+verify writes no output directory.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .invariance import (
     OperatorConfig,
     _Run,
     certify,
+    check_bounds_interval,
     check_state_grid,
     iterate,
     resolve_geometry,
@@ -92,16 +95,11 @@ class Scenario:
             raise ValueError("this verb needs a single eps; use sweep "
                              "for lists")
         cfg = OperatorConfig(eps=eps, **cfg_kw)
-        # the bounds table scales by e^{eta max(|a|, |b|)}
-        reach = max(map(abs, self.bounds_interval))
-        if not reach * cfg.eta <= math.log(sys.float_info.max):
-            raise ValueError(f"bounds_interval reaches {reach:g}, too far "
-                             f"for eta {cfg.eta:g}: e^(eta * {reach:g}) is "
-                             f"not a finite float")
-        # eta below the hyperbolicity rates and a usable core window at
-        # the time-change radius every run starts from, checked before
-        # any compute happens
-        resolve_geometry(cfg, fr, spec.h, DEFAULT_T_RADII[0])
+        # eta below the hyperbolicity rates, a usable core window at the
+        # time-change radius every run starts from, and a bounds interval
+        # certify takes there, checked before any compute happens
+        geo = resolve_geometry(cfg, fr, spec.h, DEFAULT_T_RADII[0])
+        check_bounds_interval(self.bounds_interval, cfg.eta, geo.core_half)
         # one evaluation on the orbit: the perturbation must fit the model
         n = fr.model.n
         seg = HistorySegment(0.0, spec.h, fr.orbit_batch,
@@ -396,18 +394,13 @@ def cmd_verify(scn, state_dir, quiet=False):
     out = scn.out
     os.makedirs(out, exist_ok=True)
     write_bounds_csv(cert["bounds"], os.path.join(out, "bounds.csv"))
-    defects = cert["defects"]
-    record = {k: cert[k] for k in ("e_eta", "kappa_hat", "tail_s", "tail_u")}
-    record.update(
-        d_eta=defects["d_eta"],
-        components={k: defects[k] for k in ("E_c", "E_s", "E_u", "DE_s",
-                                            "DE_u")},
-        # relative to the output, so the record does not depend on
-        # where the two directories live
-        state_dir=os.path.relpath(state_dir, out), seed=scn.seed)
+    # the state directory relative to the output, so the record does
+    # not depend on where the two directories live
+    record = dict(cert, state_dir=os.path.relpath(state_dir, out),
+                  seed=scn.seed)
     write_lines(os.path.join(out, "verify.json"), [json_text(record)])
-    _say(quiet, f"E_eta={record['e_eta']:.3e} "
-                f"kappa_hat={record['kappa_hat']:.3f} -> {out}")
+    _say(quiet, f"E_eta={cert['e_eta']:.3e} "
+                f"kappa_hat={cert['kappa_hat']:.3f} -> {out}")
     return 0
 
 

@@ -231,9 +231,11 @@ def _quadrature_inverse(field, table, y):
     """The quadrature inverse Phi(y) and X(y) at a 1-D array y.
 
     Phi(y) is the table value at the left node of y's cell plus the
-    6-point Gauss integral of 1/X over the partial cell up to y; the end
-    cells stretch to reach a y beyond the table. One field lookup, a
-    read of the field's cell table, covers the Gauss points and y itself.
+    6-point Gauss integral of 1/X over the partial cell up to y. The
+    cell index is clamped to the table only as a guard: the sweeps read
+    Phi inside the support of X - 1, which the table covers. One field
+    lookup, a read of the field's cell table, covers the Gauss points
+    and y itself.
     """
     j = np.floor((y - table.nodes[0]) / table.delta).astype(np.int64)
     np.maximum(j, 0, out=j)
@@ -279,26 +281,25 @@ def solve_flow(field, window):
         with degree 7.
 
     The inverse comes first: phi_inv(t) is the integral of 1/X on a
-    window inflated by (1 + t_0) so it covers the image of phi. X - 1 is
-    0 past the support |t| <= S = Ks delta, Ks the whole cells that
-    reach one cell past the field's window, so only the 2 Ks support
-    cells are summed (all of them if the support overflows the inverse
-    window), with a 6-point Gauss rule and X read at every Gauss point
-    in one lookup of the field's cell table; past +-S the table goes on
-    as its value there plus the distance past it. phi at the nodes t_i
-    that it maps into the support, phi_inv(-S) < t_i < phi_inv(S), a
-    contiguous run, then solves Phi(phi) = t_i, with Phi the quadrature
-    inverse (table plus partial cell, see ``_quadrature_inverse``), by
-    vectorized Newton sweeps phi <- phi - (Phi(phi) - t) X(phi), started
-    from cubic (4-point Lagrange) interpolation of the inverse table's
-    (value, node) pairs; every other node is translated,
-    phi(t_i) = +-S + (t_i - phi_inv(+-S)), unless the support overflows
-    the inverse window: then every node is swept. Each sweep reads X
-    once, from the same table, and only at the nodes whose last measured
-    residual is above 1e-13: a node stops, with no further update, at
-    its first measured residual at or below that floor, so every node of
-    phi ends with a measured residual <= 1e-13. Since Phi' = 1/X
-    exactly, the sweeps converge quadratically.
+    window that covers both the image of phi, the flow window inflated
+    by (1 + t_0), and the support |t| <= S = Ks delta of X - 1, Ks the
+    whole cells that reach one cell past the field's window. Only the
+    2 Ks support cells are summed, with a 6-point Gauss rule and X read
+    at every Gauss point in one lookup of the field's cell table; past
+    +-S, where X = 1, the table goes on as its value there plus the
+    distance past it. phi at the nodes t_i that it maps into the
+    support, phi_inv(-S) < t_i < phi_inv(S), a contiguous run, then
+    solves Phi(phi) = t_i, with Phi the quadrature inverse (table plus
+    partial cell, see ``_quadrature_inverse``), by vectorized Newton
+    sweeps phi <- phi - (Phi(phi) - t) X(phi), started from cubic
+    (4-point Lagrange) interpolation of the inverse table's (value,
+    node) pairs; every other node maps past the support and is
+    translated exactly, phi(t_i) = +-S + (t_i - phi_inv(+-S)). Each
+    sweep reads X once, from the same table, and only at the nodes whose
+    last measured residual is above 1e-13: a node stops, with no further
+    update, at its first measured residual at or below that floor, so
+    every swept node of phi ends with a measured residual <= 1e-13.
+    Since Phi' = 1/X exactly, the sweeps converge quadratically.
     """
     if float(np.abs(field.xhat.values).max()) >= 1.0:
         raise ValueError("sup|X - 1| must be < 1")
@@ -307,14 +308,12 @@ def solve_flow(field, window):
     K = flow_cells(R, delta)
     R_phi = K * delta
 
-    K_inv = flow_cells((1.0 + field.t0) * R_phi, delta)
-    R_inv = K_inv * delta
     # X - 1 is 0 from one cell past the field's window on: the support
-    # is the inverse table's middle 2 Ks cells, |rho| <= S = Ks delta,
-    # or the whole table when the support overflows it
+    # |rho| <= S = Ks delta is the inverse table's middle 2 Ks cells. The
+    # table spans the image of phi's window or the support, the wider
     Ks = flow_cells(field.xhat.half_width + delta, delta)
-    overflow = Ks > K_inv
-    Ks = min(Ks, K_inv)
+    K_inv = max(flow_cells((1.0 + field.t0) * R_phi, delta), Ks)
+    R_inv = K_inv * delta
     gx, gw = _GAUSS6_NODES, _GAUSS6_WEIGHTS
     cell_lo = lattice(R_inv, delta)[K_inv - Ks:K_inv + Ks]
     # quadrature points of every support cell at once, then 1/X there
@@ -325,8 +324,7 @@ def solve_flow(field, window):
     inv_vals[K_inv] = 0.0
     inv_vals[K_inv + 1:K_inv + Ks + 1] = np.cumsum(cells[Ks:])
     inv_vals[K_inv - Ks:K_inv] = -np.cumsum(cells[:Ks][::-1])[::-1]
-    # past the support 1/X = 1: the table goes on by whole cells (none
-    # when the support fills it)
+    # past the support 1/X = 1: the table goes on by whole cells
     beyond = np.arange(1, K_inv - Ks + 1) * delta
     inv_vals[K_inv + Ks + 1:] = inv_vals[K_inv + Ks] + beyond
     inv_vals[:K_inv - Ks] = (inv_vals[K_inv - Ks] - beyond)[::-1]
@@ -334,16 +332,12 @@ def solve_flow(field, window):
 
     # phi maps the nodes between the support ends' images
     # phi_inv(-S) < t < phi_inv(S) into the support, by Newton, and
-    # translates every other node: phi(t) = +-S + (t - phi_inv(+-S)).
-    # When the support overflows the table, X need not be 1 past it, so
-    # every node is swept, the end cells stretched to reach it
+    # translates every other node: phi(t) = +-S + (t - phi_inv(+-S))
     t = lattice(R_phi, delta)
     ends = phi_inv.nodes[[K_inv - Ks, K_inv + Ks]]
     images = inv_vals[[K_inv - Ks, K_inv + Ks]]
     a = int(np.searchsorted(t, images[0], side="right"))
     b = int(np.searchsorted(t, images[1], side="left"))
-    if overflow:
-        a, b = 0, t.size
     y = np.empty(t.size)
     y[:a] = ends[0] + (t[:a] - images[0])
     y[b:] = ends[1] + (t[b:] - images[1])

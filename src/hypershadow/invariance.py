@@ -563,21 +563,16 @@ class IterationReport:
     (iter, d_eta, kappa_running, E_c, E_s, E_u). ``defects`` are those
     of the returned state when the last iteration measured them, having
     reproduced its input bit for bit, and None when :func:`certify` has
-    to measure them.
+    to measure them. The certificate holds eta, eps and the ball radii.
     """
 
     distances: tuple
     ratios: tuple
     converged: bool
     iterations: int
-    eta: float
-    eps: float
     core_half: float
     history: tuple
     ball_history: tuple
-    t_radii: tuple
-    s_radii: tuple
-    u_radii: tuple
     defects: dict
 
     def to_json(self, path, certificate):
@@ -688,14 +683,9 @@ def iterate(fr, spec, cfg, initial=None, _run=None):
         ratios=tuple(ratios),
         converged=converged,
         iterations=len(distances),
-        eta=cfg.eta,
-        eps=cfg.eps,
         core_half=run.geo.core_half,
         history=tuple(history),
         ball_history=tuple(ball_history),
-        t_radii=state.t_ball.c,
-        s_radii=state.s_ball.c,
-        u_radii=state.u_ball.c,
         defects=defects if reproduced else None,
     )
     return state, report
@@ -802,16 +792,36 @@ def aposteriori_bounds(e_eta, state, cfg, interval, kappa_hat):
     return rows
 
 
+def check_bounds_interval(interval, eta, core_half):
+    """Refuse a bounds interval [a, b] whose rows' factor
+    e^(eta max(|a|, |b|)) is no finite float, or that reaches past the
+    core |t| <= core_half, where the defect they scale is measured."""
+    reach = max(map(abs, interval))
+    if not reach * eta <= math.log(np.finfo(float).max):
+        raise ValueError(f"bounds_interval reaches {reach:g}, too far for "
+                         f"eta {eta:g}: e^(eta * {reach:g}) is not a finite "
+                         f"float")
+    if not reach <= core_half + 1e-9:
+        raise ValueError(f"bounds_interval reaches {reach:g}, past the core "
+                         f"|t| <= {core_half:g} where the defect is measured")
+
+
 def certify(fr, spec, cfg, state, interval, run=None, path=None):
     """The certificate of ``state``, a dict: its fixed-point ``defects``
     (:func:`gamma_step`'s), ``e_eta`` their ``d_eta`` plus the tails
     ``tail_s`` and ``tail_u``, the contraction estimate ``kappa_hat``
-    (:func:`_kappa`) and ``bounds``, the rows of :func:`aposteriori_bounds`
-    on ``interval``. The defects are those of one more application of
+    (:func:`_kappa`), ``bounds``, the rows of :func:`aposteriori_bounds`
+    on ``interval``, and the context these hold in: ``eta``, ``eps``,
+    ``core_half`` and the ball radii ``t_radii``, ``s_radii`` and
+    ``u_radii``. The defects are those of one more application of
     the operator unless ``path``, :func:`iterate`'s report of the run
-    that returned ``state``, holds them. Raises NotCertifiableError when
-    kappa is not below 1. ``run`` is the run's layout; a lone state
-    builds its own."""
+    that returned ``state``, holds them. Raises ValueError, before any
+    application, for an ``interval`` :func:`check_bounds_interval`
+    refuses, and NotCertifiableError when kappa is not below 1. ``run``
+    is the run's layout; a lone state builds its own."""
+    core_half = (run.geo if run else resolve_geometry(
+        cfg, fr, spec.h, state.X.t0)).core_half
+    check_bounds_interval(interval, cfg.eta, core_half)
     image, defects = state, getattr(path, "defects", None)
     if defects is None:
         run = run or _Run(fr, spec, cfg, state.X.t0)
@@ -826,7 +836,10 @@ def certify(fr, spec, cfg, state, interval, run=None, path=None):
     return {"defects": defects, "e_eta": e_eta, "tail_s": defects["tail_s"],
             "tail_u": defects["tail_u"], "kappa_hat": kappa,
             "bounds": tuple(aposteriori_bounds(e_eta, state, cfg, interval,
-                                               kappa))}
+                                               kappa)),
+            "eta": cfg.eta, "eps": cfg.eps, "core_half": core_half,
+            "t_radii": state.t_ball.c, "s_radii": state.s_ball.c,
+            "u_radii": state.u_ball.c}
 
 
 def _kappa(fr, spec, cfg, run, path, image, d):

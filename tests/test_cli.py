@@ -469,10 +469,13 @@ class TestRunVerb:
             self, tmp_path, capsys, verb, window):
         # resolve lays out the windows at the time-change radius every
         # run starts from, so a window whose core the run's history
-        # margin would eat is refused in the plain line, before compute
+        # margin would eat is refused in the plain line, before compute;
+        # window 22.3 leaves a core of 0.3, which the interval must not
+        # reach past
         config = dict(scenario_dict()["config"], window=window, delta=0.1)
         eps = 0.01 if verb == "run" else [0.01, 0.005, 0.0025]
-        path, scn = write_scenario(tmp_path, config=config, eps=eps)
+        path, scn = write_scenario(tmp_path, config=config, eps=eps,
+                                   bounds_interval=[-0.3, 0.3])
         code = cli.main([verb, path, "--quiet"])
         err = capsys.readouterr().err.strip().splitlines()
         if window == 22.3:
@@ -735,10 +738,12 @@ class TestRunVerb:
 @pytest.mark.parametrize("window", [24.05, 23.95])
 def test_a_window_of_odd_half_cells_certifies(tmp_path, window):
     # a window whose ends are odd multiples of delta / 2 holds whole
-    # cells, so its core must end on its nodes, not on multiples of delta
+    # cells, so its core must end on its nodes, not on multiples of delta;
+    # window 23.95 leaves a core of 1.95, inside which the interval lies
     config = {"eta": 0.25, "window": window, "delta": 0.1, "tol_eta": 1e-8}
+    interval = [-1.9, 1.9]
     path, scn = write_scenario(tmp_path, config=config, eps=0.02,
-                               **SDD_CUBIC)
+                               bounds_interval=interval, **SDD_CUBIC)
     assert cli.main(["run", path, "--quiet"]) == 0
     report = read_json(scn["out"], "report.json")
     assert report["converged"]
@@ -748,8 +753,29 @@ def test_a_window_of_odd_half_cells_certifies(tmp_path, window):
                      str(tmp_path / "verify"), "--quiet"]) == 0
     spath, sscn = write_scenario(tmp_path, name="sweep.json",
                                  out=str(tmp_path / "sweep"), config=config,
-                                 eps=[0.02, 0.01, 0.005], **SDD_CUBIC)
+                                 eps=[0.02, 0.01, 0.005],
+                                 bounds_interval=interval, **SDD_CUBIC)
     assert cli.main(["sweep", spath, "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep", "verify"])
+def test_bounds_interval_past_the_core_is_exit_one(tmp_path, capsys,
+                                                   monkeypatch, linear_run,
+                                                   verb):
+    # the bounds rows scale e_eta, measured on this scenario's core
+    # |t| <= 2, so an interval reaching past it is refused in one line
+    # before any operator step, and nothing is written
+    monkeypatch.setattr(invariance, "gamma_step",
+                        lambda *a: pytest.fail("stepped"))
+    eps = [4e-3, 2e-3, 1e-3] if verb == "sweep" else 0.01
+    path, scn = write_scenario(tmp_path, eps=eps,
+                               bounds_interval=[-10.0, 10.0])
+    state = [linear_run["out"]] if verb == "verify" else []
+    assert cli.main([verb, path, *state]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "hypershadow: bounds_interval reaches 10, past the core |t| <= 2 "
+        "where the defect is measured"]
+    assert not os.path.exists(scn["out"])
 
 
 def test_verify_of_a_run_reads_its_defects(tmp_path):
@@ -767,12 +793,11 @@ def test_verify_of_a_run_reads_its_defects(tmp_path):
     ver = read_json(ver_dir, "verify.json")
     for key in ("e_eta", "tail_s", "tail_u"):
         assert ver[key] == rep[key], key
-    assert ver["d_eta"] == rep["defects"]["d_eta"]
-    for key in ("E_c", "E_s", "E_u", "DE_s", "DE_u"):
-        assert ver["components"][key] == rep["defects"][key], key
+    for key in ("d_eta", "E_c", "E_s", "E_u", "DE_s", "DE_u"):
+        assert ver["defects"][key] == rep["defects"][key], key
     assert len(rep["ratios"]) >= 1
     assert rep["kappa_hat"] == max(rep["ratios"]) > 0.0
-    assert ver["d_eta"] <= SDD_CUBIC_CONFIG["tol_eta"]
+    assert ver["defects"]["d_eta"] <= SDD_CUBIC_CONFIG["tol_eta"]
     assert ver["kappa_hat"] == 0.0
 
 

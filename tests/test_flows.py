@@ -180,12 +180,11 @@ def test_solve_flow_work_counts(monkeypatch):
         assert builds.count(field.xhat.geometry) == 0, seed
 
 
-def support_cells(field, fl):
+def support_cells(field):
     # Ks: the whole cells from 0 to one cell past the field's window,
-    # beyond which X = 1, capped at the inverse table's half
+    # beyond which X = 1
     d = field.xhat.delta
-    return min(flows.flow_cells(field.xhat.half_width + d, d),
-               (fl.phi_inv.n - 1) // 2)
+    return flows.flow_cells(field.xhat.half_width + d, d)
 
 
 def test_newton_sweeps_only_the_nodes_above_the_floor(monkeypatch):
@@ -207,7 +206,7 @@ def test_newton_sweeps_only_the_nodes_above_the_floor(monkeypatch):
         field = random_field(seed)
         points.clear()
         fl = flows.solve_flow(field, 6.0)
-        assert points[0] == 6 * 2 * support_cells(field, fl), seed
+        assert points[0] == 6 * 2 * support_cells(field), seed
         assert sum(points[1:]) <= 2.1 * 7 * fl.phi.n, (seed, sum(points))
         Phi, _ = flows._quadrature_inverse(field, fl.phi_inv,
                                            fl.phi.values[:, 0])
@@ -225,7 +224,7 @@ def test_a_wide_window_translates_past_the_support():
         field = random_field(seed, T=T)
         fl = flows.solve_flow(field, 15.0)
         inv, t = fl.phi_inv, fl.phi.nodes
-        S = inv.nodes[(inv.n - 1) // 2 + support_cells(field, fl)]
+        S = inv.nodes[(inv.n - 1) // 2 + support_cells(field)]
         y = fl.phi.values[:, 0]
         # the points of the support side: rho for phi_inv, phi(t) for phi
         for nodes, vals, at in ((inv.nodes, inv.values[:, 0], inv.nodes),
@@ -240,13 +239,20 @@ def test_a_wide_window_translates_past_the_support():
         assert fl.roundtrip_defect() <= 1e-9, seed
 
 
+def constant_field_past_its_ball(c):
+    # a ball radius t_0 = 0 below sup|xhat| = |c|: on a flow window
+    # equal to the field's, the image estimate (1 + t_0) R falls a cell
+    # short of the support, which reaches one cell past the field's
+    return flows.ScalarField(GridFunction.sample(
+        lambda t: c + 0.0 * t, 6.0, 0.05), BallRadii((0.0, 0.0)))
+
+
 @pytest.mark.parametrize("c", [0.3, -0.3, 0.6])
-def test_a_support_past_the_inverse_window_sweeps_every_node(monkeypatch, c):
-    # a ball radius t_0 = 0 below sup|xhat| = |c| sizes the inverse table
-    # at the flow window, short of the support's one cell past the
-    # field's window: X need not be 1 past the table, so no node is
-    # translated and every node inverts the quadrature inverse, whose
-    # end cells stretch to reach it
+def test_a_support_past_the_flow_window_widens_the_inverse_table(
+        monkeypatch, c):
+    # the inverse table still spans the support, so X = 1 past the
+    # support's ends: the nodes phi maps into the support invert the
+    # quadrature inverse, and every other node is translated exactly
     points = []
     fast_value = flows.ScalarField.fast_value
 
@@ -255,14 +261,62 @@ def test_a_support_past_the_inverse_window_sweeps_every_node(monkeypatch, c):
         return fast_value(self, t)
 
     monkeypatch.setattr(flows.ScalarField, "fast_value", counting_lookup)
-    field = flows.ScalarField(GridFunction.sample(
-        lambda t: c + 0.0 * t, 6.0, 0.05), BallRadii((0.0, 0.0)))
+    field = constant_field_past_its_ball(c)
     fl = flows.solve_flow(field, 6.0)
-    assert fl.phi_inv.half_width < field.xhat.half_width + 0.05
-    assert points[:2] == [6 * (fl.phi_inv.n - 1), 7 * fl.phi.n]
-    Phi, _ = flows._quadrature_inverse(field, fl.phi_inv,
-                                       fl.phi.values[:, 0])
-    assert np.abs(Phi - fl.phi.nodes).max() <= 1e-13
+    inv, t, y = fl.phi_inv, fl.phi.nodes, fl.phi.values[:, 0]
+    Ks = support_cells(field)
+    assert inv.n == 2 * Ks + 1
+    assert points[0] == 6 * 2 * Ks
+    # the images phi_inv(+-S) of the support's ends
+    lo, hi = inv.values[[0, -1], 0]
+    swept = (t > lo) & (t < hi)
+    assert (~swept).any() == (c > 0.0)
+    assert points[1] == 7 * swept.sum()
+    Phi, _ = flows._quadrature_inverse(field, inv, y[swept])
+    assert np.abs(Phi - t[swept]).max() <= 1e-13
+    for end, image, tail in ((inv.nodes[0], lo, t <= lo),
+                             (inv.nodes[-1], hi, t >= hi)):
+        assert np.array_equal(y[tail], end + (t[tail] - image))
+
+
+def _flow_by_solve_ivp(field, t):
+    """phi(t) for phi' = 1 + xhat(phi), phi(0) = 0, at the times t.
+
+    An adaptive Runge-Kutta run per side integrates the mirrored flow
+    w(u) = +-phi(+-u). The taper to zero bends X where phi crosses
+    +-T and +-(T + delta), so each run stops there by an event and goes
+    on from the crossing.
+    """
+    T, d = field.xhat.half_width, field.xhat.delta
+    out = np.zeros_like(t)
+    for side in (1.0, -1.0):
+        u = side * t
+        start, w0 = 0.0, 0.0
+        for kink in (T, T + d, math.inf):
+            def crossing(s, w):
+                return w[0] - kink
+            crossing.terminal = True
+            sol = solve_ivp(lambda s, w: 1.0 + field.xhat.eval1(side * w),
+                            (start, float(u.max())), [w0], method="DOP853",
+                            rtol=1e-13, atol=1e-15, dense_output=True,
+                            events=crossing)
+            sel = (u > start) & (u <= sol.t[-1])
+            if sel.any():
+                out[sel] = side * sol.sol(u[sel])[0]
+            start, w0 = sol.t[-1], sol.y[0, -1]
+            if sol.status != 1:
+                break
+    return out
+
+
+@pytest.mark.parametrize("c", [0.3, -0.3, 0.6])
+def test_a_support_past_the_flow_window_matches_solve_ivp(c):
+    # the flow of that field, node by node, against an independent
+    # integration of phi' = X(phi)
+    field = constant_field_past_its_ball(c)
+    fl = flows.solve_flow(field, 6.0)
+    ref = _flow_by_solve_ivp(field, fl.phi.nodes)
+    assert np.abs(fl.phi.values[:, 0] - ref).max() <= 1e-9
 
 
 def test_fast_phi_agrees_with_the_sampler():

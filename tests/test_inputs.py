@@ -259,6 +259,22 @@ def _row(name, entry):
     return [name, entry.kind, shown, default]
 
 
+def test_readme_lists_the_certificate_record():
+    # README's sentence of the record's keys names exactly the keys
+    # invariance.certify returns, here of the trivial fixed point
+    text = " ".join((ROOT / "README.md").read_text().split())
+    sentence = re.search(r"The certificate record's keys are (.+?)\. ",
+                         text).group(1)
+    fr = hyperbolic.frame_from_descriptor({"mode": "analytic",
+                                           "model": "lin-saddle"})
+    spec = perturbations.spec_from_descriptor({"kind": "zero"}, fr.model)
+    cfg = invariance.OperatorConfig(eps=0.0, eta=0.25, window=24.0,
+                                    delta=0.2, tol_eta=1e-8)
+    cert = invariance.certify(fr, spec, cfg, invariance.initial_state(fr, cfg),
+                              (-2.0, 2.0))
+    assert sorted(re.findall(r"`([^`]+)`", sentence)) == sorted(cert)
+
+
 def test_readme_lists_the_declared_entries():
     text = (ROOT / "README.md").read_text()
     shown = {caption: [[cell.strip().strip("`")

@@ -1347,6 +1347,31 @@ def test_unconverged_run_stops_at_the_cap(monkeypatch, max_iters):
     assert len(calls) == max_iters
 
 
+@pytest.mark.parametrize("interval", [(-2.5, 2.0), (-2.0, 3000.0)])
+def test_certify_refuses_an_interval_past_the_core(monkeypatch, interval):
+    # the bounds rows scale the defect measured on the core |t| <= 2, so
+    # an interval reaching past it is refused, as is one whose factor
+    # e^(eta max(|a|, |b|)) overflows, with or without the run's path
+    # and before any operator application
+    fr, spec, cfg, final, report = linear_run()
+    calls, _ = _counted_steps(monkeypatch)
+    for path in (report, None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bounds_interval reaches {max(map(abs, interval)):g}, ")):
+            certify(fr, spec, cfg, final, interval, path=path)
+    assert calls == []
+
+
+def test_the_certificate_holds_its_context():
+    fr, spec, cfg, final, report = linear_run()
+    cert = certificate(linear_run)
+    assert (cert["eta"], cert["eps"], cert["core_half"]) == \
+        (cfg.eta, cfg.eps, report.core_half) == (0.25, 0.01, 2.0)
+    assert (cert["t_radii"], cert["s_radii"], cert["u_radii"]) == \
+        tuple(ball.c for ball in final.radii)
+    assert {row["interval"] for row in cert["bounds"]} == {(-2.0, 2.0)}
+
+
 def _loglog_fit(x, y):
     lx, ly = np.log(x), np.log(y)
     A = np.vstack([lx, np.ones_like(lx)]).T
